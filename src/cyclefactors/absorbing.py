@@ -27,7 +27,7 @@ from .fractional import (
     uniform_weighting,
 )
 from .hypergraph import Hypergraph
-from .tightpaths import TightPath, is_tight_path
+from .tightpaths import TightPath, is_tight_path, tight_extensions
 from .walks import StuckWalkError, sample_walk
 
 
@@ -75,62 +75,44 @@ class Absorber:
         return x in self.center_candidates
 
 
+def absorbable(H_plus: Hypergraph, slot: Sequence[int]) -> frozenset:
+    """The vertices x for which slot is an x-absorber (none unless slot is a
+    tight 2k-path): x inserted after slot[k-1] must extend each (k-1)-set
+    slot[i : i + k - 1], i = 1..k, that its new windows contain."""
+    k = H_plus.k
+    slot = tuple(slot)
+    if len(slot) != 2 * k or not is_tight_path(H_plus, slot):
+        return frozenset()
+    out = set(H_plus.extensions(slot[1:k]))
+    for i in range(2, k + 1):
+        out.intersection_update(H_plus.extensions(slot[i : i + k - 1]))
+    return frozenset(out.difference(slot))
+
+
 def enumerate_absorbers(
     H_plus: Hypergraph, x: int, cap: Optional[int] = None
 ) -> List[Absorber]:
-    """All ordered 2k-sequences that absorb x, up to cap (None = all).
+    """All x-absorbers in lexicographic order, up to cap (None = all).
 
-    DFS over the inserted (2k+1)-sequence with x pinned at the center,
-    pruning on both the inserted windows and the seam windows of the bare
-    sequence.
+    Grows a first half a_1..a_k whose last k-1 vertices extend by x, then the
+    inserted sequence a_1..a_k x a_{k+1}..a_2k from it; keeps a_1..a_2k when x
+    is ``absorbable`` by it, which also checks the bare seam windows.
     """
     H_plus._check_vertex(x)
     k = H_plus.k
+    others = [v for v in range(H_plus.n) if v != x]
     out: List[Absorber] = []
-
-    def full_candidates(seq: Tuple[int, ...]) -> frozenset:
-        return frozenset(
-            v for v in range(H_plus.n) if is_absorber_for(H_plus, seq, v)
-        )
-
-    def rec(seq: List[int]):
-        if cap is not None and len(out) >= cap:
-            return
-        if len(seq) == 2 * k:
-            out.append(Absorber(seq=tuple(seq), center_candidates=full_candidates(tuple(seq))))
-            return
-        for v in range(H_plus.n):
-            if v == x or v in seq:
-                continue
-            seq.append(v)
-            if _absorber_prefix_ok(H_plus, seq, x):
-                rec(seq)
-            seq.pop()
-            if cap is not None and len(out) >= cap:
-                return
-
-    rec([])
+    for head in tight_extensions(H_plus, (), k, others):
+        if x not in H_plus.extensions(head[1:]):
+            continue
+        for inserted in tight_extensions(H_plus, head + (x,), 2 * k + 1, others):
+            seq = head + inserted[k + 1 :]
+            centers = absorbable(H_plus, seq)
+            if x in centers:
+                if cap is not None and len(out) >= cap:
+                    return out
+                out.append(Absorber(seq=seq, center_candidates=centers))
     return out
-
-
-def _absorber_prefix_ok(H_plus: Hypergraph, seq: Sequence[int], x: int) -> bool:
-    """Incremental window checks for a partial absorber sequence."""
-    k = H_plus.k
-    pos = len(seq)
-    # windows of the bare sequence ending at the newest vertex
-    if pos >= k and not H_plus.has_edge(seq[pos - k : pos]):
-        return False
-    # windows of the inserted sequence a_1..a_k x a_{k+1}..: the inserted
-    # sequence is seq[:k] + (x,) + seq[k:]; any complete k-window ending at
-    # the newest inserted position must be an edge
-    ins = list(seq[:k]) + [x] + list(seq[k:]) if pos >= k else list(seq)
-    if pos >= k:
-        end = len(ins)
-        for i in range(max(0, end - k), end - k + 1):
-            w = ins[i : i + k]
-            if len(w) == k and not H_plus.has_edge(w):
-                return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -167,10 +149,8 @@ def make_block(H_plus: Hypergraph, seq: Sequence[int], a: int, ell: int, good_ca
             f"block needs a(2k+ell) = {a * unit} vertices, got {len(seq)}"
         )
     slots = tuple(seq[i * unit : i * unit + 2 * k] for i in range(a))
-    bad = frozenset(
-        x
-        for x in range(H_plus.n)
-        if not any(is_absorber_for(H_plus, slot, x) for slot in slots)
+    bad = frozenset(range(H_plus.n)).difference(
+        *(absorbable(H_plus, slot) for slot in slots)
     )
     return Block(
         seq=seq, absorber_slots=slots, good=len(bad) <= good_cap, bad_vertices=bad

@@ -44,6 +44,7 @@ from .tightpaths import (
     PathCollection,
     TightCycle,
     TightPath,
+    tight_extensions,
     verify_factor_copy,
 )
 
@@ -68,7 +69,6 @@ __all__ = [
 ]
 
 KEEP_DRAWS = 200  # rejection budget for the leftover-window draw
-ETA_REPORT_LIMIT = 200  # skip the pairwise-intersection report beyond this many (k-1)-sets
 
 
 class AssembleError(ValueError):
@@ -251,17 +251,10 @@ class Reservoir:
         ends = set(s) | set(t)
         if len(ends) < 2 * k:
             return
-        pool = sorted(self.R - ends)
-        for inner in itertools.permutations(pool, lam):
-            seq = s + inner + t
-            ok = True
-            for i in range(1, len(seq) - k + 1):
-                w = seq[i : i + k]
-                if any(v in inner for v in w) and not F.has_edge(w):
-                    ok = False
-                    break
-            if ok:
-                yield inner
+        for head in tight_extensions(F, s, k + lam, self.R - ends):
+            seq = head + t
+            if all(F.has_edge(seq[i : i + k]) for i in range(lam + 1, k + lam)):
+                yield head[k:]
 
     def as_dict(self) -> dict:
         return {
@@ -967,7 +960,7 @@ def _extend_backward(F, seq, allowed, rng):
     chosen: set = set()
     for j in range(k - 1, -1, -1):
         query = tuple(u[j + 1 : k]) + tuple(seq[: j])
-        cand = sorted(F.neighborhood(query) & (allowed - chosen))
+        cand = [w for w in F.extensions(query) if w in allowed and w not in chosen]
         if not cand:
             return None
         u[j] = cand[rng.randrange(len(cand))]
@@ -981,7 +974,7 @@ def _extend_forward(F, seq, allowed, rng):
     chosen: set = set()
     for j in range(k):
         query = tuple(seq[len(seq) - (k - 1 - j) :]) + tuple(v[:j])
-        cand = sorted(F.neighborhood(query) & (allowed - chosen))
+        cand = [w for w in F.extensions(query) if w in allowed and w not in chosen]
         if not cand:
             return None
         v[j] = cand[rng.randrange(len(cand))]

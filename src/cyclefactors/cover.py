@@ -25,7 +25,13 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .hypergraph import Hypergraph
-from .tightpaths import PathCollection, TightCycle, TightPath, classify
+from .tightpaths import (
+    PathCollection,
+    TightCycle,
+    TightPath,
+    classify,
+    tight_extensions,
+)
 
 __all__ = [
     "CoverError",
@@ -68,36 +74,14 @@ def _enumerate_all(H: Hypergraph, L: int, cap: Optional[int]):
     and the reflection duplicate is skipped by requiring the second vertex
     to be smaller than the last.
     """
-    k = H.k
     out = []
-
-    def rec(seq, used):
-        if len(seq) == L:
+    for v0 in range(H.n):
+        for seq in tight_extensions(H, (v0,), L, range(v0 + 1, H.n)):
             if seq[1] < seq[-1] and _close_ok(H, seq):
                 out.append(TightCycle(H, seq))
                 if cap is not None and len(out) > cap:
-                    raise _CapHit
-            return
-        for v in range(seq[0] + 1, H.n):
-            if v in used:
-                continue
-            seq.append(v)
-            if len(seq) < k or H.has_edge(seq[-k:]):
-                used.add(v)
-                rec(seq, used)
-                used.discard(v)
-            seq.pop()
-
-    try:
-        for v0 in range(H.n):
-            rec([v0], {v0})
-    except _CapHit:
-        return None
+                    return None
     return out
-
-
-class _CapHit(Exception):
-    pass
 
 
 def enumerate_tight_cycles(H: Hypergraph, L: int, cap: int = 200000):
@@ -148,15 +132,14 @@ def cycles_through_edge(
                 C = TightCycle(H, seq)
                 found.setdefault(C.canonical(), C)
             return
-        for v in order(range(H.n)):
+        for v in order(H.extensions(seq[-k + 1 :])):
             if v in used:
                 continue
-            if H.has_edge(seq[-k + 1 :] + [v]):
-                seq.append(v)
-                used.add(v)
-                rec(seq, used)
-                used.discard(v)
-                seq.pop()
+            seq.append(v)
+            used.add(v)
+            rec(seq, used)
+            used.discard(v)
+            seq.pop()
 
     for start in order(list(itertools.permutations(edge))):
         if limit is not None and len(found) >= limit:

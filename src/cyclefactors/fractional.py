@@ -9,7 +9,6 @@ exact (rational) mode the vertex sums come out equal to 1 identically.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,6 +18,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .hypergraph import Hypergraph, HypergraphError
+from .tightpaths import tight_extensions
 
 FLOAT_TOL = 1e-9
 
@@ -154,16 +154,13 @@ def build_walk_registry(
     rng = random.Random(seed)
     registry: Dict[Tuple[int, int], List[tuple]] = {}
     for s in range(H.n):
+        by_end: Dict[int, List[tuple]] = {}
+        for walk in tight_extensions(H, (s,), k + 1):
+            by_end.setdefault(walk[-1], []).append(walk)
         for t in range(H.n):
             if s == t:
                 continue
-            walks = []
-            others = [v for v in range(H.n) if v != s and v != t]
-            for mid in itertools.permutations(others, k - 1):
-                first = (s,) + mid
-                last = mid + (t,)
-                if H.has_edge(first) and H.has_edge(last):
-                    walks.append(first + (t,))
+            walks = by_end.get(t, [])
             if len(walks) > cap:
                 rng.shuffle(walks)
                 walks = sorted(walks[:cap])

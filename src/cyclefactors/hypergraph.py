@@ -10,7 +10,6 @@ the plain-text serialization format.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -18,11 +17,6 @@ from typing import Iterable, Optional, Sequence
 
 class HypergraphError(ValueError):
     """Domain error for malformed hypergraph input or invalid queries."""
-
-
-# Precomputing the full (k-1)-subset codegree index is only worth it while the
-# subset count stays small; above this cap the index is filled lazily per query.
-FULL_INDEX_CAP = 10**7
 
 
 class Hypergraph:
@@ -143,11 +137,12 @@ class Hypergraph:
         return hit
 
     def _km1_index(self) -> dict:
-        """(k-1)-subset -> sorted tuple of completing vertices, built once."""
+        """(k-1)-subset -> sorted tuple of completing vertices, built once.
+
+        Only the (k-1)-subsets of edges are stored: at most k*m keys.
+        """
         idx = self._full_km1_index
         if idx is None:
-            if math.comb(self.n, self.k - 1) > FULL_INDEX_CAP:
-                raise HypergraphError("full codegree index over cap; query edges directly")
             idx = {}
             for e in self.edges:
                 for i in range(self.k):
@@ -157,6 +152,14 @@ class Hypergraph:
             object.__setattr__(self, "_full_km1_index", idx)
         return idx
 
+    def extensions(self, tail: Iterable[int]) -> tuple:
+        """N(tail) as an ascending tuple, for any ordering of a (k-1)-set tail.
+
+        The hot step of every tight-sequence search, so unlike ``neighborhood``
+        it checks no arguments: a tail that is no (k-1)-set gets ().
+        """
+        return self._km1_index().get(tuple(sorted(tail)), ())
+
     def neighborhood(self, x: Iterable[int]) -> frozenset:
         """N(x) = {v : x + v is an edge} for a (k-1)-set x."""
         xs = tuple(sorted(set(x)))
@@ -164,7 +167,7 @@ class Hypergraph:
             raise HypergraphError(f"neighborhood wants a ({self.k - 1})-set, got {xs!r}")
         for v in xs:
             self._check_vertex(v)
-        return frozenset(self._km1_index().get(xs, ()))
+        return frozenset(self.extensions(xs))
 
     def delta_codegree(self, j: Optional[int] = None) -> int:
         """delta_j(H): minimum codegree over all j-subsets of the vertex set."""

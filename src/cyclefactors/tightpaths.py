@@ -2,7 +2,8 @@
 
 A tight path visits distinct vertices so that every k consecutive ones form an
 edge of the host; a tight cycle closes the sequence cyclically and needs at
-least k+1 vertices. Path collections index their end-sets (prefix sets plus
+least k+1 vertices. ``tight_extensions`` is the search that grows them vertex
+by vertex. Path collections index their end-sets (prefix sets plus
 the suffix k-set) so k-sets can be classified as j-end / lo / j-con relative
 to the collection.
 """
@@ -51,6 +52,32 @@ def is_tight_cycle(H: Hypergraph, seq: Sequence[int]) -> bool:
         return False
     closed = tuple(seq) + tuple(seq[: H.k - 1])
     return all(H.has_edge(w) for w in _windows(closed, H.k))
+
+
+def tight_extensions(
+    H: Hypergraph, prefix: Sequence[int], length: int, allowed: Optional[Iterable[int]] = None
+):
+    """Every tight extension of prefix to ``length`` vertices, in lexicographic order.
+
+    Yields each prefix + w, w distinct vertices from ``allowed`` (default: all)
+    outside prefix, in which every k-window ending at a vertex of w is an edge.
+    Windows inside prefix are not checked.
+    """
+    k = H.k
+    pool = sorted(range(H.n) if allowed is None else set(allowed))
+    allow = frozenset(pool)
+
+    def grow(seq):
+        if len(seq) == length:
+            yield seq
+            return
+        cands = pool if len(seq) < k - 1 else H.extensions(seq[len(seq) - k + 1 :])
+        for v in cands:
+            if v in allow and v not in seq:
+                yield from grow(seq + (v,))
+
+    if len(prefix) <= length:
+        yield from grow(tuple(prefix))
 
 
 class TightPath:

@@ -13,6 +13,7 @@ from cyclefactors.absorbing import (
     AbsorptionInfeasible,
     BlockRecord,
     absorb,
+    absorbable,
     build_absorbing_structure,
     disjoint_perfect_matchings,
     enumerate_absorbers,
@@ -48,11 +49,10 @@ class TestAbsorbers:
         H = complete_hypergraph(3, 7)
         found = enumerate_absorbers(H, 0)
         assert len(found) == 720
-        assert len({a.seq for a in found}) == 720
         # every returned sequence passes the definitional check
         for a in found[:50]:
             assert is_absorber_for(H, a.seq, 0)
-        assert len(absorbers_by_filter(H, 0)) == 720
+        assert [a.seq for a in found] == absorbers_by_filter(H, 0)
 
     def test_center_candidates_on_complete_host(self):
         H = complete_hypergraph(3, 7)
@@ -68,12 +68,14 @@ class TestAbsorbers:
     def test_minimal_fixture_is_a_reversal_pair(self):
         H = one_absorber_fixture()
         found = enumerate_absorbers(H, 6)
-        assert sorted(a.seq for a in found) == [(0, 1, 2, 3, 4, 5), (5, 4, 3, 2, 1, 0)]
-        assert sorted(absorbers_by_filter(H, 6)) == [a.seq for a in sorted(found, key=lambda a: a.seq)]
+        assert [a.seq for a in found] == [(0, 1, 2, 3, 4, 5), (5, 4, 3, 2, 1, 0)]
+        assert absorbers_by_filter(H, 6) == [a.seq for a in found]
 
     def test_cap_limits_output(self):
         H = complete_hypergraph(3, 7)
-        assert len(enumerate_absorbers(H, 0, cap=10)) == 10
+        capped = enumerate_absorbers(H, 0, cap=10)
+        assert [a.seq for a in capped] == absorbers_by_filter(H, 0)[:10]
+        assert enumerate_absorbers(H, 0, cap=0) == []
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=10, deadline=None)
@@ -83,8 +85,13 @@ class TestAbsorbers:
         pool = list(itertools.combinations(range(n), 3))
         H = Hypergraph(3, n, [e for e in pool if rng.random() < 0.45])
         x = rng.randrange(n)
-        mine = sorted(a.seq for a in enumerate_absorbers(H, x))
-        assert mine == sorted(absorbers_by_filter(H, x))
+        found = enumerate_absorbers(H, x)
+        assert [a.seq for a in found] == absorbers_by_filter(H, x)
+        assert all(a.center_candidates == absorbable(H, a.seq) for a in found)
+        # absorbable against the definitional check, on absorbers and random slots
+        slots = [a.seq for a in found] + [tuple(rng.sample(range(n), 6)) for _ in range(20)]
+        for slot in slots:
+            assert absorbable(H, slot) == {v for v in range(n) if is_absorber_for(H, slot, v)}
 
 
 class TestBlocks:

@@ -187,9 +187,9 @@ class TestPathsBetween:
         s, t = (6, 7, 8), (9, 0, 1)
         counts = {}
         for lam in (1, 2, 3):
-            got = set(res.paths_between(s, t, lam))
+            got = list(res.paths_between(s, t, lam))
             pool = sorted(res.R - set(s) - set(t))
-            oracle = set()
+            oracle = []
             for inner in itertools.permutations(pool, lam):
                 seq = s + inner + t
                 if all(
@@ -197,7 +197,7 @@ class TestPathsBetween:
                     for i in range(1, len(seq) - 2)
                     if set(seq[i : i + 3]) & set(inner)
                 ):
-                    oracle.add(inner)
+                    oracle.append(inner)
             assert got == oracle
             counts[lam] = (len(got), math.perm(len(pool), lam))
         assert counts == {1: (1, 4), 2: (6, 12), 3: (3, 24)}

@@ -62,6 +62,24 @@ class TestDegreesAndCodegrees:
         assert H.degree(0) == 0
         assert H.neighborhood([0, 1]) == frozenset()
 
+    def test_sparse_host_on_many_vertices_answers_codegree_queries(self):
+        # the index holds only the (k-1)-sets of edges, so n does not matter
+        H = Hypergraph(3, 5000, [(0, 1, 2), (0, 1, 3)])
+        assert H.codegree((0, 1)) == 2
+        assert H.neighborhood((0, 1)) == frozenset({2, 3})
+        assert H.extensions((1, 0)) == (2, 3)
+        assert H.extensions((0, 0)) == ()
+
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_extensions_match_has_edge_probes(self, seed):
+        rng = random.Random(seed)
+        k = rng.choice([2, 3, 4])
+        H = random_hypergraph(rng, k, rng.randint(k, 8), 0.5)
+        for tail in itertools.permutations(range(H.n), k - 1):
+            probed = tuple(v for v in range(H.n) if v not in tail and H.has_edge(tail + (v,)))
+            assert H.extensions(tail) == probed
+
     def test_codegree_argument_validation(self):
         H = complete_hypergraph(3, 5)
         with pytest.raises(HypergraphError):

@@ -19,6 +19,7 @@ from cyclefactors.tightpaths import (
     is_tight_cycle,
     is_tight_path,
     is_tight_walk,
+    tight_extensions,
     verify_factor_copy,
 )
 
@@ -89,6 +90,42 @@ class TestTightness:
             rot = seq[r:] + seq[:r]
             assert is_tight_cycle(H, rot)
             assert is_tight_cycle(H, rot[::-1])
+
+
+def extensions_by_filter(H, prefix, length, allowed):
+    # definitional oracle: every ordering of allowed vertices, kept when each
+    # k-window that ends past the prefix is an edge
+    k = H.k
+    pool = sorted(set(allowed) - set(prefix))
+    out = []
+    for tail in itertools.permutations(pool, length - len(prefix)):
+        seq = tuple(prefix) + tail
+        ends = range(max(len(prefix), k - 1), length)
+        if all(H.has_edge(seq[j - k + 1 : j + 1]) for j in ends):
+            out.append(seq)
+    return out
+
+
+class TestTightExtensions:
+    def test_windows_inside_the_prefix_are_not_checked(self):
+        H = Hypergraph(3, 5, [(1, 2, 3)])
+        assert list(tight_extensions(H, (0, 1, 2), 4)) == [(0, 1, 2, 3)]
+        assert list(tight_extensions(H, (0, 1, 2), 3)) == [(0, 1, 2)]
+        assert list(tight_extensions(H, (0, 1, 2), 2)) == []
+
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_permutation_oracle_in_order(self, seed):
+        rng = random.Random(seed)
+        k = rng.choice([3, 4])
+        n = rng.randint(k + 1, 8)
+        pool = itertools.combinations(range(n), k)
+        H = Hypergraph(k, n, [e for e in pool if rng.random() < 0.6])
+        prefix = tuple(rng.sample(range(n), rng.randint(1, k)))
+        allowed = [v for v in range(n) if rng.random() < 0.8]
+        length = len(prefix) + rng.randint(1, min(4, n - len(prefix)))
+        got = list(tight_extensions(H, prefix, length, allowed))
+        assert got == extensions_by_filter(H, prefix, length, allowed)
 
 
 class TestTightPath:
