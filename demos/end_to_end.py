@@ -27,7 +27,11 @@ def show(path, keys):
 
 
 def main_demo():
-    workdir = Path(tempfile.mkdtemp(prefix="cyclefactors-demo-"))
+    with tempfile.TemporaryDirectory(prefix="cyclefactors-demo-") as workdir:
+        walkthrough(Path(workdir))
+
+
+def walkthrough(workdir):
     host = workdir / "k12.txt"
     host.write_text(format_hypergraph(complete_hypergraph(3, 12)))
     print(f"host file: {host} (complete 3-uniform hypergraph on 12 vertices)\n")
@@ -84,8 +88,7 @@ def main_demo():
     print()
 
     run(["verify", str(host), str(factors), "-q"])
-    print("\nboth Hamilton factors re-verified against the host; artifacts in")
-    print(f"  {workdir}")
+    print("\nboth Hamilton factors re-verified against the host")
 
 
 if __name__ == "__main__":

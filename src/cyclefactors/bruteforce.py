@@ -10,7 +10,6 @@ Caps are hard refusals: an oracle either answers exactly or declines.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple

@@ -17,13 +17,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
+from .fractional import maxmin_lp, maxmin_weights
 from .hypergraph import Hypergraph
 from .tightpaths import (
     PathCollection,
@@ -275,7 +275,9 @@ def fractional_cycle_decomposition(
     ``enumerate_cap``; otherwise a seeded sample of up to ``per_edge`` cycles
     through each edge.  An edge through which no L-cycle passes at all makes
     the problem infeasible.  Among feasible solutions the LP maximizes the
-    minimum cycle weight; zero-weight cycles are dropped from the output.
+    minimum cycle weight z* (``fractional.maxmin_lp``: no inequality rows),
+    and the solution is polished onto the per-edge sums, so every cycle
+    weighs at least z*; only when z* = 0 are zero-weight cycles left out.
     """
     _check_cycle_length(H, L)
     if H.m == 0:
@@ -323,34 +325,19 @@ def fractional_cycle_decomposition(
             f"no cycle on {L} vertices passes through edge {e!r}"
         )
 
-    ncyc = len(cycles)
-    a_eq = sparse.csr_matrix(
-        (np.ones(len(rows)), (rows, np.array(cols))), shape=(H.m, ncyc + 1)
+    A = sparse.csr_matrix(
+        (np.ones(len(rows)), (rows, cols)), shape=(H.m, len(cycles))
     )
-    b_eq = np.ones(H.m)
-    # z <= w_C for every cycle, maximize z
-    a_ub = sparse.hstack(
-        [-sparse.identity(ncyc, format="csr"), np.ones((ncyc, 1))], format="csr"
-    )
-    b_ub = np.zeros(ncyc)
-    c = np.zeros(ncyc + 1)
-    c[-1] = -1.0
-    res = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=[(0, None)] * ncyc + [(0, None)],
-        method="highs",
-        options={"primal_feasibility_tolerance": 1e-10},
-    )
+    c, kwargs = maxmin_lp(A)
+    res = linprog(c, **kwargs)
     if not res.success:
         raise DecompositionError(
             "no per-edge-sum-1 weighting over the cycle family "
             f"({len(cycles)} cycles); enlarge the family or change L"
         )
-    weights = {C: float(w) for C, w in zip(cycles, res.x[:ncyc]) if w > 0}
+    weights = {
+        C: float(w) for C, w in zip(cycles, maxmin_weights(A, res)) if w > 0
+    }
     return FractionalCycleDecomposition(H, weights, tol=tol)
 
 

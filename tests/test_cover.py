@@ -1,8 +1,10 @@
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +33,15 @@ from cyclefactors.tightpaths import (
 def path_host():
     """Three overlapping edges on 5 vertices; contains no 5-cycle at all."""
     return Hypergraph(3, 5, [(0, 1, 2), (1, 2, 3), (2, 3, 4)])
+
+
+def edge_cycle_incidence(H, cycles):
+    index = {e: i for i, e in enumerate(H.edges)}
+    A = np.zeros((H.m, len(cycles)))
+    for j, C in enumerate(cycles):
+        for e in C.edges():
+            A[index[e], j] += 1.0
+    return A
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +161,24 @@ class TestFractionalDecomposition:
         assert lo == pytest.approx(10 / 6**5)
         assert hi == pytest.approx(30 / 6**5)
         assert float(frac.min_weight()) > hi
+
+
+class TestMaxminAgainstInequalityForm:
+    @pytest.mark.parametrize(
+        "k,n,L", [(3, 6, 5), (3, 7, 6), (4, 6, 5), (4, 7, 6), (4, 8, 6)]
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sampled_families(self, k, n, L, seed, check_against_oracle):
+        rng = random.Random(seed)
+        H = complete_hypergraph(k, n)
+        G = H.remove_edges(rng.sample(list(H.edges), 2))
+        cycles = enumerate_tight_cycles(G, L)
+        family = rng.sample(cycles, min(len(cycles), 6 * G.m))
+        z = check_against_oracle(edge_cycle_incidence(G, family))
+        if z is not None and z > 0:
+            frac = fractional_cycle_decomposition(G, L, family=family)
+            assert len(frac) == len(family)
+            assert float(frac.min_weight()) == pytest.approx(z, abs=1e-9)
 
 
 class TestDecompositionValidation:

@@ -23,3 +23,5 @@ def test_demo_exits_cleanly(demo, tmp_path):
         timeout=300,
     )
     assert done.returncode == 0, done.stdout + done.stderr
+    # a demo's work directory goes away with it
+    assert not list(tmp_path.glob("cyclefactors-demo-*"))

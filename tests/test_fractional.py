@@ -2,11 +2,13 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclefactors.fractional import (
+    FLOAT_TOL,
     BalanceViolationError,
     EdgeWeighting,
     FractionalError,
@@ -18,6 +20,7 @@ from cyclefactors.fractional import (
     format_weighting,
     parse_weighting,
     pfm_lp,
+    polish,
     redistribute_pfm,
     sparsify_intersecting,
     uniform_weighting,
@@ -27,6 +30,19 @@ from cyclefactors.hypergraph import Hypergraph, complete_hypergraph
 
 def k5_minus_edge():
     return complete_hypergraph(3, 5).remove_edges([(0, 1, 2)])
+
+
+def random_host(k, n, p, seed):
+    rng = random.Random(seed)
+    edges = [e for e in itertools.combinations(range(n), k) if rng.random() < p]
+    return Hypergraph(k, n, edges)
+
+
+def vertex_edge_incidence(H):
+    A = np.zeros((H.n, H.m))
+    for j, e in enumerate(H.edges):
+        A[list(e), j] = 1.0
+    return A
 
 
 class TestUniformWeighting:
@@ -155,6 +171,35 @@ class TestLPFallback:
     def test_lp_on_complete_graph_is_balanced(self):
         w = pfm_lp(complete_hypergraph(3, 7))
         assert balancedness(w) < 1 + 1e-6
+
+    def test_large_non_regular_host(self):
+        # m is about 8.9k: a dense m x m block in the LP would take 0.6 GB
+        H = random_host(3, 40, 0.9, seed=0)
+        assert 8500 < H.m < 9300
+        assert len(set(H.degrees())) > 1
+        w = pfm_lp(H)
+        assert w.is_pfm()
+        assert w.min_weight() > 0
+
+
+class TestMaxminLP:
+    @pytest.mark.parametrize("k,n", [(3, 7), (3, 9), (4, 8)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_inequality_form(self, k, n, seed, check_against_oracle):
+        H = random_host(k, n, 0.6, seed)
+        z = check_against_oracle(vertex_edge_incidence(H))
+        if z is not None and z > FLOAT_TOL:
+            assert pfm_lp(H).min_weight() == pytest.approx(z, abs=1e-9)
+
+    def test_polish_removes_a_perturbation(self):
+        H = random_host(3, 9, 0.7, seed=1)
+        A = vertex_edge_incidence(H)
+        w = np.array(pfm_lp(H).weights)
+        noisy = w + 1e-8 * np.random.default_rng(0).standard_normal(len(w))
+        assert np.abs(A @ noisy - 1).max() > 1e-9
+        fixed = polish(A, noisy)
+        assert np.abs(A @ fixed - 1).max() <= 1e-12
+        assert fixed.min() > 0
 
 
 class TestSparsify:
