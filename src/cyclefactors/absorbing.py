@@ -293,10 +293,10 @@ def build_absorbing_structure(
             f"a block needs a(2k+ell) = {unit} vertices but paths have only L = {L}"
         )
     ids = tuple(H.parent_ids) if H.parent_ids is not None else tuple(range(H.n))
-    if H_plus.induced(ids) != Hypergraph(k, H.n, H.edges):
+    if H_plus.induced(ids) != H:
         raise AbsorbingParamError("H must be an induced subgraph of H_plus")
     n = H.n
-    rho = H.regularity_report().rho_star
+    rho = H.rho_star()
     base = max(k + 1, math.ceil(n ** (1 / 3)))
     t_star = int(params.get("t_star", 0)) or L * math.ceil(base / L)
     if t_star % L:
@@ -321,9 +321,9 @@ def build_absorbing_structure(
         if len(paths) > cap_paths:
             issues.append(f"(i) {len(paths)} paths > cap {cap_paths}")
         if residual_ids:
-            rep = H_plus.induced(residual_ids).regularity_report()
-            if rep.rho_star > 2 * rho:
-                issues.append(f"(ii) residual rho {float(rep.rho_star):.4f} > {float(2 * rho):.4f}")
+            rho_res = H_plus.induced(residual_ids).rho_star()
+            if rho_res > 2 * rho:
+                issues.append(f"(ii) residual rho {float(rho_res):.4f} > {float(2 * rho):.4f}")
         per_vertex = [0] * H_plus.n
         for rec in blocks:
             for x in range(H_plus.n):

@@ -317,7 +317,7 @@ def build_reservoir(
     if n1 >= k:
         sub = F.induced(inside)
         if sub.m:
-            rho_inside = float(sub.regularity_report().rho_star)
+            rho_inside = float(sub.rho_star())
     rng = random.Random(seed)
     last_fail = "size"
     for _ in range(max(1, retries)):
@@ -343,7 +343,7 @@ def build_reservoir(
         if rho_inside is not None and len(rest) >= k:
             off = F.induced(rest)
             if off.m:
-                rho_off = float(off.regularity_report().rho_star)
+                rho_off = float(off.rho_star())
                 if rho_inside > 0 and rho_off > 2 * rho_inside:
                     last_fail = (
                         f"regularity off R: {rho_off:.4f} > 2 * {rho_inside:.4f}"
@@ -517,16 +517,6 @@ class LayerResult:
 
     def __bool__(self):
         return bool(self.check)
-
-
-def _induced_local(F: Hypergraph, verts) -> tuple:
-    """F[verts] with fresh 0..|verts|-1 labels and no parent chain, plus the
-    sorted vertex list mapping local ids back to F's own labels."""
-    us = sorted(verts)
-    relabel = {v: i for i, v in enumerate(us)}
-    uset = set(us)
-    edges = [tuple(relabel[v] for v in e) for e in F.edges if uset.issuperset(e)]
-    return Hypergraph(F.k, len(us), edges), us
 
 
 def _normalize_paths(H: Hypergraph, F: Hypergraph, paths) -> list:
@@ -721,10 +711,8 @@ def _attempt_layer(H, F, seqs, lengths, prof, rng):
         and prof.theta**2 * len(V2) >= 1
         and prof.a * (2 * k + prof.ell) <= prof.L_prime
     ):
-        # the structure's host must carry no parent chain: its own label maps
-        # are kept here, and the builder treats parent ids as host-local
-        F1, g_list = _induced_local(F, V1)
-        g_of = tuple(g_list)
+        F1 = F.induced(V1)
+        g_of = F1.parent_ids
         l_of = {g: i for i, g in enumerate(g_of)}
         V2_local = sorted(l_of[v] for v in V2)
         try:
@@ -766,7 +754,8 @@ def _attempt_layer(H, F, seqs, lengths, prof, rng):
     V3 = V2 - set().union(*(set(p.seq) for p in pieces_S)) if pieces_S else V2
     pieces_W = []
     if len(V3) >= max(prof.L_prime, k + 1):
-        F3, g3 = _induced_local(F, V3)
+        F3 = F.induced(V3)
+        g3 = F3.parent_ids
         r_p = min(prof.r_prime, int(min(F3.degrees()) // k)) if F3.m else 0
         if r_p >= 1:
             try:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -216,9 +217,6 @@ class FractionalCycleDecomposition:
             C = TightCycle(self.host, C)
         return self.weights[C]
 
-    def cycles_through(self, edge):
-        return tuple(self._by_edge[tuple(sorted(edge))])
-
     def per_edge_sum(self, edge) -> float:
         e = tuple(sorted(edge))
         return float(sum(self.weights[C] for C in self._by_edge[e]))
@@ -363,20 +361,20 @@ def validate_collections(H: Hypergraph, collections) -> None:
                 seen_edges.add(e)
 
 
+def _covered(coll) -> set:
+    """The vertices a collection of cycles covers."""
+    return set().union(*(C.vertex_set for C in coll))
+
+
+@dataclass(frozen=True)
 class ExtractionResult:
     """Cycle collections plus gate diagnostics; truthy when all gates pass."""
 
-    __slots__ = ("collections", "ok", "attempts", "diagnostics", "gamma")
-
-    def __init__(self, collections, ok, attempts, diagnostics, gamma):
-        object.__setattr__(self, "collections", collections)
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "attempts", attempts)
-        object.__setattr__(self, "diagnostics", diagnostics)
-        object.__setattr__(self, "gamma", gamma)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExtractionResult is immutable")
+    collections: list
+    ok: bool
+    attempts: int
+    diagnostics: list
+    gamma: float
 
     def __bool__(self):
         return self.ok
@@ -391,8 +389,7 @@ class ExtractionResult:
         return self.collections[i]
 
     def coverages(self):
-        return [len(set().union(*(C.vertex_set for C in coll)) if coll else set())
-                for coll in self.collections]
+        return [len(_covered(coll)) for coll in self.collections]
 
     def __repr__(self):
         status = "ok" if self.ok else "gates-unmet"
@@ -444,7 +441,7 @@ def extract_cycle_collections(
     if gates:
         raise CoverError(f"unknown gate(s): {sorted(gates)}")
 
-    rho = H.regularity_report().rho_star
+    rho = H.rho_star()
     gamma = float((1 + rho) * r) if r else 1.0
     if r == 0:
         return ExtractionResult([], True, 0, [], gamma)
@@ -486,10 +483,7 @@ def extract_cycle_collections(
         diagnostics.append(
             {
                 "attempt": attempt,
-                "coverages": [
-                    len(set().union(*(C.vertex_set for C in coll)) if coll else set())
-                    for coll in collections
-                ],
+                "coverages": [len(_covered(coll)) for coll in collections],
                 "failures": failures,
             }
         )
@@ -502,10 +496,7 @@ def extract_cycle_collections(
 
 def _gate_failures(H, collections, coverage_min, coverage_max, cap_lo, cap_con):
     failures = []
-    vsets = [
-        set().union(*(C.vertex_set for C in coll)) if coll else set()
-        for coll in collections
-    ]
+    vsets = [_covered(coll) for coll in collections]
     for i, vs in enumerate(vsets):
         if len(vs) < coverage_min:
             failures.append(f"collection {i} coverage {len(vs)} < {coverage_min}")
@@ -561,8 +552,7 @@ class CoverBundle:
         for i, (coll, pc) in enumerate(zip(cycle_collections, path_collections)):
             if not isinstance(pc, PathCollection) or pc.host != host:
                 raise CoverError(f"path collection {i} has a host mismatch")
-            cyc_vs = set().union(*(C.vertex_set for C in coll)) if coll else set()
-            if cyc_vs != set(pc.vertex_set):
+            if _covered(coll) != set(pc.vertex_set):
                 raise CoverError(f"collection {i}: cycle and path vertex sets differ")
             if pc.coverage < need:
                 raise CoverError(
@@ -596,9 +586,6 @@ class CoverBundle:
                 index[frozenset(e)] = {t: tuple(v) for t, v in by_type.items()}
             object.__setattr__(self, "_index", index)
         return self._index
-
-    def types_of(self, e) -> dict:
-        return self.type_index[frozenset(e)]
 
     def type_stats(self) -> dict:
         """Per type label: the max and total of |I_type(e)| over all k-sets."""

@@ -311,8 +311,9 @@ def sparsify_intersecting(
     (1-eps) + eps*w(e)/w_max on F and eps*w(e)/w_max off F.
 
     With gates set, resamples until the regularity report shows
-    eta_star >= eta_gate and rho_star <= rho_gate; otherwise the first sample
-    is returned with its report.
+    eta_star >= eta_gate and rho_star <= rho_gate and returns the passing
+    sample with its report; with no gate set, the first sample is returned
+    with ``report=None``.
     """
     if F.n != H.n or F.k != H.k:
         raise FractionalError("F must be a spanning subgraph shape-compatible with H")
@@ -329,22 +330,23 @@ def sparsify_intersecting(
             p += 1.0 - eps
         probs.append(min(1.0, p))
     rng = random.Random(seed)
-    last_report = None
+    report = None
     for attempt in range(1, max(1, retries) + 1):
         kept = [e for e, p in zip(H.edges, probs) if rng.random() < p]
         sub = Hypergraph(H.k, H.n, kept)
+        if eta_gate is None and rho_gate is None:
+            return SparsifyResult(subgraph=sub, report=None, attempts=attempt)
         report = sub.regularity_report()
-        last_report = report
         ok = True
         if eta_gate is not None:
             ok = ok and report.eta_star is not None and report.eta_star >= eta_gate
         if rho_gate is not None:
             ok = ok and report.rho_star <= rho_gate
-        if ok or (eta_gate is None and rho_gate is None):
+        if ok:
             return SparsifyResult(subgraph=sub, report=report, attempts=attempt)
     raise SparsifyError(
         f"sparsification missed the (eta, rho) gates in {retries} attempts",
-        report=last_report,
+        report=report,
     )
 
 

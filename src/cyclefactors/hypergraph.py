@@ -2,9 +2,11 @@
 
 A Hypergraph is an immutable value: ``k``, a dense vertex range ``0..n-1``, and a
 set of k-edges stored as sorted tuples. Degree d(v), codegree d(x) of a j-set x,
-the neighborhood N(x) of a (k-1)-set, induced subgraphs, and the regularity /
-intersection report (rho_star, eta_star, delta_codegree) live here, together with
-the plain-text serialization format.
+the neighborhood N(x) of a (k-1)-set, induced subgraphs, ``rho_star`` (the
+approximate regularity every pipeline stage re-checks) and the plain-text
+serialization format live here. The full regularity / intersection report
+(rho_star, eta_star, delta_codegree) sweeps all pairs of (k-1)-sets; it serves
+``analyze`` and the sparsification gates.
 """
 
 from __future__ import annotations
@@ -187,8 +189,7 @@ class Hypergraph:
     def induced(self, U: Iterable[int]) -> "Hypergraph":
         """H[U], relabeled to dense ids 0..|U|-1 (order-preserving).
 
-        The result's ``parent_ids`` maps each new id back to its vertex in
-        self (composed through an existing parent_ids if present).
+        The result's ``parent_ids`` maps each new id back to its vertex in self.
         """
         us = sorted(set(U))
         for v in us:
@@ -198,11 +199,7 @@ class Hypergraph:
         sub_edges = [
             tuple(relabel[v] for v in e) for e in self.edges if uset.issuperset(e)
         ]
-        if self.parent_ids is not None:
-            parents = tuple(self.parent_ids[v] for v in us)
-        else:
-            parents = tuple(us)
-        return Hypergraph(self.k, len(us), sub_edges, parent_ids=parents)
+        return Hypergraph(self.k, len(us), sub_edges, parent_ids=tuple(us))
 
     def remove_edges(self, S: Iterable[Iterable[int]]) -> "Hypergraph":
         """H - S: same vertex set, edge set E \\ S. Every member of S must be an edge."""
@@ -233,6 +230,16 @@ class Hypergraph:
         return Hypergraph(self.k, self.n, merged.keys(), parent_ids=self.parent_ids)
 
     # -- reports ---------------------------------------------------------
+
+    def rho_star(self) -> Fraction:
+        """The smallest rho with every degree in (1 +- rho) * k*m/n (0 when m = 0)."""
+        if self.n == 0:
+            raise HypergraphError("empty vertex set has no regularity report")
+        km = self.k * self.m
+        if km == 0:
+            return Fraction(0)
+        # |d / (km/n) - 1| = |d*n - km| / km
+        return Fraction(max(abs(d * self.n - km) for d in self._degrees), km)
 
     def regularity_report(self) -> "RegularityReport":
         return RegularityReport.from_hypergraph(self)
@@ -281,13 +288,8 @@ class RegularityReport:
     @staticmethod
     def from_hypergraph(H: Hypergraph) -> "RegularityReport":
         n, k, m = H.n, H.k, H.m
-        if n == 0:
-            raise HypergraphError("empty vertex set has no regularity report")
+        rho_star = H.rho_star()
         r_mean = Fraction(k * m, n)
-        if r_mean == 0:
-            rho_star = Fraction(0)
-        else:
-            rho_star = max(abs(Fraction(d) / r_mean - 1) for d in H.degrees())
         eta = eta_all = None
         if m > 0 and n >= k - 1:
             km1_sets = list(itertools.combinations(range(n), k - 1))
@@ -470,13 +472,3 @@ def format_hypergraph(H: Hypergraph) -> str:
     out = [f"{H.k} {H.n} {H.m}"]
     out.extend(" ".join(str(v) for v in e) for e in H.edges)
     return "\n".join(out) + "\n"
-
-
-def read_hypergraph(path) -> Hypergraph:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_hypergraph(fh.read())
-
-
-def write_hypergraph(H: Hypergraph, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_hypergraph(H))

@@ -122,9 +122,6 @@ class TightPath:
             object.__setattr__(self, "_edges", out)
         return list(self._edges)
 
-    def reverse(self) -> "TightPath":
-        return TightPath(self.host, self.seq[::-1])
-
     # -- ends --------------------------------------------------------------
 
     def end_tuples(self):
@@ -211,11 +208,6 @@ class TightCycle:
     def canonical(self) -> tuple:
         """Rotation starting at the minimum vertex, lex-smaller direction."""
         return canonical_cycle(self.seq)
-
-    def rotations(self):
-        n = len(self.seq)
-        doubled = self.seq + self.seq
-        return [doubled[i : i + n] for i in range(n)]
 
     def __eq__(self, other):
         if not isinstance(other, TightCycle):

@@ -231,10 +231,6 @@ def format_marginals(result: Dict[tuple, Tuple[Fraction, Fraction]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_walks(walks) -> str:
-    return "\n".join(" ".join(str(v) for v in walk) for walk in walks) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Monte-Carlo self-avoidance
 # ---------------------------------------------------------------------------

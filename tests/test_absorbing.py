@@ -163,6 +163,16 @@ class TestBuildStructure:
         # vertices 24, 25 live only in H_plus yet must be absorbable
         assert all(S.blocks[0].block.absorbs(H_plus, x) for x in (24, 25))
 
+    def test_host_that_is_itself_induced(self):
+        # H_plus carries parent ids of its own; H's ids must map into H_plus
+        H_plus = complete_hypergraph(3, 16).induced(range(1, 16))
+        H = H_plus.induced(range(3, 15))
+        S = build_absorbing_structure(
+            H_plus, H, {"L": 6, "a": 1, "ell": 0, "theta": 0.4}, seed=0
+        )
+        assert S.paths
+        assert S.vertex_set <= set(range(3, 15))
+
     def test_not_induced_rejected(self):
         H_plus = complete_hypergraph(3, 20)
         H = complete_hypergraph(3, 18).remove_edges([(0, 1, 2)])

