@@ -17,15 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .fractional import (
-    EdgeWeighting,
-    FractionalError,
-    LPInfeasibleError,
-    build_walk_registry,
-    pfm_lp,
-    redistribute_pfm,
-    uniform_weighting,
-)
+from .fractional import FractionalError, pipeline_weighting
 from .hypergraph import Hypergraph
 from .tightpaths import TightPath, is_tight_path, tight_extensions
 from .walks import StuckWalkError, sample_walk
@@ -242,21 +234,6 @@ class AbsorbingStructure:
         }
 
 
-def assigned_pfm(R: Hypergraph) -> EdgeWeighting:
-    """The PFM fixed per subgraph: redistribution (registry seed 0), LP fallback.
-
-    Exactly regular residuals shortcut to the uniform weighting, which is what
-    redistribution returns there anyway (all deviations are zero).
-    """
-    degs = R.degrees()
-    if R.m and len(set(degs)) == 1:
-        return uniform_weighting(R)
-    try:
-        return redistribute_pfm(R, build_walk_registry(R, seed=0))
-    except FractionalError:
-        return pfm_lp(R)  # may raise LPInfeasibleError: treated as fatal upstream
-
-
 def build_absorbing_structure(
     H_plus: Hypergraph,
     H: Hypergraph,
@@ -267,9 +244,9 @@ def build_absorbing_structure(
 
     params: L, a, ell, theta required; optional t_star, retries (default 20),
     stage_redraws (default 60). Runs ceil(theta^2 n / t_star) stages; each
-    stage draws (L, omega)-walks in the unused part of H under that residual's
-    assigned PFM, keeps the first self-avoiding draw, splits kept walks into
-    L-paths, collects good blocks, and post-checks:
+    stage draws (L, omega)-walks in the unused part of H, with omega the
+    residual's ``pipeline_weighting``, keeps the first self-avoiding draw,
+    splits kept walks into L-paths, collects good blocks, and post-checks:
       (i)   #paths <= ceil(theta^2 n / L)
       (ii)  the residual is 2*rho-almost regular (rho measured on H)
       (iii) every ambient vertex is absorbable by >= floor(3 theta^4 n) blocks
@@ -314,7 +291,7 @@ def build_absorbing_structure(
             H_plus, ids, L, a, ell, t_star, s_star, cap_bad, stage_redraws, rng
         )
         if result is None:
-            failures = ["fatal: no perfect fractional matching in a residual"]
+            failures = ["fatal: a residual with no edges or a stuck walk"]
             continue
         paths, blocks, residual_ids = result
         issues = []
@@ -371,8 +348,8 @@ def _construction_attempt(
     stage_redraws: int,
     rng: random.Random,
 ):
-    """One staged pass; returns (paths, block records, residual ids) or None on
-    fatal PFM failure."""
+    """One staged pass; returns (paths, block records, residual ids) or None
+    when a residual has no edges or a walk gets stuck."""
     k = H_plus.k
     unit = a * (2 * k + ell)
     residual = list(ids)
@@ -382,8 +359,8 @@ def _construction_attempt(
             break
         R = H_plus.induced(residual)
         try:
-            pfm = assigned_pfm(R)
-        except (FractionalError, LPInfeasibleError):
+            pfm = pipeline_weighting(R)
+        except FractionalError:
             return None  # fatal: every later residual is a subgraph of this one
         walk = None
         for _ in range(max(1, stage_redraws)):

@@ -37,6 +37,7 @@ from .cover import (
     cycles_to_paths,
     extract_cycle_collections,
     fractional_cycle_decomposition,
+    open_cycle,
 )
 from .hypergraph import Hypergraph
 from .tightpaths import (
@@ -62,6 +63,7 @@ __all__ = [
     "UsageLedger",
     "PackResult",
     "as_profile",
+    "check_target",
     "build_reservoir",
     "connect",
     "layer_transform",
@@ -545,14 +547,25 @@ def _normalize_paths(H: Hypergraph, F: Hypergraph, paths) -> list:
     return seqs
 
 
-def _target_lengths(target, n: int) -> tuple:
+def check_target(target, H: Hypergraph, prof: Profile) -> tuple:
+    """The target's cycle lengths, or AssembleParamError when no layer could
+    build them in H: no cycles, a sum other than n, a cycle below the girth
+    gate girth_factor * L or below k+1 vertices."""
     lengths = tuple(target.lengths()) if isinstance(target, CycleFactor) else tuple(target)
     if not lengths:
         raise AssembleParamError("target factor has no cycles")
-    if sum(lengths) != n:
+    if sum(lengths) != H.n:
         raise AssembleParamError(
-            f"target cycle lengths sum to {sum(lengths)}, host has {n} vertices"
+            f"target shape {list(lengths)} sums to {sum(lengths)}, host has {H.n} vertices"
         )
+    gate = prof.girth_factor * prof.L
+    if min(lengths) < gate:
+        raise AssembleParamError(
+            f"target girth {min(lengths)} below the gate {gate} "
+            f"(girth_factor * L = {prof.girth_factor} * {prof.L})"
+        )
+    if min(lengths) < H.k + 1:
+        raise AssembleParamError("every target cycle needs at least k+1 vertices")
     return lengths
 
 
@@ -579,15 +592,7 @@ def layer_transform(
     for e in F.edges:
         if not H.has_edge(e):
             raise AssembleParamError(f"reserve edge {e} is not an edge of the host")
-    lengths = _target_lengths(target, H.n)
-    gate = prof.girth_factor * prof.L
-    if min(lengths) < gate:
-        raise AssembleParamError(
-            f"target girth {min(lengths)} below the gate {gate} "
-            f"(girth_factor * L = {prof.girth_factor} * {prof.L})"
-        )
-    if min(lengths) < H.k + 1:
-        raise AssembleParamError("every target cycle needs at least k+1 vertices")
+    lengths = check_target(target, H, prof)
     seqs = _normalize_paths(H, F, paths)
     covered = set().union(*(set(s) for s in seqs)) if seqs else set()
     need = math.ceil((1 - prof.mu) * H.n)
@@ -773,9 +778,7 @@ def _attempt_layer(H, F, seqs, lengths, prof, rng):
             if coll is not None and coll.ok:
                 chosen = coll.collections[rng.randrange(len(coll.collections))]
                 for C in chosen:
-                    base = C.canonical()
-                    s = rng.randrange(len(base))
-                    local = tuple(base[(s + t) % len(base)] for t in range(len(base)))
+                    local = open_cycle(C, rng)
                     pieces_W.append(_Piece("cover", tuple(g3[v] for v in local)))
     timings["cover"] = clock() - t0
 
@@ -1125,6 +1128,7 @@ def pack_factors(
     its attempts ends the loop early with a partial result instead.
     """
     prof = as_profile(params)
+    shapes = [check_target(target, H, prof) for target in targets]
     if len(targets) > bundle.r:
         raise AssembleParamError(
             f"{len(targets)} targets but the bundle has {bundle.r} collections"
@@ -1141,8 +1145,7 @@ def pack_factors(
     master = random.Random(seed)
     factors = []
     layer_results = []
-    for i, target in enumerate(targets):
-        lengths = _target_lengths(target, H.n)
+    for i, lengths in enumerate(shapes):
         culprit = ledger.violation()
         if culprit is not None:
             raise PackBudgetError(

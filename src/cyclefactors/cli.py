@@ -38,6 +38,7 @@ from .assemble import (
     AssembleError,
     AssembleParamError,
     Profile,
+    check_target,
     pack_factors,
 )
 from .bruteforce import OracleError, reg_k, validate_packing, walk_distribution
@@ -49,11 +50,10 @@ from .cover import (
 )
 from .fractional import (
     FractionalError,
-    LPInfeasibleError,
-    NotConnectedError,
     balancedness,
     build_walk_registry,
     pfm_lp,
+    pipeline_weighting,
     redistribute_pfm,
     sparsify_intersecting,
     uniform_weighting,
@@ -423,21 +423,10 @@ def cmd_cover(args) -> int:
 
 # ---------------------------------------------------------------- decompose
 
-def _input_weighting(H: Hypergraph):
-    """Uniform weighting on regular hosts, LP otherwise, uniform fallback."""
-    degrees = {H.degree(v) for v in range(H.n)}
-    if len(degrees) == 1:
-        return uniform_weighting(H)
-    try:
-        return pfm_lp(H)
-    except (LPInfeasibleError, NotConnectedError):
-        return uniform_weighting(H)
-
-
-def _pipeline_once(H, targets, prof, seed, cover_length, per_edge):
-    """One sparsify -> cover -> pack pass; raises on any stage failure."""
-    empty = Hypergraph(H.k, H.n, [])
-    sp = sparsify_intersecting(H, empty, prof.eps, _input_weighting(H), seed)
+def _pipeline_once(H, weighting, empty, targets, prof, seed, cover_length, per_edge):
+    """One sparsify -> cover -> pack pass; raises on any stage failure.
+    ``weighting`` and the edgeless ``empty`` are fixed per job."""
+    sp = sparsify_intersecting(H, empty, prof.eps, weighting, seed)
     reserve = sp.subgraph
     rest = H.remove_edges(reserve.edges)
     frac = fractional_cycle_decomposition(
@@ -462,6 +451,8 @@ def _decompose_job(payload: dict) -> dict:
     )
     prof = Profile.from_mapping(payload["profile"])
     targets = payload["targets"]
+    weighting = pipeline_weighting(H)
+    empty = Hypergraph(H.k, H.n, [])
     master = random.Random(payload["seed"])
     log = []
     best = None
@@ -469,7 +460,8 @@ def _decompose_job(payload: dict) -> dict:
         sub = master.randrange(2**63)
         try:
             result = _pipeline_once(
-                H, targets, prof, sub, payload["cover_length"], payload["per_edge"]
+                H, weighting, empty, targets, prof, sub,
+                payload["cover_length"], payload["per_edge"],
             )
         except AssembleParamError:
             raise
@@ -521,19 +513,8 @@ def cmd_decompose(args) -> int:
     H = load_hypergraph(args.input)
     prof = config.profile
     targets = parse_targets(args.targets)
-    gate = prof.girth_factor * prof.L
     for shape in targets:
-        if sum(shape) != H.n:
-            raise CLIError(
-                EXIT_PARAMS,
-                f"targets: factor shape {shape} sums to {sum(shape)}, "
-                f"host has {H.n} vertices",
-            )
-        if min(shape) < gate:
-            raise CLIError(
-                EXIT_PARAMS,
-                f"targets: cycle length {min(shape)} below the girth gate {gate}",
-            )
+        check_target(shape, H, prof)
     started = time.perf_counter()
     fanout = max(1, args.parallel_seeds)
     payloads = [

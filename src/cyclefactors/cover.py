@@ -46,6 +46,7 @@ __all__ = [
     "extract_cycle_collections",
     "validate_collections",
     "cycles_to_paths",
+    "open_cycle",
 ]
 
 
@@ -670,9 +671,14 @@ def cycles_to_paths(
     for coll in collections:
         paths = []
         for C in coll:
-            base = C.canonical()
-            s = rng.randrange(len(base))
-            seq = tuple(base[(s + t) % len(base)] for t in range(len(base)))
-            paths.append(TightPath(host, seq))
+            paths.append(TightPath(host, open_cycle(C, rng)))
         path_collections.append(PathCollection(host, paths))
     return CoverBundle(host, collections, path_collections, mu=mu)
+
+
+def open_cycle(C: TightCycle, rng: random.Random) -> tuple:
+    """C's canonical sequence rotated to start at a uniformly random position
+    (one ``rng.randrange`` call); as a path it lacks the k-1 closing edges."""
+    base = C.canonical()
+    s = rng.randrange(len(base))
+    return base[s:] + base[:s]

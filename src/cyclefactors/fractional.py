@@ -1,10 +1,15 @@
-"""Perfect fractional matchings: uniform start, walk redistribution, LP fallback,
-balancedness, and weight-biased sparsification.
+"""Perfect fractional matchings: uniform start, walk redistribution, the
+max-min LP, balancedness, and weight-biased sparsification.
 
 A perfect fractional matching (PFM) assigns a positive weight to every edge so
 that the weights at each vertex sum to 1. ``redistribute_pfm`` turns the uniform
 weighting into a PFM by shifting weight along short self-avoiding walks; in
 exact (rational) mode the vertex sums come out equal to 1 identically.
+
+``pipeline_weighting`` is the one weighting policy of the ``decompose``
+pipeline, for both the input host and every absorbing-structure residual:
+uniform on regular hosts, the max-min LP otherwise, uniform when no
+all-positive PFM exists.
 """
 
 from __future__ import annotations
@@ -262,12 +267,11 @@ def polish(A, w) -> np.ndarray:
 
 
 def pfm_lp(H: Hypergraph) -> EdgeWeighting:
-    """LP fallback: maximize the minimum edge weight subject to PFM constraints.
+    """The max-min PFM: maximize the minimum edge weight subject to PFM constraints.
 
     Solves max z s.t. sum_{e ni v} w_e = 1 (all v), w_e >= z, through
     ``maxmin_lp`` over the sparse vertex-by-edge incidence, then polishes the
-    vertex sums; every weight is at least z*. Used when redistribution would
-    drive a weight nonpositive.
+    vertex sums; every weight is at least z*.
     """
     if H.m == 0:
         raise LPInfeasibleError("no edges to weight")
@@ -283,6 +287,20 @@ def pfm_lp(H: Hypergraph) -> EdgeWeighting:
             "perfect fractional matchings exist but none with all-positive weights"
         )
     return EdgeWeighting(H, maxmin_weights(A, res).tolist(), exact=False)
+
+
+def pipeline_weighting(H: Hypergraph) -> EdgeWeighting:
+    """The pipeline's weighting: uniform on regular hosts, else ``pfm_lp``.
+
+    The uniform weighting is also the fallback when the LP finds no
+    all-positive PFM. Raises FractionalError when H has no edges.
+    """
+    if len(set(H.degrees())) == 1:
+        return uniform_weighting(H)
+    try:
+        return pfm_lp(H)
+    except LPInfeasibleError:
+        return uniform_weighting(H)
 
 
 # ---------------------------------------------------------------------------

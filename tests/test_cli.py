@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cyclefactors import assemble
+from cyclefactors import absorbing, assemble, cli, fractional
 from cyclefactors.cli import (
     CLIError,
     EXIT_OK,
@@ -337,6 +337,58 @@ class TestDecompose:
         assert code == EXIT_OK
         assert "sampled" in reached and "absorbing" in reached
 
+    def test_input_is_weighted_once_per_job(self, tmp_path, monkeypatch):
+        calls = []
+        real = cli.pipeline_weighting
+
+        def counted(H):
+            calls.append(H.m)
+            return real(H)
+
+        monkeypatch.setattr(cli, "pipeline_weighting", counted)
+        host = write_host(tmp_path, complete_hypergraph(3, 12))
+        out = tmp_path / "run.json"
+        code = main(
+            ["decompose", host, "--targets", "12;12", "--seed", "1", "-q",
+             "--output", str(out)]
+        )
+        assert code == EXIT_OK
+        assert json.loads(out.read_text())["pipeline"]["attempts"] >= 2
+        assert calls == [220]
+
+    def test_decompose_never_redistributes_along_walk_registries(
+        self, tmp_path, monkeypatch
+    ):
+        # the exact walk redistribution serves only `pfm --mode exact`
+        def refuse(*args, **kwargs):
+            raise AssertionError("decompose ran the exact walk redistribution")
+
+        for module in (fractional, absorbing, assemble, cli):
+            for name in ("redistribute_pfm", "build_walk_registry"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        reached = []
+        real_absorbing = assemble.build_absorbing_structure
+
+        def counted(*args, **kwargs):
+            reached.append("absorbing")
+            return real_absorbing(*args, **kwargs)
+
+        monkeypatch.setattr(assemble, "build_absorbing_structure", counted)
+        host = write_host(tmp_path, complete_hypergraph(3, 12))
+        code = main(
+            [
+                "decompose", host,
+                "--targets", "12;12",
+                "--seed", "0",
+                "--set", "delta=0.7",
+                "--set", "theta=0.4",
+                "-q",
+                "--output", str(tmp_path / "run.json"),
+            ]
+        )
+        assert code == EXIT_OK
+        assert reached
+
     def test_parallel_seeds_picks_the_first_success_deterministically(self, tmp_path):
         host = write_host(tmp_path, complete_hypergraph(3, 12))
         out = tmp_path / "par.json"
@@ -365,6 +417,28 @@ class TestDecompose:
         host = write_host(tmp_path, complete_hypergraph(3, 12))
         assert main(["decompose", host, "--targets", "6,6;12"]) == EXIT_PARAMS
         assert "girth" in capsys.readouterr().err
+
+    def test_short_cycles_are_rejected_before_any_sampling(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # girth_factor = 0 switches the girth gate off; a 3-cycle still has
+        # fewer than k + 1 = 4 vertices
+        def refuse(*args, **kwargs):
+            raise AssertionError("decompose sampled before checking its targets")
+
+        monkeypatch.setattr(cli, "sparsify_intersecting", refuse)
+        host = write_host(tmp_path, complete_hypergraph(3, 12))
+        code = main(
+            ["decompose", host, "--set", "girth_factor=0", "--targets", "3,9;12"]
+        )
+        assert code == EXIT_PARAMS
+        assert "k+1" in capsys.readouterr().err
+
+    def test_edgeless_host_fails_fast_naming_the_weighting(self, tmp_path, capsys):
+        host = tmp_path / "empty.txt"
+        host.write_text("3 12 0\n")
+        assert main(["decompose", str(host), "--targets", "12;12"]) == EXIT_STAGE
+        assert "at least one edge" in capsys.readouterr().err
 
     def test_unparsable_input_is_a_parse_error(self, tmp_path):
         bad = tmp_path / "bad.txt"

@@ -1,10 +1,15 @@
-"""Every function, method and class in the package is used somewhere.
+"""Every function, method and class in the package is used somewhere, and
+every module reads every name it imports.
 
 A name counts as used when some module under src/, tests/, demos/ or bench/
 mentions it outside its own definition: as a name, an attribute, an imported
 alias or a string (the benchmark patches functions by name). Names match by
 spelling alone, so a method counts as used when any same-named attribute is
 read. Dunder methods are exempt, since Python calls them implicitly.
+
+An imported name counts as read when the module loads it as a bare name or
+lists it in ``__all__``. ``__init__.py`` is exempt: its imports are the
+package's re-exports.
 """
 
 import ast
@@ -63,3 +68,38 @@ def test_no_unreferenced_definitions():
     unused = sorted(f"{where} {name}" for name, where in defined.items()
                     if name not in mentions.names)
     assert not unused, f"defined but never referenced: {unused}"
+
+
+def _imported(tree):
+    """(bound name, line) for every import in the module but ``__future__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".", 1)[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _read_names(tree):
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(c.value for c in ast.walk(node.value)
+                        if isinstance(c, ast.Constant))
+    return read
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = _read_names(tree)
+        unused += [f"{path.name}:{line} {name}" for name, line in _imported(tree)
+                   if name not in read]
+    assert not unused, f"imported but never read: {unused}"

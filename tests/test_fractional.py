@@ -20,6 +20,7 @@ from cyclefactors.fractional import (
     format_weighting,
     parse_weighting,
     pfm_lp,
+    pipeline_weighting,
     polish,
     redistribute_pfm,
     sparsify_intersecting,
@@ -180,6 +181,35 @@ class TestLPFallback:
         w = pfm_lp(H)
         assert w.is_pfm()
         assert w.min_weight() > 0
+
+
+class TestPipelineWeighting:
+    def test_regular_host_gets_exact_uniform_weights(self):
+        H = complete_hypergraph(3, 7)
+        w = pipeline_weighting(H)
+        assert w.exact
+        assert w.weights == uniform_weighting(H).weights
+        assert set(w.weights) == {Fraction(1, 15)}
+
+    def test_non_regular_host_gets_the_lp_matching(self):
+        H = complete_hypergraph(3, 6).remove_edges([(0, 1, 2)])
+        w = pipeline_weighting(H)
+        assert not w.exact
+        assert w.is_pfm()
+        assert w.weights == pfm_lp(H).weights
+
+    def test_host_without_a_pfm_falls_back_to_uniform(self):
+        H = Hypergraph(3, 5, [(0, 1, 2), (0, 3, 4)])
+        with pytest.raises(LPInfeasibleError):
+            pfm_lp(H)
+        w = pipeline_weighting(H)
+        assert w.exact
+        assert w.weights == (Fraction(5, 6), Fraction(5, 6))
+        assert not w.is_pfm()
+
+    def test_needs_an_edge(self):
+        with pytest.raises(FractionalError):
+            pipeline_weighting(Hypergraph(3, 5, []))
 
 
 class TestMaxminLP:
