@@ -414,15 +414,17 @@ def extract_cycle_collections(
     are the decomposition's cycles, drawn with probability proportional to
     their normalized weight omega(C)/Gamma among those still vertex-disjoint
     within the current collection and edge-disjoint from everything already
-    chosen.  An attempt is accepted when every collection's coverage lands in
+    chosen.  The candidates form a live pool in family order: a collection
+    starts from the cycles that share no edge with an earlier pick, and each
+    pick drops the cycles that meet it in a vertex (which covers every cycle
+    sharing one of its edges).  So no pick rescans the family.  An attempt is
+    accepted when every collection's coverage lands in
     [coverage_min, coverage_max]; otherwise the extraction reseeds, up to
     ``retries`` attempts, and finally returns the best attempt with
     diagnostics (``ok`` False) rather than discarding the work.
 
-    Gates (all overridable through ``gates``): ``mu`` (default 0.2) sets
-    coverage_min = ceil((1-mu) n); ``coverage_max`` defaults to n; ``cap_lo``
-    and ``cap_con``, when set, bound per-k-set type counts |I_lo(e)| and
-    |I_{j-con}(e)| <= cap_con * n^(k-j) measured on the cycle collections.
+    Gates (overridable through ``gates``): ``mu`` (default 0.2) sets
+    coverage_min = ceil((1-mu) n); ``coverage_max`` defaults to n.
     """
     if frac.host != H:
         raise CoverError("decomposition lives in a different host")
@@ -437,8 +439,6 @@ def extract_cycle_collections(
     mu = gates.pop("mu", 0.2)
     coverage_min = gates.pop("coverage_min", math.ceil((1 - mu) * H.n))
     coverage_max = gates.pop("coverage_max", H.n)
-    cap_lo = gates.pop("cap_lo", None)
-    cap_con = gates.pop("cap_con", None)
     if gates:
         raise CoverError(f"unknown gate(s): {sorted(gates)}")
 
@@ -450,81 +450,48 @@ def extract_cycle_collections(
     family = frac.cycles()
     fam_weights = [float(frac.weights[C]) / gamma for C in family]
     L = frac.L
+    masks = [sum(1 << v for v in C.seq) for C in family]
+    by_edge: dict = {}
+    for i, C in enumerate(family):
+        for e in C.edges():
+            by_edge.setdefault(e, []).append(i)
     master = random.Random(seed)
     best = None
     diagnostics = []
     for attempt in range(max(1, retries)):
         rng = random.Random(master.randrange(2**63))
-        used_edges: set = set()
+        dead = [False] * len(family)
         collections = []
         for _ in range(r):
             coll: list = []
-            used_vertices: set = set()
-            while len(used_vertices) + L <= coverage_max:
-                pool = []
-                wts = []
-                for C, w in zip(family, fam_weights):
-                    if used_vertices & C.vertex_set:
-                        continue
-                    if any(e in used_edges for e in C.edges()):
-                        continue
-                    pool.append(C)
-                    wts.append(w)
-                if not pool:
-                    break
-                C = rng.choices(pool, weights=wts, k=1)[0]
+            used = 0
+            pool = [i for i, gone in enumerate(dead) if not gone]
+            while pool and (len(coll) + 1) * L <= coverage_max:
+                i = rng.choices(pool, weights=[fam_weights[j] for j in pool])[0]
+                C = family[i]
                 coll.append(C)
-                used_vertices |= C.vertex_set
-                used_edges.update(C.edges())
+                used |= masks[i]
+                for e in C.edges():
+                    for j in by_edge[e]:
+                        dead[j] = True
+                pool = [j for j in pool if not masks[j] & used]
             collections.append(tuple(coll))
         validate_collections(H, collections)
-        failures = _gate_failures(
-            H, collections, coverage_min, coverage_max, cap_lo, cap_con
-        )
+        coverages = [len(_covered(coll)) for coll in collections]
+        failures = []
+        for i, c in enumerate(coverages):
+            if c < coverage_min:
+                failures.append(f"collection {i} coverage {c} < {coverage_min}")
+            if c > coverage_max:
+                failures.append(f"collection {i} coverage {c} > {coverage_max}")
         diagnostics.append(
-            {
-                "attempt": attempt,
-                "coverages": [len(_covered(coll)) for coll in collections],
-                "failures": failures,
-            }
+            {"attempt": attempt, "coverages": coverages, "failures": failures}
         )
         if not failures:
             return ExtractionResult(collections, True, attempt + 1, diagnostics, gamma)
         if best is None or len(failures) < len(best[1]):
             best = (collections, failures)
     return ExtractionResult(best[0], False, max(1, retries), diagnostics, gamma)
-
-
-def _gate_failures(H, collections, coverage_min, coverage_max, cap_lo, cap_con):
-    failures = []
-    vsets = [_covered(coll) for coll in collections]
-    for i, vs in enumerate(vsets):
-        if len(vs) < coverage_min:
-            failures.append(f"collection {i} coverage {len(vs)} < {coverage_min}")
-        if len(vs) > coverage_max:
-            failures.append(f"collection {i} coverage {len(vs)} > {coverage_max}")
-    if cap_lo is None and cap_con is None:
-        return failures
-    n, k = H.n, H.k
-    for e in itertools.combinations(range(n), k):
-        es = set(e)
-        n_lo = 0
-        con_counts = dict.fromkeys(range(1, k + 1), 0)
-        for coll, vs in zip(collections, vsets):
-            if not es <= vs:
-                n_lo += 1
-                continue
-            j = max(len(es & C.vertex_set) for C in coll)
-            con_counts[j] += 1
-        if cap_lo is not None and n_lo > cap_lo:
-            failures.append(f"|I_lo({e})| = {n_lo} > {cap_lo}")
-        if cap_con is not None:
-            for j, cnt in con_counts.items():
-                if cnt > cap_con * n ** (k - j):
-                    failures.append(
-                        f"|I_{j}-con({e})| = {cnt} > {cap_con} * n^{k - j}"
-                    )
-    return failures
 
 
 # ---------------------------------------------------------------------------

@@ -178,7 +178,7 @@ class TightPath:
 class TightCycle:
     """Cyclic vertex sequence (>= k+1 distinct vertices), all cyclic k-windows edges."""
 
-    __slots__ = ("seq", "host", "_edges")
+    __slots__ = ("seq", "host", "_edges", "_canonical")
 
     def __init__(self, host: Hypergraph, seq: Sequence[int]):
         seq = tuple(seq)
@@ -187,6 +187,7 @@ class TightCycle:
         object.__setattr__(self, "seq", seq)
         object.__setattr__(self, "host", host)
         object.__setattr__(self, "_edges", None)
+        object.__setattr__(self, "_canonical", canonical_cycle(seq))
 
     def __setattr__(self, name, value):
         raise AttributeError("TightCycle is immutable")
@@ -207,15 +208,15 @@ class TightCycle:
 
     def canonical(self) -> tuple:
         """Rotation starting at the minimum vertex, lex-smaller direction."""
-        return canonical_cycle(self.seq)
+        return self._canonical
 
     def __eq__(self, other):
         if not isinstance(other, TightCycle):
             return NotImplemented
-        return self.host == other.host and self.canonical() == other.canonical()
+        return self.host == other.host and self._canonical == other._canonical
 
     def __hash__(self):
-        return hash((self.canonical(), self.host.k, self.host.n))
+        return hash((self._canonical, self.host.k, self.host.n))
 
     def __repr__(self):
         return f"TightCycle({list(self.seq)})"

@@ -1,8 +1,12 @@
+import math
+import random
+
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.optimize import linprog
 
+from cyclefactors.cover import ExtractionResult, extract_cycle_collections
 from cyclefactors.fractional import maxmin_lp, maxmin_weights
 
 
@@ -47,5 +51,83 @@ def check_against_oracle():
         assert w.min() >= z - 1e-12
         assert np.abs(A @ w - 1).max() <= 1e-12
         return z
+
+    return check
+
+
+def rescan_extraction(H, frac, r, seed=0, gates=None, retries=10):
+    """The full-rescan greedy that ``extract_cycle_collections`` replaces.
+
+    Before every pick it rebuilds the candidate list from the whole family:
+    every cycle vertex-disjoint from the current collection and edge-disjoint
+    from all chosen cycles.  Kept only as an oracle; it assumes the checks on
+    ``frac``, ``r`` and ``gates`` already passed.
+    """
+    gates = dict(gates or {})
+    mu = gates.pop("mu", 0.2)
+    coverage_min = gates.pop("coverage_min", math.ceil((1 - mu) * H.n))
+    coverage_max = gates.pop("coverage_max", H.n)
+    gamma = float((1 + H.rho_star()) * r) if r else 1.0
+    if r == 0:
+        return ExtractionResult([], True, 0, [], gamma)
+    family = frac.cycles()
+    fam_weights = [float(frac.weights[C]) / gamma for C in family]
+    master = random.Random(seed)
+    best = None
+    diagnostics = []
+    for attempt in range(max(1, retries)):
+        rng = random.Random(master.randrange(2**63))
+        used_edges = set()
+        collections = []
+        for _ in range(r):
+            coll = []
+            used_vertices = set()
+            while len(used_vertices) + frac.L <= coverage_max:
+                pool, wts = [], []
+                for C, w in zip(family, fam_weights):
+                    if used_vertices & C.vertex_set:
+                        continue
+                    if any(e in used_edges for e in C.edges()):
+                        continue
+                    pool.append(C)
+                    wts.append(w)
+                if not pool:
+                    break
+                C = rng.choices(pool, weights=wts, k=1)[0]
+                coll.append(C)
+                used_vertices |= C.vertex_set
+                used_edges.update(C.edges())
+            collections.append(tuple(coll))
+        coverages = [len(set().union(*(C.vertex_set for C in coll)))
+                     for coll in collections]
+        failures = []
+        for i, c in enumerate(coverages):
+            if c < coverage_min:
+                failures.append(f"collection {i} coverage {c} < {coverage_min}")
+            if c > coverage_max:
+                failures.append(f"collection {i} coverage {c} > {coverage_max}")
+        diagnostics.append(
+            {"attempt": attempt, "coverages": coverages, "failures": failures}
+        )
+        if not failures:
+            return ExtractionResult(collections, True, attempt + 1, diagnostics, gamma)
+        if best is None or len(failures) < len(best[1]):
+            best = (collections, failures)
+    return ExtractionResult(best[0], False, max(1, retries), diagnostics, gamma)
+
+
+@pytest.fixture
+def check_against_rescan():
+    """Extract through the live pool and compare it with the full rescan."""
+
+    def check(H, frac, r, **kwargs):
+        got = extract_cycle_collections(H, frac, r, **kwargs)
+        want = rescan_extraction(H, frac, r, **kwargs)
+        assert [[C.seq for C in coll] for coll in got.collections] == [
+            [C.seq for C in coll] for coll in want.collections
+        ]
+        assert (got.ok, got.attempts, got.gamma) == (want.ok, want.attempts, want.gamma)
+        assert got.diagnostics == want.diagnostics
+        return got
 
     return check

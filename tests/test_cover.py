@@ -256,6 +256,11 @@ class TestExtraction:
         with pytest.raises(CoverError):
             extract_cycle_collections(k12_frac.host, k12_frac, 1, gates={"typo": 1})
 
+    @pytest.mark.parametrize("gate", ["cap_lo", "cap_con"])
+    def test_type_cap_gates_are_gone(self, k12_frac, gate):
+        with pytest.raises(CoverError, match="unknown gate"):
+            extract_cycle_collections(k12_frac.host, k12_frac, 1, gates={gate: 1.0})
+
     def test_same_seed_same_output(self, k12_frac):
         H = k12_frac.host
         a = extract_cycle_collections(H, k12_frac, 2, seed=5, gates={"coverage_max": 10})
@@ -267,6 +272,67 @@ class TestExtraction:
     def test_host_mismatch(self, k12_frac):
         with pytest.raises(CoverError):
             extract_cycle_collections(complete_hypergraph(3, 5), k12_frac, 1)
+
+
+def random_host(k, n, p, seed):
+    rng = random.Random(seed)
+    return Hypergraph(
+        k, n, [e for e in itertools.combinations(range(n), k) if rng.random() < p]
+    )
+
+
+class TestExtractionAgainstRescan:
+    """The live candidate pool draws exactly what the full rescan draws."""
+
+    @pytest.mark.parametrize("k,n,L,p", [(3, 10, 5, 0.8), (3, 9, 6, 0.8), (4, 8, 6, 0.85)])
+    @pytest.mark.parametrize("host_seed", range(3))
+    @pytest.mark.parametrize("r", range(4))
+    def test_random_hosts(self, k, n, L, p, host_seed, r, check_against_rescan):
+        H = random_host(k, n, p, host_seed)
+        frac = fractional_cycle_decomposition(H, L, seed=host_seed)
+        for seed in range(3):
+            check_against_rescan(H, frac, r, seed=seed, retries=4)
+            check_against_rescan(
+                H, frac, r, seed=seed, retries=2, gates={"coverage_max": n - 1}
+            )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_unreachable_gate_runs_every_retry(self, seed, check_against_rescan):
+        # 6-cycles cover 6 vertices of 9 at most, never all 9
+        H = random_host(3, 9, 0.8, 0)
+        frac = fractional_cycle_decomposition(H, 6, seed=0)
+        res = check_against_rescan(
+            H, frac, 2, seed=seed, retries=5, gates={"coverage_min": 9}
+        )
+        assert not res.ok
+        assert res.attempts == 5
+        assert len(res.diagnostics) == 5
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sampled_k12_family(self, k12_frac, seed, check_against_rescan):
+        H = k12_frac.host
+        check_against_rescan(H, k12_frac, 2, seed=seed)
+        check_against_rescan(H, k12_frac, 3, seed=seed, gates={"coverage_max": 10})
+
+    def test_reads_each_cycle_once_plus_per_pick(self, k12_frac, monkeypatch):
+        # a full rescan reads every surviving candidate on every pick
+        reads = []
+        edges, vertex_set = TightCycle.edges, TightCycle.vertex_set.fget
+
+        def counted_edges(C):
+            reads.append(C)
+            return edges(C)
+
+        def counted_vertex_set(C):
+            reads.append(C)
+            return vertex_set(C)
+
+        monkeypatch.setattr(TightCycle, "edges", counted_edges)
+        monkeypatch.setattr(TightCycle, "vertex_set", property(counted_vertex_set))
+        res = extract_cycle_collections(k12_frac.host, k12_frac, 2, seed=0, retries=1)
+        picks = sum(len(coll) for coll in res)
+        assert picks >= 2
+        assert len(reads) <= len(k12_frac) + picks * k12_frac.L
 
 
 class TestValidateCollections:

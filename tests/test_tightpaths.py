@@ -218,6 +218,27 @@ class TestCyclesAndFactors:
         assert a == b == c
         assert len({a, b, c}) == 1
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_cached_canonical_over_rotations_and_reflections(self, seed):
+        rng = random.Random(seed)
+        k = rng.choice((3, 4))
+        H = complete_hypergraph(k, 10)
+        seq = tuple(rng.sample(range(10), rng.randint(k + 1, 10)))
+        forms = [seq[i:] + seq[:i] for i in range(len(seq))]
+        forms += [f[::-1] for f in forms]
+        cycles = [TightCycle(H, f) for f in forms]
+        for f, C in zip(forms, cycles):
+            assert C.canonical() == canonical_cycle(f) == min(forms)
+            assert C == cycles[0]
+            assert hash(C) == hash(cycles[0])
+
+    def test_cycle_is_immutable(self):
+        C = TightCycle(complete_hypergraph(3, 6), [0, 1, 2, 3, 4, 5])
+        for name in ("seq", "host", "_edges", "_canonical"):
+            with pytest.raises(AttributeError):
+                setattr(C, name, None)
+        assert C.canonical() == (0, 1, 2, 3, 4, 5)
+
     def test_factor_disjointness_and_target(self):
         H = complete_hypergraph(3, 10)
         C1 = TightCycle(H, [0, 1, 2, 3, 4])
