@@ -2,8 +2,9 @@
 
   1. enumerate the ordered 6-sequences of K_7 that can swallow a given
      vertex while staying tight,
-  2. transform one spanning path plus a reserve graph into a verified
-     Hamilton factor of K_12 (reservoir, connectors, absorption budget),
+  2. transform one near-spanning cycle plus a reserve graph into a verified
+     Hamilton factor of K_12 (each attempt opens the cycle into a path,
+     then reservoir, connectors, absorption budget),
   3. pack two edge-disjoint Hamilton factors of K_12 with the codegree
      usage ledger enforcing the per-pair consumption cap.
 """
@@ -12,13 +13,12 @@ from cyclefactors.absorbing import enumerate_absorbers, is_absorber_for
 from cyclefactors.assemble import layer_transform, pack_factors
 from cyclefactors.bruteforce import validate_packing
 from cyclefactors.cover import (
-    cycles_to_paths,
     extract_cycle_collections,
     fractional_cycle_decomposition,
 )
 from cyclefactors.fractional import sparsify_intersecting, uniform_weighting
 from cyclefactors.hypergraph import Hypergraph, complete_hypergraph
-from cyclefactors.tightpaths import TightPath, verify_factor_copy
+from cyclefactors.tightpaths import TightCycle, verify_factor_copy
 
 
 def stage_1():
@@ -33,13 +33,13 @@ def stage_1():
 
 
 def stage_2():
-    print("stage 2: one spanning path + hub reserve -> Hamilton factor of K_12")
+    print("stage 2: one 10-cycle + hub reserve -> Hamilton factor of K_12")
     H = complete_hypergraph(3, 12)
     reserve_edges = [e for e in H.edges if set(e) & {10, 11}]
     F = Hypergraph(3, 12, reserve_edges)
     rest = H.remove_edges(reserve_edges)
-    path = TightPath(rest, tuple(range(10)))
-    res = layer_transform(H, F, [path], [12], seed=0)
+    cycle = TightCycle(rest, tuple(range(10)))
+    res = layer_transform(H, F, [cycle], [12], seed=0)
     plan = res.plan
     print(f"  attempts: {res.attempts}, reservoir size: {len(plan.reservoir)}, "
           f"piece sizes: {plan.sizes}")
@@ -64,8 +64,7 @@ def stage_3():
     ext = extract_cycle_collections(rest, frac, 2, seed=0, gates={"mu": 0.2})
     print(f"  cover: {len(ext.collections)} collections, "
           f"coverages {ext.coverages()}")
-    bundle = cycles_to_paths(ext.collections, seed=0, host=rest)
-    res = pack_factors(H, reserve, bundle, [[12], [12]], seed=0)
+    res = pack_factors(H, reserve, ext.collections, [[12], [12]], seed=0)
     print(f"  packed {res.achieved}/{res.requested} factors, ok = {res.ok}")
     for i, factor in enumerate(res.factors):
         print(f"  factor {i}: {[list(C.seq) for C in factor.cycles]}")

@@ -1,16 +1,18 @@
 """Reservoirs, probabilistic connection, the layer transform, and packing.
 
-This module turns one near-spanning path collection plus a reserve graph F
+This module turns one near-spanning cycle collection plus a reserve graph F
 into a cycle factor of prescribed shape, then repeats the construction with
-usage budgets to pack several edge-disjoint factors.  The layer transform
-follows a fixed pipeline: drop a random subset of paths (rejection-sampled
-until the leftover size lands in a window), set aside a reservoir of leftover
+usage budgets to pack several edge-disjoint factors.  Each layer attempt
+opens every cycle into a path at a fresh rotation and follows a fixed
+pipeline: drop a random subset of paths (rejection-sampled until the
+leftover size lands in a window), set aside a reservoir of leftover
 vertices, optionally extend the kept paths by reserve edges, build an
 absorbing structure and a near-spanning cover in the untouched leftover,
 group everything into one bin per target cycle, connect the groups into
 cycles through the reservoir, and absorb whatever remains.  Randomness is
 seeded everywhere and every probabilistic guarantee of the source material
-is replaced by explicit post-checks plus retries.
+is replaced by explicit post-checks plus retries; ``layer_transform`` owns
+the only retry loop and logs the failed stage of every attempt.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .bruteforce import validate_packing
 from .cover import (
     CoverError,
     DecompositionError,
-    cycles_to_paths,
     extract_cycle_collections,
     fractional_cycle_decomposition,
     open_cycle,
@@ -42,9 +43,7 @@ from .cover import (
 from .hypergraph import Hypergraph
 from .tightpaths import (
     CycleFactor,
-    PathCollection,
     TightCycle,
-    TightPath,
     tight_extensions,
     verify_factor_copy,
 )
@@ -400,7 +399,6 @@ def connect(
     budgets: Sequence[int],
     R: Reservoir,
     seed: int = 0,
-    min_fraction: float = 0.0,
 ):
     """Pick one connector per endpoint pair, uniformly among survivors.
 
@@ -438,13 +436,6 @@ def connect(
         survivors = [
             w for w in candidates if not (set(w) & used or set(w) & all_ends)
         ]
-        if min_fraction > 0 and candidates:
-            if len(survivors) < min_fraction * len(candidates):
-                raise ConnectionFailure(
-                    f"pair {i}: only {len(survivors)} of {len(candidates)} "
-                    f"candidates survive (< fraction {min_fraction})",
-                    pair_index=i,
-                )
         if not survivors:
             raise ConnectionFailure(
                 f"pair {i}: no connector with {lam} inner vertices remains",
@@ -515,36 +506,9 @@ class LayerResult:
     attempts: int
     stage_log: tuple  # (attempt, stage, detail) for failed attempts
     timings: dict
-    seed: int
 
     def __bool__(self):
         return bool(self.check)
-
-
-def _normalize_paths(H: Hypergraph, F: Hypergraph, paths) -> list:
-    if isinstance(paths, PathCollection):
-        paths = list(paths.paths)
-    seqs = []
-    for P in paths:
-        seq = tuple(P.seq) if isinstance(P, TightPath) else tuple(P)
-        seqs.append(seq)
-    seen: set = set()
-    for seq in seqs:
-        vs = set(seq)
-        if len(vs) != len(seq):
-            raise AssembleParamError(f"path {seq} repeats vertices")
-        if seen & vs:
-            raise AssembleParamError("input paths must be vertex-disjoint")
-        seen |= vs
-        for i in range(len(seq) - H.k + 1):
-            w = seq[i : i + H.k]
-            if not H.has_edge(w):
-                raise AssembleParamError(f"path window {w} is not an edge of the host")
-            if F.has_edge(w):
-                raise AssembleParamError(
-                    f"path window {w} lies in the reserve graph; paths must avoid it"
-                )
-    return seqs
 
 
 def check_target(target, H: Hypergraph, prof: Profile) -> tuple:
@@ -572,19 +536,21 @@ def check_target(target, H: Hypergraph, prof: Profile) -> tuple:
 def layer_transform(
     H: Hypergraph,
     F: Hypergraph,
-    paths,
+    cycles,
     target,
     params=None,
-    seed: int = 0,
-    retries: Optional[int] = None,
+    seed=0,
 ) -> LayerResult:
-    """Transform a path collection plus reserve graph into a cycle factor.
+    """Transform a cycle collection plus reserve graph into a cycle factor.
 
-    The emitted factor is a copy of the target shape whose edges come only
-    from the input paths and from F.  Each attempt runs the full pipeline
-    (drop, reservoir, extensions, absorbing structure, cover, grouping,
-    connection, absorption, splice); failures are retried with fresh
-    randomness up to ``retries`` (profile's layer_retries by default).
+    ``cycles`` are vertex-disjoint tight cycles of H that avoid F and cover
+    at least (1 - mu) n vertices.  The emitted factor is a copy of the target
+    shape whose edges come only from the opened cycles and from F.  Each of
+    the profile's ``layer_retries`` attempts opens every cycle into a path at
+    a fresh rotation and runs the full pipeline (drop, reservoir, extensions,
+    absorbing structure, cover, grouping, connection, absorption, splice);
+    when all fail, LayerFailure carries the failed stage of each attempt.
+    ``seed`` is an int or a ``random.Random`` whose stream the attempts use.
     """
     prof = as_profile(params)
     if F.k != H.k or F.n != H.n:
@@ -593,19 +559,34 @@ def layer_transform(
         if not H.has_edge(e):
             raise AssembleParamError(f"reserve edge {e} is not an edge of the host")
     lengths = check_target(target, H, prof)
-    seqs = _normalize_paths(H, F, paths)
-    covered = set().union(*(set(s) for s in seqs)) if seqs else set()
+    cycles = tuple(cycles)
+    covered: set = set()
+    for C in cycles:
+        if not isinstance(C, TightCycle):
+            raise AssembleParamError(f"{C!r} is not a TightCycle")
+        if covered & C.vertex_set:
+            raise AssembleParamError("input cycles must be vertex-disjoint")
+        covered |= C.vertex_set
+        for e in C.edges():
+            if not H.has_edge(e):
+                raise AssembleParamError(f"cycle edge {e} is not an edge of the host")
+            if F.has_edge(e):
+                raise AssembleParamError(
+                    f"cycle {C.seq} uses reserve edge {e}; cycles must avoid F"
+                )
     need = math.ceil((1 - prof.mu) * H.n)
     if len(covered) < need:
         raise AssembleParamError(
-            f"paths cover {len(covered)} vertices, below (1 - mu) n = {need}"
+            f"cycles cover {len(covered)} vertices, below (1 - mu) n = {need}"
         )
 
-    budget = prof.layer_retries if retries is None else max(1, retries)
-    master = random.Random(seed)
+    master = seed if isinstance(seed, random.Random) else random.Random(seed)
     stage_log = []
-    for attempt in range(1, budget + 1):
-        rng = random.Random(master.randrange(2**63))
+    for attempt in range(1, prof.layer_retries + 1):
+        sub = master.randrange(2**63)
+        opener = random.Random(sub)
+        seqs = [open_cycle(C, opener) for C in cycles]
+        rng = random.Random(random.Random(sub).randrange(2**63))
         try:
             factor, plan, f_edges, timings = _attempt_layer(
                 H, F, seqs, lengths, prof, rng
@@ -625,10 +606,9 @@ def layer_transform(
             attempts=attempt,
             stage_log=tuple(stage_log),
             timings=timings,
-            seed=seed,
         )
     raise LayerFailure(
-        f"layer transform failed in all {budget} attempts; "
+        f"layer transform failed in all {prof.layer_retries} attempts; "
         f"last failure: {stage_log[-1][1]}: {stage_log[-1][2]}",
         stage_log=stage_log,
     )
@@ -1056,9 +1036,16 @@ class UsageLedger:
         return fresh
 
 
+def _failed_stages(stage_log) -> list:
+    return [{"attempt": a, "stage": s, "detail": d} for a, s, d in stage_log]
+
+
 @dataclass(frozen=True)
 class PackResult:
-    """Factors achieved by the packing loop plus all bookkeeping."""
+    """Factors achieved by the packing loop plus all bookkeeping.
+
+    ``failed_log`` is the stage log of the layer that ended the loop early
+    (empty when every layer succeeded)."""
 
     factors: tuple
     ok: bool
@@ -1066,6 +1053,7 @@ class PackResult:
     requested: int
     ledger: UsageLedger
     layer_results: tuple
+    failed_log: tuple
     packing_report: object
     profile: Profile
     seed: int
@@ -1086,14 +1074,19 @@ class PackResult:
                 {
                     "layer": i,
                     "attempts": lr.attempts,
-                    "failed_stages": [
-                        {"attempt": a, "stage": s, "detail": d} for a, s, d in lr.stage_log
-                    ],
+                    "failed_stages": _failed_stages(lr.stage_log),
                     "f_edges": [list(e) for e in lr.f_edges],
                     "timings": timings,
                     "plan": lr.plan.as_dict(),
                 }
             )
+        failed = None
+        if self.failed_log:
+            failed = {
+                "layer": self.achieved,
+                "attempts": len(self.failed_log),
+                "failed_stages": _failed_stages(self.failed_log),
+            }
         return {
             "seed": self.seed,
             "profile": self.profile.as_dict(),
@@ -1102,6 +1095,7 @@ class PackResult:
             "ok": self.ok,
             "ledger": self.ledger.snapshot(),
             "layers": layers,
+            "failed_layer": failed,
             "factors": factors_document(self.factors),
             "packing": {
                 "ok": bool(self.packing_report.ok),
@@ -1113,38 +1107,33 @@ class PackResult:
 def pack_factors(
     H: Hypergraph,
     F: Hypergraph,
-    bundle,
+    collections: Sequence,
     targets: Sequence,
     params=None,
     seed: int = 0,
 ) -> PackResult:
     """Emit edge-disjoint cycle factors, one per target shape.
 
-    Target i is built by the layer transform from the bundle's i-th cycle
-    collection (re-opened into paths with a fresh rotation on every attempt)
-    and the reserve graph minus everything consumed by earlier layers.  The
+    Target i is built by one ``layer_transform`` call from the i-th cycle
+    collection and the reserve graph minus everything consumed by earlier
+    layers; all layers draw from one master stream seeded by ``seed``.  The
     ledger gate aborts with PackBudgetError when some (k-1)-set's consumed
     reserve codegree exceeds ceil(cap_fraction * n); a layer that fails all
-    its attempts ends the loop early with a partial result instead.
+    its attempts ends the loop early with a partial result that keeps the
+    failure's stage log.
     """
     prof = as_profile(params)
     shapes = [check_target(target, H, prof) for target in targets]
-    if len(targets) > bundle.r:
+    if len(targets) > len(collections):
         raise AssembleParamError(
-            f"{len(targets)} targets but the bundle has {bundle.r} collections"
+            f"{len(targets)} targets but only {len(collections)} cycle collections"
         )
-    for i, pc in enumerate(bundle.path_collections):
-        for P in pc:
-            for e in P.edges():
-                if F.has_edge(e):
-                    raise AssembleParamError(
-                        f"bundle collection {i} uses reserve edge {e}"
-                    )
     cap = math.ceil(prof.cap_fraction * H.n)
     ledger = UsageLedger(H.k, H.n, cap)
     master = random.Random(seed)
     factors = []
     layer_results = []
+    failed_log = ()
     for i, lengths in enumerate(shapes):
         culprit = ledger.violation()
         if culprit is not None:
@@ -1156,24 +1145,16 @@ def pack_factors(
             )
         consumed = [e for layer in ledger.layers for e in layer[0]]
         F_i = F.remove_edges(consumed) if consumed else F
-        success = None
-        for attempt in range(prof.layer_retries):
-            sub = master.randrange(2**63)
-            pc = cycles_to_paths(
-                [bundle.cycle_collections[i]], seed=sub, host=bundle.host, mu=bundle.mu
-            ).path_collections[0]
-            try:
-                success = layer_transform(
-                    H, F_i, pc, lengths, params=prof, seed=sub, retries=1
-                )
-                break
-            except LayerFailure:
-                continue
-        if success is None:
+        try:
+            res = layer_transform(
+                H, F_i, collections[i], lengths, params=prof, seed=master
+            )
+        except LayerFailure as exc:
+            failed_log = exc.stage_log
             break
-        factors.append(success.factor)
-        layer_results.append(success)
-        ledger.record_layer(success.f_edges)
+        factors.append(res.factor)
+        layer_results.append(res)
+        ledger.record_layer(res.f_edges)
     report = validate_packing(H, factors)
     recheck = UsageLedger.recomputed(H.k, H.n, cap, F, factors)
     if recheck != ledger:
@@ -1185,6 +1166,7 @@ def pack_factors(
         requested=len(targets),
         ledger=ledger,
         layer_results=tuple(layer_results),
+        failed_log=failed_log,
         packing_report=report,
         profile=prof,
         seed=seed,

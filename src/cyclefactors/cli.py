@@ -440,8 +440,7 @@ def _pipeline_once(H, weighting, empty, targets, prof, seed, cover_length, per_e
             "collection extraction gates failed: "
             + "; ".join(str(d) for d in ext.diagnostics[-1:])
         )
-    bundle = cycles_to_paths(ext.collections, seed=seed, host=rest, mu=prof.mu)
-    return pack_factors(H, reserve, bundle, targets, params=prof, seed=seed)
+    return pack_factors(H, reserve, ext.collections, targets, params=prof, seed=seed)
 
 
 def _decompose_job(payload: dict) -> dict:
@@ -480,23 +479,21 @@ def _decompose_job(payload: dict) -> dict:
                 "log": log,
                 "manifest": result.manifest(payload["normalize"]),
             }
-        log.append(
-            {
-                "attempt": attempt,
-                "stage": "pack",
-                "detail": f"partial {result.achieved} of {result.requested}",
-            }
-        )
+        detail = f"partial {result.achieved} of {result.requested}"
+        if result.failed_log:
+            _, stage, why = result.failed_log[-1]
+            detail += f"; layer {result.achieved} last failed at {stage}: {why}"
+        log.append({"attempt": attempt, "stage": "pack", "detail": detail})
         if best is None or result.achieved > best.achieved:
             best = result
     return {
         "ok": False,
-        "achieved": best.achieved if best else 0,
+        "achieved": best.achieved if best is not None else 0,
         "requested": len(targets),
         "seed": payload["seed"],
         "attempts": payload["retries"],
         "log": log,
-        "manifest": best.manifest(payload["normalize"]) if best else None,
+        "manifest": best.manifest(payload["normalize"]) if best is not None else None,
     }
 
 

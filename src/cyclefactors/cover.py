@@ -6,10 +6,13 @@ the weights of the cycles through each edge sum to exactly 1 (a linear
 program over an enumerated or sampled cycle family).  Second,
 ``extract_cycle_collections`` rounds the fractional solution into r
 edge-disjoint collections of vertex-disjoint L-cycles by a weight-driven
-randomized greedy, with coverage gates checked per collection.  Third,
-``cycles_to_paths`` opens every cycle into a tight path on the same vertex
-set by deleting k-1 consecutive edges at a uniformly random rotation, and
-wraps the result in a ``CoverBundle`` alongside a per-k-set type index.
+randomized greedy, with coverage gates checked per collection.  The
+``decompose`` pipeline hands these cycle collections straight to
+``assemble.pack_factors``, whose layer transform opens each cycle afresh on
+every attempt with ``open_cycle`` (deleting k-1 consecutive edges at a
+uniformly random rotation).  For the ``cover`` command, ``cycles_to_paths``
+opens every cycle once and wraps the result in a ``CoverBundle`` alongside a
+per-k-set type index.
 """
 
 from __future__ import annotations
@@ -501,11 +504,11 @@ def extract_cycle_collections(
 class CoverBundle:
     """r edge-disjoint cycle collections with their opened path collections.
 
-    Both forms are kept: the cycle collections feed constructions that splice
-    cycles directly, the path collections everything end-sensitive.  The
-    type index maps every k-set of the host's vertices to, per type label
-    ('j-end', 'lo', 'j-con'), the collection indices where the k-set has that
-    type; the labels partition [r] for each k-set.
+    The bundle is the ``cover`` command's artifact; the packing pipeline
+    takes the cycle collections themselves.  The type index maps every k-set
+    of the host's vertices to, per type label ('j-end', 'lo', 'j-con'), the
+    collection indices where the k-set has that type; the labels partition
+    [r] for each k-set.
     """
 
     __slots__ = ("host", "cycle_collections", "path_collections", "mu", "_index")
@@ -564,28 +567,6 @@ class CoverBundle:
                 cur["max"] = max(cur["max"], len(idxs))
                 cur["total"] += len(idxs)
         return stats
-
-    def gate_report(self, cap_end: Optional[float] = None,
-                    cap_con: Optional[float] = None) -> dict:
-        """Measure the shaped occupancy caps |I_{j-t}(e)| <= cap * n^(k-j).
-
-        Purely informational: returns per-label maxima together with the cap
-        values and a boolean verdict when a cap is supplied.
-        """
-        n, k = self.host.n, self.host.k
-        report = {}
-        for t, stat in sorted(self.type_stats().items()):
-            entry = {"max": stat["max"], "total": stat["total"]}
-            if t.endswith("-end") and cap_end is not None:
-                j = int(t.split("-")[0])
-                entry["cap"] = cap_end * n ** (k - j)
-                entry["ok"] = stat["max"] <= entry["cap"]
-            if t.endswith("-con") and cap_con is not None:
-                j = int(t.split("-")[0])
-                entry["cap"] = cap_con * n ** (k - j)
-                entry["ok"] = stat["max"] <= entry["cap"]
-            report[t] = entry
-        return report
 
     def as_dict(self) -> dict:
         return {

@@ -34,6 +34,7 @@ from cyclefactors.hypergraph import (
 )
 from cyclefactors.tightpaths import (
     PathCollection,
+    TightCycle,
     TightPath,
     classify,
     factors_from_document,
@@ -279,7 +280,7 @@ class TestAcceptance:
         for seed in range(10):
             try:
                 res = layer_transform(
-                    H, F, [TightPath(rest, tuple(range(10)))], [12], seed=seed
+                    H, F, [TightCycle(rest, tuple(range(10)))], [12], seed=seed
                 )
             except LayerFailure:
                 continue

@@ -23,13 +23,12 @@ from cyclefactors.assemble import (
     pack_factors,
 )
 from cyclefactors.cover import (
-    cycles_to_paths,
     extract_cycle_collections,
     fractional_cycle_decomposition,
 )
 from cyclefactors.fractional import sparsify_intersecting, uniform_weighting
 from cyclefactors.hypergraph import Hypergraph, complete_hypergraph
-from cyclefactors.tightpaths import TightPath, is_tight_path
+from cyclefactors.tightpaths import TightCycle, is_tight_path
 
 
 def star_split(n=12, hubs=(10, 11)):
@@ -42,19 +41,21 @@ def star_split(n=12, hubs=(10, 11)):
 
 
 def window_split(n, runs):
-    """Reserve = K_n minus the tight windows of the given vertex runs."""
+    """Reserve = K_n minus the cyclic tight windows of the given vertex runs;
+    each run becomes a tight cycle of the removed windows."""
     H = complete_hypergraph(3, n)
+    closed = [tuple(run) + tuple(run)[:2] for run in runs]
     windows = {
-        tuple(sorted(run[i : i + 3])) for run in runs for i in range(len(run) - 2)
+        tuple(sorted(run[i : i + 3])) for run in closed for i in range(len(run) - 2)
     }
     F = H.remove_edges(sorted(windows))
-    path_host = Hypergraph(3, n, sorted(windows))
-    paths = [TightPath(path_host, tuple(run)) for run in runs]
-    return H, F, paths
+    cycle_host = Hypergraph(3, n, sorted(windows))
+    cycles = [TightCycle(cycle_host, tuple(run)) for run in runs]
+    return H, F, cycles
 
 
 def k12_pack_inputs(seed):
-    """Reserve graph plus a two-collection cover bundle on K_12."""
+    """Reserve graph plus two extracted cycle collections on K_12."""
     H = complete_hypergraph(3, 12)
     sp = sparsify_intersecting(H, Hypergraph(3, 12, []), 0.5, uniform_weighting(H), seed)
     reserve = sp.subgraph
@@ -62,8 +63,7 @@ def k12_pack_inputs(seed):
     frac = fractional_cycle_decomposition(rest, 6, seed=seed, per_edge=20)
     ext = extract_cycle_collections(rest, frac, 2, seed=seed, gates={"mu": 0.2})
     assert ext.ok
-    bundle = cycles_to_paths(ext.collections, seed=seed, host=rest)
-    return H, reserve, bundle
+    return H, reserve, ext.collections
 
 
 @pytest.fixture(scope="module")
@@ -259,16 +259,6 @@ class TestConnect:
             connect(Q, [2, 2], res, seed=0)
         assert info.value.pair_index == 1
 
-    def test_min_fraction_gates_on_surviving_candidates(self):
-        # pair 0 consumes 2 of 6 pool vertices: pair 1 keeps 12 of its
-        # 30 candidates, which passes 0.3 but not 0.7
-        res = self.take_all(18, range(6))
-        Q = [((6, 7, 8), (9, 10, 11)), ((12, 13, 14), (15, 16, 17))]
-        assert len(connect(Q, [2, 2], res, seed=0, min_fraction=0.3)) == 2
-        with pytest.raises(ConnectionFailure) as info:
-            connect(Q, [2, 2], res, seed=0, min_fraction=0.7)
-        assert info.value.pair_index == 1
-
     def test_parameter_validation(self):
         res = self.take_all(10, range(4))
         with pytest.raises(AssembleParamError, match="one budget"):
@@ -288,9 +278,9 @@ class TestConnect:
 class TestLayerTransform:
     def test_star_reserve_builds_a_hamilton_factor_first_try(self):
         H, F, rest = star_split()
-        P = TightPath(rest, tuple(range(10)))
+        C = TightCycle(rest, tuple(range(10)))
         for seed in range(10):
-            res = layer_transform(H, F, [P], [12], seed=seed)
+            res = layer_transform(H, F, [C], [12], seed=seed)
             assert bool(res)
             assert res.attempts == 1
             assert res.plan.X == ()
@@ -301,16 +291,16 @@ class TestLayerTransform:
 
     def test_star_reserve_seed_zero_exact_edges(self):
         H, F, rest = star_split()
-        P = TightPath(rest, tuple(range(10)))
-        res = layer_transform(H, F, [P], [12], seed=0)
-        assert res.f_edges == ((0, 1, 10), (0, 10, 11), (8, 9, 11), (9, 10, 11))
+        C = TightCycle(rest, tuple(range(10)))
+        res = layer_transform(H, F, [C], [12], seed=0)
+        assert res.f_edges == ((0, 9, 11), (0, 10, 11), (1, 2, 10), (1, 10, 11))
         assert res.plan.sizes == {"V1": 2, "V2": 0, "V3": 0}
 
     def test_same_seed_reproduces_plan_and_factor(self):
         H, F, rest = star_split()
-        P = TightPath(rest, tuple(range(10)))
-        a = layer_transform(H, F, [P], [12], seed=7)
-        b = layer_transform(H, F, [P], [12], seed=7)
+        C = TightCycle(rest, tuple(range(10)))
+        a = layer_transform(H, F, [C], [12], seed=7)
+        b = layer_transform(H, F, [C], [12], seed=7)
         assert a.plan.as_dict() == b.plan.as_dict()
         assert [C.canonical() for C in a.factor.cycles] == [
             C.canonical() for C in b.factor.cycles
@@ -319,79 +309,86 @@ class TestLayerTransform:
 
     def test_factor_edges_come_from_host_and_reserve_only(self):
         H, F, rest = star_split()
-        P = TightPath(rest, tuple(range(10)))
-        res = layer_transform(H, F, [P], [12], seed=0)
-        path_edges = {tuple(sorted(e)) for e in P.edges()}
-        for C in res.factor.cycles:
-            for e in C.edges():
+        C = TightCycle(rest, tuple(range(10)))
+        res = layer_transform(H, F, [C], [12], seed=0)
+        # the opened cycle's path windows, not its closing edges
+        path_edges = {
+            tuple(sorted(seq[i : i + 3]))
+            for g in res.plan.groups
+            for kind, seq, _ in g
+            if kind == "kept"
+            for i in range(len(seq) - 2)
+        }
+        assert path_edges
+        for D in res.factor.cycles:
+            for e in D.edges():
                 assert H.has_edge(e)
-                assert F.has_edge(e) or tuple(sorted(e)) in path_edges
+                assert F.has_edge(e) or e in path_edges
 
     def test_girth_gate_rejects_short_target_cycles(self):
         H, F, rest = star_split()
-        P = TightPath(rest, tuple(range(10)))
+        C = TightCycle(rest, tuple(range(10)))
         with pytest.raises(AssembleParamError, match="girth"):
-            layer_transform(H, F, [P], [4, 8], seed=0)
+            layer_transform(H, F, [C], [4, 8], seed=0)
 
     def test_target_lengths_must_sum_to_n(self):
         H, F, rest = star_split()
-        P = TightPath(rest, tuple(range(10)))
+        C = TightCycle(rest, tuple(range(10)))
         with pytest.raises(AssembleParamError, match="sum"):
-            layer_transform(H, F, [P], [11], seed=0)
+            layer_transform(H, F, [C], [11], seed=0)
 
     def test_reserve_graph_must_live_inside_the_host(self):
         H, F, rest = star_split()
-        P = TightPath(rest, tuple(range(10)))
+        C = TightCycle(rest, tuple(range(10)))
         small = complete_hypergraph(3, 10)
         with pytest.raises(AssembleParamError, match="same vertex set"):
-            layer_transform(H, small, [P], [12], seed=0)
+            layer_transform(H, small, [C], [12], seed=0)
         alien = Hypergraph(3, 12, [(0, 1, 2)])
         missing = H.remove_edges([(0, 1, 2)])
         with pytest.raises(AssembleParamError, match="not an edge"):
-            layer_transform(missing, alien, [P], [12], seed=0)
+            layer_transform(missing, alien, [C], [12], seed=0)
 
     def test_paths_may_not_use_reserve_edges(self):
         H, F, _ = star_split()
-        bad = TightPath(H, tuple(range(8)) + (10,))
+        bad = TightCycle(H, tuple(range(8)) + (10,))
         with pytest.raises(AssembleParamError, match="reserve"):
             layer_transform(H, F, [bad], [12], seed=0)
 
     def test_paths_must_cover_enough_vertices(self):
         H, F, rest = star_split()
-        short = TightPath(rest, tuple(range(8)))
+        short = TightCycle(rest, tuple(range(8)))
         with pytest.raises(AssembleParamError, match="cover"):
             layer_transform(H, F, [short], [12], seed=0)
 
     def test_missing_connector_window_fails_every_attempt(self):
-        # both orderings of the lone connector pass through the window
-        # {9, 10, 11}; removing that reserve edge makes connection impossible
+        # the lone connector's two inner vertices are the hubs 10 and 11, so
+        # its windows next to them hold both; without those reserve edges no
+        # rotation of the opened cycle can be connected
         H, F, rest = star_split()
-        P = TightPath(rest, tuple(range(10)))
-        F_bad = Hypergraph(
-            3, 12, [e for e in F.edges if tuple(sorted(e)) != (9, 10, 11)]
-        )
+        C = TightCycle(rest, tuple(range(10)))
+        F_bad = Hypergraph(3, 12, [e for e in F.edges if not {10, 11} <= set(e)])
         with pytest.raises(LayerFailure) as info:
-            layer_transform(H, F_bad, [P], [12], seed=0, retries=3)
+            layer_transform(H, F_bad, [C], [12], params=Profile(layer_retries=3))
         log = info.value.stage_log
         assert len(log) == 3
         assert all(stage == "connect" for _, stage, _ in log)
 
     def test_uncovered_vertices_are_closed_by_a_cover_piece(self):
-        H, F, paths = window_split(24, [range(12), range(12, 20)])
-        prof = Profile(delta=0.5, beta=0.5)
-        res = layer_transform(H, F, paths, [24], params=prof, seed=3, retries=40)
+        H, F, cycles = window_split(24, [range(12), range(12, 20)])
+        prof = Profile(delta=0.5, beta=0.5, layer_retries=40)
+        res = layer_transform(H, F, cycles, [24], params=prof, seed=3)
         assert bool(res)
-        assert res.attempts == 5
+        assert res.attempts == 10
         kinds = [kind for g in res.plan.groups for kind, _, _ in g]
         assert "cover" in kinds
         assert res.plan.sizes == {"V1": 12, "V2": 6, "V3": 6}
         assert res.plan.X == ()
 
     def test_kept_paths_can_be_extended_into_the_leftover(self):
-        H, F, paths = window_split(20, [range(10), range(10, 16)])
-        prof = Profile(delta=0.5, beta=0.5, extend=True)
-        for seed, want_attempts in [(0, 3), (1, 2)]:
-            res = layer_transform(H, F, paths, [20], params=prof, seed=seed, retries=40)
+        H, F, cycles = window_split(20, [range(10), range(10, 16)])
+        prof = Profile(delta=0.5, beta=0.5, extend=True, layer_retries=40)
+        for seed, want_attempts in [(0, 8), (1, 2)]:
+            res = layer_transform(H, F, cycles, [20], params=prof, seed=seed)
             assert bool(res)
             assert res.attempts == want_attempts
             assert res.plan.extended
@@ -399,10 +396,12 @@ class TestLayerTransform:
             assert lens == [16]
 
     def test_leftover_vertices_are_absorbed_by_the_structure(self):
-        H, F, paths = window_split(35, [range(16), range(16, 30)])
-        prof = Profile(delta=0.5, beta=0.5, theta=0.4, a=2, ell=1, L_prime=14)
-        for seed, want_attempts, want_X in [(1, 1, (32,)), (3, 2, (30,))]:
-            res = layer_transform(H, F, paths, [35], params=prof, seed=seed, retries=40)
+        H, F, cycles = window_split(35, [range(16), range(16, 30)])
+        prof = Profile(
+            delta=0.5, beta=0.5, theta=0.4, a=2, ell=1, L_prime=14, layer_retries=40
+        )
+        for seed, want_attempts, want_X in [(2, 1, (24,)), (0, 3, (32,))]:
+            res = layer_transform(H, F, cycles, [35], params=prof, seed=seed)
             assert bool(res)
             assert res.attempts == want_attempts
             assert res.plan.X == want_X
@@ -413,9 +412,11 @@ class TestLayerTransform:
             assert set(want_X) <= covered
 
     def test_absorbed_set_always_matches_placed_capacity(self):
-        H, F, paths = window_split(35, [range(16), range(16, 30)])
-        prof = Profile(delta=0.5, beta=0.5, theta=0.4, a=2, ell=1, L_prime=14)
-        res = layer_transform(H, F, paths, [35], params=prof, seed=1, retries=40)
+        H, F, cycles = window_split(35, [range(16), range(16, 30)])
+        prof = Profile(
+            delta=0.5, beta=0.5, theta=0.4, a=2, ell=1, L_prime=14, layer_retries=40
+        )
+        res = layer_transform(H, F, cycles, [35], params=prof, seed=1)
         assert len(res.plan.X) == res.plan.capacity
 
 
@@ -506,8 +507,8 @@ class TestUsageLedger:
 
 class TestPackFactors:
     def test_two_edge_disjoint_hamilton_factors(self, pack_k12):
-        H, reserve, bundle = pack_k12
-        res = pack_factors(H, reserve, bundle, [[12], [12]], seed=0)
+        H, reserve, collections = pack_k12
+        res = pack_factors(H, reserve, collections, [[12], [12]], seed=0)
         assert bool(res)
         assert (res.achieved, res.requested) == (2, 2)
         assert len(res.ledger.layers) == 2
@@ -519,14 +520,14 @@ class TestPackFactors:
             seen |= edges
 
     def test_ledger_recomputes_from_the_emitted_factors(self, pack_k12):
-        H, reserve, bundle = pack_k12
-        res = pack_factors(H, reserve, bundle, [[12], [12]], seed=0)
+        H, reserve, collections = pack_k12
+        res = pack_factors(H, reserve, collections, [[12], [12]], seed=0)
         fresh = UsageLedger.recomputed(3, 12, res.ledger.cap, reserve, res.factors)
         assert fresh == res.ledger
 
     def test_single_target_runs_a_single_layer(self, pack_k12):
-        H, reserve, bundle = pack_k12
-        res = pack_factors(H, reserve, bundle, [[12]], seed=0)
+        H, reserve, collections = pack_k12
+        res = pack_factors(H, reserve, collections, [[12]], seed=0)
         assert bool(res)
         assert res.achieved == 1
         assert len(res.ledger.layers) == 1
@@ -534,10 +535,10 @@ class TestPackFactors:
 
     def test_budget_gate_stops_before_the_second_layer(self, pack_k12):
         # cap_fraction 0.01 caps every pair at one consumed reserve edge
-        H, reserve, bundle = pack_k12
+        H, reserve, collections = pack_k12
         with pytest.raises(PackBudgetError) as info:
             pack_factors(
-                H, reserve, bundle, [[12], [12]],
+                H, reserve, collections, [[12], [12]],
                 params=Profile(cap_fraction=0.01), seed=0,
             )
         err = info.value
@@ -547,27 +548,32 @@ class TestPackFactors:
         assert err.snapshot["max_usage"] == 2
 
     def test_exhausted_layer_returns_a_partial_result(self):
-        H, reserve, bundle = k12_pack_inputs(22)
-        res = pack_factors(H, reserve, bundle, [[12], [12]], seed=22)
+        H, reserve, collections = k12_pack_inputs(22)
+        res = pack_factors(H, reserve, collections, [[12], [12]], seed=22)
         assert not res
         assert (res.achieved, res.requested) == (1, 2)
         assert len(res.layer_results) == 1
         assert bool(res.packing_report.ok)
+        # the failed layer's log lists every one of its attempts
+        assert [a for a, _, _ in res.failed_log] == list(range(1, 21))
+        failed = res.manifest()["failed_layer"]
+        assert (failed["layer"], failed["attempts"]) == (1, 20)
 
     def test_more_targets_than_collections_is_rejected(self, pack_k12):
-        H, reserve, bundle = pack_k12
+        H, reserve, collections = pack_k12
         with pytest.raises(AssembleParamError, match="targets"):
-            pack_factors(H, reserve, bundle, [[12], [12], [12]], seed=0)
+            pack_factors(H, reserve, collections, [[12], [12], [12]], seed=0)
 
     def test_bundle_paths_may_not_touch_the_reserve(self, pack_k12):
-        H, _, bundle = pack_k12
+        H, reserve, collections = pack_k12
+        cover_host = H.remove_edges(reserve.edges)
         with pytest.raises(AssembleParamError, match="reserve edge"):
-            pack_factors(H, bundle.host, bundle, [[12]], seed=0)
+            pack_factors(H, cover_host, collections, [[12]], seed=0)
 
     def test_manifest_is_deterministic_with_normalized_timings(self, pack_k12):
-        H, reserve, bundle = pack_k12
-        a = pack_factors(H, reserve, bundle, [[12], [12]], seed=0)
-        b = pack_factors(H, reserve, bundle, [[12], [12]], seed=0)
+        H, reserve, collections = pack_k12
+        a = pack_factors(H, reserve, collections, [[12], [12]], seed=0)
+        b = pack_factors(H, reserve, collections, [[12], [12]], seed=0)
         da = json.dumps(a.manifest(normalize_timings=True), sort_keys=True)
         db = json.dumps(b.manifest(normalize_timings=True), sort_keys=True)
         assert da == db

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cyclefactors import absorbing, assemble, cli, fractional
+from cyclefactors import absorbing, assemble, cli, cover, fractional
 from cyclefactors.cli import (
     CLIError,
     EXIT_OK,
@@ -389,6 +389,25 @@ class TestDecompose:
         assert code == EXIT_OK
         assert reached
 
+    def test_decompose_hands_cycle_collections_to_the_packer(
+        self, tmp_path, monkeypatch
+    ):
+        # path bundles serve only the cover command; every layer attempt
+        # opens the cycles itself
+        def refuse(*args, **kwargs):
+            raise AssertionError("decompose built a CoverBundle")
+
+        monkeypatch.setattr(cover.CoverBundle, "__init__", refuse)
+        host = write_host(tmp_path, complete_hypergraph(3, 12))
+        out = tmp_path / "run.json"
+        code = main(
+            ["decompose", host, "--targets", "12;12", "--seed", "0", "-q",
+             "--output", str(out)]
+        )
+        assert code == EXIT_OK
+        for layer in json.loads(out.read_text())["manifest"]["layers"]:
+            assert layer["attempts"] == len(layer["failed_stages"]) + 1
+
     def test_parallel_seeds_picks_the_first_success_deterministically(self, tmp_path):
         host = write_host(tmp_path, complete_hypergraph(3, 12))
         out = tmp_path / "par.json"
@@ -407,6 +426,31 @@ class TestDecompose:
         doc = json.loads(out.read_text())
         assert doc["pipeline"]["winning_seed"] == 0
         assert [s["seed"] for s in doc["pipeline"]["seeds"]] == [0, 1]
+
+    def test_partial_packing_exits_10_with_its_verified_factor(self, tmp_path):
+        # with one pipeline attempt, seed 13 packs its first layer and then
+        # exhausts every attempt of the second
+        host = write_host(tmp_path, complete_hypergraph(3, 12))
+        out, factors, check = (tmp_path / name for name in ("run.json", "f.json", "v.json"))
+        code = main(
+            ["decompose", host, "--targets", "12;12", "--seed", "13",
+             "--pipeline-retries", "1", "--normalize-timings", "-q",
+             "--output", str(out), "--factors-out", str(factors)]
+        )
+        assert code == EXIT_PARTIAL
+        doc = json.loads(out.read_text())
+        assert (doc["ok"], doc["achieved"], doc["requested"]) == (False, 1, 2)
+        manifest = doc["manifest"]
+        assert len(manifest["factors"]["factors"]) == 1
+        failed = manifest["failed_layer"]
+        assert failed["layer"] == 1
+        assert failed["attempts"] == len(failed["failed_stages"]) == 20
+        last = failed["failed_stages"][-1]
+        assert doc["pipeline"]["log"][-1]["detail"].endswith(
+            f"last failed at {last['stage']}: {last['detail']}"
+        )
+        assert main(["verify", host, str(factors), "-q", "--output", str(check)]) == EXIT_OK
+        assert json.loads(check.read_text())["factors"] == 1
 
     def test_target_sum_mismatch_is_a_parameter_error(self, tmp_path, capsys):
         host = write_host(tmp_path, complete_hypergraph(3, 12))

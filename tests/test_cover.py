@@ -442,16 +442,6 @@ class TestCoverBundle:
         assert len(doc["collections"][0]["paths"][0]) == 6
         assert doc["type_stats"]
 
-    def test_gate_report_shapes(self):
-        H = complete_hypergraph(3, 6)
-        C = TightCycle(H, (0, 1, 2, 3, 4, 5))
-        bundle = cycles_to_paths([[C]], seed=1)
-        report = bundle.gate_report(cap_end=1.0, cap_con=1.0)
-        for label, entry in report.items():
-            assert entry["max"] >= 1
-            if label != "lo":
-                assert entry["ok"]
-
 
 class TestRandomHosts:
     @given(st.integers(min_value=0, max_value=10_000))
