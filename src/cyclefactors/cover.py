@@ -3,10 +3,14 @@
 The pipeline has three steps.  First, ``fractional_cycle_decomposition``
 assigns a positive weight to a family of tight cycles on L vertices so that
 the weights of the cycles through each edge sum to exactly 1 (a linear
-program over an enumerated or sampled cycle family).  Second,
+program over an enumerated or sampled cycle family).  The enumeration grows
+tight (L-1)-vertex paths and closes each one by intersection: the closing
+vertex must extend all k cyclic windows that contain it, so it is drawn from
+the intersection of their extension sets.  Second,
 ``extract_cycle_collections`` rounds the fractional solution into r
 edge-disjoint collections of vertex-disjoint L-cycles by a weight-driven
-randomized greedy, with coverage gates checked per collection.  The
+randomized greedy, with coverage gates checked per collection; it redraws up
+to ``retries`` times from the same solution.  The
 ``decompose`` pipeline hands these cycle collections straight to
 ``assemble.pack_factors``, whose layer transform opens each cycle afresh on
 every attempt with ``open_cycle`` (deleting k-1 consecutive edges at a
@@ -75,17 +79,25 @@ def _close_ok(H: Hypergraph, seq: Sequence[int]) -> bool:
 def _enumerate_all(H: Hypergraph, L: int, cap: Optional[int]):
     """All tight cycles on exactly L vertices, or None when cap is exceeded.
 
-    Anchored DFS: the first vertex of the sequence is the cycle's minimum
+    Anchored search: the first vertex of the sequence is the cycle's minimum
     and the reflection duplicate is skipped by requiring the second vertex
-    to be smaller than the last.
+    to be smaller than the last.  ``tight_extensions`` grows the tight
+    (L-1)-vertex paths; the closing vertex lies in exactly the k cyclic
+    windows that the path does not check, so it is drawn, in ascending
+    order, from the intersection of those windows' extension sets.
     """
+    k = H.k
     out = []
     for v0 in range(H.n):
-        for seq in tight_extensions(H, (v0,), L, range(v0 + 1, H.n)):
-            if seq[1] < seq[-1] and _close_ok(H, seq):
-                out.append(TightCycle(H, seq))
-                if cap is not None and len(out) > cap:
-                    return None
+        for seq in tight_extensions(H, (v0,), L - 1, range(v0 + 1, H.n)):
+            closers = set(H.extensions(seq[L - k :]))
+            for j in range(1, k):
+                closers.intersection_update(H.extensions(seq[L - k + j :] + seq[:j]))
+            for u in sorted(closers):
+                if u > seq[1] and u not in seq:
+                    out.append(TightCycle(H, seq + (u,)))
+                    if cap is not None and len(out) > cap:
+                        return None
     return out
 
 
@@ -171,7 +183,7 @@ class FractionalCycleDecomposition:
     within ``tol``.  Weights may be floats or exact Fractions.
     """
 
-    __slots__ = ("host", "weights", "L", "_by_edge")
+    __slots__ = ("host", "weights", "L", "_edge_weights")
 
     def __init__(self, host: Hypergraph, weights: Mapping, tol: float = 1e-9):
         items = {}
@@ -192,12 +204,12 @@ class FractionalCycleDecomposition:
             items[C] = w
         if not items:
             raise CoverError("a decomposition needs at least one cycle")
-        by_edge = {e: [] for e in host.edges}
-        for C in items:
+        edge_weights = {e: [] for e in host.edges}
+        for C, w in items.items():
             for e in C.edges():
-                by_edge[e].append(C)
-        for e, cycles in by_edge.items():
-            total = sum(items[C] for C in cycles)
+                edge_weights[e].append(w)
+        for e, ws in edge_weights.items():
+            total = sum(ws)
             if abs(float(total) - 1.0) > tol:
                 raise CoverError(
                     f"edge {e!r} has weight sum {float(total)!r}, not 1 within {tol}"
@@ -205,7 +217,7 @@ class FractionalCycleDecomposition:
         object.__setattr__(self, "host", host)
         object.__setattr__(self, "weights", items)
         object.__setattr__(self, "L", L)
-        object.__setattr__(self, "_by_edge", by_edge)
+        object.__setattr__(self, "_edge_weights", edge_weights)
 
     def __setattr__(self, name, value):
         raise AttributeError("FractionalCycleDecomposition is immutable")
@@ -223,7 +235,7 @@ class FractionalCycleDecomposition:
 
     def per_edge_sum(self, edge) -> float:
         e = tuple(sorted(edge))
-        return float(sum(self.weights[C] for C in self._by_edge[e]))
+        return float(sum(self._edge_weights[e]))
 
     def min_weight(self):
         return min(self.weights.values())

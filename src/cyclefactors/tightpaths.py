@@ -176,17 +176,29 @@ class TightPath:
 
 
 class TightCycle:
-    """Cyclic vertex sequence (>= k+1 distinct vertices), all cyclic k-windows edges."""
+    """Cyclic vertex sequence (>= k+1 distinct vertices), all cyclic k-windows edges.
+
+    The sorted cyclic windows are computed once, at construction: the
+    constructor checks them against the host (the test of ``is_tight_cycle``)
+    and keeps them as the cycle's edges.
+    """
 
     __slots__ = ("seq", "host", "_edges", "_canonical")
 
     def __init__(self, host: Hypergraph, seq: Sequence[int]):
         seq = tuple(seq)
-        if not is_tight_cycle(host, seq):
+        k = host.k
+        closed = seq + seq[: k - 1]
+        edges = tuple(tuple(sorted(closed[i : i + k])) for i in range(len(seq)))
+        if (
+            len(seq) < k + 1
+            or len(set(seq)) != len(seq)
+            or not all(map(host.has_edge, edges))
+        ):
             raise TightnessError(f"{seq!r} is not a tight cycle in the host")
         object.__setattr__(self, "seq", seq)
         object.__setattr__(self, "host", host)
-        object.__setattr__(self, "_edges", None)
+        object.__setattr__(self, "_edges", edges)
         object.__setattr__(self, "_canonical", canonical_cycle(seq))
 
     def __setattr__(self, name, value):
@@ -200,10 +212,6 @@ class TightCycle:
         return frozenset(self.seq)
 
     def edges(self):
-        if self._edges is None:
-            closed = self.seq + self.seq[: self.host.k - 1]
-            out = tuple(tuple(sorted(w)) for w in _windows(closed, self.host.k))
-            object.__setattr__(self, "_edges", out)
         return list(self._edges)
 
     def canonical(self) -> tuple:

@@ -6,8 +6,14 @@ import pytest
 from scipy import sparse
 from scipy.optimize import linprog
 
-from cyclefactors.cover import ExtractionResult, extract_cycle_collections
+from cyclefactors.cover import (
+    ExtractionResult,
+    _close_ok,
+    _enumerate_all,
+    extract_cycle_collections,
+)
 from cyclefactors.fractional import maxmin_lp, maxmin_weights
+from cyclefactors.tightpaths import tight_extensions
 
 
 def inequality_form_z(A):
@@ -129,5 +135,37 @@ def check_against_rescan():
         assert (got.ok, got.attempts, got.gamma) == (want.ok, want.attempts, want.gamma)
         assert got.diagnostics == want.diagnostics
         return got
+
+    return check
+
+
+def anchored_dfs_cycles(H, L, cap):
+    """The enumeration ``cover._enumerate_all`` replaces, as sequences.
+
+    It grows tight L-vertex paths from each anchor v0 over vertices above v0,
+    keeps those with seq[1] < seq[-1] and then probes the k-1 closing windows
+    with ``_close_ok``.  Kept only as an oracle; None once more than ``cap``
+    cycles are found.
+    """
+    out = []
+    for v0 in range(H.n):
+        for seq in tight_extensions(H, (v0,), L, range(v0 + 1, H.n)):
+            if seq[1] < seq[-1] and _close_ok(H, seq):
+                out.append(seq)
+                if cap is not None and len(out) > cap:
+                    return None
+    return out
+
+
+@pytest.fixture
+def check_against_dfs():
+    """Enumerate through ``_enumerate_all`` and compare it with the anchored
+    DFS: the same sequences in the same order, or None on both sides."""
+
+    def check(H, L, cap):
+        got = _enumerate_all(H, L, cap)
+        want = anchored_dfs_cycles(H, L, cap)
+        assert (None if got is None else [C.seq for C in got]) == want
+        return want
 
     return check

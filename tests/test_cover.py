@@ -281,6 +281,28 @@ def random_host(k, n, p, seed):
     )
 
 
+class TestEnumerationAgainstDFS:
+    """Closing by intersection finds the anchored DFS's cycles in its order."""
+
+    @pytest.mark.parametrize("k,n,p", [(3, 8, 0.9), (3, 9, 0.6), (4, 8, 0.9), (4, 9, 0.7)])
+    @pytest.mark.parametrize("host_seed", range(3))
+    def test_random_hosts(self, k, n, p, host_seed, check_against_dfs):
+        H = random_host(k, n, p, host_seed)
+        capped = 0
+        for L in range(k + 1, min(n, 8) + 1):
+            full = check_against_dfs(H, L, None)
+            assert check_against_dfs(H, L, len(full)) == full
+            if full:
+                assert check_against_dfs(H, L, len(full) - 1) is None
+                assert check_against_dfs(H, L, len(full) // 3) is None
+                capped += 1
+        assert capped >= 1
+
+    def test_host_without_cycles(self, check_against_dfs):
+        for L in (4, 5):
+            assert check_against_dfs(path_host(), L, None) == []
+
+
 class TestExtractionAgainstRescan:
     """The live candidate pool draws exactly what the full rescan draws."""
 

@@ -203,6 +203,47 @@ class TestBoundaryInterior:
         assert bset | iset == P.vertex_set
 
 
+def cyclic_windows(seq, k):
+    """Sorted k-windows of seq read cyclically, by modular index."""
+    return [
+        tuple(sorted(seq[(i + j) % len(seq)] for j in range(k)))
+        for i in range(len(seq))
+    ]
+
+
+class TestTightCycleCheck:
+    """The constructor's single pass over the windows is the test of
+    ``is_tight_cycle``, and the windows it checked are the cycle's edges."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_raises_exactly_when_is_tight_cycle_is_false(self, seed):
+        rng = random.Random(seed)
+        k = rng.choice((3, 4))
+        n = rng.randint(k + 2, 10)
+        K = complete_hypergraph(k, n)
+        seq = tuple(rng.sample(range(n), rng.randint(k + 1, n)))
+        gap = K.remove_edges([rng.choice(cyclic_windows(seq, k))])
+        cases = [
+            (K, seq),
+            (K, seq[: rng.randint(0, k)]),
+            (K, seq + (rng.choice(seq),)),
+            (gap, seq),
+        ]
+        assert [is_tight_cycle(H, s) for H, s in cases] == [True, False, False, False]
+        for _ in range(20):
+            cases.append((gap, tuple(rng.sample(range(n), rng.randint(k + 1, n)))))
+        for H, s in cases:
+            if is_tight_cycle(H, s):
+                C = TightCycle(H, s)
+                assert C.edges() == cyclic_windows(s, k)
+                with pytest.raises(AttributeError):
+                    C._edges = ()
+                assert C.edges() == cyclic_windows(s, k)
+            else:
+                with pytest.raises(TightnessError):
+                    TightCycle(H, s)
+
+
 class TestCyclesAndFactors:
     def test_canonical_starts_at_min_in_smaller_direction(self):
         assert canonical_cycle((2, 3, 4, 0, 1)) == (0, 1, 2, 3, 4)
