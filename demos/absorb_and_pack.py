@@ -69,8 +69,9 @@ def stage_3():
     for i, factor in enumerate(res.factors):
         print(f"  factor {i}: {[list(C.seq) for C in factor.cycles]}")
     snap = res.ledger.snapshot()
-    print(f"  ledger: cap {snap['cap']} uses per vertex pair, "
-          f"max usage {snap['max_usage']} at {snap['argmax']}")
+    print(f"  ledger: cap {snap['cap']} uses per vertex pair, gating the start "
+          f"of each layer; max usage {snap['max_usage']} at {snap['argmax']} "
+          f"(the last layer's usage is reported, not gated)")
     print(f"  cross-factor edge-disjointness: "
           f"{validate_packing(H, res.factors).ok}")
 

@@ -963,7 +963,9 @@ class UsageLedger:
 
     The ledger counts, for every (k-1)-set x, how many consumed reserve edges
     contain x (the consumed codegree), plus the same count per layer.  The
-    gate refuses another layer when any codegree exceeds the cap.
+    cap gates the start of each layer: ``pack_factors`` refuses another layer
+    when any codegree already exceeds it.  The last layer's usage is
+    reported (``snapshot``), not gated, so it may end above the cap.
     """
 
     def __init__(self, k: int, n: int, cap: int):
@@ -1117,10 +1119,11 @@ def pack_factors(
     Target i is built by one ``layer_transform`` call from the i-th cycle
     collection and the reserve graph minus everything consumed by earlier
     layers; all layers draw from one master stream seeded by ``seed``.  The
-    ledger gate aborts with PackBudgetError when some (k-1)-set's consumed
-    reserve codegree exceeds ceil(cap_fraction * n); a layer that fails all
-    its attempts ends the loop early with a partial result that keeps the
-    failure's stage log.
+    ledger gate runs at the start of each layer and aborts with
+    PackBudgetError when some (k-1)-set's consumed reserve codegree already
+    exceeds ceil(cap_fraction * n); the last layer's usage is reported in the
+    ledger, not gated.  A layer that fails all its attempts ends the loop
+    early with a partial result that keeps the failure's stage log.
     """
     prof = as_profile(params)
     shapes = [check_target(target, H, prof) for target in targets]

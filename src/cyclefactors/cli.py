@@ -68,6 +68,12 @@ EXIT_PARSE = 20
 EXIT_PARAMS = 21
 EXIT_STAGE = 30
 
+# Extraction draws per fractional solution in one pipeline attempt.  On
+# K_12^(3) (2-vCPU VM) a draw costs about 0.5 ms against about 60 ms for the
+# cycle family and LP it reuses, so missed gates are redrawn from the same
+# solution before the pipeline sparsifies and solves again.
+PIPELINE_EXTRACTION_DRAWS = 40
+
 
 class CLIError(Exception):
     """Abort with a message and a specific exit code."""
@@ -433,7 +439,8 @@ def _pipeline_once(H, weighting, empty, targets, prof, seed, cover_length, per_e
         rest, cover_length, seed=seed, per_edge=per_edge
     )
     ext = extract_cycle_collections(
-        rest, frac, len(targets), seed=seed, gates={"mu": prof.mu}
+        rest, frac, len(targets), seed=seed, gates={"mu": prof.mu},
+        retries=PIPELINE_EXTRACTION_DRAWS,
     )
     if not ext.ok:
         raise CoverError(

@@ -54,14 +54,14 @@ def window_split(n, runs):
     return H, F, cycles
 
 
-def k12_pack_inputs(seed):
-    """Reserve graph plus two extracted cycle collections on K_12."""
+def k12_pack_inputs(seed, r=2):
+    """Reserve graph plus r extracted cycle collections on K_12."""
     H = complete_hypergraph(3, 12)
     sp = sparsify_intersecting(H, Hypergraph(3, 12, []), 0.5, uniform_weighting(H), seed)
     reserve = sp.subgraph
     rest = H.remove_edges(reserve.edges)
     frac = fractional_cycle_decomposition(rest, 6, seed=seed, per_edge=20)
-    ext = extract_cycle_collections(rest, frac, 2, seed=seed, gates={"mu": 0.2})
+    ext = extract_cycle_collections(rest, frac, r, seed=seed, gates={"mu": 0.2})
     assert ext.ok
     return H, reserve, ext.collections
 
@@ -546,6 +546,20 @@ class TestPackFactors:
         assert len(err.factors) == 1
         assert err.snapshot["cap"] == 1
         assert err.snapshot["max_usage"] == 2
+
+    def test_cap_gates_the_start_of_each_layer_not_the_last(self):
+        # seed 0: two layers leave the pair (3, 7) at usage 4, over the
+        # default cap 3 = ceil(0.25 * 12)
+        H, reserve, collections = k12_pack_inputs(0, r=3)
+        two = pack_factors(H, reserve, collections[:2], [[12], [12]], seed=0)
+        assert two.ok
+        assert (two.ledger.cap, two.ledger.snapshot()["max_usage"]) == (3, 4)
+        with pytest.raises(PackBudgetError, match="before layer 2") as info:
+            pack_factors(H, reserve, collections, [[12], [12], [12]], seed=0)
+        err = info.value
+        assert err.culprit == (3, 7)
+        assert [F.as_dict() for F in err.factors] == [F.as_dict() for F in two.factors]
+        assert err.snapshot == two.ledger.snapshot()
 
     def test_exhausted_layer_returns_a_partial_result(self):
         H, reserve, collections = k12_pack_inputs(22)

@@ -349,12 +349,74 @@ class TestDecompose:
         host = write_host(tmp_path, complete_hypergraph(3, 12))
         out = tmp_path / "run.json"
         code = main(
-            ["decompose", host, "--targets", "12;12", "--seed", "1", "-q",
+            ["decompose", host, "--targets", "12;12", "--seed", "8", "-q",
              "--output", str(out)]
         )
         assert code == EXIT_OK
         assert json.loads(out.read_text())["pipeline"]["attempts"] >= 2
         assert calls == [220]
+
+    def _record_extractions(self, monkeypatch):
+        """Wrap the pipeline's extraction: each call's result is recorded next
+        to a 10-draw extraction from the same fractional solution."""
+        seen = []
+        real = cli.extract_cycle_collections
+
+        def recorded(H, frac, r, **kwargs):
+            got = real(H, frac, r, **kwargs)
+            ten = real(H, frac, r, **{**kwargs, "retries": 10})
+            seen.append((kwargs["retries"], got, ten))
+            return got
+
+        monkeypatch.setattr(cli, "extract_cycle_collections", recorded)
+        return seen
+
+    def _count_cover_solves(self, monkeypatch):
+        solves = []
+        real = cover.linprog
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cover, "linprog", counted)
+        return solves
+
+    def test_missed_gates_are_redrawn_from_the_same_solution(self, tmp_path, monkeypatch):
+        # seed 6: ten draws miss the gates on the first pipeline attempt
+        seen = self._record_extractions(monkeypatch)
+        solves = self._count_cover_solves(monkeypatch)
+        host = write_host(tmp_path, complete_hypergraph(3, 12))
+        out = tmp_path / "run.json"
+        code = main(
+            ["decompose", host, "--targets", "12;12", "--seed", "6", "-q",
+             "--output", str(out)]
+        )
+        assert code == EXIT_OK
+        assert json.loads(out.read_text())["pipeline"]["attempts"] == 1
+        assert len(solves) == 1
+        [(retries, got, ten)] = seen
+        assert retries == cli.PIPELINE_EXTRACTION_DRAWS == 40
+        assert not ten.ok
+        assert got.ok and 10 < got.attempts <= retries
+        assert got.diagnostics[:10] == ten.diagnostics
+
+    def test_a_first_draw_pass_is_unchanged_by_the_budget(self, tmp_path, monkeypatch):
+        # seed 0: the first pipeline attempt passes within ten draws
+        seen = self._record_extractions(monkeypatch)
+        host = write_host(tmp_path, complete_hypergraph(3, 12))
+        out = tmp_path / "run.json"
+        code = main(
+            ["decompose", host, "--targets", "12;12", "--seed", "0", "-q",
+             "--output", str(out)]
+        )
+        assert code == EXIT_OK
+        [(_, got, ten)] = seen
+        assert ten.ok
+        assert [[C.seq for C in coll] for coll in got] == [
+            [C.seq for C in coll] for coll in ten
+        ]
+        assert (got.attempts, got.diagnostics) == (ten.attempts, ten.diagnostics)
 
     def test_decompose_never_redistributes_along_walk_registries(
         self, tmp_path, monkeypatch
