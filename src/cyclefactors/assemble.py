@@ -319,6 +319,8 @@ def build_reservoir(
         sub = F.induced(inside)
         if sub.m:
             rho_inside = float(sub.rho_star())
+    inset = set(inside)
+    inside_edges = [e for e in F.edges if inset.issuperset(e)]
     rng = random.Random(seed)
     last_fail = "size"
     for _ in range(max(1, retries)):
@@ -336,11 +338,11 @@ def build_reservoir(
             "sampled",
             {"n_inside": n1, "size": len(R), "window": [lo, hi]},
         )
-        audited = _audit_reservoir(res, audit_pairs, rng)
+        audited = _audit_reservoir(res, inside_edges, audit_pairs, rng)
         if audited is not True:
             last_fail = f"audit {audited}"
             continue
-        rest = sorted(set(inside) - set(R))
+        rest = sorted(inset - set(R))
         if rho_inside is not None and len(rest) >= k:
             off = F.induced(rest)
             if off.m:
@@ -359,11 +361,11 @@ def build_reservoir(
     )
 
 
-def _audit_reservoir(res: Reservoir, audit_pairs: int, rng: random.Random):
-    """True, or a string describing the first failed audit pair."""
-    F = res.host
-    inset = res.inside
-    edges = [e for e in F.edges if set(e) <= inset]
+def _audit_reservoir(res: Reservoir, edges: list, audit_pairs: int, rng: random.Random):
+    """True, or a string describing the first failed audit pair.
+
+    ``edges`` are the host edges inside ``res.inside``, in host order.
+    """
     pairs = []
     if len(edges) >= 2:
         for _ in range(50 * audit_pairs):

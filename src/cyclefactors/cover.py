@@ -6,7 +6,7 @@ the weights of the cycles through each edge sum to exactly 1 (a linear
 program over an enumerated or sampled cycle family).  The enumeration grows
 tight (L-1)-vertex paths and closes each one by intersection: the closing
 vertex must extend all k cyclic windows that contain it, so it is drawn from
-the intersection of their extension sets.  Second,
+the AND of their extension bitmasks.  Second,
 ``extract_cycle_collections`` rounds the fractional solution into r
 edge-disjoint collections of vertex-disjoint L-cycles by a weight-driven
 randomized greedy, with coverage gates checked per collection; it redraws up
@@ -83,18 +83,23 @@ def _enumerate_all(H: Hypergraph, L: int, cap: Optional[int]):
     and the reflection duplicate is skipped by requiring the second vertex
     to be smaller than the last.  ``tight_extensions`` grows the tight
     (L-1)-vertex paths; the closing vertex lies in exactly the k cyclic
-    windows that the path does not check, so it is drawn, in ascending
-    order, from the intersection of those windows' extension sets.
+    windows that the path does not check, so its candidates are the AND of
+    those windows' ``extension_mask`` ints cut to the bits above seq[1],
+    taken lowest bit first (ascending order) and skipped when on the path.
     """
     k = H.k
+    mask_of = H.extension_mask
     out = []
     for v0 in range(H.n):
         for seq in tight_extensions(H, (v0,), L - 1, range(v0 + 1, H.n)):
-            closers = set(H.extensions(seq[L - k :]))
+            closers = mask_of(seq[L - k :]) & (-1 << (seq[1] + 1))
             for j in range(1, k):
-                closers.intersection_update(H.extensions(seq[L - k + j :] + seq[:j]))
-            for u in sorted(closers):
-                if u > seq[1] and u not in seq:
+                closers &= mask_of(seq[L - k + j :] + seq[:j])
+            while closers:
+                low = closers & -closers
+                closers ^= low
+                u = low.bit_length() - 1
+                if u not in seq:
                     out.append(TightCycle(H, seq + (u,)))
                     if cap is not None and len(out) > cap:
                         return None

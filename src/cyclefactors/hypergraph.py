@@ -38,6 +38,7 @@ class Hypergraph:
         "_degrees",
         "_codegree_cache",
         "_full_km1_index",
+        "_extension_masks",
         "_hash",
     )
 
@@ -81,6 +82,7 @@ class Hypergraph:
         object.__setattr__(self, "_degrees", tuple(degs))
         object.__setattr__(self, "_codegree_cache", {})
         object.__setattr__(self, "_full_km1_index", None)
+        object.__setattr__(self, "_extension_masks", {})
         object.__setattr__(self, "_hash", hash((k, n, tuple(canon))))
 
     def __setattr__(self, name, value):  # immutability guard for public fields
@@ -161,6 +163,22 @@ class Hypergraph:
         it checks no arguments: a tail that is no (k-1)-set gets ().
         """
         return self._km1_index().get(tuple(sorted(tail)), ())
+
+    def extension_mask(self, tail: tuple) -> int:
+        """N(tail) as an int: bit v is set iff tail + v is an edge.
+
+        ``tail`` is an ordered (k-1)-tuple; a tail that is no (k-1)-set gets
+        0.  Each ordering is memoized on first use, so a search that meets a
+        tail again pays one dict lookup instead of a sort.
+        """
+        masks = self._extension_masks
+        mask = masks.get(tail)
+        if mask is None:
+            mask = 0
+            for v in self.extensions(tail):
+                mask |= 1 << v
+            masks[tail] = mask
+        return mask
 
     def neighborhood(self, x: Iterable[int]) -> frozenset:
         """N(x) = {v : x + v is an edge} for a (k-1)-set x."""

@@ -3,7 +3,9 @@
 A tight path visits distinct vertices so that every k consecutive ones form an
 edge of the host; a tight cycle closes the sequence cyclically and needs at
 least k+1 vertices. ``tight_extensions`` is the search that grows them vertex
-by vertex. Path collections index their end-sets (prefix sets plus
+by vertex, over int bitmasks: the candidates for the next vertex are the
+host's ``extension_mask`` of the last k-1 vertices AND the still-free
+vertices, taken lowest bit first. Path collections index their end-sets (prefix sets plus
 the suffix k-set) so k-sets can be classified as j-end / lo / j-con relative
 to the collection.
 """
@@ -61,23 +63,30 @@ def tight_extensions(
 
     Yields each prefix + w, w distinct vertices from ``allowed`` (default: all)
     outside prefix, in which every k-window ending at a vertex of w is an edge.
-    Windows inside prefix are not checked.
+    Windows inside prefix are not checked.  The search keeps the free
+    vertices as an int bitmask; a vertex after the first k-1 is drawn from
+    ``H.extension_mask`` of the last k-1 vertices AND the free mask, lowest
+    bit first, which is ascending and so lexicographic order.
     """
     k = H.k
-    pool = sorted(range(H.n) if allowed is None else set(allowed))
-    allow = frozenset(pool)
+    free = (1 << H.n) - 1 if allowed is None else sum(1 << v for v in set(allowed))
+    prefix = tuple(prefix)
+    for v in set(prefix):
+        free &= ~(1 << v)
+    mask_of = H.extension_mask
 
-    def grow(seq):
+    def grow(seq, free):
         if len(seq) == length:
             yield seq
             return
-        cands = pool if len(seq) < k - 1 else H.extensions(seq[len(seq) - k + 1 :])
-        for v in cands:
-            if v in allow and v not in seq:
-                yield from grow(seq + (v,))
+        cands = free if len(seq) < k - 1 else mask_of(seq[len(seq) - k + 1 :]) & free
+        while cands:
+            low = cands & -cands
+            yield from grow(seq + (low.bit_length() - 1,), free ^ low)
+            cands ^= low
 
     if len(prefix) <= length:
-        yield from grow(tuple(prefix))
+        yield from grow(prefix, free)
 
 
 class TightPath:
@@ -179,8 +188,9 @@ class TightCycle:
     """Cyclic vertex sequence (>= k+1 distinct vertices), all cyclic k-windows edges.
 
     The sorted cyclic windows are computed once, at construction: the
-    constructor checks them against the host (the test of ``is_tight_cycle``)
-    and keeps them as the cycle's edges.
+    constructor looks them up in the host's edge ids (the test of
+    ``is_tight_cycle``, without re-sorting them) and keeps them as the
+    cycle's edges.
     """
 
     __slots__ = ("seq", "host", "_edges", "_canonical")
@@ -193,7 +203,7 @@ class TightCycle:
         if (
             len(seq) < k + 1
             or len(set(seq)) != len(seq)
-            or not all(map(host.has_edge, edges))
+            or not all(map(host._edge_ids.__contains__, edges))
         ):
             raise TightnessError(f"{seq!r} is not a tight cycle in the host")
         object.__setattr__(self, "seq", seq)

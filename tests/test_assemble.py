@@ -1,11 +1,13 @@
 import itertools
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclefactors import assemble
 from cyclefactors.assemble import (
     AssembleError,
     AssembleParamError,
@@ -160,6 +162,24 @@ class TestBuildReservoir:
         with pytest.raises(ReservoirError) as info:
             build_reservoir(F, 0.4, 2, 3, seed=8, retries=1)
         assert info.value.property_name == "size"
+
+    def test_inside_edges_are_listed_once_for_every_audit(self, monkeypatch):
+        # this host's reservoir is accepted on its 33rd audited sample
+        rng = random.Random(4)
+        F = Hypergraph(3, 12, [e for e in itertools.combinations(range(12), 3) if rng.random() < 0.6])
+        seen = []
+        audit = assemble._audit_reservoir
+
+        def spy(res, edges, *args):
+            seen.append(edges)
+            return audit(res, edges, *args)
+
+        monkeypatch.setattr(assemble, "_audit_reservoir", spy)
+        res = build_reservoir(F, 0.4, 2, 3, seed=4, inside=range(1, 12))
+        assert res.mode == "sampled"
+        assert len(seen) == 33
+        assert all(edges is seen[0] for edges in seen)
+        assert seen[0] == [e for e in F.edges if set(e) <= set(range(1, 12))]
 
     def test_reservoir_is_immutable(self):
         F = complete_hypergraph(3, 10)

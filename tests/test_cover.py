@@ -14,6 +14,7 @@ from cyclefactors.cover import (
     CoverError,
     DecompositionError,
     FractionalCycleDecomposition,
+    _enumerate_all,
     cycles_through_edge,
     cycles_to_paths,
     enumerate_tight_cycles,
@@ -21,6 +22,7 @@ from cyclefactors.cover import (
     fractional_cycle_decomposition,
     validate_collections,
 )
+from cyclefactors.fractional import sparsify_intersecting, uniform_weighting
 from cyclefactors.hypergraph import Hypergraph, complete_hypergraph
 from cyclefactors.tightpaths import (
     TightCycle,
@@ -301,6 +303,30 @@ class TestEnumerationAgainstDFS:
     def test_host_without_cycles(self, check_against_dfs):
         for L in (4, 5):
             assert check_against_dfs(path_host(), L, None) == []
+
+
+class TestEnumerationCost:
+    def test_k12_residual_reuses_its_extension_masks(self, monkeypatch, check_against_dfs):
+        # the pipeline's seed-0 K_12^(3) residual: extension sets are looked up
+        # once per ordered tail, and no window is re-sorted through has_edge
+        H = complete_hypergraph(3, 12)
+        sp = sparsify_intersecting(H, Hypergraph(3, 12, []), 0.5, uniform_weighting(H), 0)
+        rest = H.remove_edges(sp.subgraph.edges)
+        assert rest.m == 118
+        calls = {"extensions": 0, "has_edge": 0}
+        for name in calls:
+            method = getattr(Hypergraph, name)
+
+            def counted(self, arg, name=name, method=method):
+                calls[name] += 1
+                return method(self, arg)
+
+            monkeypatch.setattr(Hypergraph, name, counted)
+        got = _enumerate_all(rest, 6, 20000)
+        assert calls["has_edge"] == 0
+        assert calls["extensions"] <= rest.n * (rest.n - 1)
+        monkeypatch.undo()
+        assert [C.seq for C in got] == check_against_dfs(rest, 6, None)
 
 
 class TestExtractionAgainstRescan:

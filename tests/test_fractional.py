@@ -231,6 +231,24 @@ class TestMaxminLP:
         assert np.abs(A @ fixed - 1).max() <= 1e-12
         assert fixed.min() > 0
 
+    def test_polish_returns_an_exact_input_without_solving(self, monkeypatch):
+        from cyclefactors import fractional
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("lsqr called on an exact input")
+
+        H = complete_hypergraph(3, 6)
+        A = vertex_edge_incidence(H)
+        w = np.full(H.m, 0.1)
+        assert np.abs(A @ w - 1).max() <= 1e-12
+        monkeypatch.setattr(fractional, "lsqr", refuse)
+        assert polish(A, w).tobytes() == w.tobytes()
+        with pytest.raises(AssertionError, match="exact input"):
+            polish(A, w + 1e-8 * np.random.default_rng(0).standard_normal(H.m))
+        monkeypatch.undo()
+        fixed = polish(A, w + 1e-8 * np.random.default_rng(0).standard_normal(H.m))
+        assert np.abs(A @ fixed - 1).max() <= 1e-12
+
 
 class TestSparsify:
     def test_eps_zero_keeps_f_exactly(self):

@@ -113,6 +113,27 @@ class TestDegreesAndCodegrees:
         assert total == 3 * H.m
 
 
+class TestExtensionMask:
+    @pytest.mark.parametrize("k,n,p", [(3, 8, 0.6), (3, 9, 0.3), (4, 8, 0.6), (4, 7, 0.4)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_is_the_bitmask_of_extensions_for_every_ordering(self, k, n, p, seed):
+        H = random_hypergraph(random.Random(seed), k, n, p)
+        for x in itertools.combinations(range(n), k - 1):
+            for tail in itertools.permutations(x):
+                want = sum(1 << v for v in H.extensions(tail))
+                assert H.extension_mask(tail) == want
+                assert want == sum(
+                    1 << v for v in range(n) if v not in x and H.has_edge(tail + (v,))
+                )
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_is_zero_for_tails_that_are_no_km1_set(self, k):
+        H = complete_hypergraph(k, 7)
+        assert H.extension_mask(tuple(range(k - 1))) == (1 << 7) - (1 << (k - 1))
+        for tail in [(), tuple(range(k - 2)), tuple(range(k)), (0,) * (k - 1), (1, 1, 2)[: k - 1]]:
+            assert H.extension_mask(tail) == 0
+
+
 class TestRegularityReport:
     def test_complete_k6_eta(self):
         rep = complete_hypergraph(3, 6).regularity_report()

@@ -96,6 +96,8 @@ def extensions_by_filter(H, prefix, length, allowed):
     # definitional oracle: every ordering of allowed vertices, kept when each
     # k-window that ends past the prefix is an edge
     k = H.k
+    if length < len(prefix):
+        return []
     pool = sorted(set(allowed) - set(prefix))
     out = []
     for tail in itertools.permutations(pool, length - len(prefix)):
@@ -126,6 +128,20 @@ class TestTightExtensions:
         length = len(prefix) + rng.randint(1, min(4, n - len(prefix)))
         got = list(tight_extensions(H, prefix, length, allowed))
         assert got == extensions_by_filter(H, prefix, length, allowed)
+        # the absorbers grow from the empty prefix
+        empty = rng.randint(1, min(4, n))
+        got = list(tight_extensions(H, (), empty, allowed))
+        assert got == extensions_by_filter(H, (), empty, allowed)
+        # allowed=None means every vertex
+        got = list(tight_extensions(H, prefix, length, None))
+        assert got == extensions_by_filter(H, prefix, length, range(n))
+        # prefix vertices in allowed are still never reused
+        holding = sorted(set(allowed) | set(prefix))
+        got = list(tight_extensions(H, prefix, length, holding))
+        assert got == extensions_by_filter(H, prefix, length, holding)
+        assert got == list(tight_extensions(H, prefix, length, set(holding) - set(prefix)))
+        # a prefix longer than length has no extension
+        assert list(tight_extensions(H, prefix, len(prefix) - 1, allowed)) == []
 
 
 class TestTightPath:
