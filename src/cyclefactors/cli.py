@@ -443,9 +443,11 @@ def _pipeline_once(H, weighting, empty, targets, prof, seed, cover_length, per_e
         retries=PIPELINE_EXTRACTION_DRAWS,
     )
     if not ext.ok:
+        best = ext.diagnostics[ext.returned]
         raise CoverError(
-            "collection extraction gates failed: "
-            + "; ".join(str(d) for d in ext.diagnostics[-1:])
+            f"collection extraction gates failed in {len(ext.diagnostics)} draws; "
+            f"best draw {best['attempt']}: coverages {best['coverages']}, "
+            f"failures {best['failures']}"
         )
     return pack_factors(H, reserve, ext.collections, targets, params=prof, seed=seed)
 

@@ -389,13 +389,19 @@ def _covered(coll) -> set:
 
 @dataclass(frozen=True)
 class ExtractionResult:
-    """Cycle collections plus gate diagnostics; truthy when all gates pass."""
+    """Cycle collections plus gate diagnostics; truthy when all gates pass.
+
+    ``returned`` indexes the draw in ``diagnostics`` whose collections these
+    are: the passing draw, else the first draw with the fewest gate
+    failures (None when r = 0 and nothing was drawn).
+    """
 
     collections: list
     ok: bool
     attempts: int
     diagnostics: list
     gamma: float
+    returned: Optional[int]
 
     def __bool__(self):
         return self.ok
@@ -440,8 +446,9 @@ def extract_cycle_collections(
     sharing one of its edges).  So no pick rescans the family.  An attempt is
     accepted when every collection's coverage lands in
     [coverage_min, coverage_max]; otherwise the extraction reseeds, up to
-    ``retries`` attempts, and finally returns the best attempt with
-    diagnostics (``ok`` False) rather than discarding the work.
+    ``retries`` attempts, and finally returns the best attempt (the first
+    with the fewest gate failures, named by ``returned``) with diagnostics
+    (``ok`` False) rather than discarding the work.
 
     Gates (overridable through ``gates``): ``mu`` (default 0.2) sets
     coverage_min = ceil((1-mu) n); ``coverage_max`` defaults to n.
@@ -465,7 +472,7 @@ def extract_cycle_collections(
     rho = H.rho_star()
     gamma = float((1 + rho) * r) if r else 1.0
     if r == 0:
-        return ExtractionResult([], True, 0, [], gamma)
+        return ExtractionResult([], True, 0, [], gamma, None)
 
     family = frac.cycles()
     fam_weights = [float(frac.weights[C]) / gamma for C in family]
@@ -508,10 +515,14 @@ def extract_cycle_collections(
             {"attempt": attempt, "coverages": coverages, "failures": failures}
         )
         if not failures:
-            return ExtractionResult(collections, True, attempt + 1, diagnostics, gamma)
+            return ExtractionResult(
+                collections, True, attempt + 1, diagnostics, gamma, attempt
+            )
         if best is None or len(failures) < len(best[1]):
-            best = (collections, failures)
-    return ExtractionResult(best[0], False, max(1, retries), diagnostics, gamma)
+            best = (collections, failures, attempt)
+    return ExtractionResult(
+        best[0], False, max(1, retries), diagnostics, gamma, best[2]
+    )
 
 
 # ---------------------------------------------------------------------------

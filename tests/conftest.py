@@ -75,7 +75,7 @@ def rescan_extraction(H, frac, r, seed=0, gates=None, retries=10):
     coverage_max = gates.pop("coverage_max", H.n)
     gamma = float((1 + H.rho_star()) * r) if r else 1.0
     if r == 0:
-        return ExtractionResult([], True, 0, [], gamma)
+        return ExtractionResult([], True, 0, [], gamma, None)
     family = frac.cycles()
     fam_weights = [float(frac.weights[C]) / gamma for C in family]
     master = random.Random(seed)
@@ -116,10 +116,14 @@ def rescan_extraction(H, frac, r, seed=0, gates=None, retries=10):
             {"attempt": attempt, "coverages": coverages, "failures": failures}
         )
         if not failures:
-            return ExtractionResult(collections, True, attempt + 1, diagnostics, gamma)
+            return ExtractionResult(
+                collections, True, attempt + 1, diagnostics, gamma, attempt
+            )
         if best is None or len(failures) < len(best[1]):
-            best = (collections, failures)
-    return ExtractionResult(best[0], False, max(1, retries), diagnostics, gamma)
+            best = (collections, failures, attempt)
+    return ExtractionResult(
+        best[0], False, max(1, retries), diagnostics, gamma, best[2]
+    )
 
 
 @pytest.fixture
@@ -132,7 +136,9 @@ def check_against_rescan():
         assert [[C.seq for C in coll] for coll in got.collections] == [
             [C.seq for C in coll] for coll in want.collections
         ]
-        assert (got.ok, got.attempts, got.gamma) == (want.ok, want.attempts, want.gamma)
+        assert (got.ok, got.attempts, got.gamma, got.returned) == (
+            want.ok, want.attempts, want.gamma, want.returned
+        )
         assert got.diagnostics == want.diagnostics
         return got
 

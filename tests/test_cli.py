@@ -514,6 +514,29 @@ class TestDecompose:
         assert main(["verify", host, str(factors), "-q", "--output", str(check)]) == EXIT_OK
         assert json.loads(check.read_text())["factors"] == 1
 
+    def test_failed_extraction_names_its_best_draw(self, tmp_path, monkeypatch):
+        # four Hamilton targets on K_12^(3): no draw reaches the coverage gate
+        seen = self._record_extractions(monkeypatch)
+        host = write_host(tmp_path, complete_hypergraph(3, 12))
+        out = tmp_path / "run.json"
+        code = main(
+            ["decompose", host, "--targets", "12;12;12;12", "--seed", "0",
+             "--pipeline-retries", "1", "-q", "--output", str(out)]
+        )
+        assert code == EXIT_STAGE
+        [(draws, got, _)] = seen
+        assert not got.ok and len(got.diagnostics) == draws == 40
+        best = got.diagnostics[got.returned]
+        assert got.coverages() == best["coverages"]
+        assert all(len(d["failures"]) >= len(best["failures"]) for d in got.diagnostics)
+        [entry] = json.loads(out.read_text())["pipeline"]["log"]
+        assert entry["stage"] == "CoverError"
+        assert entry["detail"] == (
+            f"collection extraction gates failed in 40 draws; "
+            f"best draw {best['attempt']}: coverages {best['coverages']}, "
+            f"failures {best['failures']}"
+        )
+
     def test_target_sum_mismatch_is_a_parameter_error(self, tmp_path, capsys):
         host = write_host(tmp_path, complete_hypergraph(3, 12))
         assert main(["decompose", host, "--targets", "11;12"]) == EXIT_PARAMS

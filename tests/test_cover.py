@@ -253,6 +253,16 @@ class TestExtraction:
         assert len(res.collections) == 1
         assert len(res.diagnostics) == 3
         assert any("coverage" in f for d in res.diagnostics for f in d["failures"])
+        fewest = min(len(d["failures"]) for d in res.diagnostics)
+        first = next(d for d in res.diagnostics if len(d["failures"]) == fewest)
+        assert res.returned == first["attempt"]
+        assert res.coverages() == res.diagnostics[res.returned]["coverages"]
+
+    def test_a_passing_draw_is_the_one_returned(self, k12_frac):
+        res = extract_cycle_collections(k12_frac.host, k12_frac, 2, seed=0, retries=10)
+        assert res.ok and res.returned == res.attempts - 1
+        assert res.diagnostics[res.returned]["failures"] == []
+        assert extract_cycle_collections(k12_frac.host, k12_frac, 0).returned is None
 
     def test_unknown_gate_rejected(self, k12_frac):
         with pytest.raises(CoverError):
