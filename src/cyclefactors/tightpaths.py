@@ -5,9 +5,9 @@ edge of the host; a tight cycle closes the sequence cyclically and needs at
 least k+1 vertices. ``tight_extensions`` is the search that grows them vertex
 by vertex, over int bitmasks: the candidates for the next vertex are the
 host's ``extension_mask`` of the last k-1 vertices AND the still-free
-vertices, taken lowest bit first. Path collections index their end-sets (prefix sets plus
-the suffix k-set) so k-sets can be classified as j-end / lo / j-con relative
-to the collection.
+vertices, taken lowest bit first. Path collections index their end-sets
+(prefix sets plus the suffix k-set) so k-sets can be classified as j-end /
+lo / j-con relative to the collection.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def tight_extensions(
     k = H.k
     free = (1 << H.n) - 1 if allowed is None else sum(1 << v for v in set(allowed))
     prefix = tuple(prefix)
-    for v in set(prefix):
+    for v in prefix:
         free &= ~(1 << v)
     mask_of = H.extension_mask
 
