@@ -431,6 +431,21 @@ class TestLayerTransform:
             covered = set().union(*(C.vertex_set for C in res.factor.cycles))
             assert set(want_X) <= covered
 
+    @pytest.mark.parametrize("k,p", [(3, 0.5), (3, 0.8), (4, 0.6)])
+    def test_backward_extension_is_the_reversed_forward_extension(self, k, p):
+        rng = random.Random(k * 100 + int(p * 10))
+        F = Hypergraph(k, 14, [e for e in itertools.combinations(range(14), k) if rng.random() < p])
+        outcomes = set()
+        for trial in range(60):
+            seq = tuple(rng.sample(range(14), rng.randint(k, 2 * k)))
+            rest = [v for v in range(14) if v not in seq]
+            allowed = set(rng.sample(rest, rng.randint(k, len(rest))))
+            got = assemble._extend_backward(F, seq, allowed, random.Random(trial))
+            fwd = assemble._extend_forward(F, seq[::-1], allowed, random.Random(trial))
+            assert got == (None if fwd is None else fwd[::-1])
+            outcomes.add(got is None)
+        assert outcomes == {True, False}
+
     def test_absorbed_set_always_matches_placed_capacity(self):
         H, F, cycles = window_split(35, [range(16), range(16, 30)])
         prof = Profile(
