@@ -664,14 +664,14 @@ def _attempt_layer(H, F, seqs, lengths, prof, rng):
     ext_used: set = set()
     if extended:
         for seq in kept:
-            u = _extend_backward(F, seq, free - ext_used, rng)
+            u = _extend_forward(F, seq[::-1], free - ext_used, rng)
             if u is None:
                 raise _StageFail("extend", f"no reserve extension before path {seq[:k]}")
             v = _extend_forward(F, seq, free - ext_used - set(u), rng)
             if v is None:
                 raise _StageFail("extend", f"no reserve extension after path {seq[-k:]}")
             ext_used |= set(u) | set(v)
-            pieces_kept.append(_Piece("kept", u + seq + v))
+            pieces_kept.append(_Piece("kept", u[::-1] + seq + v))
     else:
         pieces_kept = [_Piece("kept", seq) for seq in kept]
     timings["extend"] = clock() - t0
@@ -926,23 +926,10 @@ def _attempt_layer(H, F, seqs, lengths, prof, rng):
     return factor, plan, tuple(f_edges), timings
 
 
-def _extend_backward(F, seq, allowed, rng):
-    """Choose k fresh vertices u so every window of u + seq[:k] mixing both
-    parts is a reserve edge; returns None when some neighborhood is empty."""
-    k = F.k
-    u = [None] * k
-    chosen: set = set()
-    for j in range(k - 1, -1, -1):
-        query = tuple(u[j + 1 : k]) + tuple(seq[: j])
-        cand = [w for w in F.extensions(query) if w in allowed and w not in chosen]
-        if not cand:
-            return None
-        u[j] = cand[rng.randrange(len(cand))]
-        chosen.add(u[j])
-    return tuple(u)
-
-
 def _extend_forward(F, seq, allowed, rng):
+    """Choose k fresh vertices v so every window of seq[-(k-1):] + v mixing
+    both parts is a reserve edge; returns None when some neighborhood is
+    empty.  On the reversed path it extends the path's start."""
     k = F.k
     v = [None] * k
     chosen: set = set()

@@ -12,6 +12,7 @@ from cyclefactors.cover import (
     _enumerate_all,
     extract_cycle_collections,
 )
+from cyclefactors.assemble import _extend_forward
 from cyclefactors.fractional import maxmin_lp, maxmin_weights
 from cyclefactors.tightpaths import tight_extensions
 
@@ -172,6 +173,42 @@ def check_against_dfs():
         got = _enumerate_all(H, L, cap)
         want = anchored_dfs_cycles(H, L, cap)
         assert (None if got is None else [C.seq for C in got]) == want
+        return want
+
+    return check
+
+
+def extend_backward(F, seq, allowed, rng):
+    """The backward reserve extension ``_attempt_layer`` now gets from
+    ``assemble._extend_forward`` on the reversed path.
+
+    It chooses u_{k-1}, ..., u_0 in turn, each from the extensions of
+    u[j+1:] + seq[:j] inside ``allowed``, so that every window of
+    u + seq[:k] mixing both parts is an edge of F.  Kept only as an oracle;
+    None when some candidate set is empty.
+    """
+    k = F.k
+    u = [None] * k
+    chosen = set()
+    for j in range(k - 1, -1, -1):
+        query = tuple(u[j + 1 : k]) + tuple(seq[:j])
+        cand = [w for w in F.extensions(query) if w in allowed and w not in chosen]
+        if not cand:
+            return None
+        u[j] = cand[rng.randrange(len(cand))]
+        chosen.add(u[j])
+    return tuple(u)
+
+
+@pytest.fixture
+def check_against_backward():
+    """Extend a path's start through ``_extend_forward`` on the reversed
+    path and compare it with the backward oracle under the same rng seed."""
+
+    def check(F, seq, allowed, seed):
+        got = _extend_forward(F, seq[::-1], allowed, random.Random(seed))
+        want = extend_backward(F, seq, allowed, random.Random(seed))
+        assert (None if got is None else got[::-1]) == want
         return want
 
     return check
