@@ -14,6 +14,7 @@ all-positive PFM exists.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,7 +80,7 @@ class EdgeWeighting:
         self.host = host
         self.weights = weights
         self.exact = exact
-        self._agg_cache = {}
+        self._agg_cache = None  # sub-set -> weight sum, filled by omega
         self._table_cache = {}  # walk-sampler cumulative tables, keyed by suffix set
         self._total = sum(weights)
 
@@ -87,19 +88,27 @@ class EdgeWeighting:
         return self.weights[self.host.edge_id(e)]
 
     def omega(self, S: Iterable[int]):
-        """Sum of weights of edges containing the vertex set S (S may be empty)."""
+        """Sum of weights of edges containing the vertex set S (S may be empty).
+
+        The first nonempty S fills the sum of every nonempty sub-set of every
+        edge in one pass over the edges in host order, so each sum adds its
+        weights in the order of a scan over the edges; a set in no edge
+        weighs 0.
+        """
         key = frozenset(S)
         if len(key) > self.host.k:
             return 0 if self.exact else 0.0
         if not key:
             return self._total
-        hit = self._agg_cache.get(key)
-        if hit is None:
-            hit = sum(
-                w for e, w in zip(self.host.edges, self.weights) if key.issubset(e)
-            )
-            self._agg_cache[key] = hit
-        return hit
+        agg = self._agg_cache
+        if agg is None:
+            agg = {}
+            for e, w in zip(self.host.edges, self.weights):
+                for j in range(1, len(e) + 1):
+                    for sub in map(frozenset, itertools.combinations(e, j)):
+                        agg[sub] = agg.get(sub, 0) + w
+            self._agg_cache = agg
+        return agg.get(key, 0)
 
     def vertex_weight(self, v: int):
         return self.omega((v,))

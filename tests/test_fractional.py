@@ -83,6 +83,24 @@ class TestAggregates:
                 assert w.omega(S) == expect
         assert w.omega(()) == Fraction(5, 27) * 9
 
+    @pytest.mark.parametrize("k,n", [(3, 8), (4, 8)])
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_omega_equals_the_edge_scan_exactly(self, k, n, exact):
+        rng = random.Random(k * 10 + exact)
+        H = Hypergraph(k, n, [e for e in itertools.combinations(range(n), k) if rng.random() < 0.5])
+        if exact:
+            weights = [Fraction(rng.randint(1, 50), rng.randint(1, 50)) for _ in H.edges]
+        else:
+            weights = [rng.random() + 1e-3 for _ in H.edges]
+        w = EdgeWeighting(H, weights, exact=exact)
+        empty = 0
+        for j in range(k + 1):
+            for S in itertools.combinations(range(n), j):
+                scan = sum(x for e, x in zip(H.edges, weights) if set(S).issubset(e))
+                assert w.omega(S) == scan
+                empty += not any(set(S).issubset(e) for e in H.edges)
+        assert empty > 0
+
     def test_oversized_sets_have_zero_weight(self):
         w = uniform_weighting(complete_hypergraph(3, 5))
         assert w.omega((0, 1, 2, 3)) == 0
