@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .fractional import FractionalError, pipeline_weighting
 from .hypergraph import Hypergraph
-from .tightpaths import TightPath, is_tight_path, tight_extensions
+from .tightpaths import TightPath, closing_mask, is_tight_path, tight_extensions
 from .walks import StuckWalkError, sample_walk
 
 
@@ -69,16 +69,16 @@ class Absorber:
 
 def absorbable(H_plus: Hypergraph, slot: Sequence[int]) -> frozenset:
     """The vertices x for which slot is an x-absorber (none unless slot is a
-    tight 2k-path): x inserted after slot[k-1] must extend each (k-1)-set
-    slot[i : i + k - 1], i = 1..k, that its new windows contain."""
+    tight 2k-path): x inserted after slot[k-1] must close the gap between
+    the slot's halves, so x is a bit of their ``closing_mask`` off the slot."""
     k = H_plus.k
     slot = tuple(slot)
     if len(slot) != 2 * k or not is_tight_path(H_plus, slot):
         return frozenset()
-    out = set(H_plus.extensions(slot[1:k]))
-    for i in range(2, k + 1):
-        out.intersection_update(H_plus.extensions(slot[i : i + k - 1]))
-    return frozenset(out.difference(slot))
+    mask = closing_mask(H_plus, slot[:k], slot[k:])
+    for v in slot:
+        mask &= ~(1 << v)
+    return frozenset(v for v in range(H_plus.n) if mask >> v & 1)
 
 
 def enumerate_absorbers(

@@ -44,6 +44,7 @@ from .hypergraph import Hypergraph
 from .tightpaths import (
     CycleFactor,
     TightCycle,
+    closing_mask,
     tight_extensions,
     verify_factor_copy,
 )
@@ -247,15 +248,24 @@ class Reservoir:
         return self._table[key]
 
     def _enumerate(self, s, t, lam):
+        """Grow s + w[:-1] through R, then close the last inner vertex
+        against t: every window left to check contains it, so its candidates
+        are the ``closing_mask`` of the grown head against t, ascending."""
         F = self.host
         k = F.k
         ends = set(s) | set(t)
         if len(ends) < 2 * k:
             return
-        for head in tight_extensions(F, s, k + lam, self.R - ends):
-            seq = head + t
-            if all(F.has_edge(seq[i : i + k]) for i in range(lam + 1, k + lam)):
-                yield head[k:]
+        allowed = self.R - ends
+        free = sum(1 << v for v in allowed)
+        for head in tight_extensions(F, s, k + lam - 1, allowed):
+            closers = closing_mask(F, head, t) & free
+            for v in head[k:]:
+                closers &= ~(1 << v)
+            while closers:
+                low = closers & -closers
+                closers ^= low
+                yield head[k:] + (low.bit_length() - 1,)
 
     def as_dict(self) -> dict:
         return {

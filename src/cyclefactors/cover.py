@@ -6,7 +6,7 @@ the weights of the cycles through each edge sum to exactly 1 (a linear
 program over an enumerated or sampled cycle family).  The enumeration grows
 tight (L-1)-vertex paths and closes each one by intersection: the closing
 vertex must extend all k cyclic windows that contain it, so it is drawn from
-the AND of their extension bitmasks.  Second,
+``tightpaths.closing_mask`` of the path against its own start.  Second,
 ``extract_cycle_collections`` rounds the fractional solution into r
 edge-disjoint collections of vertex-disjoint L-cycles by a weight-driven
 randomized greedy, with coverage gates checked per collection; it redraws up
@@ -25,7 +25,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 from scipy import sparse
@@ -38,6 +38,7 @@ from .tightpaths import (
     TightCycle,
     TightPath,
     classify,
+    closing_mask,
     tight_extensions,
 )
 
@@ -69,13 +70,6 @@ class DecompositionError(CoverError):
 # cycle enumeration
 
 
-def _close_ok(H: Hypergraph, seq: Sequence[int]) -> bool:
-    """Check the k-1 wrap-around windows that close seq into a cycle."""
-    k = H.k
-    closed = tuple(seq) + tuple(seq[: k - 1])
-    return all(H.has_edge(closed[i : i + k]) for i in range(len(seq) - k + 1, len(seq)))
-
-
 def _enumerate_all(H: Hypergraph, L: int, cap: Optional[int]):
     """All tight cycles on exactly L vertices, or None when cap is exceeded.
 
@@ -83,18 +77,15 @@ def _enumerate_all(H: Hypergraph, L: int, cap: Optional[int]):
     and the reflection duplicate is skipped by requiring the second vertex
     to be smaller than the last.  ``tight_extensions`` grows the tight
     (L-1)-vertex paths; the closing vertex lies in exactly the k cyclic
-    windows that the path does not check, so its candidates are the AND of
-    those windows' ``extension_mask`` ints cut to the bits above seq[1],
-    taken lowest bit first (ascending order) and skipped when on the path.
+    windows that the path does not check, so its candidates are the
+    ``closing_mask`` of the path against its own start, cut to the bits
+    above seq[1], taken lowest bit first (ascending order) and skipped when
+    on the path.
     """
-    k = H.k
-    mask_of = H.extension_mask
     out = []
     for v0 in range(H.n):
         for seq in tight_extensions(H, (v0,), L - 1, range(v0 + 1, H.n)):
-            closers = mask_of(seq[L - k :]) & (-1 << (seq[1] + 1))
-            for j in range(1, k):
-                closers &= mask_of(seq[L - k + j :] + seq[:j])
+            closers = closing_mask(H, seq, seq) & (-1 << (seq[1] + 1))
             while closers:
                 low = closers & -closers
                 closers ^= low
@@ -130,7 +121,9 @@ def cycles_through_edge(
     The search is exhaustive when fewer than ``limit`` cycles exist (an empty
     result is therefore a proof that no L-cycle passes through the edge).
     With a seed, branch orders are shuffled so that truncated searches draw
-    a scattered sample instead of a lexicographic prefix.
+    a scattered sample instead of a lexicographic prefix.  At L-1 vertices
+    each candidate closes the cycle iff its bit is in the path's
+    ``closing_mask`` against its own start.
     """
     _check_cycle_length(H, L)
     edge = tuple(sorted(edge))
@@ -149,12 +142,17 @@ def cycles_through_edge(
     def rec(seq, used):
         if limit is not None and len(found) >= limit:
             return
-        if len(seq) == L:
-            if _close_ok(H, seq):
-                C = TightCycle(H, seq)
-                found.setdefault(C.canonical(), C)
+        cands = order(H.extensions(seq[-k + 1 :]))
+        if len(seq) == L - 1:
+            closers = closing_mask(H, seq, seq)
+            for v in cands:
+                if limit is not None and len(found) >= limit:
+                    return
+                if v not in used and closers >> v & 1:
+                    C = TightCycle(H, seq + [v])
+                    found.setdefault(C.canonical(), C)
             return
-        for v in order(H.extensions(seq[-k + 1 :])):
+        for v in cands:
             if v in used:
                 continue
             seq.append(v)

@@ -5,7 +5,9 @@ edge of the host; a tight cycle closes the sequence cyclically and needs at
 least k+1 vertices. ``tight_extensions`` is the search that grows them vertex
 by vertex, over int bitmasks: the candidates for the next vertex are the
 host's ``extension_mask`` of the last k-1 vertices AND the still-free
-vertices, taken lowest bit first. Path collections index their end-sets
+vertices, taken lowest bit first. ``closing_mask`` is the one closure check:
+the vertices that fit between two tight ends, as the AND of the extension
+masks of the k windows through the gap. Path collections index their end-sets
 (prefix sets plus the suffix k-set) so k-sets can be classified as j-end /
 lo / j-con relative to the collection.
 """
@@ -87,6 +89,26 @@ def tight_extensions(
 
     if len(prefix) <= length:
         yield from grow(prefix, free)
+
+
+def closing_mask(H: Hypergraph, before: Sequence[int], after: Sequence[int]) -> int:
+    """The vertices u that close a tight gap between two ends, as an int.
+
+    Bit u is set iff every k-window of ``before[-(k-1):] + (u,) + after[:k-1]``
+    that contains u is an edge: the AND of the ``extension_mask`` of each
+    such window without u.  Both ends need at least k-1 vertices; u on
+    either end is not excluded, the caller masks those bits out.  One
+    primitive closes cycles (a path against its own start), reservoir
+    connectors (an inner vertex against the far end-edge) and absorber
+    slots (a vertex inserted between the slot's halves).
+    """
+    k = H.k
+    tail = tuple(before[1 - k :])
+    head = tuple(after[: k - 1])
+    mask = H.extension_mask(tail)
+    for j in range(1, k):
+        mask &= H.extension_mask(tail[j:] + head[:j])
+    return mask
 
 
 class TightPath:

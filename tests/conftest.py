@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -6,15 +7,15 @@ import pytest
 from scipy import sparse
 from scipy.optimize import linprog
 
+from cyclefactors.assemble import _extend_forward
 from cyclefactors.cover import (
     ExtractionResult,
-    _close_ok,
     _enumerate_all,
+    cycles_through_edge,
     extract_cycle_collections,
 )
-from cyclefactors.assemble import _extend_forward
 from cyclefactors.fractional import maxmin_lp, maxmin_weights
-from cyclefactors.tightpaths import tight_extensions
+from cyclefactors.tightpaths import TightCycle, tight_extensions
 
 
 def inequality_form_z(A):
@@ -142,6 +143,74 @@ def check_against_rescan():
         )
         assert got.diagnostics == want.diagnostics
         return got
+
+    return check
+
+
+def _close_ok(H, seq):
+    """Check the k-1 wrap-around windows that close seq into a cycle.
+
+    The ``has_edge`` probe that ``tightpaths.closing_mask`` replaces in
+    ``cover``; kept only for the oracles below.
+    """
+    k = H.k
+    closed = tuple(seq) + tuple(seq[: k - 1])
+    return all(H.has_edge(closed[i : i + k]) for i in range(len(seq) - k + 1, len(seq)))
+
+
+def recursive_cycles_through_edge(H, L, edge, limit=None, seed=None):
+    """The search ``cover.cycles_through_edge`` replaces.
+
+    The same shuffled DFS from every ordering of the edge, but it grows
+    every path to L vertices and then probes ``_close_ok``, checking
+    ``limit`` on entry to every level.  Kept only as an oracle; it assumes
+    the argument checks already passed.
+    """
+    edge = tuple(sorted(edge))
+    k = H.k
+    rng = random.Random(seed) if seed is not None else None
+    found = {}
+
+    def order(items):
+        items = list(items)
+        if rng is not None:
+            rng.shuffle(items)
+        return items
+
+    def rec(seq, used):
+        if limit is not None and len(found) >= limit:
+            return
+        if len(seq) == L:
+            if _close_ok(H, seq):
+                C = TightCycle(H, seq)
+                found.setdefault(C.canonical(), C)
+            return
+        for v in order(H.extensions(seq[-k + 1 :])):
+            if v in used:
+                continue
+            seq.append(v)
+            used.add(v)
+            rec(seq, used)
+            used.discard(v)
+            seq.pop()
+
+    for start in order(list(itertools.permutations(edge))):
+        if limit is not None and len(found) >= limit:
+            break
+        rec(list(start), set(start))
+    return sorted(found.values(), key=lambda C: C.canonical())
+
+
+@pytest.fixture
+def check_against_recursive_dfs():
+    """Sample through ``cycles_through_edge`` and compare it with the
+    recursive DFS: the same cycles, found as the same sequences."""
+
+    def check(H, L, edge, limit, seed):
+        got = cycles_through_edge(H, L, edge, limit=limit, seed=seed)
+        want = recursive_cycles_through_edge(H, L, edge, limit=limit, seed=seed)
+        assert [C.seq for C in got] == [C.seq for C in want]
+        return want
 
     return check
 

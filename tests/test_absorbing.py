@@ -93,6 +93,25 @@ class TestAbsorbers:
         for slot in slots:
             assert absorbable(H, slot) == {v for v in range(n) if is_absorber_for(H, slot, v)}
 
+    @pytest.mark.parametrize("k,n,p", [(3, 8, 0.8), (4, 9, 0.75)])
+    def test_absorbable_reads_the_memoized_extension_masks(self, k, n, p, monkeypatch):
+        rng = random.Random(k)
+        pool = itertools.combinations(range(n), k)
+        H = Hypergraph(k, n, [e for e in pool if rng.random() < p])
+        slots = [tuple(rng.sample(range(n), 2 * k)) for _ in range(60)]
+        first = [absorbable(H, slot) for slot in slots]
+        for slot, got in zip(slots, first):
+            assert got == {v for v in range(n) if is_absorber_for(H, slot, v)}
+        assert sum(map(bool, first)) >= 3
+        # a second pass finds every extension set in the host's mask memo
+        calls = []
+        extensions = Hypergraph.extensions
+        monkeypatch.setattr(
+            Hypergraph, "extensions", lambda H, tail: calls.append(tail) or extensions(H, tail)
+        )
+        assert [absorbable(H, slot) for slot in slots] == first
+        assert calls == []
+
 
 class TestBlocks:
     def test_slot_layout(self):

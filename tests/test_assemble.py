@@ -202,12 +202,19 @@ class TestPathsBetween:
         res = build_reservoir(F, 0.5, 1, 3, seed=0, inside=range(6))
         return F, res
 
-    def test_matches_the_permutation_oracle(self):
+    def test_matches_the_permutation_oracle(self, monkeypatch):
         F, res = self.mixed_window_host()
         s, t = (6, 7, 8), (9, 0, 1)
         counts = {}
         for lam in (1, 2, 3):
+            probes = []
+            has_edge = Hypergraph.has_edge
+            monkeypatch.setattr(
+                Hypergraph, "has_edge", lambda H, e: probes.append(e) or has_edge(H, e)
+            )
             got = list(res.paths_between(s, t, lam))
+            monkeypatch.undo()
+            assert probes == []
             pool = sorted(res.R - set(s) - set(t))
             oracle = []
             for inner in itertools.permutations(pool, lam):

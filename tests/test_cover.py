@@ -105,6 +105,20 @@ class TestCyclesThroughEdge:
         assert len(some) == 3
         assert {C.canonical() for C in some} <= full
 
+    @pytest.mark.parametrize("k,n,p", [(3, 8, 0.8), (3, 9, 0.6), (4, 8, 0.85)])
+    def test_matches_the_recursive_dfs(self, k, n, p, check_against_recursive_dfs):
+        # L = k + 1 closes at the root: the edge's k vertices are L - 1
+        H = random_host(k, n, p, 0)
+        edges = random.Random(n).sample(H.edges, 4)
+        truncated = 0
+        for L in (k + 1, k + 2, k + 3):
+            for e in edges:
+                full = check_against_recursive_dfs(H, L, e, None, None)
+                for limit, seed in [(None, 3), (1, 0), (3, 1), (7, 2), (len(full) + 1, 4)]:
+                    got = check_against_recursive_dfs(H, L, e, limit, seed)
+                    truncated += len(got) < len(full)
+        assert truncated >= 10
+
     def test_empty_result_proves_absence(self):
         assert cycles_through_edge(path_host(), 5, (0, 1, 2)) == []
 

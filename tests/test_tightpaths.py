@@ -14,6 +14,7 @@ from cyclefactors.tightpaths import (
     TightnessError,
     canonical_cycle,
     classify,
+    closing_mask,
     factors_document,
     factors_from_document,
     is_tight_cycle,
@@ -142,6 +143,40 @@ class TestTightExtensions:
         assert got == list(tight_extensions(H, prefix, length, set(holding) - set(prefix)))
         # a prefix longer than length has no extension
         assert list(tight_extensions(H, prefix, len(prefix) - 1, allowed)) == []
+
+
+def closing_by_probes(H, before, after):
+    # definitional oracle: bit u is set when every k-window through u of
+    # before[-(k-1):] + (u,) + after[:k-1] is an edge
+    k = H.k
+    mask = 0
+    for u in range(H.n):
+        seq = tuple(before[len(before) - k + 1 :]) + (u,) + tuple(after[: k - 1])
+        if all(H.has_edge(seq[j : j + k]) for j in range(k)):
+            mask |= 1 << u
+    return mask
+
+
+class TestClosingMask:
+    @pytest.mark.parametrize("k,n,p", [(3, 8, 0.6), (4, 7, 0.7)])
+    @pytest.mark.parametrize("host_seed", range(2))
+    def test_matches_has_edge_probes(self, k, n, p, host_seed):
+        rng = random.Random(host_seed)
+        pool = itertools.combinations(range(n), k)
+        H = Hypergraph(k, n, [e for e in pool if rng.random() < p])
+        masks = set()
+        # every ordering of distinct end vertices
+        for ends in itertools.permutations(range(n), 2 * (k - 1)):
+            before, after = ends[: k - 1], ends[k - 1 :]
+            got = closing_mask(H, before, after)
+            assert got == closing_by_probes(H, before, after)
+            masks.add(got)
+        assert 0 in masks and len(masks) > 2
+        # longer ends (only their inner k-1 vertices count), repeated vertices
+        for _ in range(300):
+            before = tuple(rng.choices(range(n), k=rng.randint(k - 1, k + 2)))
+            after = tuple(rng.choices(range(n), k=rng.randint(k - 1, k + 2)))
+            assert closing_mask(H, before, after) == closing_by_probes(H, before, after)
 
 
 class TestTightPath:
