@@ -209,7 +209,7 @@ def as_profile(params) -> Profile:
 
 
 class Reservoir:
-    """A vertex pool R with an on-demand table of connector paths through it.
+    """A vertex pool R and the connector paths through it.
 
     A connector for the ordered edges (s, t) with lam inner vertices is a
     tuple of lam distinct R-vertices w such that s + w + t is tight, where
@@ -217,7 +217,7 @@ class Reservoir:
     the reserve graph F; the pure end windows are the callers' edges.
     """
 
-    __slots__ = ("host", "R", "beta", "ell0", "ell1", "inside", "mode", "report", "_table")
+    __slots__ = ("host", "R", "beta", "ell0", "ell1", "inside", "mode", "report")
 
     def __init__(self, host, R, beta, ell0, ell1, inside, mode, report):
         object.__setattr__(self, "host", host)
@@ -228,7 +228,6 @@ class Reservoir:
         object.__setattr__(self, "inside", frozenset(inside))
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "report", dict(report))
-        object.__setattr__(self, "_table", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Reservoir is immutable")
@@ -237,15 +236,11 @@ class Reservoir:
         return len(self.R)
 
     def paths_between(self, s: Sequence[int], t: Sequence[int], lam: int):
-        """All connector inner tuples for the ordered pair (s, t); cached."""
-        s = tuple(s)
-        t = tuple(t)
+        """All connector inner tuples for the ordered pair (s, t), in
+        lexicographic order."""
         if lam < 1:
             raise AssembleParamError("connectors need at least one inner vertex")
-        key = (s, t, lam)
-        if key not in self._table:
-            self._table[key] = tuple(self._enumerate(s, t, lam))
-        return self._table[key]
+        return tuple(self._enumerate(tuple(s), tuple(t), lam))
 
     def _enumerate(self, s, t, lam):
         """Grow s + w[:-1] through R, then close the last inner vertex
@@ -374,7 +369,8 @@ def build_reservoir(
 def _audit_reservoir(res: Reservoir, edges: list, audit_pairs: int, rng: random.Random):
     """True, or a string describing the first failed audit pair.
 
-    ``edges`` are the host edges inside ``res.inside``, in host order.
+    ``edges`` are the host edges inside ``res.inside``, in host order.  Each
+    count stops at ceil(need) connectors, which is enough to pass.
     """
     pairs = []
     if len(edges) >= 2:
@@ -394,7 +390,7 @@ def _audit_reservoir(res: Reservoir, edges: list, audit_pairs: int, rng: random.
         avail = len(res.R - set(s) - set(t))
         for lam in range(res.ell0, res.ell1 + 1):
             need = res.beta * _falling(avail, lam)
-            got = len(res.paths_between(s, t, lam))
+            got = sum(1 for _ in itertools.islice(res._enumerate(s, t, lam), math.ceil(need)))
             checked += 1
             if got < need:
                 return f"pair {s}->{t}, lam={lam}: {got} < {need:.2f}"
@@ -651,8 +647,8 @@ def _attempt_layer(H, F, seqs, lengths, prof, rng):
     # (2) reservoir inside V1
     t0 = clock()
     try:
-        # a light audit here: the layer needs the connection table, and the
-        # full 50-pair audit per attempt would dominate the running time
+        # a light audit here: every attempt samples a fresh reservoir, and
+        # the full 50-pair audit per attempt would dominate the running time
         res = build_reservoir(
             F,
             prof.beta,

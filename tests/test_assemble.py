@@ -236,11 +236,6 @@ class TestPathsBetween:
             for inner in res.paths_between(s, t, lam):
                 assert is_tight_path(F, s + inner + t)
 
-    def test_results_are_cached(self):
-        _, res = self.mixed_window_host()
-        first = res.paths_between((6, 7, 8), (9, 0, 1), 2)
-        assert res.paths_between((6, 7, 8), (9, 0, 1), 2) is first
-
     def test_overlapping_endpoints_have_no_connectors(self):
         _, res = self.mixed_window_host()
         assert res.paths_between((6, 7, 0), (0, 1, 9), 1) == ()
