@@ -370,21 +370,18 @@ def _audit_reservoir(res: Reservoir, edges: list, audit_pairs: int, rng: random.
     """True, or a string describing the first failed audit pair.
 
     ``edges`` are the host edges inside ``res.inside``, in host order.  Each
-    count stops at ceil(need) connectors, which is enough to pass.
+    pair is drawn, oriented and checked before the next is drawn, so a
+    failing sample stops at its first failed pair.  Each count stops at
+    ceil(need) connectors, which is enough to pass.
     """
-    pairs = []
-    if len(edges) >= 2:
-        for _ in range(50 * audit_pairs):
-            if len(pairs) >= audit_pairs:
-                break
-            e, f = rng.sample(edges, 2)
-            if not set(e) & set(f):
-                pairs.append((e, f))
-    if not pairs:
-        res.report["audit"] = "vacuous"
-        return True
-    checked = 0
-    for e, f in pairs:
+    pairs = checked = 0
+    for _ in range(50 * audit_pairs if len(edges) >= 2 else 0):
+        if pairs >= audit_pairs:
+            break
+        e, f = rng.sample(edges, 2)
+        if set(e) & set(f):
+            continue
+        pairs += 1
         s = tuple(rng.sample(e, len(e)))
         t = tuple(rng.sample(f, len(f)))
         avail = len(res.R - set(s) - set(t))
@@ -394,7 +391,7 @@ def _audit_reservoir(res: Reservoir, edges: list, audit_pairs: int, rng: random.
             checked += 1
             if got < need:
                 return f"pair {s}->{t}, lam={lam}: {got} < {need:.2f}"
-    res.report["audit"] = f"{len(pairs)} pairs, {checked} counts"
+    res.report["audit"] = f"{pairs} pairs, {checked} counts" if pairs else "vacuous"
     return True
 
 

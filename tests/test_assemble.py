@@ -164,7 +164,7 @@ class TestBuildReservoir:
         assert info.value.property_name == "size"
 
     def test_inside_edges_are_listed_once_for_every_audit(self, monkeypatch):
-        # this host's reservoir is accepted on its 33rd audited sample
+        # this host's reservoir is accepted on its 50th audited sample
         rng = random.Random(4)
         F = Hypergraph(3, 12, [e for e in itertools.combinations(range(12), 3) if rng.random() < 0.6])
         seen = []
@@ -175,9 +175,9 @@ class TestBuildReservoir:
             return audit(res, edges, *args)
 
         monkeypatch.setattr(assemble, "_audit_reservoir", spy)
-        res = build_reservoir(F, 0.4, 2, 3, seed=4, inside=range(1, 12))
+        res = build_reservoir(F, 0.4, 2, 3, seed=43, inside=range(1, 12))
         assert res.mode == "sampled"
-        assert len(seen) == 33
+        assert len(seen) == 50
         assert all(edges is seen[0] for edges in seen)
         assert seen[0] == [e for e in F.edges if set(e) <= set(range(1, 12))]
 
@@ -400,7 +400,7 @@ class TestLayerTransform:
         prof = Profile(delta=0.5, beta=0.5, layer_retries=40)
         res = layer_transform(H, F, cycles, [24], params=prof, seed=3)
         assert bool(res)
-        assert res.attempts == 10
+        assert res.attempts == 8
         kinds = [kind for g in res.plan.groups for kind, _, _ in g]
         assert "cover" in kinds
         assert res.plan.sizes == {"V1": 12, "V2": 6, "V3": 6}
@@ -409,7 +409,7 @@ class TestLayerTransform:
     def test_kept_paths_can_be_extended_into_the_leftover(self):
         H, F, cycles = window_split(20, [range(10), range(10, 16)])
         prof = Profile(delta=0.5, beta=0.5, extend=True, layer_retries=40)
-        for seed, want_attempts in [(0, 8), (1, 2)]:
+        for seed, want_attempts in [(0, 10), (1, 12)]:
             res = layer_transform(H, F, cycles, [20], params=prof, seed=seed)
             assert bool(res)
             assert res.attempts == want_attempts
@@ -422,7 +422,7 @@ class TestLayerTransform:
         prof = Profile(
             delta=0.5, beta=0.5, theta=0.4, a=2, ell=1, L_prime=14, layer_retries=40
         )
-        for seed, want_attempts, want_X in [(2, 1, (24,)), (0, 3, (32,))]:
+        for seed, want_attempts, want_X in [(2, 1, (16,)), (0, 1, (6,))]:
             res = layer_transform(H, F, cycles, [35], params=prof, seed=seed)
             assert bool(res)
             assert res.attempts == want_attempts
