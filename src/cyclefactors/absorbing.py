@@ -76,9 +76,7 @@ def absorbable(H_plus: Hypergraph, slot: Sequence[int]) -> frozenset:
     if len(slot) != 2 * k or not is_tight_path(H_plus, slot):
         return frozenset()
     mask = closing_mask(H_plus, slot[:k], slot[k:])
-    for v in slot:
-        mask &= ~(1 << v)
-    return frozenset(v for v in range(H_plus.n) if mask >> v & 1)
+    return frozenset(v for v in range(H_plus.n) if mask >> v & 1 and v not in slot)
 
 
 def enumerate_absorbers(

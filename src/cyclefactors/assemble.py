@@ -236,8 +236,7 @@ class Reservoir:
         return len(self.R)
 
     def paths_between(self, s: Sequence[int], t: Sequence[int], lam: int):
-        """All connector inner tuples for the ordered pair (s, t), in
-        lexicographic order."""
+        """All connector inner tuples for the ordered pair (s, t), ascending."""
         if lam < 1:
             raise AssembleParamError("connectors need at least one inner vertex")
         return tuple(self._enumerate(tuple(s), tuple(t), lam))
@@ -252,15 +251,14 @@ class Reservoir:
         if len(ends) < 2 * k:
             return
         allowed = self.R - ends
-        free = sum(1 << v for v in allowed)
         for head in tight_extensions(F, s, k + lam - 1, allowed):
-            closers = closing_mask(F, head, t) & free
-            for v in head[k:]:
-                closers &= ~(1 << v)
+            closers = closing_mask(F, head, t)
             while closers:
                 low = closers & -closers
                 closers ^= low
-                yield head[k:] + (low.bit_length() - 1,)
+                u = low.bit_length() - 1
+                if u in allowed and u not in head:
+                    yield head[k:] + (u,)
 
     def as_dict(self) -> dict:
         return {
@@ -370,9 +368,8 @@ def _audit_reservoir(res: Reservoir, edges: list, audit_pairs: int, rng: random.
     """True, or a string describing the first failed audit pair.
 
     ``edges`` are the host edges inside ``res.inside``, in host order.  Each
-    pair is drawn, oriented and checked before the next is drawn, so a
-    failing sample stops at its first failed pair.  Each count stops at
-    ceil(need) connectors, which is enough to pass.
+    pair is checked as soon as it is drawn, so a failing sample draws no
+    pair past its first failure, and each count stops at ceil(need).
     """
     pairs = checked = 0
     for _ in range(50 * audit_pairs if len(edges) >= 2 else 0):

@@ -77,10 +77,9 @@ def _enumerate_all(H: Hypergraph, L: int, cap: Optional[int]):
     and the reflection duplicate is skipped by requiring the second vertex
     to be smaller than the last.  ``tight_extensions`` grows the tight
     (L-1)-vertex paths; the closing vertex lies in exactly the k cyclic
-    windows that the path does not check, so its candidates are the
-    ``closing_mask`` of the path against its own start, cut to the bits
-    above seq[1], taken lowest bit first (ascending order) and skipped when
-    on the path.
+    windows that the path does not check, so its candidates are
+    ``closing_mask(H, seq, seq)`` cut to the bits above seq[1], ascending,
+    skipping vertices on the path.
     """
     out = []
     for v0 in range(H.n):
@@ -121,9 +120,7 @@ def cycles_through_edge(
     The search is exhaustive when fewer than ``limit`` cycles exist (an empty
     result is therefore a proof that no L-cycle passes through the edge).
     With a seed, branch orders are shuffled so that truncated searches draw
-    a scattered sample instead of a lexicographic prefix.  At L-1 vertices
-    each candidate closes the cycle iff its bit is in the path's
-    ``closing_mask`` against its own start.
+    a scattered sample instead of a lexicographic prefix.
     """
     _check_cycle_length(H, L)
     edge = tuple(sorted(edge))
@@ -139,32 +136,26 @@ def cycles_through_edge(
             rng.shuffle(items)
         return items
 
-    def rec(seq, used):
+    def rec(seq):
         if limit is not None and len(found) >= limit:
             return
-        cands = order(H.extensions(seq[-k + 1 :]))
-        if len(seq) == L - 1:
-            closers = closing_mask(H, seq, seq)
-            for v in cands:
-                if limit is not None and len(found) >= limit:
-                    return
-                if v not in used and closers >> v & 1:
-                    C = TightCycle(H, seq + [v])
-                    found.setdefault(C.canonical(), C)
-            return
+        cands = order(H.extensions(seq[1 - k :]))
+        closers = closing_mask(H, seq, seq) if len(seq) == L - 1 else 0
         for v in cands:
-            if v in used:
+            if v in seq:
                 continue
-            seq.append(v)
-            used.add(v)
-            rec(seq, used)
-            used.discard(v)
-            seq.pop()
+            if len(seq) < L - 1:
+                rec(seq + (v,))
+            elif limit is not None and len(found) >= limit:
+                return
+            elif closers >> v & 1:
+                C = TightCycle(H, seq + (v,))
+                found.setdefault(C.canonical(), C)
 
     for start in order(list(itertools.permutations(edge))):
         if limit is not None and len(found) >= limit:
             break
-        rec(list(start), set(start))
+        rec(start)
     return sorted(found.values(), key=lambda C: C.canonical())
 
 

@@ -66,7 +66,7 @@ class EdgeWeighting:
     floats otherwise (tolerance FLOAT_TOL for the PFM check).
     """
 
-    __slots__ = ("host", "weights", "exact", "_agg_cache", "_table_cache", "_total")
+    __slots__ = ("host", "weights", "exact", "_agg_cache", "_table_cache")
 
     def __init__(self, host: Hypergraph, weights, exact: bool):
         weights = tuple(weights)
@@ -82,7 +82,6 @@ class EdgeWeighting:
         self.exact = exact
         self._agg_cache = None  # sub-set -> weight sum, filled by omega
         self._table_cache = {}  # walk-sampler cumulative tables, keyed by suffix set
-        self._total = sum(weights)
 
     def weight_of(self, e) -> "Fraction | float":
         return self.weights[self.host.edge_id(e)]
@@ -90,25 +89,18 @@ class EdgeWeighting:
     def omega(self, S: Iterable[int]):
         """Sum of weights of edges containing the vertex set S (S may be empty).
 
-        The first nonempty S fills the sum of every nonempty sub-set of every
-        edge in one pass over the edges in host order, so each sum adds its
-        weights in the order of a scan over the edges; a set in no edge
-        weighs 0.
+        The first call sums every sub-set of every edge in one pass over the
+        edges in host order, the order a scan over the edges adds them.
         """
-        key = frozenset(S)
-        if len(key) > self.host.k:
-            return 0 if self.exact else 0.0
-        if not key:
-            return self._total
         agg = self._agg_cache
         if agg is None:
             agg = {}
             for e, w in zip(self.host.edges, self.weights):
-                for j in range(1, len(e) + 1):
+                for j in range(len(e) + 1):
                     for sub in map(frozenset, itertools.combinations(e, j)):
                         agg[sub] = agg.get(sub, 0) + w
             self._agg_cache = agg
-        return agg.get(key, 0)
+        return agg.get(frozenset(S), 0)
 
     def vertex_weight(self, v: int):
         return self.omega((v,))

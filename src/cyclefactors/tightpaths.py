@@ -96,11 +96,10 @@ def closing_mask(H: Hypergraph, before: Sequence[int], after: Sequence[int]) -> 
 
     Bit u is set iff every k-window of ``before[-(k-1):] + (u,) + after[:k-1]``
     that contains u is an edge: the AND of the ``extension_mask`` of each
-    such window without u.  Both ends need at least k-1 vertices; u on
-    either end is not excluded, the caller masks those bits out.  One
-    primitive closes cycles (a path against its own start), reservoir
-    connectors (an inner vertex against the far end-edge) and absorber
-    slots (a vertex inserted between the slot's halves).
+    such window without u.  Both ends need at least k-1 vertices; callers
+    drop the bits of vertices already on them.  It closes cycles (a path
+    against its own start), reservoir connectors (the last inner vertex
+    against the far end-edge) and absorber slots (a vertex between halves).
     """
     k = H.k
     tail = tuple(before[1 - k :])
