@@ -62,10 +62,8 @@ from .absorbing import (
 )
 from .cover import (
     FractionalCycleDecomposition,
-    CoverBundle,
     fractional_cycle_decomposition,
     extract_cycle_collections,
-    cycles_to_paths,
 )
 from .assemble import (
     Reservoir,

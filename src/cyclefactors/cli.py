@@ -7,7 +7,7 @@ regsub      exact-regular spanning subgraph search
 pfm         perfect fractional matchings (exact walk-shift, LP, or uniform)
 walk        weighted tight-walk marginals, exact or sampled
 absorbers   absorber enumeration with insertion checks
-cover       fractional cycle decomposition extracted into path bundles
+cover       fractional cycle decomposition extracted into cycle collections
 decompose   the full reserve/cover/pack pipeline emitting a manifest
 verify      validate a factors artifact against its host
 
@@ -44,7 +44,6 @@ from .assemble import (
 from .bruteforce import OracleError, reg_k, validate_packing, walk_distribution
 from .cover import (
     CoverError,
-    cycles_to_paths,
     extract_cycle_collections,
     fractional_cycle_decomposition,
 )
@@ -417,8 +416,9 @@ def cmd_cover(args) -> int:
         "diagnostics": list(ext.diagnostics),
     }
     if ext.ok:
-        bundle = cycles_to_paths(ext.collections, seed=args.seed, host=H, mu=prof.mu)
-        doc["bundle"] = bundle.as_dict()
+        doc["collections"] = [
+            [list(C.canonical()) for C in coll] for coll in ext.collections
+        ]
         _say(config, f"{r} collections extracted, coverages {ext.coverages()}")
     else:
         _say(config, "extraction gates failed; partial diagnostics written")
@@ -432,8 +432,7 @@ def cmd_cover(args) -> int:
 def _pipeline_once(H, weighting, empty, targets, prof, seed, cover_length, per_edge):
     """One sparsify -> cover -> pack pass; raises on any stage failure.
     ``weighting`` and the edgeless ``empty`` are fixed per job."""
-    sp = sparsify_intersecting(H, empty, prof.eps, weighting, seed)
-    reserve = sp.subgraph
+    reserve = sparsify_intersecting(H, empty, prof.eps, weighting, seed)
     rest = H.remove_edges(reserve.edges)
     frac = fractional_cycle_decomposition(
         rest, cover_length, seed=seed, per_edge=per_edge

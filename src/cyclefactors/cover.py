@@ -1,4 +1,4 @@
-"""Fractional cycle decompositions and edge-disjoint near-spanning path covers.
+"""Fractional cycle decompositions and edge-disjoint near-spanning cycle collections.
 
 The pipeline has three steps.  First, ``fractional_cycle_decomposition``
 assigns a positive weight to a family of tight cycles on L vertices so that
@@ -14,9 +14,8 @@ to ``retries`` times from the same solution.  The
 ``decompose`` pipeline hands these cycle collections straight to
 ``assemble.pack_factors``, whose layer transform opens each cycle afresh on
 every attempt with ``open_cycle`` (deleting k-1 consecutive edges at a
-uniformly random rotation).  For the ``cover`` command, ``cycles_to_paths``
-opens every cycle once and wraps the result in a ``CoverBundle`` alongside a
-per-k-set type index.
+uniformly random rotation).  The ``cover`` command writes the cycle
+collections themselves.
 """
 
 from __future__ import annotations
@@ -33,27 +32,18 @@ from scipy.optimize import linprog
 
 from .fractional import maxmin_lp, maxmin_weights
 from .hypergraph import Hypergraph
-from .tightpaths import (
-    PathCollection,
-    TightCycle,
-    TightPath,
-    classify,
-    closing_mask,
-    tight_extensions,
-)
+from .tightpaths import TightCycle, closing_mask, tight_extensions
 
 __all__ = [
     "CoverError",
     "DecompositionError",
     "ExtractionResult",
     "FractionalCycleDecomposition",
-    "CoverBundle",
     "enumerate_tight_cycles",
     "cycles_through_edge",
     "fractional_cycle_decomposition",
     "extract_cycle_collections",
     "validate_collections",
-    "cycles_to_paths",
     "open_cycle",
 ]
 
@@ -236,31 +226,6 @@ class FractionalCycleDecomposition:
 
     def max_weight(self):
         return max(self.weights.values())
-
-    def theorem_window(self) -> tuple[float, float]:
-        """The asymptotic weight window (|E| / Delta^L, 3|E| / delta^L).
-
-        Reported for comparison only: at small n even symmetric solutions sit
-        outside it, so it is never used as a gate.
-        """
-        degs = self.host.degrees()
-        lo = self.host.m / (max(degs) ** self.L)
-        dmin = min(degs)
-        hi = math.inf if dmin == 0 else 3 * self.host.m / (dmin ** self.L)
-        return (lo, hi)
-
-    def as_dict(self) -> dict:
-        window = self.theorem_window()
-        return {
-            "L": self.L,
-            "cycles": [
-                {"seq": list(C.canonical()), "weight": float(self.weights[C])}
-                for C in self.cycles()
-            ],
-            "min_weight": float(self.min_weight()),
-            "max_weight": float(self.max_weight()),
-            "theorem_window": [window[0], window[1]],
-        }
 
     def __repr__(self):
         return (
@@ -515,130 +480,7 @@ def extract_cycle_collections(
 
 
 # ---------------------------------------------------------------------------
-# conversion to paths
-
-
-class CoverBundle:
-    """r edge-disjoint cycle collections with their opened path collections.
-
-    The bundle is the ``cover`` command's artifact; the packing pipeline
-    takes the cycle collections themselves.  The type index maps every k-set
-    of the host's vertices to, per type label ('j-end', 'lo', 'j-con'), the
-    collection indices where the k-set has that type; the labels partition
-    [r] for each k-set.
-    """
-
-    __slots__ = ("host", "cycle_collections", "path_collections", "mu", "_index")
-
-    def __init__(self, host, cycle_collections, path_collections, mu: float = 0.2):
-        cycle_collections = [tuple(c) for c in cycle_collections]
-        path_collections = list(path_collections)
-        if len(cycle_collections) != len(path_collections):
-            raise CoverError("cycle and path collection counts differ")
-        validate_collections(host, cycle_collections)
-        need = math.ceil((1 - mu) * host.n)
-        for i, (coll, pc) in enumerate(zip(cycle_collections, path_collections)):
-            if not isinstance(pc, PathCollection) or pc.host != host:
-                raise CoverError(f"path collection {i} has a host mismatch")
-            if _covered(coll) != set(pc.vertex_set):
-                raise CoverError(f"collection {i}: cycle and path vertex sets differ")
-            if pc.coverage < need:
-                raise CoverError(
-                    f"collection {i} coverage {pc.coverage} below (1-mu)n = {need}"
-                )
-        object.__setattr__(self, "host", host)
-        object.__setattr__(self, "cycle_collections", cycle_collections)
-        object.__setattr__(self, "path_collections", path_collections)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "_index", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CoverBundle is immutable")
-
-    @property
-    def r(self) -> int:
-        return len(self.path_collections)
-
-    def coverages(self):
-        return [pc.coverage for pc in self.path_collections]
-
-    @property
-    def type_index(self) -> dict:
-        """Map k-set -> {type label -> tuple of collection indices}."""
-        if self._index is None:
-            index = {}
-            for e in itertools.combinations(range(self.host.n), self.host.k):
-                by_type: dict = {}
-                for i, pc in enumerate(self.path_collections):
-                    by_type.setdefault(classify(e, pc), []).append(i)
-                index[frozenset(e)] = {t: tuple(v) for t, v in by_type.items()}
-            object.__setattr__(self, "_index", index)
-        return self._index
-
-    def type_stats(self) -> dict:
-        """Per type label: the max and total of |I_type(e)| over all k-sets."""
-        stats: dict = {}
-        for by_type in self.type_index.values():
-            for t, idxs in by_type.items():
-                cur = stats.setdefault(t, {"max": 0, "total": 0})
-                cur["max"] = max(cur["max"], len(idxs))
-                cur["total"] += len(idxs)
-        return stats
-
-    def as_dict(self) -> dict:
-        return {
-            "k": self.host.k,
-            "n": self.host.n,
-            "r": self.r,
-            "mu": self.mu,
-            "collections": [
-                {
-                    "cycles": [list(C.canonical()) for C in coll],
-                    "paths": [list(P.seq) for P in pc],
-                    "coverage": pc.coverage,
-                }
-                for coll, pc in zip(self.cycle_collections, self.path_collections)
-            ],
-            "type_stats": self.type_stats(),
-        }
-
-    def __repr__(self):
-        return f"CoverBundle(r={self.r}, coverages={self.coverages()})"
-
-
-def cycles_to_paths(
-    collections,
-    seed: int = 0,
-    host: Optional[Hypergraph] = None,
-    mu: float = 0.2,
-) -> CoverBundle:
-    """Open every cycle into a path by deleting k-1 consecutive edges.
-
-    The deletion position is a uniformly random rotation, independent per
-    cycle: an L-vertex cycle has L runs of k-1 consecutive edges, and
-    removing one run leaves a tight path on the same L vertices with
-    L - k + 1 edges.  Coverage is unchanged.  ``collections`` may be an
-    ExtractionResult or a plain list; ``host`` is only needed when empty.
-    """
-    if isinstance(collections, ExtractionResult):
-        collections = collections.collections
-    collections = [tuple(c) for c in collections]
-    for coll in collections:
-        for C in coll:
-            if host is None:
-                host = C.host
-            elif C.host != host:
-                raise CoverError("collections live in different hosts")
-    if host is None:
-        raise CoverError("host required for an empty bundle")
-    rng = random.Random(seed)
-    path_collections = []
-    for coll in collections:
-        paths = []
-        for C in coll:
-            paths.append(TightPath(host, open_cycle(C, rng)))
-        path_collections.append(PathCollection(host, paths))
-    return CoverBundle(host, collections, path_collections, mu=mu)
+# opening cycles
 
 
 def open_cycle(C: TightCycle, rng: random.Random) -> tuple:

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -50,12 +49,6 @@ class BalanceViolationError(FractionalError):
 
 class LPInfeasibleError(FractionalError):
     pass
-
-
-class SparsifyError(FractionalError):
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 class EdgeWeighting:
@@ -311,30 +304,13 @@ def pipeline_weighting(H: Hypergraph) -> EdgeWeighting:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SparsifyResult:
-    subgraph: Hypergraph
-    report: object
-    attempts: int
-
-
 def sparsify_intersecting(
-    H: Hypergraph,
-    F: Hypergraph,
-    eps: float,
-    pfm: EdgeWeighting,
-    seed: int,
-    eta_gate: Optional[float] = None,
-    rho_gate: Optional[float] = None,
-    retries: int = 20,
-) -> SparsifyResult:
+    H: Hypergraph, F: Hypergraph, eps: float, pfm: EdgeWeighting, seed: int
+) -> Hypergraph:
     """Random spanning subgraph keeping e with probability
     (1-eps) + eps*w(e)/w_max on F and eps*w(e)/w_max off F.
 
-    With gates set, resamples until the regularity report shows
-    eta_star >= eta_gate and rho_star <= rho_gate and returns the passing
-    sample with its report; with no gate set, the first sample is returned
-    with ``report=None``.
+    One ``rng.random()`` draw per edge of H, in host order.
     """
     if F.n != H.n or F.k != H.k:
         raise FractionalError("F must be a spanning subgraph shape-compatible with H")
@@ -344,76 +320,12 @@ def sparsify_intersecting(
         raise FractionalError("the matching must weight H's edges")
     wmax = float(pfm.max_weight())
     fset = set(F.edges)
-    probs = []
+    rng = random.Random(seed)
+    kept = []
     for e, w in zip(H.edges, pfm.weights):
         p = eps * float(w) / wmax
         if e in fset:
             p += 1.0 - eps
-        probs.append(min(1.0, p))
-    rng = random.Random(seed)
-    report = None
-    for attempt in range(1, max(1, retries) + 1):
-        kept = [e for e, p in zip(H.edges, probs) if rng.random() < p]
-        sub = Hypergraph(H.k, H.n, kept)
-        if eta_gate is None and rho_gate is None:
-            return SparsifyResult(subgraph=sub, report=None, attempts=attempt)
-        report = sub.regularity_report()
-        ok = True
-        if eta_gate is not None:
-            ok = ok and report.eta_star is not None and report.eta_star >= eta_gate
-        if rho_gate is not None:
-            ok = ok and report.rho_star <= rho_gate
-        if ok:
-            return SparsifyResult(subgraph=sub, report=report, attempts=attempt)
-    raise SparsifyError(
-        f"sparsification missed the (eta, rho) gates in {retries} attempts",
-        report=report,
-    )
-
-
-# ---------------------------------------------------------------------------
-# serialization: one line per edge, `edge_id p/q` or `edge_id float17`
-# ---------------------------------------------------------------------------
-
-
-def format_weighting(w: EdgeWeighting) -> str:
-    lines = []
-    for i, x in enumerate(w.weights):
-        if w.exact:
-            lines.append(f"{i} {x.numerator}/{x.denominator}")
-        else:
-            lines.append(f"{i} {x:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_weighting(text: str, H: Hypergraph) -> EdgeWeighting:
-    entries = {}
-    exact = None
-    for no, ln in enumerate(text.splitlines(), start=1):
-        ln = ln.strip()
-        if not ln:
-            continue
-        parts = ln.split()
-        if len(parts) != 2:
-            raise FractionalError(f"line {no}: expected 'edge_id value'")
-        try:
-            i = int(parts[0])
-        except ValueError:
-            raise FractionalError(f"line {no}: bad edge id {parts[0]!r}") from None
-        if "/" in parts[1]:
-            num, den = parts[1].split("/", 1)
-            val = Fraction(int(num), int(den))
-            this_exact = True
-        else:
-            val = float(parts[1])
-            this_exact = False
-        if exact is None:
-            exact = this_exact
-        elif exact != this_exact:
-            raise FractionalError(f"line {no}: mixed rational and float values")
-        if i in entries:
-            raise FractionalError(f"line {no}: duplicate edge id {i}")
-        entries[i] = val
-    if len(entries) != H.m or set(entries) != set(range(H.m)):
-        raise FractionalError(f"need exactly the edge ids 0..{H.m - 1}")
-    return EdgeWeighting(H, [entries[i] for i in range(H.m)], exact=bool(exact))
+        if rng.random() < min(1.0, p):
+            kept.append(e)
+    return Hypergraph(H.k, H.n, kept)

@@ -6,7 +6,7 @@ the neighborhood N(x) of a (k-1)-set, induced subgraphs, ``rho_star`` (the
 approximate regularity every pipeline stage re-checks) and the plain-text
 serialization format live here. The full regularity / intersection report
 (rho_star, eta_star, delta_codegree) sweeps all pairs of (k-1)-sets; it serves
-``analyze`` and the sparsification gates.
+``analyze``.
 """
 
 from __future__ import annotations
@@ -93,10 +93,6 @@ class Hypergraph:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    @property
-    def vertices(self) -> range:
-        return range(self.n)
 
     def edge_id(self, e: Iterable[int]) -> int:
         t = tuple(sorted(e))
@@ -196,12 +192,6 @@ class Hypergraph:
             return 0
         return min(self.codegree(x) for x in itertools.combinations(range(self.n), j))
 
-    def max_codegree(self, j: Optional[int] = None) -> int:
-        j = self.k - 1 if j is None else j
-        if self.m == 0:
-            return 0
-        return max(self.codegree(x) for x in itertools.combinations(range(self.n), j))
-
     # -- derived graphs --------------------------------------------------
 
     def induced(self, U: Iterable[int]) -> "Hypergraph":
@@ -230,22 +220,6 @@ class Hypergraph:
         return Hypergraph(
             self.k, self.n, (e for e in self.edges if e not in drop), parent_ids=self.parent_ids
         )
-
-    def minus(self, other: "Hypergraph") -> "Hypergraph":
-        """H1 - H2 = (V1, E1 \\ E2)."""
-        if other.k != self.k:
-            raise HypergraphError("uniformity mismatch")
-        drop = set(other.edges)
-        return Hypergraph(
-            self.k, self.n, (e for e in self.edges if e not in drop), parent_ids=self.parent_ids
-        )
-
-    def union_edges(self, extra: Iterable[Sequence[int]]) -> "Hypergraph":
-        """Same vertex set, edge set E plus the given edges (duplicates ignored)."""
-        merged = dict.fromkeys(self.edges)
-        for e in extra:
-            merged[tuple(sorted(e))] = None
-        return Hypergraph(self.k, self.n, merged.keys(), parent_ids=self.parent_ids)
 
     # -- reports ---------------------------------------------------------
 

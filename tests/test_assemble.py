@@ -59,8 +59,7 @@ def window_split(n, runs):
 def k12_pack_inputs(seed, r=2):
     """Reserve graph plus r extracted cycle collections on K_12."""
     H = complete_hypergraph(3, 12)
-    sp = sparsify_intersecting(H, Hypergraph(3, 12, []), 0.5, uniform_weighting(H), seed)
-    reserve = sp.subgraph
+    reserve = sparsify_intersecting(H, Hypergraph(3, 12, []), 0.5, uniform_weighting(H), seed)
     rest = H.remove_edges(reserve.edges)
     frac = fractional_cycle_decomposition(rest, 6, seed=seed, per_edge=20)
     ext = extract_cycle_collections(rest, frac, r, seed=seed, gates={"mu": 0.2})

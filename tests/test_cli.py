@@ -19,6 +19,7 @@ from cyclefactors.hypergraph import (
     complete_hypergraph,
     format_hypergraph,
 )
+from cyclefactors.tightpaths import TightCycle
 
 
 def write_host(tmp_path, H, name="host.txt"):
@@ -247,7 +248,8 @@ class TestAbsorbers:
 
 class TestCover:
     def test_k12_two_collections(self, tmp_path):
-        host = write_host(tmp_path, complete_hypergraph(3, 12))
+        H = complete_hypergraph(3, 12)
+        host = write_host(tmp_path, H)
         artifact = tmp_path / "cover.json"
         code = main(
             [
@@ -263,7 +265,14 @@ class TestCover:
         doc = json.loads(artifact.read_text())
         assert doc["ok"] is True
         assert doc["coverages"] == [12, 12]
-        assert doc["bundle"]["r"] == 2
+        collections = [
+            [TightCycle(H, tuple(seq)) for seq in coll] for coll in doc["collections"]
+        ]
+        assert len(collections) == 2
+        cover.validate_collections(H, collections)
+        for coll, coverage in zip(collections, doc["coverages"]):
+            assert all(len(C) == 6 for C in coll)
+            assert len(set().union(*(C.vertex_set for C in coll))) == coverage
 
 
 class TestDecompose:
@@ -451,15 +460,8 @@ class TestDecompose:
         assert code == EXIT_OK
         assert reached
 
-    def test_decompose_hands_cycle_collections_to_the_packer(
-        self, tmp_path, monkeypatch
-    ):
-        # path bundles serve only the cover command; every layer attempt
-        # opens the cycles itself
-        def refuse(*args, **kwargs):
-            raise AssertionError("decompose built a CoverBundle")
-
-        monkeypatch.setattr(cover.CoverBundle, "__init__", refuse)
+    def test_decompose_hands_cycle_collections_to_the_packer(self, tmp_path):
+        # every layer attempt opens the cycles itself
         host = write_host(tmp_path, complete_hypergraph(3, 12))
         out = tmp_path / "run.json"
         code = main(

@@ -1,6 +1,4 @@
 import itertools
-import json
-import math
 import random
 from fractions import Fraction
 
@@ -10,22 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclefactors.cover import (
-    CoverBundle,
     CoverError,
     DecompositionError,
     FractionalCycleDecomposition,
     _enumerate_all,
     cycles_through_edge,
-    cycles_to_paths,
     enumerate_tight_cycles,
     extract_cycle_collections,
     fractional_cycle_decomposition,
+    open_cycle,
     validate_collections,
 )
 from cyclefactors.fractional import sparsify_intersecting, uniform_weighting
 from cyclefactors.hypergraph import Hypergraph, complete_hypergraph
 from cyclefactors.tightpaths import (
     TightCycle,
+    TightPath,
     canonical_cycle,
     is_tight_cycle,
     is_tight_path,
@@ -168,15 +166,9 @@ class TestFractionalDecomposition:
     def test_sampled_family_is_deterministic(self, k12_frac):
         H = k12_frac.host
         again = fractional_cycle_decomposition(H, 10, seed=1)
-        assert again.as_dict() == k12_frac.as_dict()
-
-    def test_theorem_window_is_report_only(self):
-        # at n=5 even the symmetric solution lies far above the window
-        frac = fractional_cycle_decomposition(complete_hypergraph(3, 5), 5)
-        lo, hi = frac.theorem_window()
-        assert lo == pytest.approx(10 / 6**5)
-        assert hi == pytest.approx(30 / 6**5)
-        assert float(frac.min_weight()) > hi
+        assert [(C.canonical(), again.weights[C]) for C in again.cycles()] == [
+            (C.canonical(), k12_frac.weights[C]) for C in k12_frac.cycles()
+        ]
 
 
 class TestMaxminAgainstInequalityForm:
@@ -334,8 +326,8 @@ class TestEnumerationCost:
         # the pipeline's seed-0 K_12^(3) residual: extension sets are looked up
         # once per ordered tail, and no window is re-sorted through has_edge
         H = complete_hypergraph(3, 12)
-        sp = sparsify_intersecting(H, Hypergraph(3, 12, []), 0.5, uniform_weighting(H), 0)
-        rest = H.remove_edges(sp.subgraph.edges)
+        reserve = sparsify_intersecting(H, Hypergraph(3, 12, []), 0.5, uniform_weighting(H), 0)
+        rest = H.remove_edges(reserve.edges)
         assert rest.m == 118
         calls = {"extensions": 0, "has_edge": 0}
         for name in calls:
@@ -428,13 +420,12 @@ class TestValidateCollections:
         validate_collections(H, [(a,), (b,)])
 
 
-class TestCyclesToPaths:
+class TestOpenCycle:
     def test_six_cycle_opens_to_path_on_six_vertices(self):
         # deleting k-1 = 2 consecutive edges of a 6-cycle leaves 4 edges
         H = complete_hypergraph(3, 6)
         C = TightCycle(H, (0, 1, 2, 3, 4, 5))
-        bundle = cycles_to_paths([[C]], seed=0)
-        P = bundle.path_collections[0].paths[0]
+        P = TightPath(H, open_cycle(C, random.Random(0)))
         assert P.num_vertices == 6
         assert len(P.edges()) == 4
         assert len(C.edges()) - len(P.edges()) == 2
@@ -444,10 +435,7 @@ class TestCyclesToPaths:
     def test_all_rotations_reachable(self):
         H = complete_hypergraph(3, 6)
         C = TightCycle(H, (0, 1, 2, 3, 4, 5))
-        starts = set()
-        for seed in range(200):
-            bundle = cycles_to_paths([[C]], seed=seed)
-            starts.add(bundle.path_collections[0].paths[0].seq[0])
+        starts = {open_cycle(C, random.Random(seed))[0] for seed in range(200)}
         assert starts == set(range(6))
 
     def test_deletion_independent_per_cycle(self):
@@ -456,63 +444,9 @@ class TestCyclesToPaths:
         b = TightCycle(H, (6, 7, 8, 9, 10))
         seen = set()
         for seed in range(40):
-            bundle = cycles_to_paths([[a, b]], seed=seed)
-            seqs = tuple(P.seq[0] for P in bundle.path_collections[0].paths)
-            seen.add(seqs)
+            rng = random.Random(seed)
+            seen.add((open_cycle(a, rng)[0], open_cycle(b, rng)[0]))
         assert len(seen) > 5
-
-    def test_empty_needs_host(self):
-        with pytest.raises(CoverError):
-            cycles_to_paths([])
-        bundle = cycles_to_paths([], host=complete_hypergraph(3, 5))
-        assert bundle.r == 0
-
-    def test_extraction_result_accepted_directly(self, k12_frac):
-        H = k12_frac.host
-        res = extract_cycle_collections(
-            H, k12_frac, 2, seed=3, gates={"coverage_max": 10}
-        )
-        bundle = cycles_to_paths(res, seed=4)
-        assert bundle.r == 2
-        assert bundle.coverages() == [10, 10]
-
-
-class TestCoverBundle:
-    def test_type_totality(self, k12_frac):
-        H = k12_frac.host
-        res = extract_cycle_collections(
-            H, k12_frac, 3, seed=7, gates={"coverage_max": 10}
-        )
-        bundle = cycles_to_paths(res, seed=9)
-        for by_type in bundle.type_index.values():
-            assert sum(len(v) for v in by_type.values()) == 3
-
-    def test_lo_label_means_uncovered_vertex(self, k12_frac):
-        H = k12_frac.host
-        res = extract_cycle_collections(
-            H, k12_frac, 1, seed=2, gates={"coverage_max": 10}
-        )
-        bundle = cycles_to_paths(res, seed=2)
-        vs = bundle.path_collections[0].vertex_set
-        for e, by_type in bundle.type_index.items():
-            if "lo" in by_type:
-                assert not e <= vs
-
-    def test_coverage_gate_enforced(self):
-        H = complete_hypergraph(3, 12)
-        C = TightCycle(H, tuple(range(10)))
-        with pytest.raises(CoverError):
-            cycles_to_paths([[C]], seed=0, mu=0.0)  # demands spanning
-
-    def test_as_dict_is_json_ready(self):
-        H = complete_hypergraph(3, 6)
-        C = TightCycle(H, (0, 1, 2, 3, 4, 5))
-        bundle = cycles_to_paths([[C]], seed=1)
-        doc = json.loads(json.dumps(bundle.as_dict()))
-        assert doc["r"] == 1
-        assert doc["collections"][0]["cycles"] == [[0, 1, 2, 3, 4, 5]]
-        assert len(doc["collections"][0]["paths"][0]) == 6
-        assert doc["type_stats"]
 
 
 class TestRandomHosts:

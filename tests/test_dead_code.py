@@ -3,9 +3,12 @@ every module reads every name it imports.
 
 A name counts as used when some module under src/, tests/, demos/ or bench/
 mentions it outside its own definition: as a name, an attribute, an imported
-alias or a string (the benchmark patches functions by name). Names match by
-spelling alone, so a method counts as used when any same-named attribute is
-read. Dunder methods are exempt, since Python calls them implicitly.
+alias or a string (the benchmark patches functions by name). A method (a
+function defined in a class body) counts only through an attribute read
+(``x.name``) or a string: a bare variable of the same spelling does not call
+it. Names match by spelling alone, so a method counts as used when any
+same-named attribute is read. Dunder methods are exempt, since Python calls
+them implicitly.
 
 An imported name counts as read when the module loads it as a bare name or
 lists it in ``__all__``. ``__init__.py`` is exempt: its imports are the
@@ -25,7 +28,8 @@ class _Mentions(ast.NodeVisitor):
 
     def __init__(self):
         self.enclosing = []
-        self.names = set()
+        self.names = set()  # bare names and imported aliases
+        self.attributes = set()  # attributes and strings
 
     def _definition(self, node):
         self.enclosing.append(node.name)
@@ -34,39 +38,50 @@ class _Mentions(ast.NodeVisitor):
 
     visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _definition
 
-    def _mention(self, name):
+    def _mention(self, name, into):
         if name not in self.enclosing:
-            self.names.add(name)
+            into.add(name)
 
     def visit_Name(self, node):
-        self._mention(node.id)
+        self._mention(node.id, self.names)
 
     def visit_Attribute(self, node):
-        self._mention(node.attr)
+        self._mention(node.attr, self.attributes)
         self.generic_visit(node)
 
     def visit_alias(self, node):
-        self._mention(node.name.rsplit(".", 1)[-1])
+        self._mention(node.name.rsplit(".", 1)[-1], self.names)
 
     def visit_Constant(self, node):
         if isinstance(node.value, str):
-            self._mention(node.value)
+            self._mention(node.value, self.attributes)
+
+
+def _definitions(tree):
+    """(name, line, is_method) for every non-dunder definition in the module."""
+    methods = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               for item in node.body if isinstance(item, DEFS[:2])}
+    for node in ast.walk(tree):
+        if isinstance(node, DEFS) and not (
+            node.name.startswith("__") and node.name.endswith("__")
+        ):
+            yield node.name, node.lineno, id(node) in methods
 
 
 def test_no_unreferenced_definitions():
-    defined = {}
+    defined = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, DEFS) and not (
-                node.name.startswith("__") and node.name.endswith("__")
-            ):
-                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+        defined += [(name, f"{path.name}:{line}", is_method)
+                    for name, line, is_method in _definitions(ast.parse(path.read_text()))]
     mentions = _Mentions()
     for top in ("src", "tests", "demos", "bench"):
         for path in sorted((ROOT / top).rglob("*.py")):
             mentions.visit(ast.parse(path.read_text()))
-    unused = sorted(f"{where} {name}" for name, where in defined.items()
-                    if name not in mentions.names)
+    unused = sorted(
+        f"{where} {name}" for name, where, is_method in defined
+        if name not in mentions.attributes
+        and (is_method or name not in mentions.names)
+    )
     assert not unused, f"defined but never referenced: {unused}"
 
 

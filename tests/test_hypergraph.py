@@ -92,7 +92,7 @@ class TestDegreesAndCodegrees:
         assert sorted(H.degrees()) == [5, 5, 5, 6, 6]
         assert H.codegree([0, 1]) == 2
         assert H.delta_codegree() == 2
-        assert H.max_codegree() == 3
+        assert max(H.codegree(x) for x in itertools.combinations(range(5), 2)) == 3
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -211,12 +211,12 @@ class TestDerivedGraphs:
         with pytest.raises(HypergraphError, match="non-edge"):
             H.remove_edges([(0, 1, 2)])
 
-    def test_minus_and_union(self):
+    def test_remove_edges_is_edge_set_difference(self):
         H = complete_hypergraph(3, 5)
         G = Hypergraph(3, 5, [(0, 1, 2), (1, 2, 3)])
-        D = H.minus(G)
+        D = H.remove_edges(G.edges)
         assert D.m == 8
-        assert D.union_edges(G.edges) == H
+        assert Hypergraph(3, 5, D.edges + G.edges) == H
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
