@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Tuple
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
-from scipy.sparse.linalg import lsqr
+from scipy.sparse.linalg import LinearOperator, cg
 
 from .hypergraph import Hypergraph
 from .tightpaths import tight_extensions
@@ -250,7 +250,10 @@ def polish(A, w) -> np.ndarray:
     The solver meets the equality rows only within its feasibility tolerance
     (per-row residuals up to 1.6e-8 were seen on K_24^(3) cycle families);
     the correction removes that residual and moves each weight by about as
-    much.  A w already within lsqr's 1e-12 of every row is returned as is.
+    much.  With S the support's columns, the correction is S^T y for any y
+    with S S^T y = r, found by conjugate gradients on the row space, so
+    every dense vector has one entry per row rather than per column.  A w
+    already within 1e-12 of every row is returned as is.
     """
     A = sparse.csc_matrix(A)
     w = np.array(w, dtype=float)
@@ -258,7 +261,11 @@ def polish(A, w) -> np.ndarray:
     if np.abs(residual).max(initial=0.0) <= 1e-12:
         return w
     support = np.flatnonzero(w > 0)
-    w[support] += lsqr(A[:, support], residual, atol=1e-12, btol=1e-12)[0]
+    S = A[:, support].tocsr()
+    St = S.T.tocsr()
+    gram = LinearOperator((S.shape[0], S.shape[0]), matvec=lambda y: S @ (St @ y))
+    y = cg(gram, residual, rtol=0.0, atol=1e-15)[0]
+    w[support] += St @ y
     return w
 
 

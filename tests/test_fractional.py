@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -250,19 +251,43 @@ class TestMaxminLP:
         from cyclefactors import fractional
 
         def refuse(*args, **kwargs):
-            raise AssertionError("lsqr called on an exact input")
+            raise AssertionError("cg called on an exact input")
 
         H = complete_hypergraph(3, 6)
         A = vertex_edge_incidence(H)
         w = np.full(H.m, 0.1)
         assert np.abs(A @ w - 1).max() <= 1e-12
-        monkeypatch.setattr(fractional, "lsqr", refuse)
+        monkeypatch.setattr(fractional, "cg", refuse)
         assert polish(A, w).tobytes() == w.tobytes()
         with pytest.raises(AssertionError, match="exact input"):
             polish(A, w + 1e-8 * np.random.default_rng(0).standard_normal(H.m))
         monkeypatch.undo()
         fixed = polish(A, w + 1e-8 * np.random.default_rng(0).standard_normal(H.m))
         assert np.abs(A @ fixed - 1).max() <= 1e-12
+
+
+class TestPolishAgainstLsqr:
+    """The row-space correction equals the column-space ``lsqr`` one."""
+
+    @staticmethod
+    def noisy(w, seed):
+        return w + 1e-8 * np.random.default_rng(seed).standard_normal(len(w))
+
+    @pytest.mark.parametrize("k,n,p,seed", [(3, 9, 0.7, 1), (3, 10, 0.6, 2), (4, 9, 0.8, 3)])
+    def test_random_hosts(self, k, n, p, seed, check_against_lsqr):
+        H = random_host(k, n, p, seed)
+        check_against_lsqr(vertex_edge_incidence(H), self.noisy(pfm_lp(H).weights, seed))
+
+    def test_more_than_ten_thousand_columns(self, check_against_lsqr):
+        H = complete_hypergraph(3, 41)
+        assert H.m > 10_000
+        w = np.full(H.m, 1 / math.comb(40, 2))
+        check_against_lsqr(vertex_edge_incidence(H), self.noisy(w, 4))
+
+    def test_duplicate_rows(self, check_against_lsqr):
+        H = random_host(3, 9, 0.7, seed=5)
+        A = vertex_edge_incidence(H)
+        check_against_lsqr(np.vstack([A, A[[0, 3, 3]]]), self.noisy(pfm_lp(H).weights, 5))
 
 
 class TestSparsify:
