@@ -239,6 +239,8 @@ class Hypergraph:
     # -- dunder ----------------------------------------------------------
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, Hypergraph)
             and self.k == other.k

@@ -47,6 +47,19 @@ class TestConstruction:
         assert H1 == H2 and hash(H1) == hash(H2)
         assert H1 != Hypergraph(3, 6, [(0, 1, 2)])
 
+    def test_equality_is_structural_with_or_without_identity(self):
+        rng = random.Random(7)
+        graphs = [random_hypergraph(rng, k, n, 0.5) for k, n in [(3, 6), (3, 7), (4, 7)] * 4]
+        graphs.append(complete_hypergraph(3, 6).induced(range(6)))  # carries parent_ids
+        for G in graphs:
+            copy = Hypergraph(G.k, G.n, list(G.edges))
+            assert G == G and not (G != G)
+            assert G == copy and copy == G
+            assert G != G.edges and G != None  # noqa: E711
+            for other in graphs:
+                same = (G.k, G.n, G.edges) == (other.k, other.n, other.edges)
+                assert (G == other) == same and (G != other) == (not same)
+
 
 class TestDegreesAndCodegrees:
     def test_complete_k5(self):
