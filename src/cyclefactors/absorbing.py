@@ -268,7 +268,8 @@ def build_absorbing_structure(
             f"a block needs a(2k+ell) = {unit} vertices but paths have only L = {L}"
         )
     ids = tuple(H.parent_ids) if H.parent_ids is not None else tuple(range(H.n))
-    if H_plus.induced(ids) != H:
+    induced = H_plus.induced(ids)
+    if induced != H:
         raise AbsorbingParamError("H must be an induced subgraph of H_plus")
     n = H.n
     rho = H.rho_star()
@@ -282,11 +283,24 @@ def build_absorbing_structure(
     cap_bad = math.ceil(theta**4 * n)
     need_blocks = math.floor(3 * theta**4 * n)
 
+    # every attempt starts from the residual ids, and later stages repeat
+    # residuals too: induce and weight each one once per build
+    weighted = {}
+
+    def weigh(residual):
+        if residual not in weighted:
+            R = induced if residual == ids else H_plus.induced(residual)
+            try:
+                weighted[residual] = (R, pipeline_weighting(R))
+            except FractionalError:
+                weighted[residual] = (R, None)
+        return weighted[residual]
+
     rng = random.Random(seed)
     failures: List[str] = []
     for attempt in range(1, max(1, retries) + 1):
         result = _construction_attempt(
-            H_plus, ids, L, a, ell, t_star, s_star, cap_bad, stage_redraws, rng
+            H_plus, ids, L, a, ell, t_star, s_star, cap_bad, stage_redraws, rng, weigh
         )
         if result is None:
             failures = ["fatal: a residual with no edges or a stuck walk"]
@@ -345,20 +359,21 @@ def _construction_attempt(
     cap_bad: int,
     stage_redraws: int,
     rng: random.Random,
+    weigh,
 ):
     """One staged pass; returns (paths, block records, residual ids) or None
-    when a residual has no edges or a walk gets stuck."""
+    when a residual has no edges or a walk gets stuck.  ``weigh(residual)``
+    gives the induced residual and its ``pipeline_weighting`` (None when it
+    has none)."""
     k = H_plus.k
     unit = a * (2 * k + ell)
-    residual = list(ids)
+    residual = ids
     kept_walks: List[Tuple[int, ...]] = []
     for _ in range(s_star):
         if len(residual) < t_star:
             break
-        R = H_plus.induced(residual)
-        try:
-            pfm = pipeline_weighting(R)
-        except FractionalError:
+        R, pfm = weigh(residual)
+        if pfm is None:
             return None  # fatal: every later residual is a subgraph of this one
         walk = None
         for _ in range(max(1, stage_redraws)):
@@ -374,7 +389,7 @@ def _construction_attempt(
         mapped = tuple(R.parent_ids[v] for v in walk)
         kept_walks.append(mapped)
         used = set(mapped)
-        residual = [v for v in residual if v not in used]
+        residual = tuple(v for v in residual if v not in used)
     paths: List[TightPath] = []
     blocks: List[BlockRecord] = []
     for walk in kept_walks:

@@ -20,6 +20,7 @@ from cyclefactors.absorbing import (
     is_absorber_for,
     make_block,
 )
+from cyclefactors.fractional import pipeline_weighting
 from cyclefactors.hypergraph import Hypergraph, complete_hypergraph
 from cyclefactors.tightpaths import TightPath, is_tight_path
 
@@ -214,6 +215,25 @@ class TestBuildStructure:
                 H, H, {"L": 14, "a": 2, "ell": 1, "theta": 0.9, "retries": 3}, seed=0
             )
         assert exc.value.item_failures
+
+    def test_each_residual_is_weighted_once_per_build(self, monkeypatch):
+        # every attempt of the exhausted build above starts from the same
+        # residual; it is induced and weighted once, not once per attempt
+        from cyclefactors import absorbing
+
+        weighted = []
+
+        def counting(R):
+            weighted.append(R.parent_ids)
+            return pipeline_weighting(R)
+
+        monkeypatch.setattr(absorbing, "pipeline_weighting", counting)
+        H = complete_hypergraph(3, 18)
+        with pytest.raises(AbsorbingFailure, match="after 3 attempts"):
+            build_absorbing_structure(
+                H, H, {"L": 14, "a": 2, "ell": 1, "theta": 0.9, "retries": 3}, seed=0
+            )
+        assert weighted == [tuple(range(18))]
 
     def test_structure_dump(self):
         H = complete_hypergraph(3, 24)
