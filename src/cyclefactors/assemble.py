@@ -1105,14 +1105,18 @@ def pack_factors(
 ) -> PackResult:
     """Emit edge-disjoint cycle factors, one per target shape.
 
-    Target i is built by one ``layer_transform`` call from the i-th cycle
-    collection and the reserve graph minus everything consumed by earlier
-    layers; all layers draw from one master stream seeded by ``seed``.  The
-    ledger gate runs at the start of each layer and aborts with
-    PackBudgetError when some (k-1)-set's consumed reserve codegree already
-    exceeds ceil(cap_fraction * n); the last layer's usage is reported in the
-    ledger, not gated.  A layer that fails all its attempts ends the loop
-    early with a partial result that keeps the failure's stage log.
+    F is the graph that reservoirs, connectors, extensions and absorbers
+    draw from; it must avoid every collection's edges.  ``decompose`` passes
+    H minus the edges of all extracted cycles, that is the sparsified
+    reserve plus the idle edges.  Target i is built by one
+    ``layer_transform`` call from the i-th cycle collection and F minus
+    everything consumed by earlier layers; all layers draw from one master
+    stream seeded by ``seed``.  The ledger gate runs at the start of each
+    layer and aborts with PackBudgetError when some (k-1)-set's consumed
+    codegree in F already exceeds ceil(cap_fraction * n); the last layer's
+    usage is reported in the ledger, not gated.  A layer that fails all its
+    attempts ends the loop early with a partial result that keeps the
+    failure's stage log.
     """
     prof = as_profile(params)
     shapes = [check_target(target, H, prof) for target in targets]

@@ -431,7 +431,13 @@ def cmd_cover(args) -> int:
 
 def _pipeline_once(H, weighting, empty, targets, prof, seed, cover_length, per_edge):
     """One sparsify -> cover -> pack pass; raises on any stage failure.
-    ``weighting`` and the edgeless ``empty`` are fixed per job."""
+    ``weighting`` and the edgeless ``empty`` are fixed per job.
+
+    The cycle family and the extraction run on H minus the sparsified
+    reserve.  The packer's graph F is H minus the edges of every extracted
+    cycle: the reserve plus the idle edges, the ones no extracted cycle
+    uses.  Returns the packing and the edge counts {"reserve", "idle"}.
+    """
     reserve = sparsify_intersecting(H, empty, prof.eps, weighting, seed)
     rest = H.remove_edges(reserve.edges)
     frac = fractional_cycle_decomposition(
@@ -448,7 +454,9 @@ def _pipeline_once(H, weighting, empty, targets, prof, seed, cover_length, per_e
             f"best draw {best['attempt']}: coverages {best['coverages']}, "
             f"failures {best['failures']}"
         )
-    return pack_factors(H, reserve, ext.collections, targets, params=prof, seed=seed)
+    F = H.remove_edges(e for coll in ext.collections for C in coll for e in C.edges())
+    result = pack_factors(H, F, ext.collections, targets, params=prof, seed=seed)
+    return result, {"reserve": reserve.m, "idle": F.m - reserve.m}
 
 
 def _decompose_job(payload: dict) -> dict:
@@ -466,7 +474,7 @@ def _decompose_job(payload: dict) -> dict:
     for attempt in range(payload["retries"]):
         sub = master.randrange(2**63)
         try:
-            result = _pipeline_once(
+            result, edges = _pipeline_once(
                 H, weighting, empty, targets, prof, sub,
                 payload["cover_length"], payload["per_edge"],
             )
@@ -477,6 +485,7 @@ def _decompose_job(payload: dict) -> dict:
                 {"attempt": attempt, "stage": type(exc).__name__, "detail": str(exc)}
             )
             continue
+        manifest = {**result.manifest(payload["normalize"]), "edges": edges}
         if result.ok:
             return {
                 "ok": True,
@@ -485,23 +494,23 @@ def _decompose_job(payload: dict) -> dict:
                 "seed": payload["seed"],
                 "attempts": attempt + 1,
                 "log": log,
-                "manifest": result.manifest(payload["normalize"]),
+                "manifest": manifest,
             }
         detail = f"partial {result.achieved} of {result.requested}"
         if result.failed_log:
             _, stage, why = result.failed_log[-1]
             detail += f"; layer {result.achieved} last failed at {stage}: {why}"
         log.append({"attempt": attempt, "stage": "pack", "detail": detail})
-        if best is None or result.achieved > best.achieved:
-            best = result
+        if best is None or result.achieved > best[0].achieved:
+            best = (result, manifest)
     return {
         "ok": False,
-        "achieved": best.achieved if best is not None else 0,
+        "achieved": best[0].achieved if best is not None else 0,
         "requested": len(targets),
         "seed": payload["seed"],
         "attempts": payload["retries"],
         "log": log,
-        "manifest": best.manifest(payload["normalize"]) if best is not None else None,
+        "manifest": best[1] if best is not None else None,
     }
 
 

@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 
 import pytest
 
@@ -15,11 +17,18 @@ from cyclefactors.cli import (
     parse_targets,
 )
 from cyclefactors.hypergraph import (
+    Hypergraph,
     RegularityReport,
     complete_hypergraph,
     format_hypergraph,
 )
 from cyclefactors.tightpaths import TightCycle
+
+
+def seeded_random_host(n, p):
+    """G(n, p): each 3-set of 0..n-1 an edge with probability p, rng seed 1."""
+    rng = random.Random(1)
+    return Hypergraph(3, n, [e for e in itertools.combinations(range(n), 3) if rng.random() < p])
 
 
 def write_host(tmp_path, H, name="host.txt"):
@@ -492,12 +501,12 @@ class TestDecompose:
         assert [s["seed"] for s in doc["pipeline"]["seeds"]] == [0, 1]
 
     def test_partial_packing_exits_10_with_its_verified_factor(self, tmp_path):
-        # with one pipeline attempt, seed 13 packs its first layer and then
-        # exhausts every attempt of the second
-        host = write_host(tmp_path, complete_hypergraph(3, 12))
+        # with one pipeline attempt, seed 12 on the non-regular G(12, 0.6)
+        # packs its first layer and then exhausts every attempt of the second
+        host = write_host(tmp_path, seeded_random_host(12, 0.6))
         out, factors, check = (tmp_path / name for name in ("run.json", "f.json", "v.json"))
         code = main(
-            ["decompose", host, "--targets", "12;12", "--seed", "13",
+            ["decompose", host, "--targets", "12;12", "--seed", "12",
              "--pipeline-retries", "1", "--normalize-timings", "-q",
              "--output", str(out), "--factors-out", str(factors)]
         )
@@ -515,6 +524,50 @@ class TestDecompose:
         )
         assert main(["verify", host, str(factors), "-q", "--output", str(check)]) == EXIT_OK
         assert json.loads(check.read_text())["factors"] == 1
+
+    def test_packer_graph_is_the_reserve_plus_the_idle_edges(self, tmp_path, monkeypatch):
+        # F = H minus every extracted cycle: it holds the whole reserve and
+        # no collection edge, and the document counts both parts
+        H = seeded_random_host(12, 0.8)
+        seen = []
+        real_sparsify, real_pack = cli.sparsify_intersecting, cli.pack_factors
+
+        def sparsify(*args):
+            seen.append(real_sparsify(*args))
+            return seen[-1]
+
+        def pack(H, F, collections, targets, **kwargs):
+            seen.append((F, collections))
+            return real_pack(H, F, collections, targets, **kwargs)
+
+        monkeypatch.setattr(cli, "sparsify_intersecting", sparsify)
+        monkeypatch.setattr(cli, "pack_factors", pack)
+        out = tmp_path / "run.json"
+        code = main(
+            ["decompose", write_host(tmp_path, H), "--targets", "12;12", "--seed", "0",
+             "--pipeline-retries", "1", "-q", "--output", str(out)]
+        )
+        assert code == EXIT_OK
+        reserve, (F, collections) = seen
+        cycle_edges = {e for coll in collections for C in coll for e in C.edges()}
+        assert set(reserve.edges) <= set(F.edges)
+        assert not cycle_edges & set(F.edges)
+        assert set(F.edges) | cycle_edges == set(H.edges)
+        assert F.m > reserve.m
+        edges = json.loads(out.read_text())["manifest"]["edges"]
+        assert edges == {"reserve": reserve.m, "idle": F.m - reserve.m}
+
+    def test_non_regular_g18_packs_two_hamilton_cycles(self, tmp_path):
+        # G(18, 0.8): its sparse reserve alone held no connectors
+        host = write_host(tmp_path, seeded_random_host(18, 0.8))
+        out, factors, check = (tmp_path / name for name in ("run.json", "f.json", "v.json"))
+        code = main(
+            ["decompose", host, "--targets", "18;18", "--seed", "0", "-q",
+             "--output", str(out), "--factors-out", str(factors)]
+        )
+        assert code == EXIT_OK
+        assert json.loads(out.read_text())["achieved"] == 2
+        assert main(["verify", host, str(factors), "-q", "--output", str(check)]) == EXIT_OK
 
     def test_failed_extraction_names_its_best_draw(self, tmp_path, monkeypatch):
         # four Hamilton targets on K_12^(3): no draw reaches the coverage gate
