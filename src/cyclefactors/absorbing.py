@@ -283,8 +283,8 @@ def build_absorbing_structure(
     cap_bad = math.ceil(theta**4 * n)
     need_blocks = math.floor(3 * theta**4 * n)
 
-    # every attempt starts from the residual ids, and later stages repeat
-    # residuals too: induce and weight each one once per build
+    # every attempt starts from the same residual: induce and weight each
+    # residual once per build
     weighted = {}
 
     def weigh(residual):

@@ -501,16 +501,16 @@ def _decompose_job(payload: dict) -> dict:
             _, stage, why = result.failed_log[-1]
             detail += f"; layer {result.achieved} last failed at {stage}: {why}"
         log.append({"attempt": attempt, "stage": "pack", "detail": detail})
-        if best is None or result.achieved > best[0].achieved:
-            best = (result, manifest)
+        if best is None or result.achieved > best["achieved"]:
+            best = manifest
     return {
         "ok": False,
-        "achieved": best[0].achieved if best is not None else 0,
+        "achieved": best["achieved"] if best is not None else 0,
         "requested": len(targets),
         "seed": payload["seed"],
         "attempts": payload["retries"],
         "log": log,
-        "manifest": best[1] if best is not None else None,
+        "manifest": best,
     }
 
 
