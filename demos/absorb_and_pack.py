@@ -54,9 +54,7 @@ def stage_2():
 def stage_3():
     print("stage 3: pack two edge-disjoint Hamilton factors of K_12")
     H = complete_hypergraph(3, 12)
-    reserve = sparsify_intersecting(
-        H, Hypergraph(3, 12, []), 0.5, uniform_weighting(H), seed=0
-    )
+    reserve = sparsify_intersecting(H, 0.5, uniform_weighting(H), seed=0)
     rest = H.remove_edges(reserve.edges)
     print(f"  reserve: {reserve.m} edges, cover substrate: {rest.m} edges")
     frac = fractional_cycle_decomposition(rest, 6, seed=0, per_edge=20)

@@ -51,8 +51,6 @@ def walkthrough(workdir):
         [
             "cover",
             str(host),
-            "--cycle-length",
-            "6",
             "--collections",
             "2",
             "-q",

@@ -63,6 +63,7 @@ __all__ = [
     "UsageLedger",
     "PackResult",
     "as_profile",
+    "check_cover_length",
     "check_target",
     "build_reservoir",
     "connect",
@@ -142,14 +143,13 @@ class Profile:
     theta: float = 0.5  # absorbing-structure density parameter
     ell0: int = 2  # min connector inner vertices
     ell1: int = 6  # max connector inner vertices
-    L: int = 10  # path length (vertices) of the primary cover
+    L: int = 6  # cycle length (vertices) of the primary cover
     L_prime: int = 6  # path length of the in-layer cover and absorber paths
     a: int = 1  # absorber slots per block (a * (2k + ell) must fit in L_prime)
     ell: int = 0  # spacer vertices after each block slot
     eps: float = 0.5  # sparsification split parameter
     r_prime: int = 3  # in-layer cover choices to draw one collection from
     cap_fraction: float = 0.25  # ledger codegree cap as a fraction of n
-    girth_factor: float = 1.0  # target girth must be >= girth_factor * L
     layer_retries: int = 20  # full-pipeline attempts per layer
     extend: bool = False  # grow kept paths by reserve edges before connecting
 
@@ -176,8 +176,6 @@ class Profile:
             raise AssembleParamError("r_prime must be positive")
         if self.cap_fraction <= 0:
             raise AssembleParamError("cap_fraction must be positive")
-        if self.girth_factor < 0:
-            raise AssembleParamError("girth_factor must be nonnegative")
         if self.layer_retries < 1:
             raise AssembleParamError("layer_retries must be positive")
 
@@ -513,10 +511,22 @@ class LayerResult:
         return bool(self.check)
 
 
+def check_cover_length(H: Hypergraph, prof: Profile) -> None:
+    """AssembleParamError unless the cover cycle length L lies in [k+1, n]."""
+    if not H.k + 1 <= prof.L <= H.n:
+        raise AssembleParamError(
+            f"cover cycle length L = {prof.L} outside [k+1, n] = [{H.k + 1}, {H.n}]"
+        )
+
+
 def check_target(target, H: Hypergraph, prof: Profile) -> tuple:
     """The target's cycle lengths, or AssembleParamError when no layer could
-    build them in H: no cycles, a sum other than n, a cycle below the girth
-    gate girth_factor * L or below k+1 vertices."""
+    build them in H: no cycles, a sum other than n, a cover length L outside
+    [k+1, n], a cycle below k+1 vertices, or a cycle shorter than the
+    cheapest piece a layer can place.  Every target cycle holds at least one
+    piece, a kept L-path or an L_prime-path of the in-layer cover or the
+    absorbing structure, plus at least ell0 connector vertices after it, so
+    the girth gate is min(L, L_prime) + ell0 (``_Piece.cost``)."""
     lengths = tuple(target.lengths()) if isinstance(target, CycleFactor) else tuple(target)
     if not lengths:
         raise AssembleParamError("target factor has no cycles")
@@ -524,11 +534,12 @@ def check_target(target, H: Hypergraph, prof: Profile) -> tuple:
         raise AssembleParamError(
             f"target shape {list(lengths)} sums to {sum(lengths)}, host has {H.n} vertices"
         )
-    gate = prof.girth_factor * prof.L
+    check_cover_length(H, prof)
+    gate = min(prof.L, prof.L_prime) + prof.ell0
     if min(lengths) < gate:
         raise AssembleParamError(
-            f"target girth {min(lengths)} below the gate {gate} "
-            f"(girth_factor * L = {prof.girth_factor} * {prof.L})"
+            f"target girth {min(lengths)} < min(L, L_prime) + ell0 = "
+            f"min({prof.L}, {prof.L_prime}) + {prof.ell0} = {gate}"
         )
     if min(lengths) < H.k + 1:
         raise AssembleParamError("every target cycle needs at least k+1 vertices")

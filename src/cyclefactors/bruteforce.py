@@ -309,20 +309,3 @@ def validate_packing(H: Hypergraph, factors: Iterable[CycleFactor]) -> PackingRe
         lengths=tuple(tuple(F.lengths()) for F in factors),
     )
 
-
-def rational_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
-def oracle_report_json(payload: dict) -> dict:
-    """Recursively render Fractions as `p/q` strings for JSON dumps."""
-    def conv(obj):
-        if isinstance(obj, Fraction):
-            return rational_str(obj)
-        if isinstance(obj, dict):
-            return {str(k): conv(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [conv(v) for v in obj]
-        return obj
-
-    return conv(payload)

@@ -38,6 +38,7 @@ from .assemble import (
     AssembleError,
     AssembleParamError,
     Profile,
+    check_cover_length,
     check_target,
     pack_factors,
 )
@@ -72,6 +73,9 @@ EXIT_STAGE = 30
 # cycle family and LP it reuses, so missed gates are redrawn from the same
 # solution before the pipeline sparsifies and solves again.
 PIPELINE_EXTRACTION_DRAWS = 40
+# Cycles sampled through each edge when the L-cycle family of the cover
+# stage is too large to enumerate.
+PIPELINE_PER_EDGE = 20
 
 
 class CLIError(Exception):
@@ -390,22 +394,17 @@ def cmd_absorbers(args) -> int:
 # ---------------------------------------------------------------- cover
 
 def cmd_cover(args) -> int:
-    config = _make_config(
-        args,
-        "cover",
-        cycle_length=args.cycle_length,
-        collections=args.collections,
-        per_edge=args.per_edge,
-    )
+    config = _make_config(args, "cover", collections=args.collections)
     H = load_hypergraph(args.input)
     prof = config.profile
-    L = args.cycle_length if args.cycle_length is not None else prof.L
+    check_cover_length(H, prof)
     r = args.collections if args.collections is not None else prof.r_prime
     frac = fractional_cycle_decomposition(
-        H, L, seed=args.seed, per_edge=args.per_edge
+        H, prof.L, seed=args.seed, per_edge=PIPELINE_PER_EDGE
     )
     ext = extract_cycle_collections(
-        H, frac, r, seed=args.seed, gates={"mu": prof.mu}
+        H, frac, r, seed=args.seed, gates={"mu": prof.mu},
+        retries=PIPELINE_EXTRACTION_DRAWS,
     )
     doc = {
         "config": config.as_dict(),
@@ -429,19 +428,20 @@ def cmd_cover(args) -> int:
 
 # ---------------------------------------------------------------- decompose
 
-def _pipeline_once(H, weighting, empty, targets, prof, seed, cover_length, per_edge):
+def _pipeline_once(H, weighting, targets, prof, seed):
     """One sparsify -> cover -> pack pass; raises on any stage failure.
-    ``weighting`` and the edgeless ``empty`` are fixed per job.
+    ``weighting`` is fixed per job.
 
-    The cycle family and the extraction run on H minus the sparsified
-    reserve.  The packer's graph F is H minus the edges of every extracted
-    cycle: the reserve plus the idle edges, the ones no extracted cycle
-    uses.  Returns the packing and the edge counts {"reserve", "idle"}.
+    The cycle family (L-cycles, L = ``prof.L``) and the extraction run on H
+    minus the sparsified reserve.  The packer's graph F is H minus the edges
+    of every extracted cycle: the reserve plus the idle edges, the ones no
+    extracted cycle uses.  Returns the packing and the edge counts
+    {"reserve", "idle"}.
     """
-    reserve = sparsify_intersecting(H, empty, prof.eps, weighting, seed)
+    reserve = sparsify_intersecting(H, prof.eps, weighting, seed)
     rest = H.remove_edges(reserve.edges)
     frac = fractional_cycle_decomposition(
-        rest, cover_length, seed=seed, per_edge=per_edge
+        rest, prof.L, seed=seed, per_edge=PIPELINE_PER_EDGE
     )
     ext = extract_cycle_collections(
         rest, frac, len(targets), seed=seed, gates={"mu": prof.mu},
@@ -467,17 +467,13 @@ def _decompose_job(payload: dict) -> dict:
     prof = Profile.from_mapping(payload["profile"])
     targets = payload["targets"]
     weighting = pipeline_weighting(H)
-    empty = Hypergraph(H.k, H.n, [])
     master = random.Random(payload["seed"])
     log = []
     best = None
     for attempt in range(payload["retries"]):
         sub = master.randrange(2**63)
         try:
-            result, edges = _pipeline_once(
-                H, weighting, empty, targets, prof, sub,
-                payload["cover_length"], payload["per_edge"],
-            )
+            result, edges = _pipeline_once(H, weighting, targets, prof, sub)
         except AssembleParamError:
             raise
         except (CoverError, FractionalError, AssembleError) as exc:
@@ -520,17 +516,18 @@ def cmd_decompose(args) -> int:
         "decompose",
         targets=args.targets,
         pipeline_retries=args.pipeline_retries,
-        cover_length=args.cover_length,
-        per_edge=args.per_edge,
         parallel_seeds=args.parallel_seeds,
     )
+    for flag, value in (("--pipeline-retries", args.pipeline_retries),
+                        ("--parallel-seeds", args.parallel_seeds)):
+        if value < 1:
+            raise CLIError(EXIT_PARAMS, f"decompose: {flag} {value} is below 1")
     H = load_hypergraph(args.input)
     prof = config.profile
     targets = parse_targets(args.targets)
     for shape in targets:
         check_target(shape, H, prof)
     started = time.perf_counter()
-    fanout = max(1, args.parallel_seeds)
     payloads = [
         {
             "k": H.k,
@@ -540,16 +537,14 @@ def cmd_decompose(args) -> int:
             "targets": targets,
             "seed": args.seed + i,
             "retries": args.pipeline_retries,
-            "cover_length": args.cover_length,
-            "per_edge": args.per_edge,
             "normalize": args.normalize_timings,
         }
-        for i in range(fanout)
+        for i in range(args.parallel_seeds)
     ]
-    if fanout == 1:
+    if args.parallel_seeds == 1:
         results = [_decompose_job(payloads[0])]
     else:
-        with ProcessPoolExecutor(max_workers=fanout) as pool:
+        with ProcessPoolExecutor(max_workers=args.parallel_seeds) as pool:
             results = list(pool.map(_decompose_job, payloads))
     # deterministic winner: first full success in seed order, else most factors
     winner = None
@@ -728,9 +723,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cover", parents=[common], help="cycle cover extraction")
     p.add_argument("input")
-    p.add_argument("--cycle-length", type=int, metavar="L")
     p.add_argument("--collections", type=int, metavar="R")
-    p.add_argument("--per-edge", type=int, default=12)
     p.set_defaults(handler=cmd_cover)
 
     p = sub.add_parser(
@@ -743,8 +736,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="factor shapes, e.g. '12;12' or '6,6;12'",
     )
     p.add_argument("--pipeline-retries", type=int, default=8)
-    p.add_argument("--cover-length", type=int, default=6)
-    p.add_argument("--per-edge", type=int, default=20)
     p.add_argument("--factors-out", help="also write a bare factors file")
     p.add_argument(
         "--parallel-seeds",

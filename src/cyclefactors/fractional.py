@@ -98,9 +98,6 @@ class EdgeWeighting:
     def vertex_weight(self, v: int):
         return self.omega((v,))
 
-    def vertex_weights(self) -> list:
-        return [self.omega((v,)) for v in range(self.host.n)]
-
     def min_weight(self):
         return min(self.weights)
 
@@ -312,27 +309,20 @@ def pipeline_weighting(H: Hypergraph) -> EdgeWeighting:
 
 
 def sparsify_intersecting(
-    H: Hypergraph, F: Hypergraph, eps: float, pfm: EdgeWeighting, seed: int
+    H: Hypergraph, eps: float, pfm: EdgeWeighting, seed: int
 ) -> Hypergraph:
-    """Random spanning subgraph keeping e with probability
-    (1-eps) + eps*w(e)/w_max on F and eps*w(e)/w_max off F.
+    """Random spanning subgraph keeping e with probability eps*w(e)/w_max:
+    the sparsification that intersects an edgeless F.
 
     One ``rng.random()`` draw per edge of H, in host order.
     """
-    if F.n != H.n or F.k != H.k:
-        raise FractionalError("F must be a spanning subgraph shape-compatible with H")
     if not (0.0 <= eps <= 1.0):
         raise FractionalError(f"eps must lie in [0, 1], got {eps}")
     if pfm.host != H:
         raise FractionalError("the matching must weight H's edges")
     wmax = float(pfm.max_weight())
-    fset = set(F.edges)
     rng = random.Random(seed)
-    kept = []
-    for e, w in zip(H.edges, pfm.weights):
-        p = eps * float(w) / wmax
-        if e in fset:
-            p += 1.0 - eps
-        if rng.random() < min(1.0, p):
-            kept.append(e)
+    kept = [
+        e for e, w in zip(H.edges, pfm.weights) if rng.random() < eps * float(w) / wmax
+    ]
     return Hypergraph(H.k, H.n, kept)

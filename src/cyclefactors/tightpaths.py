@@ -134,10 +134,6 @@ class TightPath:
         return len(self.seq)
 
     @property
-    def num_vertices(self) -> int:
-        return len(self.seq)
-
-    @property
     def length(self) -> int:
         """Edge count: max(0, l - k + 1)."""
         return max(0, len(self.seq) - self.host.k + 1)
@@ -173,23 +169,6 @@ class TightPath:
         if len(self.seq) < k:
             raise TightnessError("path shorter than k has no ordered end-edges")
         return self.seq[:k], self.seq[-k:]
-
-    def boundary(self) -> tuple:
-        """First-k and last-k sub-paths when l >= 2k+1, else the path itself."""
-        k = self.host.k
-        if len(self.seq) >= 2 * k + 1:
-            return (
-                TightPath(self.host, self.seq[:k]),
-                TightPath(self.host, self.seq[-k:]),
-            )
-        return (self,)
-
-    def interior(self) -> Optional["TightPath"]:
-        """The sub-path v_{k+1}..v_{l-k} when l >= 2k+1, else None."""
-        k = self.host.k
-        if len(self.seq) >= 2 * k + 1:
-            return TightPath(self.host, self.seq[k : len(self.seq) - k])
-        return None
 
     def __eq__(self, other):
         if not isinstance(other, TightPath):
@@ -358,10 +337,6 @@ class PathCollection:
     @property
     def vertex_set(self) -> frozenset:
         return self._vset
-
-    @property
-    def coverage(self) -> int:
-        return len(self._vset)
 
     def __len__(self):
         return len(self.paths)

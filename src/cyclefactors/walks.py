@@ -222,15 +222,6 @@ def _ordered_tuples(n: int, j: int):
     return itertools.permutations(range(n), j)
 
 
-def format_marginals(result: Dict[tuple, Tuple[Fraction, Fraction]]) -> str:
-    """Dump lines `v1 v2 .. : p_enum p_formula` with exact rationals."""
-    lines = []
-    for tup in sorted(result):
-        a, b = result[tup]
-        lines.append(f"{' '.join(map(str, tup))} : {a.numerator}/{a.denominator} {b.numerator}/{b.denominator}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Monte-Carlo self-avoidance
 # ---------------------------------------------------------------------------
@@ -241,10 +232,6 @@ class SelfAvoidingRate:
     rate: float
     trials: int
     hits: int
-    radius: float  # 95% normal-approximation half-width
-
-    def interval(self) -> Tuple[float, float]:
-        return (max(0.0, self.rate - self.radius), min(1.0, self.rate + self.radius))
 
 
 def self_avoiding_rate(
@@ -264,6 +251,4 @@ def self_avoiding_rate(
         walk = sample_walk(H, w, L, t_star, seed=rng)
         if len(set(walk)) == t_star:
             hits += 1
-    rate = hits / trials
-    radius = 1.96 * math.sqrt(max(rate * (1 - rate), 1e-12) / trials)
-    return SelfAvoidingRate(rate=rate, trials=trials, hits=hits, radius=radius)
+    return SelfAvoidingRate(rate=hits / trials, trials=trials, hits=hits)

@@ -20,6 +20,7 @@ from cyclefactors.assemble import (
     UsageLedger,
     as_profile,
     build_reservoir,
+    check_target,
     connect,
     layer_transform,
     pack_factors,
@@ -59,7 +60,7 @@ def window_split(n, runs):
 def k12_pack_inputs(seed, r=2):
     """Reserve graph plus r extracted cycle collections on K_12."""
     H = complete_hypergraph(3, 12)
-    reserve = sparsify_intersecting(H, Hypergraph(3, 12, []), 0.5, uniform_weighting(H), seed)
+    reserve = sparsify_intersecting(H, 0.5, uniform_weighting(H), seed)
     rest = H.remove_edges(reserve.edges)
     frac = fractional_cycle_decomposition(rest, 6, seed=seed, per_edge=20)
     ext = extract_cycle_collections(rest, frac, r, seed=seed, gates={"mu": 0.2})
@@ -79,10 +80,11 @@ class TestProfile:
         assert p.delta == 0.3
         assert p.beta == 0.4
         assert (p.ell0, p.ell1) == (2, 6)
-        assert (p.L, p.L_prime) == (10, 6)
+        assert (p.L, p.L_prime) == (6, 6)
         assert (p.a, p.ell) == (1, 0)
         assert p.layer_retries == 20
         assert p.extend is False
+        assert len(p.as_dict()) == 15
 
     def test_as_dict_round_trips_through_from_mapping(self):
         p = Profile(mu=0.1, L=8, extend=True)
@@ -351,6 +353,18 @@ class TestLayerTransform:
         C = TightCycle(rest, tuple(range(10)))
         with pytest.raises(AssembleParamError, match="girth"):
             layer_transform(H, F, [C], [4, 8], seed=0)
+
+    def test_girth_gate_is_the_cheapest_piece_cost(self):
+        # min(L, L_prime) + ell0: the shortest path a layer places, plus the
+        # ell0 connector vertices after it
+        H = complete_hypergraph(3, 14)
+        prof = Profile(L=8, L_prime=5, ell0=2)
+        assert check_target([7, 7], H, prof) == (7, 7)
+        with pytest.raises(AssembleParamError, match=r"min\(8, 5\) \+ 2 = 7"):
+            check_target([6, 8], H, prof)
+        # a gate at or below k still leaves every cycle k + 1 vertices
+        with pytest.raises(AssembleParamError, match=r"k\+1"):
+            check_target([3, 11], H, Profile(L_prime=2, ell0=1))
 
     def test_target_lengths_must_sum_to_n(self):
         H, F, rest = star_split()

@@ -11,7 +11,6 @@ from cyclefactors.bruteforce import (
     OracleError,
     RegKResult,
     hamilton_exists,
-    oracle_report_json,
     reg_k,
     reg_k_by_enumeration,
     validate_packing,
@@ -168,7 +167,3 @@ class TestValidatePacking:
         F = CycleFactor([TightCycle(G, [0, 1, 2, 3, 4])], 5)
         rep = validate_packing(H, [F])
         assert any("not a tight cycle" in r for r in rep.reasons)
-
-    def test_report_json_renders_rationals(self):
-        doc = oracle_report_json({"p": Fraction(1, 3), "xs": [Fraction(2, 7)]})
-        assert doc == {"p": "1/3", "xs": ["2/7"]}

@@ -31,6 +31,14 @@ def seeded_random_host(n, p):
     return Hypergraph(3, n, [e for e in itertools.combinations(range(n), 3) if rng.random() < p])
 
 
+class Sampled(Exception):
+    """Raised by a patched sampling step: the command got past its checks."""
+
+
+def refuse_to_sample(*args, **kwargs):
+    raise Sampled
+
+
 def write_host(tmp_path, H, name="host.txt"):
     path = tmp_path / name
     path.write_text(format_hypergraph(H))
@@ -263,9 +271,7 @@ class TestCover:
         code = main(
             [
                 "cover", host,
-                "--cycle-length", "6",
                 "--collections", "2",
-                "--per-edge", "20",
                 "-q",
                 "--output", str(artifact),
             ]
@@ -282,6 +288,18 @@ class TestCover:
         for coll, coverage in zip(collections, doc["coverages"]):
             assert all(len(C) == 6 for C in coll)
             assert len(set().union(*(C.vertex_set for C in coll))) == coverage
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [("decompose", "--cover-length"), ("decompose", "--per-edge"),
+     ("cover", "--cycle-length"), ("cover", "--per-edge")],
+)
+def test_the_cover_length_and_sample_size_have_no_flags(command, flag, capsys):
+    # Profile.L and cli.PIPELINE_PER_EDGE set them for both commands
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert flag not in capsys.readouterr().out
 
 
 class TestDecompose:
@@ -598,25 +616,66 @@ class TestDecompose:
         assert "sums to 11" in capsys.readouterr().err
 
     def test_girth_below_gate_is_a_parameter_error(self, tmp_path, capsys):
+        # the default gate is min(L, L_prime) + ell0 = min(6, 6) + 2 = 8
         host = write_host(tmp_path, complete_hypergraph(3, 12))
         assert main(["decompose", host, "--targets", "6,6;12"]) == EXIT_PARAMS
-        assert "girth" in capsys.readouterr().err
+        assert "target girth 6 < min(L, L_prime) + ell0 = min(6, 6) + 2 = 8" in (
+            capsys.readouterr().err
+        )
 
     def test_short_cycles_are_rejected_before_any_sampling(
         self, tmp_path, monkeypatch, capsys
     ):
-        # girth_factor = 0 switches the girth gate off; a 3-cycle still has
-        # fewer than k + 1 = 4 vertices
-        def refuse(*args, **kwargs):
-            raise AssertionError("decompose sampled before checking its targets")
-
-        monkeypatch.setattr(cli, "sparsify_intersecting", refuse)
+        # with L = 5 the gate is 7: 6-cycles sit one below it
+        monkeypatch.setattr(cli, "sparsify_intersecting", refuse_to_sample)
         host = write_host(tmp_path, complete_hypergraph(3, 12))
-        code = main(
-            ["decompose", host, "--set", "girth_factor=0", "--targets", "3,9;12"]
-        )
+        code = main(["decompose", host, "--set", "L=5", "--targets", "6,6;12"])
         assert code == EXIT_PARAMS
-        assert "k+1" in capsys.readouterr().err
+        assert "min(L, L_prime) + ell0 = min(5, 6) + 2 = 7" in capsys.readouterr().err
+
+    def test_a_target_at_the_gate_reaches_sampling(self, tmp_path, monkeypatch):
+        # with L = 4 the gate is 6: 6-cycles pass it
+        monkeypatch.setattr(cli, "sparsify_intersecting", refuse_to_sample)
+        host = write_host(tmp_path, complete_hypergraph(3, 12))
+        with pytest.raises(Sampled):
+            main(["decompose", host, "--set", "L=4", "--targets", "6,6;12"])
+
+    @pytest.mark.parametrize("L", [3, 13])
+    def test_cover_length_outside_k_plus_1_to_n_is_refused(
+        self, L, tmp_path, monkeypatch, capsys
+    ):
+        # L = k and L = n + 1 on K_12^(3); cover refuses before its family
+        monkeypatch.setattr(cli, "sparsify_intersecting", refuse_to_sample)
+        monkeypatch.setattr(cli, "fractional_cycle_decomposition", refuse_to_sample)
+        host = write_host(tmp_path, complete_hypergraph(3, 12))
+        for argv in (["decompose", host, "--targets", "12;12"], ["cover", host]):
+            assert main([*argv, "--set", f"L={L}"]) == EXIT_PARAMS
+            assert f"L = {L} outside [k+1, n] = [4, 12]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--pipeline-retries", "--parallel-seeds"])
+    def test_fewer_than_one_attempt_or_seed_is_refused(
+        self, flag, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli, "sparsify_intersecting", refuse_to_sample)
+        host = write_host(tmp_path, complete_hypergraph(3, 12))
+        assert main(["decompose", host, "--targets", "12;12", flag, "0"]) == EXIT_PARAMS
+        assert f"{flag} 0 is below 1" in capsys.readouterr().err
+
+    def test_profile_L_is_the_cover_length_of_decompose_and_cover(
+        self, tmp_path, monkeypatch
+    ):
+        seen = []
+
+        def recorded(H, L, **kwargs):
+            seen.append((L, kwargs["per_edge"]))
+            raise Sampled
+
+        monkeypatch.setattr(cli, "fractional_cycle_decomposition", recorded)
+        host = write_host(tmp_path, complete_hypergraph(3, 12))
+        for argv in (["decompose", host, "--targets", "12;12"], ["cover", host]):
+            with pytest.raises(Sampled):
+                main([*argv, "--set", "L=7"])
+        assert seen == [(7, cli.PIPELINE_PER_EDGE)] * 2
 
     def test_edgeless_host_fails_fast_naming_the_weighting(self, tmp_path, capsys):
         host = tmp_path / "empty.txt"

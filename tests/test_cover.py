@@ -326,7 +326,7 @@ class TestEnumerationCost:
         # the pipeline's seed-0 K_12^(3) residual: extension sets are looked up
         # once per ordered tail, and no window is re-sorted through has_edge
         H = complete_hypergraph(3, 12)
-        reserve = sparsify_intersecting(H, Hypergraph(3, 12, []), 0.5, uniform_weighting(H), 0)
+        reserve = sparsify_intersecting(H, 0.5, uniform_weighting(H), 0)
         rest = H.remove_edges(reserve.edges)
         assert rest.m == 118
         calls = {"extensions": 0, "has_edge": 0}
@@ -426,7 +426,7 @@ class TestOpenCycle:
         H = complete_hypergraph(3, 6)
         C = TightCycle(H, (0, 1, 2, 3, 4, 5))
         P = TightPath(H, open_cycle(C, random.Random(0)))
-        assert P.num_vertices == 6
+        assert len(P) == 6
         assert len(P.edges()) == 4
         assert len(C.edges()) - len(P.edges()) == 2
         assert P.vertex_set == C.vertex_set

@@ -8,7 +8,8 @@ function defined in a class body) counts only through an attribute read
 (``x.name``) or a string: a bare variable of the same spelling does not call
 it. Names match by spelling alone, so a method counts as used when any
 same-named attribute is read. Dunder methods are exempt, since Python calls
-them implicitly.
+them implicitly. A name that only tests/ mention (a re-export in
+``__init__.py`` is no use) must be a named oracle in ``TEST_ORACLES``.
 
 An imported name counts as read when the module loads it as a bare name or
 lists it in ``__all__``. ``__init__.py`` is exempt: its imports are the
@@ -21,6 +22,24 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cyclefactors"
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+# Definitions that only tests reach, each kept as an independent oracle or a
+# read-back probe the tests check the program against.
+TEST_ORACLES = {
+    "reg_k_by_enumeration": "exhaustive reg_k, the reference for reg_k",
+    "hamilton_exists": "exhaustive Hamilton-cycle search on small hosts",
+    "degree_transfer_check": "the degree-transfer identity of a weighting",
+    "classify": "the k-set types relative to a path collection",
+    "transition_dist": "the exact next-vertex law of a weighted walk",
+    "advance": "WalkState's step, driving transition_dist",
+    "self_avoiding_rate": "Monte-Carlo self-avoidance of sampled walks",
+    "as_floats": "a float weighting, which the exact oracles must refuse",
+    "per_edge_sum": "a decomposition's per-edge sums, read back",
+    "usage": "the ledger's total codegree use, read back",
+    "y": "the ledger's per-layer codegree use, read back",
+    "length": "TightPath's edge count",
+    "girth": "CycleFactor's shortest cycle",
+}
 
 
 class _Mentions(ast.NodeVisitor):
@@ -68,21 +87,54 @@ def _definitions(tree):
             yield node.name, node.lineno, id(node) in methods
 
 
-def test_no_unreferenced_definitions():
+def _defined():
+    """(name, "module.py:line", is_method) for every definition in src/."""
     defined = []
     for path in sorted(PACKAGE.glob("*.py")):
         defined += [(name, f"{path.name}:{line}", is_method)
                     for name, line, is_method in _definitions(ast.parse(path.read_text()))]
+    return defined
+
+
+def _unreferenced(defined, paths):
+    """"where name" of every definition that no file in paths mentions."""
     mentions = _Mentions()
-    for top in ("src", "tests", "demos", "bench"):
-        for path in sorted((ROOT / top).rglob("*.py")):
-            mentions.visit(ast.parse(path.read_text()))
-    unused = sorted(
+    for path in paths:
+        mentions.visit(ast.parse(path.read_text()))
+    return sorted(
         f"{where} {name}" for name, where, is_method in defined
         if name not in mentions.attributes
         and (is_method or name not in mentions.names)
     )
+
+
+def _sources(*tops):
+    return [path for top in tops for path in sorted((ROOT / top).rglob("*.py"))]
+
+
+def test_no_unreferenced_definitions():
+    unused = _unreferenced(_defined(), _sources("src", "tests", "demos", "bench"))
     assert not unused, f"defined but never referenced: {unused}"
+
+
+def test_definitions_only_tests_reach_are_named_oracles():
+    defined = _defined()
+
+    def unreferenced_names(paths):
+        return {entry.split()[-1] for entry in _unreferenced(defined, paths)}
+
+    program = [p for p in _sources("src", "demos", "bench") if p.name != "__init__.py"]
+    test_only = unreferenced_names(program) - unreferenced_names(
+        _sources("src", "tests", "demos", "bench")
+    )
+    assert test_only <= set(TEST_ORACLES), (
+        f"only tests reach {sorted(test_only - set(TEST_ORACLES))}: delete them, "
+        "or name them in TEST_ORACLES with the reason they stay"
+    )
+    assert set(TEST_ORACLES) <= test_only, (
+        f"the program reaches {sorted(set(TEST_ORACLES) - test_only)}: "
+        "take them off TEST_ORACLES"
+    )
 
 
 def _imported(tree):

@@ -218,42 +218,6 @@ class TestTightPath:
             TightPath(H, [0, 1, 2, 3])
 
 
-class TestBoundaryInterior:
-    def test_length_2k_boundary_is_whole_path(self):
-        H = complete_hypergraph(3, 8)
-        P = TightPath(H, [0, 1, 2, 3, 4, 5])  # l = 2k
-        assert P.boundary() == (P,)
-        assert P.interior() is None
-
-    def test_length_2k_plus_1(self):
-        H = complete_hypergraph(3, 8)
-        P = TightPath(H, [0, 1, 2, 3, 4, 5, 6])
-        first, last = P.boundary()
-        assert first.seq == (0, 1, 2) and last.seq == (4, 5, 6)
-        assert P.interior().seq == (3,)
-
-    def test_length_3k_interior_has_k_vertices(self):
-        H = complete_hypergraph(3, 9)
-        P = TightPath(H, list(range(9)))
-        assert P.interior().seq == (3, 4, 5)
-
-    @given(st.integers(0, 2**31 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_boundary_interior_partition(self, seed):
-        rng = random.Random(seed)
-        k = rng.choice([3, 4])
-        l = rng.randint(2 * k + 1, 12)
-        H = complete_hypergraph(k, l)
-        seq = list(range(l))
-        rng.shuffle(seq)
-        P = TightPath(H, seq)
-        first, last = P.boundary()
-        bset = first.vertex_set | last.vertex_set
-        iset = P.interior().vertex_set
-        assert not bset & iset
-        assert bset | iset == P.vertex_set
-
-
 def cyclic_windows(seq, k):
     """Sorted k-windows of seq read cyclically, by modular index."""
     return [
@@ -447,7 +411,7 @@ class TestPathCollection:
         P = PathCollection(H, [TightPath(H, [0, 1, 2]), TightPath(H, [4, 5, 6])])
         assert P.end_set_index[frozenset({0})] == 0
         assert P.end_set_index[frozenset({4})] == 1
-        assert P.coverage == 6
+        assert len(P.vertex_set) == 6
         assert P.vertex_set == frozenset(range(7)) - {3}
 
     def test_mixed_host_rejected(self):

@@ -19,7 +19,6 @@ from cyclefactors.walks import (
     StuckWalkError,
     WalkError,
     WalkState,
-    format_marginals,
     memory_length,
     sample_walk,
     self_avoiding_rate,
@@ -172,12 +171,6 @@ class TestTupleMarginalOracle:
         with pytest.raises(WalkError, match="exact"):
             tuple_marginal_oracle(H, w.as_floats(), L=4, t=2, j=1)
 
-    def test_dump_format(self):
-        H = complete_hypergraph(3, 4)
-        w = uniform_weighting(H)
-        text = format_marginals(tuple_marginal_oracle(H, w, L=3, t=1, j=1))
-        assert text.splitlines()[0] == "0 : 1/4 1/4"
-
 
 class TestSelfAvoidingRate:
     def test_single_window_never_repeats(self):
@@ -197,5 +190,3 @@ class TestSelfAvoidingRate:
         r4 = self_avoiding_rate(H, w, L=8, t_star=4, trials=4000, seed=2)
         r8 = self_avoiding_rate(H, w, L=8, t_star=8, trials=4000, seed=2)
         assert r8.rate < r4.rate <= 1.0
-        lo, hi = r8.interval()
-        assert 0.0 <= lo <= r8.rate <= hi <= 1.0
