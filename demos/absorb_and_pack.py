@@ -58,7 +58,7 @@ def stage_3():
     rest = H.remove_edges(reserve.edges)
     print(f"  reserve: {reserve.m} edges, cover substrate: {rest.m} edges")
     frac = fractional_cycle_decomposition(rest, 6, seed=0, per_edge=20)
-    ext = extract_cycle_collections(rest, frac, 2, seed=0, gates={"mu": 0.2})
+    ext = extract_cycle_collections(rest, frac, 2, seed=0, mu=0.2)
     print(f"  cover: {len(ext.collections)} collections, "
           f"coverages {ext.coverages()}")
     res = pack_factors(H, reserve, ext.collections, [[12], [12]], seed=0)

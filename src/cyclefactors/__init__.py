@@ -66,7 +66,6 @@ from .cover import (
     extract_cycle_collections,
 )
 from .assemble import (
-    Reservoir,
     LayerPlan,
     UsageLedger,
     Profile,

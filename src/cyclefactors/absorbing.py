@@ -23,6 +23,14 @@ from .tightpaths import TightPath, closing_mask, is_tight_path, tight_extensions
 from .walks import StuckWalkError, sample_walk
 
 
+# The absorbing builder's construction attempts, and its walk draws per
+# stage.  Self-avoiding draws are rare at desk scale (about 13!/13^12 on
+# fifteen vertices), but each costs ~0.1 ms: oversample rather than fail
+# the stage.
+ATTEMPTS = 3
+STAGE_DRAWS = 20000
+
+
 class AbsorbingError(ValueError):
     pass
 
@@ -40,9 +48,7 @@ class AbsorbingFailure(AbsorbingError):
 
 
 class AbsorptionInfeasible(AbsorbingError):
-    def __init__(self, message, unmatched=()):
-        super().__init__(message)
-        self.unmatched = tuple(unmatched)
+    """No absorption of X into the structure exists."""
 
 
 def is_absorber_for(H_plus: Hypergraph, seq: Sequence[int], x: int) -> bool:
@@ -110,22 +116,25 @@ class Block:
     """a(2k+ell) consecutive path vertices holding `a` absorber slots.
 
     Slot i (1-based) occupies offsets (2k+ell)(i-1) .. +2k-1 within seq; the
-    ell vertices after each slot are spacers. bad_vertices are the ambient
-    vertices no slot can absorb; the block is good when that set is small.
+    ell vertices after each slot are spacers. ``absorbable`` holds, per slot,
+    the vertices it absorbs (``absorbable(H_plus, slot)``); bad_vertices are
+    the ambient vertices no slot can absorb; the block is good when that set
+    is small.
     """
 
     seq: Tuple[int, ...]
     absorber_slots: Tuple[Tuple[int, ...], ...]
+    absorbable: Tuple[frozenset, ...]
     good: bool
     bad_vertices: frozenset
 
-    def absorbs(self, H_plus: Hypergraph, x: int) -> bool:
-        return any(is_absorber_for(H_plus, slot, x) for slot in self.absorber_slots)
+    def absorbs(self, x: int) -> bool:
+        return x not in self.bad_vertices
 
-    def lowest_absorbing_slot(self, H_plus: Hypergraph, x: int) -> int:
+    def lowest_absorbing_slot(self, x: int) -> int:
         """Index (0-based) of the first slot that is an x-absorber."""
-        for i, slot in enumerate(self.absorber_slots):
-            if is_absorber_for(H_plus, slot, x):
+        for i, centers in enumerate(self.absorbable):
+            if x in centers:
                 return i
         raise AbsorbingError(f"block {self.seq} has no absorber slot for {x}")
 
@@ -139,11 +148,14 @@ def make_block(H_plus: Hypergraph, seq: Sequence[int], a: int, ell: int, good_ca
             f"block needs a(2k+ell) = {a * unit} vertices, got {len(seq)}"
         )
     slots = tuple(seq[i * unit : i * unit + 2 * k] for i in range(a))
-    bad = frozenset(range(H_plus.n)).difference(
-        *(absorbable(H_plus, slot) for slot in slots)
-    )
+    centers = tuple(absorbable(H_plus, slot) for slot in slots)
+    bad = frozenset(range(H_plus.n)).difference(*centers)
     return Block(
-        seq=seq, absorber_slots=slots, good=len(bad) <= good_cap, bad_vertices=bad
+        seq=seq,
+        absorber_slots=slots,
+        absorbable=centers,
+        good=len(bad) <= good_cap,
+        bad_vertices=bad,
     )
 
 
@@ -234,32 +246,29 @@ class AbsorbingStructure:
 
 def build_absorbing_structure(
     H_plus: Hypergraph,
-    H: Hypergraph,
-    params: Mapping,
+    U: Iterable[int],
+    L: int,
+    a: int,
+    ell: int,
+    theta: float,
     seed: int = 0,
 ) -> AbsorbingStructure:
-    """Staged random-walk construction of an absorbing structure.
+    """Staged random-walk construction of an absorbing structure in H_plus[U].
 
-    params: L, a, ell, theta required; optional t_star, retries (default 20),
-    stage_redraws (default 60). Runs ceil(theta^2 n / t_star) stages; each
-    stage draws (L, omega)-walks in the unused part of H, with omega the
-    residual's ``pipeline_weighting``, keeps the first self-avoiding draw,
-    splits kept walks into L-paths, collects good blocks, and post-checks:
+    Runs ceil(theta^2 n / t_star) stages over the n = |U| vertices, with
+    t_star the least multiple of L that is at least max(k+1, n^(1/3)); each
+    stage draws up to ``STAGE_DRAWS`` (L, omega)-walks in the unused part of
+    H_plus[U], with omega the residual's ``pipeline_weighting``, keeps the
+    first self-avoiding draw, splits kept walks into L-paths, collects good
+    blocks, and post-checks:
       (i)   #paths <= ceil(theta^2 n / L)
-      (ii)  the residual is 2*rho-almost regular (rho measured on H)
+      (ii)  the residual is 2*rho-almost regular (rho measured on H_plus[U])
       (iii) every ambient vertex is absorbable by >= floor(3 theta^4 n) blocks
       (iv)  every kept block has <= ceil(theta^4 n) non-absorbable vertices
-    The whole construction retries with fresh randomness until the checks pass.
+    The whole construction retries with fresh randomness, ``ATTEMPTS`` times
+    in all, until the checks pass.
     """
-    L = int(params["L"])
-    a = int(params["a"])
-    ell = int(params["ell"])
-    theta = float(params["theta"])
-    retries = int(params.get("retries", 20))
-    stage_redraws = int(params.get("stage_redraws", 60))
     k = H_plus.k
-    if H.k != k:
-        raise AbsorbingParamError("uniformity mismatch between host and subgraph")
     if a < 1 or ell < 0 or L < 1 or not (0.0 <= theta <= 1.0):
         raise AbsorbingParamError(f"invalid parameters L={L}, a={a}, ell={ell}, theta={theta}")
     unit = a * (2 * k + ell)
@@ -267,16 +276,12 @@ def build_absorbing_structure(
         raise AbsorbingParamError(
             f"a block needs a(2k+ell) = {unit} vertices but paths have only L = {L}"
         )
-    ids = tuple(H.parent_ids) if H.parent_ids is not None else tuple(range(H.n))
+    ids = tuple(sorted(set(U)))
     induced = H_plus.induced(ids)
-    if induced != H:
-        raise AbsorbingParamError("H must be an induced subgraph of H_plus")
-    n = H.n
-    rho = H.rho_star()
+    n = len(ids)
+    rho = induced.rho_star()
     base = max(k + 1, math.ceil(n ** (1 / 3)))
-    t_star = int(params.get("t_star", 0)) or L * math.ceil(base / L)
-    if t_star % L:
-        raise AbsorbingParamError(f"t_star = {t_star} must be a multiple of L = {L}")
+    t_star = L * math.ceil(base / L)
     s_star = math.ceil(theta * theta * n / t_star) if theta > 0 else 0
 
     cap_paths = math.ceil(theta * theta * n / L)
@@ -298,9 +303,9 @@ def build_absorbing_structure(
 
     rng = random.Random(seed)
     failures: List[str] = []
-    for attempt in range(1, max(1, retries) + 1):
+    for attempt in range(1, ATTEMPTS + 1):
         result = _construction_attempt(
-            H_plus, ids, L, a, ell, t_star, s_star, cap_bad, stage_redraws, rng, weigh
+            H_plus, ids, L, a, ell, t_star, s_star, cap_bad, rng, weigh
         )
         if result is None:
             failures = ["fatal: a residual with no edges or a stuck walk"]
@@ -342,7 +347,7 @@ def build_absorbing_structure(
             )
         failures = issues
     raise AbsorbingFailure(
-        f"absorbing structure failed post-checks after {retries} attempts: "
+        f"absorbing structure failed post-checks after {ATTEMPTS} attempts: "
         + "; ".join(failures),
         item_failures=failures,
     )
@@ -357,7 +362,6 @@ def _construction_attempt(
     t_star: int,
     s_star: int,
     cap_bad: int,
-    stage_redraws: int,
     rng: random.Random,
     weigh,
 ):
@@ -376,7 +380,7 @@ def _construction_attempt(
         if pfm is None:
             return None  # fatal: every later residual is a subgraph of this one
         walk = None
-        for _ in range(max(1, stage_redraws)):
+        for _ in range(STAGE_DRAWS):
             try:
                 draw = sample_walk(R, pfm, L, t_star, seed=rng)
             except StuckWalkError:
@@ -501,26 +505,18 @@ def absorb(S: AbsorbingStructure, X: Iterable[int], seed: int = 0) -> Absorption
         H_plus._check_vertex(x)
     if len(xs) != S.capacity:
         raise AbsorptionInfeasible(
-            f"|X| = {len(xs)} but the structure's capacity is {S.capacity}",
-            unmatched=xs,
+            f"|X| = {len(xs)} but the structure's capacity is {S.capacity}"
         )
     overlap = set(xs) & S.vertex_set
     if overlap:
-        raise AbsorptionInfeasible(
-            f"X intersects the structure's paths at {sorted(overlap)}",
-            unmatched=sorted(overlap),
-        )
+        raise AbsorptionInfeasible(f"X intersects the structure's paths at {sorted(overlap)}")
     if not xs:
         return AbsorptionResult(paths=S.paths, phi=dict(enumerate(S.paths)), assignment={})
     adj = []
     for x in xs:
-        row = {
-            j for j, rec in enumerate(S.blocks) if rec.block.absorbs(H_plus, x)
-        }
+        row = {j for j, rec in enumerate(S.blocks) if rec.block.absorbs(x)}
         if not row:
-            raise AbsorptionInfeasible(
-                f"vertex {x} is absorbable by no block", unmatched=[x]
-            )
+            raise AbsorptionInfeasible(f"vertex {x} is absorbable by no block")
         adj.append(row)
     d1 = min(len(r) for r in adj)
     bdeg = [0] * len(S.blocks)
@@ -531,9 +527,7 @@ def absorb(S: AbsorbingStructure, X: Iterable[int], seed: int = 0) -> Absorption
     want = max(1, math.ceil((d1 + d2 - len(xs)) / 2))
     matchings = disjoint_perfect_matchings(adj, want)
     if not matchings:
-        raise AbsorptionInfeasible(
-            "no perfect matching between X and the blocks", unmatched=xs
-        )
+        raise AbsorptionInfeasible("no perfect matching between X and the blocks")
     rng = random.Random(seed)
     chosen = matchings[rng.randrange(len(matchings))]
     per_path: Dict[int, List[Tuple[int, int]]] = {}
@@ -541,7 +535,7 @@ def absorb(S: AbsorbingStructure, X: Iterable[int], seed: int = 0) -> Absorption
     for xi, j in enumerate(chosen):
         x = xs[xi]
         rec = S.blocks[j]
-        slot_i = rec.block.lowest_absorbing_slot(H_plus, x)
+        slot_i = rec.block.lowest_absorbing_slot(x)
         pos = rec.offset + slot_i * (2 * H_plus.k + S.params["ell"]) + H_plus.k
         per_path.setdefault(rec.path_index, []).append((pos, x))
         assignment[x] = (rec.path_index, pos)

@@ -27,8 +27,6 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .absorbing import (
     AbsorbingError,
     AbsorbingFailure,
-    AbsorbingParamError,
-    AbsorptionInfeasible,
     absorb,
     build_absorbing_structure,
 )
@@ -57,7 +55,6 @@ __all__ = [
     "LayerFailure",
     "PackBudgetError",
     "Profile",
-    "Reservoir",
     "LayerPlan",
     "LayerResult",
     "UsageLedger",
@@ -66,12 +63,18 @@ __all__ = [
     "check_cover_length",
     "check_target",
     "build_reservoir",
+    "connectors",
     "connect",
     "layer_transform",
     "pack_factors",
 ]
 
 KEEP_DRAWS = 200  # rejection budget for the leftover-window draw
+RESERVOIR_SAMPLES = 100  # reservoir draws before the reservoir stage fails
+# Endpoint pairs audited per sampled reservoir.  A light audit: every layer
+# attempt samples a fresh reservoir, and a 50-pair audit per attempt would
+# dominate the running time.
+RESERVOIR_AUDIT_PAIRS = 10
 
 
 class AssembleError(ValueError):
@@ -206,70 +209,31 @@ def as_profile(params) -> Profile:
 # reservoir
 
 
-class Reservoir:
-    """A vertex pool R and the connector paths through it.
+def connectors(F: Hypergraph, R: frozenset, s: tuple, t: tuple, lam: int):
+    """Every connector for the ordered edges (s, t) with lam inner vertices
+    drawn from the vertex set R, ascending.
 
-    A connector for the ordered edges (s, t) with lam inner vertices is a
-    tuple of lam distinct R-vertices w such that s + w + t is tight, where
-    every window that contains at least one inner vertex must be an edge of
-    the reserve graph F; the pure end windows are the callers' edges.
+    A connector is a tuple w of lam distinct vertices of R off s and t such
+    that s + w + t is tight, where every window that contains at least one
+    inner vertex must be an edge of the reserve graph F; the pure end
+    windows are the callers' edges.  The search grows s + w[:-1] through R,
+    then closes the last inner vertex against t: every window left to check
+    contains it, so its candidates are the ``closing_mask`` of the grown head
+    against t, ascending.
     """
-
-    __slots__ = ("host", "R", "beta", "ell0", "ell1", "inside", "mode", "report")
-
-    def __init__(self, host, R, beta, ell0, ell1, inside, mode, report):
-        object.__setattr__(self, "host", host)
-        object.__setattr__(self, "R", frozenset(R))
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "ell0", ell0)
-        object.__setattr__(self, "ell1", ell1)
-        object.__setattr__(self, "inside", frozenset(inside))
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "report", dict(report))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Reservoir is immutable")
-
-    def __len__(self):
-        return len(self.R)
-
-    def paths_between(self, s: Sequence[int], t: Sequence[int], lam: int):
-        """All connector inner tuples for the ordered pair (s, t), ascending."""
-        if lam < 1:
-            raise AssembleParamError("connectors need at least one inner vertex")
-        return tuple(self._enumerate(tuple(s), tuple(t), lam))
-
-    def _enumerate(self, s, t, lam):
-        """Grow s + w[:-1] through R, then close the last inner vertex
-        against t: every window left to check contains it, so its candidates
-        are the ``closing_mask`` of the grown head against t, ascending."""
-        F = self.host
-        k = F.k
-        ends = set(s) | set(t)
-        if len(ends) < 2 * k:
-            return
-        allowed = self.R - ends
-        for head in tight_extensions(F, s, k + lam - 1, allowed):
-            closers = closing_mask(F, head, t)
-            while closers:
-                low = closers & -closers
-                closers ^= low
-                u = low.bit_length() - 1
-                if u in allowed and u not in head:
-                    yield head[k:] + (u,)
-
-    def as_dict(self) -> dict:
-        return {
-            "R": sorted(self.R),
-            "beta": self.beta,
-            "ell0": self.ell0,
-            "ell1": self.ell1,
-            "mode": self.mode,
-            "report": dict(self.report),
-        }
-
-    def __repr__(self):
-        return f"Reservoir(|R|={len(self.R)}, beta={self.beta}, mode={self.mode})"
+    k = F.k
+    ends = set(s) | set(t)
+    if len(ends) < 2 * k:
+        return
+    allowed = R - ends
+    for head in tight_extensions(F, s, k + lam - 1, allowed):
+        closers = closing_mask(F, head, t)
+        while closers:
+            low = closers & -closers
+            closers ^= low
+            u = low.bit_length() - 1
+            if u in allowed and u not in head:
+                yield head[k:] + (u,)
 
 
 def _falling(n: int, j: int) -> int:
@@ -286,18 +250,17 @@ def build_reservoir(
     ell1: int,
     seed: int = 0,
     inside: Optional[Iterable[int]] = None,
-    audit_pairs: int = 50,
-    retries: int = 100,
-) -> Reservoir:
+) -> frozenset:
     """Sample a reservoir R by independent inclusion with probability 3*beta/4.
 
     A sample is accepted when (i) |R| lies in the integer-relaxed window
     [floor(beta*n1/2), ceil(beta*n1)] over the n1 eligible vertices, (ii) an
-    audit over up to ``audit_pairs`` sampled disjoint ordered edge pairs finds,
-    for every lam in [ell0, ell1], at least beta * falling(|R - (s+t)|, lam)
-    connector paths, and (iii) the reserve graph off R stays within twice the
-    measured regularity defect.  Hosts with at most 2k eligible vertices skip
-    sampling and take everything ("take-all" mode).
+    audit over up to ``RESERVOIR_AUDIT_PAIRS`` sampled disjoint ordered edge
+    pairs finds, for every lam in [ell0, ell1], at least
+    beta * falling(|R - (s+t)|, lam) connectors, and (iii) the reserve graph
+    off R stays within twice the measured regularity defect.  Hosts with at
+    most 2k eligible vertices skip sampling and take everything.  Raises
+    ReservoirError after ``RESERVOIR_SAMPLES`` rejected samples.
     """
     if not 0 < beta <= 1:
         raise AssembleParamError(f"beta = {beta} outside (0, 1]")
@@ -308,70 +271,49 @@ def build_reservoir(
         F._check_vertex(v)
     n1 = len(inside)
     k = F.k
-
     if n1 <= 2 * k:
-        report = {"n_inside": n1, "size": n1, "window": [n1, n1], "audit": "skipped"}
-        return Reservoir(F, inside, beta, ell0, ell1, inside, "take-all", report)
+        return frozenset(inside)
 
     lo = math.floor(beta * n1 / 2)
     hi = math.ceil(beta * n1)
-    rho_inside = None
-    if n1 >= k:
-        sub = F.induced(inside)
-        if sub.m:
-            rho_inside = float(sub.rho_star())
+    rho_inside = float(F.induced(inside).rho_star())
     inset = set(inside)
     inside_edges = [e for e in F.edges if inset.issuperset(e)]
     rng = random.Random(seed)
     last_fail = "size"
-    for _ in range(max(1, retries)):
-        R = [v for v in inside if rng.random() < 3 * beta / 4]
+    for _ in range(RESERVOIR_SAMPLES):
+        R = frozenset(v for v in inside if rng.random() < 3 * beta / 4)
         if not lo <= len(R) <= hi:
             last_fail = f"size |R| = {len(R)} outside [{lo}, {hi}]"
             continue
-        res = Reservoir(
-            F,
-            R,
-            beta,
-            ell0,
-            ell1,
-            inside,
-            "sampled",
-            {"n_inside": n1, "size": len(R), "window": [lo, hi]},
-        )
-        audited = _audit_reservoir(res, inside_edges, audit_pairs, rng)
-        if audited is not True:
-            last_fail = f"audit {audited}"
+        failed = _audit_reservoir(F, R, beta, ell0, ell1, inside_edges, rng)
+        if failed:
+            last_fail = f"audit {failed}"
             continue
-        rest = sorted(inset - set(R))
-        if rho_inside is not None and len(rest) >= k:
-            off = F.induced(rest)
-            if off.m:
-                rho_off = float(off.rho_star())
-                if rho_inside > 0 and rho_off > 2 * rho_inside:
-                    last_fail = (
-                        f"regularity off R: {rho_off:.4f} > 2 * {rho_inside:.4f}"
-                    )
-                    continue
-                res.report["rho_off"] = rho_off
-        res.report["rho_inside"] = rho_inside
-        return res
+        rest = sorted(inset - R)
+        if rho_inside and len(rest) >= k:
+            rho_off = float(F.induced(rest).rho_star())
+            if rho_off > 2 * rho_inside:
+                last_fail = f"regularity off R: {rho_off:.4f} > 2 * {rho_inside:.4f}"
+                continue
+        return R
     raise ReservoirError(
-        f"no reservoir after {retries} samples; last failure: {last_fail}",
+        f"no reservoir after {RESERVOIR_SAMPLES} samples; last failure: {last_fail}",
         property_name=last_fail.split()[0],
     )
 
 
-def _audit_reservoir(res: Reservoir, edges: list, audit_pairs: int, rng: random.Random):
-    """True, or a string describing the first failed audit pair.
+def _audit_reservoir(F, R, beta, ell0, ell1, edges: list, rng: random.Random):
+    """None, or a string describing the first failed audit pair.
 
-    ``edges`` are the host edges inside ``res.inside``, in host order.  Each
-    pair is checked as soon as it is drawn, so a failing sample draws no
-    pair past its first failure, and each count stops at ceil(need).
+    ``edges`` are the host edges inside the eligible vertices, in host
+    order.  Each pair is checked as soon as it is drawn, so a failing sample
+    draws no pair past its first failure, and each count stops at
+    ceil(need).
     """
-    pairs = checked = 0
-    for _ in range(50 * audit_pairs if len(edges) >= 2 else 0):
-        if pairs >= audit_pairs:
+    pairs = 0
+    for _ in range(50 * RESERVOIR_AUDIT_PAIRS if len(edges) >= 2 else 0):
+        if pairs >= RESERVOIR_AUDIT_PAIRS:
             break
         e, f = rng.sample(edges, 2)
         if set(e) & set(f):
@@ -379,15 +321,13 @@ def _audit_reservoir(res: Reservoir, edges: list, audit_pairs: int, rng: random.
         pairs += 1
         s = tuple(rng.sample(e, len(e)))
         t = tuple(rng.sample(f, len(f)))
-        avail = len(res.R - set(s) - set(t))
-        for lam in range(res.ell0, res.ell1 + 1):
-            need = res.beta * _falling(avail, lam)
-            got = sum(1 for _ in itertools.islice(res._enumerate(s, t, lam), math.ceil(need)))
-            checked += 1
+        avail = len(R - set(s) - set(t))
+        for lam in range(ell0, ell1 + 1):
+            need = beta * _falling(avail, lam)
+            got = sum(1 for _ in itertools.islice(connectors(F, R, s, t, lam), math.ceil(need)))
             if got < need:
                 return f"pair {s}->{t}, lam={lam}: {got} < {need:.2f}"
-    res.report["audit"] = f"{pairs} pairs, {checked} counts" if pairs else "vacuous"
-    return True
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -395,54 +335,49 @@ def _audit_reservoir(res: Reservoir, edges: list, audit_pairs: int, rng: random.
 
 
 def connect(
+    F: Hypergraph,
+    R: frozenset,
     Q: Sequence[tuple],
     budgets: Sequence[int],
-    R: Reservoir,
     seed: int = 0,
 ):
     """Pick one connector per endpoint pair, uniformly among survivors.
 
     Q is a sequence of ordered edge pairs (s, t); the i-th connector is a
-    tuple of budgets[i] inner vertices w drawn from R such that s + w + t is
-    a valid connector path, w is disjoint from every earlier connector and
-    from all endpoint vertices.  Returns the list of inner tuples.  A pair
-    with no remaining candidate raises ConnectionFailure naming its index.
+    tuple of budgets[i] inner vertices w drawn from the reservoir R such
+    that s + w + t is a connector path in F (``connectors``), w is disjoint
+    from every earlier connector and from all endpoint vertices.  Returns
+    the list of inner tuples.  A pair with no remaining candidate raises
+    ConnectionFailure naming its index.
     """
     Q = [(tuple(s), tuple(t)) for s, t in Q]
     budgets = list(budgets)
     if len(Q) != len(budgets):
         raise AssembleParamError("one budget per endpoint pair required")
-    k = R.host.k
+    k = F.k
     all_ends: set = set()
-    for i, (s, t) in enumerate(Q):
+    for i, ((s, t), lam) in enumerate(zip(Q, budgets)):
         if len(s) != k or len(t) != k:
             raise AssembleParamError(f"pair {i}: endpoint tuples must have k vertices")
         if set(s) & set(t):
             raise AssembleParamError(f"pair {i}: endpoint edges share vertices")
+        if lam < 1:
+            raise AssembleParamError(f"pair {i}: connectors need at least one inner vertex")
         all_ends |= set(s) | set(t)
-    total = sum(len(set(s) | set(t)) for s, t in Q)
-    if len(all_ends) != total:
+    if len(all_ends) != 2 * k * len(Q):
         raise AssembleParamError("endpoint edges must be pairwise disjoint")
-    for i, lam in enumerate(budgets):
-        if not R.ell0 <= lam <= R.ell1:
-            raise AssembleParamError(
-                f"pair {i}: budget {lam} outside [{R.ell0}, {R.ell1}]"
-            )
     rng = random.Random(seed)
-    used: set = set()
+    pool = R - all_ends
     out = []
     for i, ((s, t), lam) in enumerate(zip(Q, budgets)):
-        candidates = R.paths_between(s, t, lam)
-        survivors = [
-            w for w in candidates if not (set(w) & used or set(w) & all_ends)
-        ]
+        survivors = list(connectors(F, pool, s, t, lam))
         if not survivors:
             raise ConnectionFailure(
                 f"pair {i}: no connector with {lam} inner vertices remains",
                 pair_index=i,
             )
         w = survivors[rng.randrange(len(survivors))]
-        used |= set(w)
+        pool -= set(w)
         out.append(w)
     return out
 
@@ -652,24 +587,16 @@ def _attempt_layer(H, F, seqs, lengths, prof, rng):
     # (2) reservoir inside V1
     t0 = clock()
     try:
-        # a light audit here: every attempt samples a fresh reservoir, and
-        # the full 50-pair audit per attempt would dominate the running time
-        res = build_reservoir(
-            F,
-            prof.beta,
-            prof.ell0,
-            prof.ell1,
-            seed=rng.randrange(2**63),
-            inside=V1,
-            audit_pairs=10,
+        R = build_reservoir(
+            F, prof.beta, prof.ell0, prof.ell1, seed=rng.randrange(2**63), inside=V1
         )
-    except (ReservoirError, AssembleParamError) as exc:
+    except ReservoirError as exc:
         raise _StageFail("reservoir", str(exc))
     timings["reservoir"] = clock() - t0
 
     # (3) extensions by reserve edges, only with room for 2k fresh vertices per path
     t0 = clock()
-    free = V1 - res.R
+    free = V1 - R
     extended = prof.extend and bool(kept) and len(free) >= 2 * k * len(kept)
     pieces_kept = []
     ext_used: set = set()
@@ -689,7 +616,7 @@ def _attempt_layer(H, F, seqs, lengths, prof, rng):
 
     # (4) absorbing structure in the reserve graph on V2
     t0 = clock()
-    V2 = V1 - res.R - ext_used
+    V2 = V1 - R - ext_used
     structure = None
     g_of = None  # local label -> global
     l_of = None  # global -> local
@@ -712,26 +639,16 @@ def _attempt_layer(H, F, seqs, lengths, prof, rng):
         F1 = F.induced(V1)
         g_of = F1.parent_ids
         l_of = {g: i for i, g in enumerate(g_of)}
-        V2_local = sorted(l_of[v] for v in V2)
         try:
             structure = build_absorbing_structure(
                 F1,
-                F1.induced(V2_local),
-                {
-                    "L": prof.L_prime,
-                    "a": prof.a,
-                    "ell": prof.ell,
-                    "theta": prof.theta,
-                    # self-avoiding draws are rare at desk scale (about
-                    # 13!/13^12 on fifteen vertices), but each costs ~0.1 ms:
-                    # oversample rather than fail the stage
-                    "retries": 3,
-                    "stage_redraws": 20000,
-                },
+                [l_of[v] for v in V2],
+                prof.L_prime,
+                prof.a,
+                prof.ell,
+                prof.theta,
                 seed=rng.randrange(2**63),
             )
-        except AbsorbingParamError as exc:
-            raise _StageFail("absorbing", str(exc))
         except AbsorbingFailure:
             # best effort: proceed without a structure; the budget identity
             # then forces X = empty for the attempt to close
@@ -762,7 +679,7 @@ def _attempt_layer(H, F, seqs, lengths, prof, rng):
                     F3, prof.L_prime, seed=rng.randrange(2**63), enumerate_cap=800
                 )
                 coll = extract_cycle_collections(
-                    F3, frac, r_p, seed=rng.randrange(2**63), gates={"mu": prof.mu}
+                    F3, frac, r_p, seed=rng.randrange(2**63), mu=prof.mu
                 )
             except DecompositionError:
                 coll = None
@@ -838,34 +755,14 @@ def _attempt_layer(H, F, seqs, lengths, prof, rng):
             Q.append((group[g].seq[-k:], group[(g + 1) % z].seq[:k]))
             budgets.append(lam[g])
     try:
-        inners = connect(Q, budgets, res, seed=rng.randrange(2**63))
+        inners = connect(F, R, Q, budgets, seed=rng.randrange(2**63))
     except (ConnectionFailure, AssembleParamError) as exc:
         raise _StageFail("connect", str(exc))
     timings["connect"] = clock() - t0
 
-    # (9) provisional cycles and the leftover set X
-    pos = 0
-    cycle_parts = []
-    for group, lam in zip(groups, lambdas):
-        parts = []
-        for g in range(len(group)):
-            parts.append(["piece", group[g]])
-            parts.append(["inner", inners[pos]])
-            pos += 1
-        cycle_parts.append(parts)
-    covered_now: set = set()
-    for parts, L_i, group in zip(cycle_parts, lengths, groups):
-        size = sum(
-            len(p[1].seq) if p[0] == "piece" else len(p[1]) for p in parts
-        )
-        sig = sum(p.sigma for p in group)
-        if size != L_i - sig:
-            raise _StageFail(
-                "budget", f"provisional cycle has {size} vertices, wanted {L_i - sig}"
-            )
-        for p in parts:
-            covered_now |= set(p[1].seq) if p[0] == "piece" else set(p[1])
-    X = V1 - covered_now
+    # (9) the leftover set X, which no piece or connector covers, must match
+    # the placed absorption capacity
+    X = V1.difference(*(p.seq for group in groups for p in group), *inners)
     placed_sigma = sum(p.sigma for group in groups for p in group)
     if len(X) != placed_sigma:
         raise _StageFail(
@@ -873,7 +770,8 @@ def _attempt_layer(H, F, seqs, lengths, prof, rng):
             f"|X| = {len(X)} but the placed absorption capacity is {placed_sigma}",
         )
 
-    # (10) absorb X and splice
+    # (10) absorb X, then splice each cycle: every piece (absorbed where it
+    # took vertices of X) followed by its connector
     t0 = clock()
     placed_absorbers = [p for group in groups for p in group if p.kind == "absorber"]
     phi = {}
@@ -889,19 +787,18 @@ def _attempt_layer(H, F, seqs, lengths, prof, rng):
                 [l_of[x] for x in sorted(X)],
                 seed=rng.randrange(2**63),
             )
-        except (AbsorptionInfeasible, AbsorbingError) as exc:
+        except AbsorbingError as exc:
             raise _StageFail("absorb", str(exc))
         for p in placed_absorbers:
             new_seq = result.phi[remap[p.local_index]].seq
             phi[p.seq] = tuple(g_of[v] for v in new_seq)
+    inner_of = iter(inners)
     cycles = []
-    for parts in cycle_parts:
+    for group in groups:
         seq = []
-        for tag, payload in parts:
-            if tag == "piece":
-                seq.extend(phi.get(payload.seq, payload.seq))
-            else:
-                seq.extend(payload)
+        for p in group:
+            seq.extend(phi.get(p.seq, p.seq))
+            seq.extend(next(inner_of))
         cycles.append(TightCycle(H, seq))
     factor = CycleFactor(cycles, target_n=n)
     timings["absorb"] = clock() - t0
@@ -927,7 +824,7 @@ def _attempt_layer(H, F, seqs, lengths, prof, rng):
         ),
         lambdas=tuple(lambdas),
         endpoints=tuple(Q),
-        reservoir=tuple(sorted(res.R)),
+        reservoir=tuple(sorted(R)),
         leftover=tuple(sorted(V1)),
         X=tuple(sorted(X)),
         capacity=placed_sigma,

@@ -268,14 +268,6 @@ class PackingReport:
     def __bool__(self):
         return self.ok
 
-    def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "factors": self.factors,
-            "reasons": list(self.reasons),
-            "lengths": [list(ls) for ls in self.lengths],
-        }
-
 
 def validate_packing(H: Hypergraph, factors: Iterable[CycleFactor]) -> PackingReport:
     """Structural check of a factor packing: tight cycles, per-factor spanning

@@ -398,12 +398,11 @@ def cmd_cover(args) -> int:
     H = load_hypergraph(args.input)
     prof = config.profile
     check_cover_length(H, prof)
-    r = args.collections if args.collections is not None else prof.r_prime
     frac = fractional_cycle_decomposition(
         H, prof.L, seed=args.seed, per_edge=PIPELINE_PER_EDGE
     )
     ext = extract_cycle_collections(
-        H, frac, r, seed=args.seed, gates={"mu": prof.mu},
+        H, frac, args.collections, seed=args.seed, mu=prof.mu,
         retries=PIPELINE_EXTRACTION_DRAWS,
     )
     doc = {
@@ -418,7 +417,7 @@ def cmd_cover(args) -> int:
         doc["collections"] = [
             [list(C.canonical()) for C in coll] for coll in ext.collections
         ]
-        _say(config, f"{r} collections extracted, coverages {ext.coverages()}")
+        _say(config, f"{args.collections} collections extracted, coverages {ext.coverages()}")
     else:
         _say(config, "extraction gates failed; partial diagnostics written")
     if args.output:
@@ -444,7 +443,7 @@ def _pipeline_once(H, weighting, targets, prof, seed):
         rest, prof.L, seed=seed, per_edge=PIPELINE_PER_EDGE
     )
     ext = extract_cycle_collections(
-        rest, frac, len(targets), seed=seed, gates={"mu": prof.mu},
+        rest, frac, len(targets), seed=seed, mu=prof.mu,
         retries=PIPELINE_EXTRACTION_DRAWS,
     )
     if not ext.ok:
@@ -723,7 +722,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cover", parents=[common], help="cycle cover extraction")
     p.add_argument("input")
-    p.add_argument("--collections", type=int, metavar="R")
+    p.add_argument("--collections", type=int, default=3, metavar="R")
     p.set_defaults(handler=cmd_cover)
 
     p = sub.add_parser(

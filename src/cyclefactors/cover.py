@@ -39,7 +39,6 @@ __all__ = [
     "DecompositionError",
     "ExtractionResult",
     "FractionalCycleDecomposition",
-    "enumerate_tight_cycles",
     "cycles_through_edge",
     "fractional_cycle_decomposition",
     "extract_cycle_collections",
@@ -83,18 +82,6 @@ def _enumerate_all(H: Hypergraph, L: int, cap: Optional[int]):
                     out.append(TightCycle(H, seq + (u,)))
                     if cap is not None and len(out) > cap:
                         return None
-    return out
-
-
-def enumerate_tight_cycles(H: Hypergraph, L: int, cap: int = 200000):
-    """Enumerate every tight cycle on exactly L vertices of H.
-
-    Raises CoverError when more than ``cap`` cycles exist.
-    """
-    _check_cycle_length(H, L)
-    out = _enumerate_all(H, L, cap)
-    if out is None:
-        raise CoverError(f"more than {cap} cycles on {L} vertices; raise the cap")
     return out
 
 
@@ -385,7 +372,7 @@ def extract_cycle_collections(
     frac: FractionalCycleDecomposition,
     r: int,
     seed: int = 0,
-    gates: Optional[Mapping] = None,
+    mu: float = 0.2,
     retries: int = 10,
 ) -> ExtractionResult:
     """Round a fractional decomposition into r edge-disjoint collections.
@@ -398,14 +385,11 @@ def extract_cycle_collections(
     starts from the cycles that share no edge with an earlier pick, and each
     pick drops the cycles that meet it in a vertex (which covers every cycle
     sharing one of its edges).  So no pick rescans the family.  An attempt is
-    accepted when every collection's coverage lands in
-    [coverage_min, coverage_max]; otherwise the extraction reseeds, up to
-    ``retries`` attempts, and finally returns the best attempt (the first
-    with the fewest gate failures, named by ``returned``) with diagnostics
-    (``ok`` False) rather than discarding the work.
-
-    Gates (overridable through ``gates``): ``mu`` (default 0.2) sets
-    coverage_min = ceil((1-mu) n); ``coverage_max`` defaults to n.
+    accepted when every collection covers at least ceil((1-mu) n) vertices;
+    otherwise the extraction reseeds, up to ``retries`` attempts, and finally
+    returns the best attempt (the first with the fewest gate failures, named
+    by ``returned``) with diagnostics (``ok`` False) rather than discarding
+    the work.
     """
     if frac.host != H:
         raise CoverError("decomposition lives in a different host")
@@ -416,12 +400,7 @@ def extract_cycle_collections(
             f"r={r} exceeds the matching bound min degree / k = "
             f"{min(H.degrees()) / H.k:.3f}"
         )
-    gates = dict(gates or {})
-    mu = gates.pop("mu", 0.2)
-    coverage_min = gates.pop("coverage_min", math.ceil((1 - mu) * H.n))
-    coverage_max = gates.pop("coverage_max", H.n)
-    if gates:
-        raise CoverError(f"unknown gate(s): {sorted(gates)}")
+    coverage_min = math.ceil((1 - mu) * H.n)
 
     rho = H.rho_star()
     gamma = float((1 + rho) * r) if r else 1.0
@@ -430,7 +409,6 @@ def extract_cycle_collections(
 
     family = frac.cycles()
     fam_weights = [float(frac.weights[C]) / gamma for C in family]
-    L = frac.L
     masks = [sum(1 << v for v in C.seq) for C in family]
     by_edge: dict = {}
     for i, C in enumerate(family):
@@ -447,7 +425,7 @@ def extract_cycle_collections(
             coll: list = []
             used = 0
             pool = [i for i, gone in enumerate(dead) if not gone]
-            while pool and (len(coll) + 1) * L <= coverage_max:
+            while pool:
                 i = rng.choices(pool, weights=[fam_weights[j] for j in pool])[0]
                 C = family[i]
                 coll.append(C)
@@ -463,8 +441,6 @@ def extract_cycle_collections(
         for i, c in enumerate(coverages):
             if c < coverage_min:
                 failures.append(f"collection {i} coverage {c} < {coverage_min}")
-            if c > coverage_max:
-                failures.append(f"collection {i} coverage {c} > {coverage_max}")
         diagnostics.append(
             {"attempt": attempt, "coverages": coverages, "failures": failures}
         )

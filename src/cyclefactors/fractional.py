@@ -41,11 +41,6 @@ class NotConnectedError(FractionalError):
 class BalanceViolationError(FractionalError):
     """Redistribution drove some edge weight to zero or below."""
 
-    def __init__(self, message, edge=None, weight=None):
-        super().__init__(message)
-        self.edge = edge
-        self.weight = weight
-
 
 class LPInfeasibleError(FractionalError):
     pass
@@ -67,9 +62,7 @@ class EdgeWeighting:
             raise FractionalError("need one weight per edge")
         for e, w in zip(host.edges, weights):
             if w <= 0:
-                raise BalanceViolationError(
-                    f"weight {w} on edge {e} is not positive", edge=e, weight=w
-                )
+                raise BalanceViolationError(f"weight {w} on edge {e} is not positive")
         self.host = host
         self.weights = weights
         self.exact = exact
@@ -202,9 +195,7 @@ def redistribute_pfm(
     worst = min(range(H.m), key=lambda i: weights[i])
     if weights[worst] <= 0:
         raise BalanceViolationError(
-            f"redistribution drove edge {H.edges[worst]} to weight {weights[worst]}",
-            edge=H.edges[worst],
-            weight=weights[worst],
+            f"redistribution drove edge {H.edges[worst]} to weight {weights[worst]}"
         )
     out = EdgeWeighting(H, weights, exact=True)
     assert out.is_pfm(), "telescoping identity violated (arithmetic bug)"

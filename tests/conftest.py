@@ -94,18 +94,15 @@ def check_against_lsqr():
     return check
 
 
-def rescan_extraction(H, frac, r, seed=0, gates=None, retries=10):
+def rescan_extraction(H, frac, r, seed=0, mu=0.2, retries=10):
     """The full-rescan greedy that ``extract_cycle_collections`` replaces.
 
     Before every pick it rebuilds the candidate list from the whole family:
     every cycle vertex-disjoint from the current collection and edge-disjoint
     from all chosen cycles.  Kept only as an oracle; it assumes the checks on
-    ``frac``, ``r`` and ``gates`` already passed.
+    ``frac`` and ``r`` already passed.
     """
-    gates = dict(gates or {})
-    mu = gates.pop("mu", 0.2)
-    coverage_min = gates.pop("coverage_min", math.ceil((1 - mu) * H.n))
-    coverage_max = gates.pop("coverage_max", H.n)
+    coverage_min = math.ceil((1 - mu) * H.n)
     gamma = float((1 + H.rho_star()) * r) if r else 1.0
     if r == 0:
         return ExtractionResult([], True, 0, [], gamma, None)
@@ -121,7 +118,7 @@ def rescan_extraction(H, frac, r, seed=0, gates=None, retries=10):
         for _ in range(r):
             coll = []
             used_vertices = set()
-            while len(used_vertices) + frac.L <= coverage_max:
+            while len(used_vertices) + frac.L <= H.n:
                 pool, wts = [], []
                 for C, w in zip(family, fam_weights):
                     if used_vertices & C.vertex_set:
@@ -143,8 +140,6 @@ def rescan_extraction(H, frac, r, seed=0, gates=None, retries=10):
         for i, c in enumerate(coverages):
             if c < coverage_min:
                 failures.append(f"collection {i} coverage {c} < {coverage_min}")
-            if c > coverage_max:
-                failures.append(f"collection {i} coverage {c} > {coverage_max}")
         diagnostics.append(
             {"attempt": attempt, "coverages": coverages, "failures": failures}
         )

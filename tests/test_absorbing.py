@@ -120,20 +120,37 @@ class TestBlocks:
         blk = make_block(H, range(14), a=2, ell=1, good_cap=1)
         assert blk.absorber_slots == (tuple(range(6)), tuple(range(7, 13)))
         assert blk.good and blk.bad_vertices == frozenset()
-        assert blk.absorbs(H, 13)
+        assert blk.absorbs(13)
 
     def test_lowest_absorbing_slot_skips_slots_containing_x(self):
         H = complete_hypergraph(3, 16)
         blk = make_block(H, range(14), a=2, ell=1, good_cap=0)
-        assert blk.lowest_absorbing_slot(H, 15) == 0
-        assert blk.lowest_absorbing_slot(H, 2) == 1  # 2 sits in slot 0
+        assert blk.lowest_absorbing_slot(15) == 0
+        assert blk.lowest_absorbing_slot(2) == 1  # 2 sits in slot 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_slot_sets_agree_with_the_definitional_check(self, seed):
+        # absorb reads a block's kept slot sets; is_absorber_for is the
+        # reference, on hosts that hold the block's windows so both slots are
+        # tight paths
+        rng = random.Random(seed)
+        seq = rng.sample(range(16), 14)
+        edges = {e for e in itertools.combinations(range(16), 3) if rng.random() < 0.6}
+        edges |= {tuple(sorted(seq[i : i + 3])) for i in range(12)}
+        H = Hypergraph(3, 16, sorted(edges))
+        blk = make_block(H, seq, a=2, ell=1, good_cap=16)
+        for x in range(16):
+            want = [i for i, slot in enumerate(blk.absorber_slots) if is_absorber_for(H, slot, x)]
+            assert blk.absorbs(x) == bool(want)
+            if want:
+                assert blk.lowest_absorbing_slot(x) == want[0]
 
     def test_lowest_absorbing_slot_error_when_nothing_absorbs(self):
         # host has only the path windows, so insertions never find their edges
         sparse = Hypergraph(3, 16, [tuple(range(i, i + 3)) for i in range(12)])
         blk = make_block(sparse, range(14), a=2, ell=1, good_cap=16)
         with pytest.raises(AbsorbingError):
-            blk.lowest_absorbing_slot(sparse, 15)
+            blk.lowest_absorbing_slot(15)
 
     def test_size_validation(self):
         H = complete_hypergraph(3, 14)
@@ -145,13 +162,11 @@ class TestBuildStructure:
     def test_block_larger_than_path_is_a_parameter_error(self):
         H = complete_hypergraph(3, 20)
         with pytest.raises(AbsorbingParamError, match="14"):
-            build_absorbing_structure(H, H, {"L": 12, "a": 2, "ell": 1, "theta": 0.5})
+            build_absorbing_structure(H, range(20), 12, 2, 1, 0.5)
 
     def test_working_desk_parameters(self):
         H = complete_hypergraph(3, 24)
-        S = build_absorbing_structure(
-            H, H, {"L": 14, "a": 2, "ell": 1, "theta": 0.4}, seed=0
-        )
+        S = build_absorbing_structure(H, range(24), 14, 2, 1, 0.4, seed=0)
         assert len(S.paths) == 1 and len(S.paths[0]) == 14
         assert S.capacity == 1
         assert S.sigma == {0: 1}
@@ -159,61 +174,45 @@ class TestBuildStructure:
         assert rec.offset == 0 and rec.block.good
         assert rec.block.bad_vertices == frozenset()
         # every ambient vertex is absorbable by the block
-        assert all(rec.block.absorbs(H, x) or x in rec.block.seq is None for x in range(24))
+        assert all(rec.block.absorbs(x) or x in rec.block.seq is None for x in range(24))
 
     def test_theta_zero_gives_empty_structure(self):
         H = complete_hypergraph(3, 24)
-        S = build_absorbing_structure(H, H, {"L": 14, "a": 2, "ell": 1, "theta": 0.0})
+        S = build_absorbing_structure(H, range(24), 14, 2, 1, 0.0)
         assert S.paths == () and S.capacity == 0
 
     def test_deterministic_under_seed(self):
         H = complete_hypergraph(3, 24)
-        params = {"L": 14, "a": 2, "ell": 1, "theta": 0.4}
-        S1 = build_absorbing_structure(H, H, params, seed=5)
-        S2 = build_absorbing_structure(H, H, params, seed=5)
+        S1 = build_absorbing_structure(H, range(24), 14, 2, 1, 0.4, seed=5)
+        S2 = build_absorbing_structure(H, range(24), 14, 2, 1, 0.4, seed=5)
         assert [P.seq for P in S1.paths] == [P.seq for P in S2.paths]
 
     def test_induced_subgraph_hosting(self):
         H_plus = complete_hypergraph(3, 26)
-        H = H_plus.induced(range(24))
-        S = build_absorbing_structure(
-            H_plus, H, {"L": 14, "a": 2, "ell": 1, "theta": 0.4}, seed=1
-        )
+        S = build_absorbing_structure(H_plus, range(24), 14, 2, 1, 0.4, seed=1)
         assert S.vertex_set <= set(range(24))
         # vertices 24, 25 live only in H_plus yet must be absorbable
-        assert all(S.blocks[0].block.absorbs(H_plus, x) for x in (24, 25))
+        assert all(S.blocks[0].block.absorbs(x) for x in (24, 25))
 
     def test_host_that_is_itself_induced(self):
-        # H_plus carries parent ids of its own; H's ids must map into H_plus
+        # H_plus carries parent ids of its own; U is in H_plus's labels
         H_plus = complete_hypergraph(3, 16).induced(range(1, 16))
-        H = H_plus.induced(range(3, 15))
-        S = build_absorbing_structure(
-            H_plus, H, {"L": 6, "a": 1, "ell": 0, "theta": 0.4}, seed=0
-        )
+        S = build_absorbing_structure(H_plus, range(3, 15), 6, 1, 0, 0.4, seed=0)
         assert S.paths
         assert S.vertex_set <= set(range(3, 15))
 
-    def test_not_induced_rejected(self):
-        H_plus = complete_hypergraph(3, 20)
-        H = complete_hypergraph(3, 18).remove_edges([(0, 1, 2)])
-        with pytest.raises(AbsorbingParamError, match="induced"):
-            build_absorbing_structure(H_plus, H, {"L": 14, "a": 2, "ell": 1, "theta": 0.4})
-
     def test_t_star_multiple_of_L(self):
+        # t_star is the least multiple of L at or above max(k+1, n^(1/3))
         H = complete_hypergraph(3, 24)
-        with pytest.raises(AbsorbingParamError, match="multiple"):
-            build_absorbing_structure(
-                H, H, {"L": 14, "a": 2, "ell": 1, "theta": 0.4, "t_star": 15}
-            )
+        S = build_absorbing_structure(H, range(24), 14, 2, 1, 0.4, seed=0)
+        assert S.params["t_star"] == 14
 
     def test_retry_exhaustion_reports_failed_item(self):
         # an 18-vertex host cannot host a 14-path and still absorb: theta
         # demands more blocks than a single path can carry
         H = complete_hypergraph(3, 18)
         with pytest.raises(AbsorbingFailure) as exc:
-            build_absorbing_structure(
-                H, H, {"L": 14, "a": 2, "ell": 1, "theta": 0.9, "retries": 3}, seed=0
-            )
+            build_absorbing_structure(H, range(18), 14, 2, 1, 0.9, seed=0)
         assert exc.value.item_failures
 
     def test_each_residual_is_weighted_once_per_build(self, monkeypatch):
@@ -230,14 +229,12 @@ class TestBuildStructure:
         monkeypatch.setattr(absorbing, "pipeline_weighting", counting)
         H = complete_hypergraph(3, 18)
         with pytest.raises(AbsorbingFailure, match="after 3 attempts"):
-            build_absorbing_structure(
-                H, H, {"L": 14, "a": 2, "ell": 1, "theta": 0.9, "retries": 3}, seed=0
-            )
+            build_absorbing_structure(H, range(18), 14, 2, 1, 0.9, seed=0)
         assert weighted == [tuple(range(18))]
 
     def test_structure_dump(self):
         H = complete_hypergraph(3, 24)
-        S = build_absorbing_structure(H, H, {"L": 14, "a": 2, "ell": 1, "theta": 0.4}, seed=0)
+        S = build_absorbing_structure(H, range(24), 14, 2, 1, 0.4, seed=0)
         doc = S.as_dict()
         assert doc["capacity"] == 1
         assert doc["blocks"][0]["bad_vertex_count"] == 0
@@ -281,7 +278,7 @@ class TestDisjointMatchings:
 class TestAbsorb:
     def build(self, n=24, seed=0):
         H = complete_hypergraph(3, n)
-        S = build_absorbing_structure(H, H, {"L": 14, "a": 2, "ell": 1, "theta": 0.4}, seed=seed)
+        S = build_absorbing_structure(H, range(n), 14, 2, 1, 0.4, seed=seed)
         return H, S
 
     def test_single_vertex_insertion(self):
@@ -302,7 +299,7 @@ class TestAbsorb:
 
     def test_empty_x_on_empty_structure(self):
         H = complete_hypergraph(3, 24)
-        S = build_absorbing_structure(H, H, {"L": 14, "a": 2, "ell": 1, "theta": 0.0})
+        S = build_absorbing_structure(H, range(24), 14, 2, 1, 0.0)
         res = absorb(S, [], seed=0)
         assert res.paths == () and res.assignment == {}
 

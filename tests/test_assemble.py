@@ -15,13 +15,13 @@ from cyclefactors.assemble import (
     LayerFailure,
     PackBudgetError,
     Profile,
-    Reservoir,
     ReservoirError,
     UsageLedger,
     as_profile,
     build_reservoir,
     check_target,
     connect,
+    connectors,
     layer_transform,
     pack_factors,
 )
@@ -63,7 +63,7 @@ def k12_pack_inputs(seed, r=2):
     reserve = sparsify_intersecting(H, 0.5, uniform_weighting(H), seed)
     rest = H.remove_edges(reserve.edges)
     frac = fractional_cycle_decomposition(rest, 6, seed=seed, per_edge=20)
-    ext = extract_cycle_collections(rest, frac, r, seed=seed, gates={"mu": 0.2})
+    ext = extract_cycle_collections(rest, frac, r, seed=seed, mu=0.2)
     assert ext.ok
     return H, reserve, ext.collections
 
@@ -125,26 +125,20 @@ class TestProfile:
 class TestBuildReservoir:
     def test_small_vertex_pool_takes_everything(self):
         F = complete_hypergraph(3, 10)
-        res = build_reservoir(F, 0.4, 2, 3, seed=0, inside=range(5))
-        assert res.mode == "take-all"
-        assert sorted(res.R) == [0, 1, 2, 3, 4]
-        assert res.report["audit"] == "skipped"
+        R = build_reservoir(F, 0.4, 2, 3, seed=0, inside=range(5))
+        assert R == frozenset(range(5))
 
     def test_sampled_mode_lands_in_the_size_window(self):
         F = complete_hypergraph(3, 14)
-        res = build_reservoir(F, 0.4, 2, 4, seed=0, audit_pairs=50)
-        assert res.mode == "sampled"
-        lo, hi = res.report["window"]
-        assert (lo, hi) == (math.floor(0.4 * 14 / 2), math.ceil(0.4 * 14))
-        assert lo <= len(res) <= hi
-        assert "rho_off" in res.report
-        assert res.R <= set(range(14))
+        R = build_reservoir(F, 0.4, 2, 4, seed=0)
+        lo, hi = math.floor(0.4 * 14 / 2), math.ceil(0.4 * 14)
+        assert lo <= len(R) <= hi
+        assert R <= set(range(14))
 
     def test_beta_one_window_is_the_upper_half(self):
         F = complete_hypergraph(3, 9)
-        res = build_reservoir(F, 1.0, 2, 3, seed=0)
-        assert res.report["window"] == [4, 9]
-        assert 4 <= len(res) <= 9
+        R = build_reservoir(F, 1.0, 2, 3, seed=0)
+        assert 4 <= len(R) <= 9
 
     def test_parameter_validation(self):
         F = complete_hypergraph(3, 9)
@@ -157,54 +151,49 @@ class TestBuildReservoir:
         with pytest.raises(Exception, match="vertex"):
             build_reservoir(F, 0.4, 2, 3, inside=[0, 9])
 
-    def test_failure_names_the_violated_property(self):
+    def test_failure_names_the_violated_property(self, monkeypatch):
         # seed 8's first draw has |R| = 5, above the window [1, 4]
+        monkeypatch.setattr(assemble, "RESERVOIR_SAMPLES", 1)
         F = complete_hypergraph(3, 9)
         with pytest.raises(ReservoirError) as info:
-            build_reservoir(F, 0.4, 2, 3, seed=8, retries=1)
+            build_reservoir(F, 0.4, 2, 3, seed=8)
         assert info.value.property_name == "size"
 
     def test_inside_edges_are_listed_once_for_every_audit(self, monkeypatch):
-        # this host's reservoir is accepted on its 50th audited sample
+        # this host's reservoir is accepted on its 41st audited sample
         rng = random.Random(4)
         F = Hypergraph(3, 12, [e for e in itertools.combinations(range(12), 3) if rng.random() < 0.6])
         seen = []
         audit = assemble._audit_reservoir
 
-        def spy(res, edges, *args):
+        def spy(F, R, beta, ell0, ell1, edges, rng):
             seen.append(edges)
-            return audit(res, edges, *args)
+            return audit(F, R, beta, ell0, ell1, edges, rng)
 
         monkeypatch.setattr(assemble, "_audit_reservoir", spy)
-        res = build_reservoir(F, 0.4, 2, 3, seed=43, inside=range(1, 12))
-        assert res.mode == "sampled"
-        assert len(seen) == 50
+        R = build_reservoir(F, 0.4, 2, 3, seed=43, inside=range(1, 12))
+        assert len(R) < 11
+        assert len(seen) == 41
         assert all(edges is seen[0] for edges in seen)
         assert seen[0] == [e for e in F.edges if set(e) <= set(range(1, 12))]
 
     def test_reservoir_is_immutable(self):
         F = complete_hypergraph(3, 10)
-        res = build_reservoir(F, 0.4, 2, 3, seed=0, inside=range(5))
+        R = build_reservoir(F, 0.4, 2, 3, seed=0, inside=range(5))
         with pytest.raises(AttributeError):
-            res.beta = 0.9
-
-    def test_as_dict_is_json_serializable(self):
-        F = complete_hypergraph(3, 10)
-        res = build_reservoir(F, 0.4, 2, 3, seed=0, inside=range(5))
-        doc = json.loads(json.dumps(res.as_dict()))
-        assert doc["mode"] == "take-all"
-        assert doc["R"] == [0, 1, 2, 3, 4]
+            R.add(9)
 
 
 class TestPathsBetween:
+    """``connectors``: every connector between two ordered end edges."""
+
     def mixed_window_host(self):
         drop = [(2, 3, 4), (3, 4, 5), (2, 4, 5), (2, 7, 8), (3, 8, 9), (4, 5, 9), (0, 5, 9)]
         F = complete_hypergraph(3, 10).remove_edges(drop)
-        res = build_reservoir(F, 0.5, 1, 3, seed=0, inside=range(6))
-        return F, res
+        return F, frozenset(range(6))
 
     def test_matches_the_permutation_oracle(self, monkeypatch):
-        F, res = self.mixed_window_host()
+        F, R = self.mixed_window_host()
         s, t = (6, 7, 8), (9, 0, 1)
         counts = {}
         for lam in (1, 2, 3):
@@ -213,10 +202,10 @@ class TestPathsBetween:
             monkeypatch.setattr(
                 Hypergraph, "has_edge", lambda H, e: probes.append(e) or has_edge(H, e)
             )
-            got = list(res.paths_between(s, t, lam))
+            got = list(connectors(F, R, s, t, lam))
             monkeypatch.undo()
             assert probes == []
-            pool = sorted(res.R - set(s) - set(t))
+            pool = sorted(R - set(s) - set(t))
             oracle = []
             for inner in itertools.permutations(pool, lam):
                 seq = s + inner + t
@@ -231,71 +220,71 @@ class TestPathsBetween:
         assert counts == {1: (1, 4), 2: (6, 12), 3: (3, 24)}
 
     def test_every_connector_glues_into_a_tight_path(self):
-        F, res = self.mixed_window_host()
+        F, R = self.mixed_window_host()
         s, t = (6, 7, 8), (9, 0, 1)
         for lam in (1, 2, 3):
-            for inner in res.paths_between(s, t, lam):
+            for inner in connectors(F, R, s, t, lam):
                 assert is_tight_path(F, s + inner + t)
 
     def test_overlapping_endpoints_have_no_connectors(self):
-        _, res = self.mixed_window_host()
-        assert res.paths_between((6, 7, 0), (0, 1, 9), 1) == ()
+        F, R = self.mixed_window_host()
+        assert list(connectors(F, R, (6, 7, 0), (0, 1, 9), 1)) == []
 
     def test_at_least_one_inner_vertex_is_required(self):
-        _, res = self.mixed_window_host()
+        F, R = self.mixed_window_host()
         with pytest.raises(AssembleParamError, match="inner"):
-            res.paths_between((6, 7, 8), (9, 0, 1), 0)
+            connect(F, R, [((6, 7, 8), (9, 0, 1))], [0])
 
 
 class TestConnect:
     def take_all(self, n, pool):
         F = complete_hypergraph(3, n)
-        return build_reservoir(F, 0.5, 2, 3, seed=0, inside=pool)
+        return F, build_reservoir(F, 0.5, 2, 3, seed=0, inside=pool)
 
     def test_no_pairs_yields_no_connectors(self):
-        res = self.take_all(10, range(4))
-        assert connect([], [], res) == []
+        F, R = self.take_all(10, range(4))
+        assert connect(F, R, [], []) == []
 
     def test_single_pair_on_a_complete_host(self):
-        res = self.take_all(10, range(4))
-        out = connect([((4, 5, 6), (7, 8, 9))], [2], res, seed=0)
+        F, R = self.take_all(10, range(4))
+        out = connect(F, R, [((4, 5, 6), (7, 8, 9))], [2], seed=0)
         assert out == [(2, 0)]
-        assert is_tight_path(res.host, (4, 5, 6) + out[0] + (7, 8, 9))
+        assert is_tight_path(F, (4, 5, 6) + out[0] + (7, 8, 9))
 
     def test_same_seed_same_connectors(self):
-        res = self.take_all(10, range(4))
+        F, R = self.take_all(10, range(4))
         Q = [((4, 5, 6), (7, 8, 9))]
-        assert connect(Q, [2], res, seed=5) == connect(Q, [2], res, seed=5)
+        assert connect(F, R, Q, [2], seed=5) == connect(F, R, Q, [2], seed=5)
 
     def test_connectors_are_disjoint_from_each_other_and_all_endpoints(self):
-        res = self.take_all(18, range(6))
+        F, R = self.take_all(18, range(6))
         Q = [((6, 7, 8), (9, 10, 11)), ((12, 13, 14), (15, 16, 17))]
         for seed in range(10):
-            w0, w1 = connect(Q, [2, 2], res, seed=seed)
+            w0, w1 = connect(F, R, Q, [2, 2], seed=seed)
             assert not set(w0) & set(w1)
-            assert (set(w0) | set(w1)) <= res.R
+            assert (set(w0) | set(w1)) <= R
 
     def test_exhausted_pool_names_the_failing_pair(self):
-        res = self.take_all(14, (0, 1))
+        F, R = self.take_all(14, (0, 1))
         Q = [((2, 3, 4), (5, 6, 7)), ((8, 9, 10), (11, 12, 13))]
         with pytest.raises(ConnectionFailure) as info:
-            connect(Q, [2, 2], res, seed=0)
+            connect(F, R, Q, [2, 2], seed=0)
         assert info.value.pair_index == 1
 
     def test_parameter_validation(self):
-        res = self.take_all(10, range(4))
+        F, R = self.take_all(10, range(4))
         with pytest.raises(AssembleParamError, match="one budget"):
-            connect([((4, 5, 6), (7, 8, 9))], [2, 2], res)
+            connect(F, R, [((4, 5, 6), (7, 8, 9))], [2, 2])
         with pytest.raises(AssembleParamError, match="k vertices"):
-            connect([((4, 5), (7, 8, 9))], [2], res)
+            connect(F, R, [((4, 5), (7, 8, 9))], [2])
         with pytest.raises(AssembleParamError, match="share"):
-            connect([((4, 5, 6), (6, 8, 9))], [2], res)
+            connect(F, R, [((4, 5, 6), (6, 8, 9))], [2])
         with pytest.raises(AssembleParamError, match="pairwise disjoint"):
             connect(
-                [((4, 5, 6), (7, 8, 9)), ((4, 1, 2), (3, 0, 9))], [2, 2], res
+                F, R, [((4, 5, 6), (7, 8, 9)), ((4, 1, 2), (3, 0, 9))], [2, 2]
             )
-        with pytest.raises(AssembleParamError, match="budget"):
-            connect([((4, 5, 6), (7, 8, 9))], [5], res)
+        with pytest.raises(AssembleParamError, match="inner"):
+            connect(F, R, [((4, 5, 6), (7, 8, 9))], [0])
 
 
 class TestLayerTransform:

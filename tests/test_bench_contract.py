@@ -5,7 +5,10 @@ bench/tracer.py patches ``cover.linprog`` from outside and reads the column
 count from its first positional argument and the nonzeros from ``A_eq``; a
 refactor that moved the solve elsewhere would make it report zeros.  It
 counts ``assemble.layer_transform`` calls and reads the stage log of each
-result or LayerFailure, which the manifest must list in full.
+result or LayerFailure, which the manifest must list in full.  It also
+times the layer's building blocks by name (``assemble.build_reservoir``,
+``assemble.connect``, ``assemble.build_absorbing_structure``), which a
+traced wide-leftover call must reach.
 """
 
 import json
@@ -33,7 +36,9 @@ def test_traced_k12_call_counts_the_cover_lp(tmp_path, monkeypatch):
     assert metrics["cover.family_size"] > 0
 
 
-def test_manifest_failure_counts_equal_the_tracer(tmp_path, monkeypatch):
+def traced_decompose(tmp_path, monkeypatch, *extra):
+    """One traced K_12^(3) two-Hamilton decompose call, program seed 0: the
+    exit code, the manifest and the tracer's metrics."""
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     from tracer import LAYER_STAGES, Tracer, installed
 
@@ -45,12 +50,12 @@ def test_manifest_failure_counts_equal_the_tracer(tmp_path, monkeypatch):
         tracer.active = True
         code = cli.main(
             ["decompose", str(host), "--targets", "12;12", "--seed", "0",
-             "--normalize-timings", "-q", "--output", str(out)]
+             "--normalize-timings", "-q", "--output", str(out), *extra]
         )
         tracer.active = False
-    assert code == cli.EXIT_OK
-    layers = json.loads(out.read_text())["manifest"]["layers"]
+    manifest = json.loads(out.read_text())["manifest"]
     metrics = tracer.metrics()
+    layers = manifest["layers"]
     for stage in LAYER_STAGES:
         logged = sum(
             entry["stage"] == stage for layer in layers for entry in layer["failed_stages"]
@@ -58,3 +63,22 @@ def test_manifest_failure_counts_equal_the_tracer(tmp_path, monkeypatch):
         assert logged == metrics["assemble.layer_failed." + stage], stage
     assert metrics["assemble.layer_calls"] == len(layers)
     assert all(layer["attempts"] == len(layer["failed_stages"]) + 1 for layer in layers)
+    return code, manifest, metrics
+
+
+def test_manifest_failure_counts_equal_the_tracer(tmp_path, monkeypatch):
+    code, _, _ = traced_decompose(tmp_path, monkeypatch)
+    assert code == cli.EXIT_OK
+
+
+def test_traced_wide_leftover_call_reaches_the_layer_building_blocks(tmp_path, monkeypatch):
+    # the k12-wide-leftover workload's seed 0: leftovers above 2k run sampled
+    # reservoirs, connectors and absorbing builds
+    code, manifest, metrics = traced_decompose(
+        tmp_path, monkeypatch, "--set", "delta=0.7", "--set", "theta=0.4"
+    )
+    assert code == cli.EXIT_OK
+    assert manifest["failed_layer"] is None
+    assert metrics["assemble.reservoir_calls"] >= 1
+    assert metrics["assemble.connect_calls"] >= 1
+    assert metrics["absorbing.build_calls"] >= 1

@@ -289,6 +289,20 @@ class TestCover:
             assert all(len(C) == 6 for C in coll)
             assert len(set().union(*(C.vertex_set for C in coll))) == coverage
 
+    def test_r_prime_leaves_the_collection_count_alone(self, tmp_path):
+        # r_prime is the in-layer cover's choice count; --collections
+        # defaults to 3 on its own
+        host = write_host(tmp_path, complete_hypergraph(3, 12))
+        docs = []
+        for extra in ([], ["--set", "r_prime=1"]):
+            artifact = tmp_path / "cover.json"
+            assert main(["cover", host, "-q", "--output", str(artifact), *extra]) == EXIT_OK
+            docs.append(json.loads(artifact.read_text()))
+        for doc in docs:
+            assert doc["config"]["options"]["collections"] == 3
+            assert doc["coverages"] == [12, 12, 12]
+        assert docs[0]["collections"] == docs[1]["collections"]
+
 
 @pytest.mark.parametrize(
     "command,flag",
@@ -348,9 +362,10 @@ class TestDecompose:
         real_absorbing = assemble.build_absorbing_structure
 
         def reservoir(*args, **kwargs):
-            res = real_reservoir(*args, **kwargs)
-            reached.append(res.mode)
-            return res
+            R = real_reservoir(*args, **kwargs)
+            if len(R) < len(kwargs["inside"]):
+                reached.append("sampled")
+            return R
 
         def absorbing(*args, **kwargs):
             reached.append("absorbing")

@@ -13,7 +13,6 @@ from cyclefactors.cover import (
     FractionalCycleDecomposition,
     _enumerate_all,
     cycles_through_edge,
-    enumerate_tight_cycles,
     extract_cycle_collections,
     fractional_cycle_decomposition,
     open_cycle,
@@ -53,7 +52,7 @@ def k12_frac():
 class TestEnumeration:
     def test_k5_hamilton_cycles(self):
         # (5-1)!/2 cyclic orders up to rotation and reflection
-        cycles = enumerate_tight_cycles(complete_hypergraph(3, 5), 5)
+        cycles = _enumerate_all(complete_hypergraph(3, 5), 5, None)
         assert len(cycles) == 12
         assert len({C.canonical() for C in cycles}) == 12
         for C in cycles:
@@ -61,7 +60,7 @@ class TestEnumeration:
 
     def test_k5_four_cycles_match_permutation_oracle(self):
         H = complete_hypergraph(3, 5)
-        cycles = enumerate_tight_cycles(H, 4)
+        cycles = _enumerate_all(H, 4, None)
         forms = set()
         for sub in itertools.combinations(range(5), 4):
             for p in itertools.permutations(sub):
@@ -72,19 +71,18 @@ class TestEnumeration:
 
     def test_every_result_is_a_tight_cycle(self):
         H = complete_hypergraph(3, 6)
-        for C in enumerate_tight_cycles(H, 5):
+        for C in _enumerate_all(H, 5, None):
             assert is_tight_cycle(H, C.seq)
 
     def test_cap_exceeded(self):
-        with pytest.raises(CoverError):
-            enumerate_tight_cycles(complete_hypergraph(3, 8), 8, cap=10)
+        assert _enumerate_all(complete_hypergraph(3, 8), 8, 10) is None
 
     def test_length_bounds(self):
         H = complete_hypergraph(3, 6)
-        with pytest.raises(CoverError):
-            enumerate_tight_cycles(H, 3)
-        with pytest.raises(CoverError):
-            enumerate_tight_cycles(H, 7)
+        with pytest.raises(CoverError, match="below the minimum"):
+            fractional_cycle_decomposition(H, 3)
+        with pytest.raises(CoverError, match="exceeds the host order"):
+            fractional_cycle_decomposition(H, 7)
 
 
 class TestCyclesThroughEdge:
@@ -149,13 +147,13 @@ class TestFractionalDecomposition:
 
     def test_family_missing_an_edge_is_infeasible(self):
         H = complete_hypergraph(3, 5)
-        one = enumerate_tight_cycles(H, 5)[:1]
+        one = _enumerate_all(H, 5, None)[:1]
         with pytest.raises(DecompositionError):
             fractional_cycle_decomposition(H, 5, family=one)
 
     def test_explicit_family_route(self):
         H = complete_hypergraph(3, 5)
-        frac = fractional_cycle_decomposition(H, 5, family=enumerate_tight_cycles(H, 5))
+        frac = fractional_cycle_decomposition(H, 5, family=_enumerate_all(H, 5, None))
         assert len(frac) == 12
 
     def test_sampled_family_covers_k12(self, k12_frac):
@@ -180,7 +178,7 @@ class TestMaxminAgainstInequalityForm:
         rng = random.Random(seed)
         H = complete_hypergraph(k, n)
         G = H.remove_edges(rng.sample(list(H.edges), 2))
-        cycles = enumerate_tight_cycles(G, L)
+        cycles = _enumerate_all(G, L, None)
         family = rng.sample(cycles, min(len(cycles), 6 * G.m))
         z = check_against_oracle(edge_cycle_incidence(G, family))
         if z is not None and z > 0:
@@ -192,14 +190,14 @@ class TestMaxminAgainstInequalityForm:
 class TestDecompositionValidation:
     def test_exact_fraction_weights(self):
         H = complete_hypergraph(3, 5)
-        cycles = enumerate_tight_cycles(H, 5)
+        cycles = _enumerate_all(H, 5, None)
         frac = FractionalCycleDecomposition(H, {C: Fraction(1, 6) for C in cycles})
         assert frac.min_weight() == Fraction(1, 6)
         assert frac.per_edge_sum((0, 1, 2)) == 1.0
 
     def test_nonpositive_weight_rejected(self):
         H = complete_hypergraph(3, 5)
-        cycles = enumerate_tight_cycles(H, 5)
+        cycles = _enumerate_all(H, 5, None)
         weights = {C: Fraction(1, 6) for C in cycles}
         weights[cycles[0]] = 0
         with pytest.raises(CoverError):
@@ -207,13 +205,13 @@ class TestDecompositionValidation:
 
     def test_wrong_sum_rejected(self):
         H = complete_hypergraph(3, 5)
-        cycles = enumerate_tight_cycles(H, 5)
+        cycles = _enumerate_all(H, 5, None)
         with pytest.raises(CoverError):
             FractionalCycleDecomposition(H, {C: Fraction(1, 5) for C in cycles})
 
     def test_mixed_lengths_rejected(self):
         H = complete_hypergraph(3, 6)
-        mix = [enumerate_tight_cycles(H, 5)[0], enumerate_tight_cycles(H, 6)[0]]
+        mix = [_enumerate_all(H, 5, None)[0], _enumerate_all(H, 6, None)[0]]
         with pytest.raises(CoverError):
             FractionalCycleDecomposition(H, {C: 1 for C in mix})
 
@@ -240,11 +238,10 @@ class TestExtraction:
         assert [len(c) for c in res] == [1, 1]
         validate_collections(H, res.collections)
 
-    def test_coverage_max_gate_packs_single_cycles(self, k12_frac):
+    def test_ten_cycles_pack_one_per_collection(self, k12_frac):
+        # no two 10-cycles fit in 12 vertices
         H = k12_frac.host
-        res = extract_cycle_collections(
-            H, k12_frac, 3, seed=7, gates={"coverage_max": 10}
-        )
+        res = extract_cycle_collections(H, k12_frac, 3, seed=7)
         assert res.ok
         assert res.coverages() == [10, 10, 10]
         validate_collections(H, res.collections)
@@ -252,9 +249,7 @@ class TestExtraction:
     def test_unreachable_gate_returns_partial_with_diagnostics(self, k12_frac):
         # a 10-cycle cannot span 12 vertices, so requiring full coverage fails
         H = k12_frac.host
-        res = extract_cycle_collections(
-            H, k12_frac, 1, seed=0, gates={"coverage_min": 12}, retries=3
-        )
+        res = extract_cycle_collections(H, k12_frac, 1, seed=0, mu=0.0, retries=3)
         assert not res.ok
         assert len(res.collections) == 1
         assert len(res.diagnostics) == 3
@@ -271,18 +266,19 @@ class TestExtraction:
         assert extract_cycle_collections(k12_frac.host, k12_frac, 0).returned is None
 
     def test_unknown_gate_rejected(self, k12_frac):
-        with pytest.raises(CoverError):
-            extract_cycle_collections(k12_frac.host, k12_frac, 1, gates={"typo": 1})
+        # mu is the one coverage gate; there is no mapping of others
+        with pytest.raises(TypeError):
+            extract_cycle_collections(k12_frac.host, k12_frac, 1, gates={"mu": 0.2})
 
     @pytest.mark.parametrize("gate", ["cap_lo", "cap_con"])
     def test_type_cap_gates_are_gone(self, k12_frac, gate):
-        with pytest.raises(CoverError, match="unknown gate"):
-            extract_cycle_collections(k12_frac.host, k12_frac, 1, gates={gate: 1.0})
+        with pytest.raises(TypeError):
+            extract_cycle_collections(k12_frac.host, k12_frac, 1, **{gate: 1.0})
 
     def test_same_seed_same_output(self, k12_frac):
         H = k12_frac.host
-        a = extract_cycle_collections(H, k12_frac, 2, seed=5, gates={"coverage_max": 10})
-        b = extract_cycle_collections(H, k12_frac, 2, seed=5, gates={"coverage_max": 10})
+        a = extract_cycle_collections(H, k12_frac, 2, seed=5)
+        b = extract_cycle_collections(H, k12_frac, 2, seed=5)
         assert [[C.canonical() for C in coll] for coll in a] == [
             [C.canonical() for C in coll] for coll in b
         ]
@@ -356,18 +352,14 @@ class TestExtractionAgainstRescan:
         frac = fractional_cycle_decomposition(H, L, seed=host_seed)
         for seed in range(3):
             check_against_rescan(H, frac, r, seed=seed, retries=4)
-            check_against_rescan(
-                H, frac, r, seed=seed, retries=2, gates={"coverage_max": n - 1}
-            )
+            check_against_rescan(H, frac, r, seed=seed, retries=2, mu=0.0)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_unreachable_gate_runs_every_retry(self, seed, check_against_rescan):
         # 6-cycles cover 6 vertices of 9 at most, never all 9
         H = random_host(3, 9, 0.8, 0)
         frac = fractional_cycle_decomposition(H, 6, seed=0)
-        res = check_against_rescan(
-            H, frac, 2, seed=seed, retries=5, gates={"coverage_min": 9}
-        )
+        res = check_against_rescan(H, frac, 2, seed=seed, retries=5, mu=0.0)
         assert not res.ok
         assert res.attempts == 5
         assert len(res.diagnostics) == 5
@@ -376,7 +368,7 @@ class TestExtractionAgainstRescan:
     def test_sampled_k12_family(self, k12_frac, seed, check_against_rescan):
         H = k12_frac.host
         check_against_rescan(H, k12_frac, 2, seed=seed)
-        check_against_rescan(H, k12_frac, 3, seed=seed, gates={"coverage_max": 10})
+        check_against_rescan(H, k12_frac, 3, seed=seed, mu=0.5)
 
     def test_reads_each_cycle_once_plus_per_pick(self, k12_frac, monkeypatch):
         # a full rescan reads every surviving candidate on every pick

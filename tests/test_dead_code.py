@@ -3,7 +3,8 @@ every module reads every name it imports.
 
 A name counts as used when some module under src/, tests/, demos/ or bench/
 mentions it outside its own definition: as a name, an attribute, an imported
-alias or a string (the benchmark patches functions by name). A method (a
+alias or a string (the benchmark patches functions by name). A string in a
+module's ``__all__`` does not count: exporting a name does not use it. A method (a
 function defined in a class body) counts only through an attribute read
 (``x.name``) or a string: a bare variable of the same spelling does not call
 it. Names match by spelling alone, so a method counts as used when any
@@ -56,6 +57,10 @@ class _Mentions(ast.NodeVisitor):
         self.enclosing.pop()
 
     visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _definition
+
+    def visit_Assign(self, node):
+        if not any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            self.generic_visit(node)
 
     def _mention(self, name, into):
         if name not in self.enclosing:
