@@ -61,7 +61,6 @@ from .absorbing import (
     absorb,
 )
 from .cover import (
-    FractionalCycleDecomposition,
     fractional_cycle_decomposition,
     extract_cycle_collections,
 )

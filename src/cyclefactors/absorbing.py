@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .fractional import FractionalError, pipeline_weighting
 from .hypergraph import Hypergraph
@@ -167,16 +167,17 @@ class BlockRecord:
 
 
 class AbsorbingStructure:
-    """Disjoint L-paths plus the registry of good blocks found inside them."""
+    """Disjoint L-paths plus the registry of good blocks found inside them;
+    ``ell`` is the number of spacer vertices after each block slot."""
 
-    __slots__ = ("host", "paths", "blocks", "sigma", "capacity", "params")
+    __slots__ = ("host", "paths", "blocks", "sigma", "capacity", "ell")
 
     def __init__(
         self,
         host: Hypergraph,
         paths: Sequence[TightPath],
         blocks: Sequence[BlockRecord],
-        params: Mapping,
+        ell: int,
     ):
         paths = tuple(paths)
         blocks = tuple(blocks)
@@ -202,7 +203,7 @@ class AbsorbingStructure:
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "capacity", len(blocks))
-        object.__setattr__(self, "params", dict(params))
+        object.__setattr__(self, "ell", ell)
 
     def __setattr__(self, name, value):
         raise AttributeError("AbsorbingStructure is immutable")
@@ -224,24 +225,7 @@ class AbsorbingStructure:
             for rec in self.blocks
             if rec.path_index in remap
         ]
-        return AbsorbingStructure(self.host, paths, blocks, self.params)
-
-    def as_dict(self) -> dict:
-        return {
-            "params": dict(self.params),
-            "paths": [list(P.seq) for P in self.paths],
-            "blocks": [
-                {
-                    "path": rec.path_index,
-                    "offset": rec.offset,
-                    "slots": [list(s) for s in rec.block.absorber_slots],
-                    "bad_vertex_count": len(rec.block.bad_vertices),
-                }
-                for rec in self.blocks
-            ],
-            "sigma": {str(i): s for i, s in sorted(self.sigma.items())},
-            "capacity": self.capacity,
-        }
+        return AbsorbingStructure(self.host, paths, blocks, self.ell)
 
 
 def build_absorbing_structure(
@@ -303,7 +287,7 @@ def build_absorbing_structure(
 
     rng = random.Random(seed)
     failures: List[str] = []
-    for attempt in range(1, ATTEMPTS + 1):
+    for _ in range(ATTEMPTS):
         result = _construction_attempt(
             H_plus, ids, L, a, ell, t_star, s_star, cap_bad, rng, weigh
         )
@@ -331,20 +315,7 @@ def build_absorbing_structure(
                 issues.append(f"(iv) a block has {len(rec.block.bad_vertices)} bad vertices > {cap_bad}")
                 break
         if not issues:
-            return AbsorbingStructure(
-                H_plus,
-                paths,
-                blocks,
-                {
-                    "L": L,
-                    "a": a,
-                    "ell": ell,
-                    "theta": theta,
-                    "t_star": t_star,
-                    "s_star": s_star,
-                    "attempt": attempt,
-                },
-            )
+            return AbsorbingStructure(H_plus, paths, blocks, ell)
         failures = issues
     raise AbsorbingFailure(
         f"absorbing structure failed post-checks after {ATTEMPTS} attempts: "
@@ -536,7 +507,7 @@ def absorb(S: AbsorbingStructure, X: Iterable[int], seed: int = 0) -> Absorption
         x = xs[xi]
         rec = S.blocks[j]
         slot_i = rec.block.lowest_absorbing_slot(x)
-        pos = rec.offset + slot_i * (2 * H_plus.k + S.params["ell"]) + H_plus.k
+        pos = rec.offset + slot_i * (2 * H_plus.k + S.ell) + H_plus.k
         per_path.setdefault(rec.path_index, []).append((pos, x))
         assignment[x] = (rec.path_index, pos)
     phi: Dict[int, TightPath] = {}

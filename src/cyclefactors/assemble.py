@@ -21,7 +21,7 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .absorbing import (
@@ -59,7 +59,6 @@ __all__ = [
     "LayerResult",
     "UsageLedger",
     "PackResult",
-    "as_profile",
     "check_cover_length",
     "check_target",
     "build_reservoir",
@@ -86,11 +85,8 @@ class AssembleParamError(AssembleError):
 
 
 class ReservoirError(AssembleError):
-    """Raised when reservoir sampling exhausts retries; names the property."""
-
-    def __init__(self, message, property_name=""):
-        super().__init__(message)
-        self.property_name = property_name
+    """Raised when reservoir sampling exhausts retries; the message names the
+    last property a sample failed."""
 
 
 class ConnectionFailure(AssembleError):
@@ -182,9 +178,6 @@ class Profile:
         if self.layer_retries < 1:
             raise AssembleParamError("layer_retries must be positive")
 
-    def replace(self, **kw) -> "Profile":
-        return replace(self, **kw)
-
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
@@ -195,14 +188,6 @@ class Profile:
         if unknown:
             raise AssembleParamError(f"unknown profile key(s): {unknown}")
         return cls(**dict(m))
-
-
-def as_profile(params) -> Profile:
-    if params is None:
-        return Profile()
-    if isinstance(params, Profile):
-        return params
-    return Profile.from_mapping(params)
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +283,7 @@ def build_reservoir(
                 continue
         return R
     raise ReservoirError(
-        f"no reservoir after {RESERVOIR_SAMPLES} samples; last failure: {last_fail}",
-        property_name=last_fail.split()[0],
+        f"no reservoir after {RESERVOIR_SAMPLES} samples; last failure: {last_fail}"
     )
 
 
@@ -486,7 +470,7 @@ def layer_transform(
     F: Hypergraph,
     cycles,
     target,
-    params=None,
+    prof: Profile = Profile(),
     seed=0,
 ) -> LayerResult:
     """Transform a cycle collection plus reserve graph into a cycle factor.
@@ -500,7 +484,6 @@ def layer_transform(
     when all fail, LayerFailure carries the failed stage of each attempt.
     ``seed`` is an int or a ``random.Random`` whose stream the attempts use.
     """
-    prof = as_profile(params)
     if F.k != H.k or F.n != H.n:
         raise AssembleParamError("reserve graph must span the same vertex set")
     for e in F.edges:
@@ -675,11 +658,11 @@ def _attempt_layer(H, F, seqs, lengths, prof, rng):
         if r_p >= 1:
             try:
                 # small family cap: a per-edge sample keeps the solve cheap
-                frac = fractional_cycle_decomposition(
+                weights = fractional_cycle_decomposition(
                     F3, prof.L_prime, seed=rng.randrange(2**63), enumerate_cap=800
                 )
                 coll = extract_cycle_collections(
-                    F3, frac, r_p, seed=rng.randrange(2**63), mu=prof.mu
+                    F3, weights, r_p, seed=rng.randrange(2**63), mu=prof.mu
                 )
             except DecompositionError:
                 coll = None
@@ -1008,7 +991,7 @@ def pack_factors(
     F: Hypergraph,
     collections: Sequence,
     targets: Sequence,
-    params=None,
+    prof: Profile = Profile(),
     seed: int = 0,
 ) -> PackResult:
     """Emit edge-disjoint cycle factors, one per target shape.
@@ -1026,7 +1009,6 @@ def pack_factors(
     attempts ends the loop early with a partial result that keeps the
     failure's stage log.
     """
-    prof = as_profile(params)
     shapes = [check_target(target, H, prof) for target in targets]
     if len(targets) > len(collections):
         raise AssembleParamError(
@@ -1051,7 +1033,7 @@ def pack_factors(
         F_i = F.remove_edges(consumed) if consumed else F
         try:
             res = layer_transform(
-                H, F_i, collections[i], lengths, params=prof, seed=master
+                H, F_i, collections[i], lengths, prof=prof, seed=master
             )
         except LayerFailure as exc:
             failed_log = exc.stage_log

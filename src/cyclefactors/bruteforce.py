@@ -261,9 +261,7 @@ def walk_distribution(
 @dataclass(frozen=True)
 class PackingReport:
     ok: bool
-    factors: int
     reasons: Tuple[str, ...]
-    lengths: Tuple[Tuple[int, ...], ...]
 
     def __bool__(self):
         return self.ok
@@ -272,7 +270,6 @@ class PackingReport:
 def validate_packing(H: Hypergraph, factors: Iterable[CycleFactor]) -> PackingReport:
     """Structural check of a factor packing: tight cycles, per-factor spanning
     vertex-disjointness, and edge-disjointness across factors."""
-    factors = list(factors)
     reasons = []
     seen_edges: Dict[tuple, int] = {}
     for i, F in enumerate(factors):
@@ -294,10 +291,5 @@ def validate_packing(H: Hypergraph, factors: Iterable[CycleFactor]) -> PackingRe
                         f"edge {e} used by factors {seen_edges[e]} and {i}"
                     )
                 seen_edges[e] = i
-    return PackingReport(
-        ok=not reasons,
-        factors=len(factors),
-        reasons=tuple(reasons),
-        lengths=tuple(tuple(F.lengths()) for F in factors),
-    )
+    return PackingReport(ok=not reasons, reasons=tuple(reasons))
 

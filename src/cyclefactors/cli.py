@@ -45,6 +45,7 @@ from .assemble import (
 from .bruteforce import OracleError, reg_k, validate_packing, walk_distribution
 from .cover import (
     CoverError,
+    check_collections,
     extract_cycle_collections,
     fractional_cycle_decomposition,
 )
@@ -398,11 +399,15 @@ def cmd_cover(args) -> int:
     H = load_hypergraph(args.input)
     prof = config.profile
     check_cover_length(H, prof)
-    frac = fractional_cycle_decomposition(
+    try:
+        check_collections(H, args.collections)
+    except CoverError as exc:
+        raise CLIError(EXIT_PARAMS, f"cover: {exc}")
+    weights = fractional_cycle_decomposition(
         H, prof.L, seed=args.seed, per_edge=PIPELINE_PER_EDGE
     )
     ext = extract_cycle_collections(
-        H, frac, args.collections, seed=args.seed, mu=prof.mu,
+        H, weights, args.collections, seed=args.seed, mu=prof.mu,
         retries=PIPELINE_EXTRACTION_DRAWS,
     )
     doc = {
@@ -439,11 +444,11 @@ def _pipeline_once(H, weighting, targets, prof, seed):
     """
     reserve = sparsify_intersecting(H, prof.eps, weighting, seed)
     rest = H.remove_edges(reserve.edges)
-    frac = fractional_cycle_decomposition(
+    weights = fractional_cycle_decomposition(
         rest, prof.L, seed=seed, per_edge=PIPELINE_PER_EDGE
     )
     ext = extract_cycle_collections(
-        rest, frac, len(targets), seed=seed, mu=prof.mu,
+        rest, weights, len(targets), seed=seed, mu=prof.mu,
         retries=PIPELINE_EXTRACTION_DRAWS,
     )
     if not ext.ok:
@@ -454,7 +459,7 @@ def _pipeline_once(H, weighting, targets, prof, seed):
             f"failures {best['failures']}"
         )
     F = H.remove_edges(e for coll in ext.collections for C in coll for e in C.edges())
-    result = pack_factors(H, F, ext.collections, targets, params=prof, seed=seed)
+    result = pack_factors(H, F, ext.collections, targets, prof=prof, seed=seed)
     return result, {"reserve": reserve.m, "idle": F.m - reserve.m}
 
 

@@ -3,11 +3,12 @@
 The pipeline has three steps.  First, ``fractional_cycle_decomposition``
 assigns a positive weight to a family of tight cycles on L vertices so that
 the weights of the cycles through each edge sum to exactly 1 (a linear
-program over an enumerated or sampled cycle family).  The enumeration grows
-tight (L-1)-vertex paths and closes each one by intersection: the closing
-vertex must extend all k cyclic windows that contain it, so it is drawn from
-``tightpaths.closing_mask`` of the path against its own start.  Second,
-``extract_cycle_collections`` rounds the fractional solution into r
+program over an enumerated or sampled cycle family); the result is a plain
+dict {TightCycle: weight}, checked by ``check_edge_sums``.  The enumeration
+grows tight (L-1)-vertex paths and closes each one by intersection: the
+closing vertex must extend all k cyclic windows that contain it, so it is
+drawn from ``tightpaths.closing_mask`` of the path against its own start.
+Second, ``extract_cycle_collections`` rounds the fractional solution into r
 edge-disjoint collections of vertex-disjoint L-cycles by a weight-driven
 randomized greedy, with coverage gates checked per collection; it redraws up
 to ``retries`` times from the same solution.  The
@@ -38,7 +39,8 @@ __all__ = [
     "CoverError",
     "DecompositionError",
     "ExtractionResult",
-    "FractionalCycleDecomposition",
+    "check_collections",
+    "check_edge_sums",
     "cycles_through_edge",
     "fractional_cycle_decomposition",
     "extract_cycle_collections",
@@ -147,77 +149,24 @@ def _check_cycle_length(H: Hypergraph, L: int) -> None:
 # fractional decomposition
 
 
-class FractionalCycleDecomposition:
-    """Positive weights on L-vertex cycles with per-edge sums equal to 1.
+EDGE_SUM_TOL = 1e-9  # how far a cycle weighting's per-edge sum may stray from 1
 
-    Every edge of the host must be covered and its weights must sum to 1
-    within ``tol``.  Weights may be floats or exact Fractions.
-    """
 
-    __slots__ = ("host", "weights", "L", "_edge_weights")
-
-    def __init__(self, host: Hypergraph, weights: Mapping, tol: float = 1e-9):
-        items = {}
-        L = None
-        for C, w in weights.items():
-            if not isinstance(C, TightCycle):
-                C = TightCycle(host, C)
-            if C.host != host:
-                raise CoverError("cycle lives in a different host")
-            if L is None:
-                L = len(C)
-            elif len(C) != L:
-                raise CoverError("cycles must all have the same length")
-            if not w > 0:
-                raise CoverError(f"weight for {C!r} must be positive")
-            if C in items:
-                raise CoverError(f"duplicate cycle {C!r}")
-            items[C] = w
-        if not items:
-            raise CoverError("a decomposition needs at least one cycle")
-        edge_weights = {e: [] for e in host.edges}
-        for C, w in items.items():
-            for e in C.edges():
-                edge_weights[e].append(w)
-        for e, ws in edge_weights.items():
-            total = sum(ws)
-            if abs(float(total) - 1.0) > tol:
-                raise CoverError(
-                    f"edge {e!r} has weight sum {float(total)!r}, not 1 within {tol}"
-                )
-        object.__setattr__(self, "host", host)
-        object.__setattr__(self, "weights", items)
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "_edge_weights", edge_weights)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FractionalCycleDecomposition is immutable")
-
-    def __len__(self):
-        return len(self.weights)
-
-    def cycles(self):
-        return sorted(self.weights, key=lambda C: C.canonical())
-
-    def weight_of(self, C) -> float:
-        if not isinstance(C, TightCycle):
-            C = TightCycle(self.host, C)
-        return self.weights[C]
-
-    def per_edge_sum(self, edge) -> float:
-        e = tuple(sorted(edge))
-        return float(sum(self._edge_weights[e]))
-
-    def min_weight(self):
-        return min(self.weights.values())
-
-    def max_weight(self):
-        return max(self.weights.values())
-
-    def __repr__(self):
-        return (
-            f"FractionalCycleDecomposition(L={self.L}, cycles={len(self.weights)})"
-        )
+def check_edge_sums(H: Hypergraph, weights: Mapping) -> None:
+    """CoverError unless every weight is positive and, for every edge of H,
+    the weights of the cycles through it sum to 1 within ``EDGE_SUM_TOL``."""
+    edge_weights = {e: [] for e in H.edges}
+    for C, w in weights.items():
+        if not w > 0:
+            raise CoverError(f"weight for {C!r} must be positive")
+        for e in C.edges():
+            edge_weights[e].append(w)
+    for e, ws in edge_weights.items():
+        total = float(sum(ws))
+        if abs(total - 1.0) > EDGE_SUM_TOL:
+            raise CoverError(
+                f"edge {e!r} has weight sum {total!r}, not 1 within {EDGE_SUM_TOL}"
+            )
 
 
 def fractional_cycle_decomposition(
@@ -227,8 +176,7 @@ def fractional_cycle_decomposition(
     enumerate_cap: int = 20000,
     per_edge: int = 12,
     seed: int = 0,
-    tol: float = 1e-9,
-) -> FractionalCycleDecomposition:
+) -> dict:
     """Solve for per-edge-sum-1 cycle weights by LP over a cycle family.
 
     The family is the full set of L-vertex cycles when it fits under
@@ -238,6 +186,8 @@ def fractional_cycle_decomposition(
     minimum cycle weight z* (``fractional.maxmin_lp``: no inequality rows),
     and the solution is polished onto the per-edge sums, so every cycle
     weighs at least z*; only when z* = 0 are zero-weight cycles left out.
+    Returns {TightCycle: weight} in canonical cycle order, after
+    ``check_edge_sums``.
     """
     _check_cycle_length(H, L)
     if H.m == 0:
@@ -298,7 +248,8 @@ def fractional_cycle_decomposition(
     weights = {
         C: float(w) for C, w in zip(cycles, maxmin_weights(A, res)) if w > 0
     }
-    return FractionalCycleDecomposition(H, weights, tol=tol)
+    check_edge_sums(H, weights)
+    return weights
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +281,7 @@ def _covered(coll) -> set:
 
 @dataclass(frozen=True)
 class ExtractionResult:
-    """Cycle collections plus gate diagnostics; truthy when all gates pass.
+    """Cycle collections plus gate diagnostics; ``ok`` when all gates pass.
 
     ``returned`` indexes the draw in ``diagnostics`` whose collections these
     are: the passing draw, else the first draw with the fewest gate
@@ -344,32 +295,25 @@ class ExtractionResult:
     gamma: float
     returned: Optional[int]
 
-    def __bool__(self):
-        return self.ok
-
-    def __len__(self):
-        return len(self.collections)
-
-    def __iter__(self):
-        return iter(self.collections)
-
-    def __getitem__(self, i):
-        return self.collections[i]
-
     def coverages(self):
         return [len(_covered(coll)) for coll in self.collections]
 
-    def __repr__(self):
-        status = "ok" if self.ok else "gates-unmet"
-        return (
-            f"ExtractionResult(r={len(self.collections)}, {status}, "
-            f"attempts={self.attempts})"
+
+def check_collections(H: Hypergraph, r: int) -> None:
+    """CoverError unless 0 <= r <= min degree / k, the most edge-disjoint
+    collections of near-spanning cycles that H can hold."""
+    if r < 0:
+        raise CoverError("r must be nonnegative")
+    if r > 0 and r > min(H.degrees()) / H.k:
+        raise CoverError(
+            f"r={r} exceeds the matching bound min degree / k = "
+            f"{min(H.degrees()) / H.k:.3f}"
         )
 
 
 def extract_cycle_collections(
     H: Hypergraph,
-    frac: FractionalCycleDecomposition,
+    weights: Mapping,
     r: int,
     seed: int = 0,
     mu: float = 0.2,
@@ -377,11 +321,13 @@ def extract_cycle_collections(
 ) -> ExtractionResult:
     """Round a fractional decomposition into r edge-disjoint collections.
 
-    Collections are built one at a time by a randomized greedy: candidates
-    are the decomposition's cycles, drawn with probability proportional to
-    their normalized weight omega(C)/Gamma among those still vertex-disjoint
-    within the current collection and edge-disjoint from everything already
-    chosen.  The candidates form a live pool in family order: a collection
+    ``weights`` is a decomposition {TightCycle: weight} of H, as
+    ``fractional_cycle_decomposition`` returns it.  Collections are built one
+    at a time by a randomized greedy: candidates are its cycles, drawn with
+    probability proportional to their normalized weight omega(C)/Gamma among
+    those still vertex-disjoint within the current collection and
+    edge-disjoint from everything already chosen.  The candidates form a
+    live pool in the order of ``weights``: a collection
     starts from the cycles that share no edge with an earlier pick, and each
     pick drops the cycles that meet it in a vertex (which covers every cycle
     sharing one of its edges).  So no pick rescans the family.  An attempt is
@@ -391,15 +337,7 @@ def extract_cycle_collections(
     by ``returned``) with diagnostics (``ok`` False) rather than discarding
     the work.
     """
-    if frac.host != H:
-        raise CoverError("decomposition lives in a different host")
-    if r < 0:
-        raise CoverError("r must be nonnegative")
-    if r > 0 and r > min(H.degrees()) / H.k:
-        raise CoverError(
-            f"r={r} exceeds the matching bound min degree / k = "
-            f"{min(H.degrees()) / H.k:.3f}"
-        )
+    check_collections(H, r)
     coverage_min = math.ceil((1 - mu) * H.n)
 
     rho = H.rho_star()
@@ -407,8 +345,8 @@ def extract_cycle_collections(
     if r == 0:
         return ExtractionResult([], True, 0, [], gamma, None)
 
-    family = frac.cycles()
-    fam_weights = [float(frac.weights[C]) / gamma for C in family]
+    family = list(weights)
+    fam_weights = [float(w) / gamma for w in weights.values()]
     masks = [sum(1 << v for v in C.seq) for C in family]
     by_edge: dict = {}
     for i, C in enumerate(family):

@@ -94,20 +94,21 @@ def check_against_lsqr():
     return check
 
 
-def rescan_extraction(H, frac, r, seed=0, mu=0.2, retries=10):
+def rescan_extraction(H, weights, r, seed=0, mu=0.2, retries=10):
     """The full-rescan greedy that ``extract_cycle_collections`` replaces.
 
     Before every pick it rebuilds the candidate list from the whole family:
     every cycle vertex-disjoint from the current collection and edge-disjoint
     from all chosen cycles.  Kept only as an oracle; it assumes the checks on
-    ``frac`` and ``r`` already passed.
+    ``weights`` and ``r`` already passed.
     """
     coverage_min = math.ceil((1 - mu) * H.n)
     gamma = float((1 + H.rho_star()) * r) if r else 1.0
     if r == 0:
         return ExtractionResult([], True, 0, [], gamma, None)
-    family = frac.cycles()
-    fam_weights = [float(frac.weights[C]) / gamma for C in family]
+    family = list(weights)
+    fam_weights = [float(weights[C]) / gamma for C in family]
+    shortest = min(len(C) for C in family)
     master = random.Random(seed)
     best = None
     diagnostics = []
@@ -118,7 +119,7 @@ def rescan_extraction(H, frac, r, seed=0, mu=0.2, retries=10):
         for _ in range(r):
             coll = []
             used_vertices = set()
-            while len(used_vertices) + frac.L <= H.n:
+            while len(used_vertices) + shortest <= H.n:
                 pool, wts = [], []
                 for C, w in zip(family, fam_weights):
                     if used_vertices & C.vertex_set:
@@ -158,9 +159,9 @@ def rescan_extraction(H, frac, r, seed=0, mu=0.2, retries=10):
 def check_against_rescan():
     """Extract through the live pool and compare it with the full rescan."""
 
-    def check(H, frac, r, **kwargs):
-        got = extract_cycle_collections(H, frac, r, **kwargs)
-        want = rescan_extraction(H, frac, r, **kwargs)
+    def check(H, weights, r, **kwargs):
+        got = extract_cycle_collections(H, weights, r, **kwargs)
+        want = rescan_extraction(H, weights, r, **kwargs)
         assert [[C.seq for C in coll] for coll in got.collections] == [
             [C.seq for C in coll] for coll in want.collections
         ]

@@ -23,6 +23,7 @@ from cyclefactors.absorbing import (
 from cyclefactors.fractional import pipeline_weighting
 from cyclefactors.hypergraph import Hypergraph, complete_hypergraph
 from cyclefactors.tightpaths import TightPath, is_tight_path
+from cyclefactors.walks import sample_walk
 
 
 def absorbers_by_filter(H_plus, x):
@@ -201,11 +202,21 @@ class TestBuildStructure:
         assert S.paths
         assert S.vertex_set <= set(range(3, 15))
 
-    def test_t_star_multiple_of_L(self):
-        # t_star is the least multiple of L at or above max(k+1, n^(1/3))
+    def test_t_star_multiple_of_L(self, monkeypatch):
+        # every walk has t_star vertices, the least multiple of L at or above
+        # max(k+1, n^(1/3))
+        from cyclefactors import absorbing
+
+        lengths = []
+
+        def recorded(H, w, L, t, **kwargs):
+            lengths.append(t)
+            return sample_walk(H, w, L, t, **kwargs)
+
+        monkeypatch.setattr(absorbing, "sample_walk", recorded)
         H = complete_hypergraph(3, 24)
-        S = build_absorbing_structure(H, range(24), 14, 2, 1, 0.4, seed=0)
-        assert S.params["t_star"] == 14
+        build_absorbing_structure(H, range(24), 14, 2, 1, 0.4, seed=0)
+        assert lengths and set(lengths) == {14}
 
     def test_retry_exhaustion_reports_failed_item(self):
         # an 18-vertex host cannot host a 14-path and still absorb: theta
@@ -232,13 +243,12 @@ class TestBuildStructure:
             build_absorbing_structure(H, range(18), 14, 2, 1, 0.9, seed=0)
         assert weighted == [tuple(range(18))]
 
-    def test_structure_dump(self):
+    def test_structure_contents(self):
         H = complete_hypergraph(3, 24)
         S = build_absorbing_structure(H, range(24), 14, 2, 1, 0.4, seed=0)
-        doc = S.as_dict()
-        assert doc["capacity"] == 1
-        assert doc["blocks"][0]["bad_vertex_count"] == 0
-        assert len(doc["paths"][0]) == 14
+        assert S.capacity == 1
+        assert S.blocks[0].block.bad_vertices == frozenset()
+        assert len(S.paths[0]) == 14
 
 
 class TestDisjointMatchings:
@@ -320,7 +330,7 @@ class TestAbsorb:
         H = Hypergraph(3, 15, edges)
         P = TightPath(H, range(14))
         blk = make_block(H, range(14), a=2, ell=1, good_cap=15)
-        S = AbsorbingStructure(H, [P], [BlockRecord(blk, 0, 0)], {"L": 14, "a": 2, "ell": 1, "theta": 0.4})
+        S = AbsorbingStructure(H, [P], [BlockRecord(blk, 0, 0)], ell=1)
         with pytest.raises(AbsorptionInfeasible, match="absorbable by no block"):
             absorb(S, [14], seed=0)
 
@@ -330,8 +340,7 @@ class TestAbsorb:
         b1 = make_block(H, range(14), 2, 1, 30)
         b2 = make_block(H, range(14, 28), 2, 1, 30)
         S = AbsorbingStructure(
-            H, [P1, P2], [BlockRecord(b1, 0, 0), BlockRecord(b2, 1, 0)],
-            {"L": 14, "a": 2, "ell": 1, "theta": 0.4},
+            H, [P1, P2], [BlockRecord(b1, 0, 0), BlockRecord(b2, 1, 0)], ell=1
         )
         assert S.capacity == 2
         sub = S.restricted_to([1])
@@ -345,8 +354,7 @@ class TestAbsorb:
         b1 = make_block(H, range(14), 2, 1, 30)
         b2 = make_block(H, range(14, 28), 2, 1, 30)
         S = AbsorbingStructure(
-            H, [P1, P2], [BlockRecord(b1, 0, 0), BlockRecord(b2, 1, 0)],
-            {"L": 14, "a": 2, "ell": 1, "theta": 0.4},
+            H, [P1, P2], [BlockRecord(b1, 0, 0), BlockRecord(b2, 1, 0)], ell=1
         )
         res = absorb(S, [28, 29], seed=7)
         gains = [len(res.phi[i]) - len(S.paths[i]) for i in range(2)]

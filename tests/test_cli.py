@@ -464,8 +464,8 @@ class TestDecompose:
         assert code == EXIT_OK
         [(_, got, ten)] = seen
         assert ten.ok
-        assert [[C.seq for C in coll] for coll in got] == [
-            [C.seq for C in coll] for coll in ten
+        assert [[C.seq for C in coll] for coll in got.collections] == [
+            [C.seq for C in coll] for coll in ten.collections
         ]
         assert (got.attempts, got.diagnostics) == (ten.attempts, ten.diagnostics)
 
@@ -666,6 +666,24 @@ class TestDecompose:
         for argv in (["decompose", host, "--targets", "12;12"], ["cover", host]):
             assert main([*argv, "--set", f"L={L}"]) == EXIT_PARAMS
             assert f"L = {L} outside [k+1, n] = [4, 12]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "r,why",
+        [("-1", "r must be nonnegative"),
+         ("19", "r=19 exceeds the matching bound min degree / k = 18.333")],
+    )
+    def test_cover_collections_outside_0_to_min_degree_over_k_are_refused(
+        self, r, why, tmp_path, monkeypatch, capsys
+    ):
+        # K_12^(3) has min degree 55, so at most 55 / 3 = 18.33 collections;
+        # cover refuses before its family
+        monkeypatch.setattr(cli, "fractional_cycle_decomposition", refuse_to_sample)
+        host = write_host(tmp_path, complete_hypergraph(3, 12))
+        assert main(["cover", host, "--collections", r]) == EXIT_PARAMS
+        assert f"cover: {why}" in capsys.readouterr().err
+        for fits in ("0", "18"):
+            with pytest.raises(Sampled):
+                main(["cover", host, "--collections", fits])
 
     @pytest.mark.parametrize("flag", ["--pipeline-retries", "--parallel-seeds"])
     def test_fewer_than_one_attempt_or_seed_is_refused(

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from cyclefactors.cover import (
     CoverError,
     DecompositionError,
-    FractionalCycleDecomposition,
     _enumerate_all,
+    check_edge_sums,
     cycles_through_edge,
     extract_cycle_collections,
     fractional_cycle_decomposition,
@@ -34,6 +34,15 @@ def path_host():
     return Hypergraph(3, 5, [(0, 1, 2), (1, 2, 3), (2, 3, 4)])
 
 
+def edge_sums(H, weights):
+    """Each edge's total weight over the cycles through it, summed afresh."""
+    sums = {e: 0.0 for e in H.edges}
+    for C, w in weights.items():
+        for e in C.edges():
+            sums[e] += w
+    return sums
+
+
 def edge_cycle_incidence(H, cycles):
     index = {e: i for i, e in enumerate(H.edges)}
     A = np.zeros((H.m, len(cycles)))
@@ -44,9 +53,13 @@ def edge_cycle_incidence(H, cycles):
 
 
 @pytest.fixture(scope="module")
-def k12_frac():
-    H = complete_hypergraph(3, 12)
-    return fractional_cycle_decomposition(H, 10, seed=1)
+def k12():
+    return complete_hypergraph(3, 12)
+
+
+@pytest.fixture(scope="module")
+def k12_frac(k12):
+    return fractional_cycle_decomposition(k12, 10, seed=1)
 
 
 class TestEnumeration:
@@ -128,17 +141,13 @@ class TestFractionalDecomposition:
         # by symmetry 1/6 per cycle is feasible; max-min LP recovers it
         frac = fractional_cycle_decomposition(complete_hypergraph(3, 5), 5)
         assert len(frac) == 12
-        assert float(frac.min_weight()) == pytest.approx(1 / 6, abs=1e-6)
-        assert float(frac.max_weight()) == pytest.approx(1 / 6, abs=1e-6)
+        assert min(frac.values()) == pytest.approx(1 / 6, abs=1e-6)
+        assert max(frac.values()) == pytest.approx(1 / 6, abs=1e-6)
 
     def test_per_edge_sums_recomputed_independently(self):
         H = complete_hypergraph(3, 6)
         frac = fractional_cycle_decomposition(H, 5)
-        sums = {e: 0.0 for e in H.edges}
-        for C, w in frac.weights.items():
-            for e in C.edges():
-                sums[e] += w
-        for e, s in sums.items():
+        for s in edge_sums(H, frac).values():
             assert abs(s - 1.0) <= 1e-9
 
     def test_edge_on_no_cycle_is_infeasible(self):
@@ -156,17 +165,28 @@ class TestFractionalDecomposition:
         frac = fractional_cycle_decomposition(H, 5, family=_enumerate_all(H, 5, None))
         assert len(frac) == 12
 
-    def test_sampled_family_covers_k12(self, k12_frac):
-        H = k12_frac.host
-        assert all(abs(k12_frac.per_edge_sum(e) - 1) <= 1e-9 for e in H.edges)
-        assert k12_frac.L == 10
+    def test_sampled_family_covers_k12(self, k12, k12_frac):
+        assert all(abs(s - 1) <= 1e-9 for s in edge_sums(k12, k12_frac).values())
+        assert {len(C) for C in k12_frac} == {10}
 
-    def test_sampled_family_is_deterministic(self, k12_frac):
-        H = k12_frac.host
-        again = fractional_cycle_decomposition(H, 10, seed=1)
-        assert [(C.canonical(), again.weights[C]) for C in again.cycles()] == [
-            (C.canonical(), k12_frac.weights[C]) for C in k12_frac.cycles()
+    def test_sampled_family_is_deterministic(self, k12, k12_frac):
+        again = fractional_cycle_decomposition(k12, 10, seed=1)
+        assert [(C.canonical(), w) for C, w in again.items()] == [
+            (C.canonical(), w) for C, w in k12_frac.items()
         ]
+
+    def test_cycles_come_in_canonical_order(self, k12_frac):
+        # extraction's draws index the cycles in this order
+        H = complete_hypergraph(3, 6)
+        family = _enumerate_all(H, 5, None)
+        random.Random(0).shuffle(family)
+        for frac in (
+            k12_frac,
+            fractional_cycle_decomposition(H, 5),
+            fractional_cycle_decomposition(H, 5, family=family),
+        ):
+            forms = [C.canonical() for C in frac]
+            assert forms == sorted(forms)
 
 
 class TestMaxminAgainstInequalityForm:
@@ -184,36 +204,37 @@ class TestMaxminAgainstInequalityForm:
         if z is not None and z > 0:
             frac = fractional_cycle_decomposition(G, L, family=family)
             assert len(frac) == len(family)
-            assert float(frac.min_weight()) == pytest.approx(z, abs=1e-9)
+            assert min(frac.values()) == pytest.approx(z, abs=1e-9)
 
 
 class TestDecompositionValidation:
-    def test_exact_fraction_weights(self):
+    """``check_edge_sums`` on the 12 Hamilton cycles of K_5^(3), six through
+    each edge, so 1/6 apiece sums to 1 on every edge."""
+
+    def sixths(self, weight=Fraction(1, 6)):
         H = complete_hypergraph(3, 5)
-        cycles = _enumerate_all(H, 5, None)
-        frac = FractionalCycleDecomposition(H, {C: Fraction(1, 6) for C in cycles})
-        assert frac.min_weight() == Fraction(1, 6)
-        assert frac.per_edge_sum((0, 1, 2)) == 1.0
+        return H, {C: weight for C in _enumerate_all(H, 5, None)}
+
+    def test_exact_fraction_weights(self):
+        check_edge_sums(*self.sixths())
 
     def test_nonpositive_weight_rejected(self):
-        H = complete_hypergraph(3, 5)
-        cycles = _enumerate_all(H, 5, None)
-        weights = {C: Fraction(1, 6) for C in cycles}
-        weights[cycles[0]] = 0
-        with pytest.raises(CoverError):
-            FractionalCycleDecomposition(H, weights)
+        H, weights = self.sixths()
+        for w in (0, -Fraction(1, 6)):
+            weights[next(iter(weights))] = w
+            with pytest.raises(CoverError, match="must be positive"):
+                check_edge_sums(H, weights)
 
     def test_wrong_sum_rejected(self):
-        H = complete_hypergraph(3, 5)
-        cycles = _enumerate_all(H, 5, None)
-        with pytest.raises(CoverError):
-            FractionalCycleDecomposition(H, {C: Fraction(1, 5) for C in cycles})
+        with pytest.raises(CoverError, match="weight sum 1.2, not 1 within 1e-09"):
+            check_edge_sums(*self.sixths(Fraction(1, 5)))
 
-    def test_mixed_lengths_rejected(self):
-        H = complete_hypergraph(3, 6)
-        mix = [_enumerate_all(H, 5, None)[0], _enumerate_all(H, 6, None)[0]]
-        with pytest.raises(CoverError):
-            FractionalCycleDecomposition(H, {C: 1 for C in mix})
+    def test_sums_within_1e_9_accepted_beyond_refused(self):
+        H, weights = self.sixths(1 / 6)
+        C = next(iter(weights))
+        check_edge_sums(H, {**weights, C: 1 / 6 + 5e-10})
+        with pytest.raises(CoverError, match="not 1 within 1e-09"):
+            check_edge_sums(H, {**weights, C: 1 / 6 + 2e-9})
 
 
 class TestExtraction:
@@ -222,7 +243,7 @@ class TestExtraction:
         frac = fractional_cycle_decomposition(H, 5)
         res = extract_cycle_collections(H, frac, 0)
         assert res.ok
-        assert list(res) == []
+        assert res.collections == []
 
     def test_r_beyond_matching_bound(self):
         H = complete_hypergraph(3, 5)
@@ -235,21 +256,19 @@ class TestExtraction:
         frac = fractional_cycle_decomposition(H, 5)
         res = extract_cycle_collections(H, frac, 2, seed=0)
         assert res.ok
-        assert [len(c) for c in res] == [1, 1]
+        assert [len(c) for c in res.collections] == [1, 1]
         validate_collections(H, res.collections)
 
-    def test_ten_cycles_pack_one_per_collection(self, k12_frac):
+    def test_ten_cycles_pack_one_per_collection(self, k12, k12_frac):
         # no two 10-cycles fit in 12 vertices
-        H = k12_frac.host
-        res = extract_cycle_collections(H, k12_frac, 3, seed=7)
+        res = extract_cycle_collections(k12, k12_frac, 3, seed=7)
         assert res.ok
         assert res.coverages() == [10, 10, 10]
-        validate_collections(H, res.collections)
+        validate_collections(k12, res.collections)
 
-    def test_unreachable_gate_returns_partial_with_diagnostics(self, k12_frac):
+    def test_unreachable_gate_returns_partial_with_diagnostics(self, k12, k12_frac):
         # a 10-cycle cannot span 12 vertices, so requiring full coverage fails
-        H = k12_frac.host
-        res = extract_cycle_collections(H, k12_frac, 1, seed=0, mu=0.0, retries=3)
+        res = extract_cycle_collections(k12, k12_frac, 1, seed=0, mu=0.0, retries=3)
         assert not res.ok
         assert len(res.collections) == 1
         assert len(res.diagnostics) == 3
@@ -259,32 +278,32 @@ class TestExtraction:
         assert res.returned == first["attempt"]
         assert res.coverages() == res.diagnostics[res.returned]["coverages"]
 
-    def test_a_passing_draw_is_the_one_returned(self, k12_frac):
-        res = extract_cycle_collections(k12_frac.host, k12_frac, 2, seed=0, retries=10)
+    def test_a_passing_draw_is_the_one_returned(self, k12, k12_frac):
+        res = extract_cycle_collections(k12, k12_frac, 2, seed=0, retries=10)
         assert res.ok and res.returned == res.attempts - 1
         assert res.diagnostics[res.returned]["failures"] == []
-        assert extract_cycle_collections(k12_frac.host, k12_frac, 0).returned is None
+        assert extract_cycle_collections(k12, k12_frac, 0).returned is None
 
-    def test_unknown_gate_rejected(self, k12_frac):
+    def test_unknown_gate_rejected(self, k12, k12_frac):
         # mu is the one coverage gate; there is no mapping of others
         with pytest.raises(TypeError):
-            extract_cycle_collections(k12_frac.host, k12_frac, 1, gates={"mu": 0.2})
+            extract_cycle_collections(k12, k12_frac, 1, gates={"mu": 0.2})
 
     @pytest.mark.parametrize("gate", ["cap_lo", "cap_con"])
-    def test_type_cap_gates_are_gone(self, k12_frac, gate):
+    def test_type_cap_gates_are_gone(self, k12, k12_frac, gate):
         with pytest.raises(TypeError):
-            extract_cycle_collections(k12_frac.host, k12_frac, 1, **{gate: 1.0})
+            extract_cycle_collections(k12, k12_frac, 1, **{gate: 1.0})
 
-    def test_same_seed_same_output(self, k12_frac):
-        H = k12_frac.host
-        a = extract_cycle_collections(H, k12_frac, 2, seed=5)
-        b = extract_cycle_collections(H, k12_frac, 2, seed=5)
-        assert [[C.canonical() for C in coll] for coll in a] == [
-            [C.canonical() for C in coll] for coll in b
+    def test_same_seed_same_output(self, k12, k12_frac):
+        a = extract_cycle_collections(k12, k12_frac, 2, seed=5)
+        b = extract_cycle_collections(k12, k12_frac, 2, seed=5)
+        assert [[C.canonical() for C in coll] for coll in a.collections] == [
+            [C.canonical() for C in coll] for coll in b.collections
         ]
 
     def test_host_mismatch(self, k12_frac):
-        with pytest.raises(CoverError):
+        # every draw passes validate_collections, which refuses foreign cycles
+        with pytest.raises(CoverError, match="foreign object"):
             extract_cycle_collections(complete_hypergraph(3, 5), k12_frac, 1)
 
 
@@ -365,12 +384,11 @@ class TestExtractionAgainstRescan:
         assert len(res.diagnostics) == 5
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_sampled_k12_family(self, k12_frac, seed, check_against_rescan):
-        H = k12_frac.host
-        check_against_rescan(H, k12_frac, 2, seed=seed)
-        check_against_rescan(H, k12_frac, 3, seed=seed, mu=0.5)
+    def test_sampled_k12_family(self, k12, k12_frac, seed, check_against_rescan):
+        check_against_rescan(k12, k12_frac, 2, seed=seed)
+        check_against_rescan(k12, k12_frac, 3, seed=seed, mu=0.5)
 
-    def test_reads_each_cycle_once_plus_per_pick(self, k12_frac, monkeypatch):
+    def test_reads_each_cycle_once_plus_per_pick(self, k12, k12_frac, monkeypatch):
         # a full rescan reads every surviving candidate on every pick
         reads = []
         edges, vertex_set = TightCycle.edges, TightCycle.vertex_set.fget
@@ -385,10 +403,10 @@ class TestExtractionAgainstRescan:
 
         monkeypatch.setattr(TightCycle, "edges", counted_edges)
         monkeypatch.setattr(TightCycle, "vertex_set", property(counted_vertex_set))
-        res = extract_cycle_collections(k12_frac.host, k12_frac, 2, seed=0, retries=1)
-        picks = sum(len(coll) for coll in res)
+        res = extract_cycle_collections(k12, k12_frac, 2, seed=0, retries=1)
+        picks = sum(len(coll) for coll in res.collections)
         assert picks >= 2
-        assert len(reads) <= len(k12_frac) + picks * k12_frac.L
+        assert len(reads) <= len(k12_frac) + picks * 10  # 10 edges per pick
 
 
 class TestValidateCollections:
@@ -455,7 +473,7 @@ class TestRandomHosts:
             frac = fractional_cycle_decomposition(G, 5, seed=seed)
         except DecompositionError:
             return  # an edge lost all its 5-cycles: legitimately infeasible
-        for e in G.edges:
-            assert abs(frac.per_edge_sum(e) - 1) <= 1e-9
-        for C in frac.weights:
+        for s in edge_sums(G, frac).values():
+            assert abs(s - 1) <= 1e-9
+        for C in frac:
             assert is_tight_cycle(G, C.seq)

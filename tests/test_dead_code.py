@@ -35,7 +35,6 @@ TEST_ORACLES = {
     "advance": "WalkState's step, driving transition_dist",
     "self_avoiding_rate": "Monte-Carlo self-avoidance of sampled walks",
     "as_floats": "a float weighting, which the exact oracles must refuse",
-    "per_edge_sum": "a decomposition's per-edge sums, read back",
     "usage": "the ledger's total codegree use, read back",
     "y": "the ledger's per-layer codegree use, read back",
     "length": "TightPath's edge count",
