@@ -3,8 +3,8 @@
   1. enumerate the ordered 6-sequences of K_7 that can swallow a given
      vertex while staying tight,
   2. transform one near-spanning cycle plus a reserve graph into a verified
-     Hamilton factor of K_12 (each attempt opens the cycle into a path,
-     then reservoir, connectors, absorption budget),
+     Hamilton factor of K_12 (each attempt opens the cycle into a path and
+     closes it with a connector through the leftover vertices),
   3. pack two edge-disjoint Hamilton factors of K_12 with the codegree
      usage ledger enforcing the per-pair consumption cap.
 """
@@ -41,10 +41,8 @@ def stage_2():
     cycle = TightCycle(rest, tuple(range(10)))
     res = layer_transform(H, F, [cycle], [12], seed=0)
     plan = res.plan
-    print(f"  attempts: {res.attempts}, reservoir size: {len(plan.reservoir)}, "
-          f"piece sizes: {plan.sizes}")
-    print(f"  absorption budget |X| = {len(plan.X)} "
-          f"(= placed slot total {plan.capacity})")
+    print(f"  attempts: {res.attempts}, leftover size: {len(plan.leftover)}, "
+          f"connector budgets: {[list(lam) for lam in plan.lambdas]}")
     print(f"  factor lengths: {res.factor.lengths()}, "
           f"reserve edges consumed: {len(res.f_edges)}")
     print(f"  independent re-check: "

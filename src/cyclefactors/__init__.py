@@ -13,7 +13,7 @@ fractional   perfect fractional matchings, redistribution, sparsification
 walks        (L, omega)-random walks: law, sampler, exact tuple marginals
 absorbing    x-absorbers, blocks, absorbing structures, Hall matchings
 cover        fractional cycle decompositions and path-cover extraction
-assemble     reservoirs, connectors, the layer transform, factor packing
+assemble     connectors, the layer transform, factor packing
 bruteforce   exhaustive reference oracles (reg_k, Hamilton search, ...)
 cli          command-line front end
 """

@@ -40,11 +40,7 @@ class AbsorbingParamError(AbsorbingError):
 
 
 class AbsorbingFailure(AbsorbingError):
-    """Retry budget exhausted; carries which post-check items failed."""
-
-    def __init__(self, message, item_failures=()):
-        super().__init__(message)
-        self.item_failures = tuple(item_failures)
+    """Retry budget exhausted; the message lists the failed post-check items."""
 
 
 class AbsorptionInfeasible(AbsorbingError):
@@ -123,7 +119,6 @@ class Block:
     """
 
     seq: Tuple[int, ...]
-    absorber_slots: Tuple[Tuple[int, ...], ...]
     absorbable: Tuple[frozenset, ...]
     good: bool
     bad_vertices: frozenset
@@ -152,7 +147,6 @@ def make_block(H_plus: Hypergraph, seq: Sequence[int], a: int, ell: int, good_ca
     bad = frozenset(range(H_plus.n)).difference(*centers)
     return Block(
         seq=seq,
-        absorber_slots=slots,
         absorbable=centers,
         good=len(bad) <= good_cap,
         bad_vertices=bad,
@@ -214,18 +208,6 @@ class AbsorbingStructure:
         for P in self.paths:
             out |= P.vertex_set
         return out
-
-    def restricted_to(self, path_indices: Iterable[int]) -> "AbsorbingStructure":
-        """Sub-structure on a subset of paths (capacity recomputed)."""
-        keep = sorted(set(path_indices))
-        remap = {old: new for new, old in enumerate(keep)}
-        paths = [self.paths[i] for i in keep]
-        blocks = [
-            BlockRecord(rec.block, remap[rec.path_index], rec.offset)
-            for rec in self.blocks
-            if rec.path_index in remap
-        ]
-        return AbsorbingStructure(self.host, paths, blocks, self.ell)
 
 
 def build_absorbing_structure(
@@ -319,8 +301,7 @@ def build_absorbing_structure(
         failures = issues
     raise AbsorbingFailure(
         f"absorbing structure failed post-checks after {ATTEMPTS} attempts: "
-        + "; ".join(failures),
-        item_failures=failures,
+        + "; ".join(failures)
     )
 
 
@@ -455,7 +436,6 @@ def _perfect_matching(adj: Sequence[set]) -> Optional[List[int]]:
 class AbsorptionResult:
     paths: Tuple[TightPath, ...]
     phi: Dict[int, TightPath]  # input path index -> absorbed path
-    assignment: Dict[int, Tuple[int, int]]  # x -> (path index, insert position)
 
     def __iter__(self):
         return iter(self.paths)
@@ -482,7 +462,7 @@ def absorb(S: AbsorbingStructure, X: Iterable[int], seed: int = 0) -> Absorption
     if overlap:
         raise AbsorptionInfeasible(f"X intersects the structure's paths at {sorted(overlap)}")
     if not xs:
-        return AbsorptionResult(paths=S.paths, phi=dict(enumerate(S.paths)), assignment={})
+        return AbsorptionResult(paths=S.paths, phi=dict(enumerate(S.paths)))
     adj = []
     for x in xs:
         row = {j for j, rec in enumerate(S.blocks) if rec.block.absorbs(x)}
@@ -502,14 +482,12 @@ def absorb(S: AbsorbingStructure, X: Iterable[int], seed: int = 0) -> Absorption
     rng = random.Random(seed)
     chosen = matchings[rng.randrange(len(matchings))]
     per_path: Dict[int, List[Tuple[int, int]]] = {}
-    assignment: Dict[int, Tuple[int, int]] = {}
     for xi, j in enumerate(chosen):
         x = xs[xi]
         rec = S.blocks[j]
         slot_i = rec.block.lowest_absorbing_slot(x)
         pos = rec.offset + slot_i * (2 * H_plus.k + S.ell) + H_plus.k
         per_path.setdefault(rec.path_index, []).append((pos, x))
-        assignment[x] = (rec.path_index, pos)
     phi: Dict[int, TightPath] = {}
     new_paths: List[TightPath] = []
     for i, P in enumerate(S.paths):
@@ -523,4 +501,4 @@ def absorb(S: AbsorbingStructure, X: Iterable[int], seed: int = 0) -> Absorption
             raise AbsorbingError("absorption changed an ordered end-edge")
         phi[i] = Q
         new_paths.append(Q)
-    return AbsorptionResult(paths=tuple(new_paths), phi=phi, assignment=assignment)
+    return AbsorptionResult(paths=tuple(new_paths), phi=phi)

@@ -1,18 +1,27 @@
-"""Reservoirs, probabilistic connection, the layer transform, and packing.
+"""Probabilistic connection, the layer transform, and packing.
 
 This module turns one near-spanning cycle collection plus a reserve graph F
 into a cycle factor of prescribed shape, then repeats the construction with
 usage budgets to pack several edge-disjoint factors.  Each layer attempt
-opens every cycle into a path at a fresh rotation and follows a fixed
-pipeline: drop a random subset of paths (rejection-sampled until the
-leftover size lands in a window), set aside a reservoir of leftover
-vertices, optionally extend the kept paths by reserve edges, build an
-absorbing structure and a near-spanning cover in the untouched leftover,
-group everything into one bin per target cycle, connect the groups into
-cycles through the reservoir, and absorb whatever remains.  Randomness is
-seeded everywhere and every probabilistic guarantee of the source material
-is replaced by explicit post-checks plus retries; ``layer_transform`` owns
-the only retry loop and logs the failed stage of every attempt.
+opens every cycle into a path at a fresh rotation, drops a random subset of
+paths (rejection-sampled until the leftover size lands in a window), groups
+the kept paths into one bin per target cycle, and closes each bin into a
+cycle with connectors whose inner vertices come from the whole leftover.
+
+The source paper's layer differs here: it sets aside a random reservoir of
+leftover vertices for the connectors and absorbs the rest of the leftover
+into an absorbing structure.  At the host sizes this package runs, that
+step put no vertex into any emitted factor (the reservoir was the whole
+leftover in every layer emitted on the hosts measured).  On K_21^(3) and
+K_27^(3) a sampled reservoir held 1 to 4 of the 9 leftover vertices and no
+absorbing structure was built for the rest, so no seed tried packed.  The
+paper's absorbers stay in ``absorbing`` for the absorber enumeration and
+its checks.
+
+Randomness is seeded everywhere and every probabilistic guarantee of the
+source material is replaced by explicit post-checks plus retries;
+``layer_transform`` owns the only retry loop and logs the failed stage of
+every attempt.
 """
 
 from __future__ import annotations
@@ -22,22 +31,10 @@ import math
 import random
 import time
 from dataclasses import dataclass, fields
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .absorbing import (
-    AbsorbingError,
-    AbsorbingFailure,
-    absorb,
-    build_absorbing_structure,
-)
 from .bruteforce import validate_packing
-from .cover import (
-    CoverError,
-    DecompositionError,
-    extract_cycle_collections,
-    fractional_cycle_decomposition,
-    open_cycle,
-)
+from .cover import open_cycle
 from .hypergraph import Hypergraph
 from .tightpaths import (
     CycleFactor,
@@ -47,10 +44,13 @@ from .tightpaths import (
     verify_factor_copy,
 )
 
+# No code here calls these four; bench/tracer.py patches them on this module.
+from .absorbing import absorb, build_absorbing_structure
+from .cover import extract_cycle_collections, fractional_cycle_decomposition
+
 __all__ = [
     "AssembleError",
     "AssembleParamError",
-    "ReservoirError",
     "ConnectionFailure",
     "LayerFailure",
     "PackBudgetError",
@@ -66,14 +66,13 @@ __all__ = [
     "connect",
     "layer_transform",
     "pack_factors",
+    "absorb",
+    "build_absorbing_structure",
+    "extract_cycle_collections",
+    "fractional_cycle_decomposition",
 ]
 
 KEEP_DRAWS = 200  # rejection budget for the leftover-window draw
-RESERVOIR_SAMPLES = 100  # reservoir draws before the reservoir stage fails
-# Endpoint pairs audited per sampled reservoir.  A light audit: every layer
-# attempt samples a fresh reservoir, and a 50-pair audit per attempt would
-# dominate the running time.
-RESERVOIR_AUDIT_PAIRS = 10
 
 
 class AssembleError(ValueError):
@@ -84,17 +83,9 @@ class AssembleParamError(AssembleError):
     """Raised before any randomized work for out-of-contract parameters."""
 
 
-class ReservoirError(AssembleError):
-    """Raised when reservoir sampling exhausts retries; the message names the
-    last property a sample failed."""
-
-
 class ConnectionFailure(AssembleError):
-    """Raised when some endpoint pair has no remaining connector candidate."""
-
-    def __init__(self, message, pair_index):
-        super().__init__(message)
-        self.pair_index = pair_index
+    """Raised when some endpoint pair has no remaining connector candidate;
+    the message names the pair's index."""
 
 
 class LayerFailure(AssembleError):
@@ -106,11 +97,11 @@ class LayerFailure(AssembleError):
 
 
 class PackBudgetError(AssembleError):
-    """Raised when the usage ledger's codegree cap is violated."""
+    """Raised when the usage ledger's codegree cap is violated; the message
+    names the first (k-1)-set over the cap."""
 
-    def __init__(self, message, culprit, snapshot, factors=()):
+    def __init__(self, message, snapshot, factors=()):
         super().__init__(message)
-        self.culprit = culprit
         self.snapshot = snapshot
         self.factors = tuple(factors)
 
@@ -138,41 +129,30 @@ class Profile:
 
     mu: float = 0.2  # path-cover leftover fraction
     delta: float = 0.3  # path-drop probability in the layer transform
-    beta: float = 0.4  # reservoir size parameter
+    # read by no stage; the benchmark's k12-wide-leftover workload sets it
     theta: float = 0.5  # absorbing-structure density parameter
     ell0: int = 2  # min connector inner vertices
     ell1: int = 6  # max connector inner vertices
-    L: int = 6  # cycle length (vertices) of the primary cover
-    L_prime: int = 6  # path length of the in-layer cover and absorber paths
-    a: int = 1  # absorber slots per block (a * (2k + ell) must fit in L_prime)
-    ell: int = 0  # spacer vertices after each block slot
+    L: int = 6  # cycle length (vertices) of the cover
     eps: float = 0.5  # sparsification split parameter
-    r_prime: int = 3  # in-layer cover choices to draw one collection from
     cap_fraction: float = 0.25  # ledger codegree cap as a fraction of n
     layer_retries: int = 20  # full-pipeline attempts per layer
-    extend: bool = False  # grow kept paths by reserve edges before connecting
 
     def __post_init__(self):
         if not 0 <= self.mu < 1:
             raise AssembleParamError(f"mu = {self.mu} outside [0, 1)")
         if not 0 < self.delta < 1:
             raise AssembleParamError(f"delta = {self.delta} outside (0, 1)")
-        if not 0 < self.beta <= 1:
-            raise AssembleParamError(f"beta = {self.beta} outside (0, 1]")
         if not 0 <= self.theta <= 1:
             raise AssembleParamError(f"theta = {self.theta} outside [0, 1]")
         if not 1 <= self.ell0 <= self.ell1:
             raise AssembleParamError(
                 f"need 1 <= ell0 <= ell1, got ell0 = {self.ell0}, ell1 = {self.ell1}"
             )
-        if self.L < 2 or self.L_prime < 2:
-            raise AssembleParamError("path lengths must be at least 2")
-        if self.a < 1 or self.ell < 0:
-            raise AssembleParamError(f"invalid block shape a = {self.a}, ell = {self.ell}")
+        if self.L < 2:
+            raise AssembleParamError(f"cover cycle length L = {self.L} is below 2")
         if not 0 < self.eps <= 1:
             raise AssembleParamError(f"eps = {self.eps} outside (0, 1]")
-        if self.r_prime < 1:
-            raise AssembleParamError("r_prime must be positive")
         if self.cap_fraction <= 0:
             raise AssembleParamError("cap_fraction must be positive")
         if self.layer_retries < 1:
@@ -191,7 +171,7 @@ class Profile:
 
 
 # ---------------------------------------------------------------------------
-# reservoir
+# connection
 
 
 def connectors(F: Hypergraph, R: frozenset, s: tuple, t: tuple, lam: int):
@@ -221,101 +201,10 @@ def connectors(F: Hypergraph, R: frozenset, s: tuple, t: tuple, lam: int):
                 yield head[k:] + (u,)
 
 
-def _falling(n: int, j: int) -> int:
-    out = 1
-    for i in range(j):
-        out *= max(0, n - i)
-    return out
-
-
-def build_reservoir(
-    F: Hypergraph,
-    beta: float,
-    ell0: int,
-    ell1: int,
-    seed: int = 0,
-    inside: Optional[Iterable[int]] = None,
-) -> frozenset:
-    """Sample a reservoir R by independent inclusion with probability 3*beta/4.
-
-    A sample is accepted when (i) |R| lies in the integer-relaxed window
-    [floor(beta*n1/2), ceil(beta*n1)] over the n1 eligible vertices, (ii) an
-    audit over up to ``RESERVOIR_AUDIT_PAIRS`` sampled disjoint ordered edge
-    pairs finds, for every lam in [ell0, ell1], at least
-    beta * falling(|R - (s+t)|, lam) connectors, and (iii) the reserve graph
-    off R stays within twice the measured regularity defect.  Hosts with at
-    most 2k eligible vertices skip sampling and take everything.  Raises
-    ReservoirError after ``RESERVOIR_SAMPLES`` rejected samples.
-    """
-    if not 0 < beta <= 1:
-        raise AssembleParamError(f"beta = {beta} outside (0, 1]")
-    if not 1 <= ell0 <= ell1:
-        raise AssembleParamError(f"need 1 <= ell0 <= ell1, got {ell0}, {ell1}")
-    inside = sorted(set(range(F.n)) if inside is None else set(inside))
-    for v in inside:
-        F._check_vertex(v)
-    n1 = len(inside)
-    k = F.k
-    if n1 <= 2 * k:
-        return frozenset(inside)
-
-    lo = math.floor(beta * n1 / 2)
-    hi = math.ceil(beta * n1)
-    rho_inside = float(F.induced(inside).rho_star())
-    inset = set(inside)
-    inside_edges = [e for e in F.edges if inset.issuperset(e)]
-    rng = random.Random(seed)
-    last_fail = "size"
-    for _ in range(RESERVOIR_SAMPLES):
-        R = frozenset(v for v in inside if rng.random() < 3 * beta / 4)
-        if not lo <= len(R) <= hi:
-            last_fail = f"size |R| = {len(R)} outside [{lo}, {hi}]"
-            continue
-        failed = _audit_reservoir(F, R, beta, ell0, ell1, inside_edges, rng)
-        if failed:
-            last_fail = f"audit {failed}"
-            continue
-        rest = sorted(inset - R)
-        if rho_inside and len(rest) >= k:
-            rho_off = float(F.induced(rest).rho_star())
-            if rho_off > 2 * rho_inside:
-                last_fail = f"regularity off R: {rho_off:.4f} > 2 * {rho_inside:.4f}"
-                continue
-        return R
-    raise ReservoirError(
-        f"no reservoir after {RESERVOIR_SAMPLES} samples; last failure: {last_fail}"
-    )
-
-
-def _audit_reservoir(F, R, beta, ell0, ell1, edges: list, rng: random.Random):
-    """None, or a string describing the first failed audit pair.
-
-    ``edges`` are the host edges inside the eligible vertices, in host
-    order.  Each pair is checked as soon as it is drawn, so a failing sample
-    draws no pair past its first failure, and each count stops at
-    ceil(need).
-    """
-    pairs = 0
-    for _ in range(50 * RESERVOIR_AUDIT_PAIRS if len(edges) >= 2 else 0):
-        if pairs >= RESERVOIR_AUDIT_PAIRS:
-            break
-        e, f = rng.sample(edges, 2)
-        if set(e) & set(f):
-            continue
-        pairs += 1
-        s = tuple(rng.sample(e, len(e)))
-        t = tuple(rng.sample(f, len(f)))
-        avail = len(R - set(s) - set(t))
-        for lam in range(ell0, ell1 + 1):
-            need = beta * _falling(avail, lam)
-            got = sum(1 for _ in itertools.islice(connectors(F, R, s, t, lam), math.ceil(need)))
-            if got < need:
-                return f"pair {s}->{t}, lam={lam}: {got} < {need:.2f}"
-    return None
-
-
-# ---------------------------------------------------------------------------
-# connection
+def build_reservoir(V1) -> frozenset:
+    """The connectors' vertex pool: the whole leftover V1."""
+    # bench/tracer.py times the layer's reservoir stage through this name
+    return frozenset(V1)
 
 
 def connect(
@@ -328,7 +217,7 @@ def connect(
     """Pick one connector per endpoint pair, uniformly among survivors.
 
     Q is a sequence of ordered edge pairs (s, t); the i-th connector is a
-    tuple of budgets[i] inner vertices w drawn from the reservoir R such
+    tuple of budgets[i] inner vertices w drawn from the vertex pool R such
     that s + w + t is a connector path in F (``connectors``), w is disjoint
     from every earlier connector and from all endpoint vertices.  Returns
     the list of inner tuples.  A pair with no remaining candidate raises
@@ -356,10 +245,7 @@ def connect(
     for i, ((s, t), lam) in enumerate(zip(Q, budgets)):
         survivors = list(connectors(F, pool, s, t, lam))
         if not survivors:
-            raise ConnectionFailure(
-                f"pair {i}: no connector with {lam} inner vertices remains",
-                pair_index=i,
-            )
+            raise ConnectionFailure(f"pair {i}: no connector with {lam} inner vertices remains")
         w = survivors[rng.randrange(len(survivors))]
         pool -= set(w)
         out.append(w)
@@ -371,46 +257,22 @@ def connect(
 
 
 @dataclass(frozen=True)
-class _Piece:
-    kind: str  # "kept" | "absorber" | "cover"
-    seq: tuple
-    sigma: int = 0
-    local_index: int = -1  # absorber: path index inside the structure
-
-    def cost(self, ell0: int) -> int:
-        return ell0 + len(self.seq) + self.sigma
-
-
-@dataclass(frozen=True)
 class LayerPlan:
     """Everything the layer transform decided before splicing."""
 
     lengths: tuple
-    groups: tuple  # per cycle: tuple of (kind, seq, sigma)
+    groups: tuple  # per cycle: its kept paths' vertex tuples, in splice order
     lambdas: tuple  # per cycle: tuple of inner-vertex budgets
     endpoints: tuple  # per connector: ((s tuple), (t tuple))
-    reservoir: tuple  # sorted reservoir vertices
-    leftover: tuple  # sorted V1
-    X: tuple  # sorted absorbed set
-    capacity: int  # total sigma of placed absorber paths
-    sizes: dict  # {"V1": ..., "V2": ..., "V3": ...}
-    extended: bool
+    leftover: tuple  # sorted V1, the vertices the connectors take
 
     def as_dict(self) -> dict:
         return {
             "lengths": list(self.lengths),
-            "groups": [
-                [{"kind": kind, "seq": list(seq), "sigma": sig} for kind, seq, sig in g]
-                for g in self.groups
-            ],
+            "groups": [[list(seq) for seq in g] for g in self.groups],
             "lambdas": [list(l) for l in self.lambdas],
             "endpoints": [[list(s), list(t)] for s, t in self.endpoints],
-            "reservoir": list(self.reservoir),
             "leftover": list(self.leftover),
-            "X": list(self.X),
-            "capacity": self.capacity,
-            "sizes": dict(self.sizes),
-            "extended": self.extended,
         }
 
 
@@ -441,11 +303,11 @@ def check_cover_length(H: Hypergraph, prof: Profile) -> None:
 def check_target(target, H: Hypergraph, prof: Profile) -> tuple:
     """The target's cycle lengths, or AssembleParamError when no layer could
     build them in H: no cycles, a sum other than n, a cover length L outside
-    [k+1, n], a cycle below k+1 vertices, or a cycle shorter than the
-    cheapest piece a layer can place.  Every target cycle holds at least one
-    piece, a kept L-path or an L_prime-path of the in-layer cover or the
-    absorbing structure, plus at least ell0 connector vertices after it, so
-    the girth gate is min(L, L_prime) + ell0 (``_Piece.cost``)."""
+    [k+1, n] or below 2k, or a cycle shorter than the cheapest piece a layer
+    can place.  A kept L-path below 2k vertices has overlapping end edges,
+    which no connector can join.  Every target cycle holds at least one kept
+    L-path plus at least ell0 connector vertices after it, so the girth gate
+    is L + ell0, above k + 1."""
     lengths = tuple(target.lengths()) if isinstance(target, CycleFactor) else tuple(target)
     if not lengths:
         raise AssembleParamError("target factor has no cycles")
@@ -454,14 +316,16 @@ def check_target(target, H: Hypergraph, prof: Profile) -> tuple:
             f"target shape {list(lengths)} sums to {sum(lengths)}, host has {H.n} vertices"
         )
     check_cover_length(H, prof)
-    gate = min(prof.L, prof.L_prime) + prof.ell0
+    if prof.L < 2 * H.k:
+        raise AssembleParamError(
+            f"cover cycle length L = {prof.L} < 2k = {2 * H.k}: a kept path "
+            "needs disjoint end edges for its connectors"
+        )
+    gate = prof.L + prof.ell0
     if min(lengths) < gate:
         raise AssembleParamError(
-            f"target girth {min(lengths)} < min(L, L_prime) + ell0 = "
-            f"min({prof.L}, {prof.L_prime}) + {prof.ell0} = {gate}"
+            f"target girth {min(lengths)} < L + ell0 = {prof.L} + {prof.ell0} = {gate}"
         )
-    if min(lengths) < H.k + 1:
-        raise AssembleParamError("every target cycle needs at least k+1 vertices")
     return lengths
 
 
@@ -479,10 +343,10 @@ def layer_transform(
     at least (1 - mu) n vertices.  The emitted factor is a copy of the target
     shape whose edges come only from the opened cycles and from F.  Each of
     the profile's ``layer_retries`` attempts opens every cycle into a path at
-    a fresh rotation and runs the full pipeline (drop, reservoir, extensions,
-    absorbing structure, cover, grouping, connection, absorption, splice);
-    when all fail, LayerFailure carries the failed stage of each attempt.
-    ``seed`` is an int or a ``random.Random`` whose stream the attempts use.
+    a fresh rotation and runs the full pipeline (drop, grouping, budgets,
+    connection, splice); when all fail, LayerFailure carries the failed
+    stage of each attempt.  ``seed`` is an int or a ``random.Random`` whose
+    stream the attempts use.
     """
     if F.k != H.k or F.n != H.n:
         raise AssembleParamError("reserve graph must span the same vertex set")
@@ -567,150 +431,37 @@ def _attempt_layer(H, F, seqs, lengths, prof, rng):
         raise _StageFail("keep", f"no draw left |V1| inside [{lo}, {hi}] in {KEEP_DRAWS} tries")
     timings["keep"] = clock() - t0
 
-    # (2) reservoir inside V1
-    t0 = clock()
-    try:
-        R = build_reservoir(
-            F, prof.beta, prof.ell0, prof.ell1, seed=rng.randrange(2**63), inside=V1
-        )
-    except ReservoirError as exc:
-        raise _StageFail("reservoir", str(exc))
-    timings["reservoir"] = clock() - t0
-
-    # (3) extensions by reserve edges, only with room for 2k fresh vertices per path
-    t0 = clock()
-    free = V1 - R
-    extended = prof.extend and bool(kept) and len(free) >= 2 * k * len(kept)
-    pieces_kept = []
-    ext_used: set = set()
-    if extended:
-        for seq in kept:
-            u = _extend_forward(F, seq[::-1], free - ext_used, rng)
-            if u is None:
-                raise _StageFail("extend", f"no reserve extension before path {seq[:k]}")
-            v = _extend_forward(F, seq, free - ext_used - set(u), rng)
-            if v is None:
-                raise _StageFail("extend", f"no reserve extension after path {seq[-k:]}")
-            ext_used |= set(u) | set(v)
-            pieces_kept.append(_Piece("kept", u[::-1] + seq + v))
-    else:
-        pieces_kept = [_Piece("kept", seq) for seq in kept]
-    timings["extend"] = clock() - t0
-
-    # (4) absorbing structure in the reserve graph on V2
-    t0 = clock()
-    V2 = V1 - R - ext_used
-    structure = None
-    g_of = None  # local label -> global
-    l_of = None  # global -> local
-    pieces_S = []
-    # a single-slot block cannot absorb its own 2k-2 middle vertices, so when
-    # the bad-vertex cap is below that and a block is demanded, no build can
-    # pass its post-checks; skip the attempt outright
-    hopeless = (
-        prof.a == 1
-        and math.ceil(prof.theta**4 * len(V2)) < 2 * k - 2
-        and math.floor(3 * prof.theta**4 * len(V2)) >= 1
-    )
-    if (
-        not hopeless
-        and prof.theta > 0
-        and len(V2) >= max(prof.L_prime, k + 1)
-        and prof.theta**2 * len(V2) >= 1
-        and prof.a * (2 * k + prof.ell) <= prof.L_prime
-    ):
-        F1 = F.induced(V1)
-        g_of = F1.parent_ids
-        l_of = {g: i for i, g in enumerate(g_of)}
-        try:
-            structure = build_absorbing_structure(
-                F1,
-                [l_of[v] for v in V2],
-                prof.L_prime,
-                prof.a,
-                prof.ell,
-                prof.theta,
-                seed=rng.randrange(2**63),
-            )
-        except AbsorbingFailure:
-            # best effort: proceed without a structure; the budget identity
-            # then forces X = empty for the attempt to close
-            structure = None
-        for idx, P in enumerate(structure.paths if structure else ()):
-            pieces_S.append(
-                _Piece(
-                    "absorber",
-                    tuple(g_of[v] for v in P.seq),
-                    sigma=structure.sigma[idx],
-                    local_index=idx,
-                )
-            )
-    timings["absorbing"] = clock() - t0
-
-    # (5) near-spanning cover of the reserve graph on V3
-    t0 = clock()
-    V3 = V2 - set().union(*(set(p.seq) for p in pieces_S)) if pieces_S else V2
-    pieces_W = []
-    if len(V3) >= max(prof.L_prime, k + 1):
-        F3 = F.induced(V3)
-        g3 = F3.parent_ids
-        r_p = min(prof.r_prime, int(min(F3.degrees()) // k)) if F3.m else 0
-        if r_p >= 1:
-            try:
-                # small family cap: a per-edge sample keeps the solve cheap
-                weights = fractional_cycle_decomposition(
-                    F3, prof.L_prime, seed=rng.randrange(2**63), enumerate_cap=800
-                )
-                coll = extract_cycle_collections(
-                    F3, weights, r_p, seed=rng.randrange(2**63), mu=prof.mu
-                )
-            except DecompositionError:
-                coll = None
-            except CoverError as exc:
-                raise _StageFail("cover", str(exc))
-            if coll is not None and coll.ok:
-                chosen = coll.collections[rng.randrange(len(coll.collections))]
-                for C in chosen:
-                    local = open_cycle(C, rng)
-                    pieces_W.append(_Piece("cover", tuple(g3[v] for v in local)))
-    timings["cover"] = clock() - t0
-
-    # (6) group pieces into one bin per target cycle: absorbers first, then
-    # kept paths, then cover paths, all in index order
+    # (2) group the kept paths into one bin per target cycle, in index order;
+    # a path costs its vertices plus the ell0 connector vertices after it
     t0 = clock()
     groups = [[] for _ in lengths]
-    pool_S = list(pieces_S)
-    pool_O = list(pieces_kept) + list(pieces_W)
+    placed = set()
     for gi, L_i in enumerate(lengths):
         used = 0
-        for pool in (pool_S, pool_O):
-            taken = []
-            for p in pool:
-                if used + p.cost(prof.ell0) <= L_i:
-                    groups[gi].append(p)
-                    used += p.cost(prof.ell0)
-                    taken.append(p)
-            for p in taken:
-                pool.remove(p)
-    unplaced_kept = [p for p in pool_O if p.kind == "kept"]
-    if unplaced_kept:
+        for i, seq in enumerate(kept):
+            if i not in placed and used + len(seq) + prof.ell0 <= L_i:
+                groups[gi].append(seq)
+                used += len(seq) + prof.ell0
+                placed.add(i)
+    if len(placed) < len(kept):
         raise _StageFail(
-            "group", f"{len(unplaced_kept)} kept path(s) fit in no target cycle"
+            "group", f"{len(kept) - len(placed)} kept path(s) fit in no target cycle"
         )
     for gi, group in enumerate(groups):
         if not group:
             raise _StageFail("group", f"target cycle {gi} received no path")
-        if len(group) == 1 and len(group[0].seq) < 2 * k:
+        if len(group) == 1 and len(group[0]) < 2 * k:
             raise _StageFail(
-                "group", f"cycle {gi}: a single path of {len(group[0].seq)} < 2k vertices"
+                "group", f"cycle {gi}: a single path of {len(group[0])} < 2k vertices"
             )
     timings["group"] = clock() - t0
 
-    # (7) inner-vertex budgets per connector
+    # (3) inner-vertex budgets per connector; they sum to |V1|, since the
+    # target lengths sum to n and every kept path is placed
     lambdas = []
     for group, L_i in zip(groups, lengths):
         z = len(group)
-        need = L_i - sum(len(p.seq) + p.sigma for p in group)
+        need = L_i - sum(len(seq) for seq in group)
         if need > z * prof.ell1:
             raise _StageFail(
                 "budget", f"need {need} inner vertices over {z} connectors "
@@ -728,63 +479,33 @@ def _attempt_layer(H, F, seqs, lengths, prof, rng):
             j = (j + 1) % z
         lambdas.append(tuple(lam))
 
-    # (8) connect each group cyclically through the reservoir
+    # (4) connect each group cyclically through the leftover
     t0 = clock()
     Q = []
     budgets = []
     for group, lam in zip(groups, lambdas):
         z = len(group)
         for g in range(z):
-            Q.append((group[g].seq[-k:], group[(g + 1) % z].seq[:k]))
+            Q.append((group[g][-k:], group[(g + 1) % z][:k]))
             budgets.append(lam[g])
     try:
-        inners = connect(F, R, Q, budgets, seed=rng.randrange(2**63))
+        inners = connect(F, build_reservoir(V1), Q, budgets, seed=rng.randrange(2**63))
     except (ConnectionFailure, AssembleParamError) as exc:
         raise _StageFail("connect", str(exc))
     timings["connect"] = clock() - t0
 
-    # (9) the leftover set X, which no piece or connector covers, must match
-    # the placed absorption capacity
-    X = V1.difference(*(p.seq for group in groups for p in group), *inners)
-    placed_sigma = sum(p.sigma for group in groups for p in group)
-    if len(X) != placed_sigma:
-        raise _StageFail(
-            "budget",
-            f"|X| = {len(X)} but the placed absorption capacity is {placed_sigma}",
-        )
-
-    # (10) absorb X, then splice each cycle: every piece (absorbed where it
-    # took vertices of X) followed by its connector
+    # (5) splice each cycle: every kept path followed by its connector
     t0 = clock()
-    placed_absorbers = [p for group in groups for p in group if p.kind == "absorber"]
-    phi = {}
-    if placed_absorbers or X:
-        if structure is None:
-            raise _StageFail("absorb", f"{len(X)} leftover vertices but no structure")
-        keep_idx = sorted(p.local_index for p in placed_absorbers)
-        remap = {old: new for new, old in enumerate(keep_idx)}
-        restricted = structure.restricted_to(keep_idx)
-        try:
-            result = absorb(
-                restricted,
-                [l_of[x] for x in sorted(X)],
-                seed=rng.randrange(2**63),
-            )
-        except AbsorbingError as exc:
-            raise _StageFail("absorb", str(exc))
-        for p in placed_absorbers:
-            new_seq = result.phi[remap[p.local_index]].seq
-            phi[p.seq] = tuple(g_of[v] for v in new_seq)
     inner_of = iter(inners)
     cycles = []
     for group in groups:
         seq = []
-        for p in group:
-            seq.extend(phi.get(p.seq, p.seq))
+        for path in group:
+            seq.extend(path)
             seq.extend(next(inner_of))
         cycles.append(TightCycle(H, seq))
     factor = CycleFactor(cycles, target_n=n)
-    timings["absorb"] = clock() - t0
+    timings["splice"] = clock() - t0
 
     f_edges = sorted(
         {e for C in cycles for e in C.edges() if F.has_edge(e)}
@@ -801,37 +522,12 @@ def _attempt_layer(H, F, seqs, lengths, prof, rng):
 
     plan = LayerPlan(
         lengths=tuple(lengths),
-        groups=tuple(
-            tuple((p.kind, phi.get(p.seq, p.seq), p.sigma) for p in group)
-            for group in groups
-        ),
+        groups=tuple(tuple(group) for group in groups),
         lambdas=tuple(lambdas),
         endpoints=tuple(Q),
-        reservoir=tuple(sorted(R)),
         leftover=tuple(sorted(V1)),
-        X=tuple(sorted(X)),
-        capacity=placed_sigma,
-        sizes={"V1": len(V1), "V2": len(V2), "V3": len(V3)},
-        extended=extended,
     )
     return factor, plan, tuple(f_edges), timings
-
-
-def _extend_forward(F, seq, allowed, rng):
-    """Choose k fresh vertices v so every window of seq[-(k-1):] + v mixing
-    both parts is a reserve edge; returns None when some neighborhood is
-    empty.  On the reversed path it extends the path's start."""
-    k = F.k
-    v = [None] * k
-    chosen: set = set()
-    for j in range(k):
-        query = tuple(seq[len(seq) - (k - 1 - j) :]) + tuple(v[:j])
-        cand = [w for w in F.extensions(query) if w in allowed and w not in chosen]
-        if not cand:
-            return None
-        v[j] = cand[rng.randrange(len(cand))]
-        chosen.add(v[j])
-    return tuple(v)
 
 
 # ---------------------------------------------------------------------------
@@ -996,10 +692,10 @@ def pack_factors(
 ) -> PackResult:
     """Emit edge-disjoint cycle factors, one per target shape.
 
-    F is the graph that reservoirs, connectors, extensions and absorbers
-    draw from; it must avoid every collection's edges.  ``decompose`` passes
-    H minus the edges of all extracted cycles, that is the sparsified
-    reserve plus the idle edges.  Target i is built by one
+    F is the graph connectors draw from; it must avoid every collection's
+    edges.  ``decompose`` passes H minus the edges of all extracted cycles,
+    that is the sparsified reserve plus the idle edges.  Target i is built
+    by one
     ``layer_transform`` call from the i-th cycle collection and F minus
     everything consumed by earlier layers; all layers draw from one master
     stream seeded by ``seed``.  The ledger gate runs at the start of each
@@ -1025,7 +721,6 @@ def pack_factors(
         if culprit is not None:
             raise PackBudgetError(
                 f"usage cap {cap} exceeded at {culprit} before layer {i}",
-                culprit=culprit,
                 snapshot=ledger.snapshot(),
                 factors=factors,
             )

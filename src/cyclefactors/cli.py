@@ -116,9 +116,6 @@ def _parse_scalar(text: str, where: str):
             return caster(text)
         except ValueError:
             pass
-    lowered = text.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
     raise CLIError(EXIT_PARSE, f"{where}: cannot parse value {text!r}")
 
 

@@ -150,6 +150,7 @@ def _check_cycle_length(H: Hypergraph, L: int) -> None:
 
 
 EDGE_SUM_TOL = 1e-9  # how far a cycle weighting's per-edge sum may stray from 1
+ENUMERATE_CAP = 20000  # largest cycle family enumerated in full, not sampled
 
 
 def check_edge_sums(H: Hypergraph, weights: Mapping) -> None:
@@ -173,14 +174,13 @@ def fractional_cycle_decomposition(
     H: Hypergraph,
     L: int,
     family: Optional[Iterable[TightCycle]] = None,
-    enumerate_cap: int = 20000,
     per_edge: int = 12,
     seed: int = 0,
 ) -> dict:
     """Solve for per-edge-sum-1 cycle weights by LP over a cycle family.
 
     The family is the full set of L-vertex cycles when it fits under
-    ``enumerate_cap``; otherwise a seeded sample of up to ``per_edge`` cycles
+    ``ENUMERATE_CAP``; otherwise a seeded sample of up to ``per_edge`` cycles
     through each edge.  An edge through which no L-cycle passes at all makes
     the problem infeasible.  Among feasible solutions the LP maximizes the
     minimum cycle weight z* (``fractional.maxmin_lp``: no inequality rows),
@@ -193,7 +193,7 @@ def fractional_cycle_decomposition(
     if H.m == 0:
         raise CoverError("host has no edges")
     if family is None:
-        cycles = _enumerate_all(H, L, enumerate_cap)
+        cycles = _enumerate_all(H, L, ENUMERATE_CAP)
         if cycles is None:
             rng = random.Random(seed)
             pool = {}

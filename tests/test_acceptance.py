@@ -286,12 +286,18 @@ class TestAcceptance:
                 continue
             assert res.attempts <= 20
             assert verify_factor_copy(H, res.factor, [12]).ok
-            budget_ok = budget_ok and len(res.plan.X) == res.plan.capacity
+            # the factor's one cycle is the kept path, then its connector
+            [C], [[path]] = res.factor.cycles, res.plan.groups
+            inner = C.seq[len(path):]
+            budget_ok = budget_ok and (
+                C.seq[: len(path)] == path and sorted(inner) == list(res.plan.leftover)
+            )
             successes += 1
         ok = successes >= 9 and budget_ok
         detail = (
             f"{successes}/10 seeds produced a verified Hamilton factor of K_12 "
-            f"(need 9), absorption budget identity held on all successes: {budget_ok}"
+            f"(need 9), connector inner vertices were exactly the leftover on all "
+            f"successes: {budget_ok}"
         )
         assert announce(capsys, 7, ok, detail), detail
 

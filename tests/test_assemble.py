@@ -1,13 +1,11 @@
 import itertools
 import json
 import math
-import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclefactors import assemble
 from cyclefactors.assemble import (
     AssembleError,
     AssembleParamError,
@@ -15,7 +13,6 @@ from cyclefactors.assemble import (
     LayerFailure,
     PackBudgetError,
     Profile,
-    ReservoirError,
     UsageLedger,
     build_reservoir,
     check_target,
@@ -42,18 +39,20 @@ def star_split(n=12, hubs=(10, 11)):
     return H, F, rest
 
 
-def window_split(n, runs):
-    """Reserve = K_n minus the cyclic tight windows of the given vertex runs;
-    each run becomes a tight cycle of the removed windows."""
-    H = complete_hypergraph(3, n)
-    closed = [tuple(run) + tuple(run)[:2] for run in runs]
-    windows = {
-        tuple(sorted(run[i : i + 3])) for run in closed for i in range(len(run) - 2)
-    }
-    F = H.remove_edges(sorted(windows))
-    cycle_host = Hypergraph(3, n, sorted(windows))
-    cycles = [TightCycle(cycle_host, tuple(run)) for run in runs]
-    return H, F, cycles
+def connector_inners(res):
+    """The connectors' inner tuples of a layer result, read off its factor:
+    each cycle is its kept paths in plan order, each followed by as many
+    connector vertices as its budget."""
+    inners = []
+    for C, group, lam in zip(res.factor.cycles, res.plan.groups, res.plan.lambdas):
+        pos = 0
+        for seq, budget in zip(group, lam):
+            assert C.seq[pos : pos + len(seq)] == seq
+            pos += len(seq)
+            inners.append(C.seq[pos : pos + budget])
+            pos += budget
+        assert pos == len(C.seq)
+    return inners
 
 
 def k12_pack_inputs(seed, r=2):
@@ -77,16 +76,14 @@ class TestProfile:
         p = Profile()
         assert p.mu == 0.2
         assert p.delta == 0.3
-        assert p.beta == 0.4
+        assert p.theta == 0.5
         assert (p.ell0, p.ell1) == (2, 6)
-        assert (p.L, p.L_prime) == (6, 6)
-        assert (p.a, p.ell) == (1, 0)
+        assert p.L == 6
         assert p.layer_retries == 20
-        assert p.extend is False
-        assert len(p.as_dict()) == 15
+        assert len(p.as_dict()) == 9
 
     def test_as_dict_round_trips_through_from_mapping(self):
-        p = Profile(mu=0.1, L=8, extend=True)
+        p = Profile(mu=0.1, L=8, theta=0.4)
         assert Profile.from_mapping(p.as_dict()) == p
 
     def test_from_mapping_rejects_unknown_keys(self):
@@ -110,61 +107,10 @@ class TestProfile:
 
 class TestBuildReservoir:
     def test_small_vertex_pool_takes_everything(self):
-        F = complete_hypergraph(3, 10)
-        R = build_reservoir(F, 0.4, 2, 3, seed=0, inside=range(5))
-        assert R == frozenset(range(5))
-
-    def test_sampled_mode_lands_in_the_size_window(self):
-        F = complete_hypergraph(3, 14)
-        R = build_reservoir(F, 0.4, 2, 4, seed=0)
-        lo, hi = math.floor(0.4 * 14 / 2), math.ceil(0.4 * 14)
-        assert lo <= len(R) <= hi
-        assert R <= set(range(14))
-
-    def test_beta_one_window_is_the_upper_half(self):
-        F = complete_hypergraph(3, 9)
-        R = build_reservoir(F, 1.0, 2, 3, seed=0)
-        assert 4 <= len(R) <= 9
-
-    def test_parameter_validation(self):
-        F = complete_hypergraph(3, 9)
-        with pytest.raises(AssembleParamError, match="beta"):
-            build_reservoir(F, 0.0, 2, 3)
-        with pytest.raises(AssembleParamError, match="beta"):
-            build_reservoir(F, 1.5, 2, 3)
-        with pytest.raises(AssembleParamError, match="ell0"):
-            build_reservoir(F, 0.4, 3, 2)
-        with pytest.raises(Exception, match="vertex"):
-            build_reservoir(F, 0.4, 2, 3, inside=[0, 9])
-
-    def test_failure_names_the_violated_property(self, monkeypatch):
-        # seed 8's first draw has |R| = 5, above the window [1, 4]
-        monkeypatch.setattr(assemble, "RESERVOIR_SAMPLES", 1)
-        F = complete_hypergraph(3, 9)
-        with pytest.raises(ReservoirError, match="last failure: size "):
-            build_reservoir(F, 0.4, 2, 3, seed=8)
-
-    def test_inside_edges_are_listed_once_for_every_audit(self, monkeypatch):
-        # this host's reservoir is accepted on its 41st audited sample
-        rng = random.Random(4)
-        F = Hypergraph(3, 12, [e for e in itertools.combinations(range(12), 3) if rng.random() < 0.6])
-        seen = []
-        audit = assemble._audit_reservoir
-
-        def spy(F, R, beta, ell0, ell1, edges, rng):
-            seen.append(edges)
-            return audit(F, R, beta, ell0, ell1, edges, rng)
-
-        monkeypatch.setattr(assemble, "_audit_reservoir", spy)
-        R = build_reservoir(F, 0.4, 2, 3, seed=43, inside=range(1, 12))
-        assert len(R) < 11
-        assert len(seen) == 41
-        assert all(edges is seen[0] for edges in seen)
-        assert seen[0] == [e for e in F.edges if set(e) <= set(range(1, 12))]
+        assert build_reservoir(range(5)) == frozenset(range(5))
 
     def test_reservoir_is_immutable(self):
-        F = complete_hypergraph(3, 10)
-        R = build_reservoir(F, 0.4, 2, 3, seed=0, inside=range(5))
+        R = build_reservoir(range(5))
         with pytest.raises(AttributeError):
             R.add(9)
 
@@ -223,8 +169,7 @@ class TestPathsBetween:
 
 class TestConnect:
     def take_all(self, n, pool):
-        F = complete_hypergraph(3, n)
-        return F, build_reservoir(F, 0.5, 2, 3, seed=0, inside=pool)
+        return complete_hypergraph(3, n), build_reservoir(pool)
 
     def test_no_pairs_yields_no_connectors(self):
         F, R = self.take_all(10, range(4))
@@ -252,9 +197,8 @@ class TestConnect:
     def test_exhausted_pool_names_the_failing_pair(self):
         F, R = self.take_all(14, (0, 1))
         Q = [((2, 3, 4), (5, 6, 7)), ((8, 9, 10), (11, 12, 13))]
-        with pytest.raises(ConnectionFailure) as info:
+        with pytest.raises(ConnectionFailure, match="^pair 1: no connector"):
             connect(F, R, Q, [2, 2], seed=0)
-        assert info.value.pair_index == 1
 
     def test_parameter_validation(self):
         F, R = self.take_all(10, range(4))
@@ -280,8 +224,9 @@ class TestLayerTransform:
             res = layer_transform(H, F, [C], [12], seed=seed)
             assert bool(res)
             assert res.attempts == 1
-            assert res.plan.X == ()
-            assert res.plan.capacity == 0
+            assert res.plan.leftover == (10, 11)
+            [inner] = connector_inners(res)
+            assert sorted(inner) == [10, 11]
             assert len(res.f_edges) == 4
             assert res.factor.lengths() == [12]
             assert all(F.has_edge(e) for e in res.f_edges)
@@ -291,7 +236,7 @@ class TestLayerTransform:
         C = TightCycle(rest, tuple(range(10)))
         res = layer_transform(H, F, [C], [12], seed=0)
         assert res.f_edges == ((0, 9, 11), (0, 10, 11), (1, 2, 10), (1, 10, 11))
-        assert res.plan.sizes == {"V1": 2, "V2": 0, "V3": 0}
+        assert res.plan.leftover == (10, 11)
 
     def test_same_seed_reproduces_plan_and_factor(self):
         H, F, rest = star_split()
@@ -312,8 +257,7 @@ class TestLayerTransform:
         path_edges = {
             tuple(sorted(seq[i : i + 3]))
             for g in res.plan.groups
-            for kind, seq, _ in g
-            if kind == "kept"
+            for seq in g
             for i in range(len(seq) - 2)
         }
         assert path_edges
@@ -329,16 +273,12 @@ class TestLayerTransform:
             layer_transform(H, F, [C], [4, 8], seed=0)
 
     def test_girth_gate_is_the_cheapest_piece_cost(self):
-        # min(L, L_prime) + ell0: the shortest path a layer places, plus the
-        # ell0 connector vertices after it
+        # L + ell0: a kept L-path, plus the ell0 connector vertices after it
         H = complete_hypergraph(3, 14)
-        prof = Profile(L=8, L_prime=5, ell0=2)
+        prof = Profile(L=6, ell0=1)
         assert check_target([7, 7], H, prof) == (7, 7)
-        with pytest.raises(AssembleParamError, match=r"min\(8, 5\) \+ 2 = 7"):
+        with pytest.raises(AssembleParamError, match=r"L \+ ell0 = 6 \+ 1 = 7"):
             check_target([6, 8], H, prof)
-        # a gate at or below k still leaves every cycle k + 1 vertices
-        with pytest.raises(AssembleParamError, match=r"k\+1"):
-            check_target([3, 11], H, Profile(L_prime=2, ell0=1))
 
     def test_target_lengths_must_sum_to_n(self):
         H, F, rest = star_split()
@@ -381,66 +321,6 @@ class TestLayerTransform:
         log = info.value.stage_log
         assert len(log) == 3
         assert all(stage == "connect" for _, stage, _ in log)
-
-    def test_uncovered_vertices_are_closed_by_a_cover_piece(self):
-        H, F, cycles = window_split(24, [range(12), range(12, 20)])
-        prof = Profile(delta=0.5, beta=0.5, layer_retries=40)
-        res = layer_transform(H, F, cycles, [24], prof=prof, seed=3)
-        assert bool(res)
-        assert res.attempts == 8
-        kinds = [kind for g in res.plan.groups for kind, _, _ in g]
-        assert "cover" in kinds
-        assert res.plan.sizes == {"V1": 12, "V2": 6, "V3": 6}
-        assert res.plan.X == ()
-
-    def test_kept_paths_can_be_extended_into_the_leftover(self):
-        H, F, cycles = window_split(20, [range(10), range(10, 16)])
-        prof = Profile(delta=0.5, beta=0.5, extend=True, layer_retries=40)
-        for seed, want_attempts in [(0, 10), (1, 12)]:
-            res = layer_transform(H, F, cycles, [20], prof=prof, seed=seed)
-            assert bool(res)
-            assert res.attempts == want_attempts
-            assert res.plan.extended
-            lens = [len(seq) for g in res.plan.groups for _, seq, _ in g]
-            assert lens == [16]
-
-    def test_leftover_vertices_are_absorbed_by_the_structure(self):
-        H, F, cycles = window_split(35, [range(16), range(16, 30)])
-        prof = Profile(
-            delta=0.5, beta=0.5, theta=0.4, a=2, ell=1, L_prime=14, layer_retries=40
-        )
-        for seed, want_attempts, want_X in [(2, 1, (16,)), (0, 1, (6,))]:
-            res = layer_transform(H, F, cycles, [35], prof=prof, seed=seed)
-            assert bool(res)
-            assert res.attempts == want_attempts
-            assert res.plan.X == want_X
-            assert res.plan.capacity == len(res.plan.X) == 1
-            kinds = [kind for g in res.plan.groups for kind, _, _ in g]
-            assert "absorber" in kinds
-            covered = set().union(*(C.vertex_set for C in res.factor.cycles))
-            assert set(want_X) <= covered
-
-    @pytest.mark.parametrize("k,p", [(3, 0.5), (3, 0.8), (4, 0.6)])
-    def test_backward_extension_is_the_reversed_forward_extension(
-        self, k, p, check_against_backward
-    ):
-        rng = random.Random(k * 100 + int(p * 10))
-        F = Hypergraph(k, 14, [e for e in itertools.combinations(range(14), k) if rng.random() < p])
-        outcomes = set()
-        for trial in range(60):
-            seq = tuple(rng.sample(range(14), rng.randint(k, 2 * k)))
-            rest = [v for v in range(14) if v not in seq]
-            allowed = set(rng.sample(rest, rng.randint(k, len(rest))))
-            outcomes.add(check_against_backward(F, seq, allowed, trial) is None)
-        assert outcomes == {True, False}
-
-    def test_absorbed_set_always_matches_placed_capacity(self):
-        H, F, cycles = window_split(35, [range(16), range(16, 30)])
-        prof = Profile(
-            delta=0.5, beta=0.5, theta=0.4, a=2, ell=1, L_prime=14, layer_retries=40
-        )
-        res = layer_transform(H, F, cycles, [35], prof=prof, seed=1)
-        assert len(res.plan.X) == res.plan.capacity
 
 
 class TestUsageLedger:
@@ -565,22 +445,21 @@ class TestPackFactors:
                 prof=Profile(cap_fraction=0.01), seed=0,
             )
         err = info.value
-        assert err.culprit == (0, 9)
+        assert "exceeded at (0, 3) before layer 1" in str(err)
         assert len(err.factors) == 1
         assert err.snapshot["cap"] == 1
         assert err.snapshot["max_usage"] == 2
 
     def test_cap_gates_the_start_of_each_layer_not_the_last(self):
-        # seed 0: two layers leave the pair (3, 7) at usage 4, over the
+        # seed 3: two layers leave the pair (1, 6) at usage 4, over the
         # default cap 3 = ceil(0.25 * 12)
-        H, reserve, collections = k12_pack_inputs(0, r=3)
-        two = pack_factors(H, reserve, collections[:2], [[12], [12]], seed=0)
+        H, reserve, collections = k12_pack_inputs(3, r=3)
+        two = pack_factors(H, reserve, collections[:2], [[12], [12]], seed=3)
         assert two.ok
         assert (two.ledger.cap, two.ledger.snapshot()["max_usage"]) == (3, 4)
-        with pytest.raises(PackBudgetError, match="before layer 2") as info:
-            pack_factors(H, reserve, collections, [[12], [12], [12]], seed=0)
+        with pytest.raises(PackBudgetError, match=r"exceeded at \(1, 6\) before layer 2") as info:
+            pack_factors(H, reserve, collections, [[12], [12], [12]], seed=3)
         err = info.value
-        assert err.culprit == (3, 7)
         assert [F.as_dict() for F in err.factors] == [F.as_dict() for F in two.factors]
         assert err.snapshot == two.ledger.snapshot()
 

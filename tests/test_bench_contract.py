@@ -7,8 +7,9 @@ refactor that moved the solve elsewhere would make it report zeros.  It
 counts ``assemble.layer_transform`` calls and reads the stage log of each
 result or LayerFailure, which the manifest must list in full.  It also
 times the layer's building blocks by name (``assemble.build_reservoir``,
-``assemble.connect``, ``assemble.build_absorbing_structure``), which a
-traced wide-leftover call must reach.
+``assemble.connect``, ``assemble.build_absorbing_structure``); a traced
+wide-leftover call connects through the whole leftover and builds no
+absorbing structure.
 """
 
 import json
@@ -72,13 +73,14 @@ def test_manifest_failure_counts_equal_the_tracer(tmp_path, monkeypatch):
 
 
 def test_traced_wide_leftover_call_reaches_the_layer_building_blocks(tmp_path, monkeypatch):
-    # the k12-wide-leftover workload's seed 0: leftovers above 2k run sampled
-    # reservoirs, connectors and absorbing builds
+    # the k12-wide-leftover workload's seed 0: leftovers above 2k go to the
+    # connectors, with no absorbing structure or walk
     code, manifest, metrics = traced_decompose(
         tmp_path, monkeypatch, "--set", "delta=0.7", "--set", "theta=0.4"
     )
     assert code == cli.EXIT_OK
     assert manifest["failed_layer"] is None
     assert metrics["assemble.reservoir_calls"] >= 1
+    assert metrics["absorbing.build_calls"] == 0
+    assert metrics["walks.sample_walk_calls"] == 0
     assert metrics["assemble.connect_calls"] >= 1
-    assert metrics["absorbing.build_calls"] >= 1

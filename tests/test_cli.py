@@ -89,17 +89,17 @@ class TestParseTargets:
 class TestProfileFiles:
     def test_comments_blanks_and_inline_comments(self, tmp_path):
         path = tmp_path / "prof.txt"
-        path.write_text("# desk profile\nmu = 0.25\n\nbeta=0.5 # inline\n")
+        path.write_text("# desk profile\nmu = 0.25\n\neps=0.4 # inline\n")
         prof = load_profile(str(path), [])
         assert prof.mu == 0.25
-        assert prof.beta == 0.5
+        assert prof.eps == 0.4
 
     def test_flag_overrides_win(self, tmp_path):
         path = tmp_path / "prof.txt"
         path.write_text("mu=0.25\n")
-        prof = load_profile(str(path), ["mu=0.1", "extend=true"])
+        prof = load_profile(str(path), ["mu=0.1", "L=8"])
         assert prof.mu == 0.1
-        assert prof.extend is True
+        assert prof.L == 8
 
     def test_unknown_keys_are_parameter_errors(self):
         with pytest.raises(CLIError) as info:
@@ -119,13 +119,16 @@ class TestProfileFiles:
             load_profile("/nonexistent/prof.txt", [])
         assert info.value.code == EXIT_PARSE
 
-    def test_values_parse_as_int_float_bool(self, tmp_path):
+    def test_values_parse_as_int_or_float(self, tmp_path):
         path = tmp_path / "prof.txt"
-        path.write_text("L=8\ndelta=0.4\nextend=TRUE\n")
+        path.write_text("L=8\ndelta=0.4\n")
         prof = load_profile(str(path), [])
         assert prof.L == 8
         assert prof.delta == 0.4
-        assert prof.extend is True
+        # no profile entry is a flag
+        with pytest.raises(CLIError) as info:
+            load_profile(None, ["theta=true"])
+        assert info.value.code == EXIT_PARSE
 
 
 class TestAnalyze:
@@ -289,20 +292,6 @@ class TestCover:
             assert all(len(C) == 6 for C in coll)
             assert len(set().union(*(C.vertex_set for C in coll))) == coverage
 
-    def test_r_prime_leaves_the_collection_count_alone(self, tmp_path):
-        # r_prime is the in-layer cover's choice count; --collections
-        # defaults to 3 on its own
-        host = write_host(tmp_path, complete_hypergraph(3, 12))
-        docs = []
-        for extra in ([], ["--set", "r_prime=1"]):
-            artifact = tmp_path / "cover.json"
-            assert main(["cover", host, "-q", "--output", str(artifact), *extra]) == EXIT_OK
-            docs.append(json.loads(artifact.read_text()))
-        for doc in docs:
-            assert doc["config"]["options"]["collections"] == 3
-            assert doc["coverages"] == [12, 12, 12]
-        assert docs[0]["collections"] == docs[1]["collections"]
-
 
 @pytest.mark.parametrize(
     "command,flag",
@@ -351,28 +340,11 @@ class TestDecompose:
     def test_decompose_never_computes_the_full_regularity_report(
         self, tmp_path, monkeypatch
     ):
-        # eta* is a hypothesis on the input; the pipeline re-checks only rho*,
-        # also in sampled reservoirs and absorbing structures
+        # eta* is a hypothesis on the input, which decompose never sweeps
         def refuse(H):
             raise AssertionError("decompose swept eta* for a regularity report")
 
         monkeypatch.setattr(RegularityReport, "from_hypergraph", staticmethod(refuse))
-        reached = []
-        real_reservoir = assemble.build_reservoir
-        real_absorbing = assemble.build_absorbing_structure
-
-        def reservoir(*args, **kwargs):
-            R = real_reservoir(*args, **kwargs)
-            if len(R) < len(kwargs["inside"]):
-                reached.append("sampled")
-            return R
-
-        def absorbing(*args, **kwargs):
-            reached.append("absorbing")
-            return real_absorbing(*args, **kwargs)
-
-        monkeypatch.setattr(assemble, "build_reservoir", reservoir)
-        monkeypatch.setattr(assemble, "build_absorbing_structure", absorbing)
         host = write_host(tmp_path, complete_hypergraph(3, 12))
         code = main(
             [
@@ -386,7 +358,6 @@ class TestDecompose:
             ]
         )
         assert code == EXIT_OK
-        assert "sampled" in reached and "absorbing" in reached
 
     def test_input_is_weighted_once_per_job(self, tmp_path, monkeypatch):
         calls = []
@@ -479,14 +450,6 @@ class TestDecompose:
         for module in (fractional, absorbing, assemble, cli):
             for name in ("redistribute_pfm", "build_walk_registry"):
                 monkeypatch.setattr(module, name, refuse, raising=False)
-        reached = []
-        real_absorbing = assemble.build_absorbing_structure
-
-        def counted(*args, **kwargs):
-            reached.append("absorbing")
-            return real_absorbing(*args, **kwargs)
-
-        monkeypatch.setattr(assemble, "build_absorbing_structure", counted)
         host = write_host(tmp_path, complete_hypergraph(3, 12))
         code = main(
             [
@@ -500,7 +463,6 @@ class TestDecompose:
             ]
         )
         assert code == EXIT_OK
-        assert reached
 
     def test_decompose_hands_cycle_collections_to_the_packer(self, tmp_path):
         # every layer attempt opens the cycles itself
@@ -602,6 +564,20 @@ class TestDecompose:
         assert json.loads(out.read_text())["achieved"] == 2
         assert main(["verify", host, str(factors), "-q", "--output", str(check)]) == EXIT_OK
 
+    def test_k21_packs_two_hamilton_cycles_in_one_attempt(self, tmp_path):
+        # |V1| = 9 leaves no room beside a sampled reservoir for an absorbing
+        # structure; connectors through the whole leftover pack it at once
+        host = write_host(tmp_path, complete_hypergraph(3, 21))
+        out = tmp_path / "run.json"
+        code = main(
+            ["decompose", host, "--targets", "21;21", "--seed", "0", "-q",
+             "--output", str(out)]
+        )
+        assert code == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert doc["achieved"] == 2
+        assert doc["pipeline"]["attempts"] == 1
+
     def test_failed_extraction_names_its_best_draw(self, tmp_path, monkeypatch):
         # four Hamilton targets on K_12^(3): no draw reaches the coverage gate
         seen = self._record_extractions(monkeypatch)
@@ -631,29 +607,43 @@ class TestDecompose:
         assert "sums to 11" in capsys.readouterr().err
 
     def test_girth_below_gate_is_a_parameter_error(self, tmp_path, capsys):
-        # the default gate is min(L, L_prime) + ell0 = min(6, 6) + 2 = 8
+        # the default gate is L + ell0 = 6 + 2 = 8
         host = write_host(tmp_path, complete_hypergraph(3, 12))
         assert main(["decompose", host, "--targets", "6,6;12"]) == EXIT_PARAMS
-        assert "target girth 6 < min(L, L_prime) + ell0 = min(6, 6) + 2 = 8" in (
-            capsys.readouterr().err
-        )
+        assert "target girth 6 < L + ell0 = 6 + 2 = 8" in capsys.readouterr().err
 
     def test_short_cycles_are_rejected_before_any_sampling(
         self, tmp_path, monkeypatch, capsys
     ):
-        # with L = 5 the gate is 7: 6-cycles sit one below it
+        # with ell0 = 1 the gate is 7: 6-cycles sit one below it
         monkeypatch.setattr(cli, "sparsify_intersecting", refuse_to_sample)
         host = write_host(tmp_path, complete_hypergraph(3, 12))
-        code = main(["decompose", host, "--set", "L=5", "--targets", "6,6;12"])
+        code = main(["decompose", host, "--set", "ell0=1", "--targets", "6,6;12"])
         assert code == EXIT_PARAMS
-        assert "min(L, L_prime) + ell0 = min(5, 6) + 2 = 7" in capsys.readouterr().err
+        assert "L + ell0 = 6 + 1 = 7" in capsys.readouterr().err
 
     def test_a_target_at_the_gate_reaches_sampling(self, tmp_path, monkeypatch):
-        # with L = 4 the gate is 6: 6-cycles pass it
+        # with ell0 = 1 the gate is 7: 7-cycles pass it
         monkeypatch.setattr(cli, "sparsify_intersecting", refuse_to_sample)
-        host = write_host(tmp_path, complete_hypergraph(3, 12))
+        host = write_host(tmp_path, complete_hypergraph(3, 14))
         with pytest.raises(Sampled):
-            main(["decompose", host, "--set", "L=4", "--targets", "6,6;12"])
+            main(["decompose", host, "--set", "ell0=1", "--targets", "7,7;14"])
+
+    @pytest.mark.parametrize("n", [12, 15])
+    def test_cover_length_below_2k_is_refused_before_sampling(
+        self, n, tmp_path, monkeypatch, capsys
+    ):
+        # a kept 5-path has overlapping end edges for k = 3; without the check
+        # every layer attempt fails, at group on K_12^(3) and at connect on
+        # K_15^(3).  cover keeps its [k+1, n] rule.
+        monkeypatch.setattr(cli, "sparsify_intersecting", refuse_to_sample)
+        monkeypatch.setattr(cli, "fractional_cycle_decomposition", refuse_to_sample)
+        host = write_host(tmp_path, complete_hypergraph(3, n))
+        code = main(["decompose", host, "--set", "L=5", "--targets", f"{n};{n}"])
+        assert code == EXIT_PARAMS
+        assert "cover cycle length L = 5 < 2k = 6" in capsys.readouterr().err
+        with pytest.raises(Sampled):
+            main(["cover", host, "--set", "L=5"])
 
     @pytest.mark.parametrize("L", [3, 13])
     def test_cover_length_outside_k_plus_1_to_n_is_refused(

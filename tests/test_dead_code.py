@@ -12,6 +12,13 @@ same-named attribute is read. Dunder methods are exempt, since Python calls
 them implicitly. A name that only tests/ mention (a re-export in
 ``__init__.py`` is no use) must be a named oracle in ``TEST_ORACLES``.
 
+Every attribute a class in the package stores (an annotated class field, a
+``__slots__`` entry, or an attribute its methods set on ``self``) is read
+somewhere outside tests/: as an attribute (``x.name``) or a string, matched
+by spelling like the definitions above. A class that lists its own
+``fields()`` reads all of them. An attribute no module outside tests/ reads
+must be named in ``TEST_READ_ATTRIBUTES`` with the reason it stays.
+
 An imported name counts as read when the module loads it as a bare name or
 lists it in ``__all__``. ``__init__.py`` is exempt: its imports are the
 package's re-exports.
@@ -39,6 +46,23 @@ TEST_ORACLES = {
     "y": "the ledger's per-layer codegree use, read back",
     "length": "TightPath's edge count",
     "girth": "CycleFactor's shortest cycle",
+}
+
+# Attributes that only tests read (or nothing reads), as "Class.attribute",
+# each with the reason it stays.
+_TRANSFER = "degree_transfer_check's report, which only tests read"
+_SELF_AVOIDING = "self_avoiding_rate's result, which only tests read"
+TEST_READ_ATTRIBUTES = {
+    "TransferReport.precondition_ok": _TRANSFER,
+    "TransferReport.failing_sets": _TRANSFER,
+    "TransferReport.set_ratios": _TRANSFER,
+    "TransferReport.vertex_ratios": _TRANSFER,
+    "TransferReport.vertex_pass": _TRANSFER,
+    "TransferReport.all_pass": _TRANSFER,
+    "SelfAvoidingRate.rate": _SELF_AVOIDING,
+    "SelfAvoidingRate.trials": _SELF_AVOIDING,
+    "SelfAvoidingRate.hits": _SELF_AVOIDING,
+    "AbsorptionResult.phi": "absorb's output; absorb stays while bench/tracer.py patches it",
 }
 
 
@@ -174,3 +198,69 @@ def test_no_unused_imports():
         unused += [f"{path.name}:{line} {name}" for name, line in _imported(tree)
                    if name not in read]
     assert not unused, f"imported but never read: {unused}"
+
+
+def _stored_attributes(tree):
+    """("Class.attribute", line) for every attribute a class stores, except
+    dunders and the fields of a class that reads its own ``fields()``."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        stored = {}
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                stored[node.target.id] = node.lineno
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets
+            ):
+                stored.update((c.value, node.lineno) for c in ast.walk(node.value)
+                              if isinstance(c, ast.Constant))
+        reads_own_fields = False
+        for node in ast.walk(cls):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                stored.update((t.attr, node.lineno) for t in targets
+                              if isinstance(t, ast.Attribute)
+                              and isinstance(t.value, ast.Name) and t.value.id == "self")
+            elif isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Attribute) and func.attr == "__setattr__" \
+                        and len(node.args) > 1 and isinstance(node.args[1], ast.Constant):
+                    stored[node.args[1].value] = node.lineno  # object.__setattr__(self, ...)
+                elif isinstance(func, ast.Name) and func.id == "fields":
+                    reads_own_fields = True
+        if reads_own_fields:
+            continue
+        for name, line in stored.items():
+            if not (name.startswith("__") and name.endswith("__")):
+                yield f"{cls.name}.{name}", line
+
+
+def _read_attributes(paths):
+    """Every attribute read (load context) and string in the given files."""
+    read = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return read
+
+
+def test_attributes_only_tests_read_are_named():
+    program = _read_attributes(_sources("src", "demos", "bench"))
+    unread = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for key, line in _stored_attributes(ast.parse(path.read_text())):
+            if key.split(".", 1)[1] not in program:
+                unread[key] = f"{path.name}:{line} {key}"
+    unnamed = sorted(where for key, where in unread.items() if key not in TEST_READ_ATTRIBUTES)
+    assert not unnamed, (
+        f"no module outside tests/ reads {unnamed}: delete them, or name them "
+        "in TEST_READ_ATTRIBUTES with the reason they stay"
+    )
+    assert set(TEST_READ_ATTRIBUTES) <= set(unread), (
+        f"the program reads {sorted(set(TEST_READ_ATTRIBUTES) - set(unread))}: "
+        "take them off TEST_READ_ATTRIBUTES"
+    )
