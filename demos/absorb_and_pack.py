@@ -5,8 +5,8 @@
   2. transform one near-spanning cycle plus a reserve graph into a verified
      Hamilton factor of K_12 (each attempt opens the cycle into a path and
      closes it with a connector through the leftover vertices),
-  3. pack two edge-disjoint Hamilton factors of K_12 with the codegree
-     usage ledger enforcing the per-pair consumption cap.
+  3. pack two edge-disjoint Hamilton factors of K_12, each layer drawing
+     its connectors from the reserve edges earlier layers left unused.
 """
 
 from cyclefactors.absorbing import enumerate_absorbers, is_absorber_for
@@ -63,10 +63,9 @@ def stage_3():
     print(f"  packed {res.achieved}/{res.requested} factors, ok = {res.ok}")
     for i, factor in enumerate(res.factors):
         print(f"  factor {i}: {[list(C.seq) for C in factor.cycles]}")
-    snap = res.ledger.snapshot()
-    print(f"  ledger: cap {snap['cap']} uses per vertex pair, gating the start "
-          f"of each layer; max usage {snap['max_usage']} at {snap['argmax']} "
-          f"(the last layer's usage is reported, not gated)")
+    for i, lr in enumerate(res.layer_results):
+        print(f"  layer {i} consumed {len(lr.f_edges)} reserve edges: "
+              f"{[list(e) for e in lr.f_edges]}")
     print(f"  cross-factor edge-disjointness: "
           f"{validate_packing(H, res.factors).ok}")
 

@@ -66,7 +66,6 @@ from .cover import (
 )
 from .assemble import (
     LayerPlan,
-    UsageLedger,
     Profile,
     build_reservoir,
     connect,

@@ -1,12 +1,13 @@
 """Probabilistic connection, the layer transform, and packing.
 
 This module turns one near-spanning cycle collection plus a reserve graph F
-into a cycle factor of prescribed shape, then repeats the construction with
-usage budgets to pack several edge-disjoint factors.  Each layer attempt
-opens every cycle into a path at a fresh rotation, drops a random subset of
-paths (rejection-sampled until the leftover size lands in a window), groups
-the kept paths into one bin per target cycle, and closes each bin into a
-cycle with connectors whose inner vertices come from the whole leftover.
+into a cycle factor of prescribed shape, then repeats the construction on
+what earlier layers left of F to pack several edge-disjoint factors.  Each
+layer attempt opens every cycle into a path at a fresh rotation, drops a
+random subset of paths (rejection-sampled until it keeps a path per target
+cycle and the leftover size lands in a window), groups the kept paths into
+one bin per target cycle, and closes each bin into a cycle with connectors
+whose inner vertices come from the whole leftover.
 
 The source paper's layer differs here: it sets aside a random reservoir of
 leftover vertices for the connectors and absorbs the rest of the leftover
@@ -26,12 +27,11 @@ every attempt.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 import time
 from dataclasses import dataclass, fields
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .bruteforce import validate_packing
 from .cover import open_cycle
@@ -53,11 +53,9 @@ __all__ = [
     "AssembleParamError",
     "ConnectionFailure",
     "LayerFailure",
-    "PackBudgetError",
     "Profile",
     "LayerPlan",
     "LayerResult",
-    "UsageLedger",
     "PackResult",
     "check_cover_length",
     "check_target",
@@ -96,16 +94,6 @@ class LayerFailure(AssembleError):
         self.stage_log = tuple(stage_log)
 
 
-class PackBudgetError(AssembleError):
-    """Raised when the usage ledger's codegree cap is violated; the message
-    names the first (k-1)-set over the cap."""
-
-    def __init__(self, message, snapshot, factors=()):
-        super().__init__(message)
-        self.snapshot = snapshot
-        self.factors = tuple(factors)
-
-
 class _StageFail(Exception):
     """Internal: aborts one layer attempt, naming the failed stage."""
 
@@ -135,7 +123,6 @@ class Profile:
     ell1: int = 6  # max connector inner vertices
     L: int = 6  # cycle length (vertices) of the cover
     eps: float = 0.5  # sparsification split parameter
-    cap_fraction: float = 0.25  # ledger codegree cap as a fraction of n
     layer_retries: int = 20  # full-pipeline attempts per layer
 
     def __post_init__(self):
@@ -153,8 +140,6 @@ class Profile:
             raise AssembleParamError(f"cover cycle length L = {self.L} is below 2")
         if not 0 < self.eps <= 1:
             raise AssembleParamError(f"eps = {self.eps} outside (0, 1]")
-        if self.cap_fraction <= 0:
-            raise AssembleParamError("cap_fraction must be positive")
         if self.layer_retries < 1:
             raise AssembleParamError("layer_retries must be positive")
 
@@ -415,20 +400,27 @@ def _attempt_layer(H, F, seqs, lengths, prof, rng):
     timings = {}
     clock = time.perf_counter
 
-    # (1) keep each path with probability 1 - delta; leftover window gate
+    # (1) keep each path with probability 1 - delta; a draw must keep a path
+    # for every target cycle (step (2) refuses an empty bin) and leave |V1|
+    # inside the window
     t0 = clock()
     lo = math.floor(prof.delta * n / 2)
     hi = math.ceil(3 * prof.delta * n / 2)
     kept = None
     for _ in range(KEEP_DRAWS):
         cand = [s for s in seqs if rng.random() < 1 - prof.delta]
-        leftover = set(range(n)) - set().union(*(set(s) for s in cand)) if cand else set(range(n))
+        if len(cand) < len(lengths):
+            continue
+        leftover = set(range(n)).difference(*cand)
         if lo <= len(leftover) <= hi:
             kept = cand
             V1 = leftover
             break
     if kept is None:
-        raise _StageFail("keep", f"no draw left |V1| inside [{lo}, {hi}] in {KEEP_DRAWS} tries")
+        raise _StageFail(
+            "keep", f"no draw kept {len(lengths)} path(s) and left |V1| inside "
+            f"[{lo}, {hi}] in {KEEP_DRAWS} tries"
+        )
     timings["keep"] = clock() - t0
 
     # (2) group the kept paths into one bin per target cycle, in index order;
@@ -531,87 +523,7 @@ def _attempt_layer(H, F, seqs, lengths, prof, rng):
 
 
 # ---------------------------------------------------------------------------
-# usage ledger and packing
-
-
-class UsageLedger:
-    """Per-(k-1)-set consumption of reserve edges across layers.
-
-    The ledger counts, for every (k-1)-set x, how many consumed reserve edges
-    contain x (the consumed codegree), plus the same count per layer.  The
-    cap gates the start of each layer: ``pack_factors`` refuses another layer
-    when any codegree already exceeds it.  The last layer's usage is
-    reported (``snapshot``), not gated, so it may end above the cap.
-    """
-
-    def __init__(self, k: int, n: int, cap: int):
-        if k < 2 or n < k or cap < 0:
-            raise AssembleParamError(f"invalid ledger shape k={k}, n={n}, cap={cap}")
-        self.k = k
-        self.n = n
-        self.cap = cap
-        self.layers: list = []
-        self.codegree: dict = {}
-
-    def record_layer(self, f_edges: Iterable[Sequence[int]]) -> None:
-        edges = frozenset(tuple(sorted(e)) for e in f_edges)
-        per_layer: dict = {}
-        for e in edges:
-            if len(e) != self.k:
-                raise AssembleParamError(f"edge {e} is not a {self.k}-set")
-            for x in itertools.combinations(e, self.k - 1):
-                self.codegree[x] = self.codegree.get(x, 0) + 1
-                per_layer[x] = per_layer.get(x, 0) + 1
-        self.layers.append((edges, per_layer))
-
-    def y(self, i: int, x: Iterable[int]) -> int:
-        """Consumed codegree of x within layer i alone."""
-        return self.layers[i][1].get(tuple(sorted(x)), 0)
-
-    def usage(self, x: Iterable[int]) -> int:
-        return self.codegree.get(tuple(sorted(x)), 0)
-
-    def violation(self):
-        """The lexicographically first (k-1)-set over the cap, or None."""
-        bad = [x for x, c in self.codegree.items() if c > self.cap]
-        return min(bad) if bad else None
-
-    def max_usage(self):
-        if not self.codegree:
-            return (0, None)
-        x = max(sorted(self.codegree), key=lambda x: self.codegree[x])
-        return (self.codegree[x], x)
-
-    def snapshot(self) -> dict:
-        top, arg = self.max_usage()
-        return {
-            "cap": self.cap,
-            "layers": len(self.layers),
-            "edges_per_layer": [len(layer[0]) for layer in self.layers],
-            "max_usage": top,
-            "argmax": list(arg) if arg else None,
-        }
-
-    def __eq__(self, other):
-        if not isinstance(other, UsageLedger):
-            return NotImplemented
-        return (
-            (self.k, self.n, self.cap) == (other.k, other.n, other.cap)
-            and self.codegree == other.codegree
-            and [layer[0] for layer in self.layers]
-            == [layer[0] for layer in other.layers]
-        )
-
-    @classmethod
-    def recomputed(cls, k, n, cap, F: Hypergraph, factors) -> "UsageLedger":
-        """Rebuild the ledger from scratch out of the emitted factors."""
-        fresh = cls(k, n, cap)
-        for factor in factors:
-            consumed = {
-                e for C in factor.cycles for e in C.edges() if F.has_edge(e)
-            }
-            fresh.record_layer(consumed)
-        return fresh
+# packing
 
 
 def _failed_stages(stage_log) -> list:
@@ -629,7 +541,6 @@ class PackResult:
     ok: bool
     achieved: int
     requested: int
-    ledger: UsageLedger
     layer_results: tuple
     failed_log: tuple
     packing_report: object
@@ -671,7 +582,6 @@ class PackResult:
             "requested": self.requested,
             "achieved": self.achieved,
             "ok": self.ok,
-            "ledger": self.ledger.snapshot(),
             "layers": layers,
             "failed_layer": failed,
             "factors": factors_document(self.factors),
@@ -695,14 +605,11 @@ def pack_factors(
     F is the graph connectors draw from; it must avoid every collection's
     edges.  ``decompose`` passes H minus the edges of all extracted cycles,
     that is the sparsified reserve plus the idle edges.  Target i is built
-    by one
-    ``layer_transform`` call from the i-th cycle collection and F minus
-    everything consumed by earlier layers; all layers draw from one master
-    stream seeded by ``seed``.  The ledger gate runs at the start of each
-    layer and aborts with PackBudgetError when some (k-1)-set's consumed
-    codegree in F already exceeds ceil(cap_fraction * n); the last layer's
-    usage is reported in the ledger, not gated.  A layer that fails all its
-    attempts ends the loop early with a partial result that keeps the
+    by one ``layer_transform`` call from the i-th cycle collection and F
+    minus the reserve edges (``f_edges``) of the layers before it, so no two
+    factors share an edge; ``validate_packing`` re-checks that.  All layers
+    draw from one master stream seeded by ``seed``.  A layer that fails all
+    its attempts ends the loop early with a partial result that keeps the
     failure's stage log.
     """
     shapes = [check_target(target, H, prof) for target in targets]
@@ -710,42 +617,25 @@ def pack_factors(
         raise AssembleParamError(
             f"{len(targets)} targets but only {len(collections)} cycle collections"
         )
-    cap = math.ceil(prof.cap_fraction * H.n)
-    ledger = UsageLedger(H.k, H.n, cap)
     master = random.Random(seed)
     factors = []
     layer_results = []
     failed_log = ()
-    for i, lengths in enumerate(shapes):
-        culprit = ledger.violation()
-        if culprit is not None:
-            raise PackBudgetError(
-                f"usage cap {cap} exceeded at {culprit} before layer {i}",
-                snapshot=ledger.snapshot(),
-                factors=factors,
-            )
-        consumed = [e for layer in ledger.layers for e in layer[0]]
-        F_i = F.remove_edges(consumed) if consumed else F
+    for cycles, lengths in zip(collections, shapes):
         try:
-            res = layer_transform(
-                H, F_i, collections[i], lengths, prof=prof, seed=master
-            )
+            res = layer_transform(H, F, cycles, lengths, prof=prof, seed=master)
         except LayerFailure as exc:
             failed_log = exc.stage_log
             break
         factors.append(res.factor)
         layer_results.append(res)
-        ledger.record_layer(res.f_edges)
+        F = F.remove_edges(res.f_edges)
     report = validate_packing(H, factors)
-    recheck = UsageLedger.recomputed(H.k, H.n, cap, F, factors)
-    if recheck != ledger:
-        raise AssembleError("ledger recomputation does not match incremental state")
     return PackResult(
         factors=tuple(factors),
         ok=len(factors) == len(targets) and bool(report.ok),
         achieved=len(factors),
         requested=len(targets),
-        ledger=ledger,
         layer_results=tuple(layer_results),
         failed_log=failed_log,
         packing_report=report,

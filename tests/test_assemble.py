@@ -3,17 +3,13 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cyclefactors.assemble import (
     AssembleError,
     AssembleParamError,
     ConnectionFailure,
     LayerFailure,
-    PackBudgetError,
     Profile,
-    UsageLedger,
     build_reservoir,
     check_target,
     connect,
@@ -80,7 +76,7 @@ class TestProfile:
         assert (p.ell0, p.ell1) == (2, 6)
         assert p.L == 6
         assert p.layer_retries == 20
-        assert len(p.as_dict()) == 9
+        assert len(p.as_dict()) == 8
 
     def test_as_dict_round_trips_through_from_mapping(self):
         p = Profile(mu=0.1, L=8, theta=0.4)
@@ -101,8 +97,6 @@ class TestProfile:
             Profile(delta=1.0)
         with pytest.raises(AssembleParamError, match="mu"):
             Profile(mu=-0.1)
-        with pytest.raises(AssembleParamError, match="cap_fraction"):
-            Profile(cap_fraction=0.0)
 
 
 class TestBuildReservoir:
@@ -322,90 +316,16 @@ class TestLayerTransform:
         assert len(log) == 3
         assert all(stage == "connect" for _, stage, _ in log)
 
-
-class TestUsageLedger:
-    def test_records_consumed_codegrees(self):
-        led = UsageLedger(3, 8, 2)
-        led.record_layer([(0, 1, 2), (1, 2, 3)])
-        assert led.usage((1, 2)) == 2
-        assert led.usage((0, 1)) == 1
-        assert led.usage((0, 3)) == 0
-        assert led.y(0, (2, 1)) == 2
-        led.record_layer([(1, 2, 4)])
-        assert led.usage((1, 2)) == 3
-        assert led.y(1, (1, 2)) == 1
-
-    def test_duplicate_edges_in_a_layer_count_once(self):
-        led = UsageLedger(3, 8, 2)
-        led.record_layer([(0, 1, 2), (2, 1, 0)])
-        assert led.usage((0, 1)) == 1
-
-    def test_violation_returns_the_lexicographically_first_overload(self):
-        led = UsageLedger(3, 8, 1)
-        led.record_layer([(0, 1, 2), (0, 1, 3), (1, 2, 3)])
-        assert led.usage((0, 1)) == 2
-        assert led.usage((1, 2)) == 2
-        assert led.usage((1, 3)) == 2
-        assert led.violation() == (0, 1)
-
-    def test_no_violation_below_the_cap(self):
-        led = UsageLedger(3, 8, 2)
-        led.record_layer([(0, 1, 2), (0, 1, 3)])
-        assert led.violation() is None
-        assert led.max_usage() == (2, (0, 1))
-
-    def test_snapshot_summarizes_layers(self):
-        led = UsageLedger(3, 8, 2)
-        led.record_layer([(0, 1, 2)])
-        led.record_layer([(0, 1, 3), (4, 5, 6)])
-        snap = led.snapshot()
-        assert snap["cap"] == 2
-        assert snap["layers"] == 2
-        assert snap["edges_per_layer"] == [1, 2]
-        assert snap["max_usage"] == 2
-        assert snap["argmax"] == [0, 1]
-
-    def test_shape_validation(self):
-        with pytest.raises(AssembleParamError):
-            UsageLedger(1, 8, 2)
-        with pytest.raises(AssembleParamError):
-            UsageLedger(3, 8, -1)
-        led = UsageLedger(3, 8, 2)
-        with pytest.raises(AssembleParamError, match="3-set"):
-            led.record_layer([(0, 1)])
-
-    def test_equality_tracks_shape_and_content(self):
-        a = UsageLedger(3, 8, 2)
-        b = UsageLedger(3, 8, 2)
-        a.record_layer([(0, 1, 2)])
-        b.record_layer([(0, 1, 2)])
-        assert a == b
-        b.record_layer([(3, 4, 5)])
-        assert a != b
-        assert a != UsageLedger(3, 8, 1)
-
-    @given(
-        layers=st.lists(
-            st.lists(
-                st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 7))
-                .map(lambda t: tuple(sorted(set(t))))
-                .filter(lambda t: len(t) == 3),
-                min_size=1,
-                max_size=6,
-            ),
-            min_size=1,
-            max_size=4,
-        ),
-        cap=st.integers(0, 5),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_usage_is_the_sum_of_per_layer_counts(self, layers, cap):
-        led = UsageLedger(3, 8, cap)
-        for edges in layers:
-            led.record_layer(edges)
-        for x in itertools.combinations(range(8), 2):
-            assert led.usage(x) == sum(led.y(i, x) for i in range(len(layers)))
-        assert (led.violation() is None) == (led.max_usage()[0] <= cap)
+    def test_keep_step_leaves_a_path_for_every_target_cycle(self, pack_k12):
+        # delta = 0.7 puts the leftover window's top above n, so a draw that
+        # keeps no path passes the window; step (1) must reject it, since
+        # grouping would refuse the empty bin
+        H, reserve, collections = pack_k12
+        for seed in range(6):
+            res = layer_transform(
+                H, reserve, collections[0], [12], prof=Profile(delta=0.7), seed=seed
+            )
+            assert [d for _, _, d in res.stage_log if "received no path" in d] == []
 
 
 class TestPackFactors:
@@ -414,7 +334,7 @@ class TestPackFactors:
         res = pack_factors(H, reserve, collections, [[12], [12]], seed=0)
         assert bool(res)
         assert (res.achieved, res.requested) == (2, 2)
-        assert len(res.ledger.layers) == 2
+        assert len(res.layer_results) == 2
         assert bool(res.packing_report.ok)
         seen = set()
         for factor in res.factors:
@@ -422,46 +342,26 @@ class TestPackFactors:
             assert not edges & seen
             seen |= edges
 
-    def test_ledger_recomputes_from_the_emitted_factors(self, pack_k12):
-        H, reserve, collections = pack_k12
-        res = pack_factors(H, reserve, collections, [[12], [12]], seed=0)
-        fresh = UsageLedger.recomputed(3, 12, res.ledger.cap, reserve, res.factors)
-        assert fresh == res.ledger
-
     def test_single_target_runs_a_single_layer(self, pack_k12):
         H, reserve, collections = pack_k12
         res = pack_factors(H, reserve, collections, [[12]], seed=0)
         assert bool(res)
         assert res.achieved == 1
-        assert len(res.ledger.layers) == 1
+        assert len(res.layer_results) == 1
         assert res.factors[0].lengths() == [12]
 
-    def test_budget_gate_stops_before_the_second_layer(self, pack_k12):
-        # cap_fraction 0.01 caps every pair at one consumed reserve edge
-        H, reserve, collections = pack_k12
-        with pytest.raises(PackBudgetError) as info:
-            pack_factors(
-                H, reserve, collections, [[12], [12]],
-                prof=Profile(cap_fraction=0.01), seed=0,
-            )
-        err = info.value
-        assert "exceeded at (0, 3) before layer 1" in str(err)
-        assert len(err.factors) == 1
-        assert err.snapshot["cap"] == 1
-        assert err.snapshot["max_usage"] == 2
-
-    def test_cap_gates_the_start_of_each_layer_not_the_last(self):
-        # seed 3: two layers leave the pair (1, 6) at usage 4, over the
-        # default cap 3 = ceil(0.25 * 12)
+    def test_each_layer_draws_from_what_earlier_layers_left(self):
+        # seed 3: two layers leave the pair (1, 6) in four consumed reserve
+        # edges; the third layer still runs on F minus both layers' edges
         H, reserve, collections = k12_pack_inputs(3, r=3)
-        two = pack_factors(H, reserve, collections[:2], [[12], [12]], seed=3)
-        assert two.ok
-        assert (two.ledger.cap, two.ledger.snapshot()["max_usage"]) == (3, 4)
-        with pytest.raises(PackBudgetError, match=r"exceeded at \(1, 6\) before layer 2") as info:
-            pack_factors(H, reserve, collections, [[12], [12], [12]], seed=3)
-        err = info.value
-        assert [F.as_dict() for F in err.factors] == [F.as_dict() for F in two.factors]
-        assert err.snapshot == two.ledger.snapshot()
+        res = pack_factors(H, reserve, collections, [[12], [12], [12]], seed=3)
+        assert not res
+        assert (res.achieved, res.requested) == (2, 3)
+        assert len(res.failed_log) == 20
+        assert bool(res.packing_report.ok)
+        used = [e for lr in res.layer_results for e in lr.f_edges]
+        assert len(used) == len(set(used))
+        assert sum({1, 6} <= set(e) for e in used) == 4
 
     def test_exhausted_layer_returns_a_partial_result(self):
         H, reserve, collections = k12_pack_inputs(22)
@@ -495,6 +395,5 @@ class TestPackFactors:
         assert da == db
         doc = a.manifest(normalize_timings=True)
         assert doc["ok"] and doc["achieved"] == 2
-        assert doc["profile"]["cap_fraction"] == 0.25
         assert len(doc["layers"]) == 2
         assert all(t == 0.0 for layer in doc["layers"] for t in layer["timings"].values())

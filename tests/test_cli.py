@@ -311,7 +311,6 @@ class TestDecompose:
         doc = json.loads(open(manifest).read())
         assert doc["ok"] is True
         assert (doc["achieved"], doc["requested"]) == (2, 2)
-        assert doc["manifest"]["ledger"]["cap"] == 3
         assert len(doc["manifest"]["layers"]) == 2
         assert doc["wall_time"] == 0.0
         assert doc["config"]["command"] == "decompose"
@@ -576,6 +575,20 @@ class TestDecompose:
         assert code == EXIT_OK
         doc = json.loads(out.read_text())
         assert doc["achieved"] == 2
+        assert doc["pipeline"]["attempts"] == 1
+
+    def test_k12_packs_three_hamilton_cycles_in_one_attempt(self, tmp_path):
+        # each layer draws from F minus the earlier layers' reserve edges,
+        # whatever codegree those edges leave behind
+        host = write_host(tmp_path, complete_hypergraph(3, 12))
+        out = tmp_path / "run.json"
+        code = main(
+            ["decompose", host, "--targets", "12;12;12", "--seed", "2", "-q",
+             "--output", str(out)]
+        )
+        assert code == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert doc["achieved"] == 3
         assert doc["pipeline"]["attempts"] == 1
 
     def test_failed_extraction_names_its_best_draw(self, tmp_path, monkeypatch):

@@ -42,8 +42,6 @@ TEST_ORACLES = {
     "advance": "WalkState's step, driving transition_dist",
     "self_avoiding_rate": "Monte-Carlo self-avoidance of sampled walks",
     "as_floats": "a float weighting, which the exact oracles must refuse",
-    "usage": "the ledger's total codegree use, read back",
-    "y": "the ledger's per-layer codegree use, read back",
     "length": "TightPath's edge count",
     "girth": "CycleFactor's shortest cycle",
 }
