@@ -2,12 +2,13 @@
 
 The pipeline has three steps.  First, ``fractional_cycle_decomposition``
 assigns a positive weight to a family of tight cycles on L vertices so that
-the weights of the cycles through each edge sum to exactly 1 (a linear
-program over an enumerated or sampled cycle family); the result is a plain
-dict {TightCycle: weight}, checked by ``check_edge_sums``.  The enumeration
-grows tight (L-1)-vertex paths and closes each one by intersection: the
-closing vertex must extend all k cyclic windows that contain it, so it is
-drawn from ``tightpaths.closing_mask`` of the path against its own start.
+the weights of the cycles through each edge sum to exactly 1 (the
+maximum-entropy weights of ``fractional.scale_to_ones`` over an enumerated
+or sampled cycle family); the result is a plain dict {TightCycle: weight},
+checked by ``check_edge_sums``.  The enumeration grows tight (L-1)-vertex
+paths and closes each one by intersection: the closing vertex must extend
+all k cyclic windows that contain it, so it is drawn from
+``tightpaths.closing_mask`` of the path against its own start.
 Second, ``extract_cycle_collections`` rounds the fractional solution into r
 edge-disjoint collections of vertex-disjoint L-cycles by a weight-driven
 randomized greedy, with coverage gates checked per collection; it redraws up
@@ -31,7 +32,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .fractional import maxmin_lp, maxmin_weights
+from .fractional import ScalingError, polish, scale_to_ones
 from .hypergraph import Hypergraph
 from .tightpaths import TightCycle, closing_mask, tight_extensions
 
@@ -46,6 +47,7 @@ __all__ = [
     "extract_cycle_collections",
     "validate_collections",
     "open_cycle",
+    "linprog",  # no code here calls it; bench/run.py and bench/tracer.py patch it
 ]
 
 
@@ -177,17 +179,19 @@ def fractional_cycle_decomposition(
     per_edge: int = 12,
     seed: int = 0,
 ) -> dict:
-    """Solve for per-edge-sum-1 cycle weights by LP over a cycle family.
+    """Solve for positive per-edge-sum-1 cycle weights over a cycle family.
 
     The family is the full set of L-vertex cycles when it fits under
     ``ENUMERATE_CAP``; otherwise a seeded sample of up to ``per_edge`` cycles
     through each edge.  An edge through which no L-cycle passes at all makes
-    the problem infeasible.  Among feasible solutions the LP maximizes the
-    minimum cycle weight z* (``fractional.maxmin_lp``: no inequality rows),
-    and the solution is polished onto the per-edge sums, so every cycle
-    weighs at least z*; only when z* = 0 are zero-weight cycles left out.
-    Returns {TightCycle: weight} in canonical cycle order, after
-    ``check_edge_sums``.
+    the problem infeasible.  The weights are the maximum-entropy solution
+    (``fractional.scale_to_ones``), polished onto the per-edge sums; the
+    extraction uses them only as draw probabilities.  When some positive
+    solution exists, every family cycle gets a positive weight; when only
+    solutions with zero weights exist, the cycles that must weigh 0 shrink
+    below the tolerance and are left out.  DecompositionError, naming the
+    residual and the Newton steps, when no solution is found.  Returns
+    {TightCycle: weight} in canonical cycle order, after ``check_edge_sums``.
     """
     _check_cycle_length(H, L)
     if H.m == 0:
@@ -238,16 +242,14 @@ def fractional_cycle_decomposition(
     A = sparse.csr_matrix(
         (np.ones(len(rows)), (rows, cols)), shape=(H.m, len(cycles))
     )
-    c, kwargs = maxmin_lp(A)
-    res = linprog(c, **kwargs)
-    if not res.success:
+    try:
+        w = scale_to_ones(A)
+    except ScalingError as exc:
         raise DecompositionError(
             "no per-edge-sum-1 weighting over the cycle family "
-            f"({len(cycles)} cycles); enlarge the family or change L"
-        )
-    weights = {
-        C: float(w) for C, w in zip(cycles, maxmin_weights(A, res)) if w > 0
-    }
+            f"({len(cycles)} cycles): {exc}; enlarge the family or change L"
+        ) from exc
+    weights = {C: float(x) for C, x in zip(cycles, polish(A, w)) if x > 0}
     check_edge_sums(H, weights)
     return weights
 

@@ -1,5 +1,7 @@
 """Perfect fractional matchings: uniform start, walk redistribution, the
-max-min LP, balancedness, and weight-biased sparsification.
+max-min LP, balancedness, and weight-biased sparsification; and
+``scale_to_ones``, the maximum-entropy positive solution of A w = 1 that
+weights the cover's cycle family.
 
 A perfect fractional matching (PFM) assigns a positive weight to every edge so
 that the weights at each vertex sum to 1. ``redistribute_pfm`` turns the uniform
@@ -255,6 +257,78 @@ def polish(A, w) -> np.ndarray:
     y = cg(gram, residual, rtol=0.0, atol=1e-15)[0]
     w[support] += St @ y
     return w
+
+
+# ---------------------------------------------------------------------------
+# maximum-entropy scaling: the positive w with A w = 1 maximizing entropy
+# ---------------------------------------------------------------------------
+
+
+SCALE_TOL = 1e-9  # largest row residual |A w - 1| at which scaling stops
+SCALE_STEPS = 100  # Newton step budget of scale_to_ones
+
+
+class ScalingError(FractionalError):
+    """``scale_to_ones`` found no positive w with A w = 1; the message names
+    the residual reached and the step count."""
+
+
+def scale_to_ones(A) -> np.ndarray:
+    """The maximum-entropy w >= 0 with A w = 1, for a 0/1 matrix A.
+
+    Damped Newton on the convex dual g(y) = sum_j exp(-(A^T y)_j) + sum_i y_i,
+    whose minimizer gives w = exp(-A^T y) with gradient 1 - A w (Darroch and
+    Ratcliff's maximum-entropy weights, found by Newton steps rather than by
+    iterative scaling).  Each step solves (A diag(w) A^T) d = A w - 1 by
+    conjugate gradients, matrix-free with the Jacobi preconditioner A w,
+    then backtracks on g (Armijo).  It stops once max |A w - 1| <= SCALE_TOL.
+    Columns that no positive solution can carry shrink toward 0; those below
+    SCALE_TOL carry less than the tolerance on every row and come back as
+    exactly 0, so that ``polish`` rebalances the rest without them.
+
+    A feasible w bounds g below by sum_j w_j >= rows / (largest column sum),
+    so a step below that bound proves that A w = 1 has no solution w >= 0.
+    ScalingError then, or when SCALE_STEPS steps or the line search run out.
+    """
+    A = sparse.csr_matrix(A, dtype=float)
+    At = A.T.tocsr()
+    rows = A.shape[0]
+    col_sums = np.asarray(A.sum(axis=0)).ravel()
+    floor = rows / col_sums.max(initial=1.0)
+    # start near w_j = the geometric mean of 1 / (row sum) over column j's rows
+    y = np.log(np.maximum(A.sum(axis=1).A1, 1.0)) * A.shape[1] / max(A.nnz, 1)
+    w = np.exp(-(At @ y))
+    g = w.sum() + y.sum()
+    for step in range(SCALE_STEPS + 1):
+        r = A @ w - 1.0
+        residual = np.abs(r).max(initial=0.0)
+        if residual <= SCALE_TOL:
+            return np.where(w < SCALE_TOL, 0.0, w)
+        if g < floor or step == SCALE_STEPS:
+            break
+        diag = np.maximum(A @ w, np.finfo(float).tiny)
+        hessian = LinearOperator((rows, rows), matvec=lambda x: A @ (w * (At @ x)))
+        jacobi = LinearOperator((rows, rows), matvec=lambda x: x / diag)
+        # an infeasible A w = 1 may leave CG without a solution: d turns
+        # nan or points uphill, and the line search below finds no step
+        with np.errstate(all="ignore"):
+            d = cg(hessian, r, rtol=min(0.1, residual**0.5), M=jacobi)[0]
+            u, slope = At @ d, -(r @ d)
+            for t in 0.5 ** np.arange(40):
+                # g(y + t d) - g(y), summed term by term: the difference of
+                # two values of g loses the digits Armijo needs near the end
+                change = np.sum(w * np.expm1(-t * u)) + t * d.sum()
+                if change <= 1e-4 * t * slope:
+                    break
+            else:
+                break
+        y += t * d
+        w = np.exp(-(At @ y))
+        g += change
+    raise ScalingError(
+        f"no positive solution of A w = 1: residual {residual:.3g} "
+        f"after {step} Newton steps"
+    )
 
 
 def pfm_lp(H: Hypergraph) -> EdgeWeighting:

@@ -292,6 +292,19 @@ class TestCover:
             assert all(len(C) == 6 for C in coll)
             assert len(set().union(*(C.vertex_set for C in coll))) == coverage
 
+    def test_k12_cover_solves_no_lp(self, tmp_path, monkeypatch):
+        # the cycle weights come from scale_to_ones, not from an LP solver
+        def refuse(*args, **kwargs):
+            raise AssertionError("the cover solved an LP")
+
+        for module in (cover, fractional):
+            monkeypatch.setattr(module, "linprog", refuse)
+        host = write_host(tmp_path, complete_hypergraph(3, 12))
+        artifact = tmp_path / "cover.json"
+        code = main(["cover", host, "--collections", "2", "-q", "--output", str(artifact)])
+        assert code == EXIT_OK
+        assert json.loads(artifact.read_text())["ok"] is True
+
 
 @pytest.mark.parametrize(
     "command,flag",
@@ -394,23 +407,23 @@ class TestDecompose:
 
     def _count_cover_solves(self, monkeypatch):
         solves = []
-        real = cover.linprog
+        real = cover.scale_to_ones
 
         def counted(*args, **kwargs):
             solves.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cover, "linprog", counted)
+        monkeypatch.setattr(cover, "scale_to_ones", counted)
         return solves
 
     def test_missed_gates_are_redrawn_from_the_same_solution(self, tmp_path, monkeypatch):
-        # seed 6: ten draws miss the gates on the first pipeline attempt
+        # seed 2: ten draws miss the gates on the first pipeline attempt
         seen = self._record_extractions(monkeypatch)
         solves = self._count_cover_solves(monkeypatch)
         host = write_host(tmp_path, complete_hypergraph(3, 12))
         out = tmp_path / "run.json"
         code = main(
-            ["decompose", host, "--targets", "12;12", "--seed", "6", "-q",
+            ["decompose", host, "--targets", "12;12", "--seed", "2", "-q",
              "--output", str(out)]
         )
         assert code == EXIT_OK
@@ -495,12 +508,12 @@ class TestDecompose:
         assert [s["seed"] for s in doc["pipeline"]["seeds"]] == [0, 1]
 
     def test_partial_packing_exits_10_with_its_verified_factor(self, tmp_path):
-        # with one pipeline attempt, seed 12 on the non-regular G(12, 0.6)
+        # with one pipeline attempt, seed 7 on the non-regular G(12, 0.6)
         # packs its first layer and then exhausts every attempt of the second
         host = write_host(tmp_path, seeded_random_host(12, 0.6))
         out, factors, check = (tmp_path / name for name in ("run.json", "f.json", "v.json"))
         code = main(
-            ["decompose", host, "--targets", "12;12", "--seed", "12",
+            ["decompose", host, "--targets", "12;12", "--seed", "7",
              "--pipeline-retries", "1", "--normalize-timings", "-q",
              "--output", str(out), "--factors-out", str(factors)]
         )
@@ -583,7 +596,7 @@ class TestDecompose:
         host = write_host(tmp_path, complete_hypergraph(3, 12))
         out = tmp_path / "run.json"
         code = main(
-            ["decompose", host, "--targets", "12;12;12", "--seed", "2", "-q",
+            ["decompose", host, "--targets", "12;12;12", "--seed", "6", "-q",
              "--output", str(out)]
         )
         assert code == EXIT_OK

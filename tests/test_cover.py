@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclefactors import fractional
 from cyclefactors.cover import (
     CoverError,
     DecompositionError,
@@ -190,6 +192,10 @@ class TestFractionalDecomposition:
 
 
 class TestMaxminAgainstInequalityForm:
+    """The cover's weights against the max-min LP's z* (the inequality-form
+    oracle): it fails exactly where the LP is infeasible, and where z* > 0
+    every family cycle gets a positive weight."""
+
     @pytest.mark.parametrize(
         "k,n,L", [(3, 6, 5), (3, 7, 6), (4, 6, 5), (4, 7, 6), (4, 8, 6)]
     )
@@ -201,10 +207,51 @@ class TestMaxminAgainstInequalityForm:
         cycles = _enumerate_all(G, L, None)
         family = rng.sample(cycles, min(len(cycles), 6 * G.m))
         z = check_against_oracle(edge_cycle_incidence(G, family))
-        if z is not None and z > 0:
-            frac = fractional_cycle_decomposition(G, L, family=family)
+        if z is None:
+            with pytest.raises(DecompositionError):
+                fractional_cycle_decomposition(G, L, family=family)
+            return
+        frac = fractional_cycle_decomposition(G, L, family=family)
+        check_edge_sums(G, frac)  # every weight positive, every edge sum 1
+        if z > 0:
             assert len(frac) == len(family)
-            assert min(frac.values()) == pytest.approx(z, abs=1e-9)
+
+
+class TestScaling:
+    def test_infeasible_family_fails_within_the_step_budget(
+        self, monkeypatch, check_against_oracle
+    ):
+        # the (4, 6, 5) oracle family of seed 0 on the edges it covers: every
+        # edge lies on a cycle, but no weighting sums to 1 on all of them
+        rng = random.Random(0)
+        H = complete_hypergraph(4, 6)
+        G = H.remove_edges(rng.sample(list(H.edges), 2))
+        cycles = _enumerate_all(G, 5, None)
+        family = rng.sample(cycles, min(len(cycles), 6 * G.m))
+        G = Hypergraph(4, 6, {e for C in family for e in C.edges()})
+        family = [TightCycle(G, C.seq) for C in family]
+        assert check_against_oracle(edge_cycle_incidence(G, family)) is None
+        steps = []
+        real = fractional.cg
+
+        def counted(*args, **kwargs):  # one conjugate-gradient solve per step
+            steps.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fractional, "cg", counted)
+        with pytest.raises(DecompositionError) as exc:
+            fractional_cycle_decomposition(G, 5, family=family)
+        named = re.search(r"residual \S+ after (\d+) Newton steps", str(exc.value))
+        assert named and int(named[1]) <= len(steps) <= fractional.SCALE_STEPS
+
+    def test_k18_residual_weights_are_bit_identical(self):
+        H = complete_hypergraph(3, 18)
+        reserve = sparsify_intersecting(H, 0.5, uniform_weighting(H), 0)
+        rest = H.remove_edges(reserve.edges)
+        a, b = (fractional_cycle_decomposition(rest, 6, per_edge=20) for _ in range(2))
+        assert [(C.canonical(), w.hex()) for C, w in a.items()] == [
+            (C.canonical(), w.hex()) for C, w in b.items()
+        ]
 
 
 class TestDecompositionValidation:

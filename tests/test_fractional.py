@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -10,17 +11,21 @@ from hypothesis import strategies as st
 
 from cyclefactors.fractional import (
     FLOAT_TOL,
+    SCALE_STEPS,
+    SCALE_TOL,
     BalanceViolationError,
     EdgeWeighting,
     FractionalError,
     LPInfeasibleError,
     NotConnectedError,
+    ScalingError,
     balancedness,
     build_walk_registry,
     pfm_lp,
     pipeline_weighting,
     polish,
     redistribute_pfm,
+    scale_to_ones,
     sparsify_intersecting,
     uniform_weighting,
 )
@@ -264,6 +269,42 @@ class TestMaxminLP:
         monkeypatch.undo()
         fixed = polish(A, w + 1e-8 * np.random.default_rng(0).standard_normal(H.m))
         assert np.abs(A @ fixed - 1).max() <= 1e-12
+
+
+class TestScaleToOnes:
+    @pytest.mark.parametrize("k,n,seed", [(3, 7, 0), (3, 9, 1), (4, 8, 2)])
+    def test_maximum_entropy_positive_solution(self, k, n, seed):
+        H = random_host(k, n, 0.6, seed)
+        A = vertex_edge_incidence(H)
+        w = scale_to_ones(A)
+        assert w.min() > 0
+        assert np.abs(A @ w - 1).max() <= SCALE_TOL
+        # maximum entropy: log w lies in the row space of A (w = exp(-A^T y))
+        y = np.linalg.lstsq(A.T, -np.log(w), rcond=None)[0]
+        assert np.abs(A.T @ y + np.log(w)).max() <= 1e-6
+
+    def test_columns_no_positive_solution_carries_come_back_zero(self):
+        # w1 + w2 = w2 + w3 = w1 + w2 + w3 = 1 forces w1 = w3 = 0
+        A = np.array([[1, 1, 0], [0, 1, 1], [1, 1, 1]])
+        w = scale_to_ones(A)
+        assert w[0] == w[2] == 0.0
+        assert abs(w[1] - 1) <= SCALE_TOL
+
+    @pytest.mark.parametrize(
+        "A,steps",
+        [
+            # only w3 = -1 solves it: one step takes g below the bound that
+            # every feasible w keeps (without that check: 100 steps)
+            ([[1, 1, 1], [1, 0, 0], [0, 1, 0]], 1),
+            # no real solution: conjugate gradients find no descent direction
+            ([[1, 0], [0, 1], [1, 1]], 0),
+        ],
+    )
+    def test_no_nonnegative_solution_fails_fast(self, A, steps):
+        with pytest.raises(ScalingError) as exc:
+            scale_to_ones(A)
+        named = re.search(r"residual \S+ after (\d+) Newton steps", str(exc.value))
+        assert named and int(named[1]) == steps < SCALE_STEPS
 
 
 class TestPolishAgainstLsqr:
