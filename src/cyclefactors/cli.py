@@ -27,7 +27,6 @@ import random
 import sys
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -545,6 +544,9 @@ def cmd_decompose(args) -> int:
     if args.parallel_seeds == 1:
         results = [_decompose_job(payloads[0])]
     else:
+        # imported here: its multiprocessing chain slows every start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.parallel_seeds) as pool:
             results = list(pool.map(_decompose_job, payloads))
     # deterministic winner: first full success in seed order, else most factors

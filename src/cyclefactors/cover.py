@@ -5,7 +5,9 @@ assigns a positive weight to a family of tight cycles on L vertices so that
 the weights of the cycles through each edge sum to exactly 1 (the
 maximum-entropy weights of ``fractional.scale_to_ones`` over an enumerated
 or sampled cycle family); the result is a plain dict {TightCycle: weight},
-checked by ``check_edge_sums``.  The enumeration grows tight (L-1)-vertex
+checked by ``check_edge_sums``.  The family's edge-by-cycle incidence is a
+``fractional.Incidence``, so the weighting runs on numpy alone and never
+loads scipy.  The enumeration grows tight (L-1)-vertex
 paths and closes each one by intersection: the closing vertex must extend
 all k cyclic windows that contain it, so it is drawn from
 ``tightpaths.closing_mask`` of the path against its own start.
@@ -28,11 +30,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
-
-from .fractional import ScalingError, polish, scale_to_ones
+from .fractional import Incidence, ScalingError, linprog, polish, scale_to_ones
 from .hypergraph import Hypergraph
 from .tightpaths import TightCycle, closing_mask, tight_extensions
 
@@ -47,7 +45,7 @@ __all__ = [
     "extract_cycle_collections",
     "validate_collections",
     "open_cycle",
-    "linprog",  # no code here calls it; bench/run.py and bench/tracer.py patch it
+    "linprog",  # fractional's; no code here calls it, bench/run.py and bench/tracer.py patch it
 ]
 
 
@@ -239,9 +237,7 @@ def fractional_cycle_decomposition(
             f"no cycle on {L} vertices passes through edge {e!r}"
         )
 
-    A = sparse.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(H.m, len(cycles))
-    )
+    A = Incidence(rows, cols, (H.m, len(cycles)))
     try:
         w = scale_to_ones(A)
     except ScalingError as exc:

@@ -3,6 +3,12 @@ max-min LP, balancedness, and weight-biased sparsification; and
 ``scale_to_ones``, the maximum-entropy positive solution of A w = 1 that
 weights the cover's cycle family.
 
+The 0/1 matrices of ``scale_to_ones`` and ``polish`` are ``Incidence``
+objects, whose products and the conjugate gradients of ``cg`` are plain
+numpy.  Only the LP needs scipy: ``linprog``, ``maxmin_lp`` and ``pfm_lp``
+import it when they first run, so a regular host is weighted and covered
+without loading it.
+
 A perfect fractional matching (PFM) assigns a positive weight to every edge so
 that the weights at each vertex sum to 1. ``redistribute_pfm`` turns the uniform
 weighting into a PFM by shifting weight along short self-avoiding walks; in
@@ -22,9 +28,6 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .hypergraph import Hypergraph
 from .tightpaths import tight_extensions
@@ -205,8 +208,113 @@ def redistribute_pfm(
 
 
 # ---------------------------------------------------------------------------
+# 0/1 matrices and conjugate gradients
+# ---------------------------------------------------------------------------
+
+
+class Incidence:
+    """A 0/1 matrix: the positions of its ones, by column, then by row.
+
+    ``dot`` and ``tdot`` add the terms of every sum in the order that
+    scipy's CSR products add them (ascending column in A x, ascending row
+    in A^T y, each starting from 0), so they return the same bits.
+    """
+
+    __slots__ = ("rows", "cols", "shape", "col_counts", "_grid")
+
+    def __init__(self, rows, cols, shape):
+        rows = np.asarray(rows, dtype=np.intp)
+        cols = np.asarray(cols, dtype=np.intp)
+        key = cols * shape[0] + rows
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        if np.any(key[1:] == key[:-1]):
+            raise FractionalError("a 0/1 matrix holds each position at most once")
+        self.rows, self.cols, self.shape = rows[order], cols[order], tuple(shape)
+        self.col_counts = np.bincount(self.cols, minlength=shape[1])
+        # equal column counts (every cycle has L edges, every edge k
+        # vertices): the rows of column j fill column j of the grid
+        counts = self.col_counts
+        if len(counts) and counts.min() == counts.max() > 0:
+            self._grid = self.rows.reshape(shape[1], -1).T.copy()
+        else:
+            self._grid = None
+
+    @classmethod
+    def of(cls, A) -> "Incidence":
+        """A itself, or the ones of a dense, nested-list or scipy 0/1 matrix."""
+        if isinstance(A, cls):
+            return A
+        if hasattr(A, "tocoo"):
+            A = A.tocoo()
+            rows, cols, values = A.row, A.col, A.data
+        else:
+            A = np.asarray(A)
+            rows, cols = np.nonzero(A)
+            values = A[rows, cols]
+        ones = values != 0
+        if not np.all(values[ones] == 1):
+            raise FractionalError("not a 0/1 matrix")
+        return cls(rows[ones], cols[ones], A.shape)
+
+    def dot(self, x) -> np.ndarray:
+        """A x."""
+        return np.bincount(self.rows, np.repeat(x, self.col_counts), self.shape[0])
+
+    def tdot(self, y) -> np.ndarray:
+        """A^T y."""
+        if self._grid is None:
+            return np.bincount(self.cols, y[self.rows], self.shape[1])
+        terms = y[self._grid]
+        total = terms[0] + 0.0
+        for term in terms[1:]:
+            total += term
+        return total
+
+
+def cg(matvec, b, rtol, atol=0.0, precond=None) -> np.ndarray:
+    """Conjugate gradients for matvec(x) = b, matvec symmetric positive
+    definite, from x = 0 until |b - matvec(x)| < max(atol, rtol |b|).
+
+    ``precond`` applies the preconditioner (the identity when None).  Step
+    for step ``scipy.sparse.linalg.cg`` (scipy 1.17) with x0 = 0 and
+    maxiter 10 len(b), so it returns the same bits; like it, the last
+    iterate when the iterations run out.
+    """
+    bnrm2 = np.linalg.norm(b)
+    atol = max(float(atol), float(rtol) * float(bnrm2))
+    if bnrm2 == 0:
+        return b
+    x = np.zeros(len(b))
+    r = b.copy()
+    for step in range(10 * len(b)):
+        if np.linalg.norm(r) < atol:
+            break
+        z = r if precond is None else precond(r)
+        rho = np.dot(r, z)
+        if step:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = matvec(p)
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x
+
+
+# ---------------------------------------------------------------------------
 # max-min LP: max z subject to A w = 1, w >= z
 # ---------------------------------------------------------------------------
+
+
+def linprog(c, *args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call."""
+    from scipy.optimize import linprog as solve
+
+    return solve(c, *args, **kwargs)
 
 
 def maxmin_lp(A) -> Tuple[np.ndarray, dict]:
@@ -216,6 +324,8 @@ def maxmin_lp(A) -> Tuple[np.ndarray, dict]:
     column A 1 for z: the LP is max z s.t. [A | A 1] (u, z) = 1, u, z >= 0,
     with one column per column of A plus z last, and no inequality rows.
     """
+    from scipy import sparse
+
     A = sparse.csr_matrix(A)
     a_eq = sparse.hstack([A, sparse.csr_matrix(A.sum(axis=1))], format="csr")
     c = np.zeros(A.shape[1] + 1)
@@ -242,20 +352,19 @@ def polish(A, w) -> np.ndarray:
     the correction removes that residual and moves each weight by about as
     much.  With S the support's columns, the correction is S^T y for any y
     with S S^T y = r, found by conjugate gradients on the row space, so
-    every dense vector has one entry per row rather than per column.  A w
-    already within 1e-12 of every row is returned as is.
+    every dense vector has one entry per row rather than per column.
+    S S^T is applied as A diag(1_support) A^T: the masked columns add only
+    +0.0 to each row's sum.  A w already within 1e-12 of every row is
+    returned as is.
     """
-    A = sparse.csc_matrix(A)
+    A = Incidence.of(A)
     w = np.array(w, dtype=float)
-    residual = 1.0 - A @ w
+    residual = 1.0 - A.dot(w)
     if np.abs(residual).max(initial=0.0) <= 1e-12:
         return w
-    support = np.flatnonzero(w > 0)
-    S = A[:, support].tocsr()
-    St = S.T.tocsr()
-    gram = LinearOperator((S.shape[0], S.shape[0]), matvec=lambda y: S @ (St @ y))
-    y = cg(gram, residual, rtol=0.0, atol=1e-15)[0]
-    w[support] += St @ y
+    support = w > 0
+    y = cg(lambda v: A.dot(np.where(support, A.tdot(v), 0.0)), residual, 0.0, atol=1e-15)
+    w[support] += A.tdot(y)[support]
     return w
 
 
@@ -290,30 +399,33 @@ def scale_to_ones(A) -> np.ndarray:
     so a step below that bound proves that A w = 1 has no solution w >= 0.
     ScalingError then, or when SCALE_STEPS steps or the line search run out.
     """
-    A = sparse.csr_matrix(A, dtype=float)
-    At = A.T.tocsr()
-    rows = A.shape[0]
-    col_sums = np.asarray(A.sum(axis=0)).ravel()
-    floor = rows / col_sums.max(initial=1.0)
+    A = Incidence.of(A)
+    rows, cols = A.shape
+    floor = rows / A.col_counts.max(initial=1)
     # start near w_j = the geometric mean of 1 / (row sum) over column j's rows
-    y = np.log(np.maximum(A.sum(axis=1).A1, 1.0)) * A.shape[1] / max(A.nnz, 1)
-    w = np.exp(-(At @ y))
+    row_sums = np.bincount(A.rows, minlength=rows)
+    y = np.log(np.maximum(row_sums, 1.0)) * cols / max(len(A.rows), 1)
+    w = np.exp(-A.tdot(y))
     g = w.sum() + y.sum()
     for step in range(SCALE_STEPS + 1):
-        r = A @ w - 1.0
+        aw = A.dot(w)
+        r = aw - 1.0
         residual = np.abs(r).max(initial=0.0)
         if residual <= SCALE_TOL:
             return np.where(w < SCALE_TOL, 0.0, w)
         if g < floor or step == SCALE_STEPS:
             break
-        diag = np.maximum(A @ w, np.finfo(float).tiny)
-        hessian = LinearOperator((rows, rows), matvec=lambda x: A @ (w * (At @ x)))
-        jacobi = LinearOperator((rows, rows), matvec=lambda x: x / diag)
+        diag = np.maximum(aw, np.finfo(float).tiny)
         # an infeasible A w = 1 may leave CG without a solution: d turns
         # nan or points uphill, and the line search below finds no step
         with np.errstate(all="ignore"):
-            d = cg(hessian, r, rtol=min(0.1, residual**0.5), M=jacobi)[0]
-            u, slope = At @ d, -(r @ d)
+            d = cg(
+                lambda x: A.dot(w * A.tdot(x)),
+                r,
+                min(0.1, residual**0.5),
+                precond=lambda x: x / diag,
+            )
+            u, slope = A.tdot(d), -(r @ d)
             for t in 0.5 ** np.arange(40):
                 # g(y + t d) - g(y), summed term by term: the difference of
                 # two values of g loses the digits Armijo needs near the end
@@ -323,7 +435,7 @@ def scale_to_ones(A) -> np.ndarray:
             else:
                 break
         y += t * d
-        w = np.exp(-(At @ y))
+        w = np.exp(-A.tdot(y))
         g += change
     raise ScalingError(
         f"no positive solution of A w = 1: residual {residual:.3g} "
@@ -340,6 +452,8 @@ def pfm_lp(H: Hypergraph) -> EdgeWeighting:
     """
     if H.m == 0:
         raise LPInfeasibleError("no edges to weight")
+    from scipy import sparse
+
     rows = [v for e in H.edges for v in e]
     cols = np.repeat(np.arange(H.m), H.k)
     A = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(H.n, H.m))

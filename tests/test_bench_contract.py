@@ -10,9 +10,16 @@ list in full.  It also times the layer's building blocks by name
 (``assemble.build_reservoir``, ``assemble.connect``,
 ``assemble.build_absorbing_structure``); a traced wide-leftover call
 connects through the whole leftover and builds no absorbing structure.
+
+bench/run.py wraps ``linprog`` on both ``cover`` and ``fractional`` in every
+untraced run, so both modules must bind it; it is ``fractional``'s, which
+imports scipy only when an LP runs.  A regular host never loads scipy.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from cyclefactors import cli
@@ -85,3 +92,35 @@ def test_traced_wide_leftover_call_reaches_the_layer_building_blocks(tmp_path, m
     assert metrics["absorbing.build_calls"] == 0
     assert metrics["walks.sample_walk_calls"] == 0
     assert metrics["assemble.connect_calls"] >= 1
+
+
+NO_SCIPY_SCRIPT = """
+import sys
+from cyclefactors import cli, cover, fractional
+from cyclefactors.hypergraph import complete_hypergraph, format_hypergraph
+
+assert "linprog" in cover.__dict__ and "linprog" in fractional.__dict__
+with open("k12.txt", "w") as fh:
+    fh.write(format_hypergraph(complete_hypergraph(3, 12)))
+assert cli.main(["decompose", "k12.txt", "--targets", "12;12", "--seed", "0",
+                 "-q", "--output", "run.json", "--factors-out", "factors.json"]) == 0
+assert cli.main(["verify", "k12.txt", "factors.json", "-q"]) == 0
+assert "scipy" not in sys.modules, "a regular-host decompose loaded scipy"
+with open("gap.txt", "w") as fh:
+    fh.write(format_hypergraph(complete_hypergraph(3, 8).remove_edges([(0, 1, 2)])))
+assert cli.main(["pfm", "gap.txt", "--mode", "lp", "-q"]) == 0
+assert "scipy.optimize" in sys.modules, "the LP ran without scipy"
+"""
+
+
+def test_regular_host_decomposes_without_scipy_and_the_lp_loads_it(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -6,6 +6,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import LinearOperator
+from scipy.sparse.linalg import cg as scipy_cg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,9 +21,11 @@ from cyclefactors.fractional import (
     FractionalError,
     LPInfeasibleError,
     NotConnectedError,
+    Incidence,
     ScalingError,
     balancedness,
     build_walk_registry,
+    cg,
     pfm_lp,
     pipeline_weighting,
     polish,
@@ -29,6 +34,7 @@ from cyclefactors.fractional import (
     sparsify_intersecting,
     uniform_weighting,
 )
+from cyclefactors.cover import cycles_through_edge
 from cyclefactors.hypergraph import Hypergraph, complete_hypergraph
 
 
@@ -305,6 +311,112 @@ class TestScaleToOnes:
             scale_to_ones(A)
         named = re.search(r"residual \S+ after (\d+) Newton steps", str(exc.value))
         assert named and int(named[1]) == steps < SCALE_STEPS
+
+
+def k12_cycle_family():
+    """The edge-by-cycle 0/1 matrix of a sampled K_12^(3) family of 6-cycles,
+    as the cover builds it: one column per cycle, 6 ones in each."""
+    H = complete_hypergraph(3, 12)
+    cycles = {}
+    for seed, e in enumerate(H.edges):
+        for C in cycles_through_edge(H, 6, e, limit=3, seed=seed):
+            cycles.setdefault(C.canonical(), C)
+    index = {e: i for i, e in enumerate(H.edges)}
+    rows, cols = [], []
+    for j, C in enumerate(sorted(cycles.values(), key=lambda C: C.canonical())):
+        for e in C.edges():
+            rows.append(index[e])
+            cols.append(j)
+    return rows, cols, (H.m, len(cycles))
+
+
+def spread(rng, size):
+    """Signed values over 16 orders of magnitude: sums that change bits
+    when their terms are added in another order."""
+    return rng.standard_normal(size) * 10.0 ** rng.uniform(-8, 8, size)
+
+
+class TestNumpyPortIsBitIdentical:
+    """``Incidence`` and ``cg`` return the bits of scipy's CSR products and
+    ``scipy.sparse.linalg.cg``, which they replace."""
+
+    @staticmethod
+    def matrices():
+        rows, cols, shape = k12_cycle_family()
+        rng = np.random.default_rng(5)
+        return [
+            sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=shape),
+            sparse.csr_matrix(np.array([[1, 1, 0], [0, 1, 1], [1, 1, 1]], dtype=float)),
+            sparse.csr_matrix((rng.random((40, 60)) < 0.2).astype(float)),
+        ]
+
+    def test_products_equal_scipy_csr(self):
+        rng = np.random.default_rng(0)
+        for A in self.matrices():
+            inc = Incidence.of(A)
+            # the K_12^(3) family (220 edge rows) takes the equal-count grid
+            assert (inc._grid is not None) == (A.shape[0] == 220)
+            for _ in range(3):
+                x, y = spread(rng, A.shape[1]), spread(rng, A.shape[0])
+                assert inc.dot(x).tobytes() == (A @ x).tobytes()
+                assert inc.tdot(y).tobytes() == (A.T.tocsr() @ y).tobytes()
+                assert inc.tdot(y).tobytes() == (A.T @ y).tobytes()
+
+    def test_dense_lists_and_scipy_give_the_same_ones(self):
+        dense = np.array([[1, 1, 0], [0, 1, 1], [1, 1, 1]])
+        for A in (dense, dense.tolist(), sparse.csc_matrix(dense)):
+            inc = Incidence.of(A)
+            assert inc.shape == (3, 3)
+            assert inc.cols.tolist() == [0, 0, 1, 1, 1, 2, 2]
+            assert inc.rows.tolist() == [0, 2, 0, 1, 2, 1, 2]
+        with pytest.raises(FractionalError):
+            Incidence.of([[1, 2], [0, 1]])
+        with pytest.raises(FractionalError):
+            Incidence([0, 0], [1, 1], (1, 2))
+
+    def test_cg_equals_scipy_on_a_newton_system(self):
+        rows, cols, shape = k12_cycle_family()
+        A = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=shape)
+        At = A.T.tocsr()
+        inc = Incidence(rows, cols, shape)
+        w = np.exp(np.random.default_rng(1).uniform(-3, 0, shape[1]))
+        r = A @ w - 1.0
+        diag = A @ w
+        rtol = 1e-10  # far below a Newton step's, so many iterations are compared
+        want = scipy_cg(
+            LinearOperator(A.shape[:1] * 2, matvec=lambda x: A @ (w * (At @ x))),
+            r,
+            rtol=rtol,
+            M=LinearOperator(A.shape[:1] * 2, matvec=lambda x: x / diag),
+        )[0]
+        got = cg(lambda x: inc.dot(w * inc.tdot(x)), r, rtol, precond=lambda x: x / diag)
+        assert got.tobytes() == want.tobytes()
+
+    def test_cg_equals_scipy_on_the_polish_system(self):
+        # polish's S S^T on the positive support, against its masked A A^T
+        rows, cols, shape = k12_cycle_family()
+        rng = np.random.default_rng(2)
+        A = sparse.csc_matrix((np.ones(len(rows)), (rows, cols)), shape=shape)
+        inc = Incidence(rows, cols, shape)
+        w = np.where(rng.random(shape[1]) < 0.1, 0.0, rng.random(shape[1]))
+        residual = 1.0 - A @ w
+        support = w > 0
+        S = A[:, np.flatnonzero(support)].tocsr()
+        St = S.T.tocsr()
+        want = scipy_cg(
+            LinearOperator(S.shape[:1] * 2, matvec=lambda y: S @ (St @ y)),
+            residual,
+            rtol=0.0,
+            atol=1e-15,
+        )[0]
+        got = cg(
+            lambda y: inc.dot(np.where(support, inc.tdot(y), 0.0)),
+            residual,
+            0.0,
+            atol=1e-15,
+        )
+        assert got.tobytes() == want.tobytes()
+        assert (St @ want).tobytes() == inc.tdot(got)[support].tobytes()
 
 
 class TestPolishAgainstLsqr:
