@@ -4,17 +4,21 @@ The pipeline has three steps.  First, ``fractional_cycle_decomposition``
 assigns a positive weight to a family of tight cycles on L vertices so that
 the weights of the cycles through each edge sum to exactly 1 (the
 maximum-entropy weights of ``fractional.scale_to_ones`` over an enumerated
-or sampled cycle family); the result is a plain dict {TightCycle: weight},
-checked by ``check_edge_sums``.  The family's edge-by-cycle incidence is a
-``fractional.Incidence``, so the weighting runs on numpy alone and never
-loads scipy.  The enumeration grows tight (L-1)-vertex
-paths and closes each one by intersection: the closing vertex must extend
-all k cyclic windows that contain it, so it is drawn from
-``tightpaths.closing_mask`` of the path against its own start.
+or sampled cycle family).  The family stays in numpy integer arrays from
+enumeration to extraction: the result is a pair (cycles, weights), an
+N x L array of canonical vertex sequences in canonical order and their N
+positive weights, checked by ``check_edge_sums``.  Every cycle's edges are
+one lookup of its cyclic windows in a table of the host's edge ids, and
+the family's edge-by-cycle incidence is a ``fractional.Incidence``, so the
+weighting runs on numpy alone and never loads scipy.  The enumeration
+grows tight (L-1)-vertex paths in blocks, each step one AND of rows of a
+boolean extension table, and closes each path by intersection: the
+closing vertex must extend all k cyclic windows that contain it.
 Second, ``extract_cycle_collections`` rounds the fractional solution into r
 edge-disjoint collections of vertex-disjoint L-cycles by a weight-driven
 randomized greedy, with coverage gates checked per collection; it redraws up
-to ``retries`` times from the same solution.  The
+to ``retries`` times from the same solution, and only the cycles it picks
+become ``TightCycle`` objects.  The
 ``decompose`` pipeline hands these cycle collections straight to
 ``assemble.pack_factors``, whose layer transform opens each cycle afresh on
 every attempt with ``open_cycle`` (deleting k-1 consecutive edges at a
@@ -28,11 +32,13 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
+
+import numpy as np
 
 from .fractional import Incidence, ScalingError, linprog, polish, scale_to_ones
 from .hypergraph import Hypergraph
-from .tightpaths import TightCycle, closing_mask, tight_extensions
+from .tightpaths import TightCycle, closing_mask
 
 __all__ = [
     "CoverError",
@@ -61,30 +67,103 @@ class DecompositionError(CoverError):
 # cycle enumeration
 
 
+ENUMERATE_BLOCK = 4096  # most tight paths that one step of _enumerate_all extends
+
+
+def _digits(n: int, width: int) -> np.ndarray:
+    """Place values that read ``width`` vertices as one base-n number."""
+    return n ** np.arange(width - 1, -1, -1)
+
+
+def _edge_table(H: Hypergraph) -> np.ndarray:
+    """The edge id of every ordered k-tuple of vertices that lists an edge
+    of H, read by ``_digits``, and -1 for every other tuple (n^k entries)."""
+    n, k = H.n, H.k
+    table = np.full(n**k, -1, dtype=np.int32)
+    edges = np.array(H.edges, dtype=np.intp).reshape(-1, k)
+    for order in itertools.permutations(range(k)):
+        table[edges[:, order] @ _digits(n, k)] = np.arange(len(edges))
+    return table
+
+
 def _enumerate_all(H: Hypergraph, L: int, cap: Optional[int]):
     """All tight cycles on exactly L vertices, or None when cap is exceeded.
 
-    Anchored search: the first vertex of the sequence is the cycle's minimum
-    and the reflection duplicate is skipped by requiring the second vertex
-    to be smaller than the last.  ``tight_extensions`` grows the tight
-    (L-1)-vertex paths; the closing vertex lies in exactly the k cyclic
-    windows that the path does not check, so its candidates are
-    ``closing_mask(H, seq, seq)`` cut to the bits above seq[1], ascending,
-    skipping vertices on the path.
+    Returns an N x L int array of canonical sequences in canonical order.
+    Anchored search: a sequence starts at the cycle's minimum v0, and the
+    reflection duplicate is skipped by requiring seq[1] < seq[-1].  Paths
+    grow over the vertices above v0 that they do not hold yet.  The
+    extension table has one row per ordered (k-1)-tuple and one column per
+    vertex, True where the two make an edge; after the first k-1 vertices,
+    a path's candidates are the row of its last k-1.  The closing vertex of
+    a path on L-1 vertices lies in exactly the k cyclic windows that the
+    path does not check, so its candidates are the AND of those windows'
+    rows (what ``tightpaths.closing_mask`` computes), cut to the vertices
+    above seq[1].  Paths are extended depth-first, at most
+    ``ENUMERATE_BLOCK`` at a time, which bounds the memory and stops the
+    count at the first block past the cap.  Each path's candidates come out
+    ascending (``np.nonzero`` reads row by row), so the rows are in
+    lexicographic order, which for canonical sequences is canonical order.
     """
-    out = []
-    for v0 in range(H.n):
-        for seq in tight_extensions(H, (v0,), L - 1, range(v0 + 1, H.n)):
-            closers = closing_mask(H, seq, seq) & (-1 << (seq[1] + 1))
-            while closers:
-                low = closers & -closers
-                closers ^= low
-                u = low.bit_length() - 1
-                if u not in seq:
-                    out.append(TightCycle(H, seq + (u,)))
-                    if cap is not None and len(out) > cap:
-                        return None
-    return out
+    n, k = H.n, H.k
+    table = (_edge_table(H) >= 0).reshape(n ** (k - 1), n)
+    digits = _digits(n, k - 1)
+    vertices = np.arange(n)
+    # path positions of the k windows through the closing vertex: window j
+    # holds the last k-1-j path vertices, then the first j
+    closing = [list(range(L - k + j, L - 1)) + list(range(j)) for j in range(k)]
+    found, count = [], 0
+    stack = [vertices[:, None]]
+    while stack:
+        paths = stack.pop()
+        if len(paths) > ENUMERATE_BLOCK:
+            stack.append(paths[ENUMERATE_BLOCK:])
+            paths = paths[:ENUMERATE_BLOCK]
+        d = paths.shape[1]
+        free = vertices > paths[:, :1]
+        free[np.arange(len(paths))[:, None], paths] = False
+        if d == L - 1:
+            free &= vertices > paths[:, 1:2]
+            for window in closing:
+                free &= table[paths[:, window] @ digits]
+        elif d >= k - 1:
+            free &= table[paths[:, d - k + 1 :] @ digits]
+        rows, last = np.nonzero(free)
+        grown = np.column_stack((paths[rows], last))
+        if d < L - 1:
+            stack.append(grown)
+            continue
+        count += len(grown)
+        if cap is not None and count > cap:
+            return None
+        found.append(grown)
+    return np.concatenate(found) if found else np.empty((0, L), dtype=np.intp)
+
+
+def _edge_ids(H: Hypergraph, cycles: np.ndarray) -> np.ndarray:
+    """The edge id of every cyclic k-window of every cycle, shaped as cycles.
+
+    One lookup of the windows in ``_edge_table``.  CoverError names the
+    first row that is no tight cycle of H: a vertex outside the host, a
+    repeated vertex or a window that is no edge (the checks of the
+    ``TightCycle`` constructor).
+    """
+    n, k = H.n, H.k
+    L = cycles.shape[1]
+    outside = ((cycles < 0) | (cycles >= n)).any(axis=1)
+    # clipped so that a vertex outside the host reads inside the table
+    closed = np.concatenate((cycles, cycles[:, : k - 1]), axis=1).clip(0, n - 1)
+    windows = closed[:, np.arange(L)[:, None] + np.arange(k)]
+    ids = _edge_table(H)[windows @ _digits(n, k)]
+    bad = (
+        outside
+        | (ids < 0).any(axis=1)
+        | (np.diff(np.sort(cycles, axis=1), axis=1) == 0).any(axis=1)
+    )
+    if bad.any():
+        row = tuple(cycles[np.argmax(bad)].tolist())
+        raise CoverError(f"{row!r} is not a tight cycle in the host")
+    return ids
 
 
 def cycles_through_edge(
@@ -153,21 +232,27 @@ EDGE_SUM_TOL = 1e-9  # how far a cycle weighting's per-edge sum may stray from 1
 ENUMERATE_CAP = 20000  # largest cycle family enumerated in full, not sampled
 
 
-def check_edge_sums(H: Hypergraph, weights: Mapping) -> None:
+def check_edge_sums(H: Hypergraph, pair) -> None:
     """CoverError unless every weight is positive and, for every edge of H,
-    the weights of the cycles through it sum to 1 within ``EDGE_SUM_TOL``."""
-    edge_weights = {e: [] for e in H.edges}
-    for C, w in weights.items():
-        if not w > 0:
-            raise CoverError(f"weight for {C!r} must be positive")
-        for e in C.edges():
-            edge_weights[e].append(w)
-    for e, ws in edge_weights.items():
-        total = float(sum(ws))
-        if abs(total - 1.0) > EDGE_SUM_TOL:
-            raise CoverError(
-                f"edge {e!r} has weight sum {total!r}, not 1 within {EDGE_SUM_TOL}"
-            )
+    the weights of the cycles through it, added in the order of the cycles,
+    sum to 1 within ``EDGE_SUM_TOL``.
+
+    ``pair`` is (cycles, weights): an N x L array of vertex sequences and
+    their N weights."""
+    cycles, weights = pair
+    weights = np.asarray(weights, dtype=float)
+    nonpositive = np.flatnonzero(~(weights > 0))
+    if len(nonpositive):
+        row = tuple(cycles[nonpositive[0]].tolist())
+        raise CoverError(f"weight for cycle {row!r} must be positive")
+    ids = _edge_ids(H, cycles)
+    sums = np.bincount(ids.ravel(), np.repeat(weights, ids.shape[1]), H.m)
+    off = np.flatnonzero(np.abs(sums - 1.0) > EDGE_SUM_TOL)
+    if len(off):
+        raise CoverError(
+            f"edge {H.edges[off[0]]!r} has weight sum {float(sums[off[0]])!r}, "
+            f"not 1 within {EDGE_SUM_TOL}"
+        )
 
 
 def fractional_cycle_decomposition(
@@ -176,7 +261,7 @@ def fractional_cycle_decomposition(
     family: Optional[Iterable[TightCycle]] = None,
     per_edge: int = 12,
     seed: int = 0,
-) -> dict:
+) -> tuple:
     """Solve for positive per-edge-sum-1 cycle weights over a cycle family.
 
     The family is the full set of L-vertex cycles when it fits under
@@ -188,17 +273,18 @@ def fractional_cycle_decomposition(
     solution exists, every family cycle gets a positive weight; when only
     solutions with zero weights exist, the cycles that must weigh 0 shrink
     below the tolerance and are left out.  DecompositionError, naming the
-    residual and the Newton steps, when no solution is found.  Returns
-    {TightCycle: weight} in canonical cycle order, after ``check_edge_sums``.
+    residual and the Newton steps, when no solution is found.  Returns the
+    pair (cycles, weights), after ``check_edge_sums``: an N x L int array of
+    canonical sequences in canonical order and their N positive weights.
     """
     _check_cycle_length(H, L)
     if H.m == 0:
         raise CoverError("host has no edges")
-    if family is None:
-        cycles = _enumerate_all(H, L, ENUMERATE_CAP)
-        if cycles is None:
+    cycles = _enumerate_all(H, L, ENUMERATE_CAP) if family is None else None
+    if cycles is None:
+        forms = set()
+        if family is None:
             rng = random.Random(seed)
-            pool = {}
             for e in H.edges:
                 got = cycles_through_edge(
                     H, L, e, limit=per_edge, seed=rng.randrange(2**63)
@@ -207,37 +293,24 @@ def fractional_cycle_decomposition(
                     raise DecompositionError(
                         f"no cycle on {L} vertices passes through edge {e!r}"
                     )
-                for C in got:
-                    pool.setdefault(C.canonical(), C)
-            cycles = list(pool.values())
-    else:
-        cycles = []
-        seen = set()
-        for C in family:
-            if not isinstance(C, TightCycle):
-                C = TightCycle(H, C)
-            if C.host != H or len(C) != L:
-                raise CoverError("family cycle host or length mismatch")
-            if C.canonical() not in seen:
-                seen.add(C.canonical())
-                cycles.append(C)
-    cycles.sort(key=lambda C: C.canonical())
+                forms.update(C.canonical() for C in got)
+        else:
+            for C in family:
+                if not isinstance(C, TightCycle):
+                    C = TightCycle(H, C)
+                if C.host != H or len(C) != L:
+                    raise CoverError("family cycle host or length mismatch")
+                forms.add(C.canonical())
+        cycles = np.array(sorted(forms), dtype=np.intp).reshape(-1, L)
 
-    edge_index = {e: i for i, e in enumerate(H.edges)}
-    uncovered = set(edge_index)
-    rows, cols = [], []
-    for j, C in enumerate(cycles):
-        for e in C.edges():
-            rows.append(edge_index[e])
-            cols.append(j)
-            uncovered.discard(e)
-    if uncovered:
-        e = min(uncovered)
+    ids = _edge_ids(H, cycles)
+    uncovered = np.flatnonzero(np.bincount(ids.ravel(), minlength=H.m) == 0)
+    if len(uncovered):
         raise DecompositionError(
-            f"no cycle on {L} vertices passes through edge {e!r}"
+            f"no cycle on {L} vertices passes through edge {H.edges[uncovered[0]]!r}"
         )
 
-    A = Incidence(rows, cols, (H.m, len(cycles)))
+    A = Incidence(ids.ravel(), np.repeat(np.arange(len(cycles)), L), (H.m, len(cycles)))
     try:
         w = scale_to_ones(A)
     except ScalingError as exc:
@@ -245,9 +318,10 @@ def fractional_cycle_decomposition(
             "no per-edge-sum-1 weighting over the cycle family "
             f"({len(cycles)} cycles): {exc}; enlarge the family or change L"
         ) from exc
-    weights = {C: float(x) for C, x in zip(cycles, polish(A, w)) if x > 0}
-    check_edge_sums(H, weights)
-    return weights
+    w = polish(A, w)
+    pair = (cycles[w > 0], w[w > 0])
+    check_edge_sums(H, pair)
+    return pair
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +383,26 @@ def check_collections(H: Hypergraph, r: int) -> None:
         )
 
 
+def _rows_through(ids: np.ndarray, size: int) -> list:
+    """For each value below ``size``, the ascending indices of the rows of
+    ``ids`` that hold it."""
+    flat = ids.ravel()
+    # a stable sort of unsigned ints of 16 bits or fewer is a radix sort
+    order = np.argsort(flat.astype(np.min_scalar_type(size)), kind="stable")
+    return np.split(order // ids.shape[1], np.cumsum(np.bincount(flat, minlength=size))[:-1])
+
+
+def _draw(rng: random.Random, weights: np.ndarray) -> int:
+    """The index ``rng.choices(range(len(weights)), weights)`` draws, bit for
+    bit: ``np.cumsum`` adds in sequence, as ``itertools.accumulate`` does,
+    and searching all sums but the last is ``bisect(cum, x, 0, n - 1)``."""
+    cum = np.cumsum(weights)
+    return int(np.searchsorted(cum[:-1], rng.random() * cum[-1], "right"))
+
+
 def extract_cycle_collections(
     H: Hypergraph,
-    weights: Mapping,
+    pair,
     r: int,
     seed: int = 0,
     mu: float = 0.2,
@@ -319,21 +410,23 @@ def extract_cycle_collections(
 ) -> ExtractionResult:
     """Round a fractional decomposition into r edge-disjoint collections.
 
-    ``weights`` is a decomposition {TightCycle: weight} of H, as
+    ``pair`` is a decomposition (cycles, weights) of H, as
     ``fractional_cycle_decomposition`` returns it.  Collections are built one
     at a time by a randomized greedy: candidates are its cycles, drawn with
     probability proportional to their normalized weight omega(C)/Gamma among
     those still vertex-disjoint within the current collection and
-    edge-disjoint from everything already chosen.  The candidates form a
-    live pool in the order of ``weights``: a collection
-    starts from the cycles that share no edge with an earlier pick, and each
-    pick drops the cycles that meet it in a vertex (which covers every cycle
-    sharing one of its edges).  So no pick rescans the family.  An attempt is
-    accepted when every collection covers at least ceil((1-mu) n) vertices;
-    otherwise the extraction reseeds, up to ``retries`` attempts, and finally
-    returns the best attempt (the first with the fewest gate failures, named
-    by ``returned``) with diagnostics (``ok`` False) rather than discarding
-    the work.
+    edge-disjoint from everything already chosen (the draws of
+    ``random.choices`` over the candidates in the order of ``pair``).  The
+    candidates form a live pool of cycle indices: a collection starts from
+    the cycles that share no edge with an earlier pick, and each pick drops
+    the cycles that meet it in a vertex (which covers every cycle sharing
+    one of its edges).  So no pick rescans the family, and only the picked
+    cycles become ``TightCycle`` objects.  An attempt is accepted when every
+    collection covers at least ceil((1-mu) n) vertices; otherwise the
+    extraction reseeds, up to ``retries`` attempts, and finally returns the
+    best attempt (the first with the fewest gate failures, named by
+    ``returned``) with diagnostics (``ok`` False) rather than discarding the
+    work.
     """
     check_collections(H, r)
     coverage_min = math.ceil((1 - mu) * H.n)
@@ -343,33 +436,30 @@ def extract_cycle_collections(
     if r == 0:
         return ExtractionResult([], True, 0, [], gamma, None)
 
-    family = list(weights)
-    fam_weights = [float(w) / gamma for w in weights.values()]
-    masks = [sum(1 << v for v in C.seq) for C in family]
-    by_edge: dict = {}
-    for i, C in enumerate(family):
-        for e in C.edges():
-            by_edge.setdefault(e, []).append(i)
+    cycles, weights = pair
+    ids = _edge_ids(H, cycles)
+    scaled = np.asarray(weights, dtype=float) / gamma
+    through_vertex = _rows_through(cycles, H.n)
+    through_edge = _rows_through(ids, H.m)
     master = random.Random(seed)
     best = None
     diagnostics = []
     for attempt in range(max(1, retries)):
         rng = random.Random(master.randrange(2**63))
-        dead = [False] * len(family)
+        dead = np.zeros(len(cycles), dtype=bool)
         collections = []
         for _ in range(r):
             coll: list = []
-            used = 0
-            pool = [i for i, gone in enumerate(dead) if not gone]
-            while pool:
-                i = rng.choices(pool, weights=[fam_weights[j] for j in pool])[0]
-                C = family[i]
-                coll.append(C)
-                used |= masks[i]
-                for e in C.edges():
-                    for j in by_edge[e]:
-                        dead[j] = True
-                pool = [j for j in pool if not masks[j] & used]
+            out = dead.copy()
+            pool = np.flatnonzero(~out)
+            while len(pool):
+                i = pool[_draw(rng, scaled[pool])]
+                coll.append(TightCycle(H, cycles[i].tolist()))
+                for v in cycles[i]:
+                    out[through_vertex[v]] = True
+                for e in ids[i]:
+                    dead[through_edge[e]] = True
+                pool = pool[~out[pool]]
             collections.append(tuple(coll))
         validate_collections(H, collections)
         coverages = [len(_covered(coll)) for coll in collections]

@@ -93,20 +93,22 @@ def check_against_lsqr():
     return check
 
 
-def rescan_extraction(H, weights, r, seed=0, mu=0.2, retries=10):
+def rescan_extraction(H, pair, r, seed=0, mu=0.2, retries=10):
     """The full-rescan greedy that ``extract_cycle_collections`` replaces.
 
     Before every pick it rebuilds the candidate list from the whole family:
     every cycle vertex-disjoint from the current collection and edge-disjoint
-    from all chosen cycles.  Kept only as an oracle; it assumes the checks on
-    ``weights`` and ``r`` already passed.
+    from all chosen cycles, as ``TightCycle`` objects, and draws with
+    ``rng.choices``.  Kept only as an oracle; it assumes the checks on
+    ``pair`` and ``r`` already passed.
     """
     coverage_min = math.ceil((1 - mu) * H.n)
     gamma = float((1 + H.rho_star()) * r) if r else 1.0
     if r == 0:
         return ExtractionResult([], True, 0, [], gamma, None)
-    family = list(weights)
-    fam_weights = [float(weights[C]) / gamma for C in family]
+    cycles, weights = pair
+    family = [TightCycle(H, seq) for seq in cycles.tolist()]
+    fam_weights = [float(w) / gamma for w in weights]
     shortest = min(len(C) for C in family)
     master = random.Random(seed)
     best = None
@@ -158,9 +160,9 @@ def rescan_extraction(H, weights, r, seed=0, mu=0.2, retries=10):
 def check_against_rescan():
     """Extract through the live pool and compare it with the full rescan."""
 
-    def check(H, weights, r, **kwargs):
-        got = extract_cycle_collections(H, weights, r, **kwargs)
-        want = rescan_extraction(H, weights, r, **kwargs)
+    def check(H, pair, r, **kwargs):
+        got = extract_cycle_collections(H, pair, r, **kwargs)
+        want = rescan_extraction(H, pair, r, **kwargs)
         assert [[C.seq for C in coll] for coll in got.collections] == [
             [C.seq for C in coll] for coll in want.collections
         ]
@@ -267,7 +269,7 @@ def check_against_dfs():
     def check(H, L, cap):
         got = _enumerate_all(H, L, cap)
         want = anchored_dfs_cycles(H, L, cap)
-        assert (None if got is None else [C.seq for C in got]) == want
+        assert (None if got is None else [tuple(seq) for seq in got.tolist()]) == want
         return want
 
     return check

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclefactors import fractional
+from cyclefactors import cover, fractional
 from cyclefactors.cover import (
     CoverError,
     DecompositionError,
+    _draw,
     _enumerate_all,
     check_edge_sums,
     cycles_through_edge,
@@ -36,11 +38,11 @@ def path_host():
     return Hypergraph(3, 5, [(0, 1, 2), (1, 2, 3), (2, 3, 4)])
 
 
-def edge_sums(H, weights):
+def edge_sums(H, pair):
     """Each edge's total weight over the cycles through it, summed afresh."""
     sums = {e: 0.0 for e in H.edges}
-    for C, w in weights.items():
-        for e in C.edges():
+    for seq, w in zip(*(part.tolist() for part in pair)):
+        for e in TightCycle(H, seq).edges():
             sums[e] += w
     return sums
 
@@ -67,11 +69,12 @@ def k12_frac(k12):
 class TestEnumeration:
     def test_k5_hamilton_cycles(self):
         # (5-1)!/2 cyclic orders up to rotation and reflection
-        cycles = _enumerate_all(complete_hypergraph(3, 5), 5, None)
+        cycles = _enumerate_all(complete_hypergraph(3, 5), 5, None).tolist()
         assert len(cycles) == 12
-        assert len({C.canonical() for C in cycles}) == 12
-        for C in cycles:
-            assert len(C.vertex_set) == 5
+        assert len({canonical_cycle(seq) for seq in cycles}) == 12
+        for seq in cycles:
+            assert canonical_cycle(seq) == tuple(seq)
+            assert len(set(seq)) == 5
 
     def test_k5_four_cycles_match_permutation_oracle(self):
         H = complete_hypergraph(3, 5)
@@ -81,16 +84,23 @@ class TestEnumeration:
             for p in itertools.permutations(sub):
                 if is_tight_cycle(H, p):
                     forms.add(canonical_cycle(p))
-        assert {C.canonical() for C in cycles} == forms
+        assert {tuple(seq) for seq in cycles.tolist()} == forms
         assert len(cycles) == 15
 
     def test_every_result_is_a_tight_cycle(self):
         H = complete_hypergraph(3, 6)
-        for C in _enumerate_all(H, 5, None):
-            assert is_tight_cycle(H, C.seq)
+        for seq in _enumerate_all(H, 5, None).tolist():
+            assert is_tight_cycle(H, seq)
 
     def test_cap_exceeded(self):
         assert _enumerate_all(complete_hypergraph(3, 8), 8, 10) is None
+
+    def test_cap_is_the_largest_family_returned(self):
+        # 12 Hamilton cycles in K_5^(3): a cap of 12 returns them, 11 does not
+        H = complete_hypergraph(3, 5)
+        full = _enumerate_all(H, 5, None)
+        assert np.array_equal(_enumerate_all(H, 5, 12), full)
+        assert _enumerate_all(H, 5, 11) is None
 
     def test_length_bounds(self):
         H = complete_hypergraph(3, 6)
@@ -141,10 +151,10 @@ class TestCyclesThroughEdge:
 class TestFractionalDecomposition:
     def test_k5_uniform_sixth(self):
         # by symmetry 1/6 per cycle is feasible; max-min LP recovers it
-        frac = fractional_cycle_decomposition(complete_hypergraph(3, 5), 5)
-        assert len(frac) == 12
-        assert min(frac.values()) == pytest.approx(1 / 6, abs=1e-6)
-        assert max(frac.values()) == pytest.approx(1 / 6, abs=1e-6)
+        cycles, weights = fractional_cycle_decomposition(complete_hypergraph(3, 5), 5)
+        assert len(cycles) == len(weights) == 12
+        assert min(weights) == pytest.approx(1 / 6, abs=1e-6)
+        assert max(weights) == pytest.approx(1 / 6, abs=1e-6)
 
     def test_per_edge_sums_recomputed_independently(self):
         H = complete_hypergraph(3, 6)
@@ -158,37 +168,38 @@ class TestFractionalDecomposition:
 
     def test_family_missing_an_edge_is_infeasible(self):
         H = complete_hypergraph(3, 5)
-        one = _enumerate_all(H, 5, None)[:1]
+        one = _enumerate_all(H, 5, None)[:1].tolist()
         with pytest.raises(DecompositionError):
             fractional_cycle_decomposition(H, 5, family=one)
 
     def test_explicit_family_route(self):
         H = complete_hypergraph(3, 5)
-        frac = fractional_cycle_decomposition(H, 5, family=_enumerate_all(H, 5, None))
-        assert len(frac) == 12
+        family = _enumerate_all(H, 5, None).tolist()
+        cycles, weights = fractional_cycle_decomposition(H, 5, family=family)
+        assert cycles.tolist() == family
+        assert len(weights) == 12
 
     def test_sampled_family_covers_k12(self, k12, k12_frac):
         assert all(abs(s - 1) <= 1e-9 for s in edge_sums(k12, k12_frac).values())
-        assert {len(C) for C in k12_frac} == {10}
+        assert k12_frac[0].shape[1] == 10
 
     def test_sampled_family_is_deterministic(self, k12, k12_frac):
         again = fractional_cycle_decomposition(k12, 10, seed=1)
-        assert [(C.canonical(), w) for C, w in again.items()] == [
-            (C.canonical(), w) for C, w in k12_frac.items()
-        ]
+        assert again[0].tolist() == k12_frac[0].tolist()
+        assert again[1].tolist() == k12_frac[1].tolist()
 
     def test_cycles_come_in_canonical_order(self, k12_frac):
         # extraction's draws index the cycles in this order
         H = complete_hypergraph(3, 6)
-        family = _enumerate_all(H, 5, None)
+        family = _enumerate_all(H, 5, None).tolist()
         random.Random(0).shuffle(family)
-        for frac in (
+        for cycles, _ in (
             k12_frac,
             fractional_cycle_decomposition(H, 5),
             fractional_cycle_decomposition(H, 5, family=family),
         ):
-            forms = [C.canonical() for C in frac]
-            assert forms == sorted(forms)
+            forms = [canonical_cycle(seq) for seq in cycles.tolist()]
+            assert forms == sorted(forms) == [tuple(seq) for seq in cycles.tolist()]
 
 
 class TestMaxminAgainstInequalityForm:
@@ -204,8 +215,8 @@ class TestMaxminAgainstInequalityForm:
         rng = random.Random(seed)
         H = complete_hypergraph(k, n)
         G = H.remove_edges(rng.sample(list(H.edges), 2))
-        cycles = _enumerate_all(G, L, None)
-        family = rng.sample(cycles, min(len(cycles), 6 * G.m))
+        cycles = _enumerate_all(G, L, None).tolist()
+        family = [TightCycle(G, seq) for seq in rng.sample(cycles, min(len(cycles), 6 * G.m))]
         z = check_against_oracle(edge_cycle_incidence(G, family))
         if z is None:
             with pytest.raises(DecompositionError):
@@ -214,7 +225,7 @@ class TestMaxminAgainstInequalityForm:
         frac = fractional_cycle_decomposition(G, L, family=family)
         check_edge_sums(G, frac)  # every weight positive, every edge sum 1
         if z > 0:
-            assert len(frac) == len(family)
+            assert len(frac[1]) == len(family)
 
 
 class TestScaling:
@@ -226,10 +237,10 @@ class TestScaling:
         rng = random.Random(0)
         H = complete_hypergraph(4, 6)
         G = H.remove_edges(rng.sample(list(H.edges), 2))
-        cycles = _enumerate_all(G, 5, None)
+        cycles = _enumerate_all(G, 5, None).tolist()
         family = rng.sample(cycles, min(len(cycles), 6 * G.m))
-        G = Hypergraph(4, 6, {e for C in family for e in C.edges()})
-        family = [TightCycle(G, C.seq) for C in family]
+        G = Hypergraph(4, 6, {e for seq in family for e in TightCycle(G, seq).edges()})
+        family = [TightCycle(G, seq) for seq in family]
         assert check_against_oracle(edge_cycle_incidence(G, family)) is None
         steps = []
         real = fractional.cg
@@ -249,39 +260,46 @@ class TestScaling:
         reserve = sparsify_intersecting(H, 0.5, uniform_weighting(H), 0)
         rest = H.remove_edges(reserve.edges)
         a, b = (fractional_cycle_decomposition(rest, 6, per_edge=20) for _ in range(2))
-        assert [(C.canonical(), w.hex()) for C, w in a.items()] == [
-            (C.canonical(), w.hex()) for C, w in b.items()
-        ]
+        assert a[0].tolist() == b[0].tolist()
+        assert [w.hex() for w in a[1].tolist()] == [w.hex() for w in b[1].tolist()]
 
 
 class TestDecompositionValidation:
     """``check_edge_sums`` on the 12 Hamilton cycles of K_5^(3), six through
-    each edge, so 1/6 apiece sums to 1 on every edge."""
+    each edge, so 1/6 apiece sums to 1 on every edge.  The weights are read
+    as floats and added in cycle order."""
 
     def sixths(self, weight=Fraction(1, 6)):
         H = complete_hypergraph(3, 5)
-        return H, {C: weight for C in _enumerate_all(H, 5, None)}
+        return H, _enumerate_all(H, 5, None), [weight] * 12
 
     def test_exact_fraction_weights(self):
-        check_edge_sums(*self.sixths())
+        H, cycles, weights = self.sixths()
+        check_edge_sums(H, (cycles, weights))
 
     def test_nonpositive_weight_rejected(self):
-        H, weights = self.sixths()
+        H, cycles, weights = self.sixths()
         for w in (0, -Fraction(1, 6)):
-            weights[next(iter(weights))] = w
-            with pytest.raises(CoverError, match="must be positive"):
-                check_edge_sums(H, weights)
+            weights[0] = w
+            with pytest.raises(CoverError, match=r"\(0, 1, 2, 3, 4\) must be positive"):
+                check_edge_sums(H, (cycles, weights))
 
     def test_wrong_sum_rejected(self):
+        H, cycles, weights = self.sixths(Fraction(1, 5))
         with pytest.raises(CoverError, match="weight sum 1.2, not 1 within 1e-09"):
-            check_edge_sums(*self.sixths(Fraction(1, 5)))
+            check_edge_sums(H, (cycles, weights))
 
     def test_sums_within_1e_9_accepted_beyond_refused(self):
-        H, weights = self.sixths(1 / 6)
-        C = next(iter(weights))
-        check_edge_sums(H, {**weights, C: 1 / 6 + 5e-10})
+        H, cycles, weights = self.sixths(1 / 6)
+        check_edge_sums(H, (cycles, np.array([1 / 6 + 5e-10] + weights[1:])))
         with pytest.raises(CoverError, match="not 1 within 1e-09"):
-            check_edge_sums(H, {**weights, C: 1 / 6 + 2e-9})
+            check_edge_sums(H, (cycles, np.array([1 / 6 + 2e-9] + weights[1:])))
+
+    def test_window_off_the_host_rejected(self):
+        H, cycles, weights = self.sixths()
+        G = H.remove_edges([(0, 1, 2)])
+        with pytest.raises(CoverError, match=r"\(0, 1, 2, 3, 4\) is not a tight cycle"):
+            check_edge_sums(G, (cycles, weights))
 
 
 class TestExtraction:
@@ -349,8 +367,8 @@ class TestExtraction:
         ]
 
     def test_host_mismatch(self, k12_frac):
-        # every draw passes validate_collections, which refuses foreign cycles
-        with pytest.raises(CoverError, match="foreign object"):
+        # the family's windows are looked up among the host's edges first
+        with pytest.raises(CoverError, match="is not a tight cycle in the host"):
             extract_cycle_collections(complete_hypergraph(3, 5), k12_frac, 1)
 
 
@@ -369,7 +387,7 @@ class TestEnumerationAgainstDFS:
     def test_random_hosts(self, k, n, p, host_seed, check_against_dfs):
         H = random_host(k, n, p, host_seed)
         capped = 0
-        for L in range(k + 1, min(n, 8) + 1):
+        for L in range(k + 1, min(n, 9) + 1):
             full = check_against_dfs(H, L, None)
             assert check_against_dfs(H, L, len(full)) == full
             if full:
@@ -383,10 +401,25 @@ class TestEnumerationAgainstDFS:
             assert check_against_dfs(path_host(), L, None) == []
 
 
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_block_size_leaves_the_rows_unchanged(self, block, monkeypatch):
+        hosts = [random_host(3, 9, 0.6, 0), random_host(4, 8, 0.9, 1)]
+        lengths = [range(H.k + 1, H.n + 1) for H in hosts]
+        want = [[_enumerate_all(H, L, None) for L in Ls] for H, Ls in zip(hosts, lengths)]
+        monkeypatch.setattr(cover, "ENUMERATE_BLOCK", block)
+        for H, Ls, families in zip(hosts, lengths, want):
+            for L, full in zip(Ls, families):
+                assert np.array_equal(_enumerate_all(H, L, None), full)
+                assert np.array_equal(_enumerate_all(H, L, len(full)), full)
+                if len(full):
+                    assert _enumerate_all(H, L, len(full) - 1) is None
+
+
 class TestEnumerationCost:
     def test_k12_residual_reuses_its_extension_masks(self, monkeypatch, check_against_dfs):
-        # the pipeline's seed-0 K_12^(3) residual: extension sets are looked up
-        # once per ordered tail, and no window is re-sorted through has_edge
+        # the pipeline's seed-0 K_12^(3) residual: the extension table is
+        # built from the edge list, so no tail is looked up and no window is
+        # re-sorted through has_edge
         H = complete_hypergraph(3, 12)
         reserve = sparsify_intersecting(H, 0.5, uniform_weighting(H), 0)
         rest = H.remove_edges(reserve.edges)
@@ -401,10 +434,23 @@ class TestEnumerationCost:
 
             monkeypatch.setattr(Hypergraph, name, counted)
         got = _enumerate_all(rest, 6, 20000)
-        assert calls["has_edge"] == 0
-        assert calls["extensions"] <= rest.n * (rest.n - 1)
+        assert calls == {"extensions": 0, "has_edge": 0}
         monkeypatch.undo()
-        assert [C.seq for C in got] == check_against_dfs(rest, 6, None)
+        assert [tuple(seq) for seq in got.tolist()] == check_against_dfs(rest, 6, None)
+
+    def test_k42_residual_stops_at_the_cap_in_bounded_memory(self):
+        # the seed-0 K_42^(3) residual has more 6-cycles than the cap; the
+        # blocked search gives up after a few blocks of paths
+        H = complete_hypergraph(3, 42)
+        reserve = sparsify_intersecting(H, 0.5, uniform_weighting(H), 0)
+        rest = H.remove_edges(reserve.edges)
+        tracemalloc.start()
+        try:
+            assert _enumerate_all(rest, 6, cover.ENUMERATE_CAP) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestExtractionAgainstRescan:
@@ -436,24 +482,32 @@ class TestExtractionAgainstRescan:
         check_against_rescan(k12, k12_frac, 3, seed=seed, mu=0.5)
 
     def test_reads_each_cycle_once_plus_per_pick(self, k12, k12_frac, monkeypatch):
-        # a full rescan reads every surviving candidate on every pick
-        reads = []
-        edges, vertex_set = TightCycle.edges, TightCycle.vertex_set.fget
+        # the family stays in arrays: a TightCycle is built for each pick only
+        built = []
+        init = TightCycle.__init__
 
-        def counted_edges(C):
-            reads.append(C)
-            return edges(C)
+        def counted_init(C, host, seq):
+            built.append(tuple(seq))
+            init(C, host, seq)
 
-        def counted_vertex_set(C):
-            reads.append(C)
-            return vertex_set(C)
-
-        monkeypatch.setattr(TightCycle, "edges", counted_edges)
-        monkeypatch.setattr(TightCycle, "vertex_set", property(counted_vertex_set))
+        monkeypatch.setattr(TightCycle, "__init__", counted_init)
         res = extract_cycle_collections(k12, k12_frac, 2, seed=0, retries=1)
-        picks = sum(len(coll) for coll in res.collections)
-        assert picks >= 2
-        assert len(reads) <= len(k12_frac) + picks * 10  # 10 edges per pick
+        picks = [C.seq for coll in res.collections for C in coll]
+        assert len(picks) >= 2
+        assert built == picks
+
+    @given(
+        st.lists(st.floats(min_value=-6, max_value=6), min_size=1, max_size=40),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_draw_is_random_choices(self, exponents, seed):
+        # weights spanning 12 orders of magnitude
+        weights = 10.0 ** np.array(exponents)
+        rng, want_rng = random.Random(seed), random.Random(seed)
+        want = want_rng.choices(range(len(weights)), weights=weights.tolist())[0]
+        assert _draw(rng, weights) == want
+        assert rng.random() == want_rng.random()
 
 
 class TestValidateCollections:
@@ -522,5 +576,5 @@ class TestRandomHosts:
             return  # an edge lost all its 5-cycles: legitimately infeasible
         for s in edge_sums(G, frac).values():
             assert abs(s - 1) <= 1e-9
-        for C in frac:
-            assert is_tight_cycle(G, C.seq)
+        for seq in frac[0].tolist():
+            assert is_tight_cycle(G, seq)
