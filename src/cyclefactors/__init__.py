@@ -1,9 +1,11 @@
 """Tight-cycle factor machinery for k-uniform hypergraphs.
 
-The package is organized around one pipeline: represent a k-uniform
-hypergraph, put a balanced perfect fractional matching on it, walk it with
-an (L, omega)-random walk, grow absorbers and path covers out of the walks,
-and stitch everything into edge-disjoint tight-cycle factors.
+The package is organized around one pipeline, ``decompose``: weigh a
+k-uniform hypergraph by a perfect fractional matching, sparsify a reserve
+out of it by those weights, cover the rest by a fractional decomposition
+into tight cycles, extract edge-disjoint cycle collections from that cover,
+and connect each collection's paths, through the reserve and the edges no
+collection uses, into one of the edge-disjoint tight-cycle factors.
 
 Modules
 -------

@@ -22,6 +22,7 @@ target error, 30 stage or verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -390,6 +391,17 @@ def cmd_absorbers(args) -> int:
 
 # ---------------------------------------------------------------- cover
 
+def _cover_stage(H, prof, r, seed):
+    """Weight H's L-cycle family (L = ``prof.L``) and extract r cycle
+    collections from it, redrawing missed gates from the same weights."""
+    weights = fractional_cycle_decomposition(
+        H, prof.L, seed=seed, per_edge=PIPELINE_PER_EDGE
+    )
+    return extract_cycle_collections(
+        H, weights, r, seed=seed, mu=prof.mu, retries=PIPELINE_EXTRACTION_DRAWS
+    )
+
+
 def cmd_cover(args) -> int:
     config = _make_config(args, "cover", collections=args.collections)
     H = load_hypergraph(args.input)
@@ -399,13 +411,7 @@ def cmd_cover(args) -> int:
         check_collections(H, args.collections)
     except CoverError as exc:
         raise CLIError(EXIT_PARAMS, f"cover: {exc}")
-    weights = fractional_cycle_decomposition(
-        H, prof.L, seed=args.seed, per_edge=PIPELINE_PER_EDGE
-    )
-    ext = extract_cycle_collections(
-        H, weights, args.collections, seed=args.seed, mu=prof.mu,
-        retries=PIPELINE_EXTRACTION_DRAWS,
-    )
+    ext = _cover_stage(H, prof, args.collections, args.seed)
     doc = {
         "config": config.as_dict(),
         "ok": bool(ext.ok),
@@ -430,7 +436,7 @@ def cmd_cover(args) -> int:
 
 def _pipeline_once(H, weighting, targets, prof, seed):
     """One sparsify -> cover -> pack pass; raises on any stage failure.
-    ``weighting`` is fixed per job.
+    ``weighting`` is fixed per run.
 
     The cycle family (L-cycles, L = ``prof.L``) and the extraction run on H
     minus the sparsified reserve.  The packer's graph F is H minus the edges
@@ -439,14 +445,7 @@ def _pipeline_once(H, weighting, targets, prof, seed):
     {"reserve", "idle"}.
     """
     reserve = sparsify_intersecting(H, prof.eps, weighting, seed)
-    rest = H.remove_edges(reserve.edges)
-    weights = fractional_cycle_decomposition(
-        rest, prof.L, seed=seed, per_edge=PIPELINE_PER_EDGE
-    )
-    ext = extract_cycle_collections(
-        rest, weights, len(targets), seed=seed, mu=prof.mu,
-        retries=PIPELINE_EXTRACTION_DRAWS,
-    )
+    ext = _cover_stage(H.remove_edges(reserve.edges), prof, len(targets), seed)
     if not ext.ok:
         best = ext.diagnostics[ext.returned]
         raise CoverError(
@@ -459,18 +458,13 @@ def _pipeline_once(H, weighting, targets, prof, seed):
     return result, {"reserve": reserve.m, "idle": F.m - reserve.m}
 
 
-def _decompose_job(payload: dict) -> dict:
-    """Retry the pipeline with sub-seeds; JSON-ready summary of the best run."""
-    H = Hypergraph(
-        payload["k"], payload["n"], [tuple(e) for e in payload["edges"]]
-    )
-    prof = Profile.from_mapping(payload["profile"])
-    targets = payload["targets"]
-    weighting = pipeline_weighting(H)
-    master = random.Random(payload["seed"])
+def _decompose_job(H, weighting, prof, targets, retries, normalize, seed) -> dict:
+    """Retry the pipeline with sub-seeds of ``seed``; JSON-ready summary of
+    the best run.  ``weighting`` is H's ``pipeline_weighting``."""
+    master = random.Random(seed)
     log = []
     best = None
-    for attempt in range(payload["retries"]):
+    for attempt in range(retries):
         sub = master.randrange(2**63)
         try:
             result, edges = _pipeline_once(H, weighting, targets, prof, sub)
@@ -481,13 +475,13 @@ def _decompose_job(payload: dict) -> dict:
                 {"attempt": attempt, "stage": type(exc).__name__, "detail": str(exc)}
             )
             continue
-        manifest = {**result.manifest(payload["normalize"]), "edges": edges}
+        manifest = {**result.manifest(normalize), "edges": edges}
         if result.ok:
             return {
                 "ok": True,
                 "achieved": result.achieved,
                 "requested": result.requested,
-                "seed": payload["seed"],
+                "seed": seed,
                 "attempts": attempt + 1,
                 "log": log,
                 "manifest": manifest,
@@ -503,8 +497,8 @@ def _decompose_job(payload: dict) -> dict:
         "ok": False,
         "achieved": best["achieved"] if best is not None else 0,
         "requested": len(targets),
-        "seed": payload["seed"],
-        "attempts": payload["retries"],
+        "seed": seed,
+        "attempts": retries,
         "log": log,
         "manifest": best,
     }
@@ -528,27 +522,18 @@ def cmd_decompose(args) -> int:
     for shape in targets:
         check_target(shape, H, prof)
     started = time.perf_counter()
-    payloads = [
-        {
-            "k": H.k,
-            "n": H.n,
-            "edges": [list(e) for e in H.edges],
-            "profile": prof.as_dict(),
-            "targets": targets,
-            "seed": args.seed + i,
-            "retries": args.pipeline_retries,
-            "normalize": args.normalize_timings,
-        }
-        for i in range(args.parallel_seeds)
-    ]
+    job = functools.partial(
+        _decompose_job, H, pipeline_weighting(H), prof, targets,
+        args.pipeline_retries, args.normalize_timings,
+    )
     if args.parallel_seeds == 1:
-        results = [_decompose_job(payloads[0])]
+        results = [job(args.seed)]
     else:
         # imported here: its multiprocessing chain slows every start-up
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.parallel_seeds) as pool:
-            results = list(pool.map(_decompose_job, payloads))
+            results = list(pool.map(job, range(args.seed, args.seed + args.parallel_seeds)))
     # deterministic winner: first full success in seed order, else most factors
     winner = None
     for res in results:

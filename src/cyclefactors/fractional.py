@@ -5,19 +5,19 @@ weights the cover's cycle family.
 
 The 0/1 matrices of ``scale_to_ones`` and ``polish`` are ``Incidence``
 objects, whose products and the conjugate gradients of ``cg`` are plain
-numpy.  Only the LP needs scipy: ``linprog``, ``maxmin_lp`` and ``pfm_lp``
-import it when they first run, so a regular host is weighted and covered
-without loading it.
+numpy.  Only the LP needs scipy: ``linprog`` and ``pfm_lp`` import it when
+they first run, so a regular host is weighted and covered without loading
+it.
 
 A perfect fractional matching (PFM) assigns a positive weight to every edge so
 that the weights at each vertex sum to 1. ``redistribute_pfm`` turns the uniform
 weighting into a PFM by shifting weight along short self-avoiding walks; in
 exact (rational) mode the vertex sums come out equal to 1 identically.
 
-``pipeline_weighting`` is the one weighting policy of the ``decompose``
-pipeline, for both the input host and every absorbing-structure residual:
-uniform on regular hosts, the max-min LP otherwise, uniform when no
-all-positive PFM exists.
+``pipeline_weighting`` is the one weighting policy of ``decompose``, which
+weighs the input host once per run, and of ``build_absorbing_structure``'s
+residuals: uniform on regular hosts, the max-min LP otherwise, uniform when
+no all-positive PFM exists.
 """
 
 from __future__ import annotations
@@ -305,45 +305,6 @@ def cg(matvec, b, rtol, atol=0.0, precond=None) -> np.ndarray:
     return x
 
 
-# ---------------------------------------------------------------------------
-# max-min LP: max z subject to A w = 1, w >= z
-# ---------------------------------------------------------------------------
-
-
-def linprog(c, *args, **kwargs):
-    """``scipy.optimize.linprog``, imported on the first call."""
-    from scipy.optimize import linprog as solve
-
-    return solve(c, *args, **kwargs)
-
-
-def maxmin_lp(A) -> Tuple[np.ndarray, dict]:
-    """``(c, kwargs)`` for ``linprog(c, **kwargs)``: max z s.t. A w = 1, w >= z.
-
-    Substituting w = u + z with u >= 0 turns the bound w >= z into the extra
-    column A 1 for z: the LP is max z s.t. [A | A 1] (u, z) = 1, u, z >= 0,
-    with one column per column of A plus z last, and no inequality rows.
-    """
-    from scipy import sparse
-
-    A = sparse.csr_matrix(A)
-    a_eq = sparse.hstack([A, sparse.csr_matrix(A.sum(axis=1))], format="csr")
-    c = np.zeros(A.shape[1] + 1)
-    c[-1] = -1.0
-    return c, {
-        "A_eq": a_eq,
-        "b_eq": np.ones(A.shape[0]),
-        "bounds": (0, None),
-        "method": "highs",
-        "options": {"primal_feasibility_tolerance": 1e-10},
-    }
-
-
-def maxmin_weights(A, res) -> np.ndarray:
-    """The weights w = u + z of a successful ``maxmin_lp`` solve, polished."""
-    return polish(A, res.x[:-1] + res.x[-1])
-
-
 def polish(A, w) -> np.ndarray:
     """w plus the least-norm correction on its positive support toward A w = 1.
 
@@ -443,12 +404,26 @@ def scale_to_ones(A) -> np.ndarray:
     )
 
 
+# ---------------------------------------------------------------------------
+# the matching of non-regular hosts: max z subject to A w = 1, w >= z
+# ---------------------------------------------------------------------------
+
+
+def linprog(c, *args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call."""
+    from scipy.optimize import linprog as solve
+
+    return solve(c, *args, **kwargs)
+
+
 def pfm_lp(H: Hypergraph) -> EdgeWeighting:
     """The max-min PFM: maximize the minimum edge weight subject to PFM constraints.
 
-    Solves max z s.t. sum_{e ni v} w_e = 1 (all v), w_e >= z, through
-    ``maxmin_lp`` over the sparse vertex-by-edge incidence, then polishes the
-    vertex sums; every weight is at least z*.
+    Solves max z s.t. A w = 1, w >= z over the sparse vertex-by-edge
+    incidence A.  Substituting w = u + z with u >= 0 turns the bound w >= z
+    into the extra column A 1 for z: one ``linprog`` call on [A | A 1] (u, z)
+    = 1, u, z >= 0, with m + 1 columns and no inequality rows.  The weights
+    u + z are then polished onto the vertex sums; every one is at least z*.
     """
     if H.m == 0:
         raise LPInfeasibleError("no edges to weight")
@@ -457,15 +432,23 @@ def pfm_lp(H: Hypergraph) -> EdgeWeighting:
     rows = [v for e in H.edges for v in e]
     cols = np.repeat(np.arange(H.m), H.k)
     A = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(H.n, H.m))
-    c, kwargs = maxmin_lp(A)
-    res = linprog(c, **kwargs)
+    c = np.zeros(H.m + 1)
+    c[-1] = -1.0
+    res = linprog(
+        c,
+        A_eq=sparse.hstack([A, sparse.csr_matrix(A.sum(axis=1))], format="csr"),
+        b_eq=np.ones(H.n),
+        bounds=(0, None),
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10},
+    )
     if not res.success:
         raise LPInfeasibleError(f"no perfect fractional matching: {res.message}")
     if res.x[-1] <= FLOAT_TOL:
         raise LPInfeasibleError(
             "perfect fractional matchings exist but none with all-positive weights"
         )
-    return EdgeWeighting(H, maxmin_weights(A, res).tolist(), exact=False)
+    return EdgeWeighting(H, polish(A, res.x[:-1] + res.x[-1]).tolist(), exact=False)
 
 
 def pipeline_weighting(H: Hypergraph) -> EdgeWeighting:
@@ -473,6 +456,11 @@ def pipeline_weighting(H: Hypergraph) -> EdgeWeighting:
 
     The uniform weighting is also the fallback when the LP finds no
     all-positive PFM. Raises FractionalError when H has no edges.
+    The LP stays because the reserve draw keeps e with probability
+    eps w(e)/w_max: its max-min weights reserve about 6-7% of the edges
+    of G(12, 0.6) or G(24, 0.8), the maximum-entropy weights of
+    ``scale_to_ones`` 25% and 44%, uniform weights 50%, and at the default
+    eps those larger reserves pack fewer seeds.
     """
     if len(set(H.degrees())) == 1:
         return uniform_weighting(H)

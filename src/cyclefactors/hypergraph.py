@@ -251,6 +251,10 @@ class Hypergraph:
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):
+        # rebuilt from its value; the lazy indexes are rebuilt on demand
+        return (Hypergraph, (self.k, self.n, self.edges, self.parent_ids))
+
     def __repr__(self):
         return f"Hypergraph(k={self.k}, n={self.n}, m={self.m})"
 

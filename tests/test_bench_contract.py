@@ -16,14 +16,16 @@ untraced run, so both modules must bind it; it is ``fractional``'s, which
 imports scipy only when an LP runs.  A regular host never loads scipy.
 """
 
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 from cyclefactors import cli
-from cyclefactors.hypergraph import complete_hypergraph, format_hypergraph
+from cyclefactors.hypergraph import Hypergraph, complete_hypergraph, format_hypergraph
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -124,3 +126,27 @@ def test_regular_host_decomposes_without_scipy_and_the_lp_loads_it(tmp_path):
         timeout=300,
     )
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_the_matching_lp_is_one_linprog_call_with_a_column_per_edge_and_z(
+    tmp_path, monkeypatch
+):
+    """bench/run.py's ``lp_columns`` wraps ``fractional.linprog`` and adds up
+    len(c): ``pfm_lp`` must look ``linprog`` up through its module and pass
+    one column per edge plus z."""
+    from cyclefactors import fractional
+
+    sizes = []
+    real = fractional.linprog
+
+    def counted(c, *args, **kwargs):
+        sizes.append(len(c))
+        return real(c, *args, **kwargs)
+
+    monkeypatch.setattr(fractional, "linprog", counted)
+    rng = random.Random(1)
+    H = Hypergraph(3, 12, [e for e in itertools.combinations(range(12), 3) if rng.random() < 0.6])
+    host = tmp_path / "g12.txt"
+    host.write_text(format_hypergraph(H))
+    assert cli.main(["pfm", str(host), "--mode", "lp", "-q"]) == cli.EXIT_OK
+    assert sizes == [H.m + 1]

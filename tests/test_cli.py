@@ -371,7 +371,7 @@ class TestDecompose:
         )
         assert code == EXIT_OK
 
-    def test_input_is_weighted_once_per_job(self, tmp_path, monkeypatch):
+    def test_input_is_weighted_once_per_run(self, tmp_path, monkeypatch):
         calls = []
         real = cli.pipeline_weighting
 
@@ -506,6 +506,37 @@ class TestDecompose:
         doc = json.loads(out.read_text())
         assert doc["pipeline"]["winning_seed"] == 0
         assert [s["seed"] for s in doc["pipeline"]["seeds"]] == [0, 1]
+
+    def test_parallel_seeds_share_one_weighting_and_match_a_single_seed_run(
+        self, tmp_path, monkeypatch
+    ):
+        # the workers get the parsed host and its weighting as objects
+        calls = []
+        real = cli.pipeline_weighting
+
+        def counted(H):
+            calls.append(H.m)
+            return real(H)
+
+        monkeypatch.setattr(cli, "pipeline_weighting", counted)
+        H = seeded_random_host(12, 0.6)
+        host = write_host(tmp_path, H)
+
+        def run(*extra):
+            out = tmp_path / "run.json"
+            code = main(
+                ["decompose", host, "--targets", "12;12", "--seed", "3",
+                 "--normalize-timings", "-q", "--output", str(out), *extra]
+            )
+            assert code == EXIT_OK
+            return json.loads(out.read_text())
+
+        par = run("--parallel-seeds", "2")
+        assert calls == [H.m]
+        one = run()
+        assert par["pipeline"]["winning_seed"] == 3
+        assert [s["seed"] for s in par["pipeline"]["seeds"]] == [3, 4]
+        assert par["manifest"] == one["manifest"]
 
     def test_partial_packing_exits_10_with_its_verified_factor(self, tmp_path):
         # with one pipeline attempt, seed 7 on the non-regular G(12, 0.6)

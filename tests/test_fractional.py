@@ -242,11 +242,38 @@ class TestPipelineWeighting:
 class TestMaxminLP:
     @pytest.mark.parametrize("k,n", [(3, 7), (3, 9), (4, 8)])
     @pytest.mark.parametrize("seed", range(5))
-    def test_matches_the_inequality_form(self, k, n, seed, check_against_oracle):
+    def test_matches_the_inequality_form(self, k, n, seed, monkeypatch, check_against_oracle):
+        # pfm_lp's z is the last entry of its one linprog solution
+        from cyclefactors import fractional
+
+        solved = []
+        real = fractional.linprog
+
+        def recorded(c, **kwargs):
+            assert "A_ub" not in kwargs
+            solved.append(real(c, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(fractional, "linprog", recorded)
         H = random_host(k, n, 0.6, seed)
-        z = check_against_oracle(vertex_edge_incidence(H))
-        if z is not None and z > FLOAT_TOL:
-            assert pfm_lp(H).min_weight() == pytest.approx(z, abs=1e-9)
+        A = vertex_edge_incidence(H)
+        want = check_against_oracle(A)
+        try:
+            w = np.array(pfm_lp(H).weights)
+        except LPInfeasibleError:
+            w = None
+        [res] = solved
+        assert res.success == (want is not None)
+        if want is None:
+            assert w is None
+            return
+        z = res.x[-1]
+        assert abs(z - want) <= 1e-9
+        assert (w is not None) == (z > FLOAT_TOL)
+        if w is not None:
+            assert w.min() >= z - 1e-12
+            assert np.abs(A @ w - 1).max() <= 1e-12
+            assert w.min() == pytest.approx(z, abs=1e-9)
 
     def test_polish_removes_a_perturbation(self):
         H = random_host(3, 9, 0.7, seed=1)

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -46,6 +47,17 @@ class TestConstruction:
         H2 = Hypergraph(3, 5, [(2, 1, 0)])
         assert H1 == H2 and hash(H1) == hash(H2)
         assert H1 != Hypergraph(3, 6, [(0, 1, 2)])
+
+    def test_pickles_as_its_value(self):
+        # decompose hands the parsed host to its worker processes as is
+        for G in (
+            complete_hypergraph(3, 6).remove_edges([(0, 1, 2)]),
+            complete_hypergraph(4, 8).induced([1, 2, 4, 5, 6, 7]),
+        ):
+            copy = pickle.loads(pickle.dumps(G))
+            assert copy == G and hash(copy) == hash(G)
+            assert copy.parent_ids == G.parent_ids
+            assert [copy.edge_id(e) for e in G.edges] == list(range(G.m))
 
     def test_equality_is_structural_with_or_without_identity(self):
         rng = random.Random(7)
