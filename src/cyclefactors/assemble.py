@@ -126,6 +126,10 @@ class Profile:
     layer_retries: int = 20  # full-pipeline attempts per layer
 
     def __post_init__(self):
+        for key in ("L", "ell0", "ell1", "layer_retries"):
+            value = getattr(self, key)
+            if not isinstance(value, int):
+                raise AssembleParamError(f"{key} = {value!r} is not an integer")
         if not 0 <= self.mu < 1:
             raise AssembleParamError(f"mu = {self.mu} outside [0, 1)")
         if not 0 < self.delta < 1:

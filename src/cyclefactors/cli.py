@@ -70,9 +70,10 @@ EXIT_PARAMS = 21
 EXIT_STAGE = 30
 
 # Extraction draws per fractional solution in one pipeline attempt.  On
-# K_12^(3) (2-vCPU VM) a draw costs about 0.5 ms against about 60 ms for the
-# cycle family and weighting it reuses, so missed gates are redrawn from the
-# same solution before the pipeline sparsifies and solves again.
+# K_12^(3) `12;12`, seeds 0-29 (2-vCPU VM), a draw costs about 0.15 ms
+# against about 7 ms (6-9 ms over runs) for the cycle family and weighting
+# it reuses, so missed gates are redrawn from the same solution before the
+# pipeline sparsifies and solves again.
 PIPELINE_EXTRACTION_DRAWS = 40
 # Cycles sampled through each edge when the L-cycle family of the cover
 # stage is too large to enumerate.

@@ -8,7 +8,8 @@ or sampled cycle family).  The family stays in numpy integer arrays from
 enumeration to extraction: the result is a pair (cycles, weights), an
 N x L array of canonical vertex sequences in canonical order and their N
 positive weights, checked by ``check_edge_sums``.  Every cycle's edges are
-one lookup of its cyclic windows in a table of the host's edge ids, and
+one lookup of its cyclic windows in a table of the host's edge ids, made
+once per family and carried by the pair (a ``Decomposition``), and
 the family's edge-by-cycle incidence is a ``fractional.Incidence``, so the
 weighting runs on numpy alone and never loads scipy.  The enumeration
 grows tight (L-1)-vertex paths in blocks, each step one AND of rows of a
@@ -42,6 +43,7 @@ from .tightpaths import TightCycle, closing_mask
 
 __all__ = [
     "CoverError",
+    "Decomposition",
     "DecompositionError",
     "ExtractionResult",
     "check_collections",
@@ -232,20 +234,40 @@ EDGE_SUM_TOL = 1e-9  # how far a cycle weighting's per-edge sum may stray from 1
 ENUMERATE_CAP = 20000  # largest cycle family enumerated in full, not sampled
 
 
+class Decomposition(tuple):
+    """The pair (cycles, weights) that ``fractional_cycle_decomposition``
+    returns, with the host and ``ids``, the edge ids of its cycles' windows
+    in that host (as ``_edge_ids`` gives them), so that ``check_edge_sums``
+    and the extraction need not look them up again."""
+
+    host: Hypergraph
+    ids: np.ndarray
+
+
+def _pair_ids(H: Hypergraph, pair) -> np.ndarray:
+    """The edge ids of the pair's cycle windows in H: a ``Decomposition``'s
+    own when it decomposes H, else looked up (and each row checked) by
+    ``_edge_ids``."""
+    if isinstance(pair, Decomposition) and pair.host == H:
+        return pair.ids
+    return _edge_ids(H, pair[0])
+
+
 def check_edge_sums(H: Hypergraph, pair) -> None:
     """CoverError unless every weight is positive and, for every edge of H,
     the weights of the cycles through it, added in the order of the cycles,
     sum to 1 within ``EDGE_SUM_TOL``.
 
     ``pair`` is (cycles, weights): an N x L array of vertex sequences and
-    their N weights."""
+    their N weights.  A ``Decomposition`` of H brings its cycles' edge ids;
+    a plain pair's rows are looked up, and each checked, here."""
     cycles, weights = pair
     weights = np.asarray(weights, dtype=float)
     nonpositive = np.flatnonzero(~(weights > 0))
     if len(nonpositive):
         row = tuple(cycles[nonpositive[0]].tolist())
         raise CoverError(f"weight for cycle {row!r} must be positive")
-    ids = _edge_ids(H, cycles)
+    ids = _pair_ids(H, pair)
     sums = np.bincount(ids.ravel(), np.repeat(weights, ids.shape[1]), H.m)
     off = np.flatnonzero(np.abs(sums - 1.0) > EDGE_SUM_TOL)
     if len(off):
@@ -274,8 +296,9 @@ def fractional_cycle_decomposition(
     solutions with zero weights exist, the cycles that must weigh 0 shrink
     below the tolerance and are left out.  DecompositionError, naming the
     residual and the Newton steps, when no solution is found.  Returns the
-    pair (cycles, weights), after ``check_edge_sums``: an N x L int array of
-    canonical sequences in canonical order and their N positive weights.
+    pair (cycles, weights) as a ``Decomposition``, after ``check_edge_sums``:
+    an N x L int array of canonical sequences in canonical order and their N
+    positive weights.  The family's edge ids are looked up once, here.
     """
     _check_cycle_length(H, L)
     if H.m == 0:
@@ -319,7 +342,9 @@ def fractional_cycle_decomposition(
             f"({len(cycles)} cycles): {exc}; enlarge the family or change L"
         ) from exc
     w = polish(A, w)
-    pair = (cycles[w > 0], w[w > 0])
+    kept = w > 0
+    pair = Decomposition((cycles[kept], w[kept]))
+    pair.host, pair.ids = H, ids[kept]
     check_edge_sums(H, pair)
     return pair
 
@@ -411,7 +436,8 @@ def extract_cycle_collections(
     """Round a fractional decomposition into r edge-disjoint collections.
 
     ``pair`` is a decomposition (cycles, weights) of H, as
-    ``fractional_cycle_decomposition`` returns it.  Collections are built one
+    ``fractional_cycle_decomposition`` returns it (a plain pair has its
+    rows checked as ``check_edge_sums`` checks them).  Collections are built one
     at a time by a randomized greedy: candidates are its cycles, drawn with
     probability proportional to their normalized weight omega(C)/Gamma among
     those still vertex-disjoint within the current collection and
@@ -437,7 +463,7 @@ def extract_cycle_collections(
         return ExtractionResult([], True, 0, [], gamma, None)
 
     cycles, weights = pair
-    ids = _edge_ids(H, cycles)
+    ids = _pair_ids(H, pair)
     scaled = np.asarray(weights, dtype=float) / gamma
     through_vertex = _rows_through(cycles, H.n)
     through_edge = _rows_through(ids, H.m)

@@ -351,10 +351,14 @@ def scale_to_ones(A) -> np.ndarray:
     Ratcliff's maximum-entropy weights, found by Newton steps rather than by
     iterative scaling).  Each step solves (A diag(w) A^T) d = A w - 1 by
     conjugate gradients, matrix-free with the Jacobi preconditioner A w,
-    then backtracks on g (Armijo).  It stops once max |A w - 1| <= SCALE_TOL.
-    Columns that no positive solution can carry shrink toward 0; those below
-    SCALE_TOL carry less than the tolerance on every row and come back as
-    exactly 0, so that ``polish`` rebalances the rest without them.
+    then backtracks on g (Armijo) from the full step, and doubles an
+    accepted full step for as long as g keeps falling.  It stops once
+    max |A w - 1| <= SCALE_TOL.  Columns that no positive solution can carry
+    shrink toward 0; those below SCALE_TOL carry less than the tolerance on
+    every row and come back as exactly 0, so that ``polish`` rebalances the
+    rest without them.  A full step shrinks such a column by only about
+    e^-1; the longer steps cut the Newton steps of K_12^(3) residuals with
+    forced zeros from 21-24 to 13-17 (7 when no column must weigh 0).
 
     A feasible w bounds g below by sum_j w_j >= rows / (largest column sum),
     so a step below that bound proves that A w = 1 has no solution w >= 0.
@@ -395,6 +399,13 @@ def scale_to_ones(A) -> np.ndarray:
                     break
             else:
                 break
+            # a full step shrinks a column that must weigh 0 by only about
+            # e^-1: double an accepted full step while g keeps falling
+            while t >= 1:
+                longer = np.sum(w * np.expm1(-2 * t * u)) + 2 * t * d.sum()
+                if not longer < change:
+                    break
+                t, change = 2 * t, longer
         y += t * d
         w = np.exp(-A.tdot(y))
         g += change

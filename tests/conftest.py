@@ -8,6 +8,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 from scipy.sparse.linalg import lsqr
 
+from cyclefactors import fractional
 from cyclefactors.cover import (
     ExtractionResult,
     _enumerate_all,
@@ -38,6 +39,24 @@ def inequality_form_z(A):
         method="highs",
     )
     return res.x[-1] if res.success else None
+
+
+@pytest.fixture
+def newton_steps(monkeypatch):
+    """A list that grows by one entry per Newton step of
+    ``fractional.scale_to_ones``.  Each step is one preconditioned
+    ``fractional.cg`` solve; the one solve of ``polish`` has no
+    preconditioner and is not counted."""
+    steps = []
+    real = fractional.cg
+
+    def counted(*args, **kwargs):
+        if kwargs.get("precond") is not None:
+            steps.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fractional, "cg", counted)
+    return steps
 
 
 @pytest.fixture

@@ -130,6 +130,20 @@ class TestProfileFiles:
             load_profile(None, ["theta=true"])
         assert info.value.code == EXIT_PARSE
 
+    @pytest.mark.parametrize(
+        "setting", ["L=6.5", "ell0=1.5", "ell1=6.0", "layer_retries=2.5"]
+    )
+    def test_integer_keys_refuse_other_numbers(self, setting, tmp_path, capsys):
+        host = write_host(tmp_path, complete_hypergraph(3, 12))
+        code = main(["decompose", host, "--targets", "12;12", "--set", setting])
+        assert code == EXIT_PARAMS
+        key, _, value = setting.partition("=")
+        assert f"{key} = {value} is not an integer" in capsys.readouterr().err
+
+    def test_float_keys_take_integers(self):
+        prof = load_profile(None, ["eps=1", "mu=0"])
+        assert (prof.eps, prof.mu) == (1, 0)
+
 
 class TestAnalyze:
     def test_prints_the_regularity_summary(self, tmp_path, capsys):

@@ -230,7 +230,7 @@ class TestMaxminAgainstInequalityForm:
 
 class TestScaling:
     def test_infeasible_family_fails_within_the_step_budget(
-        self, monkeypatch, check_against_oracle
+        self, newton_steps, check_against_oracle
     ):
         # the (4, 6, 5) oracle family of seed 0 on the edges it covers: every
         # edge lies on a cycle, but no weighting sums to 1 on all of them
@@ -242,26 +242,35 @@ class TestScaling:
         G = Hypergraph(4, 6, {e for seq in family for e in TightCycle(G, seq).edges()})
         family = [TightCycle(G, seq) for seq in family]
         assert check_against_oracle(edge_cycle_incidence(G, family)) is None
-        steps = []
-        real = fractional.cg
-
-        def counted(*args, **kwargs):  # one conjugate-gradient solve per step
-            steps.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(fractional, "cg", counted)
         with pytest.raises(DecompositionError) as exc:
             fractional_cycle_decomposition(G, 5, family=family)
         named = re.search(r"residual \S+ after (\d+) Newton steps", str(exc.value))
-        assert named and int(named[1]) <= len(steps) <= fractional.SCALE_STEPS
+        assert named and int(named[1]) <= len(newton_steps) <= fractional.SCALE_STEPS
 
-    def test_k18_residual_weights_are_bit_identical(self):
+    def test_k18_residual_weights_are_bit_identical(self, newton_steps):
         H = complete_hypergraph(3, 18)
         reserve = sparsify_intersecting(H, 0.5, uniform_weighting(H), 0)
         rest = H.remove_edges(reserve.edges)
-        a, b = (fractional_cycle_decomposition(rest, 6, per_edge=20) for _ in range(2))
+        a = fractional_cycle_decomposition(rest, 6, per_edge=20)
+        # no family cycle must weigh 0: no full step is lengthened
+        assert len(newton_steps) == 7
+        b = fractional_cycle_decomposition(rest, 6, per_edge=20)
         assert a[0].tolist() == b[0].tolist()
         assert [w.hex() for w in a[1].tolist()] == [w.hex() for w in b[1].tolist()]
+
+    def test_forced_zero_cycles_leave_in_few_steps(self, newton_steps):
+        # the K_12^(3) residual of program seed 9's first pipeline pass: some
+        # family cycles must weigh 0, and a plain full Newton step shrinks
+        # them only by about e^-1 (24 steps before full steps were lengthened)
+        H = complete_hypergraph(3, 12)
+        sub = random.Random(9).randrange(2**63)
+        rest = H.remove_edges(sparsify_intersecting(H, 0.5, uniform_weighting(H), sub).edges)
+        assert len(_enumerate_all(rest, 6, None)) == 485
+        pair = fractional_cycle_decomposition(rest, 6, seed=sub)
+        assert len(newton_steps) <= 18
+        assert len(pair[0]) == 360
+        check_edge_sums(rest, pair)
+        check_edge_sums(rest, tuple(pair))  # the rows looked up afresh
 
 
 class TestDecompositionValidation:
@@ -370,6 +379,16 @@ class TestExtraction:
         # the family's windows are looked up among the host's edges first
         with pytest.raises(CoverError, match="is not a tight cycle in the host"):
             extract_cycle_collections(complete_hypergraph(3, 5), k12_frac, 1)
+
+    def test_carried_edge_ids_match_a_fresh_lookup(self, k12, k12_frac):
+        # the decomposition hands its looked-up ids on; a plain pair of the
+        # same arrays is looked up afresh and extracts the same collections
+        assert k12_frac.ids.tolist() == cover._edge_ids(k12, k12_frac[0]).tolist()
+        a = extract_cycle_collections(k12, k12_frac, 2, seed=5)
+        b = extract_cycle_collections(k12, tuple(k12_frac), 2, seed=5)
+        assert [[C.canonical() for C in coll] for coll in a.collections] == [
+            [C.canonical() for C in coll] for coll in b.collections
+        ]
 
 
 def random_host(k, n, p, seed):
