@@ -217,7 +217,9 @@ class Incidence:
 
     ``dot`` and ``tdot`` add the terms of every sum in the order that
     scipy's CSR products add them (ascending column in A x, ascending row
-    in A^T y, each starting from 0), so they return the same bits.
+    in A^T y, each starting from 0), so they return the same bits.  When
+    every column holds the same number of ones, ``gram`` assembles the
+    dense A diag(w) A^T from them.
     """
 
     __slots__ = ("rows", "cols", "shape", "col_counts", "_grid")
@@ -259,7 +261,8 @@ class Incidence:
 
     def dot(self, x) -> np.ndarray:
         """A x."""
-        return np.bincount(self.rows, np.repeat(x, self.col_counts), self.shape[0])
+        counts = self.col_counts if self._grid is None else len(self._grid)
+        return np.bincount(self.rows, np.repeat(x, counts), self.shape[0])
 
     def tdot(self, y) -> np.ndarray:
         """A^T y."""
@@ -270,6 +273,49 @@ class Incidence:
         for term in terms[1:]:
             total += term
         return total
+
+    def gram(self, w) -> np.ndarray:
+        """A diag(w) A^T as a dense rows x rows array, for equal column counts.
+
+        Entry (e, f) sums w_j over the columns j with ones in rows e and f.
+        Each row of the grid scatters w against every row of the grid, so
+        no temporary is larger than the ones and the result is the only
+        rows x rows array.  The diagonal is then set to A w, the bits of
+        ``dot`` and of the Jacobi preconditioner of ``scale_to_ones``: so
+        set, the 30 K_12^(3) residual families take as many Newton steps as
+        the matrix-free solves (summed by the scatter, seed 9's took 18
+        against 17).
+        """
+        if self._grid is None:
+            raise FractionalError("gram needs equal column counts")
+        rows = self.shape[0]
+        gram = np.zeros((rows, rows))
+        flat = gram.reshape(-1)
+        # a copy, not a broadcast: np.add.at is 4x slower on a broadcast
+        # view, and numpy 2.4.6 summed 1-D values against a 2-D index to nan
+        weights = np.tile(w, len(self._grid))
+        for e in self._grid * rows:
+            np.add.at(flat, (e + self._grid).ravel(), weights)
+        flat[:: rows + 1] = self.dot(w)
+        return gram
+
+
+# Newton and polish assemble A diag(w) A^T while A has at most this many
+# rows.  Scaling plus polish of seed-0 residual 6-cycle families, assembled
+# against two passes over the ones (best of 9, 2-vCPU VM): K_15^(3)
+# (m = 226 rows, 4,180 cycles) 5.3 against 7.1 ms, K_18^(3) (m = 400,
+# 14,957 cycles) 23.5 against 26.2 ms; the sampled K_20^(3) family
+# (m = 557, 6,106 cycles) 16.4 against 11.4 ms and K_24^(3) (m = 992)
+# 31.7 against 16.6 ms.
+GRAM_ROWS = 450
+
+
+def gram_product(A: Incidence, w):
+    """x -> A diag(w) A^T x: a product with ``A.gram(w)`` while A has equal
+    column counts and at most GRAM_ROWS rows, else two passes over its ones."""
+    if A._grid is None or A.shape[0] > GRAM_ROWS:
+        return lambda x: A.dot(w * A.tdot(x))
+    return A.gram(w).dot
 
 
 def cg(matvec, b, rtol, atol=0.0, precond=None) -> np.ndarray:
@@ -314,9 +360,10 @@ def polish(A, w) -> np.ndarray:
     much.  With S the support's columns, the correction is S^T y for any y
     with S S^T y = r, found by conjugate gradients on the row space, so
     every dense vector has one entry per row rather than per column.
-    S S^T is applied as A diag(1_support) A^T: the masked columns add only
-    +0.0 to each row's sum.  A w already within 1e-12 of every row is
-    returned as is.
+    S S^T is A diag(1_support) A^T, applied by ``gram_product``: assembled
+    when A is small, else by two passes over the ones, where the masked
+    columns add only 0.0 to each row's sum.  A w already within 1e-12 of
+    every row is returned as is.
     """
     A = Incidence.of(A)
     w = np.array(w, dtype=float)
@@ -324,7 +371,7 @@ def polish(A, w) -> np.ndarray:
     if np.abs(residual).max(initial=0.0) <= 1e-12:
         return w
     support = w > 0
-    y = cg(lambda v: A.dot(np.where(support, A.tdot(v), 0.0)), residual, 0.0, atol=1e-15)
+    y = cg(gram_product(A, support * 1.0), residual, 0.0, atol=1e-15)
     w[support] += A.tdot(y)[support]
     return w
 
@@ -350,9 +397,11 @@ def scale_to_ones(A) -> np.ndarray:
     whose minimizer gives w = exp(-A^T y) with gradient 1 - A w (Darroch and
     Ratcliff's maximum-entropy weights, found by Newton steps rather than by
     iterative scaling).  Each step solves (A diag(w) A^T) d = A w - 1 by
-    conjugate gradients, matrix-free with the Jacobi preconditioner A w,
-    then backtracks on g (Armijo) from the full step, and doubles an
-    accepted full step for as long as g keeps falling.  It stops once
+    conjugate gradients with the Jacobi preconditioner A w, on the matrix
+    that ``gram_product`` assembles once per step while A has at most
+    GRAM_ROWS rows (matrix-free above), then backtracks on g (Armijo) from
+    the full step, and doubles an accepted full step for as long as g keeps
+    falling and stays above the floor below.  It stops once
     max |A w - 1| <= SCALE_TOL.  Columns that no positive solution can carry
     shrink toward 0; those below SCALE_TOL carry less than the tolerance on
     every row and come back as exactly 0, so that ``polish`` rebalances the
@@ -385,7 +434,7 @@ def scale_to_ones(A) -> np.ndarray:
         # nan or points uphill, and the line search below finds no step
         with np.errstate(all="ignore"):
             d = cg(
-                lambda x: A.dot(w * A.tdot(x)),
+                gram_product(A, w),
                 r,
                 min(0.1, residual**0.5),
                 precond=lambda x: x / diag,
@@ -400,8 +449,10 @@ def scale_to_ones(A) -> np.ndarray:
             else:
                 break
             # a full step shrinks a column that must weigh 0 by only about
-            # e^-1: double an accepted full step while g keeps falling
-            while t >= 1:
+            # e^-1: double an accepted full step while g keeps falling, but
+            # not below the floor: that proves A w = 1 infeasible, and along
+            # such a direction g falls without bound
+            while t >= 1 and g + change >= floor:
                 longer = np.sum(w * np.expm1(-2 * t * u)) + 2 * t * d.sum()
                 if not longer < change:
                     break

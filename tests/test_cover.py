@@ -272,6 +272,26 @@ class TestScaling:
         check_edge_sums(rest, pair)
         check_edge_sums(rest, tuple(pair))  # the rows looked up afresh
 
+    def test_k30_residual_assembles_no_edge_by_edge_matrix(self, monkeypatch):
+        # above GRAM_ROWS rows Newton and polish stay matrix-free; one m x m
+        # float array would be 8 m^2 bytes, 32 MB here
+        H = complete_hypergraph(3, 30)
+        sub = random.Random(0).randrange(2**63)
+        rest = H.remove_edges(sparsify_intersecting(H, 0.5, uniform_weighting(H), sub).edges)
+        families = []
+        real = cover.scale_to_ones
+        monkeypatch.setattr(cover, "scale_to_ones", lambda A: families.append(A) or real(A))
+        fractional_cycle_decomposition(rest, 6, seed=sub)
+        (A,) = families
+        assert A.shape[0] == rest.m > fractional.GRAM_ROWS
+        tracemalloc.start()
+        try:
+            fractional.polish(A, real(A))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * rest.m**2
+
 
 class TestDecompositionValidation:
     """``check_edge_sums`` on the 12 Hamilton cycles of K_5^(3), six through

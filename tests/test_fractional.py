@@ -12,6 +12,7 @@ from scipy.sparse.linalg import cg as scipy_cg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclefactors import fractional
 from cyclefactors.fractional import (
     FLOAT_TOL,
     SCALE_STEPS,
@@ -26,6 +27,7 @@ from cyclefactors.fractional import (
     balancedness,
     build_walk_registry,
     cg,
+    gram_product,
     pfm_lp,
     pipeline_weighting,
     polish,
@@ -444,6 +446,47 @@ class TestNumpyPortIsBitIdentical:
         )
         assert got.tobytes() == want.tobytes()
         assert (St @ want).tobytes() == inc.tdot(got)[support].tobytes()
+
+
+class TestGram:
+    """``Incidence.gram`` is A diag(w) A^T, and ``gram_product`` multiplies
+    by it while A is small and passes over the ones otherwise."""
+
+    @staticmethod
+    def equal_count_matrices():
+        rows, cols, shape = k12_cycle_family()
+        family = np.zeros(shape)
+        family[rows, cols] = 1.0
+        return [family, vertex_edge_incidence(random_host(3, 9, 0.7, seed=1))]
+
+    def test_equals_the_dense_product(self):
+        rng = np.random.default_rng(3)
+        for A in self.equal_count_matrices():
+            inc = Incidence.of(A)
+            for w in (rng.random(A.shape[1]), (rng.random(A.shape[1]) < 0.8) * 1.0):
+                want = A @ np.diag(w) @ A.T
+                got = inc.gram(w)
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-15 * want.max()
+
+    def test_unequal_column_counts_stay_matrix_free(self):
+        rng = np.random.default_rng(4)
+        for A in TestNumpyPortIsBitIdentical.matrices()[1:]:
+            inc = Incidence.of(A)
+            with pytest.raises(FractionalError, match="equal column counts"):
+                inc.gram(np.ones(A.shape[1]))
+            w, x = rng.random(A.shape[1]), spread(rng, A.shape[0])
+            assert gram_product(inc, w)(x).tobytes() == inc.dot(w * inc.tdot(x)).tobytes()
+
+    def test_rows_above_the_limit_stay_matrix_free(self, monkeypatch):
+        rows, cols, shape = k12_cycle_family()
+        inc = Incidence(rows, cols, shape)
+        rng = np.random.default_rng(5)
+        w, x = rng.random(shape[1]), spread(rng, shape[0])
+        assert shape[0] <= fractional.GRAM_ROWS
+        assert gram_product(inc, w)(x).tobytes() == (inc.gram(w) @ x).tobytes()
+        monkeypatch.setattr(fractional, "GRAM_ROWS", shape[0] - 1)
+        assert gram_product(inc, w)(x).tobytes() == inc.dot(w * inc.tdot(x)).tobytes()
 
 
 class TestPolishAgainstLsqr:
