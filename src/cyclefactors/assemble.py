@@ -33,16 +33,12 @@ import time
 from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .bruteforce import validate_packing
 from .cover import open_cycle
-from .hypergraph import Hypergraph
-from .tightpaths import (
-    CycleFactor,
-    TightCycle,
-    closing_mask,
-    tight_extensions,
-    verify_factor_copy,
-)
+from .hypergraph import Hypergraph, place_values
+from .tightpaths import CycleFactor, TightCycle, verify_factor_copy
 
 # No code here calls these four; bench/tracer.py patches them on this module.
 from .absorbing import absorb, build_absorbing_structure
@@ -163,31 +159,47 @@ class Profile:
 # connection
 
 
-def connectors(F: Hypergraph, R: frozenset, s: tuple, t: tuple, lam: int):
+def connectors(F: Hypergraph, R: frozenset, s: tuple, t: tuple, lam: int) -> np.ndarray:
     """Every connector for the ordered edges (s, t) with lam inner vertices
-    drawn from the vertex set R, ascending.
+    drawn from the vertex set R, as the rows of a (count x lam) int array in
+    lexicographic order.
 
     A connector is a tuple w of lam distinct vertices of R off s and t such
     that s + w + t is tight, where every window that contains at least one
     inner vertex must be an edge of the reserve graph F; the pure end
-    windows are the callers' edges.  The search grows s + w[:-1] through R,
-    then closes the last inner vertex against t: every window left to check
-    contains it, so its candidates are the ``closing_mask`` of the grown head
-    against t, ascending.
+    windows are the callers' edges.  The search grows s + w[:-1] one vertex
+    per step, all rows at once: a row's candidates are the row of F's
+    ``edge_table`` for its last k-1 vertices, cut to the pool (R off s and
+    t) and to the pool vertices the row does not hold yet.  The last inner
+    vertex lies in exactly the k windows left to check, so its candidates
+    are the AND of those windows' rows, as ``cover._enumerate_all`` closes
+    cycles.  ``np.nonzero`` reads row by row and the pool is ascending, so
+    the rows come out in lexicographic order.  Overlapping ends or an empty
+    pool give no rows.
     """
-    k = F.k
+    k, n = F.k, F.n
     ends = set(s) | set(t)
     if len(ends) < 2 * k:
-        return
-    allowed = R - ends
-    for head in tight_extensions(F, s, k + lam - 1, allowed):
-        closers = closing_mask(F, head, t)
-        while closers:
-            low = closers & -closers
-            closers ^= low
-            u = low.bit_length() - 1
-            if u in allowed and u not in head:
-                yield head[k:] + (u,)
+        return np.empty((0, lam), dtype=np.intp)
+    pool = np.array(sorted(R - ends), dtype=np.intp)
+    extends = F.edge_table().reshape(n ** (k - 1), n)
+    digits = place_values(n, k - 1)
+
+    def rows_of(tails):
+        return extends[np.ix_(tails @ digits, pool)] >= 0
+
+    paths = np.array([s], dtype=np.intp)
+    free = np.ones((1, len(pool)), dtype=bool)
+    for _ in range(lam - 1):
+        rows, last = np.nonzero(free & rows_of(paths[:, 1 - k :]))
+        paths = np.column_stack((paths[rows], pool[last]))
+        free = free[rows]
+        free[np.arange(len(rows)), last] = False
+    gap = np.column_stack((paths[:, 1 - k :], np.tile(t[: k - 1], (len(paths), 1))))
+    for j in range(k):
+        free &= rows_of(gap[:, j : j + k - 1])
+    rows, last = np.nonzero(free)
+    return np.column_stack((paths[rows, k:], pool[last]))
 
 
 def build_reservoir(V1) -> frozenset:
@@ -208,8 +220,10 @@ def connect(
     Q is a sequence of ordered edge pairs (s, t); the i-th connector is a
     tuple of budgets[i] inner vertices w drawn from the vertex pool R such
     that s + w + t is a connector path in F (``connectors``), w is disjoint
-    from every earlier connector and from all endpoint vertices.  Returns
-    the list of inner tuples.  A pair with no remaining candidate raises
+    from every earlier connector and from all endpoint vertices.  Each pair
+    lists its survivors as the rows of one array, draws a row with one
+    ``rng.randrange`` and turns only that row into a tuple.  Returns the
+    list of inner tuples.  A pair with no remaining candidate raises
     ConnectionFailure naming its index.
     """
     Q = [(tuple(s), tuple(t)) for s, t in Q]
@@ -232,10 +246,10 @@ def connect(
     pool = R - all_ends
     out = []
     for i, ((s, t), lam) in enumerate(zip(Q, budgets)):
-        survivors = list(connectors(F, pool, s, t, lam))
-        if not survivors:
+        survivors = connectors(F, pool, s, t, lam)
+        if not len(survivors):
             raise ConnectionFailure(f"pair {i}: no connector with {lam} inner vertices remains")
-        w = survivors[rng.randrange(len(survivors))]
+        w = tuple(survivors[rng.randrange(len(survivors))].tolist())
         pool -= set(w)
         out.append(w)
     return out

@@ -8,13 +8,15 @@ or sampled cycle family).  The family stays in numpy integer arrays from
 enumeration to extraction: the result is a pair (cycles, weights), an
 N x L array of canonical vertex sequences in canonical order and their N
 positive weights, checked by ``check_edge_sums``.  Every cycle's edges are
-one lookup of its cyclic windows in a table of the host's edge ids, made
-once per family and carried by the pair (a ``Decomposition``), and
-the family's edge-by-cycle incidence is a ``fractional.Incidence``, so the
-weighting runs on numpy alone and never loads scipy.  The enumeration
-grows tight (L-1)-vertex paths in blocks, each step one AND of rows of a
-boolean extension table, and closes each path by intersection: the
-closing vertex must extend all k cyclic windows that contain it.
+one lookup of its cyclic windows in the host's ``edge_table``, made once
+per family and carried by the pair (a ``Decomposition``).  The table is
+built once per host and kept on it; ``assemble.connectors`` searches the
+same table of its graph F.  The family's edge-by-cycle incidence is a
+``fractional.Incidence``, so the weighting runs on numpy alone and never
+loads scipy.  The enumeration grows tight (L-1)-vertex paths in blocks,
+each step one AND of rows of that table read as a boolean extension
+table, and closes each path by intersection: the closing vertex must
+extend all k cyclic windows that contain it.
 Second, ``extract_cycle_collections`` rounds the fractional solution into r
 edge-disjoint collections of vertex-disjoint L-cycles by a weight-driven
 randomized greedy, with coverage gates checked per collection; it redraws up
@@ -38,7 +40,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .fractional import Incidence, ScalingError, linprog, polish, scale_to_ones
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, place_values
 from .tightpaths import TightCycle, closing_mask
 
 __all__ = [
@@ -72,22 +74,6 @@ class DecompositionError(CoverError):
 ENUMERATE_BLOCK = 4096  # most tight paths that one step of _enumerate_all extends
 
 
-def _digits(n: int, width: int) -> np.ndarray:
-    """Place values that read ``width`` vertices as one base-n number."""
-    return n ** np.arange(width - 1, -1, -1)
-
-
-def _edge_table(H: Hypergraph) -> np.ndarray:
-    """The edge id of every ordered k-tuple of vertices that lists an edge
-    of H, read by ``_digits``, and -1 for every other tuple (n^k entries)."""
-    n, k = H.n, H.k
-    table = np.full(n**k, -1, dtype=np.int32)
-    edges = np.array(H.edges, dtype=np.intp).reshape(-1, k)
-    for order in itertools.permutations(range(k)):
-        table[edges[:, order] @ _digits(n, k)] = np.arange(len(edges))
-    return table
-
-
 def _enumerate_all(H: Hypergraph, L: int, cap: Optional[int]):
     """All tight cycles on exactly L vertices, or None when cap is exceeded.
 
@@ -108,8 +94,8 @@ def _enumerate_all(H: Hypergraph, L: int, cap: Optional[int]):
     lexicographic order, which for canonical sequences is canonical order.
     """
     n, k = H.n, H.k
-    table = (_edge_table(H) >= 0).reshape(n ** (k - 1), n)
-    digits = _digits(n, k - 1)
+    table = (H.edge_table() >= 0).reshape(n ** (k - 1), n)
+    digits = place_values(n, k - 1)
     vertices = np.arange(n)
     # path positions of the k windows through the closing vertex: window j
     # holds the last k-1-j path vertices, then the first j
@@ -145,9 +131,9 @@ def _enumerate_all(H: Hypergraph, L: int, cap: Optional[int]):
 def _edge_ids(H: Hypergraph, cycles: np.ndarray) -> np.ndarray:
     """The edge id of every cyclic k-window of every cycle, shaped as cycles.
 
-    One lookup of the windows in ``_edge_table``.  CoverError names the
-    first row that is no tight cycle of H: a vertex outside the host, a
-    repeated vertex or a window that is no edge (the checks of the
+    One lookup of the windows in the host's ``edge_table``.  CoverError
+    names the first row that is no tight cycle of H: a vertex outside the
+    host, a repeated vertex or a window that is no edge (the checks of the
     ``TightCycle`` constructor).
     """
     n, k = H.n, H.k
@@ -156,7 +142,7 @@ def _edge_ids(H: Hypergraph, cycles: np.ndarray) -> np.ndarray:
     # clipped so that a vertex outside the host reads inside the table
     closed = np.concatenate((cycles, cycles[:, : k - 1]), axis=1).clip(0, n - 1)
     windows = closed[:, np.arange(L)[:, None] + np.arange(k)]
-    ids = _edge_table(H)[windows @ _digits(n, k)]
+    ids = H.edge_table()[windows @ place_values(n, k)]
     bad = (
         outside
         | (ids < 0).any(axis=1)

@@ -543,7 +543,9 @@ def sparsify_intersecting(
     """Random spanning subgraph keeping e with probability eps*w(e)/w_max:
     the sparsification that intersects an edgeless F.
 
-    One ``rng.random()`` draw per edge of H, in host order.
+    One ``rng.random()`` draw per edge of H, in host order.  The kept edges
+    are a subsequence of H's, so the result is built without re-checking
+    them.
     """
     if not (0.0 <= eps <= 1.0):
         raise FractionalError(f"eps must lie in [0, 1], got {eps}")
@@ -551,7 +553,7 @@ def sparsify_intersecting(
         raise FractionalError("the matching must weight H's edges")
     wmax = float(pfm.max_weight())
     rng = random.Random(seed)
-    kept = [
+    kept = tuple(
         e for e, w in zip(H.edges, pfm.weights) if rng.random() < eps * float(w) / wmax
-    ]
-    return Hypergraph(H.k, H.n, kept)
+    )
+    return Hypergraph._from_canonical(H.k, H.n, kept)

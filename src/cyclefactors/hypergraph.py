@@ -2,11 +2,13 @@
 
 A Hypergraph is an immutable value: ``k``, a dense vertex range ``0..n-1``, and a
 set of k-edges stored as sorted tuples. Degree d(v), codegree d(x) of a j-set x,
-the neighborhood N(x) of a (k-1)-set, induced subgraphs, ``rho_star`` (the
-approximate regularity every pipeline stage re-checks) and the plain-text
-serialization format live here. The full regularity / intersection report
-(rho_star, eta_star, delta_codegree) sweeps all pairs of (k-1)-sets; it serves
-``analyze``.
+the neighborhood N(x) of a (k-1)-set, the edge table (the edge id of every
+ordered k-tuple, which the cycle family and the connectors search), induced
+subgraphs, ``rho_star`` (the approximate regularity every pipeline stage
+re-checks) and the plain-text serialization format live here. Graphs
+derived from a host by dropping edges skip the input checks. The full
+regularity / intersection report (rho_star, eta_star, delta_codegree) sweeps
+all pairs of (k-1)-sets; it serves ``analyze``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 
 class HypergraphError(ValueError):
@@ -39,6 +43,7 @@ class Hypergraph:
         "_codegree_cache",
         "_full_km1_index",
         "_extension_masks",
+        "_edge_table",
         "_hash",
     )
 
@@ -68,22 +73,38 @@ class Hypergraph:
             seen.add(t)
             canon.append(t)
         canon.sort()
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(canon))
         if parent_ids is not None and len(parent_ids) != n:
             raise HypergraphError("parent_ids must list one parent vertex per vertex")
+        self._set_fields(k, n, tuple(canon), parent_ids)
+
+    @classmethod
+    def _from_canonical(
+        cls, k: int, n: int, edges: tuple, parent_ids: Optional[tuple[int, ...]] = None
+    ) -> "Hypergraph":
+        """A host on ``edges`` taken as they are, without the checks of
+        ``__init__``: for graphs derived from a valid host, whose ``edges``
+        are a subsequence of that host's canonical, sorted edge tuple."""
+        H = cls.__new__(cls)
+        H._set_fields(k, n, edges, parent_ids)
+        return H
+
+    def _set_fields(self, k, n, edges, parent_ids) -> None:
+        """Every field, from a sorted tuple of distinct canonical edges."""
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "parent_ids", parent_ids)
-        object.__setattr__(self, "_edge_ids", {e: i for i, e in enumerate(canon)})
+        object.__setattr__(self, "_edge_ids", {e: i for i, e in enumerate(edges)})
         degs = [0] * n
-        for e in canon:
+        for e in edges:
             for v in e:
                 degs[v] += 1
         object.__setattr__(self, "_degrees", tuple(degs))
         object.__setattr__(self, "_codegree_cache", {})
         object.__setattr__(self, "_full_km1_index", None)
         object.__setattr__(self, "_extension_masks", {})
-        object.__setattr__(self, "_hash", hash((k, n, tuple(canon))))
+        object.__setattr__(self, "_edge_table", None)
+        object.__setattr__(self, "_hash", hash((k, n, edges)))
 
     def __setattr__(self, name, value):  # immutability guard for public fields
         raise AttributeError("Hypergraph is immutable")
@@ -176,6 +197,25 @@ class Hypergraph:
             masks[tail] = mask
         return mask
 
+    def edge_table(self) -> np.ndarray:
+        """The edge id of every ordered k-tuple of vertices that lists an
+        edge, and -1 for every other tuple: n^k int32 entries, each tuple
+        read as one base-n number (``place_values``).  As an n^(k-1) x n
+        array, row x holds the ids of the edges x + (v,), so its entries
+        >= 0 are the extension set of the ordered (k-1)-tuple x.  Built on
+        first use and kept, like the extension masks, and read-only.
+        """
+        table = self._edge_table
+        if table is None:
+            n, k = self.n, self.k
+            table = np.full(n**k, -1, dtype=np.int32)
+            edges = np.array(self.edges, dtype=np.intp).reshape(-1, k)
+            for order in itertools.permutations(range(k)):
+                table[edges[:, order] @ place_values(n, k)] = np.arange(len(edges))
+            table.flags.writeable = False
+            object.__setattr__(self, "_edge_table", table)
+        return table
+
     def neighborhood(self, x: Iterable[int]) -> frozenset:
         """N(x) = {v : x + v is an edge} for a (k-1)-set x."""
         xs = tuple(sorted(set(x)))
@@ -217,8 +257,8 @@ class Hypergraph:
             if t not in self._edge_ids:
                 raise HypergraphError(f"cannot remove non-edge {t!r}")
             drop.add(t)
-        return Hypergraph(
-            self.k, self.n, (e for e in self.edges if e not in drop), parent_ids=self.parent_ids
+        return Hypergraph._from_canonical(
+            self.k, self.n, tuple(e for e in self.edges if e not in drop), self.parent_ids
         )
 
     # -- reports ---------------------------------------------------------
@@ -257,6 +297,12 @@ class Hypergraph:
 
     def __repr__(self):
         return f"Hypergraph(k={self.k}, n={self.n}, m={self.m})"
+
+
+def place_values(n: int, width: int) -> np.ndarray:
+    """Place values that read ``width`` vertices as one base-n number, the
+    key of an ordered tuple in ``Hypergraph.edge_table``."""
+    return n ** np.arange(width - 1, -1, -1)
 
 
 def complete_hypergraph(k: int, n: int) -> Hypergraph:

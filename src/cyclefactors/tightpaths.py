@@ -2,14 +2,15 @@
 
 A tight path visits distinct vertices so that every k consecutive ones form an
 edge of the host; a tight cycle closes the sequence cyclically and needs at
-least k+1 vertices. ``tight_extensions`` is the search that grows them vertex
-by vertex, over int bitmasks: the candidates for the next vertex are the
-host's ``extension_mask`` of the last k-1 vertices AND the still-free
-vertices, taken lowest bit first. ``closing_mask`` is the one closure check:
-the vertices that fit between two tight ends, as the AND of the extension
-masks of the k windows through the gap. Path collections index their end-sets
-(prefix sets plus the suffix k-set) so k-sets can be classified as j-end /
-lo / j-con relative to the collection.
+least k+1 vertices. ``tight_extensions`` is the bitmask search that grows
+them vertex by vertex: the candidates for the next vertex are the host's
+``extension_mask`` of the last k-1 vertices AND the still-free vertices,
+taken lowest bit first (the enumerated cycle family and the connectors grow
+theirs as arrays over ``Hypergraph.edge_table`` instead). ``closing_mask``
+is its closure check: the vertices that fit between two tight ends, as the
+AND of the extension masks of the k windows through the gap. Path
+collections index their end-sets (prefix sets plus the suffix k-set) so
+k-sets can be classified as j-end / lo / j-con relative to the collection.
 """
 
 from __future__ import annotations
@@ -97,9 +98,9 @@ def closing_mask(H: Hypergraph, before: Sequence[int], after: Sequence[int]) -> 
     Bit u is set iff every k-window of ``before[-(k-1):] + (u,) + after[:k-1]``
     that contains u is an edge: the AND of the ``extension_mask`` of each
     such window without u.  Both ends need at least k-1 vertices; callers
-    drop the bits of vertices already on them.  It closes cycles (a path
-    against its own start), reservoir connectors (the last inner vertex
-    against the far end-edge) and absorber slots (a vertex between halves).
+    drop the bits of vertices already on them.  It closes the sampled
+    cycles of ``cover.cycles_through_edge`` (a path against its own start)
+    and absorber slots (a vertex between halves).
     """
     k = H.k
     tail = tuple(before[1 - k :])

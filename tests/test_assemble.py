@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 
 import pytest
 
@@ -117,43 +118,66 @@ class TestPathsBetween:
         F = complete_hypergraph(3, 10).remove_edges(drop)
         return F, frozenset(range(6))
 
+    @staticmethod
+    def permutation_oracle(F, R, s, t, lam):
+        """Every lam-permutation of R off s and t, in lexicographic order,
+        whose k-windows of s + inner + t that hold an inner vertex are edges."""
+        k = F.k
+        out = []
+        for inner in itertools.permutations(sorted(R - set(s) - set(t)), lam):
+            seq = s + inner + t
+            windows = [seq[i : i + k] for i in range(len(seq) - k + 1)]
+            if all(F.has_edge(w) for w in windows if set(w) & set(inner)):
+                out.append(inner)
+        return out
+
     def test_matches_the_permutation_oracle(self, monkeypatch):
         F, R = self.mixed_window_host()
-        s, t = (6, 7, 8), (9, 0, 1)
-        counts = {}
-        for lam in (1, 2, 3):
+        cases = [(F, R, (6, 7, 8), (9, 0, 1), lam) for lam in (1, 2, 3)]
+        # seeded random 3- and 4-graphs, budgets up to 5, pools that hold
+        # end vertices too
+        for seed in range(3):
+            rng = random.Random(seed)
+            for k, n, p in ((3, 11, 0.7), (4, 14, 0.85)):
+                G = Hypergraph(
+                    k, n, [e for e in itertools.combinations(range(n), k) if rng.random() < p]
+                )
+                s, t = tuple(range(k)), tuple(range(k, 2 * k))
+                pool = frozenset(range(k - 1, n))
+                cases += [(G, pool, s, t, lam) for lam in range(1, 6)]
+        counts = []
+        for G, pool, s, t, lam in cases:
             probes = []
             has_edge = Hypergraph.has_edge
             monkeypatch.setattr(
                 Hypergraph, "has_edge", lambda H, e: probes.append(e) or has_edge(H, e)
             )
-            got = list(connectors(F, R, s, t, lam))
+            got = connectors(G, pool, s, t, lam)
             monkeypatch.undo()
             assert probes == []
-            pool = sorted(R - set(s) - set(t))
-            oracle = []
-            for inner in itertools.permutations(pool, lam):
-                seq = s + inner + t
-                if all(
-                    F.has_edge(seq[i : i + 3])
-                    for i in range(1, len(seq) - 2)
-                    if set(seq[i : i + 3]) & set(inner)
-                ):
-                    oracle.append(inner)
-            assert got == oracle
-            counts[lam] = (len(got), math.perm(len(pool), lam))
-        assert counts == {1: (1, 4), 2: (6, 12), 3: (3, 24)}
+            oracle = self.permutation_oracle(G, pool, s, t, lam)
+            assert got.shape == (len(oracle), lam)
+            assert [tuple(w) for w in got.tolist()] == oracle
+            counts.append(len(oracle))
+        # the mixed host's windows cut the 4, 12 and 24 orderings of its free
+        # pool to 1, 6 and 3 connectors
+        assert counts[:3] == [1, 6, 3]
+        assert [math.perm(len(R - {6, 7, 8, 9, 0, 1}), lam) for lam in (1, 2, 3)] == [4, 12, 24]
+        # every random host and budget has connectors to find
+        assert min(counts[3:]) > 0
 
     def test_every_connector_glues_into_a_tight_path(self):
         F, R = self.mixed_window_host()
         s, t = (6, 7, 8), (9, 0, 1)
         for lam in (1, 2, 3):
-            for inner in connectors(F, R, s, t, lam):
-                assert is_tight_path(F, s + inner + t)
+            for inner in connectors(F, R, s, t, lam).tolist():
+                assert is_tight_path(F, s + tuple(inner) + t)
 
     def test_overlapping_endpoints_have_no_connectors(self):
         F, R = self.mixed_window_host()
-        assert list(connectors(F, R, (6, 7, 0), (0, 1, 9), 1)) == []
+        assert connectors(F, R, (6, 7, 0), (0, 1, 9), 1).shape == (0, 1)
+        # an empty pool: R holds end vertices only
+        assert connectors(F, frozenset({6, 7, 0}), (6, 7, 8), (9, 0, 1), 2).shape == (0, 2)
 
     def test_at_least_one_inner_vertex_is_required(self):
         F, R = self.mixed_window_host()

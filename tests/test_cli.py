@@ -609,6 +609,63 @@ class TestDecompose:
         edges = json.loads(out.read_text())["manifest"]["edges"]
         assert edges == {"reserve": reserve.m, "idle": F.m - reserve.m}
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_k12_looks_up_no_extension_mask_or_tail_index(self, tmp_path, monkeypatch, seed):
+        # the cycle family and the connectors both read the host's edge
+        # table, so no stage asks for a bitmask or the (k-1)-tail index
+        calls = {"extension_mask": 0, "_km1_index": 0}
+        for name in calls:
+            method = getattr(Hypergraph, name)
+
+            def counted(self, *args, name=name, method=method):
+                calls[name] += 1
+                return method(self, *args)
+
+            monkeypatch.setattr(Hypergraph, name, counted)
+        code = main(
+            ["decompose", write_host(tmp_path, complete_hypergraph(3, 12)),
+             "--targets", "12;12", "--seed", str(seed), "-q"]
+        )
+        assert code == EXIT_OK
+        assert calls == {"extension_mask": 0, "_km1_index": 0}
+
+    def test_one_edge_table_per_host_per_pipeline_pass(self, tmp_path, monkeypatch):
+        # the residual's enumeration and its id lookup share one table, and
+        # every attempt of a layer reads the table of that layer's F
+        builds, reads, hosts = [], [], []
+        edge_table = Hypergraph.edge_table
+
+        def counted(self):
+            if self._edge_table is None:
+                builds.append(self)
+            reads.append(self)
+            return edge_table(self)
+
+        real_cover, real_layer = cli._cover_stage, assemble.layer_transform
+
+        def cover_stage(H, *args):
+            hosts.append(H)
+            return real_cover(H, *args)
+
+        def layer(H, F, *args, **kwargs):
+            hosts.append(F)
+            return real_layer(H, F, *args, **kwargs)
+
+        monkeypatch.setattr(Hypergraph, "edge_table", counted)
+        monkeypatch.setattr(cli, "_cover_stage", cover_stage)
+        monkeypatch.setattr(assemble, "layer_transform", layer)
+        out = tmp_path / "run.json"
+        code = main(
+            ["decompose", write_host(tmp_path, complete_hypergraph(3, 12)),
+             "--targets", "12;12", "--seed", "0", "-q", "--output", str(out)]
+        )
+        assert code == EXIT_OK
+        attempts = json.loads(out.read_text())["pipeline"]["attempts"]
+        assert len(hosts) == 3 * attempts
+        assert [id(H) for H in builds] == [id(H) for H in hosts]
+        residuals = hosts[::3]
+        assert all(sum(R is H for R in reads) >= 2 for H in residuals)
+
     def test_non_regular_g18_packs_two_hamilton_cycles(self, tmp_path):
         # G(18, 0.8): its sparse reserve alone held no connectors
         host = write_host(tmp_path, seeded_random_host(18, 0.8))

@@ -536,7 +536,14 @@ class TestSparsify:
             e for e, x in zip(H.edges, w.weights) if rng.random() < eps * float(x) / wmax
         )
         assert 0 < len(kept) < H.m
-        assert sparsify_intersecting(H, eps, w, seed=3).edges == kept
+        got = sparsify_intersecting(H, eps, w, seed=3)
+        assert got.edges == kept
+        # built without re-checking the edges, but field for field the host
+        # that __init__ builds from them
+        want = Hypergraph(H.k, H.n, kept)
+        assert {f: getattr(got, f) for f in Hypergraph.__slots__} == {
+            f: getattr(want, f) for f in Hypergraph.__slots__
+        }
 
     def test_eps_range_checked(self):
         H = complete_hypergraph(3, 6)

@@ -3,6 +3,7 @@ import pickle
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from cyclefactors.hypergraph import (
     degree_transfer_check,
     format_hypergraph,
     parse_hypergraph,
+    place_values,
 )
 
 
@@ -159,6 +161,28 @@ class TestExtensionMask:
             assert H.extension_mask(tail) == 0
 
 
+class TestEdgeTable:
+    @pytest.mark.parametrize("k,n,p", [(3, 8, 0.6), (4, 7, 0.4), (2, 6, 0.5)])
+    def test_lists_the_edge_id_of_every_ordering(self, k, n, p):
+        H = random_hypergraph(random.Random(k), k, n, p)
+        table = H.edge_table()
+        assert table.shape == (n**k,) and table.dtype == np.int32
+        for tup in itertools.product(range(n), repeat=k):
+            key = sum(v * n ** (k - 1 - i) for i, v in enumerate(tup))
+            assert key == tup @ place_values(n, k)
+            want = H.edge_id(tup) if len(set(tup)) == k and H.has_edge(tup) else -1
+            assert table[key] == want
+
+    def test_is_built_once_and_read_only(self):
+        H = complete_hypergraph(3, 6)
+        table = H.edge_table()
+        assert H.edge_table() is table
+        with pytest.raises(ValueError):
+            table[0] = 0
+        # a derived host gets its own table
+        assert (H.remove_edges([(0, 1, 2)]).edge_table() >= 0).sum() == 6 * (H.m - 1)
+
+
 class TestRegularityReport:
     def test_complete_k6_eta(self):
         rep = complete_hypergraph(3, 6).regularity_report()
@@ -242,6 +266,23 @@ class TestDerivedGraphs:
         D = H.remove_edges(G.edges)
         assert D.m == 8
         assert Hypergraph(3, 5, D.edges + G.edges) == H
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_remove_edges_builds_the_validated_host(self, seed):
+        # remove_edges skips the checks of __init__; its result must still
+        # be the host __init__ builds from the same edges, field for field
+        rng = random.Random(seed)
+        H = random_hypergraph(rng, 3, 10, 0.6).induced(range(1, 10))
+        drop = rng.sample(H.edges, 5)
+        D = H.remove_edges(drop)
+        V = Hypergraph(3, H.n, [e for e in H.edges if e not in drop], parent_ids=H.parent_ids)
+        assert D == V and hash(D) == hash(V)
+        assert D.parent_ids == (1, 2, 3, 4, 5, 6, 7, 8, 9)
+        assert {f: getattr(D, f) for f in Hypergraph.__slots__} == {
+            f: getattr(V, f) for f in Hypergraph.__slots__
+        }
+        with pytest.raises(HypergraphError, match="non-edge"):
+            D.remove_edges([drop[0]])
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
