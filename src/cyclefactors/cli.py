@@ -647,7 +647,11 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then shared by every
+    ``main`` call of the process: parsing reads it and never changes it
+    (each call gets a fresh namespace, and ``--set`` appends to a copy)."""
     parser = argparse.ArgumentParser(
         prog="cyclefactors",
         description="Tight-cycle factor toolkit for k-uniform hypergraphs.",

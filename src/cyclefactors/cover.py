@@ -405,10 +405,38 @@ def _rows_through(ids: np.ndarray, size: int) -> list:
 
 def _draw(rng: random.Random, weights: np.ndarray) -> int:
     """The index ``rng.choices(range(len(weights)), weights)`` draws, bit for
-    bit: ``np.cumsum`` adds in sequence, as ``itertools.accumulate`` does,
-    and searching all sums but the last is ``bisect(cum, x, 0, n - 1)``."""
-    cum = np.cumsum(weights)
-    return int(np.searchsorted(cum[:-1], rng.random() * cum[-1], "right"))
+    bit: ``cumsum`` adds in sequence, as ``itertools.accumulate`` does, and
+    the sums are nondecreasing, so capping the search of all of them at
+    n - 1 is ``bisect(cum, x, 0, n - 1)``."""
+    cum = weights.cumsum()
+    return min(int(cum.searchsorted(rng.random() * cum[-1], "right")), len(cum) - 1)
+
+
+def _vertex_words(cycles: np.ndarray, n: int) -> np.ndarray:
+    """Each row's vertex set as bits of ceil(n/64) uint64 words, word j of
+    every row in row j of the result: vertex v is bit v % 64 of word
+    v // 64.  A row's vertices are distinct, so adding their bits sets each
+    once."""
+    bits = np.left_shift(np.uint64(1), (cycles % 64).astype(np.uint64))
+    word = cycles // 64
+    return np.stack(
+        [np.where(word == j, bits, 0).sum(axis=1, dtype=np.uint64) for j in range(-(-n // 64))]
+    )
+
+
+def _check_picks(H: Hypergraph, cycles: np.ndarray, ids: np.ndarray, picks: list) -> None:
+    """``validate_collections`` on a draw still held as family indices, one
+    array per collection: CoverError unless each collection's cycles are
+    vertex-disjoint and no edge lies in two picked cycles."""
+    sizes = [len(p) for p in picks]
+    flat = np.concatenate(picks)
+    owner = np.repeat(np.arange(len(picks)), sizes)
+    slots = np.bincount((cycles[flat] + H.n * owner[:, None]).ravel(), minlength=len(picks) * H.n)
+    if slots.max(initial=0) > 1:
+        raise CoverError(f"collection {int(np.argmax(slots)) // H.n} has vertex-sharing cycles")
+    edges = np.bincount(ids[flat].ravel(), minlength=H.m)
+    if edges.max(initial=0) > 1:
+        raise CoverError(f"edge {H.edges[int(np.argmax(edges))]!r} appears in two collections")
 
 
 def extract_cycle_collections(
@@ -430,15 +458,17 @@ def extract_cycle_collections(
     edge-disjoint from everything already chosen (the draws of
     ``random.choices`` over the candidates in the order of ``pair``).  The
     candidates form a live pool of cycle indices: a collection starts from
-    the cycles that share no edge with an earlier pick, and each pick drops
-    the cycles that meet it in a vertex (which covers every cycle sharing
-    one of its edges).  So no pick rescans the family, and only the picked
-    cycles become ``TightCycle`` objects.  An attempt is accepted when every
+    the cycles that share no edge with an earlier collection's picks, and
+    each pick drops the cycles that meet it in a vertex (which covers every
+    cycle sharing one of its edges), one AND of the cycles' vertex bit
+    words.  So no pick rescans the family.  Every draw is checked on the
+    index arrays as ``validate_collections`` checks cycles, and its
+    coverages are L per pick.  An attempt is accepted when every
     collection covers at least ceil((1-mu) n) vertices; otherwise the
     extraction reseeds, up to ``retries`` attempts, and finally returns the
     best attempt (the first with the fewest gate failures, named by
     ``returned``) with diagnostics (``ok`` False) rather than discarding the
-    work.
+    work.  Only the returned draw's picks become ``TightCycle`` objects.
     """
     check_collections(H, r)
     coverage_min = math.ceil((1 - mu) * H.n)
@@ -451,7 +481,7 @@ def extract_cycle_collections(
     cycles, weights = pair
     ids = _pair_ids(H, pair)
     scaled = np.asarray(weights, dtype=float) / gamma
-    through_vertex = _rows_through(cycles, H.n)
+    words = _vertex_words(cycles, H.n)
     through_edge = _rows_through(ids, H.m)
     master = random.Random(seed)
     best = None
@@ -459,22 +489,23 @@ def extract_cycle_collections(
     for attempt in range(max(1, retries)):
         rng = random.Random(master.randrange(2**63))
         dead = np.zeros(len(cycles), dtype=bool)
-        collections = []
+        picks = []
         for _ in range(r):
-            coll: list = []
-            out = dead.copy()
-            pool = np.flatnonzero(~out)
+            coll = []
+            pool = np.flatnonzero(~dead)
             while len(pool):
                 i = pool[_draw(rng, scaled[pool])]
-                coll.append(TightCycle(H, cycles[i].tolist()))
-                for v in cycles[i]:
-                    out[through_vertex[v]] = True
-                for e in ids[i]:
-                    dead[through_edge[e]] = True
-                pool = pool[~out[pool]]
-            collections.append(tuple(coll))
-        validate_collections(H, collections)
-        coverages = [len(_covered(coll)) for coll in collections]
+                coll.append(i)
+                met = words[0][pool] & words[0][i]
+                for word in words[1:]:
+                    met |= word[pool] & word[i]
+                pool = pool[met == 0]
+            coll = np.array(coll, dtype=np.intp)
+            if len(coll):
+                dead[np.concatenate([through_edge[e] for e in ids[coll].ravel()])] = True
+            picks.append(coll)
+        _check_picks(H, cycles, ids, picks)
+        coverages = [cycles.shape[1] * len(coll) for coll in picks]
         failures = []
         for i, c in enumerate(coverages):
             if c < coverage_min:
@@ -483,13 +514,17 @@ def extract_cycle_collections(
             {"attempt": attempt, "coverages": coverages, "failures": failures}
         )
         if not failures:
-            return ExtractionResult(
-                collections, True, attempt + 1, diagnostics, gamma, attempt
-            )
+            best = (picks, failures, attempt)
+            break
         if best is None or len(failures) < len(best[1]):
-            best = (collections, failures, attempt)
+            best = (picks, failures, attempt)
+    picks, failures, returned = best
+    collections = [
+        tuple(TightCycle(H, cycles[i].tolist()) for i in coll) for coll in picks
+    ]
+    validate_collections(H, collections)
     return ExtractionResult(
-        best[0], False, max(1, retries), diagnostics, gamma, best[2]
+        collections, not failures, len(diagnostics), diagnostics, gamma, returned
     )
 
 

@@ -23,6 +23,7 @@ no all-positive PFM exists.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from typing import Dict, Iterable, List, Tuple
@@ -334,17 +335,18 @@ def cg(matvec, b, rtol, atol=0.0, precond=None) -> np.ndarray:
     x = np.zeros(len(b))
     r = b.copy()
     for step in range(10 * len(b)):
-        if np.linalg.norm(r) < atol:
+        # np.linalg.norm of a float vector is sqrt(r.dot(r)): the same bits
+        if math.sqrt(r @ r) < atol:
             break
         z = r if precond is None else precond(r)
-        rho = np.dot(r, z)
+        rho = r @ z
         if step:
             p *= rho / rho_prev
             p += z
         else:
             p = z.copy()
         q = matvec(p)
-        alpha = rho / np.dot(p, q)
+        alpha = rho / (p @ q)
         x += alpha * p
         r -= alpha * q
         rho_prev = rho
@@ -551,9 +553,10 @@ def sparsify_intersecting(
         raise FractionalError(f"eps must lie in [0, 1], got {eps}")
     if pfm.host != H:
         raise FractionalError("the matching must weight H's edges")
-    wmax = float(pfm.max_weight())
+    # max commutes with the correctly rounded float(), so wmax is
+    # float(pfm.max_weight()) without comparing Fractions
+    ws = list(map(float, pfm.weights))
+    wmax = max(ws)
     rng = random.Random(seed)
-    kept = tuple(
-        e for e, w in zip(H.edges, pfm.weights) if rng.random() < eps * float(w) / wmax
-    )
+    kept = tuple(itertools.compress(H.edges, [rng.random() < eps * w / wmax for w in ws]))
     return Hypergraph._from_canonical(H.k, H.n, kept)

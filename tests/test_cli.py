@@ -320,6 +320,36 @@ class TestCover:
         assert json.loads(artifact.read_text())["ok"] is True
 
 
+class TestParserReuse:
+    """``main`` parses every call with the one parser of the process."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_no_value_leaks_into_the_next_call(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_host(tmp_path, complete_hypergraph(3, 12))
+
+        def decompose(name, *extra):
+            code = main(["decompose", "host.txt", "--targets", "12;12", "--seed", "0",
+                         "--normalize-timings", "-q", "--output", name, *extra])
+            assert code == EXIT_OK
+            return (tmp_path / name).read_bytes()
+
+        cli.build_parser.cache_clear()
+        first = decompose("first.json")
+        wide = decompose("wide.json", "--set", "delta=0.7")
+        assert json.loads(wide)["config"]["profile"]["delta"] == 0.7
+        assert decompose("after-set.json") == first
+        # usage errors, one of them after --set was already appended
+        for argv in (["decompose", "host.txt", "--bogus"],
+                     ["decompose", "host.txt", "--set", "delta=0.7", "--targets"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+        capsys.readouterr()
+        assert decompose("after-errors.json") == first
+
+
 @pytest.mark.parametrize(
     "command,flag",
     [("decompose", "--cover-length"), ("decompose", "--per-edge"),

@@ -515,13 +515,29 @@ class TestExtractionAgainstRescan:
         assert res.attempts == 5
         assert len(res.diagnostics) == 5
 
+    @pytest.mark.parametrize("seed", range(2))
+    def test_host_past_one_mask_word(self, seed, check_against_rescan):
+        # 12 disjoint copies of K_6^(3) on 72 vertices: two 64-bit vertex
+        # words, and the copy on 60..65 has cycles that straddle them
+        H = Hypergraph(3, 72, [
+            tuple(6 * c + v for v in e)
+            for c in range(12)
+            for e in itertools.combinations(range(6), 3)
+        ])
+        frac = fractional_cycle_decomposition(H, 6)
+        assert cover._vertex_words(frac[0], H.n).shape == (2, len(frac[0]))
+        res = check_against_rescan(H, frac, 3, seed=seed, retries=3)
+        assert max(v for coll in res.collections for C in coll for v in C.seq) >= 64
+        check_against_rescan(H, frac, 2, seed=seed, retries=2, mu=0.0)
+
     @pytest.mark.parametrize("seed", range(3))
     def test_sampled_k12_family(self, k12, k12_frac, seed, check_against_rescan):
         check_against_rescan(k12, k12_frac, 2, seed=seed)
         check_against_rescan(k12, k12_frac, 3, seed=seed, mu=0.5)
 
-    def test_reads_each_cycle_once_plus_per_pick(self, k12, k12_frac, monkeypatch):
-        # the family stays in arrays: a TightCycle is built for each pick only
+    def test_reads_each_cycle_once_plus_per_pick(self, k12, monkeypatch):
+        # the family stays in arrays through every draw: a TightCycle is
+        # built for each pick of the returned draw and for nothing else
         built = []
         init = TightCycle.__init__
 
@@ -530,10 +546,15 @@ class TestExtractionAgainstRescan:
             init(C, host, seq)
 
         monkeypatch.setattr(TightCycle, "__init__", counted_init)
-        res = extract_cycle_collections(k12, k12_frac, 2, seed=0, retries=1)
-        picks = [C.seq for coll in res.collections for C in coll]
-        assert len(picks) >= 2
-        assert built == picks
+        # 6-cycles pass on the second draw; 10-cycles fail all three
+        for L, seed, retries, ok in [(6, 7, 10, True), (10, 0, 3, False)]:
+            frac = fractional_cycle_decomposition(k12, L, seed=1)
+            built.clear()
+            res = extract_cycle_collections(k12, frac, 2, seed=seed, mu=0.0, retries=retries)
+            assert (res.ok, res.attempts) == (ok, 2 if ok else 3)
+            picks = [C.seq for coll in res.collections for C in coll]
+            assert len(picks) >= 2
+            assert built == picks
 
     @given(
         st.lists(st.floats(min_value=-6, max_value=6), min_size=1, max_size=40),
@@ -550,6 +571,17 @@ class TestExtractionAgainstRescan:
 
 
 class TestValidateCollections:
+    def test_index_arrays_checked_as_cycles(self):
+        # the extraction's per-draw check on picks held as family indices
+        H = complete_hypergraph(3, 6)
+        cycles = np.array([(0, 1, 2, 3), (2, 3, 4, 5), (0, 1, 2, 3)])
+        ids = cover._edge_ids(H, cycles)
+        with pytest.raises(CoverError, match="collection 0 has vertex-sharing"):
+            cover._check_picks(H, cycles, ids, [np.array([0, 1])])
+        with pytest.raises(CoverError, match=r"edge \(0, 1, 2\) appears in two"):
+            cover._check_picks(H, cycles, ids, [np.array([0]), np.array([2])])
+        cover._check_picks(H, cycles, ids, [np.array([0]), np.array([1])])
+
     def test_vertex_sharing_within_collection(self):
         H = complete_hypergraph(3, 6)
         a = TightCycle(H, (0, 1, 2, 3))
