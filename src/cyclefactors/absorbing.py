@@ -17,9 +17,11 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .fractional import FractionalError, pipeline_weighting
 from .hypergraph import Hypergraph
-from .tightpaths import TightPath, closing_mask, is_tight_path, tight_extensions
+from .tightpaths import TightPath, closing_rows, grow_paths, is_tight_path
 from .walks import StuckWalkError, sample_walk
 
 
@@ -69,16 +71,24 @@ class Absorber:
         return x in self.center_candidates
 
 
+def _absorbing_rows(H_plus: Hypergraph, slots: np.ndarray) -> np.ndarray:
+    """The vertices each row of ``slots`` (an N x 2k array of tight paths)
+    absorbs, as N x n boolean rows: x inserted after the k-th vertex must
+    close the gap between the halves, so the row is their
+    ``closing_rows`` off the slot."""
+    k = H_plus.k
+    rows = closing_rows(H_plus, slots[:, :k], slots[:, k:])
+    rows[np.arange(len(slots))[:, None], slots] = False
+    return rows
+
+
 def absorbable(H_plus: Hypergraph, slot: Sequence[int]) -> frozenset:
     """The vertices x for which slot is an x-absorber (none unless slot is a
-    tight 2k-path): x inserted after slot[k-1] must close the gap between
-    the slot's halves, so x is a bit of their ``closing_mask`` off the slot."""
-    k = H_plus.k
+    tight 2k-path)."""
     slot = tuple(slot)
-    if len(slot) != 2 * k or not is_tight_path(H_plus, slot):
+    if len(slot) != 2 * H_plus.k or not is_tight_path(H_plus, slot):
         return frozenset()
-    mask = closing_mask(H_plus, slot[:k], slot[k:])
-    return frozenset(v for v in range(H_plus.n) if mask >> v & 1 and v not in slot)
+    return frozenset(np.flatnonzero(_absorbing_rows(H_plus, np.array([slot]))[0]).tolist())
 
 
 def enumerate_absorbers(
@@ -86,24 +96,33 @@ def enumerate_absorbers(
 ) -> List[Absorber]:
     """All x-absorbers in lexicographic order, up to cap (None = all).
 
-    Grows a first half a_1..a_k whose last k-1 vertices extend by x, then the
-    inserted sequence a_1..a_k x a_{k+1}..a_2k from it; keeps a_1..a_2k when x
-    is ``absorbable`` by it, which also checks the bare seam windows.
+    ``grow_paths`` grows the first halves a_1..a_k over the vertices other
+    than x a block at a time; each block keeps the halves whose last k-1
+    vertices extend by x and grows the inserted sequences
+    a_1..a_k x a_{k+1}..a_2k from them.  That checks every window through
+    x; each block of grown rows then keeps the sequences a_1..a_2k whose
+    bare seam windows are edges too, and reads their absorbable vertices
+    off ``_absorbing_rows``.  Both growths are block-bounded, so a cap
+    stops the work after the first blocks that fill it.
     """
     H_plus._check_vertex(x)
-    k = H_plus.k
-    others = [v for v in range(H_plus.n) if v != x]
+    k, n = H_plus.k, H_plus.n
     out: List[Absorber] = []
-    for head in tight_extensions(H_plus, (), k, others):
-        if x not in H_plus.extensions(head[1:]):
-            continue
-        for inserted in tight_extensions(H_plus, head + (x,), 2 * k + 1, others):
-            seq = head + inserted[k + 1 :]
-            centers = absorbable(H_plus, seq)
-            if x in centers:
+    for heads, free in grow_paths(H_plus, np.empty((1, 0), int), np.arange(n)[None, :] != x, k):
+        keep = H_plus.extension_rows(heads[:, 1:])[:, x]
+        starts = np.column_stack((heads[keep], np.full(keep.sum(), x)))
+        for inserted, _ in grow_paths(H_plus, starts, free[keep], 2 * k + 1):
+            slots = np.delete(inserted, k, axis=1)
+            seam = np.ones(len(slots), dtype=bool)
+            for j in range(1, k):
+                rows = H_plus.extension_rows(slots[:, j : j + k - 1])
+                seam &= rows[np.arange(len(slots)), slots[:, j + k - 1]]
+            slots = slots[seam]
+            for seq, row in zip(slots.tolist(), _absorbing_rows(H_plus, slots)):
                 if cap is not None and len(out) >= cap:
                     return out
-                out.append(Absorber(seq=seq, center_candidates=centers))
+                centers = frozenset(np.flatnonzero(row).tolist())
+                out.append(Absorber(seq=tuple(seq), center_candidates=centers))
     return out
 
 

@@ -37,8 +37,8 @@ import numpy as np
 
 from .bruteforce import validate_packing
 from .cover import open_cycle
-from .hypergraph import Hypergraph, place_values
-from .tightpaths import CycleFactor, TightCycle, verify_factor_copy
+from .hypergraph import Hypergraph
+from .tightpaths import CycleFactor, TightCycle, closing_rows, grow_paths, verify_factor_copy
 
 # No code here calls these four; bench/tracer.py patches them on this module.
 from .absorbing import absorb, build_absorbing_structure
@@ -167,39 +167,25 @@ def connectors(F: Hypergraph, R: frozenset, s: tuple, t: tuple, lam: int) -> np.
     A connector is a tuple w of lam distinct vertices of R off s and t such
     that s + w + t is tight, where every window that contains at least one
     inner vertex must be an edge of the reserve graph F; the pure end
-    windows are the callers' edges.  The search grows s + w[:-1] one vertex
-    per step, all rows at once: a row's candidates are the row of F's
-    ``edge_table`` for its last k-1 vertices, cut to the pool (R off s and
-    t) and to the pool vertices the row does not hold yet.  The last inner
-    vertex lies in exactly the k windows left to check, so its candidates
-    are the AND of those windows' rows, as ``cover._enumerate_all`` closes
-    cycles.  ``np.nonzero`` reads row by row and the pool is ascending, so
-    the rows come out in lexicographic order.  Overlapping ends or an empty
-    pool give no rows.
+    windows are the callers' edges.  ``tightpaths.grow_paths`` grows
+    s + w[:-1] over the pool (R off s and t), and the last inner vertex,
+    which lies in exactly the k windows left to check, comes from the
+    ``tightpaths.closing_rows`` of each grown row against t, as
+    ``cover._enumerate_all`` closes cycles.  The growth keeps lexicographic
+    order, and so do the rows.  Overlapping ends or an empty pool give no
+    rows.
     """
-    k, n = F.k, F.n
+    k = F.k
     ends = set(s) | set(t)
+    found = [np.empty((0, lam), dtype=np.intp)]
     if len(ends) < 2 * k:
-        return np.empty((0, lam), dtype=np.intp)
-    pool = np.array(sorted(R - ends), dtype=np.intp)
-    extends = F.edge_table().reshape(n ** (k - 1), n)
-    digits = place_values(n, k - 1)
-
-    def rows_of(tails):
-        return extends[np.ix_(tails @ digits, pool)] >= 0
-
-    paths = np.array([s], dtype=np.intp)
-    free = np.ones((1, len(pool)), dtype=bool)
-    for _ in range(lam - 1):
-        rows, last = np.nonzero(free & rows_of(paths[:, 1 - k :]))
-        paths = np.column_stack((paths[rows], pool[last]))
-        free = free[rows]
-        free[np.arange(len(rows)), last] = False
-    gap = np.column_stack((paths[:, 1 - k :], np.tile(t[: k - 1], (len(paths), 1))))
-    for j in range(k):
-        free &= rows_of(gap[:, j : j + k - 1])
-    rows, last = np.nonzero(free)
-    return np.column_stack((paths[rows, k:], pool[last]))
+        return found[0]
+    pool = np.zeros((1, F.n), dtype=bool)
+    pool[0, sorted(R - ends)] = True
+    for paths, free in grow_paths(F, np.array([s]), pool, k + lam - 1):
+        rows, last = np.nonzero(free & closing_rows(F, paths, np.tile(t, (len(paths), 1))))
+        found.append(np.column_stack((paths[rows, k:], last)))
+    return np.concatenate(found)
 
 
 def build_reservoir(V1) -> frozenset:

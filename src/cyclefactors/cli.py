@@ -61,7 +61,7 @@ from .fractional import (
 )
 from .hypergraph import Hypergraph, HypergraphError, parse_hypergraph
 from .tightpaths import TightnessError, factors_from_document
-from .walks import OracleCapError, StuckWalkError, sample_walk
+from .walks import OracleCapError, StuckWalkError, WalkError, sample_walk
 
 EXIT_OK = 0
 EXIT_PARTIAL = 10
@@ -311,6 +311,10 @@ def cmd_walk(args) -> int:
     )
     if args.steps < 1:
         raise CLIError(EXIT_PARAMS, "walk: steps must be at least 1")
+    if args.walk_length < 1:
+        raise CLIError(EXIT_PARAMS, "walk: walk length must be at least 1")
+    if args.samples < 0:
+        raise CLIError(EXIT_PARAMS, "walk: samples must be nonnegative")
     H = load_hypergraph(args.input)
     w = _weighting_for(H, args.mode, args.seed)
     doc = {"config": config.as_dict()}
@@ -361,6 +365,8 @@ def cmd_walk(args) -> int:
 
 def cmd_absorbers(args) -> int:
     config = _make_config(args, "absorbers", x=args.x, cap=args.cap)
+    if args.cap is not None and args.cap < 0:
+        raise CLIError(EXIT_PARAMS, "absorbers: cap must be nonnegative")
     H = load_hypergraph(args.input)
     vertices = range(H.n) if args.x is None else [args.x]
     per_vertex = {}
@@ -770,6 +776,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STAGE
+    except WalkError as exc:  # after StuckWalkError, its subclass
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARAMS
 
 
 if __name__ == "__main__":

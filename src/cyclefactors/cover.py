@@ -13,10 +13,12 @@ per family and carried by the pair (a ``Decomposition``).  The table is
 built once per host and kept on it; ``assemble.connectors`` searches the
 same table of its graph F.  The family's edge-by-cycle incidence is a
 ``fractional.Incidence``, so the weighting runs on numpy alone and never
-loads scipy.  The enumeration grows tight (L-1)-vertex paths in blocks,
-each step one AND of rows of that table read as a boolean extension
-table, and closes each path by intersection: the closing vertex must
-extend all k cyclic windows that contain it.
+loads scipy.  The enumeration grows tight (L-1)-vertex paths with
+``tightpaths.grow_paths``, in blocks of rows of the host's
+``extension_rows`` (that table read as booleans), and closes each path
+with ``tightpaths.closing_rows``: the closing vertex must extend all k
+cyclic windows that contain it.  The sampled family's shuffled search
+reads its candidates and closing vertices from the same rows.
 Second, ``extract_cycle_collections`` rounds the fractional solution into r
 edge-disjoint collections of vertex-disjoint L-cycles by a weight-driven
 randomized greedy, with coverage gates checked per collection; it redraws up
@@ -41,7 +43,7 @@ import numpy as np
 
 from .fractional import Incidence, ScalingError, linprog, polish, scale_to_ones
 from .hypergraph import Hypergraph, place_values
-from .tightpaths import TightCycle, closing_mask
+from .tightpaths import TightCycle, closing_rows, grow_paths
 
 __all__ = [
     "CoverError",
@@ -71,60 +73,31 @@ class DecompositionError(CoverError):
 # cycle enumeration
 
 
-ENUMERATE_BLOCK = 4096  # most tight paths that one step of _enumerate_all extends
-
-
 def _enumerate_all(H: Hypergraph, L: int, cap: Optional[int]):
     """All tight cycles on exactly L vertices, or None when cap is exceeded.
 
     Returns an N x L int array of canonical sequences in canonical order.
     Anchored search: a sequence starts at the cycle's minimum v0, and the
-    reflection duplicate is skipped by requiring seq[1] < seq[-1].  Paths
-    grow over the vertices above v0 that they do not hold yet.  The
-    extension table has one row per ordered (k-1)-tuple and one column per
-    vertex, True where the two make an edge; after the first k-1 vertices,
-    a path's candidates are the row of its last k-1.  The closing vertex of
-    a path on L-1 vertices lies in exactly the k cyclic windows that the
-    path does not check, so its candidates are the AND of those windows'
-    rows (what ``tightpaths.closing_mask`` computes), cut to the vertices
-    above seq[1].  Paths are extended depth-first, at most
-    ``ENUMERATE_BLOCK`` at a time, which bounds the memory and stops the
-    count at the first block past the cap.  Each path's candidates come out
-    ascending (``np.nonzero`` reads row by row), so the rows are in
-    lexicographic order, which for canonical sequences is canonical order.
+    reflection duplicate is skipped by requiring seq[1] < seq[-1].
+    ``tightpaths.grow_paths`` grows the paths on L-1 vertices from every
+    anchor, over the vertices above it.  The closing vertex of such a path
+    lies in exactly the k cyclic windows that the path does not check, so
+    its candidates are the ``tightpaths.closing_rows`` of the path against
+    its own start, cut to the vertices above seq[1].  The growth hands
+    over its paths in blocks, in lexicographic order, which for canonical
+    sequences is canonical order; the count stops at the first block past
+    the cap.
     """
-    n, k = H.n, H.k
-    table = (H.edge_table() >= 0).reshape(n ** (k - 1), n)
-    digits = place_values(n, k - 1)
-    vertices = np.arange(n)
-    # path positions of the k windows through the closing vertex: window j
-    # holds the last k-1-j path vertices, then the first j
-    closing = [list(range(L - k + j, L - 1)) + list(range(j)) for j in range(k)]
+    vertices = np.arange(H.n)
     found, count = [], 0
-    stack = [vertices[:, None]]
-    while stack:
-        paths = stack.pop()
-        if len(paths) > ENUMERATE_BLOCK:
-            stack.append(paths[ENUMERATE_BLOCK:])
-            paths = paths[:ENUMERATE_BLOCK]
-        d = paths.shape[1]
-        free = vertices > paths[:, :1]
-        free[np.arange(len(paths))[:, None], paths] = False
-        if d == L - 1:
-            free &= vertices > paths[:, 1:2]
-            for window in closing:
-                free &= table[paths[:, window] @ digits]
-        elif d >= k - 1:
-            free &= table[paths[:, d - k + 1 :] @ digits]
+    for paths, free in grow_paths(H, vertices[:, None], vertices > vertices[:, None], L - 1):
+        free &= vertices > paths[:, 1:2]
+        free &= closing_rows(H, paths, paths)
         rows, last = np.nonzero(free)
-        grown = np.column_stack((paths[rows], last))
-        if d < L - 1:
-            stack.append(grown)
-            continue
-        count += len(grown)
+        count += len(rows)
         if cap is not None and count > cap:
             return None
-        found.append(grown)
+        found.append(np.column_stack((paths[rows], last)))
     return np.concatenate(found) if found else np.empty((0, L), dtype=np.intp)
 
 
@@ -166,7 +139,11 @@ def cycles_through_edge(
     The search is exhaustive when fewer than ``limit`` cycles exist (an empty
     result is therefore a proof that no L-cycle passes through the edge).
     With a seed, branch orders are shuffled so that truncated searches draw
-    a scattered sample instead of a lexicographic prefix.
+    a scattered sample instead of a lexicographic prefix.  The candidates
+    of a path are its ``extension_rows`` row.  A path on L-1 vertices reads
+    the rows of all k windows through its closing vertex in the same call
+    (as ``tightpaths.closing_rows`` reads them), and its closing vertices
+    are their AND.
     """
     _check_cycle_length(H, L)
     edge = tuple(sorted(edge))
@@ -183,18 +160,22 @@ def cycles_through_edge(
         return items
 
     def rec(seq):
-        if limit is not None and len(found) >= limit:
-            return
-        cands = order(H.extensions(seq[1 - k :]))
-        closers = closing_mask(H, seq, seq) if len(seq) == L - 1 else 0
+        if len(seq) < L - 1:
+            cands = order(H.extension_rows(seq[1 - k :]).nonzero()[0].tolist())
+        else:
+            # the k windows through the closing vertex, the candidates' first
+            gap = seq[1 - k :] + seq[: k - 1]
+            rows = H.extension_rows([gap[j : j + k - 1] for j in range(k)])
+            cands = order(rows[0].nonzero()[0].tolist())
+            closers = rows.all(axis=0)
         for v in cands:
+            if limit is not None and len(found) >= limit:
+                return
             if v in seq:
                 continue
             if len(seq) < L - 1:
                 rec(seq + (v,))
-            elif limit is not None and len(found) >= limit:
-                return
-            elif closers >> v & 1:
+            elif closers[v]:
                 C = TightCycle(H, seq + (v,))
                 found.setdefault(C.canonical(), C)
 

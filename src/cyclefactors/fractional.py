@@ -31,7 +31,7 @@ from typing import Dict, Iterable, List, Tuple
 import numpy as np
 
 from .hypergraph import Hypergraph
-from .tightpaths import tight_extensions
+from .tightpaths import grow_paths
 
 FLOAT_TOL = 1e-9
 
@@ -144,16 +144,17 @@ def build_walk_registry(
     """All self-avoiding (k+1)-vertex walks per ordered pair, capped per pair.
 
     A registered walk v_1..v_{k+1} runs from v_1 = s to v_{k+1} = t with both
-    k-windows edges of H and no repeated vertex. Above the cap a seeded
-    shuffle picks which walks survive.
+    k-windows edges of H and no repeated vertex, grown by ``grow_paths`` one
+    start at a time, so only one start's walks are held before the cap.
+    Above the cap a seeded shuffle picks which walks survive.
     """
-    k = H.k
     rng = random.Random(seed)
     registry: Dict[Tuple[int, int], List[tuple]] = {}
     for s in range(H.n):
         by_end: Dict[int, List[tuple]] = {}
-        for walk in tight_extensions(H, (s,), k + 1):
-            by_end.setdefault(walk[-1], []).append(walk)
+        for walks, _ in grow_paths(H, np.array([[s]]), np.ones((1, H.n), dtype=bool), H.k + 1):
+            for walk in map(tuple, walks.tolist()):
+                by_end.setdefault(walk[-1], []).append(walk)
         for t in range(H.n):
             if s == t:
                 continue

@@ -3,9 +3,11 @@
 A Hypergraph is an immutable value: ``k``, a dense vertex range ``0..n-1``, and a
 set of k-edges stored as sorted tuples. Degree d(v), codegree d(x) of a j-set x,
 the neighborhood N(x) of a (k-1)-set, the edge table (the edge id of every
-ordered k-tuple, which the cycle family and the connectors search), induced
-subgraphs, ``rho_star`` (the approximate regularity every pipeline stage
-re-checks) and the plain-text serialization format live here. Graphs
+ordered k-tuple) and ``extension_rows``, the one extension index that every
+tight-sequence search reads (the N(x) of many ordered (k-1)-tuples at once,
+as boolean rows of that table), induced subgraphs, ``rho_star`` (the
+approximate regularity every pipeline stage re-checks) and the plain-text
+serialization format live here. Graphs
 derived from a host by dropping edges skip the input checks. The full
 regularity / intersection report (rho_star, eta_star, delta_codegree) sweeps
 all pairs of (k-1)-sets; it serves ``analyze``.
@@ -13,6 +15,7 @@ all pairs of (k-1)-sets; it serves ``analyze``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,9 +44,8 @@ class Hypergraph:
         "_edge_ids",
         "_degrees",
         "_codegree_cache",
-        "_full_km1_index",
-        "_extension_masks",
         "_edge_table",
+        "_extension_table",
         "_hash",
     )
 
@@ -101,9 +103,8 @@ class Hypergraph:
                 degs[v] += 1
         object.__setattr__(self, "_degrees", tuple(degs))
         object.__setattr__(self, "_codegree_cache", {})
-        object.__setattr__(self, "_full_km1_index", None)
-        object.__setattr__(self, "_extension_masks", {})
         object.__setattr__(self, "_edge_table", None)
+        object.__setattr__(self, "_extension_table", None)
         object.__setattr__(self, "_hash", hash((k, n, edges)))
 
     def __setattr__(self, name, value):  # immutability guard for public fields
@@ -150,52 +151,18 @@ class Hypergraph:
         hit = cache.get(xs)
         if hit is None:
             if j == self.k - 1:
-                hit = len(self._km1_index().get(xs, ()))
+                hit = len(self.extensions(xs))
             else:
                 s = set(xs)
                 hit = sum(1 for e in self.edges if s.issubset(e))
             cache[xs] = hit
         return hit
 
-    def _km1_index(self) -> dict:
-        """(k-1)-subset -> sorted tuple of completing vertices, built once.
-
-        Only the (k-1)-subsets of edges are stored: at most k*m keys.
-        """
-        idx = self._full_km1_index
-        if idx is None:
-            idx = {}
-            for e in self.edges:
-                for i in range(self.k):
-                    key = e[:i] + e[i + 1 :]
-                    idx.setdefault(key, []).append(e[i])
-            idx = {key: tuple(sorted(vs)) for key, vs in idx.items()}
-            object.__setattr__(self, "_full_km1_index", idx)
-        return idx
-
     def extensions(self, tail: Iterable[int]) -> tuple:
-        """N(tail) as an ascending tuple, for any ordering of a (k-1)-set tail.
-
-        The hot step of every tight-sequence search, so unlike ``neighborhood``
-        it checks no arguments: a tail that is no (k-1)-set gets ().
-        """
-        return self._km1_index().get(tuple(sorted(tail)), ())
-
-    def extension_mask(self, tail: tuple) -> int:
-        """N(tail) as an int: bit v is set iff tail + v is an edge.
-
-        ``tail`` is an ordered (k-1)-tuple; a tail that is no (k-1)-set gets
-        0.  Each ordering is memoized on first use, so a search that meets a
-        tail again pays one dict lookup instead of a sort.
-        """
-        masks = self._extension_masks
-        mask = masks.get(tail)
-        if mask is None:
-            mask = 0
-            for v in self.extensions(tail):
-                mask |= 1 << v
-            masks[tail] = mask
-        return mask
+        """N(tail) as an ascending tuple, for any ordering of a (k-1)-set
+        tail, by n edge probes, so a sparse host on many vertices builds no
+        table (a tail that is no (k-1)-set gets ())."""
+        return tuple(v for v in range(self.n) if self.has_edge((*tail, v)))
 
     def edge_table(self) -> np.ndarray:
         """The edge id of every ordered k-tuple of vertices that lists an
@@ -203,7 +170,7 @@ class Hypergraph:
         read as one base-n number (``place_values``).  As an n^(k-1) x n
         array, row x holds the ids of the edges x + (v,), so its entries
         >= 0 are the extension set of the ordered (k-1)-tuple x.  Built on
-        first use and kept, like the extension masks, and read-only.
+        first use, kept and read-only.
         """
         table = self._edge_table
         if table is None:
@@ -215,6 +182,23 @@ class Hypergraph:
             table.flags.writeable = False
             object.__setattr__(self, "_edge_table", table)
         return table
+
+    def extension_rows(self, tails) -> np.ndarray:
+        """N(x) of every ordered (k-1)-tuple x in ``tails`` (an int array
+        whose last axis holds the tuples, say N x (k-1)), as boolean rows
+        of n entries in its place (an N x n array): entry v is True iff
+        x + (v,) is an edge.  A tuple with a repeated vertex gets a row of
+        False.  The one extension index that every tight-sequence search
+        reads: the rows of ``edge_table`` >= 0, an n^(k-1) x n boolean
+        table built from it on first use and kept.
+        """
+        table = self._extension_table
+        if table is None:
+            n = self.n
+            table = self.edge_table().reshape(n ** (self.k - 1), n) >= 0
+            table.flags.writeable = False
+            object.__setattr__(self, "_extension_table", table)
+        return table.take(np.dot(tails, place_values(self.n, self.k - 1)), axis=0)
 
     def neighborhood(self, x: Iterable[int]) -> frozenset:
         """N(x) = {v : x + v is an edge} for a (k-1)-set x."""
@@ -299,10 +283,14 @@ class Hypergraph:
         return f"Hypergraph(k={self.k}, n={self.n}, m={self.m})"
 
 
+@functools.lru_cache(maxsize=None)
 def place_values(n: int, width: int) -> np.ndarray:
     """Place values that read ``width`` vertices as one base-n number, the
-    key of an ordered tuple in ``Hypergraph.edge_table``."""
-    return n ** np.arange(width - 1, -1, -1)
+    key of an ordered tuple in ``Hypergraph.edge_table`` (one read-only
+    array per (n, width))."""
+    digits = n ** np.arange(width - 1, -1, -1)
+    digits.flags.writeable = False
+    return digits
 
 
 def complete_hypergraph(k: int, n: int) -> Hypergraph:

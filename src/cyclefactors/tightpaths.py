@@ -2,21 +2,24 @@
 
 A tight path visits distinct vertices so that every k consecutive ones form an
 edge of the host; a tight cycle closes the sequence cyclically and needs at
-least k+1 vertices. ``tight_extensions`` is the bitmask search that grows
-them vertex by vertex: the candidates for the next vertex are the host's
-``extension_mask`` of the last k-1 vertices AND the still-free vertices,
-taken lowest bit first (the enumerated cycle family and the connectors grow
-theirs as arrays over ``Hypergraph.edge_table`` instead). ``closing_mask``
-is its closure check: the vertices that fit between two tight ends, as the
-AND of the extension masks of the k windows through the gap. Path
-collections index their end-sets (prefix sets plus the suffix k-set) so
-k-sets can be classified as j-end / lo / j-con relative to the collection.
+least k+1 vertices. ``grow_paths`` is the one growth step of the package:
+it grows many paths at once, vertex by vertex, in blocks of rows, the
+candidates of each row being the host's ``extension_rows`` row of its last
+k-1 vertices AND its free vertices. The enumerated cycle family, the
+connectors, the absorbers and the walk registry all grow their sequences
+with it. ``closing_rows`` is the closure check: the vertices that fit
+between two tight ends, as the AND of the extension rows of the k windows
+through the gap. Path collections index their end-sets (prefix sets plus
+the suffix k-set) so k-sets can be classified as j-end / lo / j-con
+relative to the collection.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .hypergraph import Hypergraph, HypergraphError
 
@@ -59,56 +62,62 @@ def is_tight_cycle(H: Hypergraph, seq: Sequence[int]) -> bool:
     return all(H.has_edge(w) for w in _windows(closed, H.k))
 
 
-def tight_extensions(
-    H: Hypergraph, prefix: Sequence[int], length: int, allowed: Optional[Iterable[int]] = None
-):
-    """Every tight extension of prefix to ``length`` vertices, in lexicographic order.
+ENUMERATE_BLOCK = 4096  # most paths that one step of grow_paths extends
 
-    Yields each prefix + w, w distinct vertices from ``allowed`` (default: all)
-    outside prefix, in which every k-window ending at a vertex of w is an edge.
-    Windows inside prefix are not checked.  The search keeps the free
-    vertices as an int bitmask; a vertex after the first k-1 is drawn from
-    ``H.extension_mask`` of the last k-1 vertices AND the free mask, lowest
-    bit first, which is ascending and so lexicographic order.
+
+def grow_paths(H: Hypergraph, paths: np.ndarray, free: np.ndarray, length: int):
+    """Every tight extension of the rows of ``paths`` to ``length`` vertices,
+    in lexicographic order, as blocks (grown, free) of at most
+    ``ENUMERATE_BLOCK`` rows.
+
+    ``paths`` is an N x d int array and ``free`` an N x n boolean array:
+    row i grows over the vertices set in free[i] that it does not hold yet,
+    and a vertex after the first k-1 must also lie in the
+    ``Hypergraph.extension_rows`` row of the last k-1.  Windows inside the
+    given rows are not checked.  Each grown row comes with its start's free
+    row, cut to the vertices the row does not hold; a start longer than
+    ``length`` grows to nothing.  The rows are extended depth-first from a
+    stack of blocks, which bounds the memory and lets a caller stop after
+    any block.  Each row's candidates come out ascending (``np.nonzero``
+    reads row by row), so the rows stay in lexicographic order.
     """
     k = H.k
-    free = (1 << H.n) - 1 if allowed is None else sum(1 << v for v in set(allowed))
-    prefix = tuple(prefix)
-    for v in prefix:
-        free &= ~(1 << v)
-    mask_of = H.extension_mask
+    stack = [(paths, np.arange(len(paths)))]
+    while stack:
+        paths, origin = stack.pop()
+        if len(paths) > ENUMERATE_BLOCK:
+            stack.append((paths[ENUMERATE_BLOCK:], origin[ENUMERATE_BLOCK:]))
+            paths, origin = paths[:ENUMERATE_BLOCK], origin[:ENUMERATE_BLOCK]
+        d = paths.shape[1]
+        if d > length:
+            continue
+        grown = free[origin]
+        grown[np.arange(len(paths))[:, None], paths] = False
+        if d == length:
+            yield paths, grown
+            continue
+        if d >= k - 1:
+            grown &= H.extension_rows(paths[:, d - k + 1 :])
+        rows, last = np.nonzero(grown)
+        stack.append((np.column_stack((paths[rows], last)), origin[rows]))
 
-    def grow(seq, free):
-        if len(seq) == length:
-            yield seq
-            return
-        cands = free if len(seq) < k - 1 else mask_of(seq[len(seq) - k + 1 :]) & free
-        while cands:
-            low = cands & -cands
-            yield from grow(seq + (low.bit_length() - 1,), free ^ low)
-            cands ^= low
 
-    if len(prefix) <= length:
-        yield from grow(prefix, free)
+def closing_rows(H: Hypergraph, before: np.ndarray, after: np.ndarray) -> np.ndarray:
+    """The vertices u that close a tight gap between two ends, one boolean
+    row per pair of ends.
 
-
-def closing_mask(H: Hypergraph, before: Sequence[int], after: Sequence[int]) -> int:
-    """The vertices u that close a tight gap between two ends, as an int.
-
-    Bit u is set iff every k-window of ``before[-(k-1):] + (u,) + after[:k-1]``
-    that contains u is an edge: the AND of the ``extension_mask`` of each
-    such window without u.  Both ends need at least k-1 vertices; callers
-    drop the bits of vertices already on them.  It closes the sampled
-    cycles of ``cover.cycles_through_edge`` (a path against its own start)
-    and absorber slots (a vertex between halves).
+    ``before`` and ``after`` are int arrays of N rows each, with at least
+    k-1 vertices per row.  Entry u of row i is True iff every k-window of
+    ``before[i, -(k-1):] + (u,) + after[i, :k-1]`` that contains u is an
+    edge: the AND of the ``Hypergraph.extension_rows`` of the k windows
+    without u.  Callers drop the vertices already on the ends.
     """
     k = H.k
-    tail = tuple(before[1 - k :])
-    head = tuple(after[: k - 1])
-    mask = H.extension_mask(tail)
+    gap = np.column_stack((before[:, before.shape[1] - k + 1 :], after[:, : k - 1]))
+    rows = H.extension_rows(gap[:, : k - 1])
     for j in range(1, k):
-        mask &= H.extension_mask(tail[j:] + head[:j])
-    return mask
+        rows &= H.extension_rows(gap[:, j : j + k - 1])
+    return rows
 
 
 class TightPath:

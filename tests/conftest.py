@@ -16,7 +16,7 @@ from cyclefactors.cover import (
     extract_cycle_collections,
 )
 from cyclefactors.fractional import polish
-from cyclefactors.tightpaths import TightCycle, tight_extensions
+from cyclefactors.tightpaths import TightCycle
 
 
 def inequality_form_z(A):
@@ -180,7 +180,7 @@ def check_against_rescan():
 def _close_ok(H, seq):
     """Check the k-1 wrap-around windows that close seq into a cycle.
 
-    The ``has_edge`` probe that ``tightpaths.closing_mask`` replaces in
+    The ``has_edge`` probe that ``tightpaths.closing_rows`` replaces in
     ``cover``; kept only for the oracles below.
     """
     k = H.k
@@ -191,10 +191,10 @@ def _close_ok(H, seq):
 def recursive_cycles_through_edge(H, L, edge, limit=None, seed=None):
     """The search ``cover.cycles_through_edge`` replaces.
 
-    The same shuffled DFS from every ordering of the edge, but it grows
-    every path to L vertices and then probes ``_close_ok``, checking
-    ``limit`` on entry to every level.  Kept only as an oracle; it assumes
-    the argument checks already passed.
+    The same shuffled DFS from every ordering of the edge, but it probes
+    ``has_edge`` for each next vertex, grows every path to L vertices and
+    then probes ``_close_ok``, checking ``limit`` on entry to every level.
+    Kept only as an oracle; it assumes the argument checks already passed.
     """
     edge = tuple(sorted(edge))
     k = H.k
@@ -215,7 +215,8 @@ def recursive_cycles_through_edge(H, L, edge, limit=None, seed=None):
                 C = TightCycle(H, seq)
                 found.setdefault(C.canonical(), C)
             return
-        for v in order(H.extensions(seq[-k + 1 :])):
+        tail = tuple(seq[-k + 1 :])
+        for v in order(u for u in range(H.n) if H.has_edge(tail + (u,))):
             if v in used:
                 continue
             seq.append(v)
@@ -248,14 +249,25 @@ def check_against_recursive_dfs():
 def anchored_dfs_cycles(H, L, cap):
     """The enumeration ``cover._enumerate_all`` replaces, as sequences.
 
-    It grows tight L-vertex paths from each anchor v0 over vertices above v0,
-    keeps those with seq[1] < seq[-1] and then probes the k-1 closing windows
+    It grows tight L-vertex paths from each anchor v0 over vertices above v0
+    in lexicographic order, probing ``has_edge`` for each next vertex, keeps
+    those with seq[1] < seq[-1] and then probes the k-1 closing windows
     with ``_close_ok``.  Kept only as an oracle; None once more than ``cap``
     cycles are found.
     """
+    k = H.k
+
+    def grow(seq):
+        if len(seq) == L:
+            yield seq
+            return
+        for v in range(seq[0] + 1, H.n):
+            if v not in seq and (len(seq) < k - 1 or H.has_edge(seq[1 - k :] + (v,))):
+                yield from grow(seq + (v,))
+
     out = []
     for v0 in range(H.n):
-        for seq in tight_extensions(H, (v0,), L, range(v0 + 1, H.n)):
+        for seq in grow((v0,)):
             if seq[1] < seq[-1] and _close_ok(H, seq):
                 out.append(seq)
                 if cap is not None and len(out) > cap:

@@ -20,6 +20,7 @@ from cyclefactors.absorbing import (
     is_absorber_for,
     make_block,
 )
+from cyclefactors import tightpaths
 from cyclefactors.fractional import pipeline_weighting
 from cyclefactors.hypergraph import Hypergraph, complete_hypergraph
 from cyclefactors.tightpaths import TightPath, is_tight_path
@@ -95,6 +96,35 @@ class TestAbsorbers:
         for slot in slots:
             assert absorbable(H, slot) == {v for v in range(n) if is_absorber_for(H, slot, v)}
 
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_block_size_and_cap_leave_the_k4_absorbers_unchanged(self, block, monkeypatch):
+        rng = random.Random(block)
+        H = Hypergraph(4, 9, [e for e in itertools.combinations(range(9), 4) if rng.random() < 0.8])
+        found = enumerate_absorbers(H, 8)
+        assert [a.seq for a in found] == absorbers_by_filter(H, 8) and len(found) > 20
+        monkeypatch.setattr(tightpaths, "ENUMERATE_BLOCK", block)
+        assert enumerate_absorbers(H, 8) == found
+        for cap in (0, 1, 13):
+            assert enumerate_absorbers(H, 8, cap=cap) == found[:cap]
+
+    def test_small_cap_stops_after_the_first_blocks(self, monkeypatch):
+        # K_16^(4) holds 32,760 first halves for x = 0 and far more absorbers;
+        # a cap of 10 reads a few blocks of extension rows, not all halves
+        H = complete_hypergraph(4, 16)
+        monkeypatch.setattr(tightpaths, "ENUMERATE_BLOCK", 16)
+        read = []
+        extension_rows = Hypergraph.extension_rows
+        monkeypatch.setattr(
+            Hypergraph,
+            "extension_rows",
+            lambda H, tails: read.append(len(tails)) or extension_rows(H, tails),
+        )
+        found = enumerate_absorbers(H, 0, cap=10)
+        # in a complete host every sequence of distinct vertices absorbs x
+        first = itertools.islice(itertools.permutations(range(1, 16), 8), 10)
+        assert [a.seq for a in found] == list(first)
+        assert sum(read) < 1000
+
     @pytest.mark.parametrize("k,n,p", [(3, 8, 0.8), (4, 9, 0.75)])
     def test_absorbable_reads_the_memoized_extension_masks(self, k, n, p, monkeypatch):
         rng = random.Random(k)
@@ -105,14 +135,19 @@ class TestAbsorbers:
         for slot, got in zip(slots, first):
             assert got == {v for v in range(n) if is_absorber_for(H, slot, v)}
         assert sum(map(bool, first)) >= 3
-        # a second pass finds every extension set in the host's mask memo
-        calls = []
-        extensions = Hypergraph.extensions
-        monkeypatch.setattr(
-            Hypergraph, "extensions", lambda H, tail: calls.append(tail) or extensions(H, tail)
-        )
+        # a second pass reads every extension row off the host's memoized
+        # extension table, and so never reaches the edge table again
+        calls = {"edge_table": 0, "extension_rows": 0}
+        for name in calls:
+            method = getattr(Hypergraph, name)
+
+            def counted(H, *args, name=name, method=method):
+                calls[name] += 1
+                return method(H, *args)
+
+            monkeypatch.setattr(Hypergraph, name, counted)
         assert [absorbable(H, slot) for slot in slots] == first
-        assert calls == []
+        assert calls["edge_table"] == 0 and calls["extension_rows"] >= 3 * k
 
 
 class TestBlocks:

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 
 from cyclefactors import absorbing, assemble, cli, cover, fractional
@@ -23,6 +24,7 @@ from cyclefactors.hypergraph import (
     format_hypergraph,
 )
 from cyclefactors.tightpaths import TightCycle
+from cyclefactors.walks import WalkError
 
 
 def seeded_random_host(n, p):
@@ -256,6 +258,30 @@ class TestWalk:
         host = write_host(tmp_path, complete_hypergraph(3, 5))
         assert main(["walk", host, "--steps", "0", "-q"]) == EXIT_PARAMS
 
+    @pytest.mark.parametrize(
+        "flag,value,why",
+        [("--walk-length", "0", "walk length must be at least 1"),
+         ("--samples", "-3", "samples must be nonnegative")],
+    )
+    def test_zero_length_or_negative_samples_is_refused_before_any_work(
+        self, flag, value, why, tmp_path, monkeypatch, capsys
+    ):
+        host = write_host(tmp_path, complete_hypergraph(3, 5))
+        monkeypatch.setattr(cli, "load_hypergraph", refuse_to_sample)
+        assert main(["walk", host, flag, value, "-q"]) == EXIT_PARAMS
+        assert f"walk: {why}" in capsys.readouterr().err
+        with pytest.raises(Sampled):
+            main(["walk", host, flag, "1", "-q"])
+
+    def test_other_walk_errors_are_parameter_errors(self, tmp_path, monkeypatch, capsys):
+        def fail(*args):
+            raise WalkError("weighting belongs to a different host")
+
+        monkeypatch.setattr(cli, "walk_distribution", fail)
+        host = write_host(tmp_path, complete_hypergraph(3, 5))
+        assert main(["walk", host, "-q"]) == EXIT_PARAMS
+        assert "different host" in capsys.readouterr().err
+
 
 class TestAbsorbers:
     def test_k7_has_720_per_vertex(self, tmp_path, capsys):
@@ -278,6 +304,14 @@ class TestAbsorbers:
         assert code == EXIT_OK
         doc = json.loads(artifact.read_text())
         assert doc["per_vertex"]["0"]["count"] == 10
+
+    def test_negative_cap_is_refused_before_any_work(self, tmp_path, monkeypatch, capsys):
+        host = write_host(tmp_path, complete_hypergraph(3, 7))
+        monkeypatch.setattr(cli, "load_hypergraph", refuse_to_sample)
+        assert main(["absorbers", host, "--cap", "-1", "-q"]) == EXIT_PARAMS
+        assert "absorbers: cap must be nonnegative" in capsys.readouterr().err
+        with pytest.raises(Sampled):
+            main(["absorbers", host, "--cap", "0", "-q"])
 
 
 class TestCover:
@@ -640,24 +674,33 @@ class TestDecompose:
         assert edges == {"reserve": reserve.m, "idle": F.m - reserve.m}
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_k12_looks_up_no_extension_mask_or_tail_index(self, tmp_path, monkeypatch, seed):
-        # the cycle family and the connectors both read the host's edge
-        # table, so no stage asks for a bitmask or the (k-1)-tail index
-        calls = {"extension_mask": 0, "_km1_index": 0}
-        for name in calls:
-            method = getattr(Hypergraph, name)
+    def test_k12_reads_every_extension_off_extension_rows(self, tmp_path, monkeypatch, seed):
+        # the cycle family and the connectors grow their paths over the rows
+        # of their host's edge table, and no stage probes N(x) vertex by
+        # vertex; every row read matches has_edge probes
+        seen = []
+        extension_rows = Hypergraph.extension_rows
 
-            def counted(self, *args, name=name, method=method):
-                calls[name] += 1
-                return method(self, *args)
+        def rows(self, tails):
+            got = extension_rows(self, tails)
+            seen.append((self, np.array(tails), got.copy()))  # callers AND into got
+            return got
 
-            monkeypatch.setattr(Hypergraph, name, counted)
+        monkeypatch.setattr(Hypergraph, "extension_rows", rows)
+        monkeypatch.setattr(Hypergraph, "extensions", refuse_to_sample)
         code = main(
             ["decompose", write_host(tmp_path, complete_hypergraph(3, 12)),
              "--targets", "12;12", "--seed", str(seed), "-q"]
         )
         assert code == EXIT_OK
-        assert calls == {"extension_mask": 0, "_km1_index": 0}
+        assert len({id(H) for H, _, _ in seen}) >= 2  # the residual and F
+        probed = {}
+        for H, tails, got in seen:
+            tails, got = tails.reshape(-1, H.k - 1), got.reshape(-1, H.n)
+            for tail, row in zip(map(tuple, tails.tolist()), got.tolist()):
+                if (id(H), tail) not in probed:
+                    probed[id(H), tail] = [H.has_edge(tail + (v,)) for v in range(H.n)]
+                assert row == probed[id(H), tail]
 
     def test_one_edge_table_per_host_per_pipeline_pass(self, tmp_path, monkeypatch):
         # the residual's enumeration and its id lookup share one table, and

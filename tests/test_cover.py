@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclefactors import cover, fractional
+from cyclefactors import cover, fractional, tightpaths
 from cyclefactors.cover import (
     CoverError,
     DecompositionError,
@@ -445,7 +445,7 @@ class TestEnumerationAgainstDFS:
         hosts = [random_host(3, 9, 0.6, 0), random_host(4, 8, 0.9, 1)]
         lengths = [range(H.k + 1, H.n + 1) for H in hosts]
         want = [[_enumerate_all(H, L, None) for L in Ls] for H, Ls in zip(hosts, lengths)]
-        monkeypatch.setattr(cover, "ENUMERATE_BLOCK", block)
+        monkeypatch.setattr(tightpaths, "ENUMERATE_BLOCK", block)
         for H, Ls, families in zip(hosts, lengths, want):
             for L, full in zip(Ls, families):
                 assert np.array_equal(_enumerate_all(H, L, None), full)
@@ -456,24 +456,26 @@ class TestEnumerationAgainstDFS:
 
 class TestEnumerationCost:
     def test_k12_residual_reuses_its_extension_masks(self, monkeypatch, check_against_dfs):
-        # the pipeline's seed-0 K_12^(3) residual: the extension table is
-        # built from the edge list, so no tail is looked up and no window is
-        # re-sorted through has_edge
+        # the pipeline's seed-0 K_12^(3) residual: every extension row is
+        # read off one table, built once from the edge table, so no window
+        # is re-sorted through has_edge
         H = complete_hypergraph(3, 12)
         reserve = sparsify_intersecting(H, 0.5, uniform_weighting(H), 0)
         rest = H.remove_edges(reserve.edges)
         assert rest.m == 118
-        calls = {"extensions": 0, "has_edge": 0}
+        calls = {"extensions": 0, "has_edge": 0, "edge_table": 0, "extension_rows": 0}
         for name in calls:
             method = getattr(Hypergraph, name)
 
-            def counted(self, arg, name=name, method=method):
+            def counted(self, *args, name=name, method=method):
                 calls[name] += 1
-                return method(self, arg)
+                return method(self, *args)
 
             monkeypatch.setattr(Hypergraph, name, counted)
         got = _enumerate_all(rest, 6, 20000)
-        assert calls == {"extensions": 0, "has_edge": 0}
+        assert calls["extensions"] == calls["has_edge"] == 0
+        assert calls["edge_table"] == 1 and calls["extension_rows"] > 1
+        assert rest._extension_table is not None
         monkeypatch.undo()
         assert [tuple(seq) for seq in got.tolist()] == check_against_dfs(rest, 6, None)
 

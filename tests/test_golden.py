@@ -1,60 +1,81 @@
-"""Byte-identity of ``decompose`` outputs under ``--normalize-timings``.
+"""Byte-identity of command outputs under ``--normalize-timings``.
 
-The sha256 of each document and factors file is pinned, so a change meant
-to leave the outputs alone (a speed-up, a refactor) is checked here rather
-than by hand.  A change that means to move them updates these values and
-says why.  The input is named by a relative path because the document
-records it.
+The sha256 of each document (and of ``decompose``'s factors file) is
+pinned, so a change meant to leave the outputs alone (a speed-up, a
+refactor) is checked here rather than by hand.  A change that means to move
+them updates these values and says why.  The input is named by a relative
+path because the document records it.
 """
 
 import hashlib
+import itertools
+import random
 
 import pytest
 
 from cyclefactors.cli import main
-from cyclefactors.hypergraph import complete_hypergraph, format_hypergraph
+from cyclefactors.hypergraph import Hypergraph, complete_hypergraph, format_hypergraph
 
-WIDE_LEFTOVER = ("--set", "delta=0.7", "--set", "theta=0.4")
 
-# (extra arguments, seed) -> (document sha256, factors sha256)
+def seeded_random_host(n, p):
+    """G(n, p): each 3-set of 0..n-1 an edge with probability p, rng seed 1."""
+    rng = random.Random(1)
+    return Hypergraph(3, n, [e for e in itertools.combinations(range(n), 3) if rng.random() < p])
+
+
+HOSTS = {
+    "K12": lambda: complete_hypergraph(3, 12),
+    "K24": lambda: complete_hypergraph(3, 24),
+    "G(9,0.7)": lambda: seeded_random_host(9, 0.7),
+}
+
+# name -> (host, command line after the input, the sha256 of its document,
+# then of its factors file for decompose)
+WIDE = "--set delta=0.7 --set theta=0.4"
 GOLDEN = {
-    ((), 0): (
+    "k12-decompose-0": ("K12", "decompose --targets 12;12 --seed 0", (
         "1561ba5cdfbf2fd61b347d22d5cf1ec9c319f1beb554ba8f4495d2d754fe8da8",
         "47e630212fad6bf795e13d67f82e40ec4806a3ccc7cd9c84849d71f462810ebc",
-    ),
-    ((), 1): (
+    )),
+    "k12-decompose-1": ("K12", "decompose --targets 12;12 --seed 1", (
         "4247c488285fde893a71106b942a74db02d1334410d2eae666316d26456d0461",
         "1a89798dc4b3f95004f3b5d2db7ea1ef46adbb927f5e5efef1a966708da40516",
-    ),
-    ((), 2): (
+    )),
+    "k12-decompose-2": ("K12", "decompose --targets 12;12 --seed 2", (
         "9c7d62aba9cff30d93963c1084f8e5a99e7d8a844d5fa56e8cc2979eb74d60d0",
         "4f7b66041aa55b9ed7afb0d0ffca3c4dee3dc509a9df21c9245454f75d02b844",
-    ),
-    (WIDE_LEFTOVER, 0): (
+    )),
+    "k12-decompose-wide-0": ("K12", f"decompose --targets 12;12 --seed 0 {WIDE}", (
         "4486a32ba645e51272243923ba0931a02af90d7b7e330175929fa905d8efabf9",
         "af835c4063b871ef5263c90828dd3b1701370e02d428ba84bfe2ada1871326c0",
-    ),
+    )),
+    "g9-absorbers": ("G(9,0.7)", "absorbers", (
+        "34c21b2689da637a3455de6da527f527cbb506eb5cabeca22c8303322c26e1c3",
+    )),
+    "g9-pfm-exact": ("G(9,0.7)", "pfm --mode exact", (
+        "b81f84dd81b8e8ee82ebd2d6f4915cd439ff01faca1bf5053284b0454d31e266",
+    )),
+    "k24-cover-0": ("K24", "cover --collections 2 --seed 0", (
+        "9a3ecdb0d8b6805f5ae19b9a583a32f8972eb28974c502d91ae8316fe520c555",
+    )),
 }
 
 
-def decompose_digests(extra, seed):
-    """(document sha256, factors sha256) of ``decompose host.txt --targets
-    12;12`` on K_12^(3) in the current directory."""
+def digests(host, command):
+    """The sha256 of each file ``command host.txt ...`` writes in the current
+    directory: its document, and its factors file for decompose."""
     with open("host.txt", "w") as fh:
-        fh.write(format_hypergraph(complete_hypergraph(3, 12)))
-    code = main([
-        "decompose", "host.txt", "--targets", "12;12", "--seed", str(seed),
-        "--normalize-timings", "-q", "--output", "run.json",
-        "--factors-out", "factors.json", *extra,
-    ])
+        fh.write(format_hypergraph(HOSTS[host]()))
+    name, *args = command.split()
+    files = ["run.json"] + (["factors.json"] if name == "decompose" else [])
+    extra = ["--factors-out", "factors.json"] if name == "decompose" else []
+    code = main([name, "host.txt", *args, "--normalize-timings", "-q", "--output", "run.json", *extra])
     assert code == 0
-    return tuple(
-        hashlib.sha256(open(name, "rb").read()).hexdigest()
-        for name in ("run.json", "factors.json")
-    )
+    return tuple(hashlib.sha256(open(f, "rb").read()).hexdigest() for f in files)
 
 
-@pytest.mark.parametrize("extra, seed", list(GOLDEN), ids=lambda x: str(x))
-def test_decompose_outputs_are_pinned(tmp_path, monkeypatch, extra, seed):
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_outputs_are_pinned(tmp_path, monkeypatch, name):
     monkeypatch.chdir(tmp_path)
-    assert decompose_digests(extra, seed) == GOLDEN[extra, seed]
+    host, command, pinned = GOLDEN[name]
+    assert digests(host, command) == pinned

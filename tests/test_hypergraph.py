@@ -90,7 +90,8 @@ class TestDegreesAndCodegrees:
         assert H.neighborhood([0, 1]) == frozenset()
 
     def test_sparse_host_on_many_vertices_answers_codegree_queries(self):
-        # the index holds only the (k-1)-sets of edges, so n does not matter
+        # extensions, codegree and neighborhood probe has_edge n times per
+        # (k-1)-set, so they never build the 5000^3-entry edge table
         H = Hypergraph(3, 5000, [(0, 1, 2), (0, 1, 3)])
         assert H.codegree((0, 1)) == 2
         assert H.neighborhood((0, 1)) == frozenset({2, 3})
@@ -100,12 +101,17 @@ class TestDegreesAndCodegrees:
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_extensions_match_has_edge_probes(self, seed):
+        # extensions probes has_edge, extension_rows reads the edge table:
+        # two independent indexes of N(x) that must agree on small hosts
         rng = random.Random(seed)
         k = rng.choice([2, 3, 4])
         H = random_hypergraph(rng, k, rng.randint(k, 8), 0.5)
-        for tail in itertools.permutations(range(H.n), k - 1):
+        tails = list(itertools.permutations(range(H.n), k - 1))
+        for tail, row in zip(tails, H.extension_rows(np.array(tails))):
             probed = tuple(v for v in range(H.n) if v not in tail and H.has_edge(tail + (v,)))
-            assert H.extensions(tail) == probed
+            assert H.extensions(tail) == tuple(np.flatnonzero(row)) == probed
+            assert H.codegree(tail) == len(probed)
+            assert H.neighborhood(tail) == frozenset(probed)
 
     def test_codegree_argument_validation(self):
         H = complete_hypergraph(3, 5)
@@ -144,21 +150,40 @@ class TestExtensionMask:
     @pytest.mark.parametrize("k,n,p", [(3, 8, 0.6), (3, 9, 0.3), (4, 8, 0.6), (4, 7, 0.4)])
     @pytest.mark.parametrize("seed", range(3))
     def test_is_the_bitmask_of_extensions_for_every_ordering(self, k, n, p, seed):
+        # every ordered (k-1)-tuple, repeated vertices included, in one call
         H = random_hypergraph(random.Random(seed), k, n, p)
-        for x in itertools.combinations(range(n), k - 1):
-            for tail in itertools.permutations(x):
-                want = sum(1 << v for v in H.extensions(tail))
-                assert H.extension_mask(tail) == want
-                assert want == sum(
-                    1 << v for v in range(n) if v not in x and H.has_edge(tail + (v,))
-                )
+        tails = list(itertools.product(range(n), repeat=k - 1))
+        rows = H.extension_rows(np.array(tails))
+        assert rows.shape == (len(tails), n) and rows.dtype == bool
+        for tail, row in zip(tails, rows.tolist()):
+            assert row == [H.has_edge(tail + (v,)) for v in range(n)]
+            if len(set(tail)) == k - 1:
+                assert tuple(np.flatnonzero(row)) == H.extensions(tail)
+        # tuples along the last axis of any shape, a single tuple included
+        shaped = H.extension_rows(np.array(tails).reshape(len(tails), 1, k - 1))
+        assert np.array_equal(shaped, rows[:, None, :])
+        assert np.array_equal(H.extension_rows(tails[-1]), rows[-1])
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_is_zero_for_tails_that_are_no_km1_set(self, k):
         H = complete_hypergraph(k, 7)
-        assert H.extension_mask(tuple(range(k - 1))) == (1 << 7) - (1 << (k - 1))
-        for tail in [(), tuple(range(k - 2)), tuple(range(k)), (0,) * (k - 1), (1, 1, 2)[: k - 1]]:
-            assert H.extension_mask(tail) == 0
+        [row] = H.extension_rows([tuple(range(k - 1))])
+        assert row.tolist() == [v >= k - 1 for v in range(7)]
+        repeats = [(0,) * (k - 1), (1, 1, 2)[: k - 1], (2, 2, 0)[: k - 1]]
+        repeats += [(0, 1, 0)] if k == 4 else []
+        assert not H.extension_rows(repeats).any()
+        assert H.extension_rows(np.empty((0, k - 1), dtype=np.intp)).shape == (0, 7)
+        for tail in [(), tuple(range(k - 2)), tuple(range(k)), (0,) * (k - 1)]:
+            assert H.extensions(tail) == ()
+
+    def test_rows_are_the_callers_and_the_table_is_built_once(self):
+        H = complete_hypergraph(3, 6)
+        rows = H.extension_rows([(0, 1), (1, 0)])
+        table = H._extension_table
+        rows &= False  # closing_rows ANDs into the rows it reads
+        assert H.extension_rows([(0, 1)]).sum() == 4 and H._extension_table is table
+        with pytest.raises(ValueError):
+            table[0, 0] = True
 
 
 class TestEdgeTable:

@@ -1,10 +1,12 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclefactors import tightpaths
 from cyclefactors.hypergraph import Hypergraph, complete_hypergraph
 from cyclefactors.tightpaths import (
     CycleFactor,
@@ -14,13 +16,13 @@ from cyclefactors.tightpaths import (
     TightnessError,
     canonical_cycle,
     classify,
-    closing_mask,
+    closing_rows,
     factors_document,
     factors_from_document,
     is_tight_cycle,
     is_tight_path,
     is_tight_walk,
-    tight_extensions,
+    grow_paths,
     verify_factor_copy,
 )
 
@@ -109,12 +111,34 @@ def extensions_by_filter(H, prefix, length, allowed):
     return out
 
 
+def free_row(n, allowed):
+    row = np.zeros(n, dtype=bool)
+    row[list(allowed)] = True
+    return row
+
+
+def grown(H, prefixes, allowed, length):
+    """Every row ``grow_paths`` yields from the given prefixes (all of one
+    length), each with its own allowed vertices, as tuples; and checks that
+    each row comes with its start's free row, cut to the vertices off it."""
+    paths = np.array(prefixes, dtype=np.intp).reshape(len(prefixes), -1)
+    free = np.array([free_row(H.n, a) for a in allowed]).reshape(len(prefixes), H.n)
+    out = []
+    for block, rest in grow_paths(H, paths, free, length):
+        assert block.shape[1] == length and len(rest) == len(block)
+        for row, left in zip(block.tolist(), rest.tolist()):
+            start = prefixes.index(tuple(row[: paths.shape[1]]))
+            assert left == [v in allowed[start] and v not in row for v in range(H.n)]
+            out.append(tuple(row))
+    return out
+
+
 class TestTightExtensions:
     def test_windows_inside_the_prefix_are_not_checked(self):
         H = Hypergraph(3, 5, [(1, 2, 3)])
-        assert list(tight_extensions(H, (0, 1, 2), 4)) == [(0, 1, 2, 3)]
-        assert list(tight_extensions(H, (0, 1, 2), 3)) == [(0, 1, 2)]
-        assert list(tight_extensions(H, (0, 1, 2), 2)) == []
+        assert grown(H, [(0, 1, 2)], [range(5)], 4) == [(0, 1, 2, 3)]
+        assert grown(H, [(0, 1, 2)], [range(5)], 3) == [(0, 1, 2)]
+        assert grown(H, [(0, 1, 2)], [range(5)], 2) == []
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=60, deadline=None)
@@ -127,34 +151,48 @@ class TestTightExtensions:
         prefix = tuple(rng.sample(range(n), rng.randint(1, k)))
         allowed = [v for v in range(n) if rng.random() < 0.8]
         length = len(prefix) + rng.randint(1, min(4, n - len(prefix)))
-        got = list(tight_extensions(H, prefix, length, allowed))
+        got = grown(H, [prefix], [allowed], length)
         assert got == extensions_by_filter(H, prefix, length, allowed)
         # the absorbers grow from the empty prefix
         empty = rng.randint(1, min(4, n))
-        got = list(tight_extensions(H, (), empty, allowed))
+        got = grown(H, [()], [allowed], empty)
         assert got == extensions_by_filter(H, (), empty, allowed)
-        # allowed=None means every vertex
-        got = list(tight_extensions(H, prefix, length, None))
-        assert got == extensions_by_filter(H, prefix, length, range(n))
         # prefix vertices in allowed are still never reused
         holding = sorted(set(allowed) | set(prefix))
-        got = list(tight_extensions(H, prefix, length, holding))
+        got = grown(H, [prefix], [holding], length)
         assert got == extensions_by_filter(H, prefix, length, holding)
-        assert got == list(tight_extensions(H, prefix, length, set(holding) - set(prefix)))
+        assert got == grown(H, [prefix], [set(holding) - set(prefix)], length)
         # a prefix longer than length has no extension
-        assert list(tight_extensions(H, prefix, len(prefix) - 1, allowed)) == []
+        assert grown(H, [prefix], [allowed], len(prefix) - 1) == []
+        # many starts, each with its own allowed vertices: the rows of each
+        # start, in the order of the starts
+        width = rng.randint(1, k)
+        starts = sorted({tuple(rng.sample(range(n), width)) for _ in range(5)})
+        allow = [[v for v in range(n) if rng.random() < 0.8] for _ in starts]
+        size = width + rng.randint(1, min(3, n - width))
+        want = [w for p, a in zip(starts, allow) for w in extensions_by_filter(H, p, size, a)]
+        assert grown(H, starts, allow, size) == want == sorted(want)
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_block_size_leaves_the_rows_unchanged(self, block, monkeypatch):
+        H = Hypergraph(3, 8, [e for e in itertools.combinations(range(8), 3) if sum(e) % 4])
+        starts = [(v,) for v in range(8)]
+        want = grown(H, starts, [range(8)] * 8, 4)
+        monkeypatch.setattr(tightpaths, "ENUMERATE_BLOCK", block)
+        blocks = [len(b) for b, _ in grow_paths(H, np.arange(8)[:, None], np.ones((8, 8), bool), 4)]
+        assert max(blocks) <= block and sum(blocks) == len(want) > 100
+        assert grown(H, starts, [range(8)] * 8, 4) == want
 
 
 def closing_by_probes(H, before, after):
-    # definitional oracle: bit u is set when every k-window through u of
+    # definitional oracle: u is in the row when every k-window through u of
     # before[-(k-1):] + (u,) + after[:k-1] is an edge
     k = H.k
-    mask = 0
+    row = []
     for u in range(H.n):
         seq = tuple(before[len(before) - k + 1 :]) + (u,) + tuple(after[: k - 1])
-        if all(H.has_edge(seq[j : j + k]) for j in range(k)):
-            mask |= 1 << u
-    return mask
+        row.append(all(H.has_edge(seq[j : j + k]) for j in range(k)))
+    return row
 
 
 class TestClosingMask:
@@ -164,19 +202,21 @@ class TestClosingMask:
         rng = random.Random(host_seed)
         pool = itertools.combinations(range(n), k)
         H = Hypergraph(k, n, [e for e in pool if rng.random() < p])
-        masks = set()
-        # every ordering of distinct end vertices
-        for ends in itertools.permutations(range(n), 2 * (k - 1)):
-            before, after = ends[: k - 1], ends[k - 1 :]
-            got = closing_mask(H, before, after)
-            assert got == closing_by_probes(H, before, after)
-            masks.add(got)
-        assert 0 in masks and len(masks) > 2
+        # every ordering of distinct end vertices, in one call
+        ends = np.array(list(itertools.permutations(range(n), 2 * (k - 1))))
+        got = closing_rows(H, ends[:, : k - 1], ends[:, k - 1 :])
+        assert got.shape == (len(ends), n) and got.dtype == bool
+        for row, e in zip(got.tolist(), ends.tolist()):
+            assert row == closing_by_probes(H, e[: k - 1], e[k - 1 :])
+        assert not got.all(axis=1).any() and len({r.tobytes() for r in got}) > 2
+        assert (~got.any(axis=1)).any()
         # longer ends (only their inner k-1 vertices count), repeated vertices
-        for _ in range(300):
-            before = tuple(rng.choices(range(n), k=rng.randint(k - 1, k + 2)))
-            after = tuple(rng.choices(range(n), k=rng.randint(k - 1, k + 2)))
-            assert closing_mask(H, before, after) == closing_by_probes(H, before, after)
+        for _ in range(100):
+            wide = rng.randint(k - 1, k + 2), rng.randint(k - 1, k + 2)
+            before = np.array([rng.choices(range(n), k=wide[0]) for _ in range(3)])
+            after = np.array([rng.choices(range(n), k=wide[1]) for _ in range(3)])
+            got = closing_rows(H, before, after).tolist()
+            assert got == [closing_by_probes(H, b, a) for b, a in zip(before, after)]
 
 
 class TestTightPath:
