@@ -238,7 +238,8 @@ def cmd_analyze(args) -> int:
     _say(config, f"n = {H.n}")
     _say(config, f"m = {H.m}")
     _say(config, f"delta_{H.k - 1} = {report.delta_codegree}")
-    _say(config, f"eta_star = {_rational(report.eta_star)}")
+    eta = report.eta_star
+    _say(config, f"eta_star = {'undefined' if eta is None else _rational(eta)}")
     _say(config, f"rho_star = {_rational(report.rho_star)}")
     _say(config, "degree histogram:")
     for degree in sorted(histogram):

@@ -8,17 +8,17 @@ or sampled cycle family).  The family stays in numpy integer arrays from
 enumeration to extraction: the result is a pair (cycles, weights), an
 N x L array of canonical vertex sequences in canonical order and their N
 positive weights, checked by ``check_edge_sums``.  Every cycle's edges are
-one lookup of its cyclic windows in the host's ``edge_table``, made once
-per family and carried by the pair (a ``Decomposition``).  The table is
-built once per host and kept on it; ``assemble.connectors`` searches the
-same table of its graph F.  The family's edge-by-cycle incidence is a
-``fractional.Incidence``, so the weighting runs on numpy alone and never
-loads scipy.  The enumeration grows tight (L-1)-vertex paths with
-``tightpaths.grow_paths``, in blocks of rows of the host's
-``extension_rows`` (that table read as booleans), and closes each path
-with ``tightpaths.closing_rows``: the closing vertex must extend all k
-cyclic windows that contain it.  The sampled family's shuffled search
-reads its candidates and closing vertices from the same rows.
+one lookup of its cyclic windows in the host's edge table (``edge_ids``),
+the one tightness check of the family, made once and carried by the pair
+(a ``Decomposition``).  The table is built once per host and kept on it;
+``assemble.connectors`` searches the same table of its graph F.  The
+family's edge-by-cycle incidence is a ``fractional.Incidence``, so the
+weighting runs on numpy alone and never loads scipy.  The enumeration
+grows tight (L-1)-vertex paths with ``tightpaths.grow_paths``, in blocks
+of rows of the host's ``extension_rows`` (that table read as booleans),
+and closes each path with ``tightpaths.closing_rows``: the closing vertex
+must extend all k cyclic windows that contain it.  The sampled family's
+shuffled search reads the same rows and returns canonical int rows too.
 Second, ``extract_cycle_collections`` rounds the fractional solution into r
 edge-disjoint collections of vertex-disjoint L-cycles by a weight-driven
 randomized greedy, with coverage gates checked per collection; it redraws up
@@ -42,8 +42,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .fractional import Incidence, ScalingError, linprog, polish, scale_to_ones
-from .hypergraph import Hypergraph, place_values
-from .tightpaths import TightCycle, closing_rows, grow_paths
+from .hypergraph import Hypergraph
+from .tightpaths import TightCycle, canonical_cycle, closing_rows, grow_paths
 
 __all__ = [
     "CoverError",
@@ -104,7 +104,7 @@ def _enumerate_all(H: Hypergraph, L: int, cap: Optional[int]):
 def _edge_ids(H: Hypergraph, cycles: np.ndarray) -> np.ndarray:
     """The edge id of every cyclic k-window of every cycle, shaped as cycles.
 
-    One lookup of the windows in the host's ``edge_table``.  CoverError
+    One ``Hypergraph.edge_ids`` lookup of the windows.  CoverError
     names the first row that is no tight cycle of H: a vertex outside the
     host, a repeated vertex or a window that is no edge (the checks of the
     ``TightCycle`` constructor).
@@ -114,8 +114,7 @@ def _edge_ids(H: Hypergraph, cycles: np.ndarray) -> np.ndarray:
     outside = ((cycles < 0) | (cycles >= n)).any(axis=1)
     # clipped so that a vertex outside the host reads inside the table
     closed = np.concatenate((cycles, cycles[:, : k - 1]), axis=1).clip(0, n - 1)
-    windows = closed[:, np.arange(L)[:, None] + np.arange(k)]
-    ids = H.edge_table()[windows @ place_values(n, k)]
+    ids = H.edge_ids(closed[:, np.arange(L)[:, None] + np.arange(k)])
     bad = (
         outside
         | (ids < 0).any(axis=1)
@@ -143,7 +142,8 @@ def cycles_through_edge(
     of a path are its ``extension_rows`` row.  A path on L-1 vertices reads
     the rows of all k windows through its closing vertex in the same call
     (as ``tightpaths.closing_rows`` reads them), and its closing vertices
-    are their AND.
+    are their AND, so every closed sequence is a tight cycle.  Returns
+    their canonical sequences, an N x L int array in canonical order.
     """
     _check_cycle_length(H, L)
     edge = tuple(sorted(edge))
@@ -151,7 +151,7 @@ def cycles_through_edge(
         raise CoverError(f"{edge!r} is not an edge of the host")
     k = H.k
     rng = random.Random(seed) if seed is not None else None
-    found = {}
+    found = set()
 
     def order(items):
         items = list(items)
@@ -176,14 +176,13 @@ def cycles_through_edge(
             if len(seq) < L - 1:
                 rec(seq + (v,))
             elif closers[v]:
-                C = TightCycle(H, seq + (v,))
-                found.setdefault(C.canonical(), C)
+                found.add(canonical_cycle(seq + (v,)))
 
     for start in order(list(itertools.permutations(edge))):
         if limit is not None and len(found) >= limit:
             break
         rec(start)
-    return sorted(found.values(), key=lambda C: C.canonical())
+    return np.array(sorted(found), dtype=np.intp).reshape(-1, L)
 
 
 def _check_cycle_length(H: Hypergraph, L: int) -> None:
@@ -247,7 +246,7 @@ def check_edge_sums(H: Hypergraph, pair) -> None:
 def fractional_cycle_decomposition(
     H: Hypergraph,
     L: int,
-    family: Optional[Iterable[TightCycle]] = None,
+    family: Optional[Iterable] = None,
     per_edge: int = 12,
     seed: int = 0,
 ) -> tuple:
@@ -255,7 +254,8 @@ def fractional_cycle_decomposition(
 
     The family is the full set of L-vertex cycles when it fits under
     ``ENUMERATE_CAP``; otherwise a seeded sample of up to ``per_edge`` cycles
-    through each edge.  An edge through which no L-cycle passes at all makes
+    through each edge, or the given ``family`` (cycles of H on L vertices),
+    deduplicated once.  An edge through which no L-cycle passes at all makes
     the problem infeasible.  The weights are the maximum-entropy solution
     (``fractional.scale_to_ones``), polished onto the per-edge sums; the
     extraction uses them only as draw probabilities.  When some positive
@@ -272,26 +272,25 @@ def fractional_cycle_decomposition(
         raise CoverError("host has no edges")
     cycles = _enumerate_all(H, L, ENUMERATE_CAP) if family is None else None
     if cycles is None:
-        forms = set()
+        rows = [np.empty((0, L), dtype=np.intp)]  # blocks of canonical rows
         if family is None:
             rng = random.Random(seed)
             for e in H.edges:
                 got = cycles_through_edge(
                     H, L, e, limit=per_edge, seed=rng.randrange(2**63)
                 )
-                if not got:
+                if not len(got):
                     raise DecompositionError(
                         f"no cycle on {L} vertices passes through edge {e!r}"
                     )
-                forms.update(C.canonical() for C in got)
+                rows.append(got)
         else:
             for C in family:
-                if not isinstance(C, TightCycle):
-                    C = TightCycle(H, C)
-                if C.host != H or len(C) != L:
+                seq = tuple(C.seq if isinstance(C, TightCycle) else C)
+                if len(seq) != L or isinstance(C, TightCycle) and C.host != H:
                     raise CoverError("family cycle host or length mismatch")
-                forms.add(C.canonical())
-        cycles = np.array(sorted(forms), dtype=np.intp).reshape(-1, L)
+                rows.append([canonical_cycle(seq)])
+        cycles = np.unique(np.concatenate(rows), axis=0)  # sorted: canonical order
 
     ids = _edge_ids(H, cycles)
     uncovered = np.flatnonzero(np.bincount(ids.ravel(), minlength=H.m) == 0)

@@ -3,9 +3,9 @@
 A Hypergraph is an immutable value: ``k``, a dense vertex range ``0..n-1``, and a
 set of k-edges stored as sorted tuples. Degree d(v), codegree d(x) of a j-set x,
 the neighborhood N(x) of a (k-1)-set, the edge table (the edge id of every
-ordered k-tuple) and ``extension_rows``, the one extension index that every
-tight-sequence search reads (the N(x) of many ordered (k-1)-tuples at once,
-as boolean rows of that table), induced subgraphs, ``rho_star`` (the
+ordered k-tuple, read by ``edge_ids``) and ``extension_rows``, the one
+extension index that every tight-sequence search reads (the N(x) of many
+ordered (k-1)-tuples at once, as boolean rows of that table), induced subgraphs, ``rho_star`` (the
 approximate regularity every pipeline stage re-checks) and the plain-text
 serialization format live here. Graphs
 derived from a host by dropping edges skip the input checks. The full
@@ -45,7 +45,6 @@ class Hypergraph:
         "_degrees",
         "_codegree_cache",
         "_edge_table",
-        "_extension_table",
         "_hash",
     )
 
@@ -104,7 +103,6 @@ class Hypergraph:
         object.__setattr__(self, "_degrees", tuple(degs))
         object.__setattr__(self, "_codegree_cache", {})
         object.__setattr__(self, "_edge_table", None)
-        object.__setattr__(self, "_extension_table", None)
         object.__setattr__(self, "_hash", hash((k, n, edges)))
 
     def __setattr__(self, name, value):  # immutability guard for public fields
@@ -170,7 +168,7 @@ class Hypergraph:
         read as one base-n number (``place_values``).  As an n^(k-1) x n
         array, row x holds the ids of the edges x + (v,), so its entries
         >= 0 are the extension set of the ordered (k-1)-tuple x.  Built on
-        first use, kept and read-only.
+        first use, kept and read-only; no other module reads its keys.
         """
         table = self._edge_table
         if table is None:
@@ -183,22 +181,22 @@ class Hypergraph:
             object.__setattr__(self, "_edge_table", table)
         return table
 
+    def edge_ids(self, tuples) -> np.ndarray:
+        """The ``edge_table`` entry (edge id or -1) of every ordered k-tuple
+        of vertices along the last axis of ``tuples``, in its place."""
+        return self.edge_table()[np.dot(tuples, place_values(self.n, self.k))]
+
     def extension_rows(self, tails) -> np.ndarray:
         """N(x) of every ordered (k-1)-tuple x in ``tails`` (an int array
         whose last axis holds the tuples, say N x (k-1)), as boolean rows
         of n entries in its place (an N x n array): entry v is True iff
         x + (v,) is an edge.  A tuple with a repeated vertex gets a row of
         False.  The one extension index that every tight-sequence search
-        reads: the rows of ``edge_table`` >= 0, an n^(k-1) x n boolean
-        table built from it on first use and kept.
+        reads: the rows of ``edge_table`` >= 0, a fresh array.
         """
-        table = self._extension_table
-        if table is None:
-            n = self.n
-            table = self.edge_table().reshape(n ** (self.k - 1), n) >= 0
-            table.flags.writeable = False
-            object.__setattr__(self, "_extension_table", table)
-        return table.take(np.dot(tails, place_values(self.n, self.k - 1)), axis=0)
+        n, k = self.n, self.k
+        rows = self.edge_table().reshape(n ** (k - 1), n)
+        return rows.take(np.dot(tails, place_values(n, k - 1)), axis=0) >= 0
 
     def neighborhood(self, x: Iterable[int]) -> frozenset:
         """N(x) = {v : x + v is an edge} for a (k-1)-set x."""

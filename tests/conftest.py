@@ -16,7 +16,7 @@ from cyclefactors.cover import (
     extract_cycle_collections,
 )
 from cyclefactors.fractional import polish
-from cyclefactors.tightpaths import TightCycle
+from cyclefactors.tightpaths import TightCycle, canonical_cycle
 
 
 def inequality_form_z(A):
@@ -195,11 +195,12 @@ def recursive_cycles_through_edge(H, L, edge, limit=None, seed=None):
     ``has_edge`` for each next vertex, grows every path to L vertices and
     then probes ``_close_ok``, checking ``limit`` on entry to every level.
     Kept only as an oracle; it assumes the argument checks already passed.
+    Returns the canonical sequences of the cycles found, in canonical order.
     """
     edge = tuple(sorted(edge))
     k = H.k
     rng = random.Random(seed) if seed is not None else None
-    found = {}
+    found = set()
 
     def order(items):
         items = list(items)
@@ -212,8 +213,7 @@ def recursive_cycles_through_edge(H, L, edge, limit=None, seed=None):
             return
         if len(seq) == L:
             if _close_ok(H, seq):
-                C = TightCycle(H, seq)
-                found.setdefault(C.canonical(), C)
+                found.add(canonical_cycle(seq))
             return
         tail = tuple(seq[-k + 1 :])
         for v in order(u for u in range(H.n) if H.has_edge(tail + (u,))):
@@ -229,18 +229,20 @@ def recursive_cycles_through_edge(H, L, edge, limit=None, seed=None):
         if limit is not None and len(found) >= limit:
             break
         rec(list(start), set(start))
-    return sorted(found.values(), key=lambda C: C.canonical())
+    return sorted(found)
 
 
 @pytest.fixture
 def check_against_recursive_dfs():
     """Sample through ``cycles_through_edge`` and compare it with the
-    recursive DFS: the same cycles, found as the same sequences."""
+    recursive DFS: the same cycles, as the same canonical rows in the same
+    order."""
 
     def check(H, L, edge, limit, seed):
         got = cycles_through_edge(H, L, edge, limit=limit, seed=seed)
         want = recursive_cycles_through_edge(H, L, edge, limit=limit, seed=seed)
-        assert [C.seq for C in got] == [C.seq for C in want]
+        assert got.shape == (len(want), L) and got.dtype == np.intp
+        assert [tuple(row) for row in got.tolist()] == want
         return want
 
     return check

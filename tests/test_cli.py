@@ -169,6 +169,18 @@ class TestAnalyze:
         assert doc["report"]["delta_codegree"] == 3
         assert doc["degree_histogram"] == {"6": 5}
 
+    @pytest.mark.parametrize("text", ["3 5 0\n", "3 3 1\n0 1 2\n"])
+    def test_eta_star_is_undefined_without_a_disjoint_pair(self, tmp_path, capsys, text):
+        # an edgeless host, and one with n < 2(k-1)
+        host = tmp_path / "host.txt"
+        host.write_text(text)
+        assert main(["analyze", str(host)]) == EXIT_OK
+        assert "eta_star = undefined" in capsys.readouterr().out
+        artifact = tmp_path / "analyze.json"
+        assert main(["analyze", str(host), "-q", "--output", str(artifact)]) == EXIT_OK
+        assert json.loads(artifact.read_text())["report"]["eta_star"] is None
+        assert capsys.readouterr().out == ""
+
     def test_parse_errors_name_the_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("k=3 n=5\n0 1 2\n")

@@ -115,16 +115,19 @@ class TestCyclesThroughEdge:
         # 12 Hamilton cycles, 5 edges each, 10 edges total: 6 through each
         H = complete_hypergraph(3, 5)
         got = cycles_through_edge(H, 5, (0, 1, 2))
-        assert len(got) == 6
-        for C in got:
-            assert (0, 1, 2) in C.edges()
+        assert got.shape == (6, 5) and got.dtype == np.intp
+        rows = [tuple(seq) for seq in got.tolist()]
+        assert rows == sorted(set(rows)) == [canonical_cycle(seq) for seq in rows]
+        for seq in rows:
+            assert is_tight_cycle(H, seq)
+            assert any(set((seq + seq)[i : i + 3]) == {0, 1, 2} for i in range(5))
 
     def test_limit_returns_subset(self):
         H = complete_hypergraph(3, 5)
-        full = {C.canonical() for C in cycles_through_edge(H, 5, (0, 1, 2))}
+        full = {tuple(seq) for seq in cycles_through_edge(H, 5, (0, 1, 2)).tolist()}
         some = cycles_through_edge(H, 5, (0, 1, 2), limit=3, seed=11)
-        assert len(some) == 3
-        assert {C.canonical() for C in some} <= full
+        assert some.shape == (3, 5)
+        assert {tuple(seq) for seq in some.tolist()} <= full
 
     @pytest.mark.parametrize("k,n,p", [(3, 8, 0.8), (3, 9, 0.6), (4, 8, 0.85)])
     def test_matches_the_recursive_dfs(self, k, n, p, check_against_recursive_dfs):
@@ -141,7 +144,7 @@ class TestCyclesThroughEdge:
         assert truncated >= 10
 
     def test_empty_result_proves_absence(self):
-        assert cycles_through_edge(path_host(), 5, (0, 1, 2)) == []
+        assert cycles_through_edge(path_host(), 5, (0, 1, 2)).shape == (0, 5)
 
     def test_non_edge_rejected(self):
         with pytest.raises(CoverError):
@@ -187,6 +190,40 @@ class TestFractionalDecomposition:
         again = fractional_cycle_decomposition(k12, 10, seed=1)
         assert again[0].tolist() == k12_frac[0].tolist()
         assert again[1].tolist() == k12_frac[1].tolist()
+
+    def test_no_family_path_builds_a_tight_cycle(self, monkeypatch):
+        # the sampler's closing rows prove each cycle tight, and _edge_ids
+        # checks every family row once; no family cycle becomes an object
+        built, sampled = [], []
+        init, sample = TightCycle.__init__, cover.cycles_through_edge
+
+        def counted_init(C, *args):
+            built.append(args)
+            init(C, *args)
+
+        def counted_sample(*args, **kwargs):
+            sampled.append(args)
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(TightCycle, "__init__", counted_init)
+        monkeypatch.setattr(cover, "cycles_through_edge", counted_sample)
+        fractional_cycle_decomposition(complete_hypergraph(3, 12), 10, seed=1)
+        H = complete_hypergraph(3, 6)
+        fractional_cycle_decomposition(H, 5, family=_enumerate_all(H, 5, None).tolist())
+        assert len(sampled) == 220 and built == []
+
+    def test_given_family_is_checked_before_any_weighting(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("weighed an unchecked family")
+
+        monkeypatch.setattr(cover, "scale_to_ones", refuse)
+        H = complete_hypergraph(3, 6)
+        family = _enumerate_all(H, 5, None).tolist()
+        with pytest.raises(CoverError, match="length mismatch"):
+            fractional_cycle_decomposition(H, 5, family=family + [[0, 1, 2, 3]])
+        G = H.remove_edges([(0, 1, 2)])
+        with pytest.raises(CoverError, match=r"\(0, 1, 2, 3, 4\) is not a tight cycle"):
+            fractional_cycle_decomposition(G, 5, family=family)
 
     def test_cycles_come_in_canonical_order(self, k12_frac):
         # extraction's draws index the cycles in this order
@@ -457,8 +494,8 @@ class TestEnumerationAgainstDFS:
 class TestEnumerationCost:
     def test_k12_residual_reuses_its_extension_masks(self, monkeypatch, check_against_dfs):
         # the pipeline's seed-0 K_12^(3) residual: every extension row is
-        # read off one table, built once from the edge table, so no window
-        # is re-sorted through has_edge
+        # read off the edge table, built once, so no window is re-sorted
+        # through has_edge
         H = complete_hypergraph(3, 12)
         reserve = sparsify_intersecting(H, 0.5, uniform_weighting(H), 0)
         rest = H.remove_edges(reserve.edges)
@@ -468,14 +505,15 @@ class TestEnumerationCost:
             method = getattr(Hypergraph, name)
 
             def counted(self, *args, name=name, method=method):
-                calls[name] += 1
+                # the edge_table calls that build the table
+                calls[name] += name != "edge_table" or self._edge_table is None
                 return method(self, *args)
 
             monkeypatch.setattr(Hypergraph, name, counted)
         got = _enumerate_all(rest, 6, 20000)
         assert calls["extensions"] == calls["has_edge"] == 0
         assert calls["edge_table"] == 1 and calls["extension_rows"] > 1
-        assert rest._extension_table is not None
+        assert rest._edge_table is not None
         monkeypatch.undo()
         assert [tuple(seq) for seq in got.tolist()] == check_against_dfs(rest, 6, None)
 

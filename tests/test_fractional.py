@@ -346,14 +346,15 @@ def k12_cycle_family():
     """The edge-by-cycle 0/1 matrix of a sampled K_12^(3) family of 6-cycles,
     as the cover builds it: one column per cycle, 6 ones in each."""
     H = complete_hypergraph(3, 12)
-    cycles = {}
+    cycles = set()
     for seed, e in enumerate(H.edges):
-        for C in cycles_through_edge(H, 6, e, limit=3, seed=seed):
-            cycles.setdefault(C.canonical(), C)
+        cycles.update(map(tuple, cycles_through_edge(H, 6, e, limit=3, seed=seed).tolist()))
     index = {e: i for i, e in enumerate(H.edges)}
     rows, cols = [], []
-    for j, C in enumerate(sorted(cycles.values(), key=lambda C: C.canonical())):
-        for e in C.edges():
+    for j, seq in enumerate(sorted(cycles)):
+        for i in range(6):
+            e = tuple(sorted((seq + seq)[i : i + 3]))
+            assert H.has_edge(e)
             rows.append(index[e])
             cols.append(j)
     return rows, cols, (H.m, len(cycles))

@@ -58,6 +58,11 @@ GOLDEN = {
     "k24-cover-0": ("K24", "cover --collections 2 --seed 0", (
         "9a3ecdb0d8b6805f5ae19b9a583a32f8972eb28974c502d91ae8316fe520c555",
     )),
+    # the residual's cycle family is sampled (cycles_through_edge) end to end
+    "k24-decompose-0": ("K24", "decompose --targets 24;24 --seed 0", (
+        "eff74db77aab92afb35c7ab8b5dbaaa9d6d3b73fe7839fde659bd6599197a3a4",
+        "7e8aa991af63f4733cd2f55f1140af90b995d6ca7554681e206a87cefcba525d",
+    )),
 }
 
 

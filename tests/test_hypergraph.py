@@ -1,6 +1,7 @@
 import itertools
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -179,14 +180,32 @@ class TestExtensionMask:
     def test_rows_are_the_callers_and_the_table_is_built_once(self):
         H = complete_hypergraph(3, 6)
         rows = H.extension_rows([(0, 1), (1, 0)])
-        table = H._extension_table
+        table = H._edge_table
         rows &= False  # closing_rows ANDs into the rows it reads
-        assert H.extension_rows([(0, 1)]).sum() == 4 and H._extension_table is table
+        again = H.extension_rows([(0, 1)])
+        assert again.tolist() == [[H.has_edge((0, 1, v)) for v in range(6)]]
+        assert again.sum() == 4 and H._edge_table is table
+        # the host keeps the int32 edge table alone, read-only
+        assert table.dtype == np.int32 and not hasattr(H, "_extension_table")
         with pytest.raises(ValueError):
-            table[0, 0] = True
+            table[0] = 0
 
 
 class TestEdgeTable:
+    def test_is_the_hosts_one_table(self):
+        # a sparse 4-graph, whose edge array is small beside its n^k table:
+        # the first extension_rows call builds 4 bytes per ordered k-tuple
+        H = random_hypergraph(random.Random(1), 4, 40, 0.022)
+        assert 1900 < H.m < 2100
+        tracemalloc.start()
+        try:
+            H.extension_rows([(0, 1, 2)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * H.n**H.k
+
+
     @pytest.mark.parametrize("k,n,p", [(3, 8, 0.6), (4, 7, 0.4), (2, 6, 0.5)])
     def test_lists_the_edge_id_of_every_ordering(self, k, n, p):
         H = random_hypergraph(random.Random(k), k, n, p)
