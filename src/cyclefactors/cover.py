@@ -8,11 +8,15 @@ or sampled cycle family).  The family stays in numpy integer arrays from
 enumeration to extraction: the result is a pair (cycles, weights), an
 N x L array of canonical vertex sequences in canonical order and their N
 positive weights, checked by ``check_edge_sums``.  Every cycle's edges are
-one lookup of its cyclic windows in the host's edge table (``edge_ids``),
-the one tightness check of the family, made once and carried by the pair
-(a ``Decomposition``).  The table is built once per host and kept on it;
+one lookup of its cyclic windows in the host's edge table
+(``Hypergraph.window_ids``, its keys summed from column slices of the
+cycles closed into one int32 array), the one tightness check of the
+family, made once and carried by the pair (a ``Decomposition``) as an
+N x L int32 id matrix.  The table is built once per host and kept on it;
 ``assemble.connectors`` searches the same table of its graph F.  The
-family's edge-by-cycle incidence is a ``fractional.Incidence``, so the
+family's edge-by-cycle incidence is a ``fractional.Incidence`` built from
+that id matrix sorted along its rows (``Incidence.from_columns``), so it
+holds one more N x L int32 array and no position arrays, and the
 weighting runs on numpy alone and never loads scipy.  The enumeration
 grows tight (L-1)-vertex paths with ``tightpaths.grow_paths``, in blocks
 of rows of the host's ``extension_rows`` (that table read as booleans),
@@ -102,23 +106,30 @@ def _enumerate_all(H: Hypergraph, L: int, cap: Optional[int]):
 
 
 def _edge_ids(H: Hypergraph, cycles: np.ndarray) -> np.ndarray:
-    """The edge id of every cyclic k-window of every cycle, shaped as cycles.
+    """The edge id of every cyclic k-window of every cycle: an int32 array
+    shaped as cycles, the id matrix that ``Incidence.from_columns`` reads.
 
-    One ``Hypergraph.edge_ids`` lookup of the windows.  CoverError
-    names the first row that is no tight cycle of H: a vertex outside the
-    host, a repeated vertex or a window that is no edge (the checks of the
-    ``TightCycle`` constructor).
+    The cycles are closed into one N x (L + k - 1) int32 array (each row
+    followed by its first k-1 vertices), clipped in place, and
+    ``Hypergraph.window_ids`` sums each window's table key from k column
+    slices of it.  CoverError names the first row that is no tight cycle
+    of H: a vertex outside the host, a repeated vertex or a window that is
+    no edge (the checks of the ``TightCycle`` constructor).
     """
     n, k = H.n, H.k
     L = cycles.shape[1]
     outside = ((cycles < 0) | (cycles >= n)).any(axis=1)
+    closed = np.empty((len(cycles), L + k - 1), dtype=np.int32)
     # clipped so that a vertex outside the host reads inside the table
-    closed = np.concatenate((cycles, cycles[:, : k - 1]), axis=1).clip(0, n - 1)
-    ids = H.edge_ids(closed[:, np.arange(L)[:, None] + np.arange(k)])
+    np.clip(cycles, 0, n - 1, out=closed[:, :L])
+    closed[:, L:] = closed[:, : k - 1]
+    ids = H.window_ids(closed)
+    # a clipped row repeats a vertex only when it is outside already
+    ordered = np.sort(closed[:, :L], axis=1)
     bad = (
         outside
         | (ids < 0).any(axis=1)
-        | (np.diff(np.sort(cycles, axis=1), axis=1) == 0).any(axis=1)
+        | (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
     )
     if bad.any():
         row = tuple(cycles[np.argmax(bad)].tolist())
@@ -293,13 +304,15 @@ def fractional_cycle_decomposition(
         cycles = np.unique(np.concatenate(rows), axis=0)  # sorted: canonical order
 
     ids = _edge_ids(H, cycles)
-    uncovered = np.flatnonzero(np.bincount(ids.ravel(), minlength=H.m) == 0)
+    covered = np.zeros(H.m, dtype=bool)
+    covered[ids] = True
+    uncovered = np.flatnonzero(~covered)
     if len(uncovered):
         raise DecompositionError(
             f"no cycle on {L} vertices passes through edge {H.edges[uncovered[0]]!r}"
         )
 
-    A = Incidence(ids.ravel(), np.repeat(np.arange(len(cycles)), L), (H.m, len(cycles)))
+    A = Incidence.from_columns(ids, H.m)
     try:
         w = scale_to_ones(A)
     except ScalingError as exc:
@@ -374,13 +387,16 @@ def check_collections(H: Hypergraph, r: int) -> None:
         )
 
 
-def _rows_through(ids: np.ndarray, size: int) -> list:
-    """For each value below ``size``, the ascending indices of the rows of
-    ``ids`` that hold it."""
+def _rows_through(ids: np.ndarray, size: int) -> tuple:
+    """(rows, starts): for each value e below ``size``, the ascending
+    indices of the rows of ``ids`` that hold it are
+    rows[starts[e] : starts[e + 1]]."""
     flat = ids.ravel()
     # a stable sort of unsigned ints of 16 bits or fewer is a radix sort
     order = np.argsort(flat.astype(np.min_scalar_type(size)), kind="stable")
-    return np.split(order // ids.shape[1], np.cumsum(np.bincount(flat, minlength=size))[:-1])
+    starts = np.zeros(size + 1, dtype=np.intp)
+    np.cumsum(np.bincount(flat, minlength=size), out=starts[1:])
+    return order // ids.shape[1], starts
 
 
 def _draw(rng: random.Random, weights: np.ndarray) -> int:
@@ -462,7 +478,7 @@ def extract_cycle_collections(
     ids = _pair_ids(H, pair)
     scaled = np.asarray(weights, dtype=float) / gamma
     words = _vertex_words(cycles, H.n)
-    through_edge = _rows_through(ids, H.m)
+    through, starts = _rows_through(ids, H.m)
     master = random.Random(seed)
     best = None
     diagnostics = []
@@ -482,7 +498,9 @@ def extract_cycle_collections(
                 pool = pool[met == 0]
             coll = np.array(coll, dtype=np.intp)
             if len(coll):
-                dead[np.concatenate([through_edge[e] for e in ids[coll].ravel()])] = True
+                edges = ids[coll].ravel()
+                spans = zip(starts[edges].tolist(), starts[edges + 1].tolist())
+                dead[np.concatenate([through[a:b] for a, b in spans])] = True
             picks.append(coll)
         _check_picks(H, cycles, ids, picks)
         coverages = [cycles.shape[1] * len(coll) for coll in picks]

@@ -215,34 +215,55 @@ def redistribute_pfm(
 
 
 class Incidence:
-    """A 0/1 matrix: the positions of its ones, by column, then by row.
+    """A 0/1 matrix: the row of each of its ones, by column, then by row.
 
     ``dot`` and ``tdot`` add the terms of every sum in the order that
     scipy's CSR products add them (ascending column in A x, ascending row
     in A^T y, each starting from 0), so they return the same bits.  When
-    every column holds the same number of ones, ``gram`` assembles the
-    dense A diag(w) A^T from them.
+    every column holds the same number c of ones (every cycle has L edges,
+    every edge k vertices), the matrix is one N x c int32 array whose row j
+    lists the rows of column j's ones, ascending: ``rows`` reads it flat,
+    ``_grid`` is its c x N transpose, both views, and ``cols`` is None.
+    ``gram`` then assembles the dense A diag(w) A^T.  Otherwise ``rows``
+    and ``cols`` list the positions of the ones.
     """
 
     __slots__ = ("rows", "cols", "shape", "col_counts", "_grid")
 
     def __init__(self, rows, cols, shape):
+        """The ones at the positions (rows[i], cols[i])."""
         rows = np.asarray(rows, dtype=np.intp)
         cols = np.asarray(cols, dtype=np.intp)
-        key = cols * shape[0] + rows
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        if np.any(key[1:] == key[:-1]):
-            raise FractionalError("a 0/1 matrix holds each position at most once")
-        self.rows, self.cols, self.shape = rows[order], cols[order], tuple(shape)
-        self.col_counts = np.bincount(self.cols, minlength=shape[1])
-        # equal column counts (every cycle has L edges, every edge k
-        # vertices): the rows of column j fill column j of the grid
-        counts = self.col_counts
+        order = np.argsort(cols * shape[0] + rows, kind="stable")
+        rows, cols = rows[order], cols[order]
+        self.shape = tuple(shape)
+        counts = np.bincount(cols, minlength=shape[1])
         if len(counts) and counts.min() == counts.max() > 0:
-            self._grid = self.rows.reshape(shape[1], -1).T.copy()
-        else:
-            self._grid = None
+            self._set_columns(rows.reshape(shape[1], -1))
+            return
+        if np.any((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])):
+            raise FractionalError("a 0/1 matrix holds each position at most once")
+        self.rows, self.cols, self.col_counts, self._grid = rows, cols, counts, None
+
+    @classmethod
+    def from_columns(cls, columns, rows: int) -> "Incidence":
+        """The 0/1 matrix with ``rows`` rows whose column j has its ones in
+        the rows columns[j], for an N x c int array ``columns``.  Sorted
+        along its rows, ``columns`` is the order that the constructor's
+        sort gives, so no position array is built."""
+        A = cls.__new__(cls)
+        A.shape = (rows, len(columns))
+        A._set_columns(np.sort(columns, axis=1))
+        return A
+
+    def _set_columns(self, columns) -> None:
+        """The fields of an equal-count matrix, from its N x c array of
+        each column's rows, ascending."""
+        columns = columns.astype(np.int32, copy=False)
+        if np.any(columns[:, 1:] == columns[:, :-1]):
+            raise FractionalError("a 0/1 matrix holds each position at most once")
+        self.rows, self.cols, self._grid = columns.reshape(-1), None, columns.T
+        self.col_counts = np.full(len(columns), columns.shape[1])
 
     @classmethod
     def of(cls, A) -> "Incidence":
@@ -270,7 +291,9 @@ class Incidence:
         """A^T y."""
         if self._grid is None:
             return np.bincount(self.cols, y[self.rows], self.shape[1])
-        terms = y[self._grid]
+        # one gather along the flat rows (np.take reads the int32 indices
+        # faster than fancy indexing does), then the sums by grid row
+        terms = y.take(self.rows).reshape(self._grid.shape[::-1]).T
         total = terms[0] + 0.0
         for term in terms[1:]:
             total += term
@@ -293,12 +316,17 @@ class Incidence:
         rows = self.shape[0]
         gram = np.zeros((rows, rows))
         flat = gram.reshape(-1)
+        diagonal = self.dot(w)  # before the scatter's arrays exist
         # a copy, not a broadcast: np.add.at is 4x slower on a broadcast
         # view, and numpy 2.4.6 summed 1-D values against a 2-D index to nan
         weights = np.tile(w, len(self._grid))
-        for e in self._grid * rows:
-            np.add.at(flat, (e + self._grid).ravel(), weights)
-        flat[:: rows + 1] = self.dot(w)
+        # a C-contiguous copy of the int32 grid, so that each scatter index
+        # is C-contiguous too (its entries are below rows^2, which fits
+        # int32 for any rows x rows array that fits in memory)
+        grid = np.ascontiguousarray(self._grid)
+        for e in grid * np.int32(rows):
+            np.add.at(flat, (e + grid).reshape(-1), weights)
+        flat[:: rows + 1] = diagonal
         return gram
 
 

@@ -3,7 +3,7 @@
 A Hypergraph is an immutable value: ``k``, a dense vertex range ``0..n-1``, and a
 set of k-edges stored as sorted tuples. Degree d(v), codegree d(x) of a j-set x,
 the neighborhood N(x) of a (k-1)-set, the edge table (the edge id of every
-ordered k-tuple, read by ``edge_ids``) and ``extension_rows``, the one
+ordered k-tuple, read by ``window_ids``) and ``extension_rows``, the one
 extension index that every tight-sequence search reads (the N(x) of many
 ordered (k-1)-tuples at once, as boolean rows of that table), induced subgraphs, ``rho_star`` (the
 approximate regularity every pipeline stage re-checks) and the plain-text
@@ -181,10 +181,20 @@ class Hypergraph:
             object.__setattr__(self, "_edge_table", table)
         return table
 
-    def edge_ids(self, tuples) -> np.ndarray:
-        """The ``edge_table`` entry (edge id or -1) of every ordered k-tuple
-        of vertices along the last axis of ``tuples``, in its place."""
-        return self.edge_table()[np.dot(tuples, place_values(self.n, self.k))]
+    def window_ids(self, seqs: np.ndarray) -> np.ndarray:
+        """The ``edge_table`` entry (edge id or -1) of every window of k
+        consecutive vertices along the rows of ``seqs``, an N x (w + k - 1)
+        int32 array of vertices: an N x w int32 array whose entry j is the
+        window that starts at column j.  The keys are summed from k column
+        slices in int32 (every key is below n^k, the table's length), so no
+        N x w x k array of windows is built."""
+        n, k = self.n, self.k
+        w = seqs.shape[1] - k + 1
+        key = seqs[:, :w].copy()
+        for j in range(1, k):
+            key *= n
+            key += seqs[:, j : j + w]
+        return self.edge_table()[key]
 
     def extension_rows(self, tails) -> np.ndarray:
         """N(x) of every ordered (k-1)-tuple x in ``tails`` (an int array

@@ -78,15 +78,29 @@ def grow_paths(H: Hypergraph, paths: np.ndarray, free: np.ndarray, length: int):
     row, cut to the vertices the row does not hold; a start longer than
     ``length`` grows to nothing.  The rows are extended depth-first from a
     stack of blocks, which bounds the memory and lets a caller stop after
-    any block.  Each row's candidates come out ascending (``np.nonzero``
-    reads row by row), so the rows stay in lexicographic order.
+    any block.  A block's children are built ``ENUMERATE_BLOCK`` rows at a
+    time from the (row, vertex) pairs of its candidates, which wait on the
+    stack until the children before them are done: no extension row is
+    read twice, and no more than one block of children is held at once.
+    Each row's candidates come out ascending (``np.nonzero`` reads row by
+    row), so the rows stay in lexicographic order.
     """
     k = H.k
-    stack = [(paths, np.arange(len(paths)))]
+    # (rows, their starts, None) for a block to extend, or (rows, their
+    # starts, picks) for its children still to build: ``picks`` pairs a
+    # row index with the vertex that extends it, as np.nonzero gives them
+    stack = [(paths, np.arange(len(paths)), None)]
     while stack:
-        paths, origin = stack.pop()
-        if len(paths) > ENUMERATE_BLOCK:
-            stack.append((paths[ENUMERATE_BLOCK:], origin[ENUMERATE_BLOCK:]))
+        paths, origin, picks = stack.pop()
+        if picks is not None:
+            rows, last = picks
+            if len(rows) > ENUMERATE_BLOCK:
+                rest = rows[ENUMERATE_BLOCK:], last[ENUMERATE_BLOCK:]
+                stack.append((paths, origin, rest))
+                rows, last = rows[:ENUMERATE_BLOCK], last[:ENUMERATE_BLOCK]
+            paths, origin = np.column_stack((paths[rows], last)), origin[rows]
+        elif len(paths) > ENUMERATE_BLOCK:
+            stack.append((paths[ENUMERATE_BLOCK:], origin[ENUMERATE_BLOCK:], None))
             paths, origin = paths[:ENUMERATE_BLOCK], origin[:ENUMERATE_BLOCK]
         d = paths.shape[1]
         if d > length:
@@ -98,8 +112,7 @@ def grow_paths(H: Hypergraph, paths: np.ndarray, free: np.ndarray, length: int):
             continue
         if d >= k - 1:
             grown &= H.extension_rows(paths[:, d - k + 1 :])
-        rows, last = np.nonzero(grown)
-        stack.append((np.column_stack((paths[rows], last)), origin[rows]))
+        stack.append((paths, origin, np.nonzero(grown)))
 
 
 def closing_rows(H: Hypergraph, before: np.ndarray, after: np.ndarray) -> np.ndarray:

@@ -329,6 +329,24 @@ class TestScaling:
             tracemalloc.stop()
         assert peak < 2 * rest.m**2
 
+    def test_k18_residual_weighting_stays_within_its_memory_budget(self):
+        # program seed 0's K_18^(3) residual: 14,957 six-cycles on 400 edges.
+        # Held as one N x L int32 id matrix, with no N x L x k window array
+        # and no int64 key, order or column copies, the call peaks 4.9 MB
+        # above entry (numpy 2.4); built through those copies, 6.9 MB
+        H = complete_hypergraph(3, 18)
+        sub = random.Random(0).randrange(2**63)
+        rest = H.remove_edges(sparsify_intersecting(H, 0.5, uniform_weighting(H), sub).edges)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            pair = fractional_cycle_decomposition(rest, 6, seed=sub)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert len(pair[0]) == 14957
+        assert peak < 5.5 * 2**20
+
 
 class TestDecompositionValidation:
     """``check_edge_sums`` on the 12 Hamilton cycles of K_5^(3), six through

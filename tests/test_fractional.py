@@ -36,7 +36,7 @@ from cyclefactors.fractional import (
     sparsify_intersecting,
     uniform_weighting,
 )
-from cyclefactors.cover import cycles_through_edge
+from cyclefactors.cover import _edge_ids, _enumerate_all, cycles_through_edge
 from cyclefactors.hypergraph import Hypergraph, complete_hypergraph
 
 
@@ -391,6 +391,35 @@ class TestNumpyPortIsBitIdentical:
                 assert inc.dot(x).tobytes() == (A @ x).tobytes()
                 assert inc.tdot(y).tobytes() == (A.T.tocsr() @ y).tobytes()
                 assert inc.tdot(y).tobytes() == (A.T @ y).tobytes()
+
+    def test_sorted_id_matrix_is_the_positions_incidence(self):
+        # the 6-cycle family of program seed 0's K_12^(3) residual, built as
+        # the cover builds it (its edge-id matrix sorted along its rows) and
+        # from the positions of its ones (sorted by column, then row)
+        H = complete_hypergraph(3, 12)
+        sub = random.Random(0).randrange(2**63)
+        rest = H.remove_edges(sparsify_intersecting(H, 0.5, uniform_weighting(H), sub).edges)
+        ids = _edge_ids(rest, _enumerate_all(rest, 6, None))
+        shape = (rest.m, len(ids))
+        cols = np.repeat(np.arange(len(ids)), 6)
+        ours = Incidence.from_columns(ids, rest.m)
+        theirs = Incidence(ids.ravel(), cols, shape)
+        assert ours.shape == theirs.shape == shape
+        for field in ("rows", "_grid", "col_counts"):
+            a, b = getattr(ours, field), getattr(theirs, field)
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+        assert ours.cols is theirs.cols is None
+        # one int32 array: rows reads it flat, the grid is its transpose
+        assert ours.rows.dtype == np.int32 and ours._grid.base is ours.rows.base
+        A = sparse.csr_matrix((np.ones(ids.size), (ids.ravel(), cols)), shape=shape)
+        rng = np.random.default_rng(6)
+        for _ in range(3):
+            x, y, w = spread(rng, shape[1]), spread(rng, shape[0]), rng.random(shape[1])
+            assert ours.dot(x).tobytes() == theirs.dot(x).tobytes() == (A @ x).tobytes()
+            assert ours.tdot(y).tobytes() == theirs.tdot(y).tobytes() == (A.T @ y).tobytes()
+            assert ours.gram(w).tobytes() == theirs.gram(w).tobytes()
+        with pytest.raises(FractionalError):
+            Incidence.from_columns([[0, 1], [2, 2]], 3)
 
     def test_dense_lists_and_scipy_give_the_same_ones(self):
         dense = np.array([[1, 1, 0], [0, 1, 1], [1, 1, 1]])

@@ -25,6 +25,7 @@ def seeded_random_host(n, p):
 
 HOSTS = {
     "K12": lambda: complete_hypergraph(3, 12),
+    "K18": lambda: complete_hypergraph(3, 18),
     "K24": lambda: complete_hypergraph(3, 24),
     "G(9,0.7)": lambda: seeded_random_host(9, 0.7),
 }
@@ -62,6 +63,11 @@ GOLDEN = {
     "k24-decompose-0": ("K24", "decompose --targets 24;24 --seed 0", (
         "eff74db77aab92afb35c7ab8b5dbaaa9d6d3b73fe7839fde659bd6599197a3a4",
         "7e8aa991af63f4733cd2f55f1140af90b995d6ca7554681e206a87cefcba525d",
+    )),
+    # the largest enumerated family (14,957 six-cycles) and assembled Gram
+    "k18-decompose-0": ("K18", "decompose --targets 18;18 --seed 0", (
+        "bf4e971d02e0aded3d0626114f64714391b2f272585c69026183b5f60023ecfa",
+        "9dd5faeb23bdedbcf947b238afd1c2e19aa0655c5db05958e0e96568b9165f88",
     )),
 }
 

@@ -183,6 +183,23 @@ class TestTightExtensions:
         assert max(blocks) <= block and sum(blocks) == len(want) > 100
         assert grown(H, starts, [range(8)] * 8, 4) == want
 
+    def test_children_are_built_a_block_at_a_time(self, monkeypatch):
+        # a block of 16 rows on 8 vertices has up to 16 x 6 children: they
+        # are built 16 at a time, and each row's extension row is read once
+        H = complete_hypergraph(3, 8)
+        starts = [(v,) for v in range(8)]
+        want = grown(H, starts, [range(8)] * 8, 4)
+        monkeypatch.setattr(tightpaths, "ENUMERATE_BLOCK", 16)
+        built, read = [], []
+        column_stack, extension_rows = np.column_stack, Hypergraph.extension_rows
+        monkeypatch.setattr(np, "column_stack", lambda t: built.append(len(t[0])) or column_stack(t))
+        monkeypatch.setattr(
+            Hypergraph, "extension_rows", lambda H, t: read.append(len(t)) or extension_rows(H, t)
+        )
+        assert grown(H, starts, [range(8)] * 8, 4) == want
+        assert max(built) == 16 and sum(built) == 8 * 7 + 8 * 7 * 6 + len(want)
+        assert sum(read) == 8 * 7 + 8 * 7 * 6
+
 
 def closing_by_probes(H, before, after):
     # definitional oracle: u is in the row when every k-window through u of
