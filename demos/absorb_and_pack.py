@@ -55,7 +55,7 @@ def stage_3():
     reserve = sparsify_intersecting(H, 0.5, uniform_weighting(H), seed=0)
     rest = H.remove_edges(reserve.edges)
     print(f"  reserve: {reserve.m} edges, cover substrate: {rest.m} edges")
-    frac = fractional_cycle_decomposition(rest, 6, seed=0, per_edge=20)
+    frac = fractional_cycle_decomposition(rest, 6, seed=0)
     ext = extract_cycle_collections(rest, frac, 2, seed=0, mu=0.2)
     print(f"  cover: {len(ext.collections)} collections, "
           f"coverages {ext.coverages()}")

@@ -75,9 +75,6 @@ EXIT_STAGE = 30
 # it reuses, so missed gates are redrawn from the same solution before the
 # pipeline sparsifies and solves again.
 PIPELINE_EXTRACTION_DRAWS = 40
-# Cycles sampled through each edge when the L-cycle family of the cover
-# stage is too large to enumerate.
-PIPELINE_PER_EDGE = 20
 
 
 class CLIError(Exception):
@@ -194,7 +191,10 @@ def _rational(x) -> str:
 def emit(doc: dict, output: Optional[str]) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True)
     if output:
-        Path(output).write_text(text + "\n")
+        try:
+            Path(output).write_text(text + "\n")
+        except OSError as exc:
+            raise CLIError(EXIT_PARAMS, f"cannot write {output}: {exc}")
     else:
         print(text)
 
@@ -402,9 +402,7 @@ def cmd_absorbers(args) -> int:
 def _cover_stage(H, prof, r, seed):
     """Weight H's L-cycle family (L = ``prof.L``) and extract r cycle
     collections from it, redrawing missed gates from the same weights."""
-    weights = fractional_cycle_decomposition(
-        H, prof.L, seed=seed, per_edge=PIPELINE_PER_EDGE
-    )
+    weights = fractional_cycle_decomposition(H, prof.L, seed=seed)
     return extract_cycle_collections(
         H, weights, r, seed=seed, mu=prof.mu, retries=PIPELINE_EXTRACTION_DRAWS
     )
@@ -530,8 +528,14 @@ def cmd_decompose(args) -> int:
     for shape in targets:
         check_target(shape, H, prof)
     started = time.perf_counter()
+    # weighted first, so that an edgeless host is named as such
+    weighting = pipeline_weighting(H)
+    try:
+        check_collections(H, len(targets))
+    except CoverError as exc:
+        raise CLIError(EXIT_PARAMS, f"decompose: {exc}")
     job = functools.partial(
-        _decompose_job, H, pipeline_weighting(H), prof, targets,
+        _decompose_job, H, weighting, prof, targets,
         args.pipeline_retries, args.normalize_timings,
     )
     if args.parallel_seeds == 1:

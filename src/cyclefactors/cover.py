@@ -9,20 +9,19 @@ enumeration to extraction: the result is a pair (cycles, weights), an
 N x L array of canonical vertex sequences in canonical order and their N
 positive weights, checked by ``check_edge_sums``.  Every cycle's edges are
 one lookup of its cyclic windows in the host's edge table
-(``Hypergraph.window_ids``, its keys summed from column slices of the
-cycles closed into one int32 array), the one tightness check of the
-family, made once and carried by the pair (a ``Decomposition``) as an
-N x L int32 id matrix.  The table is built once per host and kept on it;
-``assemble.connectors`` searches the same table of its graph F.  The
-family's edge-by-cycle incidence is a ``fractional.Incidence`` built from
-that id matrix sorted along its rows (``Incidence.from_columns``), so it
-holds one more N x L int32 array and no position arrays, and the
-weighting runs on numpy alone and never loads scipy.  The enumeration
-grows tight (L-1)-vertex paths with ``tightpaths.grow_paths``, in blocks
-of rows of the host's ``extension_rows`` (that table read as booleans),
-and closes each path with ``tightpaths.closing_rows``: the closing vertex
-must extend all k cyclic windows that contain it.  The sampled family's
-shuffled search reads the same rows and returns canonical int rows too.
+(``Hypergraph.window_ids``), the one tightness check of the family.  That
+lookup gives one N x L int32 id matrix, which is sorted along its rows
+once and then read by everything after it: the weighting wraps it as the
+edge-by-cycle ``fractional.Incidence`` (so the weighting runs on numpy
+alone and never loads scipy), and the pair (a ``Decomposition``) carries
+its kept rows to ``check_edge_sums`` and the extraction.  The table is
+built once per host and kept on it; ``assemble.connectors`` searches the
+same table of its graph F.  The enumeration grows tight (L-1)-vertex paths
+with ``tightpaths.grow_paths``, in blocks of rows of the host's
+``extension_rows``, and closes each path with ``tightpaths.closing_rows``:
+the closing vertex must extend all k cyclic windows that contain it.  The
+sampled family's shuffled search reads the same rows and returns
+canonical int rows too.
 Second, ``extract_cycle_collections`` rounds the fractional solution into r
 edge-disjoint collections of vertex-disjoint L-cycles by a weight-driven
 randomized greedy, with coverage gates checked per collection; it redraws up
@@ -107,7 +106,7 @@ def _enumerate_all(H: Hypergraph, L: int, cap: Optional[int]):
 
 def _edge_ids(H: Hypergraph, cycles: np.ndarray) -> np.ndarray:
     """The edge id of every cyclic k-window of every cycle: an int32 array
-    shaped as cycles, the id matrix that ``Incidence.from_columns`` reads.
+    shaped as cycles, whose entry j is the window that starts at column j.
 
     The cycles are closed into one N x (L + k - 1) int32 array (each row
     followed by its first k-1 vertices), clipped in place, and
@@ -209,13 +208,16 @@ def _check_cycle_length(H: Hypergraph, L: int) -> None:
 
 EDGE_SUM_TOL = 1e-9  # how far a cycle weighting's per-edge sum may stray from 1
 ENUMERATE_CAP = 20000  # largest cycle family enumerated in full, not sampled
+PER_EDGE = 20  # cycles sampled through each edge past ENUMERATE_CAP
 
 
 class Decomposition(tuple):
     """The pair (cycles, weights) that ``fractional_cycle_decomposition``
     returns, with the host and ``ids``, the edge ids of its cycles' windows
-    in that host (as ``_edge_ids`` gives them), so that ``check_edge_sums``
-    and the extraction need not look them up again."""
+    in that host (the rows of ``_edge_ids``, each sorted), so that
+    ``check_edge_sums`` and the extraction need not look them up again.
+    A cycle holds each edge at most once, so every reader of the ids sees
+    the same cycles through each edge, in the same order, in either form."""
 
     host: Hypergraph
     ids: np.ndarray
@@ -258,13 +260,12 @@ def fractional_cycle_decomposition(
     H: Hypergraph,
     L: int,
     family: Optional[Iterable] = None,
-    per_edge: int = 12,
     seed: int = 0,
 ) -> tuple:
     """Solve for positive per-edge-sum-1 cycle weights over a cycle family.
 
     The family is the full set of L-vertex cycles when it fits under
-    ``ENUMERATE_CAP``; otherwise a seeded sample of up to ``per_edge`` cycles
+    ``ENUMERATE_CAP``; otherwise a seeded sample of up to ``PER_EDGE`` cycles
     through each edge, or the given ``family`` (cycles of H on L vertices),
     deduplicated once.  An edge through which no L-cycle passes at all makes
     the problem infeasible.  The weights are the maximum-entropy solution
@@ -276,7 +277,10 @@ def fractional_cycle_decomposition(
     residual and the Newton steps, when no solution is found.  Returns the
     pair (cycles, weights) as a ``Decomposition``, after ``check_edge_sums``:
     an N x L int array of canonical sequences in canonical order and their N
-    positive weights.  The family's edge ids are looked up once, here.
+    positive weights.  The family's edge ids are looked up once, here, and
+    sorted along their rows in place: that one N x L int32 array is the
+    weighting's ``fractional.Incidence`` and, cut to the kept cycles, the
+    pair's ``ids``.
     """
     _check_cycle_length(H, L)
     if H.m == 0:
@@ -288,7 +292,7 @@ def fractional_cycle_decomposition(
             rng = random.Random(seed)
             for e in H.edges:
                 got = cycles_through_edge(
-                    H, L, e, limit=per_edge, seed=rng.randrange(2**63)
+                    H, L, e, limit=PER_EDGE, seed=rng.randrange(2**63)
                 )
                 if not len(got):
                     raise DecompositionError(
@@ -312,7 +316,8 @@ def fractional_cycle_decomposition(
             f"no cycle on {L} vertices passes through edge {H.edges[uncovered[0]]!r}"
         )
 
-    A = Incidence.from_columns(ids, H.m)
+    ids.sort(axis=1)  # in place: the incidence wraps it, the pair keeps it
+    A = Incidence(ids, H.m)
     try:
         w = scale_to_ones(A)
     except ScalingError as exc:

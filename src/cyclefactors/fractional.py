@@ -3,11 +3,12 @@ max-min LP, balancedness, and weight-biased sparsification; and
 ``scale_to_ones``, the maximum-entropy positive solution of A w = 1 that
 weights the cover's cycle family.
 
-The 0/1 matrices of ``scale_to_ones`` and ``polish`` are ``Incidence``
-objects, whose products and the conjugate gradients of ``cg`` are plain
-numpy.  Only the LP needs scipy: ``linprog`` and ``pfm_lp`` import it when
-they first run, so a regular host is weighted and covered without loading
-it.
+The 0/1 matrices of ``scale_to_ones`` and ``polish`` have the same number
+of ones in every column (L edges per cycle, k vertices per edge), so each
+is an ``Incidence``: one N x c int32 array listing each column's rows.  Its
+products and the conjugate gradients of ``cg`` are plain numpy.  Only the
+LP needs scipy: ``linprog`` and ``pfm_lp`` import it when they first run,
+so a regular host is weighted and covered without loading it.
 
 A perfect fractional matching (PFM) assigns a positive weight to every edge so
 that the weights at each vertex sum to 1. ``redistribute_pfm`` turns the uniform
@@ -215,82 +216,35 @@ def redistribute_pfm(
 
 
 class Incidence:
-    """A 0/1 matrix: the row of each of its ones, by column, then by row.
+    """A 0/1 matrix whose columns all hold the same number c of ones (every
+    cycle has L edges, every edge k vertices): one N x c int32 array whose
+    row j lists the rows of column j's ones, ascending.  ``rows`` reads it
+    flat and ``_grid`` is its c x N transpose, both views.
 
     ``dot`` and ``tdot`` add the terms of every sum in the order that
     scipy's CSR products add them (ascending column in A x, ascending row
-    in A^T y, each starting from 0), so they return the same bits.  When
-    every column holds the same number c of ones (every cycle has L edges,
-    every edge k vertices), the matrix is one N x c int32 array whose row j
-    lists the rows of column j's ones, ascending: ``rows`` reads it flat,
-    ``_grid`` is its c x N transpose, both views, and ``cols`` is None.
-    ``gram`` then assembles the dense A diag(w) A^T.  Otherwise ``rows``
-    and ``cols`` list the positions of the ones.
+    in A^T y, each starting from 0), so they return the same bits, and
+    ``gram`` assembles the dense A diag(w) A^T.
     """
 
-    __slots__ = ("rows", "cols", "shape", "col_counts", "_grid")
+    __slots__ = ("rows", "shape", "_grid")
 
-    def __init__(self, rows, cols, shape):
-        """The ones at the positions (rows[i], cols[i])."""
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        order = np.argsort(cols * shape[0] + rows, kind="stable")
-        rows, cols = rows[order], cols[order]
-        self.shape = tuple(shape)
-        counts = np.bincount(cols, minlength=shape[1])
-        if len(counts) and counts.min() == counts.max() > 0:
-            self._set_columns(rows.reshape(shape[1], -1))
-            return
-        if np.any((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])):
-            raise FractionalError("a 0/1 matrix holds each position at most once")
-        self.rows, self.cols, self.col_counts, self._grid = rows, cols, counts, None
-
-    @classmethod
-    def from_columns(cls, columns, rows: int) -> "Incidence":
-        """The 0/1 matrix with ``rows`` rows whose column j has its ones in
-        the rows columns[j], for an N x c int array ``columns``.  Sorted
-        along its rows, ``columns`` is the order that the constructor's
-        sort gives, so no position array is built."""
-        A = cls.__new__(cls)
-        A.shape = (rows, len(columns))
-        A._set_columns(np.sort(columns, axis=1))
-        return A
-
-    def _set_columns(self, columns) -> None:
-        """The fields of an equal-count matrix, from its N x c array of
-        each column's rows, ascending."""
-        columns = columns.astype(np.int32, copy=False)
-        if np.any(columns[:, 1:] == columns[:, :-1]):
-            raise FractionalError("a 0/1 matrix holds each position at most once")
-        self.rows, self.cols, self._grid = columns.reshape(-1), None, columns.T
-        self.col_counts = np.full(len(columns), columns.shape[1])
-
-    @classmethod
-    def of(cls, A) -> "Incidence":
-        """A itself, or the ones of a dense, nested-list or scipy 0/1 matrix."""
-        if isinstance(A, cls):
-            return A
-        if hasattr(A, "tocoo"):
-            A = A.tocoo()
-            rows, cols, values = A.row, A.col, A.data
-        else:
-            A = np.asarray(A)
-            rows, cols = np.nonzero(A)
-            values = A[rows, cols]
-        ones = values != 0
-        if not np.all(values[ones] == 1):
-            raise FractionalError("not a 0/1 matrix")
-        return cls(rows[ones], cols[ones], A.shape)
+    def __init__(self, columns, rows: int):
+        """The matrix with ``rows`` rows whose column j has its ones in the
+        rows columns[j], for an N x c int array ``columns`` ascending along
+        each row; an int32 one is wrapped, not copied."""
+        columns = np.asarray(columns).astype(np.int32, copy=False)
+        if np.any(columns[:, 1:] <= columns[:, :-1]):
+            raise FractionalError("each column lists the rows of its ones once, ascending")
+        self.shape = (rows, len(columns))
+        self.rows, self._grid = columns.reshape(-1), columns.T
 
     def dot(self, x) -> np.ndarray:
         """A x."""
-        counts = self.col_counts if self._grid is None else len(self._grid)
-        return np.bincount(self.rows, np.repeat(x, counts), self.shape[0])
+        return np.bincount(self.rows, np.repeat(x, len(self._grid)), self.shape[0])
 
     def tdot(self, y) -> np.ndarray:
         """A^T y."""
-        if self._grid is None:
-            return np.bincount(self.cols, y[self.rows], self.shape[1])
         # one gather along the flat rows (np.take reads the int32 indices
         # faster than fancy indexing does), then the sums by grid row
         terms = y.take(self.rows).reshape(self._grid.shape[::-1]).T
@@ -300,7 +254,7 @@ class Incidence:
         return total
 
     def gram(self, w) -> np.ndarray:
-        """A diag(w) A^T as a dense rows x rows array, for equal column counts.
+        """A diag(w) A^T as a dense rows x rows array.
 
         Entry (e, f) sums w_j over the columns j with ones in rows e and f.
         Each row of the grid scatters w against every row of the grid, so
@@ -311,8 +265,6 @@ class Incidence:
         the matrix-free solves (summed by the scatter, seed 9's took 18
         against 17).
         """
-        if self._grid is None:
-            raise FractionalError("gram needs equal column counts")
         rows = self.shape[0]
         gram = np.zeros((rows, rows))
         flat = gram.reshape(-1)
@@ -341,9 +293,9 @@ GRAM_ROWS = 450
 
 
 def gram_product(A: Incidence, w):
-    """x -> A diag(w) A^T x: a product with ``A.gram(w)`` while A has equal
-    column counts and at most GRAM_ROWS rows, else two passes over its ones."""
-    if A._grid is None or A.shape[0] > GRAM_ROWS:
+    """x -> A diag(w) A^T x: a product with ``A.gram(w)`` while A has at most
+    GRAM_ROWS rows, else two passes over its ones."""
+    if A.shape[0] > GRAM_ROWS:
         return lambda x: A.dot(w * A.tdot(x))
     return A.gram(w).dot
 
@@ -382,7 +334,7 @@ def cg(matvec, b, rtol, atol=0.0, precond=None) -> np.ndarray:
     return x
 
 
-def polish(A, w) -> np.ndarray:
+def polish(A: Incidence, w) -> np.ndarray:
     """w plus the least-norm correction on its positive support toward A w = 1.
 
     The solver meets the equality rows only within its feasibility tolerance
@@ -396,7 +348,6 @@ def polish(A, w) -> np.ndarray:
     columns add only 0.0 to each row's sum.  A w already within 1e-12 of
     every row is returned as is.
     """
-    A = Incidence.of(A)
     w = np.array(w, dtype=float)
     residual = 1.0 - A.dot(w)
     if np.abs(residual).max(initial=0.0) <= 1e-12:
@@ -421,8 +372,8 @@ class ScalingError(FractionalError):
     the residual reached and the step count."""
 
 
-def scale_to_ones(A) -> np.ndarray:
-    """The maximum-entropy w >= 0 with A w = 1, for a 0/1 matrix A.
+def scale_to_ones(A: Incidence) -> np.ndarray:
+    """The maximum-entropy w >= 0 with A w = 1.
 
     Damped Newton on the convex dual g(y) = sum_j exp(-(A^T y)_j) + sum_i y_i,
     whose minimizer gives w = exp(-A^T y) with gradient 1 - A w (Darroch and
@@ -440,13 +391,12 @@ def scale_to_ones(A) -> np.ndarray:
     e^-1; the longer steps cut the Newton steps of K_12^(3) residuals with
     forced zeros from 21-24 to 13-17 (7 when no column must weigh 0).
 
-    A feasible w bounds g below by sum_j w_j >= rows / (largest column sum),
-    so a step below that bound proves that A w = 1 has no solution w >= 0.
+    A feasible w bounds g below by sum_j w_j, which is rows / c when every
+    column holds c ones, so a step below that bound proves that A w = 1 has no solution w >= 0.
     ScalingError then, or when SCALE_STEPS steps or the line search run out.
     """
-    A = Incidence.of(A)
     rows, cols = A.shape
-    floor = rows / A.col_counts.max(initial=1)
+    floor = rows / len(A._grid)
     # start near w_j = the geometric mean of 1 / (row sum) over column j's rows
     row_sums = np.bincount(A.rows, minlength=rows)
     y = np.log(np.maximum(row_sums, 1.0)) * cols / max(len(A.rows), 1)
@@ -516,15 +466,17 @@ def pfm_lp(H: Hypergraph) -> EdgeWeighting:
     incidence A.  Substituting w = u + z with u >= 0 turns the bound w >= z
     into the extra column A 1 for z: one ``linprog`` call on [A | A 1] (u, z)
     = 1, u, z >= 0, with m + 1 columns and no inequality rows.  The weights
-    u + z are then polished onto the vertex sums; every one is at least z*.
+    u + z are then polished onto the vertex sums, on the ``Incidence`` of
+    the same ones (the host's edges as its columns); every one is at least
+    z*.
     """
     if H.m == 0:
         raise LPInfeasibleError("no edges to weight")
     from scipy import sparse
 
-    rows = [v for e in H.edges for v in e]
+    inc = Incidence(np.array(H.edges), H.n)
     cols = np.repeat(np.arange(H.m), H.k)
-    A = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(H.n, H.m))
+    A = sparse.csr_matrix((np.ones(H.m * H.k), (inc.rows, cols)), shape=(H.n, H.m))
     c = np.zeros(H.m + 1)
     c[-1] = -1.0
     res = linprog(
@@ -541,7 +493,7 @@ def pfm_lp(H: Hypergraph) -> EdgeWeighting:
         raise LPInfeasibleError(
             "perfect fractional matchings exist but none with all-positive weights"
         )
-    return EdgeWeighting(H, polish(A, res.x[:-1] + res.x[-1]).tolist(), exact=False)
+    return EdgeWeighting(H, polish(inc, res.x[:-1] + res.x[-1]).tolist(), exact=False)
 
 
 def pipeline_weighting(H: Hypergraph) -> EdgeWeighting:

@@ -57,7 +57,7 @@ def k12_pack_inputs(seed, r=2):
     H = complete_hypergraph(3, 12)
     reserve = sparsify_intersecting(H, 0.5, uniform_weighting(H), seed)
     rest = H.remove_edges(reserve.edges)
-    frac = fractional_cycle_decomposition(rest, 6, seed=seed, per_edge=20)
+    frac = fractional_cycle_decomposition(rest, 6, seed=seed)
     ext = extract_cycle_collections(rest, frac, r, seed=seed, mu=0.2)
     assert ext.ok
     return H, reserve, ext.collections

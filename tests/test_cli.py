@@ -196,6 +196,12 @@ class TestAnalyze:
     def test_missing_file_is_a_parse_error(self):
         assert main(["analyze", "/nonexistent/host.txt"]) == EXIT_PARSE
 
+    def test_an_unwritable_output_is_named(self, tmp_path, capsys):
+        host = write_host(tmp_path, complete_hypergraph(3, 8))
+        out = tmp_path / "missing" / "a.json"
+        assert main(["analyze", host, "-q", "--output", str(out)]) == EXIT_PARAMS
+        assert f"error: cannot write {out}: " in capsys.readouterr().err
+
 
 class TestRegsub:
     def test_complete_graphs(self, tmp_path, capsys):
@@ -402,7 +408,7 @@ class TestParserReuse:
      ("cover", "--cycle-length"), ("cover", "--per-edge")],
 )
 def test_the_cover_length_and_sample_size_have_no_flags(command, flag, capsys):
-    # Profile.L and cli.PIPELINE_PER_EDGE set them for both commands
+    # Profile.L and cover.PER_EDGE set them for both commands
     with pytest.raises(SystemExit):
         main([command, "--help"])
     assert flag not in capsys.readouterr().out
@@ -888,6 +894,30 @@ class TestDecompose:
             with pytest.raises(Sampled):
                 main(["cover", host, "--collections", fits])
 
+    def test_more_targets_than_min_degree_over_k_are_refused(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # K_12^(3) has min degree 55, so at most 55 / 3 = 18.33 factors;
+        # decompose refuses before its reserve, as cover does
+        monkeypatch.setattr(cli, "sparsify_intersecting", refuse_to_sample)
+        host = write_host(tmp_path, complete_hypergraph(3, 12))
+        assert main(["decompose", host, "--targets", ";".join(["12"] * 19)]) == EXIT_PARAMS
+        why = "decompose: r=19 exceeds the matching bound min degree / k = 18.333"
+        assert why in capsys.readouterr().err
+        with pytest.raises(Sampled):
+            main(["decompose", host, "--targets", ";".join(["12"] * 18)])
+
+    @pytest.mark.parametrize("flag", ["--output", "--factors-out"])
+    def test_an_unwritable_output_is_named(self, flag, tmp_path, capsys):
+        host = write_host(tmp_path, complete_hypergraph(3, 12))
+        files = {"--output": tmp_path / "run.json", "--factors-out": tmp_path / "factors.json"}
+        files[flag] = tmp_path / "missing" / "out.json"
+        argv = ["decompose", host, "--targets", "12;12", "--seed", "0", "-q"]
+        for name, path in files.items():
+            argv += [name, str(path)]
+        assert main(argv) == EXIT_PARAMS
+        assert f"error: cannot write {files[flag]}: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--pipeline-retries", "--parallel-seeds"])
     def test_fewer_than_one_attempt_or_seed_is_refused(
         self, flag, tmp_path, monkeypatch, capsys
@@ -903,7 +933,7 @@ class TestDecompose:
         seen = []
 
         def recorded(H, L, **kwargs):
-            seen.append((L, kwargs["per_edge"]))
+            seen.append((L, sorted(kwargs)))
             raise Sampled
 
         monkeypatch.setattr(cli, "fractional_cycle_decomposition", recorded)
@@ -911,7 +941,8 @@ class TestDecompose:
         for argv in (["decompose", host, "--targets", "12;12"], ["cover", host]):
             with pytest.raises(Sampled):
                 main([*argv, "--set", "L=7"])
-        assert seen == [(7, cli.PIPELINE_PER_EDGE)] * 2
+        # the sample size is cover.PER_EDGE's: no command passes one
+        assert seen == [(7, ["seed"])] * 2
 
     def test_edgeless_host_fails_fast_naming_the_weighting(self, tmp_path, capsys):
         host = tmp_path / "empty.txt"

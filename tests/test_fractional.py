@@ -57,6 +57,20 @@ def vertex_edge_incidence(H):
     return A
 
 
+def edge_incidence(H):
+    """The vertex-by-edge ``Incidence`` of H: its edges are its columns."""
+    return Incidence(np.array(H.edges), H.n)
+
+
+def csr(columns, rows):
+    """The scipy CSR matrix of ``Incidence(columns, rows)``."""
+    columns = np.asarray(columns)
+    cols = np.repeat(np.arange(len(columns)), columns.shape[1])
+    return sparse.csr_matrix(
+        (np.ones(columns.size), (columns.ravel(), cols)), shape=(rows, len(columns))
+    )
+
+
 class TestUniformWeighting:
     def test_k4(self):
         w = uniform_weighting(complete_hypergraph(3, 4))
@@ -283,7 +297,7 @@ class TestMaxminLP:
         w = np.array(pfm_lp(H).weights)
         noisy = w + 1e-8 * np.random.default_rng(0).standard_normal(len(w))
         assert np.abs(A @ noisy - 1).max() > 1e-9
-        fixed = polish(A, noisy)
+        fixed = polish(edge_incidence(H), noisy)
         assert np.abs(A @ fixed - 1).max() <= 1e-12
         assert fixed.min() > 0
 
@@ -294,15 +308,15 @@ class TestMaxminLP:
             raise AssertionError("cg called on an exact input")
 
         H = complete_hypergraph(3, 6)
-        A = vertex_edge_incidence(H)
+        A, inc = vertex_edge_incidence(H), edge_incidence(H)
         w = np.full(H.m, 0.1)
         assert np.abs(A @ w - 1).max() <= 1e-12
         monkeypatch.setattr(fractional, "cg", refuse)
-        assert polish(A, w).tobytes() == w.tobytes()
+        assert polish(inc, w).tobytes() == w.tobytes()
         with pytest.raises(AssertionError, match="exact input"):
-            polish(A, w + 1e-8 * np.random.default_rng(0).standard_normal(H.m))
+            polish(inc, w + 1e-8 * np.random.default_rng(0).standard_normal(H.m))
         monkeypatch.undo()
-        fixed = polish(A, w + 1e-8 * np.random.default_rng(0).standard_normal(H.m))
+        fixed = polish(inc, w + 1e-8 * np.random.default_rng(0).standard_normal(H.m))
         assert np.abs(A @ fixed - 1).max() <= 1e-12
 
 
@@ -311,7 +325,7 @@ class TestScaleToOnes:
     def test_maximum_entropy_positive_solution(self, k, n, seed):
         H = random_host(k, n, 0.6, seed)
         A = vertex_edge_incidence(H)
-        w = scale_to_ones(A)
+        w = scale_to_ones(edge_incidence(H))
         assert w.min() > 0
         assert np.abs(A @ w - 1).max() <= SCALE_TOL
         # maximum entropy: log w lies in the row space of A (w = exp(-A^T y))
@@ -319,45 +333,50 @@ class TestScaleToOnes:
         assert np.abs(A.T @ y + np.log(w)).max() <= 1e-6
 
     def test_columns_no_positive_solution_carries_come_back_zero(self):
-        # w1 + w2 = w2 + w3 = w1 + w2 + w3 = 1 forces w1 = w3 = 0
-        A = np.array([[1, 1, 0], [0, 1, 1], [1, 1, 1]])
-        w = scale_to_ones(A)
-        assert w[0] == w[2] == 0.0
-        assert abs(w[1] - 1) <= SCALE_TOL
+        # rows 2 and 3 force w1 = w2 = 1, and then rows 0 and 1 force w0 = 0
+        w = scale_to_ones(Incidence([(0, 1), (0, 2), (1, 3)], 4))
+        assert w[0] == 0.0
+        assert np.abs(w[1:] - 1).max() <= SCALE_TOL
 
     @pytest.mark.parametrize(
         "A,steps",
         [
-            # only w3 = -1 solves it: one step takes g below the bound that
-            # every feasible w keeps (without that check: 100 steps)
-            ([[1, 1, 1], [1, 0, 0], [0, 1, 0]], 1),
+            # rows 3 and 4 force w2 = w3 = 1, so row 0 needs w0 + w1 = -1:
+            # only w0 = w1 = -1/2 (and w4 = 3/2) solves it, and one step
+            # takes g below the bound that every feasible w keeps
+            (([(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)], 5), 1),
             # no real solution: conjugate gradients find no descent direction
-            ([[1, 0], [0, 1], [1, 1]], 0),
+            (([(0, 1), (1, 2)], 3), 0),
         ],
     )
     def test_no_nonnegative_solution_fails_fast(self, A, steps):
         with pytest.raises(ScalingError) as exc:
-            scale_to_ones(A)
+            scale_to_ones(Incidence(*A))
         named = re.search(r"residual \S+ after (\d+) Newton steps", str(exc.value))
         assert named and int(named[1]) == steps < SCALE_STEPS
 
 
 def k12_cycle_family():
     """The edge-by-cycle 0/1 matrix of a sampled K_12^(3) family of 6-cycles,
-    as the cover builds it: one column per cycle, 6 ones in each."""
+    as the cover builds it: each cycle's 6 edge ids, ascending, and the
+    number of edges."""
     H = complete_hypergraph(3, 12)
     cycles = set()
     for seed, e in enumerate(H.edges):
         cycles.update(map(tuple, cycles_through_edge(H, 6, e, limit=3, seed=seed).tolist()))
     index = {e: i for i, e in enumerate(H.edges)}
-    rows, cols = [], []
-    for j, seq in enumerate(sorted(cycles)):
-        for i in range(6):
-            e = tuple(sorted((seq + seq)[i : i + 3]))
-            assert H.has_edge(e)
-            rows.append(index[e])
-            cols.append(j)
-    return rows, cols, (H.m, len(cycles))
+    columns = []
+    for seq in sorted(cycles):
+        edges = [tuple(sorted((seq + seq)[i : i + 3])) for i in range(6)]
+        assert all(map(H.has_edge, edges))
+        columns.append(sorted(index[e] for e in edges))
+    return np.array(columns), H.m
+
+
+def random_columns(rng, rows, cols, c):
+    """A random 0/1 matrix with c ones in each column, as ``Incidence``
+    columns: c distinct rows per column, ascending."""
+    return np.sort(rng.permuted(np.tile(np.arange(rows), (cols, 1)), axis=1)[:, :c], axis=1), rows
 
 
 def spread(rng, size):
@@ -372,73 +391,51 @@ class TestNumpyPortIsBitIdentical:
 
     @staticmethod
     def matrices():
-        rows, cols, shape = k12_cycle_family()
         rng = np.random.default_rng(5)
-        return [
-            sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=shape),
-            sparse.csr_matrix(np.array([[1, 1, 0], [0, 1, 1], [1, 1, 1]], dtype=float)),
-            sparse.csr_matrix((rng.random((40, 60)) < 0.2).astype(float)),
-        ]
+        # the cycle family, then random matrices with few and many ones per row
+        return [k12_cycle_family(), random_columns(rng, 40, 60, 5), random_columns(rng, 7, 300, 3)]
 
     def test_products_equal_scipy_csr(self):
         rng = np.random.default_rng(0)
-        for A in self.matrices():
-            inc = Incidence.of(A)
-            # the K_12^(3) family (220 edge rows) takes the equal-count grid
-            assert (inc._grid is not None) == (A.shape[0] == 220)
+        for columns, rows in self.matrices():
+            inc, A = Incidence(columns, rows), csr(columns, rows)
+            assert inc.shape == A.shape
             for _ in range(3):
                 x, y = spread(rng, A.shape[1]), spread(rng, A.shape[0])
                 assert inc.dot(x).tobytes() == (A @ x).tobytes()
                 assert inc.tdot(y).tobytes() == (A.T.tocsr() @ y).tobytes()
                 assert inc.tdot(y).tobytes() == (A.T @ y).tobytes()
 
-    def test_sorted_id_matrix_is_the_positions_incidence(self):
-        # the 6-cycle family of program seed 0's K_12^(3) residual, built as
-        # the cover builds it (its edge-id matrix sorted along its rows) and
-        # from the positions of its ones (sorted by column, then row)
+    def test_the_sorted_id_matrix_is_wrapped_without_a_copy(self):
+        # the 6-cycle family of program seed 0's K_12^(3) residual, as the
+        # cover builds it: its edge-id matrix sorted along its rows in place
         H = complete_hypergraph(3, 12)
         sub = random.Random(0).randrange(2**63)
         rest = H.remove_edges(sparsify_intersecting(H, 0.5, uniform_weighting(H), sub).edges)
         ids = _edge_ids(rest, _enumerate_all(rest, 6, None))
-        shape = (rest.m, len(ids))
-        cols = np.repeat(np.arange(len(ids)), 6)
-        ours = Incidence.from_columns(ids, rest.m)
-        theirs = Incidence(ids.ravel(), cols, shape)
-        assert ours.shape == theirs.shape == shape
-        for field in ("rows", "_grid", "col_counts"):
-            a, b = getattr(ours, field), getattr(theirs, field)
-            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
-        assert ours.cols is theirs.cols is None
+        ids.sort(axis=1)
+        inc = Incidence(ids, rest.m)
+        assert inc.shape == (rest.m, len(ids))
         # one int32 array: rows reads it flat, the grid is its transpose
-        assert ours.rows.dtype == np.int32 and ours._grid.base is ours.rows.base
-        A = sparse.csr_matrix((np.ones(ids.size), (ids.ravel(), cols)), shape=shape)
+        assert inc.rows.dtype == np.int32
+        assert inc.rows.base is ids and inc._grid.base is ids
+        A = csr(ids, rest.m)
         rng = np.random.default_rng(6)
         for _ in range(3):
-            x, y, w = spread(rng, shape[1]), spread(rng, shape[0]), rng.random(shape[1])
-            assert ours.dot(x).tobytes() == theirs.dot(x).tobytes() == (A @ x).tobytes()
-            assert ours.tdot(y).tobytes() == theirs.tdot(y).tobytes() == (A.T @ y).tobytes()
-            assert ours.gram(w).tobytes() == theirs.gram(w).tobytes()
-        with pytest.raises(FractionalError):
-            Incidence.from_columns([[0, 1], [2, 2]], 3)
-
-    def test_dense_lists_and_scipy_give_the_same_ones(self):
-        dense = np.array([[1, 1, 0], [0, 1, 1], [1, 1, 1]])
-        for A in (dense, dense.tolist(), sparse.csc_matrix(dense)):
-            inc = Incidence.of(A)
-            assert inc.shape == (3, 3)
-            assert inc.cols.tolist() == [0, 0, 1, 1, 1, 2, 2]
-            assert inc.rows.tolist() == [0, 2, 0, 1, 2, 1, 2]
-        with pytest.raises(FractionalError):
-            Incidence.of([[1, 2], [0, 1]])
-        with pytest.raises(FractionalError):
-            Incidence([0, 0], [1, 1], (1, 2))
+            x, y = spread(rng, inc.shape[1]), spread(rng, inc.shape[0])
+            assert inc.dot(x).tobytes() == (A @ x).tobytes()
+            assert inc.tdot(y).tobytes() == (A.T @ y).tobytes()
+        # each column lists its rows once, ascending
+        for columns in ([[0, 1], [2, 2]], [[1, 0]]):
+            with pytest.raises(FractionalError, match="once, ascending"):
+                Incidence(columns, 3)
 
     def test_cg_equals_scipy_on_a_newton_system(self):
-        rows, cols, shape = k12_cycle_family()
-        A = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=shape)
+        columns, rows = k12_cycle_family()
+        A = csr(columns, rows)
         At = A.T.tocsr()
-        inc = Incidence(rows, cols, shape)
-        w = np.exp(np.random.default_rng(1).uniform(-3, 0, shape[1]))
+        inc = Incidence(columns, rows)
+        w = np.exp(np.random.default_rng(1).uniform(-3, 0, A.shape[1]))
         r = A @ w - 1.0
         diag = A @ w
         rtol = 1e-10  # far below a Newton step's, so many iterations are compared
@@ -453,11 +450,11 @@ class TestNumpyPortIsBitIdentical:
 
     def test_cg_equals_scipy_on_the_polish_system(self):
         # polish's S S^T on the positive support, against its masked A A^T
-        rows, cols, shape = k12_cycle_family()
+        columns, rows = k12_cycle_family()
         rng = np.random.default_rng(2)
-        A = sparse.csc_matrix((np.ones(len(rows)), (rows, cols)), shape=shape)
-        inc = Incidence(rows, cols, shape)
-        w = np.where(rng.random(shape[1]) < 0.1, 0.0, rng.random(shape[1]))
+        A = csr(columns, rows).tocsc()
+        inc = Incidence(columns, rows)
+        w = np.where(rng.random(A.shape[1]) < 0.1, 0.0, rng.random(A.shape[1]))
         residual = 1.0 - A @ w
         support = w > 0
         S = A[:, np.flatnonzero(support)].tocsr()
@@ -482,40 +479,24 @@ class TestGram:
     """``Incidence.gram`` is A diag(w) A^T, and ``gram_product`` multiplies
     by it while A is small and passes over the ones otherwise."""
 
-    @staticmethod
-    def equal_count_matrices():
-        rows, cols, shape = k12_cycle_family()
-        family = np.zeros(shape)
-        family[rows, cols] = 1.0
-        return [family, vertex_edge_incidence(random_host(3, 9, 0.7, seed=1))]
-
     def test_equals_the_dense_product(self):
         rng = np.random.default_rng(3)
-        for A in self.equal_count_matrices():
-            inc = Incidence.of(A)
+        H = random_host(3, 9, 0.7, seed=1)
+        for columns, rows in (k12_cycle_family(), (np.array(H.edges), H.n)):
+            inc, A = Incidence(columns, rows), csr(columns, rows).toarray()
             for w in (rng.random(A.shape[1]), (rng.random(A.shape[1]) < 0.8) * 1.0):
                 want = A @ np.diag(w) @ A.T
                 got = inc.gram(w)
                 assert got.shape == want.shape
                 assert np.abs(got - want).max() <= 1e-15 * want.max()
 
-    def test_unequal_column_counts_stay_matrix_free(self):
-        rng = np.random.default_rng(4)
-        for A in TestNumpyPortIsBitIdentical.matrices()[1:]:
-            inc = Incidence.of(A)
-            with pytest.raises(FractionalError, match="equal column counts"):
-                inc.gram(np.ones(A.shape[1]))
-            w, x = rng.random(A.shape[1]), spread(rng, A.shape[0])
-            assert gram_product(inc, w)(x).tobytes() == inc.dot(w * inc.tdot(x)).tobytes()
-
     def test_rows_above_the_limit_stay_matrix_free(self, monkeypatch):
-        rows, cols, shape = k12_cycle_family()
-        inc = Incidence(rows, cols, shape)
+        inc = Incidence(*k12_cycle_family())
         rng = np.random.default_rng(5)
-        w, x = rng.random(shape[1]), spread(rng, shape[0])
-        assert shape[0] <= fractional.GRAM_ROWS
+        w, x = rng.random(inc.shape[1]), spread(rng, inc.shape[0])
+        assert inc.shape[0] <= fractional.GRAM_ROWS
         assert gram_product(inc, w)(x).tobytes() == (inc.gram(w) @ x).tobytes()
-        monkeypatch.setattr(fractional, "GRAM_ROWS", shape[0] - 1)
+        monkeypatch.setattr(fractional, "GRAM_ROWS", inc.shape[0] - 1)
         assert gram_product(inc, w)(x).tobytes() == inc.dot(w * inc.tdot(x)).tobytes()
 
 
@@ -529,18 +510,19 @@ class TestPolishAgainstLsqr:
     @pytest.mark.parametrize("k,n,p,seed", [(3, 9, 0.7, 1), (3, 10, 0.6, 2), (4, 9, 0.8, 3)])
     def test_random_hosts(self, k, n, p, seed, check_against_lsqr):
         H = random_host(k, n, p, seed)
-        check_against_lsqr(vertex_edge_incidence(H), self.noisy(pfm_lp(H).weights, seed))
+        check_against_lsqr(edge_incidence(H), self.noisy(pfm_lp(H).weights, seed))
 
     def test_more_than_ten_thousand_columns(self, check_against_lsqr):
         H = complete_hypergraph(3, 41)
         assert H.m > 10_000
         w = np.full(H.m, 1 / math.comb(40, 2))
-        check_against_lsqr(vertex_edge_incidence(H), self.noisy(w, 4))
+        check_against_lsqr(edge_incidence(H), self.noisy(w, 4))
 
     def test_duplicate_rows(self, check_against_lsqr):
-        H = random_host(3, 9, 0.7, seed=5)
-        A = vertex_edge_incidence(H)
-        check_against_lsqr(np.vstack([A, A[[0, 3, 3]]]), self.noisy(pfm_lp(H).weights, 5))
+        # the vertex-by-edge incidence of a cycle on 8 vertices: its rows'
+        # alternating sum is 0, so S S^T is singular, and w = 1/2 solves it
+        edges = np.sort([(i, (i + 1) % 8) for i in range(8)], axis=1)
+        check_against_lsqr(Incidence(edges, 8), self.noisy(np.full(8, 0.5), 5))
 
 
 class TestSparsify:

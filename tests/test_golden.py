@@ -28,6 +28,7 @@ HOSTS = {
     "K18": lambda: complete_hypergraph(3, 18),
     "K24": lambda: complete_hypergraph(3, 24),
     "G(9,0.7)": lambda: seeded_random_host(9, 0.7),
+    "G(18,0.8)": lambda: seeded_random_host(18, 0.8),
 }
 
 # name -> (host, command line after the input, the sha256 of its document,
@@ -55,6 +56,15 @@ GOLDEN = {
     )),
     "g9-pfm-exact": ("G(9,0.7)", "pfm --mode exact", (
         "b81f84dd81b8e8ee82ebd2d6f4915cd439ff01faca1bf5053284b0454d31e266",
+    )),
+    # the max-min LP of a non-regular host and its polish
+    "g9-pfm-lp": ("G(9,0.7)", "pfm --mode lp", (
+        "3d9c27bce32da4371971c8427053cf8362274c94dab65ca884b2943bccea33c6",
+    )),
+    # the only pinned run whose reserve is drawn by LP weights
+    "g18-decompose-0": ("G(18,0.8)", "decompose --targets 18;18 --seed 0", (
+        "f29b32a6298d9843262946caf88f7443333f550dd0987b4a7b1ad7805162ea12",
+        "797ab9926b678fb33242c5e1c1c4f8ee653b4e9cd2dfb0e5bb22ffdad3d4296c",
     )),
     "k24-cover-0": ("K24", "cover --collections 2 --seed 0", (
         "9a3ecdb0d8b6805f5ae19b9a583a32f8972eb28974c502d91ae8316fe520c555",
