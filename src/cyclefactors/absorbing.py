@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .fractional import FractionalError, pipeline_weighting
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, place_values
 from .tightpaths import TightPath, closing_rows, grow_paths, is_tight_path
 from .walks import StuckWalkError, sample_walk
 
@@ -58,6 +58,26 @@ def is_absorber_for(H_plus: Hypergraph, seq: Sequence[int], x: int) -> bool:
     return is_tight_path(H_plus, seq) and is_tight_path(
         H_plus, seq[:k] + (x,) + seq[k:]
     )
+
+
+def are_absorbers_for(H_plus: Hypergraph, seqs: Sequence[Sequence[int]], x: int) -> np.ndarray:
+    """``is_absorber_for`` on every one of ``seqs``, 2k-vertex sequences, at
+    once: entry i holds iff its vertices and x are distinct and every window
+    of the row, and of the row with x inserted after position k, is an
+    edge.  The windows are sorted and looked up among the edges' own sorted
+    keys (``place_values``), not in the edge table that
+    ``enumerate_absorbers`` grows from, so the check stays independent of
+    the growth."""
+    k, n = H_plus.k, H_plus.n
+    seqs = np.array(seqs, dtype=np.intp).reshape(-1, 2 * k)
+    inserted = np.insert(seqs, k, x, axis=1)
+    ordered = np.sort(inserted, axis=1)
+    ok = (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
+    edge_keys = np.array(H_plus.edges, dtype=np.int64).reshape(-1, k) @ place_values(n, k)
+    for row in (seqs, inserted):
+        windows = np.lib.stride_tricks.sliding_window_view(row, k, axis=1)
+        ok &= np.isin(np.sort(windows, axis=2) @ place_values(n, k), edge_keys).all(axis=1)
+    return ok
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .absorbing import enumerate_absorbers, is_absorber_for
+from .absorbing import are_absorbers_for, enumerate_absorbers
 from .assemble import (
     AssembleError,
     AssembleParamError,
@@ -377,7 +377,7 @@ def cmd_absorbers(args) -> int:
             absorbers = enumerate_absorbers(H, x, cap=args.cap)
         except HypergraphError as exc:
             raise CLIError(EXIT_PARAMS, f"absorbers: {exc}")
-        checked = all(is_absorber_for(H, a.seq, x) for a in absorbers)
+        checked = bool(are_absorbers_for(H, [a.seq for a in absorbers], x).all())
         all_pass = all_pass and checked
         per_vertex[x] = {"count": len(absorbers), "insertion_check": checked}
         _say(
@@ -401,7 +401,8 @@ def cmd_absorbers(args) -> int:
 
 def _cover_stage(H, prof, r, seed):
     """Weight H's L-cycle family (L = ``prof.L``) and extract r cycle
-    collections from it, redrawing missed gates from the same weights."""
+    collections from it, redrawing missed gates from the same weights and
+    repairing the best draw when every one misses."""
     weights = fractional_cycle_decomposition(H, prof.L, seed=seed)
     return extract_cycle_collections(
         H, weights, r, seed=seed, mu=prof.mu, retries=PIPELINE_EXTRACTION_DRAWS
@@ -454,10 +455,12 @@ def _pipeline_once(H, weighting, targets, prof, seed):
     ext = _cover_stage(H.remove_edges(reserve.edges), prof, len(targets), seed)
     if not ext.ok:
         best = ext.diagnostics[ext.returned]
+        repair = best["repair"]
         raise CoverError(
-            f"collection extraction gates failed in {len(ext.diagnostics)} draws; "
-            f"best draw {best['attempt']}: coverages {best['coverages']}, "
-            f"failures {best['failures']}"
+            f"collection extraction gates failed in {len(ext.diagnostics)} draws "
+            f"and a one-for-two repair; best draw {best['attempt']}: coverages "
+            f"{best['coverages']}, failures {best['failures']}; repair stopped after "
+            f"{repair['swaps']} swaps at coverages {repair['coverages']}"
         )
     F = H.remove_edges(e for coll in ext.collections for C in coll for e in C.edges())
     result = pack_factors(H, F, ext.collections, targets, prof=prof, seed=seed)

@@ -25,9 +25,14 @@ canonical int rows too.
 Second, ``extract_cycle_collections`` rounds the fractional solution into r
 edge-disjoint collections of vertex-disjoint L-cycles by a weight-driven
 randomized greedy, with coverage gates checked per collection; it redraws up
-to ``retries`` times from the same solution, and only the cycles it picks
-become ``TightCycle`` objects.  The
-``decompose`` pipeline hands these cycle collections straight to
+to ``retries`` times from the same solution.  When every draw misses, the
+best one is repaired rather than given up: a collection below the gate
+swaps one pick for two vertex-disjoint family cycles that lie in the
+uncovered vertices and the pick's and share no edge with another
+collection, the lowest family indices first, as long as it stays below.
+The gate is the same for a repaired draw.  Only the cycles of the returned
+draw become ``TightCycle`` objects.  The ``decompose`` pipeline hands these
+cycle collections straight to
 ``assemble.pack_factors``, whose layer transform opens each cycle afresh on
 every attempt with ``open_cycle`` (deleting k-1 consecutive edges at a
 uniformly random rotation).  The ``cover`` command writes the cycle
@@ -366,7 +371,8 @@ class ExtractionResult:
 
     ``returned`` indexes the draw in ``diagnostics`` whose collections these
     are: the passing draw, else the first draw with the fewest gate
-    failures (None when r = 0 and nothing was drawn).
+    failures, after its repair when the repair passed (its entry's
+    "repair" says; None when r = 0 and nothing was drawn).
     """
 
     collections: list
@@ -404,12 +410,14 @@ def _rows_through(ids: np.ndarray, size: int) -> tuple:
     return order // ids.shape[1], starts
 
 
-def _draw(rng: random.Random, weights: np.ndarray) -> int:
+def _draw(rng: random.Random, weights: np.ndarray, cum: Optional[np.ndarray] = None) -> int:
     """The index ``rng.choices(range(len(weights)), weights)`` draws, bit for
     bit: ``cumsum`` adds in sequence, as ``itertools.accumulate`` does, and
     the sums are nondecreasing, so capping the search of all of them at
-    n - 1 is ``bisect(cum, x, 0, n - 1)``."""
-    cum = weights.cumsum()
+    n - 1 is ``bisect(cum, x, 0, n - 1)``.  ``cum``, when given, is
+    ``weights.cumsum()`` summed once for many draws."""
+    if cum is None:
+        cum = weights.cumsum()
     return min(int(cum.searchsorted(rng.random() * cum[-1], "right")), len(cum) - 1)
 
 
@@ -440,6 +448,65 @@ def _check_picks(H: Hypergraph, cycles: np.ndarray, ids: np.ndarray, picks: list
         raise CoverError(f"edge {H.edges[int(np.argmax(edges))]!r} appears in two collections")
 
 
+def _gate_failures(coverages: list, coverage_min: int) -> list:
+    return [
+        f"collection {i} coverage {c} < {coverage_min}"
+        for i, c in enumerate(coverages)
+        if c < coverage_min
+    ]
+
+
+def _disjoint_pair(words: np.ndarray, cand: np.ndarray) -> Optional[np.ndarray]:
+    """The lexicographically first pair [a, b], a < b, of vertex-disjoint
+    cycles among ``cand`` (ascending family indices), or None."""
+    sub = words[:, cand]
+    for j in range(len(cand) - 1):
+        hit = np.flatnonzero(~(sub[:, j + 1 :] & sub[:, j : j + 1]).any(axis=0))
+        if len(hit):
+            return cand[[j, j + 1 + hit[0]]]
+    return None
+
+
+def _swap(words: np.ndarray, free: np.ndarray, coll: np.ndarray) -> Optional[np.ndarray]:
+    """``coll`` with one pick p replaced by two vertex-disjoint cycles of
+    ``free`` that meet no other pick of ``coll``, so that they lie in the
+    uncovered vertices and V(p); None when no pick has such a pair.  The
+    first pick in draw order that has one is swapped, for its
+    lexicographically first pair.  A pair may keep p itself beside a cycle
+    on uncovered vertices."""
+    meets = (words[:, None, free] & words[:, coll, None]).any(axis=0)
+    count = meets.sum(axis=0)
+    for pos in range(len(coll)):
+        pair = _disjoint_pair(words, free[(count == 0) | (count == 1) & meets[pos]])
+        if pair is not None:
+            return np.concatenate((coll[:pos], pair, coll[pos + 1 :]))
+    return None
+
+
+def _repair(
+    H: Hypergraph, ids: np.ndarray, words: np.ndarray, picks: list, coverage_min: int
+) -> tuple:
+    """(picks, swaps): a draw whose collections below the gate are completed,
+    in order, by one-for-two swaps (``_swap``) over the cycles that share
+    no edge with the picks of any other collection.  A collection no swap
+    can complete stops the repair there, with the picks as they stand."""
+    L = ids.shape[1]
+    picks, swaps = list(picks), 0
+    for i in range(len(picks)):
+        if L * len(picks[i]) >= coverage_min:
+            continue
+        taken = np.zeros(H.m, dtype=bool)
+        for other in picks[:i] + picks[i + 1 :]:
+            taken[ids[other].ravel()] = True
+        free = np.flatnonzero(~taken[ids].any(axis=1))
+        while L * len(picks[i]) < coverage_min:
+            swapped = _swap(words, free, picks[i])
+            if swapped is None:
+                return picks, swaps
+            picks[i], swaps = swapped, swaps + 1
+    return picks, swaps
+
+
 def extract_cycle_collections(
     H: Hypergraph,
     pair,
@@ -466,10 +533,19 @@ def extract_cycle_collections(
     index arrays as ``validate_collections`` checks cycles, and its
     coverages are L per pick.  An attempt is accepted when every
     collection covers at least ceil((1-mu) n) vertices; otherwise the
-    extraction reseeds, up to ``retries`` attempts, and finally returns the
-    best attempt (the first with the fewest gate failures, named by
-    ``returned``) with diagnostics (``ok`` False) rather than discarding the
-    work.  Only the returned draw's picks become ``TightCycle`` objects.
+    extraction reseeds, up to ``retries`` attempts.  The first pick of
+    every draw reads the whole family, whose weights are summed once.
+    When no draw passes, the best one (the first with the fewest gate
+    failures, named by ``returned``) goes through ``_repair``: each
+    collection below the gate, in order, swaps one pick for two cycles
+    (``_swap``) while it stays below.  The swaps take no randomness, so
+    every extraction that passes within its draws is unchanged by them.
+    The draw's diagnostics entry records the repair as {"swaps",
+    "coverages", "failures"}.  A repaired draw is checked by
+    ``_check_picks`` and returned (``ok`` True); when some collection has
+    no swap left, the draw is returned as drawn, with ``ok`` False, rather
+    than discarding the work.  Only the returned draw's picks become
+    ``TightCycle`` objects, and ``validate_collections`` checks them.
     """
     check_collections(H, r)
     coverage_min = math.ceil((1 - mu) * H.n)
@@ -482,6 +558,7 @@ def extract_cycle_collections(
     cycles, weights = pair
     ids = _pair_ids(H, pair)
     scaled = np.asarray(weights, dtype=float) / gamma
+    whole, everything = scaled.cumsum(), np.arange(len(cycles))
     words = _vertex_words(cycles, H.n)
     through, starts = _rows_through(ids, H.m)
     master = random.Random(seed)
@@ -491,28 +568,26 @@ def extract_cycle_collections(
         rng = random.Random(master.randrange(2**63))
         dead = np.zeros(len(cycles), dtype=bool)
         picks = []
-        for _ in range(r):
+        for c in range(r):
             coll = []
-            pool = np.flatnonzero(~dead)
+            pool = np.flatnonzero(~dead) if c else everything
             while len(pool):
-                i = pool[_draw(rng, scaled[pool])]
+                # a draw's first pick reads the whole family, summed once
+                i = pool[_draw(rng, scaled[pool])] if c or coll else _draw(rng, scaled, whole)
                 coll.append(i)
                 met = words[0][pool] & words[0][i]
                 for word in words[1:]:
                     met |= word[pool] & word[i]
                 pool = pool[met == 0]
             coll = np.array(coll, dtype=np.intp)
-            if len(coll):
+            if len(coll) and c < r - 1:
                 edges = ids[coll].ravel()
                 spans = zip(starts[edges].tolist(), starts[edges + 1].tolist())
                 dead[np.concatenate([through[a:b] for a, b in spans])] = True
             picks.append(coll)
         _check_picks(H, cycles, ids, picks)
         coverages = [cycles.shape[1] * len(coll) for coll in picks]
-        failures = []
-        for i, c in enumerate(coverages):
-            if c < coverage_min:
-                failures.append(f"collection {i} coverage {c} < {coverage_min}")
+        failures = _gate_failures(coverages, coverage_min)
         diagnostics.append(
             {"attempt": attempt, "coverages": coverages, "failures": failures}
         )
@@ -522,6 +597,16 @@ def extract_cycle_collections(
         if best is None or len(failures) < len(best[1]):
             best = (picks, failures, attempt)
     picks, failures, returned = best
+    if failures:
+        repaired, swaps = _repair(H, ids, words, picks, coverage_min)
+        coverages = [cycles.shape[1] * len(coll) for coll in repaired]
+        gaps = _gate_failures(coverages, coverage_min)
+        diagnostics[returned]["repair"] = {
+            "swaps": swaps, "coverages": coverages, "failures": gaps
+        }
+        if not gaps:
+            _check_picks(H, cycles, ids, repaired)
+            picks, failures = repaired, gaps
     collections = [
         tuple(TightCycle(H, cycles[i].tolist()) for i in coll) for coll in picks
     ]

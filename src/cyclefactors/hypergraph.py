@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -145,16 +147,17 @@ class Hypergraph:
             self._check_vertex(v)
         if j == 1:
             return self._degrees[xs[0]]
-        cache = self._codegree_cache
-        hit = cache.get(xs)
-        if hit is None:
-            if j == self.k - 1:
-                hit = len(self.extensions(xs))
-            else:
-                s = set(xs)
-                hit = sum(1 for e in self.edges if s.issubset(e))
-            cache[xs] = hit
-        return hit
+        return self._codegrees(j).get(xs, 0)
+
+    def _codegrees(self, j: int) -> Counter:
+        """The codegree of every j-set inside some edge, keyed by its sorted
+        tuple: the j-subsets of the edges, counted in one pass on the first
+        query of size j and kept."""
+        counts = self._codegree_cache.get(j)
+        if counts is None:
+            counts = Counter(s for e in self.edges for s in itertools.combinations(e, j))
+            self._codegree_cache[j] = counts
+        return counts
 
     def extensions(self, tail: Iterable[int]) -> tuple:
         """N(tail) as an ascending tuple, for any ordering of a (k-1)-set
@@ -222,7 +225,13 @@ class Hypergraph:
         j = self.k - 1 if j is None else j
         if self.m == 0:
             return 0
-        return min(self.codegree(x) for x in itertools.combinations(range(self.n), j))
+        if not (1 <= j <= self.k - 1):
+            raise HypergraphError(f"codegree wants a j-set with 1 <= j <= {self.k - 1}, got j={j}")
+        if j == 1:
+            return min(self._degrees)
+        counts = self._codegrees(j)
+        # a j-set in no edge has codegree 0
+        return min(counts.values()) if len(counts) == math.comb(self.n, j) else 0
 
     # -- derived graphs --------------------------------------------------
 
@@ -291,6 +300,17 @@ class Hypergraph:
         return f"Hypergraph(k={self.k}, n={self.n}, m={self.m})"
 
 
+def _neighborhoods(H: Hypergraph) -> dict:
+    """N(x) of every (k-1)-set x inside some edge, keyed by its sorted
+    tuple: collected from the edges in one pass, not by n ``has_edge``
+    probes per (k-1)-set as ``Hypergraph.neighborhood`` answers one."""
+    hoods: dict = {}
+    for e in H.edges:
+        for i in range(H.k):
+            hoods.setdefault(e[:i] + e[i + 1 :], set()).add(e[i])
+    return hoods
+
+
 @functools.lru_cache(maxsize=None)
 def place_values(n: int, width: int) -> np.ndarray:
     """Place values that read ``width`` vertices as one base-n number, the
@@ -333,7 +353,8 @@ class RegularityReport:
         eta = eta_all = None
         if m > 0 and n >= k - 1:
             km1_sets = list(itertools.combinations(range(n), k - 1))
-            hoods = {x: H.neighborhood(x) for x in km1_sets}
+            found = _neighborhoods(H)
+            hoods = {x: found.get(x, frozenset()) for x in km1_sets}
             best_all = None
             best_disjoint = None
             for x, y in itertools.combinations_with_replacement(km1_sets, 2):

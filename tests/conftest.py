@@ -98,14 +98,56 @@ def check_against_lsqr():
     return check
 
 
+def rescan_repair(H, family, collections, coverage_min):
+    """The one-for-two repair that ``cover._repair`` runs on index arrays.
+
+    Brute force over ``TightCycle`` objects: for each collection below the
+    gate, in order, and while it stays below, the first pick p (in draw
+    order) for which some pair of vertex-disjoint family cycles lies in the
+    vertices no other pick of the collection covers and shares no edge with
+    another collection is replaced by the first such pair in family order.
+    Returns (collections, swaps), stopping at a collection no swap
+    completes.  Kept only as an oracle.
+    """
+    collections = [list(coll) for coll in collections]
+    swaps = 0
+    for i, coll in enumerate(collections):
+        taken = {e for j, other in enumerate(collections) if j != i
+                 for C in other for e in C.edges()}
+        free = [C for C in family if not taken & set(C.edges())]
+        while len(set().union(*(C.vertex_set for C in coll))) < coverage_min:
+            for pos in range(len(coll)):
+                rest = coll[:pos] + coll[pos + 1:]
+                room = set(range(H.n)).difference(*(C.vertex_set for C in rest))
+                cand = [C for C in free if C.vertex_set <= room]
+                pair = next((list(ab) for ab in itertools.combinations(cand, 2)
+                             if not ab[0].vertex_set & ab[1].vertex_set), None)
+                if pair is not None:
+                    coll[:] = rest[:pos] + pair + rest[pos:]
+                    swaps += 1
+                    break
+            else:
+                return collections, swaps
+    return collections, swaps
+
+
+def _gate_failures(collections, coverage_min):
+    coverages = [len(set().union(*(C.vertex_set for C in coll)))
+                 for coll in collections]
+    failures = [f"collection {i} coverage {c} < {coverage_min}"
+                for i, c in enumerate(coverages) if c < coverage_min]
+    return coverages, failures
+
+
 def rescan_extraction(H, pair, r, seed=0, mu=0.2, retries=10):
     """The full-rescan greedy that ``extract_cycle_collections`` replaces.
 
     Before every pick it rebuilds the candidate list from the whole family:
     every cycle vertex-disjoint from the current collection and edge-disjoint
     from all chosen cycles, as ``TightCycle`` objects, and draws with
-    ``rng.choices``.  Kept only as an oracle; it assumes the checks on
-    ``pair`` and ``r`` already passed.
+    ``rng.choices``.  When every draw misses a gate, the best draw goes
+    through ``rescan_repair``.  Kept only as an oracle; it assumes the
+    checks on ``pair`` and ``r`` already passed.
     """
     coverage_min = math.ceil((1 - mu) * H.n)
     gamma = float((1 + H.rho_star()) * r) if r else 1.0
@@ -141,12 +183,7 @@ def rescan_extraction(H, pair, r, seed=0, mu=0.2, retries=10):
                 used_vertices |= C.vertex_set
                 used_edges.update(C.edges())
             collections.append(tuple(coll))
-        coverages = [len(set().union(*(C.vertex_set for C in coll)))
-                     for coll in collections]
-        failures = []
-        for i, c in enumerate(coverages):
-            if c < coverage_min:
-                failures.append(f"collection {i} coverage {c} < {coverage_min}")
+        coverages, failures = _gate_failures(collections, coverage_min)
         diagnostics.append(
             {"attempt": attempt, "coverages": coverages, "failures": failures}
         )
@@ -156,8 +193,14 @@ def rescan_extraction(H, pair, r, seed=0, mu=0.2, retries=10):
             )
         if best is None or len(failures) < len(best[1]):
             best = (collections, failures, attempt)
+    collections, _, returned = best
+    repaired, swaps = rescan_repair(H, family, collections, coverage_min)
+    coverages, gaps = _gate_failures(repaired, coverage_min)
+    diagnostics[returned]["repair"] = {"swaps": swaps, "coverages": coverages, "failures": gaps}
+    if not gaps:
+        collections = [tuple(coll) for coll in repaired]
     return ExtractionResult(
-        best[0], False, max(1, retries), diagnostics, gamma, best[2]
+        collections, not gaps, max(1, retries), diagnostics, gamma, returned
     )
 
 

@@ -14,6 +14,7 @@ from cyclefactors.absorbing import (
     BlockRecord,
     absorb,
     absorbable,
+    are_absorbers_for,
     build_absorbing_structure,
     disjoint_perfect_matchings,
     enumerate_absorbers,
@@ -56,6 +57,23 @@ class TestAbsorbers:
         for a in found[:50]:
             assert is_absorber_for(H, a.seq, 0)
         assert [a.seq for a in found] == absorbers_by_filter(H, 0)
+
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_batched_check_is_the_definitional_check(self, seed):
+        # random 2k-sequences, repeats and x itself included, and the
+        # enumerated absorbers: the batch agrees with is_absorber_for on each
+        rng = random.Random(seed)
+        k = rng.choice([2, 3, 4])
+        n = rng.randint(2 * k + 1, 10)
+        H = Hypergraph(k, n, [e for e in itertools.combinations(range(n), k) if rng.random() < 0.7])
+        x = rng.randrange(n)
+        seqs = [tuple(rng.choices(range(n), k=2 * k)) for _ in range(30)]
+        seqs += [tuple(rng.sample(range(n), 2 * k)) for _ in range(30)]
+        seqs += [a.seq for a in enumerate_absorbers(H, x, cap=30)]
+        got = are_absorbers_for(H, seqs, x).tolist()
+        assert got == [is_absorber_for(H, seq, x) for seq in seqs]
+        assert are_absorbers_for(H, [], x).tolist() == []
 
     def test_center_candidates_on_complete_host(self):
         H = complete_hypergraph(3, 7)

@@ -478,8 +478,9 @@ class TestDecompose:
         monkeypatch.setattr(cli, "pipeline_weighting", counted)
         host = write_host(tmp_path, complete_hypergraph(3, 12))
         out = tmp_path / "run.json"
+        # seed 57: the first pipeline attempt finds no weighting and retries
         code = main(
-            ["decompose", host, "--targets", "12;12", "--seed", "8", "-q",
+            ["decompose", host, "--targets", "12;12", "--seed", "57", "-q",
              "--output", str(out)]
         )
         assert code == EXIT_OK
@@ -527,9 +528,12 @@ class TestDecompose:
         assert len(solves) == 1
         [(retries, got, ten)] = seen
         assert retries == cli.PIPELINE_EXTRACTION_DRAWS == 40
-        assert not ten.ok
+        assert ten.attempts == 10 and all(d["failures"] for d in ten.diagnostics)
         assert got.ok and 10 < got.attempts <= retries
-        assert got.diagnostics[:10] == ten.diagnostics
+        # the ten-draw extraction repairs its best draw; the draws are the same
+        draws = [{key: d[key] for key in ("attempt", "coverages", "failures")}
+                 for d in ten.diagnostics]
+        assert got.diagnostics[:10] == draws
 
     def test_a_first_draw_pass_is_unchanged_by_the_budget(self, tmp_path, monkeypatch):
         # seed 0: the first pipeline attempt passes within ten draws
@@ -798,12 +802,13 @@ class TestDecompose:
         assert doc["pipeline"]["attempts"] == 1
 
     def test_failed_extraction_names_its_best_draw(self, tmp_path, monkeypatch):
-        # four Hamilton targets on K_12^(3): no draw reaches the coverage gate
+        # four Hamilton targets on K_12^(3), seed 2: no draw reaches the
+        # coverage gate, and no one-for-two swap completes the best one
         seen = self._record_extractions(monkeypatch)
         host = write_host(tmp_path, complete_hypergraph(3, 12))
         out = tmp_path / "run.json"
         code = main(
-            ["decompose", host, "--targets", "12;12;12;12", "--seed", "0",
+            ["decompose", host, "--targets", "12;12;12;12", "--seed", "2",
              "--pipeline-retries", "1", "-q", "--output", str(out)]
         )
         assert code == EXIT_STAGE
@@ -812,12 +817,16 @@ class TestDecompose:
         best = got.diagnostics[got.returned]
         assert got.coverages() == best["coverages"]
         assert all(len(d["failures"]) >= len(best["failures"]) for d in got.diagnostics)
+        repair = best["repair"]
+        assert repair["failures"]
+        assert [d for d in got.diagnostics if "repair" in d] == [best]
         [entry] = json.loads(out.read_text())["pipeline"]["log"]
         assert entry["stage"] == "CoverError"
         assert entry["detail"] == (
-            f"collection extraction gates failed in 40 draws; "
-            f"best draw {best['attempt']}: coverages {best['coverages']}, "
-            f"failures {best['failures']}"
+            f"collection extraction gates failed in 40 draws and a one-for-two "
+            f"repair; best draw {best['attempt']}: coverages {best['coverages']}, "
+            f"failures {best['failures']}; repair stopped after {repair['swaps']} "
+            f"swaps at coverages {repair['coverages']}"
         )
 
     def test_target_sum_mismatch_is_a_parameter_error(self, tmp_path, capsys):

@@ -630,6 +630,78 @@ class TestExtractionAgainstRescan:
         assert rng.random() == want_rng.random()
 
 
+class TestRepair:
+    """The one-for-two swap that completes a draw whose every redraw missed."""
+
+    def near_miss(self, with_pair=True):
+        # the 4-cycle P on 2..5 outweighs A on 0..3 and B on 4..7, and meets
+        # both, so every draw picks P alone and covers 4 of the 8 vertices
+        H = complete_hypergraph(3, 8)
+        rows = [(2, 3, 4, 5), (0, 1, 2, 3)] + [(4, 5, 6, 7)] * with_pair
+        return H, (np.array(rows), np.array([1e12, 1.0, 1.0][: len(rows)]))
+
+    def test_hand_built_near_miss_is_repaired(self):
+        H, pair = self.near_miss()
+        res = extract_cycle_collections(H, pair, 1, seed=0, mu=0.0, retries=3)
+        assert [d["coverages"] for d in res.diagnostics] == [[4]] * 3
+        assert res.ok and res.returned == 0 and res.coverages() == [8]
+        assert res.diagnostics[0]["repair"] == {"swaps": 1, "coverages": [8], "failures": []}
+        assert [[C.seq for C in coll] for coll in res.collections] == [
+            [(0, 1, 2, 3), (4, 5, 6, 7)]
+        ]
+        validate_collections(H, res.collections)
+
+    def test_a_collection_no_swap_completes_keeps_its_draw(self):
+        H, pair = self.near_miss(with_pair=False)
+        res = extract_cycle_collections(H, pair, 1, seed=0, mu=0.0, retries=3)
+        assert not res.ok and res.coverages() == [4]
+        assert res.diagnostics[0]["repair"] == {
+            "swaps": 0, "coverages": [4], "failures": ["collection 0 coverage 4 < 8"]
+        }
+        assert [[C.seq for C in coll] for coll in res.collections] == [[(2, 3, 4, 5)]]
+
+    @pytest.mark.parametrize("n,L,p", [(10, 5, 0.7), (12, 4, 0.9)])
+    @pytest.mark.parametrize("host_seed", range(3))
+    def test_a_swap_is_found_exactly_when_one_exists(self, n, L, p, host_seed):
+        # maximal greedy collections of random cycles, four edge-disjoint
+        # ones; each is checked against every (pick, pair) of the family
+        H = random_host(3, n, p, host_seed)
+        cycles = _enumerate_all(H, L, None)
+        family = [TightCycle(H, seq) for seq in cycles.tolist()]
+        words = cover._vertex_words(cycles, n)
+        rng = random.Random(host_seed)
+        outcomes = set()
+        for _ in range(8):
+            colls, taken = [], set()
+            for _ in range(4):
+                coll, used = [], set()
+                for j in rng.sample(range(len(family)), len(family)):
+                    C = family[j]
+                    if not used & C.vertex_set and not taken & set(C.edges()):
+                        coll.append(j)
+                        used |= C.vertex_set
+                taken |= {e for j in coll for e in family[j].edges()}
+                colls.append(coll)
+            for i, coll in enumerate(colls):
+                others = {e for o in colls[:i] + colls[i + 1 :]
+                          for j in o for e in family[j].edges()}
+                free = [j for j, C in enumerate(family) if not others & set(C.edges())]
+                want = None
+                for pos in range(len(coll)):
+                    rest = coll[:pos] + coll[pos + 1 :]
+                    room = set(range(n)).difference(*(family[j].vertex_set for j in rest))
+                    cand = [j for j in free if family[j].vertex_set <= room]
+                    pair = next((list(ab) for ab in itertools.combinations(cand, 2)
+                                 if not family[ab[0]].vertex_set & family[ab[1]].vertex_set), None)
+                    if pair is not None:
+                        want = rest[:pos] + pair + rest[pos:]
+                        break
+                got = cover._swap(words, np.array(free), np.array(coll))
+                assert (got if got is None else got.tolist()) == want
+                outcomes.add(want is None)
+        assert outcomes == {True, False}
+
+
 class TestValidateCollections:
     def test_index_arrays_checked_as_cycles(self):
         # the extraction's per-draw check on picks held as family indices

@@ -47,6 +47,11 @@ GOLDEN = {
         "9c7d62aba9cff30d93963c1084f8e5a99e7d8a844d5fa56e8cc2979eb74d60d0",
         "4f7b66041aa55b9ed7afb0d0ffca3c4dee3dc509a9df21c9245454f75d02b844",
     )),
+    # an extraction completed by the one-for-two repair on an enumerated family
+    "k12-decompose-3": ("K12", "decompose --targets 12;12 --seed 3", (
+        "aad3e4ef849e4d5e54e57b4aeaef9385468ae90967e10ef220c79ce3a9990fe7",
+        "e1876109a09dd4be05c6feef30d6731963ad5bb3f8dcb1427869b055dad6c932",
+    )),
     "k12-decompose-wide-0": ("K12", f"decompose --targets 12;12 --seed 0 {WIDE}", (
         "4486a32ba645e51272243923ba0931a02af90d7b7e330175929fa905d8efabf9",
         "af835c4063b871ef5263c90828dd3b1701370e02d428ba84bfe2ada1871326c0",
@@ -69,10 +74,11 @@ GOLDEN = {
     "k24-cover-0": ("K24", "cover --collections 2 --seed 0", (
         "9a3ecdb0d8b6805f5ae19b9a583a32f8972eb28974c502d91ae8316fe520c555",
     )),
-    # the residual's cycle family is sampled (cycles_through_edge) end to end
+    # the residual's cycle family is sampled (cycles_through_edge) end to end;
+    # all 40 draws of its first attempt miss, and a one-for-two swap repairs one
     "k24-decompose-0": ("K24", "decompose --targets 24;24 --seed 0", (
-        "eff74db77aab92afb35c7ab8b5dbaaa9d6d3b73fe7839fde659bd6599197a3a4",
-        "7e8aa991af63f4733cd2f55f1140af90b995d6ca7554681e206a87cefcba525d",
+        "3243f64b1935d4c0151ed18a46a75154dab23a1f21188231d028f06fd696cba2",
+        "f2dae58154bff0a3b65f015db205ab65c4711f0fccb5fba25a495a7bb5b8bbff",
     )),
     # the largest enumerated family (14,957 six-cycles) and assembled Gram
     "k18-decompose-0": ("K18", "decompose --targets 18;18 --seed 0", (

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from cyclefactors.hypergraph import (
     Hypergraph,
     HypergraphError,
+    _neighborhoods,
     complete_hypergraph,
     degree_transfer_check,
     format_hypergraph,
@@ -145,6 +146,24 @@ class TestDegreesAndCodegrees:
         H = random_hypergraph(rng, 3, rng.randint(3, 8), 0.5)
         total = sum(H.codegree(x) for x in itertools.combinations(range(H.n), 2))
         assert total == 3 * H.m
+
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_counts_from_the_edges_match_the_probes(self, seed):
+        # codegree and delta_codegree count the edges' j-subsets, and the
+        # report collects every N(x) from the edges; a j-set's edges and the
+        # n has_edge probes of a (k-1)-set are the references
+        rng = random.Random(seed)
+        k = rng.choice([2, 3, 4])
+        H = random_hypergraph(rng, k, rng.randint(k, 9), rng.choice([0.3, 0.6, 0.9]))
+        for j in range(1, k):
+            want = {x: sum(1 for e in H.edges if set(x) <= set(e))
+                    for x in itertools.combinations(range(H.n), j)}
+            assert {x: H.codegree(x) for x in want} == want
+            assert H.delta_codegree(j) == (min(want.values()) if H.m else 0)
+        found = _neighborhoods(H)
+        for x in itertools.combinations(range(H.n), k - 1):
+            assert frozenset(found.get(x, ())) == H.neighborhood(x)
 
 
 class TestExtensionMask:
