@@ -372,6 +372,50 @@ class ScalingError(FractionalError):
     the residual reached and the step count."""
 
 
+def _pinned(A: Incidence, gram, w):
+    """The columns that row inclusion pins to 0, as a boolean mask (None
+    when it pins none), and the rows that cutting them leaves with no column.
+
+    When every column through row e also passes through row f, rows e and f
+    both summing to 1 leave 0 for each column through f but not e (w >= 0).
+    ``gram`` is A diag(w) A^T with the diagonal A w, so G[e, f] falls short
+    of (A w)_e by the weight of e's columns that miss f, at least min(w)
+    when there is one: the pairs within half of that are the candidates,
+    each confirmed on the id rows.
+    """
+    rows = A.shape[0]
+    near = np.flatnonzero(gram >= (np.diagonal(gram) - w.min() / 2)[:, None])
+    e, f = np.divmod(near, rows)
+    other = e != f  # every row is near itself
+    if not other.any():
+        return None, ()
+    e, f = e[other], f[other]
+    # the rows in some pair, ascending (np.unique would import numpy.ma)
+    involved = np.zeros(rows, dtype=bool)
+    involved[e] = involved[f] = True
+    involved = np.flatnonzero(involved)
+    on = np.zeros((len(involved), A.shape[1]), dtype=bool)  # involved x columns
+    for ones in A._grid:
+        on |= ones == involved[:, None]
+    on_e, on_f = on[np.searchsorted(involved, e)], on[np.searchsorted(involved, f)]
+    held = ~(on_e & ~on_f).any(axis=1)
+    pinned = (on_f[held] & ~on_e[held]).any(axis=0)
+    if not pinned.any():  # no inclusion, or only rows with the same columns
+        return None, ()
+    left = np.bincount(A._grid[:, ~pinned].reshape(-1), minlength=rows)
+    return pinned, np.flatnonzero(left == 0)
+
+
+def _start(A: Incidence):
+    """Newton's first dual point y, its w = exp(-A^T y) and g(y): w_j near the
+    geometric mean of 1 / (row sum) over column j's rows, exactly 1 when
+    every row sum is 1."""
+    row_sums = np.bincount(A.rows, minlength=A.shape[0])
+    y = np.log(np.maximum(row_sums, 1.0)) * A.shape[1] / max(len(A.rows), 1)
+    w = np.exp(-A.tdot(y))
+    return y, w, w.sum() + y.sum()
+
+
 def scale_to_ones(A: Incidence) -> np.ndarray:
     """The maximum-entropy w >= 0 with A w = 1.
 
@@ -384,42 +428,60 @@ def scale_to_ones(A: Incidence) -> np.ndarray:
     GRAM_ROWS rows (matrix-free above), then backtracks on g (Armijo) from
     the full step, and doubles an accepted full step for as long as g keeps
     falling and stays above the floor below.  It stops once
-    max |A w - 1| <= SCALE_TOL.  Columns that no positive solution can carry
-    shrink toward 0; those below SCALE_TOL carry less than the tolerance on
-    every row and come back as exactly 0, so that ``polish`` rebalances the
-    rest without them.  A full step shrinks such a column by only about
-    e^-1; the longer steps cut the Newton steps of K_12^(3) residuals with
-    forced zeros from 21-24 to 13-17 (7 when no column must weigh 0).
+    max |A w - 1| <= SCALE_TOL.
+
+    Columns that no positive solution can carry leave in two ways.  Where
+    the first step's matrix is assembled, it also shows the rows whose
+    columns all pass through another row (``_pinned``).  The columns that
+    such an inclusion pins to 0 are cut after that step, and the next
+    step's matrix is searched the same way until a search finds none; a
+    family with no inclusion builds nothing more and keeps its bits.  The
+    rest shrink toward 0, and those below SCALE_TOL carry less than the
+    tolerance on every row.  Both come back as exactly 0, so that
+    ``polish`` rebalances the others without them.  A full step shrinks
+    such a column by only about e^-1: the K_12^(3) residuals with forced
+    zeros took 21-24 Newton steps, 13-17 with the longer steps, and 7-10
+    with the cut (6-9 when no column must weigh 0).
 
     A feasible w bounds g below by sum_j w_j, which is rows / c when every
-    column holds c ones, so a step below that bound proves that A w = 1 has no solution w >= 0.
-    ScalingError then, or when SCALE_STEPS steps or the line search run out.
+    column holds c ones, so a step below that bound proves that A w = 1 has
+    no solution w >= 0, and so does a cut that leaves a row with no column.
+    ScalingError then, naming that row, or when SCALE_STEPS steps or the
+    line search run out.
     """
     rows, cols = A.shape
     floor = rows / len(A._grid)
-    # start near w_j = the geometric mean of 1 / (row sum) over column j's rows
-    row_sums = np.bincount(A.rows, minlength=rows)
-    y = np.log(np.maximum(row_sums, 1.0)) * cols / max(len(A.rows), 1)
-    w = np.exp(-A.tdot(y))
-    g = w.sum() + y.sum()
+    y, w, g = _start(A)
+    kept = None  # the given columns that A keeps, once a cut drops some
+    search = rows <= GRAM_ROWS  # for pinned columns, on the assembled matrix
+    pins, emptied = None, ()
     for step in range(SCALE_STEPS + 1):
         aw = A.dot(w)
         r = aw - 1.0
         residual = np.abs(r).max(initial=0.0)
         if residual <= SCALE_TOL:
-            return np.where(w < SCALE_TOL, 0.0, w)
-        if g < floor or step == SCALE_STEPS:
+            w = np.where(w < SCALE_TOL, 0.0, w)
+            if kept is not None:
+                out = np.zeros(cols)
+                out[kept] = w
+                w = out
+            return w
+        if g < floor or len(emptied) or step == SCALE_STEPS:
             break
+        if search:
+            gram = A.gram(w)
+            pins, emptied = _pinned(A, gram, w)
+            search = pins is not None
+            product = gram.dot
+            del gram
+        else:
+            product = gram_product(A, w)
         diag = np.maximum(aw, np.finfo(float).tiny)
         # an infeasible A w = 1 may leave CG without a solution: d turns
         # nan or points uphill, and the line search below finds no step
         with np.errstate(all="ignore"):
-            d = cg(
-                gram_product(A, w),
-                r,
-                min(0.1, residual**0.5),
-                precond=lambda x: x / diag,
-            )
+            d = cg(product, r, min(0.1, residual**0.5), precond=lambda x: x / diag)
+            del product  # the matrix, before the next step assembles its own
             u, slope = A.tdot(d), -(r @ d)
             for t in 0.5 ** np.arange(40):
                 # g(y + t d) - g(y), summed term by term: the difference of
@@ -439,12 +501,27 @@ def scale_to_ones(A: Incidence) -> np.ndarray:
                     break
                 t, change = 2 * t, longer
         y += t * d
-        w = np.exp(-A.tdot(y))
-        g += change
-    raise ScalingError(
+        if pins is None:
+            w = np.exp(-A.tdot(y))
+            g += change
+        else:
+            # go on from the lower of g at y and at the cut family's start:
+            # when the cut leaves each row one column, that start solves
+            # A w = 1, where g meets the floor
+            kept = np.flatnonzero(~pins) if kept is None else kept[~pins]
+            A = Incidence(A._grid.T[~pins], rows)
+            w = np.exp(-A.tdot(y))
+            g = w.sum() + y.sum()
+            start = _start(A)
+            if start[2] < g:
+                y, w, g = start
+    message = (
         f"no positive solution of A w = 1: residual {residual:.3g} "
         f"after {step} Newton steps"
     )
+    if len(emptied):
+        message += f"; row {emptied[0]} lies only on columns that row inclusion pins to 0"
+    raise ScalingError(message)
 
 
 # ---------------------------------------------------------------------------

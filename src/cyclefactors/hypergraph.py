@@ -9,8 +9,8 @@ ordered (k-1)-tuples at once, as boolean rows of that table), induced subgraphs,
 approximate regularity every pipeline stage re-checks) and the plain-text
 serialization format live here. Graphs
 derived from a host by dropping edges skip the input checks. The full
-regularity / intersection report (rho_star, eta_star, delta_codegree) sweeps
-all pairs of (k-1)-sets; it serves ``analyze``.
+regularity / intersection report (rho_star, eta_star, delta_codegree) compares
+all pairs of (k-1)-sets in one matrix product; it serves ``analyze``.
 """
 
 from __future__ import annotations
@@ -300,15 +300,39 @@ class Hypergraph:
         return f"Hypergraph(k={self.k}, n={self.n}, m={self.m})"
 
 
-def _neighborhoods(H: Hypergraph) -> dict:
-    """N(x) of every (k-1)-set x inside some edge, keyed by its sorted
-    tuple: collected from the edges in one pass, not by n ``has_edge``
-    probes per (k-1)-set as ``Hypergraph.neighborhood`` answers one."""
-    hoods: dict = {}
-    for e in H.edges:
-        for i in range(H.k):
-            hoods.setdefault(e[:i] + e[i + 1 :], set()).add(e[i])
-    return hoods
+def _eta_minima(H: Hypergraph) -> tuple:
+    """The least |N(x) & N(y)| over all pairs of (k-1)-sets x, y (x = y
+    too), and over the disjoint pairs (None when no two are disjoint).
+
+    One product of two (k-1)-set x 2n 0/1 matrices answers every pair: row x
+    of the left one holds N(x), then n + 1 at x's own vertices; row y of the
+    right one N(y), then 1 at y's vertices.  So entry (x, y) is
+    |N(x) & N(y)| + (n + 1) |x & y|: at most n exactly when x and y are
+    disjoint, and |N(x) & N(y)| modulo n + 1.  The N(x) are read off the
+    edges, and the product runs in row blocks of about 2^18 entries, whose
+    float entries are exact integers.
+    """
+    n, k = H.n, H.k
+    sets = np.array(list(itertools.combinations(range(n), k - 1)), dtype=np.intp)
+    keys = sets @ place_values(n, k - 1)  # ascending, as the sets are
+    hoods = np.zeros((len(sets), n))
+    edges = np.array(H.edges, dtype=np.intp)
+    for i in range(k):
+        rest = np.delete(edges, i, axis=1) @ place_values(n, k - 1)
+        hoods[np.searchsorted(keys, rest), edges[:, i]] = 1.0
+    members = np.zeros((len(sets), n))
+    members[np.arange(len(sets))[:, None], sets] = 1.0
+    left = np.hstack([hoods, (n + 1) * members])
+    right = np.hstack([hoods, members]).T
+    lows, disjoint_lows = [], []
+    block = max(1, 2**18 // len(sets))
+    for start in range(0, len(sets), block):
+        pairs = left[start : start + block] @ right
+        lows.append((pairs % (n + 1)).min())
+        disjoint = pairs[pairs <= n]
+        if len(disjoint):
+            disjoint_lows.append(disjoint.min())
+    return int(min(lows)), int(min(disjoint_lows)) if disjoint_lows else None
 
 
 @functools.lru_cache(maxsize=None)
@@ -352,19 +376,8 @@ class RegularityReport:
         r_mean = Fraction(k * m, n)
         eta = eta_all = None
         if m > 0 and n >= k - 1:
-            km1_sets = list(itertools.combinations(range(n), k - 1))
-            found = _neighborhoods(H)
-            hoods = {x: found.get(x, frozenset()) for x in km1_sets}
-            best_all = None
-            best_disjoint = None
-            for x, y in itertools.combinations_with_replacement(km1_sets, 2):
-                inter = len(hoods[x] & hoods[y])
-                if best_all is None or inter < best_all:
-                    best_all = inter
-                if not set(x) & set(y):
-                    if best_disjoint is None or inter < best_disjoint:
-                        best_disjoint = inter
-            eta_all = Fraction(best_all, n) if best_all is not None else None
+            best_all, best_disjoint = _eta_minima(H)
+            eta_all = Fraction(best_all, n)
             eta = Fraction(best_disjoint, n) if best_disjoint is not None else None
         delta = H.delta_codegree() if m > 0 and n >= k - 1 else 0
         return RegularityReport(

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -60,9 +61,111 @@ def newton_steps(monkeypatch):
 
 
 @pytest.fixture
+def gram_calls(monkeypatch):
+    """A list that grows by one entry per ``Incidence.gram`` call: one
+    assembled A diag(w) A^T."""
+    calls = []
+    real = fractional.Incidence.gram
+
+    def counted(A, w):
+        calls.append(A.shape)
+        return real(A, w)
+
+    monkeypatch.setattr(fractional.Incidence, "gram", counted)
+    return calls
+
+
+@pytest.fixture
 def check_against_oracle():
     """z* of A by the inequality form, for the cover's families."""
     return inequality_form_z
+
+
+def lp_max_total_weight(A, columns):
+    """max sum_{j in columns} w_j over A w = 1, w >= 0 (None when no such w).
+
+    It is 0 exactly when every nonnegative solution gives each of those
+    columns 0: the claim ``scale_to_ones`` makes of the columns it cuts as
+    pinned to 0.  Kept only as an oracle."""
+    A = sparse.csr_matrix(A)
+    c = np.zeros(A.shape[1])
+    c[list(columns)] = -1.0
+    res = linprog(c, A_eq=A, b_eq=np.ones(A.shape[0]), bounds=(0, None), method="highs")
+    return -res.fun if res.success else None
+
+
+@pytest.fixture
+def max_total_weight():
+    """The LP oracle of the columns ``scale_to_ones`` cuts."""
+    return lp_max_total_weight
+
+
+@pytest.fixture
+def pinned_columns(monkeypatch):
+    """The columns that ``fractional.scale_to_ones`` has cut as pinned to 0
+    since the last read, in one call: a function of that call's column
+    count that returns their indices, ascending.  Each mask that
+    ``fractional._pinned`` finds indexes the columns the cuts before it
+    left; a mask that the call never cut (its step failed) is counted too."""
+    cuts = []
+    real = fractional._pinned
+
+    def recorded(A, gram, w):
+        pins, emptied = real(A, gram, w)
+        if pins is not None:
+            cuts.append(pins)
+        return pins, emptied
+
+    monkeypatch.setattr(fractional, "_pinned", recorded)
+
+    def cut(cols):
+        left, out = np.arange(cols), []
+        for pins in cuts:
+            out.extend(left[pins].tolist())
+            left = left[~pins]
+        cuts.clear()
+        return sorted(out)
+
+    return cut
+
+
+def pairwise_eta_stars(H):
+    """(eta_star, eta_star_all_pairs) of H by the pairwise loop that
+    ``hypergraph._eta_minima`` replaces.
+
+    It intersects N(x) and N(y) for every pair of (k-1)-sets (x = y too),
+    each N(x) from n ``has_edge`` probes (``Hypergraph.neighborhood``), and
+    keeps the least over all pairs and over the disjoint ones; None where
+    the report has none.  Kept only as an oracle.
+    """
+    n, k = H.n, H.k
+    if H.m == 0 or n < k - 1:
+        return None, None
+    sets = list(itertools.combinations(range(n), k - 1))
+    hoods = {x: H.neighborhood(x) for x in sets}
+    best_all = best_disjoint = None
+    for x, y in itertools.combinations_with_replacement(sets, 2):
+        inter = len(hoods[x] & hoods[y])
+        if best_all is None or inter < best_all:
+            best_all = inter
+        if not set(x) & set(y) and (best_disjoint is None or inter < best_disjoint):
+            best_disjoint = inter
+    eta = Fraction(best_disjoint, n) if best_disjoint is not None else None
+    return eta, Fraction(best_all, n)
+
+
+@pytest.fixture
+def check_against_pairwise_eta():
+    """The report's eta_star and eta_star_all_pairs against the pairwise
+    loop: the same Fractions, or None on both sides."""
+
+    def check(H):
+        report = H.regularity_report()
+        want = pairwise_eta_stars(H)
+        assert (report.eta_star, report.eta_star_all_pairs) == want
+        return want
+
+    return check
 
 
 def lsqr_polish(A, w):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import re
@@ -54,6 +55,30 @@ def edge_cycle_incidence(H, cycles):
         for e in C.edges():
             A[index[e], j] += 1.0
     return A
+
+
+def k12_residual(seed):
+    """The K_12^(3) residual of program seed ``seed``'s first pipeline pass,
+    and the seed its cycle family is drawn with."""
+    H = complete_hypergraph(3, 12)
+    sub = random.Random(seed).randrange(2**63)
+    return H.remove_edges(sparsify_intersecting(H, 0.5, uniform_weighting(H), sub).edges), sub
+
+
+def oracle_family(k, n, L, seed):
+    """K_n^(k) less two edges, and a seeded sample of its L-cycles."""
+    rng = random.Random(seed)
+    H = complete_hypergraph(k, n)
+    G = H.remove_edges(rng.sample(list(H.edges), 2))
+    cycles = _enumerate_all(G, L, None).tolist()
+    return G, [TightCycle(G, seq) for seq in rng.sample(cycles, min(len(cycles), 6 * G.m))]
+
+
+def dense_ones(A):
+    """The 0/1 matrix of an ``Incidence``, as a dense array."""
+    ones = np.zeros(A.shape)
+    ones[A._grid, np.arange(A.shape[1])] = 1.0
+    return ones
 
 
 @pytest.fixture(scope="module")
@@ -249,11 +274,7 @@ class TestMaxminAgainstInequalityForm:
     )
     @pytest.mark.parametrize("seed", range(4))
     def test_sampled_families(self, k, n, L, seed, check_against_oracle):
-        rng = random.Random(seed)
-        H = complete_hypergraph(k, n)
-        G = H.remove_edges(rng.sample(list(H.edges), 2))
-        cycles = _enumerate_all(G, L, None).tolist()
-        family = [TightCycle(G, seq) for seq in rng.sample(cycles, min(len(cycles), 6 * G.m))]
+        G, family = oracle_family(k, n, L, seed)
         z = check_against_oracle(edge_cycle_incidence(G, family))
         if z is None:
             with pytest.raises(DecompositionError):
@@ -263,6 +284,25 @@ class TestMaxminAgainstInequalityForm:
         check_edge_sums(G, frac)  # every weight positive, every edge sum 1
         if z > 0:
             assert len(frac[1]) == len(family)
+
+    @pytest.mark.parametrize(
+        "k,n,L", [(3, 6, 5), (3, 7, 6), (4, 6, 5), (4, 7, 6), (4, 8, 6)]
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cut_cycles_weigh_zero_in_every_solution(
+        self, k, n, L, seed, pinned_columns, max_total_weight
+    ):
+        # the weighting's columns are the family in canonical order
+        G, family = oracle_family(k, n, L, seed)
+        cycles = sorted({canonical_cycle(C.seq) for C in family})
+        ones = edge_cycle_incidence(G, [TightCycle(G, seq) for seq in cycles])
+        try:
+            fractional_cycle_decomposition(G, L, family=family)
+        except DecompositionError:
+            assert max_total_weight(ones, []) is None
+            return
+        cut = pinned_columns(len(cycles))
+        assert max_total_weight(ones, cut) <= 1e-9
 
 
 class TestScaling:
@@ -284,13 +324,18 @@ class TestScaling:
         named = re.search(r"residual \S+ after (\d+) Newton steps", str(exc.value))
         assert named and int(named[1]) <= len(newton_steps) <= fractional.SCALE_STEPS
 
-    def test_k18_residual_weights_are_bit_identical(self, newton_steps):
+    def test_k18_residual_weights_are_bit_identical(self, newton_steps, gram_calls):
         H = complete_hypergraph(3, 18)
         reserve = sparsify_intersecting(H, 0.5, uniform_weighting(H), 0)
         rest = H.remove_edges(reserve.edges)
         a = fractional_cycle_decomposition(rest, 6)
-        # no family cycle must weigh 0: no full step is lengthened
-        assert len(newton_steps) == 7
+        # no family cycle must weigh 0: no full step is lengthened, no row's
+        # cycles all pass through another edge, and no matrix is assembled
+        # beyond one per step (polish finds every edge sum within 1e-12)
+        assert len(newton_steps) == len(gram_calls) == 7
+        assert hashlib.sha256(a[1].tobytes()).hexdigest() == (
+            "1b1bef6da93a97abcb475d30ae893944aa8a84b864c940452d2f909a1f6b54ad"
+        )
         b = fractional_cycle_decomposition(rest, 6)
         assert a[0].tolist() == b[0].tolist()
         assert [w.hex() for w in a[1].tolist()] == [w.hex() for w in b[1].tolist()]
@@ -308,6 +353,54 @@ class TestScaling:
         assert len(pair[0]) == 360
         check_edge_sums(rest, pair)
         check_edge_sums(rest, tuple(pair))  # the rows looked up afresh
+
+    def test_pinned_cycles_leave_before_newton_shrinks_them(self, newton_steps, gram_calls):
+        # seed 9's residual: 125 of its 485 cycles must weigh 0, and the
+        # first two steps' matrices show row inclusions that pin 95 and
+        # then 30 of them (17 steps when Newton shrank them all)
+        rest, sub = k12_residual(9)
+        pair = fractional_cycle_decomposition(rest, 6, seed=sub)
+        assert len(newton_steps) <= 9
+        assert len(pair[0]) == 360
+        # one matrix per step and one for polish: the cut assembles none
+        assert len(gram_calls) == len(newton_steps) + 1
+
+    @pytest.mark.parametrize(
+        "seed,cut,zeros,digest",
+        [
+            (3, 9, 13, "ac70f0495d698dc16279680feb8e6c01a0d70ad2d68054cc427ba1904c94cb31"),
+            (9, 125, 125, "83905de75ab0e399d4d1a90b73f8f8633f8218ee5834db6088800875e3d8b8d1"),
+            (11, 9, 9, "825212a170d5344220878a7805468d3a0455578710dee1573cd867d01ef07661"),
+        ],
+    )
+    def test_k12_residuals_cut_only_cycles_that_weigh_zero_in_every_solution(
+        self, seed, cut, zeros, digest, pinned_columns, max_total_weight, monkeypatch,
+        check_against_oracle,
+    ):
+        # the residuals with zero-weight cycles among program seeds 0-29.
+        # The zero cycles' digest is that of the weighting before the cut
+        # existed; on seeds 9 and 11 the cut is all of them, and on seed 3
+        # four more shrink below SCALE_TOL
+        families = []
+        real = cover.scale_to_ones
+        monkeypatch.setattr(cover, "scale_to_ones", lambda A: families.append(A) or real(A))
+        rest, sub = k12_residual(seed)
+        pair = fractional_cycle_decomposition(rest, 6, seed=sub)
+        (A,) = families
+        family = _enumerate_all(rest, 6, None).tolist()
+        assert len(family) == A.shape[1]
+        left = set(map(tuple, pair[0].tolist()))
+        zero = [j for j, seq in enumerate(family) if tuple(seq) not in left]
+        assert len(zero) == zeros
+        assert hashlib.sha256(",".join(map(str, zero)).encode()).hexdigest() == digest
+        dropped = pinned_columns(A.shape[1])
+        assert len(dropped) == cut and set(dropped) <= set(zero)
+        # every cut cycle weighs 0 in every solution; where the cut is all
+        # the zero cycles, some solution gives every other a positive weight
+        ones = dense_ones(A)
+        assert max_total_weight(ones, dropped) <= 1e-9
+        if cut == zeros:
+            assert check_against_oracle(np.delete(ones, zero, axis=1)) > 0
 
     def test_k30_residual_assembles_no_edge_by_edge_matrix(self, monkeypatch):
         # above GRAM_ROWS rows Newton and polish stay matrix-free; one m x m

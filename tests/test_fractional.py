@@ -355,6 +355,46 @@ class TestScaleToOnes:
         named = re.search(r"residual \S+ after (\d+) Newton steps", str(exc.value))
         assert named and int(named[1]) == steps < SCALE_STEPS
 
+    def test_a_row_the_cut_leaves_without_columns_is_named(self):
+        # rows 0 and 2 each lie on one column, and both columns pass through
+        # row 1: each pins the other's column to 0, which leaves no row a
+        # column (the first step's line search finds no step either)
+        with pytest.raises(
+            ScalingError,
+            match=r"after 0 Newton steps; row 0 lies only on columns that row inclusion pins to 0",
+        ):
+            scale_to_ones(Incidence([(0, 1), (1, 2)], 3))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cut_columns_weigh_zero_in_every_solution(
+        self, seed, pinned_columns, max_total_weight, check_against_oracle
+    ):
+        # random 6-row families with 3 ones per column: in most of them
+        # some row's columns all pass through another row
+        rng = np.random.default_rng(seed)
+        cuts = 0
+        for _ in range(20):
+            columns, rows = random_columns(rng, 6, int(rng.integers(5, 12)), 3)
+            ones = csr(columns, rows)
+            cols = len(columns)
+            try:
+                w = scale_to_ones(Incidence(columns, rows))
+            except ScalingError:
+                pinned_columns(cols)
+                assert max_total_weight(ones, []) is None
+                continue
+            cut = pinned_columns(cols)
+            cuts += len(cut) > 0
+            assert np.abs(ones @ w - 1).max() <= SCALE_TOL
+            # the cut and every other zero weigh 0 in every solution, and
+            # some solution gives every other column a positive weight
+            zero = np.flatnonzero(w == 0)
+            assert set(cut) <= set(zero.tolist())
+            assert max_total_weight(ones, zero) <= 1e-9
+            if len(zero) < cols:
+                assert check_against_oracle(np.delete(ones.toarray(), zero, axis=1)) > 0
+        assert cuts >= 5
+
 
 def k12_cycle_family():
     """The edge-by-cycle 0/1 matrix of a sampled K_12^(3) family of 6-cycles,

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from cyclefactors.hypergraph import (
     Hypergraph,
     HypergraphError,
-    _neighborhoods,
     complete_hypergraph,
     degree_transfer_check,
     format_hypergraph,
@@ -150,9 +149,8 @@ class TestDegreesAndCodegrees:
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_counts_from_the_edges_match_the_probes(self, seed):
-        # codegree and delta_codegree count the edges' j-subsets, and the
-        # report collects every N(x) from the edges; a j-set's edges and the
-        # n has_edge probes of a (k-1)-set are the references
+        # codegree and delta_codegree count the edges' j-subsets; a j-set's
+        # edges are the reference
         rng = random.Random(seed)
         k = rng.choice([2, 3, 4])
         H = random_hypergraph(rng, k, rng.randint(k, 9), rng.choice([0.3, 0.6, 0.9]))
@@ -161,9 +159,6 @@ class TestDegreesAndCodegrees:
                     for x in itertools.combinations(range(H.n), j)}
             assert {x: H.codegree(x) for x in want} == want
             assert H.delta_codegree(j) == (min(want.values()) if H.m else 0)
-        found = _neighborhoods(H)
-        for x in itertools.combinations(range(H.n), k - 1):
-            assert frozenset(found.get(x, ())) == H.neighborhood(x)
 
 
 class TestExtensionMask:
@@ -267,6 +262,26 @@ class TestRegularityReport:
         rep = Hypergraph(3, 3, [(0, 1, 2)]).regularity_report()
         assert rep.eta_star is None
         assert rep.eta_star_all_pairs is not None
+
+    @pytest.mark.parametrize(
+        "H,defined",
+        [
+            # G(9, 0.7) and G(30, 0.5), drawn with random.Random(1)
+            (random_hypergraph(random.Random(1), 3, 9, 0.7), True),
+            (random_hypergraph(random.Random(1), 3, 30, 0.5), True),
+            (complete_hypergraph(4, 7), True),
+            # 560 3-sets: the product runs in two row blocks
+            (random_hypergraph(random.Random(1), 4, 16, 0.9), True),
+            # n = 5 < 2(k - 1): no two 3-sets are disjoint
+            (complete_hypergraph(4, 5), False),
+            (Hypergraph(3, 6, []), False),
+        ],
+        ids=["G9", "G30", "K7_4", "G16_4", "no-disjoint-pair", "edgeless"],
+    )
+    def test_eta_stars_equal_the_pairwise_loop(self, H, defined, check_against_pairwise_eta):
+        eta, eta_all = check_against_pairwise_eta(H)
+        assert (eta is not None) == defined
+        assert (eta_all is not None) == (H.m > 0)
 
     def test_as_dict_roundtrips_fractions(self):
         d = complete_hypergraph(3, 6).regularity_report().as_dict()
