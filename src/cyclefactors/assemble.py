@@ -339,9 +339,12 @@ def layer_transform(
     """
     if F.k != H.k or F.n != H.n:
         raise AssembleParamError("reserve graph must span the same vertex set")
-    for e in F.edges:
-        if not H.has_edge(e):
-            raise AssembleParamError(f"reserve edge {e} is not an edge of the host")
+    # F's edges and the cycles' windows are canonical tuples, the keys of
+    # the hosts' edge ids as they are
+    in_host, in_reserve = H._edge_ids.__contains__, F._edge_ids.__contains__
+    if not all(map(in_host, F.edges)):
+        e = next(e for e in F.edges if not in_host(e))
+        raise AssembleParamError(f"reserve edge {e} is not an edge of the host")
     lengths = check_target(target, H, prof)
     cycles = tuple(cycles)
     covered: set = set()
@@ -352,9 +355,9 @@ def layer_transform(
             raise AssembleParamError("input cycles must be vertex-disjoint")
         covered |= C.vertex_set
         for e in C.edges():
-            if not H.has_edge(e):
+            if not in_host(e):
                 raise AssembleParamError(f"cycle edge {e} is not an edge of the host")
-            if F.has_edge(e):
+            if in_reserve(e):
                 raise AssembleParamError(
                     f"cycle {C.seq} uses reserve edge {e}; cycles must avoid F"
                 )
@@ -503,15 +506,15 @@ def _attempt_layer(H, F, seqs, lengths, prof, rng):
     factor = CycleFactor(cycles, target_n=n)
     timings["splice"] = clock() - t0
 
-    f_edges = sorted(
-        {e for C in cycles for e in C.edges() if F.has_edge(e)}
-    )
+    # the factor's windows are canonical tuples, F's edge id keys as they are
+    in_reserve = F._edge_ids.__contains__
+    f_edges = sorted({e for C in cycles for e in C.edges() if in_reserve(e)})
     path_edges = {
         tuple(sorted(s[i : i + k])) for s in seqs for i in range(len(s) - k + 1)
     }
     for C in cycles:
         for e in C.edges():
-            if not F.has_edge(e) and e not in path_edges:
+            if not in_reserve(e) and e not in path_edges:
                 raise _StageFail(
                     "verify", f"factor edge {e} is neither a path edge nor a reserve edge"
                 )

@@ -24,12 +24,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import random
 import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -188,8 +190,33 @@ def _rational(x) -> str:
     return repr(float(x))
 
 
+def _json(o, indent="\n") -> str:
+    """``json.dumps(o, indent=2, sort_keys=True)``, byte for byte, for dicts
+    with str keys, lists, tuples, str, int, float, bool and None (TypeError
+    on anything else): json itself indents only in pure Python."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None or o is True or o is False:
+        return "null" if o is None else "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):  # inf and nan as json writes them
+        return float.__repr__(o) if math.isfinite(o) else json.dumps(o)
+    inner = indent + "  "
+    if isinstance(o, dict):  # a key that is no str fails to encode
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in sorted(o.items())]
+        ends = "{}"
+    elif isinstance(o, (list, tuple)):
+        items, ends = [_json(v, inner) for v in o], "[]"
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+    if not items:
+        return ends
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1]
+
+
 def emit(doc: dict, output: Optional[str]) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = _json(doc)
     if output:
         try:
             Path(output).write_text(text + "\n")

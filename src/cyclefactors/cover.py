@@ -109,6 +109,17 @@ def _enumerate_all(H: Hypergraph, L: int, cap: Optional[int]):
     return np.concatenate(found) if found else np.empty((0, L), dtype=np.intp)
 
 
+def _unique_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-D int array in ascending lexicographic
+    order, as ``np.unique(rows, axis=0)`` gives them (which imports
+    ``numpy.ma`` on its first call): sorted, then each row that equals the
+    one before it dropped."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    fresh = np.ones(len(rows), dtype=bool)
+    fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[fresh]
+
+
 def _edge_ids(H: Hypergraph, cycles: np.ndarray) -> np.ndarray:
     """The edge id of every cyclic k-window of every cycle: an int32 array
     shaped as cycles, whose entry j is the window that starts at column j.
@@ -310,7 +321,7 @@ def fractional_cycle_decomposition(
                 if len(seq) != L or isinstance(C, TightCycle) and C.host != H:
                     raise CoverError("family cycle host or length mismatch")
                 rows.append([canonical_cycle(seq)])
-        cycles = np.unique(np.concatenate(rows), axis=0)  # sorted: canonical order
+        cycles = _unique_rows(np.concatenate(rows))
 
     ids = _edge_ids(H, cycles)
     covered = np.zeros(H.m, dtype=bool)

@@ -67,7 +67,7 @@ class EdgeWeighting:
         weights = tuple(weights)
         if len(weights) != host.m:
             raise FractionalError("need one weight per edge")
-        for e, w in zip(host.edges, weights):
+        for e, w in zip(host.edges, _values(weights)):
             if w <= 0:
                 raise BalanceViolationError(f"weight {w} on edge {e} is not positive")
         self.host = host
@@ -117,6 +117,15 @@ class EdgeWeighting:
     def __repr__(self):
         mode = "exact" if self.exact else "float"
         return f"EdgeWeighting({mode}, m={self.host.m})"
+
+
+def _values(weights: tuple) -> tuple:
+    """``weights[:1]`` when every weight is the first one, else ``weights``:
+    a uniform weighting repeats one object, which ``tuple.count`` matches
+    by identity, so its one value is checked and converted once."""
+    if weights and weights.count(weights[0]) == len(weights):
+        return weights[:1]
+    return weights
 
 
 def uniform_weighting(H: Hypergraph, exact: bool = True) -> EdgeWeighting:
@@ -253,7 +262,7 @@ class Incidence:
             total += term
         return total
 
-    def gram(self, w) -> np.ndarray:
+    def gram(self, w, diagonal=None) -> np.ndarray:
         """A diag(w) A^T as a dense rows x rows array.
 
         Entry (e, f) sums w_j over the columns j with ones in rows e and f.
@@ -263,12 +272,14 @@ class Incidence:
         ``dot`` and of the Jacobi preconditioner of ``scale_to_ones``: so
         set, the 30 K_12^(3) residual families take as many Newton steps as
         the matrix-free solves (summed by the scatter, seed 9's took 18
-        against 17).
+        against 17).  A caller that holds ``dot(w)`` already passes it as
+        ``diagonal``.
         """
         rows = self.shape[0]
+        if diagonal is None:
+            diagonal = self.dot(w)  # before the scatter's arrays exist
         gram = np.zeros((rows, rows))
         flat = gram.reshape(-1)
-        diagonal = self.dot(w)  # before the scatter's arrays exist
         # a copy, not a broadcast: np.add.at is 4x slower on a broadcast
         # view, and numpy 2.4.6 summed 1-D values against a 2-D index to nan
         weights = np.tile(w, len(self._grid))
@@ -292,12 +303,12 @@ class Incidence:
 GRAM_ROWS = 450
 
 
-def gram_product(A: Incidence, w):
-    """x -> A diag(w) A^T x: a product with ``A.gram(w)`` while A has at most
-    GRAM_ROWS rows, else two passes over its ones."""
+def gram_product(A: Incidence, w, diagonal=None):
+    """x -> A diag(w) A^T x: a product with ``A.gram(w, diagonal)`` while A
+    has at most GRAM_ROWS rows, else two passes over its ones."""
     if A.shape[0] > GRAM_ROWS:
         return lambda x: A.dot(w * A.tdot(x))
-    return A.gram(w).dot
+    return A.gram(w, diagonal).dot
 
 
 def cg(matvec, b, rtol, atol=0.0, precond=None) -> np.ndarray:
@@ -469,13 +480,13 @@ def scale_to_ones(A: Incidence) -> np.ndarray:
         if g < floor or len(emptied) or step == SCALE_STEPS:
             break
         if search:
-            gram = A.gram(w)
+            gram = A.gram(w, aw)
             pins, emptied = _pinned(A, gram, w)
             search = pins is not None
             product = gram.dot
             del gram
         else:
-            product = gram_product(A, w)
+            product = gram_product(A, w, aw)
         diag = np.maximum(aw, np.finfo(float).tiny)
         # an infeasible A w = 1 may leave CG without a solution: d turns
         # nan or points uphill, and the line search below finds no step
@@ -611,10 +622,11 @@ def sparsify_intersecting(
         raise FractionalError(f"eps must lie in [0, 1], got {eps}")
     if pfm.host != H:
         raise FractionalError("the matching must weight H's edges")
-    # max commutes with the correctly rounded float(), so wmax is
-    # float(pfm.max_weight()) without comparing Fractions
-    ws = list(map(float, pfm.weights))
-    wmax = max(ws)
+    # float() of a Fraction is numerator / denominator, correctly rounded,
+    # and max commutes with it, so ws.max() is float(pfm.max_weight())
+    # without comparing Fractions; a uniform weighting has one value
+    ws = np.array(list(map(float, _values(pfm.weights))))
     rng = random.Random(seed)
-    kept = tuple(itertools.compress(H.edges, [rng.random() < eps * w / wmax for w in ws]))
+    draws = np.array([rng.random() for _ in range(H.m)])
+    kept = tuple(itertools.compress(H.edges, (draws < eps * ws / ws.max()).tolist()))
     return Hypergraph._from_canonical(H.k, H.n, kept)

@@ -57,36 +57,20 @@ class Hypergraph:
         edges: Iterable[Sequence[int]],
         parent_ids: Optional[tuple[int, ...]] = None,
     ):
-        if not isinstance(k, int) or k < 2:
-            raise HypergraphError(f"uniformity k must be an integer >= 2, got {k!r}")
-        if not isinstance(n, int) or n < 0:
-            raise HypergraphError(f"vertex count n must be a nonnegative integer, got {n!r}")
-        canon = []
-        seen = set()
-        for e in edges:
-            t = tuple(sorted(e))
-            if len(t) != k:
-                raise HypergraphError(f"edge {tuple(e)!r} does not have {k} vertices")
-            if len(set(t)) != k:
-                raise HypergraphError(f"edge {tuple(e)!r} has repeated vertices")
-            if t[0] < 0 or t[-1] >= n:
-                raise HypergraphError(f"edge {tuple(e)!r} has a vertex outside 0..{n - 1}")
-            if t in seen:
-                raise HypergraphError(f"duplicate edge {t!r}")
-            seen.add(t)
-            canon.append(t)
-        canon.sort()
+        rows = edges if isinstance(edges, (list, tuple)) else list(edges)
+        values, sizes = list(itertools.chain.from_iterable(rows)), list(map(len, rows))
+        canon = _canonical_edges(k, n, values, sizes)
         if parent_ids is not None and len(parent_ids) != n:
             raise HypergraphError("parent_ids must list one parent vertex per vertex")
-        self._set_fields(k, n, tuple(canon), parent_ids)
+        self._set_fields(k, n, canon, parent_ids)
 
     @classmethod
     def _from_canonical(
         cls, k: int, n: int, edges: tuple, parent_ids: Optional[tuple[int, ...]] = None
     ) -> "Hypergraph":
         """A host on ``edges`` taken as they are, without the checks of
-        ``__init__``: for graphs derived from a valid host, whose ``edges``
-        are a subsequence of that host's canonical, sorted edge tuple."""
+        ``__init__``: for edges that ``_canonical_edges`` returned, or a
+        subsequence of a valid host's canonical, sorted edge tuple."""
         H = cls.__new__(cls)
         H._set_fields(k, n, edges, parent_ids)
         return H
@@ -97,11 +81,9 @@ class Hypergraph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "parent_ids", parent_ids)
-        object.__setattr__(self, "_edge_ids", {e: i for i, e in enumerate(edges)})
-        degs = [0] * n
-        for e in edges:
-            for v in e:
-                degs[v] += 1
+        object.__setattr__(self, "_edge_ids", dict(zip(edges, range(len(edges)))))
+        ends = np.fromiter(itertools.chain.from_iterable(edges), np.intp, len(edges) * k)
+        degs = np.bincount(ends, minlength=n).tolist()
         object.__setattr__(self, "_degrees", tuple(degs))
         object.__setattr__(self, "_codegree_cache", {})
         object.__setattr__(self, "_edge_table", None)
@@ -251,15 +233,22 @@ class Hypergraph:
         return Hypergraph(self.k, len(us), sub_edges, parent_ids=tuple(us))
 
     def remove_edges(self, S: Iterable[Iterable[int]]) -> "Hypergraph":
-        """H - S: same vertex set, edge set E \\ S. Every member of S must be an edge."""
-        drop = set()
+        """H - S: same vertex set, edge set E \\ S. Every member of S must be an edge.
+
+        A canonical tuple (every edge the package hands out) is looked up as
+        it is; any other member of S is sorted first."""
+        ids = self._edge_ids
+        keep = [True] * len(self.edges)
         for e in S:
-            t = tuple(sorted(e))
-            if t not in self._edge_ids:
-                raise HypergraphError(f"cannot remove non-edge {t!r}")
-            drop.add(t)
+            i = ids.get(e) if type(e) is tuple else None
+            if i is None:
+                t = tuple(sorted(e))
+                i = ids.get(t)
+                if i is None:
+                    raise HypergraphError(f"cannot remove non-edge {t!r}")
+            keep[i] = False
         return Hypergraph._from_canonical(
-            self.k, self.n, tuple(e for e in self.edges if e not in drop), self.parent_ids
+            self.k, self.n, tuple(itertools.compress(self.edges, keep)), self.parent_ids
         )
 
     # -- reports ---------------------------------------------------------
@@ -298,6 +287,75 @@ class Hypergraph:
 
     def __repr__(self):
         return f"Hypergraph(k={self.k}, n={self.n}, m={self.m})"
+
+
+def _canonical_edges(k, n, values: list, sizes: list) -> tuple:
+    """The checked edges of a k-uniform host on 0..n-1 as a sorted tuple of
+    sorted tuples: the one validator of ``Hypergraph`` and
+    ``parse_hypergraph``.
+
+    The edges come flat: ``values`` lists the vertices of every edge in
+    turn, ``sizes`` each edge's vertex count.  The vertex counts, the range
+    and the repeated vertices are checked on all edges at once, the
+    duplicates on their sorted tuples; only when a check fails does
+    ``_reject`` work out the first bad edge.
+    """
+    if not isinstance(k, int) or k < 2:
+        raise HypergraphError(f"uniformity k must be an integer >= 2, got {k!r}")
+    if not isinstance(n, int) or n < 0:
+        raise HypergraphError(f"vertex count n must be a nonnegative integer, got {n!r}")
+    m = len(sizes)
+    flat = np.array(values) if values else np.empty(0, dtype=np.intp)
+    if (
+        sizes.count(k) == m
+        and flat.dtype.kind in "iu"
+        and (not m or 0 <= flat.min() and flat.max() < n)
+    ):
+        # every vertex is below n, so int32 holds it while n <= 2^31, and
+        # numpy sorts the rows with the kernel that sorts the cover's ids
+        rows = flat.reshape(m, k).astype(np.int32 if n <= 2**31 else np.int64)
+        rows.sort(axis=1)
+        edges = sorted(zip(*rows.T.tolist()))
+        if not (rows[:, 1:] == rows[:, :-1]).any() and len(set(edges)) == m:
+            return tuple(edges)
+    _reject(k, n, values, sizes)
+
+
+def _reject(k, n, values: list, sizes: list) -> None:
+    """Raise the HypergraphError of ``_canonical_edges`` for the edges that
+    failed it: the first bad edge in input order, and the first check it
+    fails, in the order vertex count, repeated vertex, range, duplicate of
+    an earlier edge.  The checks run on an object array of the edges, so
+    that vertices of any size compare as they are."""
+    short = np.array(sizes, dtype=np.intp) != k
+    flat = np.array(values, dtype=object)[np.repeat(~short, sizes)]
+    rows = np.sort(flat.reshape(-1, k), axis=1)
+    order = np.lexsort(rows.T[::-1])  # stable: the first of equal rows leads
+    rows = rows[order]
+    again = np.zeros(len(rows), dtype=bool)
+    again[1:] = (rows[1:] == rows[:-1]).all(axis=1)
+    failure = np.where(short, 1, 0)
+    failure[np.flatnonzero(~short)[order]] = np.select(
+        [
+            (rows[:, 1:] == rows[:, :-1]).any(axis=1),
+            (rows[:, 0] < 0) | (rows[:, -1] >= n),
+            again,
+        ],
+        [2, 3, 4],
+    )
+    bad = np.flatnonzero(failure)
+    if not len(bad):
+        raise HypergraphError("vertex ids must be integers")
+    i = int(bad[0])
+    start = sum(sizes[:i])
+    e = tuple(values[start : start + sizes[i]])
+    if failure[i] == 1:
+        raise HypergraphError(f"edge {e!r} does not have {k} vertices")
+    if failure[i] == 2:
+        raise HypergraphError(f"edge {e!r} has repeated vertices")
+    if failure[i] == 3:
+        raise HypergraphError(f"edge {e!r} has a vertex outside 0..{n - 1}")
+    raise HypergraphError(f"duplicate edge {tuple(sorted(e))!r}")
 
 
 def _eta_minima(H: Hypergraph) -> tuple:
@@ -510,36 +568,54 @@ def degree_transfer_check(
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
+    """The host in ``text``: a "k n m" header line, then m edge lines of k
+    vertex ids each; blank lines are skipped.  Each distinct token is read
+    once, with ``int``, and the edges are checked together by
+    ``_canonical_edges``; the first bad line is worked out only when a check
+    fails, and the HypergraphError names it."""
     lines = text.splitlines()
-    rows = [(i + 1, ln.strip()) for i, ln in enumerate(lines)]
-    rows = [(no, ln) for no, ln in rows if ln]
+    rows = list(filter(None, map(str.split, lines)))
+
+    def line(i):  # the line number of rows[i]
+        return [no for no, fields in enumerate(map(str.split, lines), 1) if fields][i]
+
     if not rows:
         raise HypergraphError("empty input: missing 'k n m' header")
-    no, header = rows[0]
-    parts = header.split()
-    if len(parts) != 3:
-        raise HypergraphError(f"line {no}: header must be 'k n m', got {header!r}")
+    header, body = rows[0], rows[1:]
+    if len(header) != 3:
+        got = lines[line(0) - 1].strip()
+        raise HypergraphError(f"line {line(0)}: header must be 'k n m', got {got!r}")
     try:
-        k, n, m = (int(p) for p in parts)
+        k, n, m = map(int, header)
     except ValueError:
-        raise HypergraphError(f"line {no}: header fields must be integers") from None
-    body = rows[1:]
+        raise HypergraphError(f"line {line(0)}: header fields must be integers") from None
     if len(body) != m:
         raise HypergraphError(f"expected {m} edge lines, found {len(body)}")
-    edges = []
-    for no, ln in body:
-        fields = ln.split()
-        if len(fields) != k:
-            raise HypergraphError(f"line {no}: expected {k} vertex ids, got {len(fields)}")
+    sizes = list(map(len, body))
+    tokens = list(itertools.chain.from_iterable(body))
+    distinct = set(tokens)
+    ints = {}  # int() of each distinct token that int accepts
+    for token in distinct:
         try:
-            e = tuple(int(f) for f in fields)
+            ints[token] = int(token)
         except ValueError:
-            raise HypergraphError(f"line {no}: vertex ids must be integers") from None
-        edges.append(e)
+            pass
+    values = list(map(ints.get, tokens))
+    if len(ints) < len(distinct) or sizes.count(k) != m:
+        # the first line with a wrong field count or a token int rejects
+        bad = values.index(None) if len(ints) < len(distinct) else len(values)
+        ends = itertools.accumulate(sizes)
+        i = next(i for i, end in enumerate(ends) if sizes[i] != k or end > bad)
+        if sizes[i] != k:
+            message = f"expected {k} vertex ids, got {sizes[i]}"
+        else:
+            message = "vertex ids must be integers"
+        raise HypergraphError(f"line {line(i + 1)}: {message}")
     try:
-        return Hypergraph(k, n, edges)
+        edges = _canonical_edges(k, n, values, sizes)
     except HypergraphError as exc:
         raise HypergraphError(f"invalid edge list: {exc}") from None
+    return Hypergraph._from_canonical(k, n, edges)
 
 
 def format_hypergraph(H: Hypergraph) -> str:

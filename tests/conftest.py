@@ -67,9 +67,9 @@ def gram_calls(monkeypatch):
     calls = []
     real = fractional.Incidence.gram
 
-    def counted(A, w):
+    def counted(A, w, diagonal=None):
         calls.append(A.shape)
-        return real(A, w)
+        return real(A, w, diagonal)
 
     monkeypatch.setattr(fractional.Incidence, "gram", counted)
     return calls

@@ -402,6 +402,53 @@ class TestParserReuse:
         assert decompose("after-errors.json") == first
 
 
+class TestEmit:
+    """``emit``'s encoder writes ``json.dumps(doc, indent=2, sort_keys=True)``
+    byte for byte (the golden documents are compared in test_golden.py)."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {},
+            [],
+            (),
+            {"a": {}, "b": [], "c": [[], {}], "d": [{"e": [()]}]},
+            [[[[1]]], {"x": {"y": {"z": None}}}],
+            {"zeta": 1, "alpha": 2, "Beta": 3, "_": 4, "10": 5, "9": 6, "": 7},
+            "plain",
+            "quote \" backslash \\ slash / tab \t newline \n cr \r",
+            "controls \x00\x01\x1f\x7f",
+            "non-ASCII: é ß 日本 \u2028 \ud7ff 😀",
+            {"é": "key", "\n": "escaped key"},
+            [True, False, None, 0, -1, 2**70, -(2**70)],
+            [0.0, -0.0, 1e-07, 1e16, 1e22, 0.1, 1 / 3, -2.5, 5e-324, 1.7976931348623157e308],
+            [float("inf"), float("-inf"), float("nan")],
+            (1, (2, [3, (4,)])),
+            np.float64(0.1),
+            [np.float64(-0.0), np.float64("inf")],
+        ],
+    )
+    def test_same_bytes_as_json(self, value):
+        assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "value", [{1: "int key"}, {None: 0}, {1, 2}, np.int64(3), b"bytes", object()]
+    )
+    def test_anything_else_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            cli._json(value)
+        with pytest.raises(TypeError):
+            cli._json({"nested": [value]})
+
+    def test_emit_writes_the_encoding_and_a_newline(self, tmp_path, capsys):
+        doc = {"b": [1, 2.5, None], "a": {"c": "d"}}
+        cli.emit(doc, str(tmp_path / "out.json"))
+        text = json.dumps(doc, indent=2, sort_keys=True)
+        assert (tmp_path / "out.json").read_text() == text + "\n"
+        cli.emit(doc, None)
+        assert capsys.readouterr().out == text + "\n"
+
+
 @pytest.mark.parametrize(
     "command,flag",
     [("decompose", "--cover-length"), ("decompose", "--per-edge"),

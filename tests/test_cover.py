@@ -1,9 +1,13 @@
 import hashlib
 import itertools
+import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -874,3 +878,53 @@ class TestRandomHosts:
             assert abs(s - 1) <= 1e-9
         for seq in frac[0].tolist():
             assert is_tight_cycle(G, seq)
+
+
+NO_MA_SCRIPT = """
+import sys
+from cyclefactors.cover import fractional_cycle_decomposition
+from cyclefactors.hypergraph import complete_hypergraph
+cycles, _ = fractional_cycle_decomposition(complete_hypergraph(3, 20), 6, seed=0)
+assert len(cycles) > 20000, "the family was enumerated, not sampled"
+assert "numpy.ma" not in sys.modules, "the sampled family imported numpy.ma"
+"""
+
+
+class TestSampledFamilyRows:
+    """A sampled family is deduplicated by ``_unique_rows``, a lexicographic
+    sort and a neighbour comparison, not by ``np.unique(..., axis=0)``."""
+
+    @pytest.mark.parametrize("n", [20, 24])
+    def test_rows_equal_np_unique(self, monkeypatch, n):
+        seen = []
+        real = cover._unique_rows
+
+        def recorded(rows):
+            seen.append((rows, real(rows)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(cover, "_unique_rows", recorded)
+        fractional_cycle_decomposition(complete_hypergraph(3, n), 6, seed=0)
+        [(rows, got)] = seen
+        want = np.unique(rows, axis=0)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want) and len(got) < len(rows)
+
+    def test_small_arrays(self):
+        rng = np.random.default_rng(0)
+        for rows in [np.empty((0, 3), dtype=np.intp), np.zeros((4, 2), dtype=np.intp)] + [
+            rng.integers(-3, 4, size=(rng.integers(1, 30), rng.integers(1, 5))) for _ in range(30)
+        ]:
+            assert np.array_equal(cover._unique_rows(rows), np.unique(rows, axis=0))
+
+    def test_sampled_family_build_imports_no_numpy_ma(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", NO_MA_SCRIPT],
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr

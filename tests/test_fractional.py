@@ -95,6 +95,15 @@ class TestUniformWeighting:
         with pytest.raises(FractionalError):
             uniform_weighting(Hypergraph(3, 5, []))
 
+    def test_nonpositive_weights_name_their_first_edge(self):
+        H = complete_hypergraph(3, 6)
+        w = uniform_weighting(H)
+        assert w.weights == (Fraction(6, 60),) * 20
+        with pytest.raises(BalanceViolationError, match=r"weight 0 on edge \(0, 1, 2\)"):
+            EdgeWeighting(H, [Fraction(0)] * H.m, exact=True)
+        with pytest.raises(BalanceViolationError, match=r"weight -1 on edge \(0, 1, 3\)"):
+            EdgeWeighting(H, [1, -1] + [1] * (H.m - 2), exact=False)
+
 
 class TestAggregates:
     def test_omega_subsets_by_brute_force(self):
@@ -530,6 +539,21 @@ class TestGram:
                 assert got.shape == want.shape
                 assert np.abs(got - want).max() <= 1e-15 * want.max()
 
+    def test_newton_passes_its_a_w_as_the_diagonal(self, monkeypatch):
+        inc = Incidence(*k12_cycle_family())
+        w = np.random.default_rng(4).random(inc.shape[1])
+        assert inc.gram(w, inc.dot(w)).tobytes() == inc.gram(w).tobytes()
+        # each assembled Newton matrix takes the step's A w, not a new product
+        real, passed = Incidence.gram, []
+
+        def recorded(A, w, diagonal=None):
+            passed.append(diagonal is not None and diagonal.tobytes() == A.dot(w).tobytes())
+            return real(A, w, diagonal)
+
+        monkeypatch.setattr(Incidence, "gram", recorded)
+        scale_to_ones(inc)
+        assert passed and all(passed)
+
     def test_rows_above_the_limit_stay_matrix_free(self, monkeypatch):
         inc = Incidence(*k12_cycle_family())
         rng = np.random.default_rng(5)
@@ -596,6 +620,19 @@ class TestSparsify:
         assert {f: getattr(got, f) for f in Hypergraph.__slots__} == {
             f: getattr(want, f) for f in Hypergraph.__slots__
         }
+
+    def test_exact_weights_draw_by_their_floats(self):
+        # Fraction weights, one repeated object (uniform) or many values:
+        # the same per-edge rule, with float() of each weight
+        H = k5_minus_edge()
+        for w in (uniform_weighting(H), redistribute_pfm(H, build_walk_registry(H, seed=0))):
+            wmax = max(map(float, w.weights))
+            for seed in range(8):
+                rng = random.Random(seed)
+                kept = tuple(
+                    e for e, x in zip(H.edges, w.weights) if rng.random() < 0.7 * float(x) / wmax
+                )
+                assert sparsify_intersecting(H, 0.7, w, seed).edges == kept
 
     def test_eps_range_checked(self):
         H = complete_hypergraph(3, 6)

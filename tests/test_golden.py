@@ -9,10 +9,12 @@ path because the document records it.
 
 import hashlib
 import itertools
+import json
 import random
 
 import pytest
 
+from cyclefactors import cli
 from cyclefactors.cli import main
 from cyclefactors.hypergraph import Hypergraph, complete_hypergraph, format_hypergraph
 
@@ -106,3 +108,20 @@ def test_outputs_are_pinned(tmp_path, monkeypatch, name):
     monkeypatch.chdir(tmp_path)
     host, command, pinned = GOLDEN[name]
     assert digests(host, command) == pinned
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_documents_encode_as_json_dumps(tmp_path, monkeypatch, name):
+    # every document a golden run emits (and verify's, for decompose), as
+    # built in memory: emit's encoder against json.dumps
+    monkeypatch.chdir(tmp_path)
+    docs = []
+    emit = cli.emit
+    monkeypatch.setattr(cli, "emit", lambda doc, output: docs.append(doc) or emit(doc, output))
+    host, command, _ = GOLDEN[name]
+    digests(host, command)
+    if command.startswith("decompose"):
+        assert main(["verify", "host.txt", "factors.json", "-q", "--output", "verify.json"]) == 0
+    assert len(docs) == (3 if command.startswith("decompose") else 1)
+    for doc in docs:
+        assert cli._json(doc) == json.dumps(doc, indent=2, sort_keys=True)

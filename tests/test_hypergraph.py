@@ -423,6 +423,120 @@ class TestSerialization:
     @settings(max_examples=20, deadline=None)
     def test_roundtrip_random(self, seed):
         rng = random.Random(seed)
-        k = rng.choice([2, 3])
-        H = random_hypergraph(rng, k, rng.randint(k, 8), 0.4)
-        assert parse_hypergraph(format_hypergraph(H)) == H
+        k = rng.choice([2, 3, 4])
+        H = random_hypergraph(rng, k, rng.randint(k, 8), rng.choice([0.0, 0.4, 0.8]))
+        G = parse_hypergraph(format_hypergraph(H))
+        assert G == H
+        assert {f: getattr(G, f) for f in Hypergraph.__slots__} == {
+            f: getattr(H, f) for f in Hypergraph.__slots__
+        }
+
+
+# Malformed host files and the full message of each, as the per-line parser
+# that the array checks replaced gave them.
+MALFORMED = [
+    ("", "empty input: missing 'k n m' header"),
+    ("\n  \n\t\n", "empty input: missing 'k n m' header"),
+    ("3 5\n0 1 2\n", "line 1: header must be 'k n m', got '3 5'"),
+    ("3 5 1 7\n0 1 2\n", "line 1: header must be 'k n m', got '3 5 1 7'"),
+    ("\n\n3 5\n0 1 2\n", "line 3: header must be 'k n m', got '3 5'"),
+    ("3 five 1\n0 1 2\n", "line 1: header fields must be integers"),
+    ("3 5.0 1\n0 1 2\n", "line 1: header fields must be integers"),
+    ("3 5 2\n0 1 2\n", "expected 2 edge lines, found 1"),
+    ("3 5 1\n0 1 2\n1 2 3\n", "expected 1 edge lines, found 2"),
+    ("3 5 -1\n", "expected -1 edge lines, found 0"),
+    ("3 5 2\n0 1 2\n0 1\n", "line 3: expected 3 vertex ids, got 2"),
+    ("3 5 1\n0 1 2 3\n", "line 2: expected 3 vertex ids, got 4"),
+    ("1 5 1\n0 1\n", "line 2: expected 1 vertex ids, got 2"),
+    ("3 5 2\n0 1 2\n0 1 x\n", "line 3: vertex ids must be integers"),
+    ("3 5 1\n0 1 2.0\n", "line 2: vertex ids must be integers"),
+    ("3 5 2\n\n0 1 2\n\n1 2 z\n", "line 5: vertex ids must be integers"),
+    # the first bad line wins, whichever its fault
+    ("3 5 2\n0 1 x\n0 1\n", "line 2: vertex ids must be integers"),
+    ("3 5 2\n0 1\n0 1 x\n", "line 2: expected 3 vertex ids, got 2"),
+    ("3 5 1\n-1 1 2\n", "invalid edge list: edge (-1, 1, 2) has a vertex outside 0..4"),
+    ("3 5 1\n0 1 5\n", "invalid edge list: edge (0, 1, 5) has a vertex outside 0..4"),
+    ("2 0 1\n0 1\n", "invalid edge list: edge (0, 1) has a vertex outside 0..-1"),
+    (
+        "3 5 1\n0 1 99999999999999999999999\n",
+        "invalid edge list: edge (0, 1, 99999999999999999999999) has a vertex outside 0..4",
+    ),
+    ("3 5 2\n0 1 2\n3 3 4\n", "invalid edge list: edge (3, 3, 4) has repeated vertices"),
+    ("3 5 1\n7 7 1\n", "invalid edge list: edge (7, 7, 1) has repeated vertices"),
+    (
+        "3 5 1\n99999999999999999999 99999999999999999999 1\n",
+        "invalid edge list: edge (99999999999999999999, 99999999999999999999, 1) "
+        "has repeated vertices",
+    ),
+    ("3 5 3\n0 1 2\n1 2 3\n2 1 0\n", "invalid edge list: duplicate edge (0, 1, 2)"),
+    ("3 5 3\n0 1 2\n2 1 0\n0 0 4\n", "invalid edge list: duplicate edge (0, 1, 2)"),
+    ("1 5 2\n0\n1\n", "invalid edge list: uniformity k must be an integer >= 2, got 1"),
+    ("0 5 0\n", "invalid edge list: uniformity k must be an integer >= 2, got 0"),
+    ("-3 5 0\n", "invalid edge list: uniformity k must be an integer >= 2, got -3"),
+    ("3 -1 0\n", "invalid edge list: vertex count n must be a nonnegative integer, got -1"),
+]
+
+# Host files that int() and str.split() accept, and the edges they give.
+ACCEPTED = [
+    ("3 5 1\n+3 0 1\n", 3, 5, [(0, 1, 3)]),
+    ("3 5 1\n03 0 1\n", 3, 5, [(0, 1, 3)]),
+    ("3 12 1\n1_0 0 1\n", 3, 12, [(0, 1, 10)]),
+    ("3 5 1\n３ 0 1\n", 3, 5, [(0, 1, 3)]),  # a full-width digit 3
+    ("+3 05 1\n0 1 2\n", 3, 5, [(0, 1, 2)]),
+    ("3\t5\t1\n0\t1\t2\n", 3, 5, [(0, 1, 2)]),
+    ("3 5 2\r\n0 1 2\r\n2 3 4\r\n", 3, 5, [(0, 1, 2), (2, 3, 4)]),
+    ("\n3 5 2\n\n0 1 2\n   \n2 3 4\n\n", 3, 5, [(0, 1, 2), (2, 3, 4)]),
+    ("3 5 2   \n0 1 2  \n 2 3 4 \n", 3, 5, [(0, 1, 2), (2, 3, 4)]),
+    ("3 6 3\n5 4 3\n2 1 0\n0 4 2\n", 3, 6, [(0, 1, 2), (0, 2, 4), (3, 4, 5)]),
+    ("3 4 0\n", 3, 4, []),
+]
+
+# Hypergraph(k, n, edges) inputs that fail, and the full message of each.
+REJECTED = [
+    ((3, 5, [(0, 1, 2), (2, 1, 0)]), "duplicate edge (0, 1, 2)"),
+    ((3, 5, [(0, 0, 1)]), "edge (0, 0, 1) has repeated vertices"),
+    ((3, 5, [(0, 1, 5)]), "edge (0, 1, 5) has a vertex outside 0..4"),
+    ((2, 4, [(0, 1), (-1, 2)]), "edge (-1, 2) has a vertex outside 0..3"),
+    ((3, 5, [(0, 1)]), "edge (0, 1) does not have 3 vertices"),
+    ((3, 5, [(0, 1, 2), (0, 1, 2, 3)]), "edge (0, 1, 2, 3) does not have 3 vertices"),
+    ((3, 5, [(0, 1), (0, 0, 1)]), "edge (0, 1) does not have 3 vertices"),
+    ((3, 5, [(0, 1, 2), (0, 0, 1), (0, 1)]), "edge (0, 0, 1) has repeated vertices"),
+    ((3, 5, [(0, 1, 2), (1, 0, 2), (1,)]), "duplicate edge (0, 1, 2)"),
+    ((1, 5, []), "uniformity k must be an integer >= 2, got 1"),
+    (("3", 5, []), "uniformity k must be an integer >= 2, got '3'"),
+    ((3, -2, []), "vertex count n must be a nonnegative integer, got -2"),
+]
+
+
+class TestParserEquivalence:
+    @pytest.mark.parametrize("text,message", MALFORMED)
+    def test_malformed_input_names_its_first_fault(self, text, message):
+        with pytest.raises(HypergraphError) as err:
+            parse_hypergraph(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("text,k,n,edges", ACCEPTED)
+    def test_accepted_input_gives_the_same_edges(self, text, k, n, edges):
+        H = parse_hypergraph(text)
+        assert (H.k, H.n, H.edges) == (k, n, tuple(edges))
+        assert all(type(v) is int for e in H.edges for v in e)
+
+    @pytest.mark.parametrize("args,message", REJECTED)
+    def test_rejected_edges_name_the_first_fault(self, args, message):
+        with pytest.raises(HypergraphError) as err:
+            Hypergraph(*args)
+        assert str(err.value) == message
+
+    def test_any_sequence_of_ints_is_an_edge(self):
+        want = Hypergraph(3, 5, [(0, 1, 2), (2, 3, 4)])
+        for edges in (
+            [[2, 1, 0], [4, 3, 2]],
+            [{0, 1, 2}, {2, 3, 4}],
+            np.array([[0, 1, 2], [2, 3, 4]]),
+            (e for e in [(2, 3, 4), (0, 1, 2)]),
+        ):
+            H = Hypergraph(3, 5, edges)
+            assert H == want and H.degrees() == (1, 1, 2, 1, 1)
+            assert all(type(v) is int for e in H.edges for v in e)
+        with pytest.raises(HypergraphError, match="vertex ids must be integers"):
+            Hypergraph(3, 5, [(0, 1, 2.5)])
