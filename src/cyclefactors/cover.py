@@ -413,12 +413,14 @@ def _rows_through(ids: np.ndarray, size: int) -> tuple:
     """(rows, starts): for each value e below ``size``, the ascending
     indices of the rows of ``ids`` that hold it are
     rows[starts[e] : starts[e + 1]]."""
-    flat = ids.ravel()
+    keys = ids.astype(np.min_scalar_type(size)).ravel()
     # a stable sort of unsigned ints of 16 bits or fewer is a radix sort
-    order = np.argsort(flat.astype(np.min_scalar_type(size)), kind="stable")
-    starts = np.zeros(size + 1, dtype=np.intp)
-    np.cumsum(np.bincount(flat, minlength=size), out=starts[1:])
-    return order // ids.shape[1], starts
+    order = np.argsort(keys, kind="stable")
+    # each value's first place among the sorted keys, searched in their own
+    # dtype: an intp search would copy them, as bincount would copy ids
+    starts = np.append(keys[order].searchsorted(np.arange(size, dtype=keys.dtype)), len(keys))
+    order //= ids.shape[1]
+    return order, starts
 
 
 def _draw(rng: random.Random, weights: np.ndarray, cum: Optional[np.ndarray] = None) -> int:
@@ -435,13 +437,18 @@ def _draw(rng: random.Random, weights: np.ndarray, cum: Optional[np.ndarray] = N
 def _vertex_words(cycles: np.ndarray, n: int) -> np.ndarray:
     """Each row's vertex set as bits of ceil(n/64) uint64 words, word j of
     every row in row j of the result: vertex v is bit v % 64 of word
-    v // 64.  A row's vertices are distinct, so adding their bits sets each
-    once."""
-    bits = np.left_shift(np.uint64(1), (cycles % 64).astype(np.uint64))
-    word = cycles // 64
-    return np.stack(
-        [np.where(word == j, bits, 0).sum(axis=1, dtype=np.uint64) for j in range(-(-n // 64))]
-    )
+    v // 64.  The columns are ORed in one at a time, so no temporary holds
+    more than one entry per row."""
+    words = np.zeros((-(-n // 64), len(cycles)), dtype=np.uint64)
+    for column in cycles.T:
+        bits = np.left_shift(np.uint64(1), (column % 64).astype(np.uint64))
+        if len(words) == 1:
+            words[0] |= bits
+        else:
+            word = column // 64
+            for j, out in enumerate(words):
+                out |= np.where(word == j, bits, 0)
+    return words
 
 
 def _check_picks(H: Hypergraph, cycles: np.ndarray, ids: np.ndarray, picks: list) -> None:

@@ -233,7 +233,9 @@ class Incidence:
     ``dot`` and ``tdot`` add the terms of every sum in the order that
     scipy's CSR products add them (ascending column in A x, ascending row
     in A^T y, each starting from 0), so they return the same bits, and
-    ``gram`` assembles the dense A diag(w) A^T.
+    ``gram`` assembles the dense A diag(w) A^T.  All three read at most
+    BLOCK ones per numpy call, in an order that leaves every sum's order
+    as it is, so a matrix of any size gives the bits of one pass.
     """
 
     __slots__ = ("rows", "shape", "_grid")
@@ -250,45 +252,74 @@ class Incidence:
 
     def dot(self, x) -> np.ndarray:
         """A x."""
-        return np.bincount(self.rows, np.repeat(x, len(self._grid)), self.shape[0])
+        c = len(self._grid)
+        span = BLOCK // max(c, 1) or 1  # columns per block
+        total = np.bincount(self.rows[: span * c], x[:span].repeat(c), self.shape[0])
+        # each later block goes on adding to the same sums in column
+        # order (np.add.at casts an int32 index slower than astype does)
+        for j in range(span, len(x), span):
+            ones = self.rows[j * c : (j + span) * c].astype(np.intp)
+            np.add.at(total, ones, x[j : j + span].repeat(c))
+        return total
 
     def tdot(self, y) -> np.ndarray:
         """A^T y."""
-        # one gather along the flat rows (np.take reads the int32 indices
-        # faster than fancy indexing does), then the sums by grid row
-        terms = y.take(self.rows).reshape(self._grid.shape[::-1]).T
-        total = terms[0] + 0.0
-        for term in terms[1:]:
-            total += term
+        c = len(self._grid)
+        span = BLOCK // max(c, 1) or 1
+        total = np.empty(self.shape[1])
+        for j in range(0, len(total), span):
+            # one gather of the block's grid rows (np.take reads the int32
+            # indices faster than fancy indexing does, and lays each grid
+            # row out contiguous), then the sums by grid row
+            part = total[j : j + span]
+            terms = y.take(self._grid[:, j : j + span])
+            np.add(terms[0], 0.0, out=part)
+            for term in terms[1:]:
+                part += term
         return total
 
     def gram(self, w, diagonal=None) -> np.ndarray:
         """A diag(w) A^T as a dense rows x rows array.
 
         Entry (e, f) sums w_j over the columns j with ones in rows e and f.
-        Each row of the grid scatters w against every row of the grid, so
-        no temporary is larger than the ones and the result is the only
-        rows x rows array.  The diagonal is then set to A w, the bits of
-        ``dot`` and of the Jacobi preconditioner of ``scale_to_ones``: so
-        set, the 30 K_12^(3) residual families take as many Newton steps as
-        the matrix-free solves (summed by the scatter, seed 9's took 18
-        against 17).  A caller that holds ``dot(w)`` already passes it as
-        ``diagonal``.
+        Each row a of the grid scatters w against every row b of the grid,
+        and each entry's sum runs by a, then b, then column.  A matrix of
+        at most BLOCK ones scatters row a against the whole grid at once,
+        a larger one against one row b at a time in blocks of at most
+        BLOCK columns.  So the result is the only rows x rows array.  The
+        diagonal is then set to A w, the bits of ``dot`` and of the Jacobi
+        preconditioner of ``scale_to_ones``: so set, the 30 K_12^(3)
+        residual families take as many Newton steps as the matrix-free
+        solves (summed by the scatter, seed 9's took 18 against 17).  A
+        caller that holds ``dot(w)`` already passes it as ``diagonal``.
         """
-        rows = self.shape[0]
+        rows, cols = self.shape
         if diagonal is None:
             diagonal = self.dot(w)  # before the scatter's arrays exist
         gram = np.zeros((rows, rows))
         flat = gram.reshape(-1)
-        # a copy, not a broadcast: np.add.at is 4x slower on a broadcast
-        # view, and numpy 2.4.6 summed 1-D values against a 2-D index to nan
-        weights = np.tile(w, len(self._grid))
-        # a C-contiguous copy of the int32 grid, so that each scatter index
-        # is C-contiguous too (its entries are below rows^2, which fits
-        # int32 for any rows x rows array that fits in memory)
-        grid = np.ascontiguousarray(self._grid)
-        for e in grid * np.int32(rows):
-            np.add.at(flat, (e + grid).reshape(-1), weights)
+        if self._grid.size <= BLOCK:
+            # one block: each row a of the grid scatters against all of it,
+            # read from one C-contiguous intp copy, so that each index is
+            # C-contiguous intp and np.add.at reads it without a cast.  A
+            # copy of w, not a broadcast: np.add.at is 4x slower on a
+            # broadcast view, and numpy 2.4.6 summed 1-D values against a
+            # 2-D index to nan
+            grid = np.ascontiguousarray(self._grid, dtype=np.intp)
+            weights = np.tile(w, len(grid))
+            for a in grid:
+                np.add.at(flat, (grid + a * rows).reshape(-1), weights)
+        else:
+            grid = self._grid
+            parts = [slice(j, j + BLOCK) for j in range(0, cols, BLOCK)]
+            for i, a in enumerate(grid):
+                # row a's ones scaled to their gram rows' starts, once for
+                # every row b
+                keys = [np.multiply(a[part], rows, dtype=np.intp) for part in parts]
+                for b, ones in enumerate(grid):
+                    if b != i:  # row a against itself adds only to the diagonal
+                        for part, key in zip(parts, keys):
+                            np.add.at(flat, np.add(ones[part], key), w[part])
         flat[:: rows + 1] = diagonal
         return gram
 
@@ -301,6 +332,12 @@ class Incidence:
 # (m = 557, 6,106 cycles) 16.4 against 11.4 ms and K_24^(3) (m = 992)
 # 31.7 against 16.6 ms.
 GRAM_ROWS = 450
+
+# ``Incidence``'s products read at most this many ones per numpy call, so
+# that each temporary (an intp index or a float per one: 64 KiB) stays
+# below glibc's 128 KiB mmap threshold: freed, it is reused from the heap
+# rather than mapped and faulted in afresh by the next call.
+BLOCK = 8192
 
 
 def gram_product(A: Incidence, w, diagonal=None):
@@ -413,7 +450,7 @@ def _pinned(A: Incidence, gram, w):
     pinned = (on_f[held] & ~on_e[held]).any(axis=0)
     if not pinned.any():  # no inclusion, or only rows with the same columns
         return None, ()
-    left = np.bincount(A._grid[:, ~pinned].reshape(-1), minlength=rows)
+    left = A.dot(~pinned * 1.0)  # each row's count of the columns kept
     return pinned, np.flatnonzero(left == 0)
 
 
@@ -421,7 +458,7 @@ def _start(A: Incidence):
     """Newton's first dual point y, its w = exp(-A^T y) and g(y): w_j near the
     geometric mean of 1 / (row sum) over column j's rows, exactly 1 when
     every row sum is 1."""
-    row_sums = np.bincount(A.rows, minlength=A.shape[0])
+    row_sums = A.dot(np.ones(A.shape[1]))  # whole numbers, exact as floats
     y = np.log(np.maximum(row_sums, 1.0)) * A.shape[1] / max(len(A.rows), 1)
     w = np.exp(-A.tdot(y))
     return y, w, w.sum() + y.sum()

@@ -75,6 +75,60 @@ def gram_calls(monkeypatch):
     return calls
 
 
+def one_block_dot(A, x):
+    """A x as one bincount over all of A's ones: the formula of
+    ``Incidence.dot`` for a matrix of at most ``fractional.BLOCK`` ones,
+    kept as the oracle of its blocks."""
+    return np.bincount(A.rows, np.repeat(x, len(A._grid)), A.shape[0])
+
+
+def one_block_tdot(A, y):
+    """A^T y as one gather of all of A's ones, summed by grid row."""
+    terms = y.take(A.rows).reshape(A._grid.shape[::-1]).T
+    total = terms[0] + 0.0
+    for term in terms[1:]:
+        total += term
+    return total
+
+
+def one_block_gram(A, w):
+    """A diag(w) A^T, each grid row scattering w against the whole grid,
+    with the diagonal A w."""
+    rows = A.shape[0]
+    gram = np.zeros((rows, rows))
+    flat = gram.reshape(-1)
+    grid = np.ascontiguousarray(A._grid, dtype=np.intp)
+    weights = np.tile(w, len(grid))
+    for a in grid:
+        np.add.at(flat, (grid + a * rows).reshape(-1), weights)
+    flat[:: rows + 1] = one_block_dot(A, w)
+    return gram
+
+
+@pytest.fixture
+def check_against_one_block():
+    """``check(A, x, y, products)``: each named product of A has the bits
+    of its one-block formula: ``dot``, ``tdot``, ``gram`` and, for A above
+    ``GRAM_ROWS`` rows, ``gram_product``'s matrix-free y -> A diag(x) A^T y;
+    x weighs A's columns and y its rows."""
+
+    def check(A, x, y, products=("dot", "tdot", "gram")):
+        pairs = {
+            "dot": (lambda: A.dot(x), lambda: one_block_dot(A, x)),
+            "tdot": (lambda: A.tdot(y), lambda: one_block_tdot(A, y)),
+            "gram": (lambda: A.gram(x), lambda: one_block_gram(A, x)),
+            "gram_product": (
+                lambda: fractional.gram_product(A, x)(y),
+                lambda: one_block_dot(A, x * one_block_tdot(A, y)),
+            ),
+        }
+        for name in products:
+            got, want = pairs[name]
+            assert got().tobytes() == want().tobytes(), name
+
+    return check
+
+
 @pytest.fixture
 def check_against_oracle():
     """z* of A by the inequality form, for the cover's families."""

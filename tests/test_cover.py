@@ -38,6 +38,31 @@ from cyclefactors.tightpaths import (
 )
 
 
+def stretch_peaks(run) -> list:
+    """Run ``run()`` under tracemalloc and return, for each stretch between
+    two profile events (a call or return of Python code or of a builtin,
+    which every numpy function call makes), the traced memory it added at
+    its peak above its start.  A ufunc call makes no event, so a stretch
+    may hold a ufunc's input and output; otherwise it holds about one
+    allocation, where a snapshot would see only what is still live."""
+    peaks = []
+
+    def profile(frame, event, arg):
+        peaks.append(tracemalloc.get_traced_memory()[1] - start[0])
+        tracemalloc.reset_peak()
+        start[0] = tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    start = [tracemalloc.get_traced_memory()[0]]
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+        tracemalloc.stop()
+    return peaks
+
+
 def path_host():
     """Three overlapping edges on 5 vertices; contains no 5-cycle at all."""
     return Hypergraph(3, 5, [(0, 1, 2), (1, 2, 3), (2, 3, 4)])
@@ -429,8 +454,10 @@ class TestScaling:
     def test_k18_residual_weighting_stays_within_its_memory_budget(self):
         # program seed 0's K_18^(3) residual: 14,957 six-cycles on 400 edges.
         # Held as one N x L int32 id matrix, with no N x L x k window array
-        # and no int64 key, order or column copies, the call peaks 4.9 MB
-        # above entry (numpy 2.4); built through those copies, 6.9 MB
+        # and no int64 key, order or column copies, and weighted by products
+        # that read at most fractional.BLOCK ones per numpy call, the call
+        # peaks 3.70 MB above entry (numpy 2.4); with products that read all
+        # the ones in one pass, 4.42 MB
         H = complete_hypergraph(3, 18)
         sub = random.Random(0).randrange(2**63)
         rest = H.remove_edges(sparsify_intersecting(H, 0.5, uniform_weighting(H), sub).edges)
@@ -442,7 +469,56 @@ class TestScaling:
         finally:
             tracemalloc.stop()
         assert len(pair[0]) == 14957
-        assert peak < 5.5 * 2**20
+        assert peak < 4.07 * 2**20
+
+    def test_k18_weighting_allocates_no_array_per_one(self, monkeypatch):
+        # scale_to_ones and polish on the same family: N = 14,957 columns,
+        # 400 rows, 89,742 ones
+        families = []
+        real = cover.scale_to_ones
+        monkeypatch.setattr(cover, "scale_to_ones", lambda A: families.append(A) or real(A))
+        H = complete_hypergraph(3, 18)
+        sub = random.Random(0).randrange(2**63)
+        rest = H.remove_edges(sparsify_intersecting(H, 0.5, uniform_weighting(H), sub).edges)
+        fractional_cycle_decomposition(rest, 6, seed=sub)
+        (A,) = families
+        rows, cols = A.shape
+        peaks = stretch_peaks(lambda: fractional.polish(A, real(A)))
+        matrix = 8 * rows**2
+        # the largest allocations are the assembled rows x rows matrices
+        assert matrix <= max(peaks) < matrix + 1024
+        # every other stretch holds at most two N-vectors (a ufunc's input
+        # and output), never an array with one entry per one, even int32
+        rest_peak = max(p for p in peaks if p < matrix)
+        assert rest_peak <= 2 * 8 * cols + 4096 < 4 * len(A.rows)
+
+
+class TestExtractionIndices:
+    """The extraction's per-family indices, against sets built afresh."""
+
+    @pytest.mark.parametrize("n", [18, 70, 130])
+    def test_vertex_words_hold_each_rows_vertices(self, n):
+        rng = np.random.default_rng(n)
+        cycles = np.array([rng.choice(n, 6, replace=False) for _ in range(200)])
+        words = cover._vertex_words(cycles, n)
+        assert words.dtype == np.uint64 and words.shape == (-(-n // 64), len(cycles))
+        for i, row in enumerate(cycles.tolist()):
+            got = sum(int(words[j, i]) << (64 * j) for j in range(len(words)))
+            assert got == sum(1 << v for v in row)
+
+    @pytest.mark.parametrize("size", [300, 70_000])
+    def test_rows_through_lists_the_rows_holding_each_value(self, size):
+        # uint16 keys, then uint32
+        rng = np.random.default_rng(size)
+        ids = np.array([rng.choice(size, 6, replace=False) for _ in range(500)], dtype=np.int32)
+        rows, starts = cover._rows_through(ids, size)
+        assert starts.dtype == rows.dtype == np.intp and len(starts) == size + 1
+        holding = {}
+        for i, row in enumerate(ids.tolist()):
+            for e in row:
+                holding.setdefault(e, []).append(i)
+        for e in range(size):
+            assert rows[starts[e] : starts[e + 1]].tolist() == holding.get(e, [])
 
 
 class TestDecompositionValidation:

@@ -12,7 +12,7 @@ from scipy.sparse.linalg import cg as scipy_cg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclefactors import fractional
+from cyclefactors import cover, fractional
 from cyclefactors.fractional import (
     FLOAT_TOL,
     SCALE_STEPS,
@@ -562,6 +562,66 @@ class TestGram:
         assert gram_product(inc, w)(x).tobytes() == (inc.gram(w) @ x).tobytes()
         monkeypatch.setattr(fractional, "GRAM_ROWS", inc.shape[0] - 1)
         assert gram_product(inc, w)(x).tobytes() == inc.dot(w * inc.tdot(x)).tobytes()
+
+
+def residual_family(n, monkeypatch):
+    """The ``Incidence`` that ``fractional_cycle_decomposition`` weighs on
+    the K_n^(3) residual of program seed 0's first pipeline pass, taken
+    before any weighting runs."""
+    H = complete_hypergraph(3, n)
+    sub = random.Random(0).randrange(2**63)
+    rest = H.remove_edges(sparsify_intersecting(H, 0.5, uniform_weighting(H), sub).edges)
+
+    class Taken(Exception):
+        pass
+
+    def take(A):
+        raise Taken(A)
+
+    with monkeypatch.context() as m, pytest.raises(Taken) as taken:
+        m.setattr(cover, "scale_to_ones", take)
+        cover.fractional_cycle_decomposition(rest, 6, seed=sub)
+    return taken.value.args[0]
+
+
+class TestBlockedProducts:
+    """``Incidence`` reads at most ``fractional.BLOCK`` ones per numpy call
+    and returns the bits of one pass over all of them."""
+
+    def test_k18_residual_family(self, monkeypatch, check_against_one_block):
+        # 14,957 six-cycles on 400 edges: each product crosses blocks, and
+        # gram scatters one row b in column blocks
+        A = residual_family(18, monkeypatch)
+        assert A.shape[1] > fractional.BLOCK and A.shape[0] <= fractional.GRAM_ROWS
+        rng = np.random.default_rng(7)
+        check_against_one_block(A, rng.random(A.shape[1]), spread(rng, A.shape[0]))
+        check_against_one_block(A, spread(rng, A.shape[1]), spread(rng, A.shape[0]), ["dot"])
+
+    def test_sampled_k24_family_above_the_assembly_limit(
+        self, monkeypatch, check_against_one_block
+    ):
+        A = residual_family(24, monkeypatch)
+        assert A.shape[0] > fractional.GRAM_ROWS
+        assert len(A.rows) > 4 * fractional.BLOCK
+        rng = np.random.default_rng(8)
+        x, y = spread(rng, A.shape[1]), spread(rng, A.shape[0])
+        check_against_one_block(A, x, y, ["dot", "tdot"])
+        check_against_one_block(A, rng.random(A.shape[1]), y, ["gram_product"])
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 200, None])
+    def test_small_blocks(self, block, monkeypatch, check_against_one_block):
+        # each small block cuts every matrix here into several (200 leaves
+        # gram one column block); None keeps BLOCK, which every one fits
+        if block is not None:
+            monkeypatch.setattr(fractional, "BLOCK", block)
+        rng = np.random.default_rng(9)
+        matrices = [k12_cycle_family(), random_columns(rng, 40, 60, 5), random_columns(rng, 7, 300, 3)]
+        for columns, rows in matrices:
+            A = Incidence(columns, rows)
+            assert block is None or len(A.rows) > block
+            for _ in range(2):
+                x, y = spread(rng, A.shape[1]), spread(rng, A.shape[0])
+                check_against_one_block(A, x, y)
 
 
 class TestPolishAgainstLsqr:
