@@ -272,13 +272,9 @@ class LayerResult:
     factor: CycleFactor
     plan: LayerPlan
     f_edges: tuple  # sorted F-edges used by the factor
-    check: object  # FactorCheck
     attempts: int
     stage_log: tuple  # (attempt, stage, detail) for failed attempts
     timings: dict
-
-    def __bool__(self):
-        return bool(self.check)
 
 
 def check_cover_length(H: Hypergraph, prof: Profile) -> None:
@@ -389,7 +385,6 @@ def layer_transform(
             factor=factor,
             plan=plan,
             f_edges=f_edges,
-            check=check,
             attempts=attempt,
             stage_log=tuple(stage_log),
             timings=timings,
@@ -466,17 +461,13 @@ def _attempt_layer(H, F, seqs, lengths, prof, rng):
                 "budget", f"need {need} inner vertices over {z} connectors "
                 f"exceeds z * ell1 = {z * prof.ell1}"
             )
-        lam = [prof.ell0] * z
         extra = need - z * prof.ell0
         if extra < 0:
             raise _StageFail("budget", f"need {need} < z * ell0 = {z * prof.ell0}")
-        j = 0
-        while extra > 0:
-            if lam[j] < prof.ell1:
-                lam[j] += 1
-                extra -= 1
-            j = (j + 1) % z
-        lambdas.append(tuple(lam))
+        # the extra vertices go round-robin from connector 0; none passes
+        # ell1, since need <= z * ell1
+        each, rest = divmod(extra, z)
+        lambdas.append(tuple(prof.ell0 + each + (j < rest) for j in range(z)))
 
     # (4) connect each group cyclically through the leftover
     t0 = clock()

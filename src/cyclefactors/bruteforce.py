@@ -18,7 +18,7 @@ import numpy as np
 
 from .fractional import EdgeWeighting
 from .hypergraph import Hypergraph
-from .tightpaths import CycleFactor, TightCycle, is_tight_cycle
+from .tightpaths import CycleFactor, FactorCheck, TightCycle, is_tight_cycle
 from .walks import memory_length
 
 
@@ -258,16 +258,7 @@ def walk_distribution(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PackingReport:
-    ok: bool
-    reasons: Tuple[str, ...]
-
-    def __bool__(self):
-        return self.ok
-
-
-def validate_packing(H: Hypergraph, factors: Iterable[CycleFactor]) -> PackingReport:
+def validate_packing(H: Hypergraph, factors: Iterable[CycleFactor]) -> FactorCheck:
     """Structural check of a factor packing: tight cycles, per-factor spanning
     vertex-disjointness, and edge-disjointness across factors."""
     reasons = []
@@ -291,5 +282,5 @@ def validate_packing(H: Hypergraph, factors: Iterable[CycleFactor]) -> PackingRe
                         f"edge {e} used by factors {seen_edges[e]} and {i}"
                     )
                 seen_edges[e] = i
-    return PackingReport(ok=not reasons, reasons=tuple(reasons))
+    return FactorCheck(reasons)
 

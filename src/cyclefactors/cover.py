@@ -371,11 +371,6 @@ def validate_collections(H: Hypergraph, collections) -> None:
                 seen_edges.add(e)
 
 
-def _covered(coll) -> set:
-    """The vertices a collection of cycles covers."""
-    return set().union(*(C.vertex_set for C in coll))
-
-
 @dataclass(frozen=True)
 class ExtractionResult:
     """Cycle collections plus gate diagnostics; ``ok`` when all gates pass.
@@ -394,7 +389,8 @@ class ExtractionResult:
     returned: Optional[int]
 
     def coverages(self):
-        return [len(_covered(coll)) for coll in self.collections]
+        # validate_collections has checked each collection vertex-disjoint
+        return [sum(map(len, coll)) for coll in self.collections]
 
 
 def check_collections(H: Hypergraph, r: int) -> None:
@@ -449,21 +445,6 @@ def _vertex_words(cycles: np.ndarray, n: int) -> np.ndarray:
             for j, out in enumerate(words):
                 out |= np.where(word == j, bits, 0)
     return words
-
-
-def _check_picks(H: Hypergraph, cycles: np.ndarray, ids: np.ndarray, picks: list) -> None:
-    """``validate_collections`` on a draw still held as family indices, one
-    array per collection: CoverError unless each collection's cycles are
-    vertex-disjoint and no edge lies in two picked cycles."""
-    sizes = [len(p) for p in picks]
-    flat = np.concatenate(picks)
-    owner = np.repeat(np.arange(len(picks)), sizes)
-    slots = np.bincount((cycles[flat] + H.n * owner[:, None]).ravel(), minlength=len(picks) * H.n)
-    if slots.max(initial=0) > 1:
-        raise CoverError(f"collection {int(np.argmax(slots)) // H.n} has vertex-sharing cycles")
-    edges = np.bincount(ids[flat].ravel(), minlength=H.m)
-    if edges.max(initial=0) > 1:
-        raise CoverError(f"edge {H.edges[int(np.argmax(edges))]!r} appears in two collections")
 
 
 def _gate_failures(coverages: list, coverage_min: int) -> list:
@@ -547,10 +528,9 @@ def extract_cycle_collections(
     the cycles that share no edge with an earlier collection's picks, and
     each pick drops the cycles that meet it in a vertex (which covers every
     cycle sharing one of its edges), one AND of the cycles' vertex bit
-    words.  So no pick rescans the family.  Every draw is checked on the
-    index arrays as ``validate_collections`` checks cycles, and its
-    coverages are L per pick.  An attempt is accepted when every
-    collection covers at least ceil((1-mu) n) vertices; otherwise the
+    words.  So no pick rescans the family.  A draw's coverages are L per
+    pick, since its picks are vertex-disjoint.  An attempt is accepted when
+    every collection covers at least ceil((1-mu) n) vertices; otherwise the
     extraction reseeds, up to ``retries`` attempts.  The first pick of
     every draw reads the whole family, whose weights are summed once.
     When no draw passes, the best one (the first with the fewest gate
@@ -559,11 +539,11 @@ def extract_cycle_collections(
     (``_swap``) while it stays below.  The swaps take no randomness, so
     every extraction that passes within its draws is unchanged by them.
     The draw's diagnostics entry records the repair as {"swaps",
-    "coverages", "failures"}.  A repaired draw is checked by
-    ``_check_picks`` and returned (``ok`` True); when some collection has
-    no swap left, the draw is returned as drawn, with ``ok`` False, rather
-    than discarding the work.  Only the returned draw's picks become
-    ``TightCycle`` objects, and ``validate_collections`` checks them.
+    "coverages", "failures"}.  A repaired draw is returned with ``ok``
+    True; when some collection has no swap left, the draw is returned as
+    drawn, with ``ok`` False, rather than discarding the work.  Only the
+    returned collections become ``TightCycle`` objects, and they are
+    checked once, by ``validate_collections``.
     """
     check_collections(H, r)
     coverage_min = math.ceil((1 - mu) * H.n)
@@ -603,7 +583,6 @@ def extract_cycle_collections(
                 spans = zip(starts[edges].tolist(), starts[edges + 1].tolist())
                 dead[np.concatenate([through[a:b] for a, b in spans])] = True
             picks.append(coll)
-        _check_picks(H, cycles, ids, picks)
         coverages = [cycles.shape[1] * len(coll) for coll in picks]
         failures = _gate_failures(coverages, coverage_min)
         diagnostics.append(
@@ -623,7 +602,6 @@ def extract_cycle_collections(
             "swaps": swaps, "coverages": coverages, "failures": gaps
         }
         if not gaps:
-            _check_picks(H, cycles, ids, repaired)
             picks, failures = repaired, gaps
     collections = [
         tuple(TightCycle(H, cycles[i].tolist()) for i in coll) for coll in picks

@@ -298,7 +298,8 @@ def _canonical_edges(k, n, values: list, sizes: list) -> tuple:
     turn, ``sizes`` each edge's vertex count.  The vertex counts, the range
     and the repeated vertices are checked on all edges at once, the
     duplicates on their sorted tuples; only when a check fails does
-    ``_reject`` work out the first bad edge.
+    ``_reject`` walk the edges one by one, in input order, to name the
+    first bad one.
     """
     if not isinstance(k, int) or k < 2:
         raise HypergraphError(f"uniformity k must be an integer >= 2, got {k!r}")
@@ -325,37 +326,22 @@ def _reject(k, n, values: list, sizes: list) -> None:
     """Raise the HypergraphError of ``_canonical_edges`` for the edges that
     failed it: the first bad edge in input order, and the first check it
     fails, in the order vertex count, repeated vertex, range, duplicate of
-    an earlier edge.  The checks run on an object array of the edges, so
-    that vertices of any size compare as they are."""
-    short = np.array(sizes, dtype=np.intp) != k
-    flat = np.array(values, dtype=object)[np.repeat(~short, sizes)]
-    rows = np.sort(flat.reshape(-1, k), axis=1)
-    order = np.lexsort(rows.T[::-1])  # stable: the first of equal rows leads
-    rows = rows[order]
-    again = np.zeros(len(rows), dtype=bool)
-    again[1:] = (rows[1:] == rows[:-1]).all(axis=1)
-    failure = np.where(short, 1, 0)
-    failure[np.flatnonzero(~short)[order]] = np.select(
-        [
-            (rows[:, 1:] == rows[:, :-1]).any(axis=1),
-            (rows[:, 0] < 0) | (rows[:, -1] >= n),
-            again,
-        ],
-        [2, 3, 4],
-    )
-    bad = np.flatnonzero(failure)
-    if not len(bad):
-        raise HypergraphError("vertex ids must be integers")
-    i = int(bad[0])
-    start = sum(sizes[:i])
-    e = tuple(values[start : start + sizes[i]])
-    if failure[i] == 1:
-        raise HypergraphError(f"edge {e!r} does not have {k} vertices")
-    if failure[i] == 2:
-        raise HypergraphError(f"edge {e!r} has repeated vertices")
-    if failure[i] == 3:
-        raise HypergraphError(f"edge {e!r} has a vertex outside 0..{n - 1}")
-    raise HypergraphError(f"duplicate edge {tuple(sorted(e))!r}")
+    an earlier edge.  When every edge passes them, some vertex is not an
+    integer."""
+    seen = set()
+    for size, end in zip(sizes, itertools.accumulate(sizes)):
+        e = tuple(values[end - size : end])
+        if size != k:
+            raise HypergraphError(f"edge {e!r} does not have {k} vertices")
+        key = tuple(sorted(e))
+        if any(a == b for a, b in zip(key, key[1:])):
+            raise HypergraphError(f"edge {e!r} has repeated vertices")
+        if key[0] < 0 or key[-1] >= n:
+            raise HypergraphError(f"edge {e!r} has a vertex outside 0..{n - 1}")
+        if key in seen:
+            raise HypergraphError(f"duplicate edge {key!r}")
+        seen.add(key)
+    raise HypergraphError("vertex ids must be integers")
 
 
 def _eta_minima(H: Hypergraph) -> tuple:
@@ -571,8 +557,8 @@ def parse_hypergraph(text: str) -> Hypergraph:
     """The host in ``text``: a "k n m" header line, then m edge lines of k
     vertex ids each; blank lines are skipped.  Each distinct token is read
     once, with ``int``, and the edges are checked together by
-    ``_canonical_edges``; the first bad line is worked out only when a check
-    fails, and the HypergraphError names it."""
+    ``_canonical_edges``; only when a check fails are the lines walked in
+    order, and the HypergraphError names the first bad one."""
     lines = text.splitlines()
     rows = list(filter(None, map(str.split, lines)))
 
@@ -603,14 +589,13 @@ def parse_hypergraph(text: str) -> Hypergraph:
     values = list(map(ints.get, tokens))
     if len(ints) < len(distinct) or sizes.count(k) != m:
         # the first line with a wrong field count or a token int rejects
-        bad = values.index(None) if len(ints) < len(distinct) else len(values)
-        ends = itertools.accumulate(sizes)
-        i = next(i for i, end in enumerate(ends) if sizes[i] != k or end > bad)
-        if sizes[i] != k:
-            message = f"expected {k} vertex ids, got {sizes[i]}"
-        else:
-            message = "vertex ids must be integers"
-        raise HypergraphError(f"line {line(i + 1)}: {message}")
+        for i, fields in enumerate(body, 1):
+            if len(fields) != k:
+                raise HypergraphError(
+                    f"line {line(i)}: expected {k} vertex ids, got {len(fields)}"
+                )
+            if not all(map(ints.__contains__, fields)):
+                raise HypergraphError(f"line {line(i)}: vertex ids must be integers")
     try:
         edges = _canonical_edges(k, n, values, sizes)
     except HypergraphError as exc:

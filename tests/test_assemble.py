@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from cyclefactors import assemble
 from cyclefactors.assemble import (
     AssembleError,
     AssembleParamError,
@@ -24,7 +25,7 @@ from cyclefactors.cover import (
 )
 from cyclefactors.fractional import sparsify_intersecting, uniform_weighting
 from cyclefactors.hypergraph import Hypergraph, complete_hypergraph
-from cyclefactors.tightpaths import TightCycle, is_tight_path
+from cyclefactors.tightpaths import TightCycle, is_tight_path, verify_factor_copy
 
 
 def star_split(n=12, hubs=(10, 11)):
@@ -240,7 +241,7 @@ class TestLayerTransform:
         C = TightCycle(rest, tuple(range(10)))
         for seed in range(10):
             res = layer_transform(H, F, [C], [12], seed=seed)
-            assert bool(res)
+            assert verify_factor_copy(H, res.factor, [12]).ok
             assert res.attempts == 1
             assert res.plan.leftover == (10, 11)
             [inner] = connector_inners(res)
@@ -339,6 +340,46 @@ class TestLayerTransform:
         log = info.value.stage_log
         assert len(log) == 3
         assert all(stage == "connect" for _, stage, _ in log)
+
+    def test_budgets_spread_the_extra_vertices_round_robin(self, monkeypatch):
+        # step (3) against the loop it replaced: one extra inner vertex at a
+        # time to each connector in turn, passing over one at ell1
+        def round_robin(z, need, ell0, ell1):
+            lam, extra, j = [ell0] * z, need - z * ell0, 0
+            while extra > 0:
+                if lam[j] < ell1:
+                    lam[j] += 1
+                    extra -= 1
+                j = (j + 1) % z
+            return lam
+
+        class KeepAll:  # the layer's rng: step (1) keeps every path
+            def random(self):
+                return 0.0
+
+            def randrange(self, stop):
+                return 0
+
+        budgets_of = []
+
+        def record(F, R, Q, budgets, seed=0):
+            budgets_of.append(list(budgets))
+            raise ConnectionFailure("recorded")
+
+        monkeypatch.setattr(assemble, "connect", record)
+        for z in range(1, 7):
+            # z paths of 2k = 6 vertices and one target cycle through them all
+            seqs = [tuple(range(6 * g, 6 * g + 6)) for g in range(z)]
+            for ell0, ell1 in itertools.combinations_with_replacement(range(1, 9), 2):
+                for need in range(z * ell0, z * ell1 + 1):
+                    n = 6 * z + need
+                    prof = Profile(delta=need / n, ell0=ell0, ell1=ell1)
+                    with pytest.raises(assemble._StageFail) as info:
+                        assemble._attempt_layer(
+                            Hypergraph(3, n, []), None, seqs, (n,), prof, KeepAll()
+                        )
+                    assert (info.value.stage, info.value.detail) == ("connect", "recorded")
+                    assert budgets_of.pop() == round_robin(z, need, ell0, ell1)
 
     def test_keep_step_leaves_a_path_for_every_target_cycle(self, pack_k12):
         # delta = 0.7 puts the leftover window's top above n, so a draw that

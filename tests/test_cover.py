@@ -876,16 +876,35 @@ class TestRepair:
 
 
 class TestValidateCollections:
-    def test_index_arrays_checked_as_cycles(self):
-        # the extraction's per-draw check on picks held as family indices
-        H = complete_hypergraph(3, 6)
-        cycles = np.array([(0, 1, 2, 3), (2, 3, 4, 5), (0, 1, 2, 3)])
-        ids = cover._edge_ids(H, cycles)
-        with pytest.raises(CoverError, match="collection 0 has vertex-sharing"):
-            cover._check_picks(H, cycles, ids, [np.array([0, 1])])
-        with pytest.raises(CoverError, match=r"edge \(0, 1, 2\) appears in two"):
-            cover._check_picks(H, cycles, ids, [np.array([0]), np.array([2])])
-        cover._check_picks(H, cycles, ids, [np.array([0]), np.array([1])])
+    def test_extraction_checks_what_it_returns_once(self, k12, k12_frac, monkeypatch):
+        # one check per extraction with r > 0, on the collections returned:
+        # a passing draw, a partial draw, a repaired draw
+        checked = []
+
+        def spy(H, collections):
+            checked.append(collections)
+            validate_collections(H, collections)
+
+        monkeypatch.setattr(cover, "validate_collections", spy)
+        H, pair = TestRepair().near_miss()
+        for args, gate in [
+            ((k12, k12_frac, 2), {}),
+            ((k12, k12_frac, 1), {"mu": 0.0, "retries": 3}),
+            ((H, pair, 1), {"mu": 0.0, "retries": 3}),
+        ]:
+            res = extract_cycle_collections(*args, seed=0, **gate)
+            assert len(checked) == 1 and checked.pop() is res.collections
+        assert [res.diagnostics[0]["repair"]["swaps"], res.ok] == [1, True]
+        extract_cycle_collections(k12, k12_frac, 0)
+        assert checked == []
+
+    def test_a_repair_that_shares_vertices_is_refused(self, monkeypatch):
+        # a swap that returns the drawn pick P (on 2..5) beside A (on 0..3)
+        # fills the gate by count, but the check on the returned cycles fails
+        H, pair = TestRepair().near_miss()
+        monkeypatch.setattr(cover, "_swap", lambda words, free, coll: np.array([0, 1]))
+        with pytest.raises(CoverError, match="collection 0 has vertex-sharing cycles"):
+            extract_cycle_collections(H, pair, 1, seed=0, mu=0.0, retries=3)
 
     def test_vertex_sharing_within_collection(self):
         H = complete_hypergraph(3, 6)

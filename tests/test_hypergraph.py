@@ -454,6 +454,11 @@ MALFORMED = [
     # the first bad line wins, whichever its fault
     ("3 5 2\n0 1 x\n0 1\n", "line 2: vertex ids must be integers"),
     ("3 5 2\n0 1\n0 1 x\n", "line 2: expected 3 vertex ids, got 2"),
+    ("3 5 3\n0 1 2\n\n1 2 3 4\n0 x 1\n", "line 4: expected 3 vertex ids, got 4"),
+    ("3 5 3\n0 1 2\n1 y 3\n\n0 1\n", "line 3: vertex ids must be integers"),
+    ("3 5 2\n0 1 q\n0 1 q\n", "line 2: vertex ids must be integers"),
+    # within a line, the field count is checked first
+    ("3 5 1\n0 x\n", "line 2: expected 3 vertex ids, got 2"),
     ("3 5 1\n-1 1 2\n", "invalid edge list: edge (-1, 1, 2) has a vertex outside 0..4"),
     ("3 5 1\n0 1 5\n", "invalid edge list: edge (0, 1, 5) has a vertex outside 0..4"),
     ("2 0 1\n0 1\n", "invalid edge list: edge (0, 1) has a vertex outside 0..-1"),
@@ -502,6 +507,18 @@ REJECTED = [
     ((3, 5, [(0, 1), (0, 0, 1)]), "edge (0, 1) does not have 3 vertices"),
     ((3, 5, [(0, 1, 2), (0, 0, 1), (0, 1)]), "edge (0, 0, 1) has repeated vertices"),
     ((3, 5, [(0, 1, 2), (1, 0, 2), (1,)]), "duplicate edge (0, 1, 2)"),
+    # the vertex count is checked before the vertices are compared
+    ((3, 5, [(0, "a")]), "edge (0, 'a') does not have 3 vertices"),
+    ((3, 5, [(0, 1, 2), (None, 1)]), "edge (None, 1) does not have 3 vertices"),
+    # a duplicate after an out-of-range edge: the earlier edge wins
+    ((3, 5, [(0, 1, 2), (0, 1, 7), (2, 1, 0)]), "edge (0, 1, 7) has a vertex outside 0..4"),
+    ((3, 5, [(0, 1, 7), (7, 1, 0)]), "edge (0, 1, 7) has a vertex outside 0..4"),
+    # bools and floats that pass every other check are still not integers
+    ((2, 4, [(False, True)]), "vertex ids must be integers"),
+    ((3, 5, [(0, 1, 2), (1.0, 2.0, 3.0)]), "vertex ids must be integers"),
+    ((3, 5, [(0, 1, 2), (2.0, 1.0, 0.0)]), "duplicate edge (0.0, 1.0, 2.0)"),
+    ((3, 5, [(0, 1, 2.0), (2, 0.5, 1)]), "vertex ids must be integers"),
+    ((3, 5, [(0, 1.5, 2), (3, 3, 4)]), "edge (3, 3, 4) has repeated vertices"),
     ((1, 5, []), "uniformity k must be an integer >= 2, got 1"),
     (("3", 5, []), "uniformity k must be an integer >= 2, got '3'"),
     ((3, -2, []), "vertex count n must be a nonnegative integer, got -2"),
@@ -534,6 +551,9 @@ class TestParserEquivalence:
             [{0, 1, 2}, {2, 3, 4}],
             np.array([[0, 1, 2], [2, 3, 4]]),
             (e for e in [(2, 3, 4), (0, 1, 2)]),
+            # numpy ints are stored as plain ints
+            [np.array([2, 1, 0], dtype=np.int16), (np.int64(4), np.uint8(3), 2)],
+            np.array([[0, 1, 2], [2, 3, 4]], dtype=np.uint32),
         ):
             H = Hypergraph(3, 5, edges)
             assert H == want and H.degrees() == (1, 1, 2, 1, 1)
