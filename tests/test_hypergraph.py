@@ -507,6 +507,9 @@ REJECTED = [
     ((3, 5, [(0, 1), (0, 0, 1)]), "edge (0, 1) does not have 3 vertices"),
     ((3, 5, [(0, 1, 2), (0, 0, 1), (0, 1)]), "edge (0, 0, 1) has repeated vertices"),
     ((3, 5, [(0, 1, 2), (1, 0, 2), (1,)]), "duplicate edge (0, 1, 2)"),
+    ((1, 5, []), "uniformity k must be an integer >= 2, got 1"),
+    (("3", 5, []), "uniformity k must be an integer >= 2, got '3'"),
+    ((3, -2, []), "vertex count n must be a nonnegative integer, got -2"),
     # the vertex count is checked before the vertices are compared
     ((3, 5, [(0, "a")]), "edge (0, 'a') does not have 3 vertices"),
     ((3, 5, [(0, 1, 2), (None, 1)]), "edge (None, 1) does not have 3 vertices"),
@@ -519,9 +522,6 @@ REJECTED = [
     ((3, 5, [(0, 1, 2), (2.0, 1.0, 0.0)]), "duplicate edge (0.0, 1.0, 2.0)"),
     ((3, 5, [(0, 1, 2.0), (2, 0.5, 1)]), "vertex ids must be integers"),
     ((3, 5, [(0, 1.5, 2), (3, 3, 4)]), "edge (3, 3, 4) has repeated vertices"),
-    ((1, 5, []), "uniformity k must be an integer >= 2, got 1"),
-    (("3", 5, []), "uniformity k must be an integer >= 2, got '3'"),
-    ((3, -2, []), "vertex count n must be a nonnegative integer, got -2"),
 ]
 
 
