@@ -19,9 +19,9 @@ built once per host and kept on it; ``assemble.connectors`` searches the
 same table of its graph F.  The enumeration grows tight (L-1)-vertex paths
 with ``tightpaths.grow_paths``, in blocks of rows of the host's
 ``extension_rows``, and closes each path with ``tightpaths.closing_rows``:
-the closing vertex must extend all k cyclic windows that contain it.  The
-sampled family's shuffled search reads the same rows and returns
-canonical int rows too.
+the closing vertex must extend all k cyclic windows that contain it.  Past
+``ENUMERATE_CAP`` random walks from every edge grow and close on the same
+rows, all at once.
 Second, ``extract_cycle_collections`` rounds the fractional solution into r
 edge-disjoint collections of vertex-disjoint L-cycles by a weight-driven
 randomized greedy, with coverage gates checked per collection; it redraws up
@@ -32,11 +32,10 @@ uncovered vertices and the pick's and share no edge with another
 collection, the lowest family indices first, as long as it stays below.
 The gate is the same for a repaired draw.  Only the cycles of the returned
 draw become ``TightCycle`` objects.  The ``decompose`` pipeline hands these
-cycle collections straight to
-``assemble.pack_factors``, whose layer transform opens each cycle afresh on
-every attempt with ``open_cycle`` (deleting k-1 consecutive edges at a
-uniformly random rotation).  The ``cover`` command writes the cycle
-collections themselves.
+cycle collections straight to ``assemble.pack_factors``, whose layer
+transform opens each cycle afresh on every attempt with ``open_cycle``
+(deleting k-1 consecutive edges at a uniformly random rotation).  The
+``cover`` command writes the cycle collections themselves.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ import numpy as np
 
 from .fractional import Incidence, ScalingError, linprog, polish, scale_to_ones
 from .hypergraph import Hypergraph
-from .tightpaths import TightCycle, canonical_cycle, closing_rows, grow_paths
+from .tightpaths import ENUMERATE_BLOCK, TightCycle, closing_rows, grow_paths
 
 __all__ = [
     "CoverError",
@@ -152,63 +151,70 @@ def _edge_ids(H: Hypergraph, cycles: np.ndarray) -> np.ndarray:
     return ids
 
 
-def cycles_through_edge(
-    H: Hypergraph,
-    L: int,
-    edge: Iterable[int],
-    limit: Optional[int] = None,
-    seed: Optional[int] = None,
-):
-    """Distinct tight L-vertex cycles containing ``edge``, up to ``limit``.
+def _canonical_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row of an N x L int array of cycles in its ``canonical_cycle``
+    form: rotated to its minimum, then read towards its smaller neighbour."""
+    L = rows.shape[1]
+    first = rows.argmin(axis=1)[:, None]
+    ahead, back = (np.take_along_axis(rows, (first + s) % L, axis=1) for s in (1, -1))
+    step = np.where(ahead < back, 1, -1)
+    return np.take_along_axis(rows, (first + step * np.arange(L)) % L, axis=1)
 
-    The search is exhaustive when fewer than ``limit`` cycles exist (an empty
-    result is therefore a proof that no L-cycle passes through the edge).
-    With a seed, branch orders are shuffled so that truncated searches draw
-    a scattered sample instead of a lexicographic prefix.  The candidates
-    of a path are its ``extension_rows`` row.  A path on L-1 vertices reads
-    the rows of all k windows through its closing vertex in the same call
-    (as ``tightpaths.closing_rows`` reads them), and its closing vertices
-    are their AND, so every closed sequence is a tight cycle.  Returns
-    their canonical sequences, an N x L int array in canonical order.
-    """
+
+def cycles_through_edge(H: Hypergraph, L: int, edge: Iterable[int]) -> np.ndarray:
+    """Every tight L-vertex cycle through ``edge``, as canonical rows in
+    canonical order, so an empty result proves that none exists: the k!
+    orderings of the edge grow to L-1 vertices (``grow_paths``) and close
+    by ``closing_rows`` against their own start, as in ``_enumerate_all``.
+    Each cycle is found once from either direction."""
     _check_cycle_length(H, L)
     edge = tuple(sorted(edge))
     if not H.has_edge(edge):
         raise CoverError(f"{edge!r} is not an edge of the host")
-    k = H.k
-    rng = random.Random(seed) if seed is not None else None
-    found = set()
+    starts = np.array(list(itertools.permutations(edge)), dtype=np.intp)
+    found = [np.empty((0, L), dtype=np.intp)]
+    for paths, free in grow_paths(H, starts, np.ones((len(starts), H.n), dtype=bool), L - 1):
+        rows, last = np.nonzero(free & closing_rows(H, paths, paths))
+        found.append(np.column_stack((paths[rows], last)))
+    return _unique_rows(_canonical_rows(np.concatenate(found)))
 
-    def order(items):
-        items = list(items)
-        if rng is not None:
-            rng.shuffle(items)
-        return items
 
-    def rec(seq):
-        if len(seq) < L - 1:
-            cands = order(H.extension_rows(seq[1 - k :]).nonzero()[0].tolist())
-        else:
-            # the k windows through the closing vertex, the candidates' first
-            gap = seq[1 - k :] + seq[: k - 1]
-            rows = H.extension_rows([gap[j : j + k - 1] for j in range(k)])
-            cands = order(rows[0].nonzero()[0].tolist())
-            closers = rows.all(axis=0)
-        for v in cands:
-            if limit is not None and len(found) >= limit:
-                return
-            if v in seq:
-                continue
-            if len(seq) < L - 1:
-                rec(seq + (v,))
-            elif closers[v]:
-                found.add(canonical_cycle(seq + (v,)))
+def _pick(rng: random.Random, cand: np.ndarray) -> np.ndarray:
+    """A uniformly random True column of each row of a boolean array (-1
+    for a row with none), one ``rng.random()`` per row, in row order."""
+    u = itertools.starmap(rng.random, itertools.repeat((), len(cand)))
+    # u < 1, so u * count < count in floating point too
+    rank = (np.fromiter(u, float, len(cand)) * cand.sum(axis=1)).astype(np.intp)
+    cum = cand.cumsum(axis=1, dtype=np.min_scalar_type(cand.shape[1]))
+    return np.where(cand.any(axis=1), (cum <= rank[:, None]).sum(axis=1), -1)
 
-    for start in order(list(itertools.permutations(edge))):
-        if limit is not None and len(found) >= limit:
-            break
-        rec(start)
-    return np.array(sorted(found), dtype=np.intp).reshape(-1, L)
+
+def _sample_family(H: Hypergraph, L: int, seed: int) -> np.ndarray:
+    """A seeded sample of H's tight L-cycles, as canonical rows in canonical
+    order.  ``PER_EDGE`` walks start from each edge, at a random ordering of
+    it, and grow together in blocks of ``ENUMERATE_BLOCK``: each step gives
+    every walk a random vertex off it (``_pick``) from its ``extension_rows``
+    row, or at L-1 vertices its ``closing_rows``; a walk with none drops
+    out.  An edge none of whose walks closed falls back to
+    ``cycles_through_edge``, so a missed edge lies on no L-cycle."""
+    k, rng = H.k, random.Random(seed)
+    orders = np.array(list(itertools.permutations(range(k))), dtype=np.intp)
+    origin = np.repeat(np.arange(H.m), PER_EDGE)
+    turns = orders[_pick(rng, np.ones((len(origin), len(orders)), dtype=bool))]
+    paths = np.take_along_axis(np.array(H.edges, dtype=np.intp)[origin], turns, axis=1)
+    for d in range(k, L):
+        picks = [np.empty(0, dtype=np.intp)]
+        for lo in range(0, len(paths), ENUMERATE_BLOCK):
+            part = paths[lo : lo + ENUMERATE_BLOCK]
+            cand = H.extension_rows(part[:, 1 - k :]) if d < L - 1 else closing_rows(H, part, part)
+            cand[np.arange(len(part))[:, None], part] = False
+            picks.append(_pick(rng, cand))
+        picks = np.concatenate(picks)
+        live = picks >= 0
+        paths, origin = np.column_stack((paths[live], picks[live])), origin[live]
+    missed = np.flatnonzero(np.bincount(origin, minlength=H.m) == 0)
+    rows = [_canonical_rows(paths)] + [cycles_through_edge(H, L, H.edges[e]) for e in missed]
+    return _unique_rows(np.concatenate(rows))
 
 
 def _check_cycle_length(H: Hypergraph, L: int) -> None:
@@ -224,7 +230,7 @@ def _check_cycle_length(H: Hypergraph, L: int) -> None:
 
 EDGE_SUM_TOL = 1e-9  # how far a cycle weighting's per-edge sum may stray from 1
 ENUMERATE_CAP = 20000  # largest cycle family enumerated in full, not sampled
-PER_EDGE = 20  # cycles sampled through each edge past ENUMERATE_CAP
+PER_EDGE = 20  # random walks started from each edge past ENUMERATE_CAP
 
 
 class Decomposition(tuple):
@@ -281,9 +287,9 @@ def fractional_cycle_decomposition(
     """Solve for positive per-edge-sum-1 cycle weights over a cycle family.
 
     The family is the full set of L-vertex cycles when it fits under
-    ``ENUMERATE_CAP``; otherwise a seeded sample of up to ``PER_EDGE`` cycles
-    through each edge, or the given ``family`` (cycles of H on L vertices),
-    deduplicated once.  An edge through which no L-cycle passes at all makes
+    ``ENUMERATE_CAP``; otherwise ``_sample_family``'s seeded sample, or the
+    given ``family`` (cycles of H on L vertices) in canonical form,
+    deduplicated.  An edge through which no L-cycle passes at all makes
     the problem infeasible.  The weights are the maximum-entropy solution
     (``fractional.scale_to_ones``), polished onto the per-edge sums; the
     extraction uses them only as draw probabilities.  When some positive
@@ -301,27 +307,17 @@ def fractional_cycle_decomposition(
     _check_cycle_length(H, L)
     if H.m == 0:
         raise CoverError("host has no edges")
-    cycles = _enumerate_all(H, L, ENUMERATE_CAP) if family is None else None
-    if cycles is None:
-        rows = [np.empty((0, L), dtype=np.intp)]  # blocks of canonical rows
-        if family is None:
-            rng = random.Random(seed)
-            for e in H.edges:
-                got = cycles_through_edge(
-                    H, L, e, limit=PER_EDGE, seed=rng.randrange(2**63)
-                )
-                if not len(got):
-                    raise DecompositionError(
-                        f"no cycle on {L} vertices passes through edge {e!r}"
-                    )
-                rows.append(got)
-        else:
-            for C in family:
-                seq = tuple(C.seq if isinstance(C, TightCycle) else C)
-                if len(seq) != L or isinstance(C, TightCycle) and C.host != H:
-                    raise CoverError("family cycle host or length mismatch")
-                rows.append([canonical_cycle(seq)])
-        cycles = _unique_rows(np.concatenate(rows))
+    if family is None:
+        cycles = _enumerate_all(H, L, ENUMERATE_CAP)
+        cycles = _sample_family(H, L, seed) if cycles is None else cycles
+    else:
+        seqs = []
+        for C in family:
+            seq = tuple(C.seq if isinstance(C, TightCycle) else C)
+            if len(seq) != L or isinstance(C, TightCycle) and C.host != H:
+                raise CoverError("family cycle host or length mismatch")
+            seqs.append(seq)
+        cycles = _unique_rows(_canonical_rows(np.array(seqs, dtype=np.intp).reshape(-1, L)))
 
     ids = _edge_ids(H, cycles)
     covered = np.zeros(H.m, dtype=bool)

@@ -60,6 +60,8 @@ class Hypergraph:
         rows = edges if isinstance(edges, (list, tuple)) else list(edges)
         values, sizes = list(itertools.chain.from_iterable(rows)), list(map(len, rows))
         canon = _canonical_edges(k, n, values, sizes)
+        if {bool, np.bool_} & set(map(type, values)):  # numpy reads a bool as 0 or 1
+            raise HypergraphError("vertex ids must be integers")
         if parent_ids is not None and len(parent_ids) != n:
             raise HypergraphError("parent_ids must list one parent vertex per vertex")
         self._set_fields(k, n, canon, parent_ids)

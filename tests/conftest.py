@@ -391,36 +391,27 @@ def _close_ok(H, seq):
     return all(H.has_edge(closed[i : i + k]) for i in range(len(seq) - k + 1, len(seq)))
 
 
-def recursive_cycles_through_edge(H, L, edge, limit=None, seed=None):
+def recursive_cycles_through_edge(H, L, edge):
     """The search ``cover.cycles_through_edge`` replaces.
 
-    The same shuffled DFS from every ordering of the edge, but it probes
+    A depth-first search from every ordering of the edge that probes
     ``has_edge`` for each next vertex, grows every path to L vertices and
-    then probes ``_close_ok``, checking ``limit`` on entry to every level.
-    Kept only as an oracle; it assumes the argument checks already passed.
-    Returns the canonical sequences of the cycles found, in canonical order.
+    then probes ``_close_ok``.  Kept only as an oracle; it assumes the
+    argument checks already passed.  Returns the canonical sequences of
+    the cycles found, in canonical order.
     """
     edge = tuple(sorted(edge))
     k = H.k
-    rng = random.Random(seed) if seed is not None else None
     found = set()
 
-    def order(items):
-        items = list(items)
-        if rng is not None:
-            rng.shuffle(items)
-        return items
-
     def rec(seq, used):
-        if limit is not None and len(found) >= limit:
-            return
         if len(seq) == L:
             if _close_ok(H, seq):
                 found.add(canonical_cycle(seq))
             return
         tail = tuple(seq[-k + 1 :])
-        for v in order(u for u in range(H.n) if H.has_edge(tail + (u,))):
-            if v in used:
+        for v in range(H.n):
+            if v in used or not H.has_edge(tail + (v,)):
                 continue
             seq.append(v)
             used.add(v)
@@ -428,22 +419,20 @@ def recursive_cycles_through_edge(H, L, edge, limit=None, seed=None):
             used.discard(v)
             seq.pop()
 
-    for start in order(list(itertools.permutations(edge))):
-        if limit is not None and len(found) >= limit:
-            break
+    for start in itertools.permutations(edge):
         rec(list(start), set(start))
     return sorted(found)
 
 
 @pytest.fixture
 def check_against_recursive_dfs():
-    """Sample through ``cycles_through_edge`` and compare it with the
+    """Search through ``cycles_through_edge`` and compare it with the
     recursive DFS: the same cycles, as the same canonical rows in the same
     order."""
 
-    def check(H, L, edge, limit, seed):
-        got = cycles_through_edge(H, L, edge, limit=limit, seed=seed)
-        want = recursive_cycles_through_edge(H, L, edge, limit=limit, seed=seed)
+    def check(H, L, edge):
+        got = cycles_through_edge(H, L, edge)
+        want = recursive_cycles_through_edge(H, L, edge)
         assert got.shape == (len(want), L) and got.dtype == np.intp
         assert [tuple(row) for row in got.tolist()] == want
         return want

@@ -176,26 +176,16 @@ class TestCyclesThroughEdge:
             assert is_tight_cycle(H, seq)
             assert any(set((seq + seq)[i : i + 3]) == {0, 1, 2} for i in range(5))
 
-    def test_limit_returns_subset(self):
-        H = complete_hypergraph(3, 5)
-        full = {tuple(seq) for seq in cycles_through_edge(H, 5, (0, 1, 2)).tolist()}
-        some = cycles_through_edge(H, 5, (0, 1, 2), limit=3, seed=11)
-        assert some.shape == (3, 5)
-        assert {tuple(seq) for seq in some.tolist()} <= full
-
     @pytest.mark.parametrize("k,n,p", [(3, 8, 0.8), (3, 9, 0.6), (4, 8, 0.85)])
     def test_matches_the_recursive_dfs(self, k, n, p, check_against_recursive_dfs):
         # L = k + 1 closes at the root: the edge's k vertices are L - 1
         H = random_host(k, n, p, 0)
         edges = random.Random(n).sample(H.edges, 4)
-        truncated = 0
+        found = 0
         for L in (k + 1, k + 2, k + 3):
             for e in edges:
-                full = check_against_recursive_dfs(H, L, e, None, None)
-                for limit, seed in [(None, 3), (1, 0), (3, 1), (7, 2), (len(full) + 1, 4)]:
-                    got = check_against_recursive_dfs(H, L, e, limit, seed)
-                    truncated += len(got) < len(full)
-        assert truncated >= 10
+                found += len(check_against_recursive_dfs(H, L, e))
+        assert found >= 10
 
     def test_empty_result_proves_absence(self):
         assert cycles_through_edge(path_host(), 5, (0, 1, 2)).shape == (0, 5)
@@ -249,22 +239,22 @@ class TestFractionalDecomposition:
         # the sampler's closing rows prove each cycle tight, and _edge_ids
         # checks every family row once; no family cycle becomes an object
         built, sampled = [], []
-        init, sample = TightCycle.__init__, cover.cycles_through_edge
+        init, sample = TightCycle.__init__, cover._sample_family
 
         def counted_init(C, *args):
             built.append(args)
             init(C, *args)
 
-        def counted_sample(*args, **kwargs):
+        def counted_sample(*args):
             sampled.append(args)
-            return sample(*args, **kwargs)
+            return sample(*args)
 
         monkeypatch.setattr(TightCycle, "__init__", counted_init)
-        monkeypatch.setattr(cover, "cycles_through_edge", counted_sample)
+        monkeypatch.setattr(cover, "_sample_family", counted_sample)
         fractional_cycle_decomposition(complete_hypergraph(3, 12), 10, seed=1)
         H = complete_hypergraph(3, 6)
         fractional_cycle_decomposition(H, 5, family=_enumerate_all(H, 5, None).tolist())
-        assert len(sampled) == 220 and built == []
+        assert len(sampled) == 1 and built == []
 
     def test_given_family_is_checked_before_any_weighting(self, monkeypatch):
         def refuse(*args):
@@ -291,6 +281,68 @@ class TestFractionalDecomposition:
         ):
             forms = [canonical_cycle(seq) for seq in cycles.tolist()]
             assert forms == sorted(forms) == [tuple(seq) for seq in cycles.tolist()]
+
+
+class TestSampledFamily:
+    """The walks that sample a family past ``ENUMERATE_CAP``, and the
+    exhaustive search behind them."""
+
+    def test_canonical_rows_equal_canonical_cycle(self):
+        rng = np.random.default_rng(0)
+        for L in range(3, 12):
+            rows = np.array([rng.permutation(30)[:L] for _ in range(50)])
+            got = cover._canonical_rows(rows)
+            assert [tuple(row) for row in got.tolist()] == [
+                canonical_cycle(row) for row in rows.tolist()
+            ]
+
+    @pytest.mark.parametrize("k,n,p,L", [(3, 8, 0.8, 5), (3, 9, 0.7, 6), (4, 8, 0.85, 6)])
+    def test_without_walks_every_edge_falls_back_to_the_full_family(
+        self, monkeypatch, k, n, p, L
+    ):
+        monkeypatch.setattr(cover, "PER_EDGE", 0)
+        monkeypatch.setattr(cover, "ENUMERATE_CAP", 0)
+        sampled, sample = [], cover._sample_family
+
+        def recorded(*args):
+            sampled.append(sample(*args))
+            return sampled[-1]
+
+        monkeypatch.setattr(cover, "_sample_family", recorded)
+        H = random_host(k, n, p, 0)
+        try:
+            fractional_cycle_decomposition(H, L, seed=0)
+        except DecompositionError:
+            pass
+        [family] = sampled
+        assert len(family) and np.array_equal(family, _enumerate_all(H, L, None))
+
+    def test_edge_on_no_cycle_is_named(self, monkeypatch):
+        # vertex 6 lies in one edge, and a cycle vertex in k of them
+        H = Hypergraph(3, 7, list(itertools.combinations(range(6), 3)) + [(4, 5, 6)])
+        with pytest.raises(DecompositionError) as enumerated:
+            fractional_cycle_decomposition(H, 5)
+        monkeypatch.setattr(cover, "ENUMERATE_CAP", 0)
+        searched, search = [], cover.cycles_through_edge
+
+        def recorded(H, L, edge):
+            searched.append(edge)
+            return search(H, L, edge)
+
+        monkeypatch.setattr(cover, "cycles_through_edge", recorded)
+        with pytest.raises(DecompositionError, match=r"through edge \(4, 5, 6\)$") as sampled:
+            fractional_cycle_decomposition(H, 5)
+        # the walks from every other edge closed, so only this one is searched
+        assert str(sampled.value) == str(enumerated.value) and searched == [(4, 5, 6)]
+
+    def test_one_seed_one_family(self):
+        H = complete_hypergraph(3, 14)
+        once = cover._sample_family(H, 6, 5)
+        assert np.array_equal(once, cover._sample_family(H, 6, 5))
+        assert not np.array_equal(once, cover._sample_family(H, 6, 6))
+        assert len(once) <= cover.PER_EDGE * H.m
+        ids = cover._edge_ids(H, once)
+        assert np.array_equal(np.unique(ids), np.arange(H.m))
 
 
 class TestMaxminAgainstInequalityForm:
@@ -780,7 +832,7 @@ class TestExtractionAgainstRescan:
 
         monkeypatch.setattr(TightCycle, "__init__", counted_init)
         # 6-cycles pass on the second draw; 10-cycles fail all three
-        for L, seed, retries, ok in [(6, 7, 10, True), (10, 0, 3, False)]:
+        for L, seed, retries, ok in [(6, 20, 10, True), (10, 0, 3, False)]:
             frac = fractional_cycle_decomposition(k12, L, seed=1)
             built.clear()
             res = extract_cycle_collections(k12, frac, 2, seed=seed, mu=0.0, retries=retries)

@@ -407,12 +407,13 @@ class TestScaleToOnes:
 
 def k12_cycle_family():
     """The edge-by-cycle 0/1 matrix of a sampled K_12^(3) family of 6-cycles,
-    as the cover builds it: each cycle's 6 edge ids, ascending, and the
-    number of edges."""
+    three drawn from the cycles through each edge, as the cover weighs it:
+    each cycle's 6 edge ids, ascending, and the number of edges."""
     H = complete_hypergraph(3, 12)
     cycles = set()
     for seed, e in enumerate(H.edges):
-        cycles.update(map(tuple, cycles_through_edge(H, 6, e, limit=3, seed=seed).tolist()))
+        rows = cycles_through_edge(H, 6, e).tolist()
+        cycles.update(map(tuple, random.Random(seed).sample(rows, 3)))
     index = {e: i for i, e in enumerate(H.edges)}
     columns = []
     for seq in sorted(cycles):

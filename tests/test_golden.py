@@ -70,17 +70,17 @@ GOLDEN = {
     )),
     # the only pinned run whose reserve is drawn by LP weights
     "g18-decompose-0": ("G(18,0.8)", "decompose --targets 18;18 --seed 0", (
-        "f29b32a6298d9843262946caf88f7443333f550dd0987b4a7b1ad7805162ea12",
-        "797ab9926b678fb33242c5e1c1c4f8ee653b4e9cd2dfb0e5bb22ffdad3d4296c",
+        "0e0e1a9e34c5000c67379693cd9b4d610a53aa0ed66e0565d1fdecb6a1699e82",
+        "902b41fd445e07eb7e4f60238a7fd70a782771de86656afd95b699e38df8bcbe",
     )),
     "k24-cover-0": ("K24", "cover --collections 2 --seed 0", (
-        "9a3ecdb0d8b6805f5ae19b9a583a32f8972eb28974c502d91ae8316fe520c555",
+        "d5cc6bd006b3b3a2767ebcf6979948e1b5a05e13bbc2598ff64a0b242dcb1ecf",
     )),
-    # the residual's cycle family is sampled (cycles_through_edge) end to end;
+    # the residual's cycle family is sampled (walks from every edge) end to end;
     # all 40 draws of its first attempt miss, and a one-for-two swap repairs one
     "k24-decompose-0": ("K24", "decompose --targets 24;24 --seed 0", (
-        "3243f64b1935d4c0151ed18a46a75154dab23a1f21188231d028f06fd696cba2",
-        "f2dae58154bff0a3b65f015db205ab65c4711f0fccb5fba25a495a7bb5b8bbff",
+        "844b3bef1179158e34be30ca6f6ba56ab807769603d039c4bb2551bfe9d33888",
+        "f2e91cf441aa0682f5cd30c9874fb28c227228238a2c0d9700ef983d9b9763cd",
     )),
     # the largest enumerated family (14,957 six-cycles) and assembled Gram
     "k18-decompose-0": ("K18", "decompose --targets 18;18 --seed 0", (

@@ -522,6 +522,9 @@ REJECTED = [
     ((3, 5, [(0, 1, 2), (2.0, 1.0, 0.0)]), "duplicate edge (0.0, 1.0, 2.0)"),
     ((3, 5, [(0, 1, 2.0), (2, 0.5, 1)]), "vertex ids must be integers"),
     ((3, 5, [(0, 1.5, 2), (3, 3, 4)]), "edge (3, 3, 4) has repeated vertices"),
+    # a bool among int vertex ids, which numpy would read as 1 or 0
+    ((3, 5, [(True, 2, 3)]), "vertex ids must be integers"),
+    ((3, 5, [(0, 1, 2), (np.False_, 3, 4)]), "vertex ids must be integers"),
 ]
 
 
