@@ -29,6 +29,7 @@ def stage_1():
     a = absorbers[0].seq
     widened = a[:3] + (0,) + a[3:]
     print(f"  example: path {list(a)} stays tight as {list(widened)}")
+    print(f"  vertices it absorbs: {sorted(absorbers[0].center_candidates)}")
     print(f"  insertion check: {is_absorber_for(H, a, 0)}\n")
 
 

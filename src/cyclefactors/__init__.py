@@ -13,7 +13,7 @@ hypergraph   k-uniform hypergraphs, codegree/neighborhood queries, regularity
 tightpaths   tight paths/cycles, cycle factors, k-set type classification
 fractional   perfect fractional matchings, redistribution, sparsification
 walks        (L, omega)-random walks: law, sampler, exact tuple marginals
-absorbing    x-absorbers, blocks, absorbing structures, Hall matchings
+absorbing    x-absorbers, edge-disjoint perfect matchings
 cover        fractional cycle decompositions and path-cover extraction
 assemble     connectors, the layer transform, factor packing
 bruteforce   exhaustive reference oracles (reg_k, Hamilton search, ...)
@@ -55,12 +55,8 @@ from .walks import (
 )
 from .absorbing import (
     Absorber,
-    Block,
-    AbsorbingStructure,
     enumerate_absorbers,
-    build_absorbing_structure,
     disjoint_perfect_matchings,
-    absorb,
 )
 from .cover import (
     fractional_cycle_decomposition,

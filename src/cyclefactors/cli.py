@@ -25,6 +25,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -259,6 +260,8 @@ def _weighting_for(H: Hypergraph, mode: str, seed: int):
 def cmd_analyze(args) -> int:
     config = _make_config(args, "analyze")
     H = load_hypergraph(args.input)
+    if H.n == 0:
+        raise CLIError(EXIT_PARAMS, "analyze: the host has no vertices, so no regularity report")
     report = H.regularity_report()
     histogram = Counter(H.degree(v) for v in range(H.n))
     _say(config, f"k = {H.k}")
@@ -574,7 +577,8 @@ def cmd_decompose(args) -> int:
         # imported here: its multiprocessing chain slows every start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.parallel_seeds) as pool:
+        workers = min(args.parallel_seeds, os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(job, range(args.seed, args.seed + args.parallel_seeds)))
     # deterministic winner: first full success in seed order, else most factors
     winner = None

@@ -15,10 +15,9 @@ that the weights at each vertex sum to 1. ``redistribute_pfm`` turns the uniform
 weighting into a PFM by shifting weight along short self-avoiding walks; in
 exact (rational) mode the vertex sums come out equal to 1 identically.
 
-``pipeline_weighting`` is the one weighting policy of ``decompose``, which
-weighs the input host once per run, and of ``build_absorbing_structure``'s
-residuals: uniform on regular hosts, the max-min LP otherwise, uniform when
-no all-positive PFM exists.
+``pipeline_weighting`` is the weighting policy of ``decompose``, which
+weighs the input host once per run: uniform on regular hosts, the max-min
+LP otherwise, uniform when no all-positive PFM exists.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ set of k-edges stored as sorted tuples. Degree d(v), codegree d(x) of a j-set x,
 the neighborhood N(x) of a (k-1)-set, the edge table (the edge id of every
 ordered k-tuple, read by ``window_ids``) and ``extension_rows``, the one
 extension index that every tight-sequence search reads (the N(x) of many
-ordered (k-1)-tuples at once, as boolean rows of that table), induced subgraphs, ``rho_star`` (the
+ordered (k-1)-tuples at once, as boolean rows of that table), ``rho_star`` (the
 approximate regularity every pipeline stage re-checks) and the plain-text
 serialization format live here. Graphs
 derived from a host by dropping edges skip the input checks. The full
@@ -42,7 +42,6 @@ class Hypergraph:
         "k",
         "n",
         "edges",
-        "parent_ids",
         "_edge_ids",
         "_degrees",
         "_codegree_cache",
@@ -50,39 +49,28 @@ class Hypergraph:
         "_hash",
     )
 
-    def __init__(
-        self,
-        k: int,
-        n: int,
-        edges: Iterable[Sequence[int]],
-        parent_ids: Optional[tuple[int, ...]] = None,
-    ):
+    def __init__(self, k: int, n: int, edges: Iterable[Sequence[int]]):
         rows = edges if isinstance(edges, (list, tuple)) else list(edges)
         values, sizes = list(itertools.chain.from_iterable(rows)), list(map(len, rows))
         canon = _canonical_edges(k, n, values, sizes)
         if {bool, np.bool_} & set(map(type, values)):  # numpy reads a bool as 0 or 1
             raise HypergraphError("vertex ids must be integers")
-        if parent_ids is not None and len(parent_ids) != n:
-            raise HypergraphError("parent_ids must list one parent vertex per vertex")
-        self._set_fields(k, n, canon, parent_ids)
+        self._set_fields(k, n, canon)
 
     @classmethod
-    def _from_canonical(
-        cls, k: int, n: int, edges: tuple, parent_ids: Optional[tuple[int, ...]] = None
-    ) -> "Hypergraph":
+    def _from_canonical(cls, k: int, n: int, edges: tuple) -> "Hypergraph":
         """A host on ``edges`` taken as they are, without the checks of
         ``__init__``: for edges that ``_canonical_edges`` returned, or a
         subsequence of a valid host's canonical, sorted edge tuple."""
         H = cls.__new__(cls)
-        H._set_fields(k, n, edges, parent_ids)
+        H._set_fields(k, n, edges)
         return H
 
-    def _set_fields(self, k, n, edges, parent_ids) -> None:
+    def _set_fields(self, k, n, edges) -> None:
         """Every field, from a sorted tuple of distinct canonical edges."""
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "parent_ids", parent_ids)
         object.__setattr__(self, "_edge_ids", dict(zip(edges, range(len(edges)))))
         ends = np.fromiter(itertools.chain.from_iterable(edges), np.intp, len(edges) * k)
         degs = np.bincount(ends, minlength=n).tolist()
@@ -219,21 +207,6 @@ class Hypergraph:
 
     # -- derived graphs --------------------------------------------------
 
-    def induced(self, U: Iterable[int]) -> "Hypergraph":
-        """H[U], relabeled to dense ids 0..|U|-1 (order-preserving).
-
-        The result's ``parent_ids`` maps each new id back to its vertex in self.
-        """
-        us = sorted(set(U))
-        for v in us:
-            self._check_vertex(v)
-        relabel = {v: i for i, v in enumerate(us)}
-        uset = set(us)
-        sub_edges = [
-            tuple(relabel[v] for v in e) for e in self.edges if uset.issuperset(e)
-        ]
-        return Hypergraph(self.k, len(us), sub_edges, parent_ids=tuple(us))
-
     def remove_edges(self, S: Iterable[Iterable[int]]) -> "Hypergraph":
         """H - S: same vertex set, edge set E \\ S. Every member of S must be an edge.
 
@@ -250,7 +223,7 @@ class Hypergraph:
                     raise HypergraphError(f"cannot remove non-edge {t!r}")
             keep[i] = False
         return Hypergraph._from_canonical(
-            self.k, self.n, tuple(itertools.compress(self.edges, keep)), self.parent_ids
+            self.k, self.n, tuple(itertools.compress(self.edges, keep))
         )
 
     # -- reports ---------------------------------------------------------
@@ -285,7 +258,7 @@ class Hypergraph:
 
     def __reduce__(self):
         # rebuilt from its value; the lazy indexes are rebuilt on demand
-        return (Hypergraph, (self.k, self.n, self.edges, self.parent_ids))
+        return (Hypergraph, (self.k, self.n, self.edges))
 
     def __repr__(self):
         return f"Hypergraph(k={self.k}, n={self.n}, m={self.m})"

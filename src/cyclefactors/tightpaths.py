@@ -186,13 +186,6 @@ class TightPath:
     def end_sets(self):
         return {frozenset(t) for t in self.end_tuples()}
 
-    def ordered_end_edges(self):
-        """(s, t): the first-k and last-k vertex tuples, in path order."""
-        k = self.host.k
-        if len(self.seq) < k:
-            raise TightnessError("path shorter than k has no ordered end-edges")
-        return self.seq[:k], self.seq[-k:]
-
     def __eq__(self, other):
         if not isinstance(other, TightPath):
             return NotImplemented

@@ -7,9 +7,12 @@ so a traced call reports no LP calls while ``cover.family`` times the
 whole weighting.  The tracer counts ``assemble.layer_transform`` calls and
 reads the stage log of each result or LayerFailure, which the manifest must
 list in full.  It also times the layer's building blocks by name
-(``assemble.build_reservoir``, ``assemble.connect``,
-``assemble.build_absorbing_structure``); a traced wide-leftover call
-connects through the whole leftover and builds no absorbing structure.
+(``assemble.build_reservoir``, ``assemble.connect``).  It still patches
+``assemble.build_absorbing_structure``, ``assemble.absorb`` and
+``absorbing.sample_walk``, which no stage calls: the package builds no
+absorbing structure and binds the first two names to None, so a traced
+wide-leftover call connects through the whole leftover and counts no
+build and no walk.
 
 bench/run.py wraps ``linprog`` on both ``cover`` and ``fractional`` in every
 untraced run, so both modules must bind it; it is ``fractional``'s, which

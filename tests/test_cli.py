@@ -181,6 +181,13 @@ class TestAnalyze:
         assert json.loads(artifact.read_text())["report"]["eta_star"] is None
         assert capsys.readouterr().out == ""
 
+    def test_a_host_with_no_vertices_is_refused(self, tmp_path, capsys):
+        # it parses, but a host on no vertices has no regularity report
+        host = tmp_path / "empty.txt"
+        host.write_text("3 0 0\n")
+        assert main(["analyze", str(host)]) == EXIT_PARAMS
+        assert "analyze: the host has no vertices" in capsys.readouterr().err
+
     def test_parse_errors_name_the_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("k=3 n=5\n0 1 2\n")
@@ -653,6 +660,42 @@ class TestDecompose:
         doc = json.loads(out.read_text())
         assert doc["pipeline"]["winning_seed"] == 0
         assert [s["seed"] for s in doc["pipeline"]["seeds"]] == [0, 1]
+
+    def test_parallel_seeds_start_at_most_one_worker_per_cpu(self, tmp_path, monkeypatch):
+        # a stand-in pool runs every seed in this process and records how
+        # many workers it was asked for, so no process starts
+        import concurrent.futures
+
+        asked = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return list(map(fn, items))
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        host = write_host(tmp_path, complete_hypergraph(3, 12))
+        out = tmp_path / "run.json"
+        docs = []
+        for cpus in (2, None, 8):
+            monkeypatch.setattr(cli.os, "cpu_count", lambda cpus=cpus: cpus)
+            code = main(
+                ["decompose", host, "--targets", "12;12", "--seed", "0",
+                 "--parallel-seeds", "3", "--normalize-timings", "-q", "--output", str(out)]
+            )
+            assert code == EXIT_OK
+            docs.append(json.loads(out.read_text()))
+        assert asked == [2, 1, 3]
+        assert [s["seed"] for s in docs[0]["pipeline"]["seeds"]] == [0, 1, 2]
+        assert docs[0] == docs[1] == docs[2]
 
     def test_parallel_seeds_share_one_weighting_and_match_a_single_seed_run(
         self, tmp_path, monkeypatch

@@ -44,6 +44,7 @@ TEST_ORACLES = {
     "as_floats": "a float weighting, which the exact oracles must refuse",
     "length": "TightPath's edge count",
     "girth": "CycleFactor's shortest cycle",
+    "disjoint_perfect_matchings": "criterion 5's probe of the paper's matching step",
 }
 
 # Attributes that only tests read (or nothing reads), as "Class.attribute",
@@ -60,7 +61,6 @@ TEST_READ_ATTRIBUTES = {
     "SelfAvoidingRate.rate": _SELF_AVOIDING,
     "SelfAvoidingRate.trials": _SELF_AVOIDING,
     "SelfAvoidingRate.hits": _SELF_AVOIDING,
-    "AbsorptionResult.phi": "absorb's output; absorb stays while bench/tracer.py patches it",
 }
 
 

@@ -53,19 +53,14 @@ class TestConstruction:
 
     def test_pickles_as_its_value(self):
         # decompose hands the parsed host to its worker processes as is
-        for G in (
-            complete_hypergraph(3, 6).remove_edges([(0, 1, 2)]),
-            complete_hypergraph(4, 8).induced([1, 2, 4, 5, 6, 7]),
-        ):
-            copy = pickle.loads(pickle.dumps(G))
-            assert copy == G and hash(copy) == hash(G)
-            assert copy.parent_ids == G.parent_ids
-            assert [copy.edge_id(e) for e in G.edges] == list(range(G.m))
+        G = complete_hypergraph(3, 6).remove_edges([(0, 1, 2)])
+        copy = pickle.loads(pickle.dumps(G))
+        assert copy == G and hash(copy) == hash(G)
+        assert [copy.edge_id(e) for e in G.edges] == list(range(G.m))
 
     def test_equality_is_structural_with_or_without_identity(self):
         rng = random.Random(7)
         graphs = [random_hypergraph(rng, k, n, 0.5) for k, n in [(3, 6), (3, 7), (4, 7)] * 4]
-        graphs.append(complete_hypergraph(3, 6).induced(range(6)))  # carries parent_ids
         for G in graphs:
             copy = Hypergraph(G.k, G.n, list(G.edges))
             assert G == G and not (G != G)
@@ -320,19 +315,6 @@ class TestRegularityReport:
 
 
 class TestDerivedGraphs:
-    def test_induced_relabels_and_tracks_parents(self):
-        H = complete_hypergraph(3, 6)
-        S = H.induced([1, 3, 4, 5])
-        assert S.n == 4 and S.m == 4
-        assert S.parent_ids == (1, 3, 4, 5)
-        # nested induction maps into the graph it was called on, not past it
-        T = S.induced([0, 2, 3])
-        assert T.parent_ids == (0, 2, 3)
-
-    def test_induced_full_vertex_set_is_identity(self):
-        H = complete_hypergraph(3, 5)
-        assert H.induced(range(5)) == H
-
     def test_remove_requires_existing_edges(self):
         H = complete_hypergraph(3, 5).remove_edges([(0, 1, 2)])
         with pytest.raises(HypergraphError, match="non-edge"):
@@ -350,28 +332,16 @@ class TestDerivedGraphs:
         # remove_edges skips the checks of __init__; its result must still
         # be the host __init__ builds from the same edges, field for field
         rng = random.Random(seed)
-        H = random_hypergraph(rng, 3, 10, 0.6).induced(range(1, 10))
+        H = random_hypergraph(rng, 3, 10, 0.6)
         drop = rng.sample(H.edges, 5)
         D = H.remove_edges(drop)
-        V = Hypergraph(3, H.n, [e for e in H.edges if e not in drop], parent_ids=H.parent_ids)
+        V = Hypergraph(3, H.n, [e for e in H.edges if e not in drop])
         assert D == V and hash(D) == hash(V)
-        assert D.parent_ids == (1, 2, 3, 4, 5, 6, 7, 8, 9)
         assert {f: getattr(D, f) for f in Hypergraph.__slots__} == {
             f: getattr(V, f) for f in Hypergraph.__slots__
         }
         with pytest.raises(HypergraphError, match="non-edge"):
             D.remove_edges([drop[0]])
-
-    @given(st.integers(0, 2**31 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_induced_degree_never_exceeds_parent(self, seed):
-        rng = random.Random(seed)
-        n = rng.randint(4, 9)
-        H = random_hypergraph(rng, 3, n, 0.5)
-        us = sorted(rng.sample(range(n), rng.randint(3, n)))
-        S = H.induced(us)
-        for new_id, old_id in enumerate(S.parent_ids):
-            assert S.degree(new_id) <= H.degree(old_id)
 
 
 class TestDegreeTransfer:

@@ -250,7 +250,6 @@ class TestTightPath:
         ]
         assert frozenset({2, 3, 4}) in P.end_sets()
         assert frozenset({1, 2}) not in P.end_sets()
-        assert P.ordered_end_edges() == ((0, 1, 2), (2, 3, 4))
 
     def test_short_path_has_prefix_ends_only(self):
         H = complete_hypergraph(3, 7)
