@@ -47,7 +47,6 @@ from .fractional import (
     sparsify_intersecting,
 )
 from .walks import (
-    WalkState,
     transition_dist,
     sample_walk,
     tuple_marginal_oracle,

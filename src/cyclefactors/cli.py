@@ -120,14 +120,20 @@ def _parse_scalar(text: str, where: str):
     raise CLIError(EXIT_PARSE, f"{where}: cannot parse value {text!r}")
 
 
+def read_input(path: str, name: str) -> str:
+    """The text of an input file; one that cannot be opened or decoded is a
+    parse error, reported as "cannot read <name>"."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CLIError(EXIT_PARSE, f"cannot read {name}: {exc}")
+
+
 def load_profile(path: Optional[str], overrides: Sequence[str]) -> Profile:
     """Line-oriented key=value files with # comments, then flag overrides."""
     data: dict = {}
     if path:
-        try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            raise CLIError(EXIT_PARSE, f"cannot read profile {path}: {exc}")
+        text = read_input(path, f"profile {path}")
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -153,10 +159,7 @@ def load_profile(path: Optional[str], overrides: Sequence[str]) -> Profile:
 
 
 def load_hypergraph(path: str) -> Hypergraph:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CLIError(EXIT_PARSE, f"cannot read {path}: {exc}")
+    text = read_input(path, path)
     try:
         return parse_hypergraph(text)
     except HypergraphError as exc:
@@ -645,10 +648,9 @@ def _locate_factors(doc):
 def cmd_verify(args) -> int:
     config = _make_config(args, "verify", factors=args.factors)
     H = load_hypergraph(args.input)
+    text = read_input(args.factors, args.factors)
     try:
-        doc = json.loads(Path(args.factors).read_text())
-    except OSError as exc:
-        raise CLIError(EXIT_PARSE, f"cannot read {args.factors}: {exc}")
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CLIError(EXIT_PARSE, f"{args.factors}: {exc}")
     items = _locate_factors(doc)

@@ -5,13 +5,13 @@ edge of the host; a tight cycle closes the sequence cyclically and needs at
 least k+1 vertices. ``grow_paths`` is the one growth step of the package:
 it grows many paths at once, vertex by vertex, in blocks of rows, the
 candidates of each row being the host's ``extension_rows`` row of its last
-k-1 vertices AND its free vertices. The enumerated cycle family, the
-connectors, the absorbers and the walk registry all grow their sequences
-with it. ``closing_rows`` is the closure check: the vertices that fit
-between two tight ends, as the AND of the extension rows of the k windows
-through the gap. Path collections index their end-sets (prefix sets plus
-the suffix k-set) so k-sets can be classified as j-end / lo / j-con
-relative to the collection.
+k-1 vertices AND its free vertices, and recurses on each block's children
+depth-first. The enumerated cycle family, the connectors, the absorbers
+and the walk registry all grow their sequences with it. ``closing_rows``
+is the closure check: the vertices that fit between two tight ends, as the
+AND of the extension rows of the k windows through the gap. Path
+collections index their end-sets (prefix sets plus the suffix k-set) so
+k-sets can be classified as j-end / lo / j-con relative to the collection.
 """
 
 from __future__ import annotations
@@ -76,43 +76,33 @@ def grow_paths(H: Hypergraph, paths: np.ndarray, free: np.ndarray, length: int):
     ``Hypergraph.extension_rows`` row of the last k-1.  Windows inside the
     given rows are not checked.  Each grown row comes with its start's free
     row, cut to the vertices the row does not hold; a start longer than
-    ``length`` grows to nothing.  The rows are extended depth-first from a
-    stack of blocks, which bounds the memory and lets a caller stop after
+    ``length`` grows to nothing.  The rows are extended depth-first, a
+    block at a time, which bounds the memory and lets a caller stop after
     any block.  A block's children are built ``ENUMERATE_BLOCK`` rows at a
-    time from the (row, vertex) pairs of its candidates, which wait on the
-    stack until the children before them are done: no extension row is
-    read twice, and no more than one block of children is held at once.
-    Each row's candidates come out ascending (``np.nonzero`` reads row by
-    row), so the rows stay in lexicographic order.
+    time from the (row, vertex) pairs of its candidates and grown in turn
+    before the next are built: no extension row is read twice, and no more
+    than one block of children is held per depth.  Each row's candidates
+    come out ascending (``np.nonzero`` reads row by row), so the rows stay
+    in lexicographic order.
     """
-    k = H.k
-    # (rows, their starts, None) for a block to extend, or (rows, their
-    # starts, picks) for its children still to build: ``picks`` pairs a
-    # row index with the vertex that extends it, as np.nonzero gives them
-    stack = [(paths, np.arange(len(paths)), None)]
-    while stack:
-        paths, origin, picks = stack.pop()
-        if picks is not None:
-            rows, last = picks
-            if len(rows) > ENUMERATE_BLOCK:
-                rest = rows[ENUMERATE_BLOCK:], last[ENUMERATE_BLOCK:]
-                stack.append((paths, origin, rest))
-                rows, last = rows[:ENUMERATE_BLOCK], last[:ENUMERATE_BLOCK]
-            paths, origin = np.column_stack((paths[rows], last)), origin[rows]
-        elif len(paths) > ENUMERATE_BLOCK:
-            stack.append((paths[ENUMERATE_BLOCK:], origin[ENUMERATE_BLOCK:], None))
-            paths, origin = paths[:ENUMERATE_BLOCK], origin[:ENUMERATE_BLOCK]
-        d = paths.shape[1]
-        if d > length:
-            continue
-        grown = free[origin]
-        grown[np.arange(len(paths))[:, None], paths] = False
+    k, d = H.k, paths.shape[1]
+    if d > length:
+        return
+    for lo in range(0, len(paths), ENUMERATE_BLOCK):
+        block, allowed = paths[lo : lo + ENUMERATE_BLOCK], free[lo : lo + ENUMERATE_BLOCK]
+        grown = allowed.copy()
+        grown[np.arange(len(block))[:, None], block] = False
         if d == length:
-            yield paths, grown
+            yield block, grown
             continue
         if d >= k - 1:
-            grown &= H.extension_rows(paths[:, d - k + 1 :])
-        stack.append((paths, origin, np.nonzero(grown)))
+            grown &= H.extension_rows(block[:, d - k + 1 :])
+        rows, last = np.nonzero(grown)
+        del grown
+        for at in range(0, len(rows), ENUMERATE_BLOCK):
+            pick = rows[at : at + ENUMERATE_BLOCK]
+            children = np.column_stack((block[pick], last[at : at + ENUMERATE_BLOCK]))
+            yield from grow_paths(H, children, allowed[pick], length)
 
 
 def closing_rows(H: Hypergraph, before: np.ndarray, after: np.ndarray) -> np.ndarray:
@@ -312,8 +302,11 @@ def factors_document(factors: Iterable[CycleFactor]) -> dict:
 
 
 def factors_from_document(doc: dict, host: Hypergraph):
+    """The factors of a ``factors_document``, refusing float or bool vertex ids."""
     out = []
     for item in doc["factors"]:
+        if any(type(v) is not int for seq in item["cycles"] for v in seq):
+            raise HypergraphError("vertex ids must be integers")
         cycles = [TightCycle(host, seq) for seq in item["cycles"]]
         out.append(CycleFactor(cycles, sum(len(c) for c in cycles)))
     return out

@@ -4,7 +4,9 @@ At step t the walk remembers its last m = min(k-1, (t-1) mod L) vertices and
 moves to v with probability omega(suffix + v) / ((k - m) * omega(suffix)),
 never stepping onto a remembered vertex. Because every edge containing the
 suffix contributes k - m extensions, the law sums to 1 exactly; the aligned
-L-blocks of a long walk are independent and identically distributed.
+L-blocks of a long walk are independent and identically distributed. A
+walk is its history: the step t, the memory m and the suffix are read off
+it.
 
 The enumeration oracle recomputes tuple marginals two independent ways: a
 forward pass with exact rationals, and the closed formula
@@ -17,9 +19,9 @@ import itertools
 import math
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .fractional import EdgeWeighting
 from .hypergraph import Hypergraph
@@ -44,60 +46,23 @@ def memory_length(k: int, L: int, t: int) -> int:
     return min(k - 1, (t - 1) % L)
 
 
-@dataclass
-class WalkState:
-    """Progress of one walk: the history so far and the step about to be taken."""
+def transition_dist(H: Hypergraph, w: EdgeWeighting, history: Sequence[int], L: int) -> dict:
+    """P(next = v) for every vertex v after ``history``; exact rationals
+    when w is exact.
 
-    history: Tuple[int, ...]
-    L: int
-    t: int
-    m: int
-    k: int
-    rng: random.Random = field(repr=False)
-
-    def __post_init__(self):
-        if self.t != len(self.history) + 1:
-            raise WalkError(
-                f"step counter t={self.t} disagrees with history length {len(self.history)}"
-            )
-        want = memory_length(self.k, self.L, self.t)
-        if self.m != want:
-            raise WalkError(f"stored m={self.m} but t={self.t} implies m={want}")
-
-    @classmethod
-    def start(cls, k: int, L: int, seed: Optional[int] = None) -> "WalkState":
-        return cls(history=(), L=L, t=1, m=0, k=k, rng=random.Random(seed))
-
-    @property
-    def suffix(self) -> Tuple[int, ...]:
-        return self.history[len(self.history) - self.m :] if self.m else ()
-
-    def advance(self, v: int) -> "WalkState":
-        t = self.t + 1
-        return WalkState(
-            history=self.history + (v,),
-            L=self.L,
-            t=t,
-            m=memory_length(self.k, self.L, t),
-            k=self.k,
-            rng=self.rng,
-        )
-
-
-def transition_dist(H: Hypergraph, w: EdgeWeighting, state: WalkState) -> dict:
-    """P(next = v) for every vertex v; exact rationals when w is exact.
-
-    Vertices in the remembered suffix get probability 0; everything else gets
-    omega(suffix + v) / ((k - m) * omega(suffix)).
+    The walk remembers the last m = memory_length(k, L, len(history) + 1)
+    vertices of its history: they get probability 0, and everything else
+    gets omega(suffix + v) / ((k - m) * omega(suffix)).
     """
     if w.host != H:
         raise WalkError("weighting belongs to a different host")
     k = H.k
-    suffix = state.suffix
+    m = memory_length(k, L, len(history) + 1)
+    suffix = tuple(history[len(history) - m :]) if m else ()
     total = w.omega(suffix)
     if total == 0:
         raise StuckWalkError(f"suffix {suffix} has zero weight; walk is stuck")
-    denom = (k - state.m) * total
+    denom = (k - m) * total
     zero = Fraction(0) if w.exact else 0.0
     out = {}
     sset = set(suffix)

@@ -1105,3 +1105,37 @@ class TestVerify:
         odd = tmp_path / "odd.json"
         odd.write_text(json.dumps({"cycles": [[0, 1, 2]]}))
         assert main(["verify", host, str(odd)]) == EXIT_PARSE
+
+    @pytest.mark.parametrize("which", ["host", "profile", "factors"])
+    def test_an_undecodable_input_is_a_parse_error(self, which, tmp_path, capsys):
+        # a byte that is no UTF-8 in the host, the profile or the factors file
+        files = {
+            "host": write_host(tmp_path, complete_hypergraph(3, 6)),
+            "profile": str(tmp_path / "profile.txt"),
+            "factors": str(tmp_path / "factors.json"),
+        }
+        (tmp_path / "profile.txt").write_text("L = 6\n")
+        (tmp_path / "factors.json").write_text(json.dumps({"factors": []}))
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"3 6 1\n0 1 \xff\n")
+        files[which] = str(bad)
+        argv = ["verify", files["host"], files["factors"], "--profile", files["profile"]]
+        assert main(argv) == EXIT_PARSE
+        name = f"profile {bad}" if which == "profile" else str(bad)
+        assert f"error: cannot read {name}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cycle", [
+        [0.0, 4.0, 8.0, 1.0, 5.0, 9.0, 2.0, 6.0, 10.0, 3.0, 7.0, 11.0],
+        [False, True, 9, 2, 3, 4, 5, 6, 7, 8, 10, 11],
+    ], ids=["float", "bool"])
+    def test_vertex_ids_that_are_not_ints_are_refused(self, cycle, tmp_path):
+        # 0.0 == 0 and True == 1 hash like the host's int ids; the document
+        # is refused before any of its cycles is checked
+        host = write_host(tmp_path, complete_hypergraph(3, 12))
+        doc = tmp_path / "factors.json"
+        doc.write_text(json.dumps({"factors": [{"cycles": [cycle]}]}))
+        out = tmp_path / "report.json"
+        assert main(["verify", host, str(doc), "-q", "--output", str(out)]) == EXIT_STAGE
+        report = json.loads(out.read_text())
+        assert report["ok"] is False
+        assert report["error"] == "vertex ids must be integers"

@@ -18,7 +18,6 @@ from cyclefactors.walks import (
     OracleCapError,
     StuckWalkError,
     WalkError,
-    WalkState,
     memory_length,
     sample_walk,
     self_avoiding_rate,
@@ -32,55 +31,46 @@ def k5_pfm():
     return H, redistribute_pfm(H, build_walk_registry(H, seed=0))
 
 
-class TestWalkState:
+class TestMemoryLength:
     def test_memory_resets_every_L(self):
         assert [memory_length(3, 4, t) for t in range(1, 10)] == [
             0, 1, 2, 2, 0, 1, 2, 2, 0,
         ]
-
-    def test_state_validation(self):
-        with pytest.raises(WalkError, match="disagrees"):
-            WalkState(history=(0, 1), L=4, t=2, m=1, k=3, rng=random.Random(0))
-        with pytest.raises(WalkError, match="implies"):
-            WalkState(history=(0,), L=4, t=2, m=0, k=3, rng=random.Random(0))
-
-    def test_advance_tracks_m(self):
-        s = WalkState.start(k=3, L=3, seed=1)
-        s = s.advance(0).advance(1).advance(2)
-        assert s.t == 4 and s.m == 0  # block boundary: memory reset
-        assert s.suffix == ()
-        s = s.advance(3)
-        assert s.m == 1 and s.suffix == (3,)
 
 
 class TestTransitionDist:
     def test_initial_distribution_is_uniform_under_pfm(self):
         H = complete_hypergraph(3, 4)
         w = uniform_weighting(H)
-        d = transition_dist(H, w, WalkState.start(k=3, L=4))
+        d = transition_dist(H, w, (), 4)
         assert all(d[v] == Fraction(1, 4) for v in range(4))
 
     def test_one_step_history_example(self):
         H = complete_hypergraph(3, 4)
         w = uniform_weighting(H)
-        s = WalkState.start(k=3, L=4).advance(0)
-        d = transition_dist(H, w, s)
+        d = transition_dist(H, w, (0,), 4)
         assert d[0] == 0
         assert all(d[v] == Fraction(1, 3) for v in (1, 2, 3))
 
     def test_suffix_vertices_excluded_and_sum_is_one(self):
         H, w = k5_pfm()
-        s = WalkState.start(k=3, L=5).advance(0).advance(3)
-        d = transition_dist(H, w, s)
+        d = transition_dist(H, w, (0, 3), 5)
         assert d[0] == d[3] == 0
         assert sum(d.values()) == 1
+
+    def test_memory_resets_at_the_block_boundary(self):
+        # after a full block of L = 3 steps the walk remembers nothing, so
+        # the law is the walk's first step again; one step later it
+        # remembers only the last vertex
+        H, w = k5_pfm()
+        assert transition_dist(H, w, (0, 1, 2), 3) == transition_dist(H, w, (), 3)
+        assert transition_dist(H, w, (0, 1, 2, 3), 3) == transition_dist(H, w, (3,), 3)
 
     def test_stuck_state(self):
         H = Hypergraph(3, 5, [(0, 1, 2), (1, 2, 3)])
         w = EdgeWeighting(H, [Fraction(1), Fraction(1)], exact=True)
-        bad = WalkState(history=(0, 4), L=5, t=3, m=2, k=3, rng=random.Random(0))
         with pytest.raises(StuckWalkError):
-            transition_dist(H, w, bad)
+            transition_dist(H, w, (0, 4), 5)
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -88,12 +78,12 @@ class TestTransitionDist:
         rng = random.Random(seed)
         H, w = k5_pfm()
         L = rng.randint(1, 6)
-        s = WalkState.start(k=3, L=L, seed=seed)
+        history = ()
         for _ in range(rng.randint(0, 7)):
-            d = transition_dist(H, w, s)
+            d = transition_dist(H, w, history, L)
             assert sum(d.values()) == 1
             v = rng.choices(list(d), weights=[float(p) for p in d.values()])[0]
-            s = s.advance(v)
+            history += (v,)
 
 
 class TestSampleWalk:
