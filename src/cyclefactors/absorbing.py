@@ -97,16 +97,19 @@ def enumerate_absorbers(
     a_1..a_k x a_{k+1}..a_2k from them.  That checks every window through
     x; each block of grown rows then keeps the sequences a_1..a_2k whose
     bare seam windows are edges too, and reads their absorbable vertices
-    off ``_absorbing_rows``.  Both growths are block-bounded, so a cap
-    stops the work after the first blocks that fill it.
+    off ``_absorbing_rows``.  Both growths are block-bounded and start
+    from a one-row first block at each depth (``grow_paths``' ``first``),
+    so a cap stops the work after the first small blocks that fill it.
     """
     H_plus._check_vertex(x)
     k, n = H_plus.k, H_plus.n
     out: List[Absorber] = []
-    for heads, free in grow_paths(H_plus, np.empty((1, 0), int), np.arange(n)[None, :] != x, k):
+    for heads, free in grow_paths(
+        H_plus, np.empty((1, 0), int), np.arange(n)[None, :] != x, k, first=1
+    ):
         keep = H_plus.extension_rows(heads[:, 1:])[:, x]
         starts = np.column_stack((heads[keep], np.full(keep.sum(), x)))
-        for inserted, _ in grow_paths(H_plus, starts, free[keep], 2 * k + 1):
+        for inserted, _ in grow_paths(H_plus, starts, free[keep], 2 * k + 1, first=1):
             slots = np.delete(inserted, k, axis=1)
             seam = np.ones(len(slots), dtype=bool)
             for j in range(1, k):

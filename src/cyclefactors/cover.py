@@ -4,10 +4,12 @@ The pipeline has three steps.  First, ``fractional_cycle_decomposition``
 assigns a positive weight to a family of tight cycles on L vertices so that
 the weights of the cycles through each edge sum to exactly 1 (the
 maximum-entropy weights of ``fractional.scale_to_ones`` over an enumerated
-or sampled cycle family).  The family stays in numpy integer arrays from
-enumeration to extraction: the result is a pair (cycles, weights), an
-N x L array of canonical vertex sequences in canonical order and their N
-positive weights, checked by ``check_edge_sums``.  Every cycle's edges are
+or sampled cycle family).  The family is one N x L int32 array of vertex
+rows from enumeration or sampling to extraction, of which no call keeps a
+second copy; the lookups and checks over it run ``ENUMERATE_BLOCK`` rows
+at a time.  The result is a pair (cycles, weights), that array of
+canonical vertex sequences in canonical order and their N positive
+weights, checked by ``check_edge_sums``.  Every cycle's edges are
 one lookup of its cyclic windows in the host's edge table
 (``Hypergraph.window_ids``), the one tightness check of the family.  That
 lookup gives one N x L int32 id matrix, which is sorted along its rows
@@ -83,7 +85,8 @@ class DecompositionError(CoverError):
 def _enumerate_all(H: Hypergraph, L: int, cap: Optional[int]):
     """All tight cycles on exactly L vertices, or None when cap is exceeded.
 
-    Returns an N x L int array of canonical sequences in canonical order.
+    Returns an N x L int32 array of canonical sequences in canonical order,
+    each block's closed cycles written straight into int32 rows.
     Anchored search: a sequence starts at the cycle's minimum v0, and the
     reflection duplicate is skipped by requiring seq[1] < seq[-1].
     ``tightpaths.grow_paths`` grows the paths on L-1 vertices from every
@@ -104,8 +107,10 @@ def _enumerate_all(H: Hypergraph, L: int, cap: Optional[int]):
         count += len(rows)
         if cap is not None and count > cap:
             return None
-        found.append(np.column_stack((paths[rows], last)))
-    return np.concatenate(found) if found else np.empty((0, L), dtype=np.intp)
+        block = np.empty((len(rows), L), dtype=np.int32)
+        block[:, :-1], block[:, -1] = paths[rows], last
+        found.append(block)
+    return np.concatenate(found) if found else np.empty((0, L), dtype=np.int32)
 
 
 def _unique_rows(rows: np.ndarray) -> np.ndarray:
@@ -123,31 +128,38 @@ def _edge_ids(H: Hypergraph, cycles: np.ndarray) -> np.ndarray:
     """The edge id of every cyclic k-window of every cycle: an int32 array
     shaped as cycles, whose entry j is the window that starts at column j.
 
-    The cycles are closed into one N x (L + k - 1) int32 array (each row
-    followed by its first k-1 vertices), clipped in place, and
-    ``Hypergraph.window_ids`` sums each window's table key from k column
-    slices of it.  CoverError names the first row that is no tight cycle
-    of H: a vertex outside the host, a repeated vertex or a window that is
-    no edge (the checks of the ``TightCycle`` constructor).
+    The cycles are read ``ENUMERATE_BLOCK`` rows at a time, so that the
+    result is the only N-row array built.  Each block is closed into one
+    int32 array of L + k - 1 columns (each row followed by its first k-1
+    vertices), clipped in place, and ``Hypergraph.window_ids`` sums each
+    window's table key from k column slices of it.  CoverError names the
+    first row that is no tight cycle of H: fewer than k + 1 vertices, a
+    vertex outside the host, a repeated vertex or a window that is no edge
+    (the checks of the ``TightCycle`` constructor).
     """
     n, k = H.n, H.k
     L = cycles.shape[1]
-    outside = ((cycles < 0) | (cycles >= n)).any(axis=1)
-    closed = np.empty((len(cycles), L + k - 1), dtype=np.int32)
-    # clipped so that a vertex outside the host reads inside the table
-    np.clip(cycles, 0, n - 1, out=closed[:, :L])
-    closed[:, L:] = closed[:, : k - 1]
-    ids = H.window_ids(closed)
-    # a clipped row repeats a vertex only when it is outside already
-    ordered = np.sort(closed[:, :L], axis=1)
-    bad = (
-        outside
-        | (ids < 0).any(axis=1)
-        | (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-    )
-    if bad.any():
-        row = tuple(cycles[np.argmax(bad)].tolist())
-        raise CoverError(f"{row!r} is not a tight cycle in the host")
+    if L <= k and len(cycles):
+        raise CoverError(f"{tuple(cycles[0].tolist())!r} is not a tight cycle in the host")
+    ids = np.empty(cycles.shape, dtype=np.int32)
+    for lo in range(0, len(cycles), ENUMERATE_BLOCK):
+        part, out = cycles[lo : lo + ENUMERATE_BLOCK], ids[lo : lo + ENUMERATE_BLOCK]
+        closed = np.empty((len(part), L + k - 1), dtype=np.int32)
+        # clipped so that a vertex outside the host reads inside the table
+        np.clip(part, 0, n - 1, out=closed[:, :L])
+        closed[:, L:] = closed[:, : k - 1]
+        out[:] = H.window_ids(closed)
+        # a clipped row repeats a vertex only when it is outside already
+        ordered = closed[:, :L]
+        ordered.sort(axis=1)
+        bad = (
+            ((part < 0) | (part >= n)).any(axis=1)
+            | (out < 0).any(axis=1)
+            | (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        )
+        if bad.any():
+            row = tuple(part[np.argmax(bad)].tolist())
+            raise CoverError(f"{row!r} is not a tight cycle in the host")
     return ids
 
 
@@ -196,12 +208,15 @@ def _sample_family(H: Hypergraph, L: int, seed: int) -> np.ndarray:
     every walk a random vertex off it (``_pick``) from its ``extension_rows``
     row, or at L-1 vertices its ``closing_rows``; a walk with none drops
     out.  An edge none of whose walks closed falls back to
-    ``cycles_through_edge``, so a missed edge lies on no L-cycle."""
+    ``cycles_through_edge``, so a missed edge lies on no L-cycle.  The
+    walks are int32 rows, put in canonical form a block at a time in
+    place, and the sample is an N x L int32 array."""
     k, rng = H.k, random.Random(seed)
     orders = np.array(list(itertools.permutations(range(k))), dtype=np.intp)
     origin = np.repeat(np.arange(H.m), PER_EDGE)
     turns = orders[_pick(rng, np.ones((len(origin), len(orders)), dtype=bool))]
-    paths = np.take_along_axis(np.array(H.edges, dtype=np.intp)[origin], turns, axis=1)
+    paths = np.take_along_axis(np.array(H.edges, dtype=np.int32)[origin], turns, axis=1)
+    del turns
     for d in range(k, L):
         picks = [np.empty(0, dtype=np.intp)]
         for lo in range(0, len(paths), ENUMERATE_BLOCK):
@@ -211,10 +226,16 @@ def _sample_family(H: Hypergraph, L: int, seed: int) -> np.ndarray:
             picks.append(_pick(rng, cand))
         picks = np.concatenate(picks)
         live = picks >= 0
-        paths, origin = np.column_stack((paths[live], picks[live])), origin[live]
+        paths = np.column_stack((paths[live], picks[live].astype(np.int32)))
+        origin = origin[live]
+    del picks, live  # per-walk arrays, like turns: freed before the sort
+    for lo in range(0, len(paths), ENUMERATE_BLOCK):
+        paths[lo : lo + ENUMERATE_BLOCK] = _canonical_rows(paths[lo : lo + ENUMERATE_BLOCK])
     missed = np.flatnonzero(np.bincount(origin, minlength=H.m) == 0)
-    rows = [_canonical_rows(paths)] + [cycles_through_edge(H, L, H.edges[e]) for e in missed]
-    return _unique_rows(np.concatenate(rows))
+    if len(missed):
+        fallbacks = [cycles_through_edge(H, L, H.edges[e]) for e in missed]
+        paths = np.concatenate([paths] + fallbacks, dtype=np.int32)
+    return _unique_rows(paths)
 
 
 def _check_cycle_length(H: Hypergraph, L: int) -> None:
@@ -235,7 +256,8 @@ PER_EDGE = 20  # random walks started from each edge past ENUMERATE_CAP
 
 class Decomposition(tuple):
     """The pair (cycles, weights) that ``fractional_cycle_decomposition``
-    returns, with the host and ``ids``, the edge ids of its cycles' windows
+    returns, an N x L int32 array of vertex rows and their N weights, with
+    the host and ``ids``, the N x L int32 edge ids of its cycles' windows
     in that host (the rows of ``_edge_ids``, each sorted), so that
     ``check_edge_sums`` and the extraction need not look them up again.
     A cycle holds each edge at most once, so every reader of the ids sees
@@ -246,12 +268,14 @@ class Decomposition(tuple):
 
 
 def _pair_ids(H: Hypergraph, pair) -> np.ndarray:
-    """The edge ids of the pair's cycle windows in H: a ``Decomposition``'s
-    own when it decomposes H, else looked up (and each row checked) by
-    ``_edge_ids``."""
+    """The edge ids of the pair's cycle windows in H, each row sorted: a
+    ``Decomposition``'s own when it decomposes H, else looked up (and each
+    row checked) by ``_edge_ids``."""
     if isinstance(pair, Decomposition) and pair.host == H:
         return pair.ids
-    return _edge_ids(H, pair[0])
+    ids = _edge_ids(H, pair[0])
+    ids.sort(axis=1)
+    return ids
 
 
 def check_edge_sums(H: Hypergraph, pair) -> None:
@@ -259,17 +283,20 @@ def check_edge_sums(H: Hypergraph, pair) -> None:
     the weights of the cycles through it, added in the order of the cycles,
     sum to 1 within ``EDGE_SUM_TOL``.
 
-    ``pair`` is (cycles, weights): an N x L array of vertex sequences and
-    their N weights.  A ``Decomposition`` of H brings its cycles' edge ids;
-    a plain pair's rows are looked up, and each checked, here."""
+    ``pair`` is (cycles, weights): an N x L int array of vertex sequences
+    (int32, for a ``Decomposition``) and their N weights.  A
+    ``Decomposition`` of H brings its cycles' edge ids; a plain pair's rows
+    are looked up, each checked, and sorted along its rows, here.  The sums
+    are ``fractional.Incidence.dot`` over the ids, which reads at most
+    ``fractional.BLOCK`` ones per numpy call and adds each edge's terms in
+    the order of the cycles."""
     cycles, weights = pair
     weights = np.asarray(weights, dtype=float)
     nonpositive = np.flatnonzero(~(weights > 0))
     if len(nonpositive):
         row = tuple(cycles[nonpositive[0]].tolist())
         raise CoverError(f"weight for cycle {row!r} must be positive")
-    ids = _pair_ids(H, pair)
-    sums = np.bincount(ids.ravel(), np.repeat(weights, ids.shape[1]), H.m)
+    sums = Incidence(_pair_ids(H, pair), H.m).dot(weights)
     off = np.flatnonzero(np.abs(sums - 1.0) > EDGE_SUM_TOL)
     if len(off):
         raise CoverError(
@@ -298,11 +325,13 @@ def fractional_cycle_decomposition(
     below the tolerance and are left out.  DecompositionError, naming the
     residual and the Newton steps, when no solution is found.  Returns the
     pair (cycles, weights) as a ``Decomposition``, after ``check_edge_sums``:
-    an N x L int array of canonical sequences in canonical order and their N
-    positive weights.  The family's edge ids are looked up once, here, and
+    an N x L int32 array of canonical sequences in canonical order and their
+    N positive weights.  The family's edge ids are looked up once, here, and
     sorted along their rows in place: that one N x L int32 array is the
-    weighting's ``fractional.Incidence`` and, cut to the kept cycles, the
-    pair's ``ids``.
+    weighting's ``fractional.Incidence`` and the pair's ``ids``.  When
+    every cycle keeps a positive weight, the pair wraps the family, its
+    weights and its ids as they are; otherwise it keeps one copy of each,
+    cut to the kept cycles.
     """
     _check_cycle_length(H, L)
     if H.m == 0:
@@ -320,6 +349,7 @@ def fractional_cycle_decomposition(
         cycles = _unique_rows(_canonical_rows(np.array(seqs, dtype=np.intp).reshape(-1, L)))
 
     ids = _edge_ids(H, cycles)
+    cycles = cycles.astype(np.int32, copy=False)  # each vertex is in the host now
     covered = np.zeros(H.m, dtype=bool)
     covered[ids] = True
     uncovered = np.flatnonzero(~covered)
@@ -339,8 +369,10 @@ def fractional_cycle_decomposition(
         ) from exc
     w = polish(A, w)
     kept = w > 0
-    pair = Decomposition((cycles[kept], w[kept]))
-    pair.host, pair.ids = H, ids[kept]
+    if not kept.all():
+        cycles, w, ids = cycles[kept], w[kept], ids[kept]
+    pair = Decomposition((cycles, w))
+    pair.host, pair.ids = H, ids
     check_edge_sums(H, pair)
     return pair
 

@@ -17,7 +17,7 @@ k-sets can be classified as j-end / lo / j-con relative to the collection.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -65,7 +65,9 @@ def is_tight_cycle(H: Hypergraph, seq: Sequence[int]) -> bool:
 ENUMERATE_BLOCK = 4096  # most paths that one step of grow_paths extends
 
 
-def grow_paths(H: Hypergraph, paths: np.ndarray, free: np.ndarray, length: int):
+def grow_paths(
+    H: Hypergraph, paths: np.ndarray, free: np.ndarray, length: int, first: Optional[int] = None
+):
     """Every tight extension of the rows of ``paths`` to ``length`` vertices,
     in lexicographic order, as blocks (grown, free) of at most
     ``ENUMERATE_BLOCK`` rows.
@@ -83,11 +85,15 @@ def grow_paths(H: Hypergraph, paths: np.ndarray, free: np.ndarray, length: int):
     before the next are built: no extension row is read twice, and no more
     than one block of children is held per depth.  Each row's candidates
     come out ascending (``np.nonzero`` reads row by row), so the rows stay
-    in lexicographic order.
+    in lexicographic order.  ``first``, when given, bounds the first block
+    of children at each depth of the first descent, and the later blocks
+    are full: a caller that stops after its first rows then grows small
+    blocks only.
     """
     k, d = H.k, paths.shape[1]
     if d > length:
         return
+    size = first or ENUMERATE_BLOCK
     for lo in range(0, len(paths), ENUMERATE_BLOCK):
         block, allowed = paths[lo : lo + ENUMERATE_BLOCK], free[lo : lo + ENUMERATE_BLOCK]
         grown = allowed.copy()
@@ -99,10 +105,12 @@ def grow_paths(H: Hypergraph, paths: np.ndarray, free: np.ndarray, length: int):
             grown &= H.extension_rows(block[:, d - k + 1 :])
         rows, last = np.nonzero(grown)
         del grown
-        for at in range(0, len(rows), ENUMERATE_BLOCK):
-            pick = rows[at : at + ENUMERATE_BLOCK]
-            children = np.column_stack((block[pick], last[at : at + ENUMERATE_BLOCK]))
-            yield from grow_paths(H, children, allowed[pick], length)
+        at = 0
+        while at < len(rows):
+            pick = rows[at : at + size]
+            children = np.column_stack((block[pick], last[at : at + size]))
+            yield from grow_paths(H, children, allowed[pick], length, size)
+            at, size = at + size, ENUMERATE_BLOCK
 
 
 def closing_rows(H: Hypergraph, before: np.ndarray, after: np.ndarray) -> np.ndarray:

@@ -130,6 +130,23 @@ class TestAbsorbers:
         assert sum(read) < 1000
 
 
+    def test_small_cap_grows_no_full_block(self, monkeypatch):
+        # at the full ENUMERATE_BLOCK a cap of 10 on K_20^(4) once read a
+        # block of 4,096 rows at each depth before the first absorber
+        H = complete_hypergraph(4, 20)
+        read = []
+        extension_rows = Hypergraph.extension_rows
+        monkeypatch.setattr(
+            Hypergraph,
+            "extension_rows",
+            lambda H, tails: read.append(len(tails)) or extension_rows(H, tails),
+        )
+        found = enumerate_absorbers(H, 0, cap=10)
+        first = itertools.islice(itertools.permutations(range(1, 20), 8), 10)
+        assert [a.seq for a in found] == list(first)
+        assert sum(read) < 200
+
+
 class TestDisjointMatchings:
     def test_complete_4x4(self):
         adj = [set(range(4)) for _ in range(4)]

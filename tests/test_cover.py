@@ -335,6 +335,27 @@ class TestSampledFamily:
         # the walks from every other edge closed, so only this one is searched
         assert str(sampled.value) == str(enumerated.value) and searched == [(4, 5, 6)]
 
+    def test_k30_sample_is_one_int32_copy(self):
+        # program seed 0's K_30^(3) residual: 36,540 six-cycles.  With int64
+        # walks and canonical rows built for the whole sample at once, the
+        # sampler peaked 10.54 MB above entry (numpy 2.4); with int32 walks
+        # and rows canonicalised a block at a time in place, 4.15 MB
+        H = complete_hypergraph(3, 30)
+        sub = random.Random(0).randrange(2**63)
+        rest = H.remove_edges(sparsify_intersecting(H, 0.5, uniform_weighting(H), sub).edges)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            rows = cover._sample_family(rest, 6, sub)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert rows.dtype == np.int32 and rows.shape == (36540, 6)
+        assert hashlib.sha256(rows.astype(np.int64).tobytes()).hexdigest() == (
+            "0c5a66f6b4c22dea9d2a6321e934880c38e370905ebc412f7823b6475e770d7b"
+        )
+        assert peak < 7 * 2**20
+
     def test_one_seed_one_family(self):
         H = complete_hypergraph(3, 14)
         once = cover._sample_family(H, 6, 5)
@@ -508,8 +529,10 @@ class TestScaling:
         # Held as one N x L int32 id matrix, with no N x L x k window array
         # and no int64 key, order or column copies, and weighted by products
         # that read at most fractional.BLOCK ones per numpy call, the call
-        # peaks 3.70 MB above entry (numpy 2.4); with products that read all
-        # the ones in one pass, 4.42 MB
+        # peaked 3.70 MB above entry (numpy 2.4) with int64 vertex rows and
+        # kept copies of the rows, ids and weights; with one int32 copy of
+        # the rows, no kept copies when every cycle keeps its weight, and
+        # edge sums read through the incidence, 2.58 MB
         H = complete_hypergraph(3, 18)
         sub = random.Random(0).randrange(2**63)
         rest = H.remove_edges(sparsify_intersecting(H, 0.5, uniform_weighting(H), sub).edges)
@@ -521,7 +544,7 @@ class TestScaling:
         finally:
             tracemalloc.stop()
         assert len(pair[0]) == 14957
-        assert peak < 4.07 * 2**20
+        assert peak < 2.8 * 2**20
 
     def test_k18_weighting_allocates_no_array_per_one(self, monkeypatch):
         # scale_to_ones and polish on the same family: N = 14,957 columns,
@@ -603,6 +626,12 @@ class TestDecompositionValidation:
         check_edge_sums(H, (cycles, np.array([1 / 6 + 5e-10] + weights[1:])))
         with pytest.raises(CoverError, match="not 1 within 1e-09"):
             check_edge_sums(H, (cycles, np.array([1 / 6 + 2e-9] + weights[1:])))
+
+    def test_a_row_of_k_vertices_is_no_cycle(self):
+        # its k windows are the same edge, so a weight of 1/3 summed to 1
+        H = complete_hypergraph(3, 3)
+        with pytest.raises(CoverError, match=r"\(0, 1, 2\) is not a tight cycle"):
+            check_edge_sums(H, (np.array([[0, 1, 2]]), [1 / 3]))
 
     def test_window_off_the_host_rejected(self):
         H, cycles, weights = self.sixths()

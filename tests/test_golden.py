@@ -29,6 +29,7 @@ HOSTS = {
     "K12": lambda: complete_hypergraph(3, 12),
     "K18": lambda: complete_hypergraph(3, 18),
     "K24": lambda: complete_hypergraph(3, 24),
+    "K30": lambda: complete_hypergraph(3, 30),
     "G(9,0.7)": lambda: seeded_random_host(9, 0.7),
     "G(18,0.8)": lambda: seeded_random_host(18, 0.8),
 }
@@ -88,6 +89,12 @@ GOLDEN = {
     "k24-decompose-0": ("K24", "decompose --targets 24;24 --seed 0", (
         "844b3bef1179158e34be30ca6f6ba56ab807769603d039c4bb2551bfe9d33888",
         "f2e91cf441aa0682f5cd30c9874fb28c227228238a2c0d9700ef983d9b9763cd",
+    )),
+    # a sampled family of 36,540 six-cycles, weighted without an assembled
+    # Gram matrix; the first attempt passes
+    "k30-decompose-0": ("K30", "decompose --targets 30;30 --seed 0", (
+        "83b9609180fb6a7249aa5d4138341661e159cab5b16ea8b94b2d0da29142d840",
+        "7192fb7593483e04ccfc96bb898a492ab9881bae0a3206b1adc4207789bbd899",
     )),
     # the largest enumerated family (14,957 six-cycles) and assembled Gram
     "k18-decompose-0": ("K18", "decompose --targets 18;18 --seed 0", (

@@ -183,6 +183,17 @@ class TestTightExtensions:
         assert max(blocks) <= block and sum(blocks) == len(want) > 100
         assert grown(H, starts, [range(8)] * 8, 4) == want
 
+    def test_a_one_row_first_block_leaves_the_rows_unchanged(self):
+        # the first children at each depth of the first descent are one
+        # row; the rows, their order and their free rows stay
+        H = Hypergraph(3, 8, [e for e in itertools.combinations(range(8), 3) if sum(e) % 4])
+        starts, free = np.arange(8)[:, None], np.ones((8, 8), bool)
+        want = list(grow_paths(H, starts, free, 4))
+        got = list(grow_paths(H, starts, free, 4, first=1))
+        assert len(got[0][0]) == 1 and len(got) > len(want)
+        for got_part, want_part in zip(zip(*got), zip(*want)):
+            assert np.array_equal(np.concatenate(got_part), np.concatenate(want_part))
+
     def test_children_are_built_a_block_at_a_time(self, monkeypatch):
         # a block of 16 rows on 8 vertices has up to 16 x 6 children: they
         # are built 16 at a time, and each row's extension row is read once
