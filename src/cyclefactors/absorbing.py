@@ -47,14 +47,14 @@ def is_absorber_for(H_plus: Hypergraph, seq: Sequence[int], x: int) -> bool:
     )
 
 
-def are_absorbers_for(H_plus: Hypergraph, seqs: Sequence[Sequence[int]], x: int) -> np.ndarray:
+def are_absorbers_for(H_plus: Hypergraph, seqs: Sequence[Sequence[int]], x) -> np.ndarray:
     """``is_absorber_for`` on every one of ``seqs``, 2k-vertex sequences, at
-    once: entry i holds iff its vertices and x are distinct and every window
-    of the row, and of the row with x inserted after position k, is an
-    edge.  The windows are sorted and looked up among the edges' own sorted
-    keys (``place_values``), not in the edge table that
-    ``enumerate_absorbers`` grows from, so the check stays independent of
-    the growth."""
+    once, for one vertex x or for one x per row: entry i holds iff its
+    vertices and its x are distinct and every window of the row, and of the
+    row with x inserted after position k, is an edge.  The windows are
+    sorted and looked up among the edges' own sorted keys
+    (``place_values``), not in the edge table that ``enumerate_absorbers``
+    grows from, so the check stays independent of the growth."""
     k, n = H_plus.k, H_plus.n
     seqs = np.array(seqs, dtype=np.intp).reshape(-1, 2 * k)
     inserted = np.insert(seqs, k, x, axis=1)

@@ -402,32 +402,33 @@ def cmd_absorbers(args) -> int:
     if args.cap is not None and args.cap < 0:
         raise CLIError(EXIT_PARAMS, "absorbers: cap must be nonnegative")
     H = load_hypergraph(args.input)
-    vertices = range(H.n) if args.x is None else [args.x]
-    per_vertex = {}
-    all_pass = True
-    for x in vertices:
+    found = {}
+    for x in range(H.n) if args.x is None else [args.x]:
         try:
-            absorbers = enumerate_absorbers(H, x, cap=args.cap)
+            found[x] = [a.seq for a in enumerate_absorbers(H, x, cap=args.cap)]
         except HypergraphError as exc:
             raise CLIError(EXIT_PARAMS, f"absorbers: {exc}")
-        checked = bool(are_absorbers_for(H, [a.seq for a in absorbers], x).all())
-        all_pass = all_pass and checked
-        per_vertex[x] = {"count": len(absorbers), "insertion_check": checked}
+    pairs = [(x, seq) for x, seqs in found.items() for seq in seqs]
+    checks = are_absorbers_for(H, [seq for _, seq in pairs], [x for x, _ in pairs])
+    failed = {x for (x, _), ok in zip(pairs, checks.tolist()) if not ok}
+    per_vertex = {}
+    for x, seqs in found.items():
+        per_vertex[str(x)] = {"count": len(seqs), "insertion_check": x not in failed}
         _say(
             config,
-            f"x = {x}: {len(absorbers)} absorbers, insertion check "
-            f"{'passed' if checked else 'FAILED'}",
+            f"x = {x}: {len(seqs)} absorbers, insertion check "
+            f"{'FAILED' if x in failed else 'passed'}",
         )
     if args.output:
         emit(
             {
                 "config": config.as_dict(),
-                "per_vertex": {str(x): per_vertex[x] for x in per_vertex},
-                "all_insertion_checks_pass": all_pass,
+                "per_vertex": per_vertex,
+                "all_insertion_checks_pass": not failed,
             },
             args.output,
         )
-    return EXIT_OK if all_pass else EXIT_STAGE
+    return EXIT_STAGE if failed else EXIT_OK
 
 
 # ---------------------------------------------------------------- cover

@@ -320,13 +320,14 @@ def fractional_cycle_decomposition(
     the problem infeasible.  The weights are the maximum-entropy solution
     (``fractional.scale_to_ones``), polished onto the per-edge sums; the
     extraction uses them only as draw probabilities.  When some positive
-    solution exists, every family cycle gets a positive weight; when only
-    solutions with zero weights exist, the cycles that must weigh 0 shrink
-    below the tolerance and are left out.  DecompositionError, naming the
-    residual and the Newton steps, when no solution is found.  Returns the
-    pair (cycles, weights) as a ``Decomposition``, after ``check_edge_sums``:
-    an N x L int32 array of canonical sequences in canonical order and their
-    N positive weights.  The family's edge ids are looked up once, here, and
+    solution exists, every family cycle gets a positive weight; otherwise
+    the cycles whose weights shrink below ``fractional.SCALE_TOL`` are left
+    out: every cycle that must weigh 0, and maybe others that some solution
+    weighs positively.  DecompositionError, naming the residual and the
+    Newton steps, when no solution is found.  Returns the pair (cycles,
+    weights) as a ``Decomposition``, after ``check_edge_sums``: an N x L
+    int32 array of canonical sequences in canonical order and their N
+    positive weights.  The family's edge ids are looked up once, here, and
     sorted along their rows in place: that one N x L int32 array is the
     weighting's ``fractional.Incidence`` and the pair's ``ids``.  When
     every cycle keeps a positive weight, the pair wraps the family, its

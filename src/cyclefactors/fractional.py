@@ -16,8 +16,8 @@ weighting into a PFM by shifting weight along short self-avoiding walks; in
 exact (rational) mode the vertex sums come out equal to 1 identically.
 
 ``pipeline_weighting`` is the weighting policy of ``decompose``, which
-weighs the input host once per run: uniform on regular hosts, the max-min
-LP otherwise, uniform when no all-positive PFM exists.
+weighs the input host once per run, in floats: uniform on regular hosts,
+the max-min LP otherwise, uniform when no all-positive PFM exists.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class EdgeWeighting:
         weights = tuple(weights)
         if len(weights) != host.m:
             raise FractionalError("need one weight per edge")
-        for e, w in zip(host.edges, _values(weights)):
+        for e, w in zip(host.edges, weights):
             if w <= 0:
                 raise BalanceViolationError(f"weight {w} on edge {e} is not positive")
         self.host = host
@@ -116,15 +116,6 @@ class EdgeWeighting:
     def __repr__(self):
         mode = "exact" if self.exact else "float"
         return f"EdgeWeighting({mode}, m={self.host.m})"
-
-
-def _values(weights: tuple) -> tuple:
-    """``weights[:1]`` when every weight is the first one, else ``weights``:
-    a uniform weighting repeats one object, which ``tuple.count`` matches
-    by identity, so its one value is checked and converted once."""
-    if weights and weights.count(weights[0]) == len(weights):
-        return weights[:1]
-    return weights
 
 
 def uniform_weighting(H: Hypergraph, exact: bool = True) -> EdgeWeighting:
@@ -621,7 +612,7 @@ def pfm_lp(H: Hypergraph) -> EdgeWeighting:
 
 
 def pipeline_weighting(H: Hypergraph) -> EdgeWeighting:
-    """The pipeline's weighting: uniform on regular hosts, else ``pfm_lp``.
+    """The pipeline's float weighting: uniform on regular hosts, else ``pfm_lp``.
 
     The uniform weighting is also the fallback when the LP finds no
     all-positive PFM. Raises FractionalError when H has no edges.
@@ -632,11 +623,11 @@ def pipeline_weighting(H: Hypergraph) -> EdgeWeighting:
     eps those larger reserves pack fewer seeds.
     """
     if len(set(H.degrees())) == 1:
-        return uniform_weighting(H)
+        return uniform_weighting(H, exact=False)
     try:
         return pfm_lp(H)
     except LPInfeasibleError:
-        return uniform_weighting(H)
+        return uniform_weighting(H, exact=False)
 
 
 # ---------------------------------------------------------------------------
@@ -650,18 +641,15 @@ def sparsify_intersecting(
     """Random spanning subgraph keeping e with probability eps*w(e)/w_max:
     the sparsification that intersects an edgeless F.
 
-    One ``rng.random()`` draw per edge of H, in host order.  The kept edges
-    are a subsequence of H's, so the result is built without re-checking
-    them.
+    One ``rng.random()`` draw per edge of H, in host order, against its
+    weight read as a float.  The kept edges are a subsequence of H's, so
+    the result is built without re-checking them.
     """
     if not (0.0 <= eps <= 1.0):
         raise FractionalError(f"eps must lie in [0, 1], got {eps}")
     if pfm.host != H:
         raise FractionalError("the matching must weight H's edges")
-    # float() of a Fraction is numerator / denominator, correctly rounded,
-    # and max commutes with it, so ws.max() is float(pfm.max_weight())
-    # without comparing Fractions; a uniform weighting has one value
-    ws = np.array(list(map(float, _values(pfm.weights))))
+    ws = np.array(pfm.weights, dtype=float)
     rng = random.Random(seed)
     draws = np.array([rng.random() for _ in range(H.m)])
     kept = tuple(itertools.compress(H.edges, (draws < eps * ws / ws.max()).tolist()))

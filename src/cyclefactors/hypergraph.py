@@ -321,24 +321,20 @@ def _reject(k, n, values: list, sizes: list) -> None:
 
 def _eta_minima(H: Hypergraph) -> tuple:
     """The least |N(x) & N(y)| over all pairs of (k-1)-sets x, y (x = y
-    too), and over the disjoint pairs (None when no two are disjoint).
+    too), over the disjoint pairs (None when no two are disjoint), and
+    delta_{k-1}, the least |N(x)|.
 
     One product of two (k-1)-set x 2n 0/1 matrices answers every pair: row x
     of the left one holds N(x), then n + 1 at x's own vertices; row y of the
     right one N(y), then 1 at y's vertices.  So entry (x, y) is
     |N(x) & N(y)| + (n + 1) |x & y|: at most n exactly when x and y are
-    disjoint, and |N(x) & N(y)| modulo n + 1.  The N(x) are read off the
-    edges, and the product runs in row blocks of about 2^18 entries, whose
-    float entries are exact integers.
+    disjoint, and |N(x) & N(y)| modulo n + 1.  The N(x) are the host's
+    ``extension_rows``, and the product runs in row blocks of about 2^18
+    entries, whose float entries are exact integers.
     """
     n, k = H.n, H.k
     sets = np.array(list(itertools.combinations(range(n), k - 1)), dtype=np.intp)
-    keys = sets @ place_values(n, k - 1)  # ascending, as the sets are
-    hoods = np.zeros((len(sets), n))
-    edges = np.array(H.edges, dtype=np.intp)
-    for i in range(k):
-        rest = np.delete(edges, i, axis=1) @ place_values(n, k - 1)
-        hoods[np.searchsorted(keys, rest), edges[:, i]] = 1.0
+    hoods = H.extension_rows(sets).astype(float)
     members = np.zeros((len(sets), n))
     members[np.arange(len(sets))[:, None], sets] = 1.0
     left = np.hstack([hoods, (n + 1) * members])
@@ -348,10 +344,9 @@ def _eta_minima(H: Hypergraph) -> tuple:
     for start in range(0, len(sets), block):
         pairs = left[start : start + block] @ right
         lows.append((pairs % (n + 1)).min())
-        disjoint = pairs[pairs <= n]
-        if len(disjoint):
-            disjoint_lows.append(disjoint.min())
-    return int(min(lows)), int(min(disjoint_lows)) if disjoint_lows else None
+        disjoint_lows.append(pairs.min(initial=n + 1, where=pairs <= n))
+    disjoint = int(min(disjoint_lows))  # n + 1 when no two sets are disjoint
+    return int(min(lows)), (disjoint if disjoint <= n else None), int(hoods.sum(axis=1).min())
 
 
 @functools.lru_cache(maxsize=None)
@@ -376,7 +371,8 @@ class RegularityReport:
     r_mean is the average vertex degree k*m/n; rho_star the smallest rho such
     that every degree is (1 +- rho)*r_mean; eta_star the minimum over disjoint
     (k-1)-set pairs of |N(x) cap N(y)| / n (None when n < 2(k-1) leaves no
-    disjoint pair); eta_star_all_pairs the same minimum over all pairs.
+    disjoint pair); eta_star_all_pairs the same minimum over all pairs;
+    delta_codegree the least |N(x)|, read off the same N(x) (0 when m = 0).
     """
 
     k: int
@@ -393,12 +389,11 @@ class RegularityReport:
         n, k, m = H.n, H.k, H.m
         rho_star = H.rho_star()
         r_mean = Fraction(k * m, n)
-        eta = eta_all = None
-        if m > 0 and n >= k - 1:
-            best_all, best_disjoint = _eta_minima(H)
+        eta, eta_all, delta = None, None, 0
+        if m > 0:
+            best_all, best_disjoint, delta = _eta_minima(H)
             eta_all = Fraction(best_all, n)
             eta = Fraction(best_disjoint, n) if best_disjoint is not None else None
-        delta = H.delta_codegree() if m > 0 and n >= k - 1 else 0
         return RegularityReport(
             k=k,
             n=n,
@@ -474,23 +469,12 @@ def degree_transfer_check(
         dx = H.codegree(x)
         if dx == 0:
             continue
-        inner = sum(1 for v in H.neighborhood(x) if v in uset or v in x)
+        inner = sum(1 for v in H.neighborhood(x) if v in uset)
         set_ratios[x] = inner / dx
-    if not set_ratios:
-        return TransferReport(
-            theta=0.0 if theta is None else theta,
-            eps=0.0 if eps is None else eps,
-            precondition_ok=True,
-            failing_sets=(),
-            set_ratios={},
-            vertex_ratios={},
-            vertex_pass={},
-            all_pass=True,
-        )
     if theta is None:
-        theta = sum(set_ratios.values()) / len(set_ratios)
+        theta = sum(set_ratios.values()) / len(set_ratios) if set_ratios else 0.0
     if eps is None:
-        eps = max(abs(r - theta * 1.0) for r in set_ratios.values())
+        eps = max((abs(r - theta * 1.0) for r in set_ratios.values()), default=0.0)
         eps = eps / theta if theta > 0 else 0.0
     failing = tuple(
         x

@@ -176,15 +176,11 @@ def tuple_marginal_oracle(
         enum[key] = enum.get(key, Fraction(0)) + p
     coeff = Fraction(math.factorial(k - j), math.factorial(k)) / w.omega(())
     out: Dict[tuple, Tuple[Fraction, Fraction]] = {}
-    for tup in _ordered_tuples(H.n, j):
+    for tup in itertools.permutations(range(H.n), j):
         p_enum = enum.get(tup, Fraction(0))
         p_formula = coeff * w.omega(tup)
         out[tup] = (p_enum, p_formula)
     return out
-
-
-def _ordered_tuples(n: int, j: int):
-    return itertools.permutations(range(n), j)
 
 
 # ---------------------------------------------------------------------------

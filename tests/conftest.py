@@ -211,12 +211,15 @@ def pairwise_eta_stars(H):
 @pytest.fixture
 def check_against_pairwise_eta():
     """The report's eta_star and eta_star_all_pairs against the pairwise
-    loop: the same Fractions, or None on both sides."""
+    loop: the same Fractions, or None on both sides; and its
+    delta_codegree against ``Hypergraph.delta_codegree``, which counts the
+    edges' (k-1)-subsets."""
 
     def check(H):
         report = H.regularity_report()
         want = pairwise_eta_stars(H)
         assert (report.eta_star, report.eta_star_all_pairs) == want
+        assert report.delta_codegree == H.delta_codegree()
         return want
 
     return check

@@ -63,6 +63,24 @@ class TestAbsorbers:
         assert got == [is_absorber_for(H, seq, x) for seq in seqs]
         assert are_absorbers_for(H, [], x).tolist() == []
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_x_per_row_is_the_per_vertex_check(self, seed):
+        # every vertex's absorbers and random sequences, each row with its
+        # own x, in one call: the same entries as one call per vertex
+        rng = random.Random(seed)
+        n = 10
+        H = Hypergraph(4, n, [e for e in itertools.combinations(range(n), 4) if rng.random() < 0.8])
+        rows = {x: [a.seq for a in enumerate_absorbers(H, x, cap=20)] for x in range(n)}
+        for x in rows:
+            rows[x] += [tuple(rng.choices(range(n), k=8)) for _ in range(10)]
+        assert any(rows[x] for x in rows)
+        seqs = [seq for x in rows for seq in rows[x]]
+        xs = [x for x in rows for _ in rows[x]]
+        want = [are_absorbers_for(H, rows[x], x).tolist() for x in rows]
+        assert are_absorbers_for(H, seqs, xs).tolist() == sum(want, [])
+        assert any(sum(want, [])) and not all(sum(want, []))
+        assert are_absorbers_for(H, [], []).tolist() == []
+
     def test_center_candidates_on_complete_host(self):
         H = complete_hypergraph(3, 7)
         [a] = [a for a in enumerate_absorbers(H, 6) if a.seq == (0, 1, 2, 3, 4, 5)]

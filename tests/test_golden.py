@@ -32,6 +32,7 @@ HOSTS = {
     "K30": lambda: complete_hypergraph(3, 30),
     "G(9,0.7)": lambda: seeded_random_host(9, 0.7),
     "G(18,0.8)": lambda: seeded_random_host(18, 0.8),
+    "K16x4": lambda: complete_hypergraph(4, 16),
 }
 
 # name -> (host, command line after the input, the sha256 of its document,
@@ -95,6 +96,19 @@ GOLDEN = {
     "k30-decompose-0": ("K30", "decompose --targets 30;30 --seed 0", (
         "83b9609180fb6a7249aa5d4138341661e159cab5b16ea8b94b2d0da29142d840",
         "7192fb7593483e04ccfc96bb898a492ab9881bae0a3206b1adc4207789bbd899",
+    )),
+    # the regularity report: rho*, both eta* minima and delta_{k-1}
+    "g18-analyze": ("G(18,0.8)", "analyze", (
+        "d3b8920fcbb8f6cdfc3d85cc82747aead89cc83543020c7cd3b91082b0512607",
+    )),
+    "k16x4-analyze": ("K16x4", "analyze", (
+        "a9173039690b2d06c49cbc89e4b021e81711020d8af77dbeafeb34e306b2da8b",
+    )),
+    # the one 4-uniform run: the cover's family of 8-cycles, connectors of
+    # up to 8 inner vertices, one pipeline attempt and one per layer
+    "k16x4-decompose-L8-0": ("K16x4", "decompose --targets 16;16 --seed 0 --set L=8 --set ell1=8", (
+        "0ae211d53ceca681f26177fa93aad5dfd8708f082acabdbd59863113610bbed0",
+        "a2a79e2c63d0b98553635e529fb88dbc4e69e1c51f6a6e9b47359284af324c33",
     )),
     # the largest enumerated family (14,957 six-cycles) and assembled Gram
     "k18-decompose-0": ("K18", "decompose --targets 18;18 --seed 0", (

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from cyclefactors.hypergraph import (
     Hypergraph,
     HypergraphError,
+    TransferReport,
     complete_hypergraph,
     degree_transfer_check,
     format_hypergraph,
@@ -358,6 +359,22 @@ class TestDegreeTransfer:
         rep = degree_transfer_check(H, [0, 1, 2], theta=1.0, eps=0.0)
         assert not rep.precondition_ok
         assert rep.failing_sets
+
+    @pytest.mark.parametrize("theta", [None, 0.5])
+    def test_edgeless_host_passes_vacuously(self, theta):
+        # no (k-1)-set has an edge: theta defaults to 0, eps to 0, and every
+        # check holds over no sets and no vertices
+        rep = degree_transfer_check(Hypergraph(3, 5, []), [0, 1], theta=theta)
+        assert rep == TransferReport(
+            theta=0.0 if theta is None else theta,
+            eps=0.0,
+            precondition_ok=True,
+            failing_sets=(),
+            set_ratios={},
+            vertex_ratios={},
+            vertex_pass={},
+            all_pass=True,
+        )
 
     def test_derived_eps_window_contains_vertices(self):
         # with eps derived from the observed set ratios the hypothesis holds by
