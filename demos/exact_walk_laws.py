@@ -6,11 +6,10 @@ Three exhibits:
      rationals on a complete host,
   2. an irregular host where redistribution repairs uniform weights into an
      exact perfect fractional matching,
-  3. sampled walks on the repaired host matching the 1/n law.
+  3. walks sampled on the repaired host, all at once by ``sample_walks``,
+     matching the 1/n law.
 """
 
-import itertools
-import random
 from collections import Counter
 from fractions import Fraction
 
@@ -21,7 +20,7 @@ from cyclefactors.fractional import (
     uniform_weighting,
 )
 from cyclefactors.hypergraph import complete_hypergraph
-from cyclefactors.walks import sample_walk, tuple_marginal_oracle
+from cyclefactors.walks import sample_walks, tuple_marginal_oracle
 
 
 def main():
@@ -51,12 +50,10 @@ def main():
           f"= {float(balancedness(repaired)):.4f} (<= 2)\n")
 
     print("exhibit 3: 20000 sampled 6-step walks on the repaired host")
-    rng = random.Random(7)
-    counts = Counter()
+    # one array draw: every walk steps together, each from transition_dist's law
     draws = 20000
-    for _ in range(draws):
-        walk = sample_walk(H, repaired, 4, 6, seed=rng.randrange(2**63))
-        counts[walk[-1]] += 1
+    walks = sample_walks(H, repaired, 4, 6, draws, seed=7)
+    counts = Counter(walks[:, -1].tolist())
     print("  final-vertex frequencies vs the exact 1/10 law:")
     for v in range(H.n):
         freq = counts[v] / draws

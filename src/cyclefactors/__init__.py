@@ -49,6 +49,7 @@ from .fractional import (
 from .walks import (
     transition_dist,
     sample_walk,
+    sample_walks,
     tuple_marginal_oracle,
     self_avoiding_rate,
 )

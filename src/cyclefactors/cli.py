@@ -36,6 +36,8 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .absorbing import are_absorbers_for, enumerate_absorbers
 from .assemble import (
     AssembleError,
@@ -64,7 +66,7 @@ from .fractional import (
 )
 from .hypergraph import Hypergraph, HypergraphError, parse_hypergraph
 from .tightpaths import TightnessError, factors_from_document
-from .walks import OracleCapError, StuckWalkError, WalkError, sample_walk
+from .walks import OracleCapError, StuckWalkError, WalkError, sample_walks
 
 EXIT_OK = 0
 EXIT_PARTIAL = 10
@@ -78,6 +80,10 @@ EXIT_STAGE = 30
 # it reuses, so missed gates are redrawn from the same solution before the
 # pipeline sparsifies and solves again.
 PIPELINE_EXTRACTION_DRAWS = 40
+
+# Walk vertices (walks x steps) drawn per ``sample_walks`` call by ``walk
+# --samples``, so that its memory grows with the block, not with the sample.
+WALK_SAMPLE_BLOCK = 10**6
 
 
 class CLIError(Exception):
@@ -369,20 +375,18 @@ def cmd_walk(args) -> int:
         }
         _say(config, f"exact distribution over {len(dist)} sequences, mass {mass}")
     else:
-        rng = random.Random(args.seed)
-        counts = Counter()
-        for _ in range(args.samples):
-            seq = sample_walk(
-                H, w, args.walk_length, args.steps, seed=rng.randrange(2**63)
-            )
-            counts[seq[-1]] += 1
-        target = 1.0 / H.n
-        deviation = max(
-            abs(counts.get(v, 0) / args.samples - target) for v in range(H.n)
-        )
+        rng = np.random.default_rng(args.seed)
+        counts = np.zeros(H.n, dtype=np.int64)
+        rows = max(1, WALK_SAMPLE_BLOCK // args.steps)
+        for start in range(0, args.samples, rows):
+            size = min(rows, args.samples - start)
+            walks = sample_walks(H, w, args.walk_length, args.steps, size, rng)
+            counts += np.bincount(walks[:, -1], minlength=H.n)
+        counts = counts.tolist()
+        deviation = max(abs(c / args.samples - 1.0 / H.n) for c in counts)
         doc["sampled"] = {
             "samples": args.samples,
-            "final_counts": {str(v): counts.get(v, 0) for v in range(H.n)},
+            "final_counts": {str(v): c for v, c in enumerate(counts)},
             "max_deviation_from_uniform": deviation,
         }
         _say(
@@ -627,6 +631,10 @@ def cmd_decompose(args) -> int:
     )
     if winner["ok"]:
         return EXIT_OK
+    # on stderr even under -q: a failed run names its last failure
+    last = winner["log"][-1]
+    print(f"decompose: {winner['attempts']} pipeline attempt(s); last failed at "
+          f"{last['stage']}: {last['detail']}", file=sys.stderr)
     return EXIT_PARTIAL if winner["achieved"] > 0 else EXIT_STAGE
 
 

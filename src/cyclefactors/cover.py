@@ -452,8 +452,8 @@ def _draw(rng: random.Random, weights: np.ndarray, cum: Optional[np.ndarray] = N
     """The index ``rng.choices(range(len(weights)), weights)`` draws, bit for
     bit: ``cumsum`` adds in sequence, as ``itertools.accumulate`` does, and
     the sums are nondecreasing, so capping the search of all of them at
-    n - 1 is ``bisect(cum, x, 0, n - 1)``.  ``cum``, when given, is
-    ``weights.cumsum()`` summed once for many draws."""
+    n - 1 is the search ``rng.choices`` makes among the first n - 1 sums.
+    ``cum``, when given, is ``weights.cumsum()`` summed once for many draws."""
     if cum is None:
         cum = weights.cumsum()
     return min(int(cum.searchsorted(rng.random() * cum[-1], "right")), len(cum) - 1)

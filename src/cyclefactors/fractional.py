@@ -60,7 +60,7 @@ class EdgeWeighting:
     floats otherwise (tolerance FLOAT_TOL for the PFM check).
     """
 
-    __slots__ = ("host", "weights", "exact", "_agg_cache", "_table_cache")
+    __slots__ = ("host", "weights", "exact", "_agg_cache")
 
     def __init__(self, host: Hypergraph, weights, exact: bool):
         weights = tuple(weights)
@@ -73,7 +73,6 @@ class EdgeWeighting:
         self.weights = weights
         self.exact = exact
         self._agg_cache = None  # sub-set -> weight sum, filled by omega
-        self._table_cache = {}  # walk-sampler cumulative tables, keyed by suffix set
 
     def weight_of(self, e) -> "Fraction | float":
         return self.weights[self.host.edge_id(e)]

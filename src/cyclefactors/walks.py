@@ -6,7 +6,9 @@ never stepping onto a remembered vertex. Because every edge containing the
 suffix contributes k - m extensions, the law sums to 1 exactly; the aligned
 L-blocks of a long walk are independent and identically distributed. A
 walk is its history: the step t, the memory m and the suffix are read off
-it.
+it. ``transition_dist`` is that law, and the only place it is written:
+``sample_walks`` draws every sampled walk from it, many walks at once, and
+``sample_walk`` is its one-row case.
 
 The enumeration oracle recomputes tuple marginals two independent ways: a
 forward pass with exact rationals, and the closed formula
@@ -17,11 +19,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .fractional import EdgeWeighting
 from .hypergraph import Hypergraph
@@ -75,53 +77,44 @@ def transition_dist(H: Hypergraph, w: EdgeWeighting, history: Sequence[int], L: 
     return out
 
 
-def _cumulative_table(H: Hypergraph, w: EdgeWeighting, suffix: tuple):
-    """(vertices, cumulative floats) for sampling, cached on the weighting.
+def sample_walks(
+    H: Hypergraph, w: EdgeWeighting, L: int, t_star: int, count: int, seed=None
+) -> np.ndarray:
+    """``count`` walks of length t_star as a count x t_star int array.
 
-    The law depends on the suffix only through its vertex set, so the cache
-    key is that set.
+    All walks advance one step at a time.  At each step they are grouped by
+    the vertex set of their remembered suffix (the law depends on nothing
+    else); each group's cumulative law comes from ``transition_dist`` and
+    every member finds its next vertex there with one uniform draw.
+    ``seed`` is anything ``np.random.default_rng`` takes, a Generator too.
     """
-    key = frozenset(suffix)
-    hit = w._table_cache.get(key)
-    if hit is not None:
-        return hit
-    total = float(w.omega(suffix))
-    if total == 0.0:
-        raise StuckWalkError(f"suffix {suffix} has zero weight; walk is stuck")
-    verts = []
-    cum = []
-    acc = 0.0
-    for v in range(H.n):
-        if v in key:
-            continue
-        p = float(w.omega(suffix + (v,)))
-        if p > 0.0:
-            acc += p
-            verts.append(v)
-            cum.append(acc)
-    if not verts:
-        raise StuckWalkError(f"suffix {suffix} admits no extension")
-    table = (verts, cum, acc)
-    w._table_cache[key] = table
-    return table
+    if t_star < 1:
+        raise WalkError(f"t_star must be >= 1, got {t_star}")
+    if count < 0:
+        raise WalkError(f"count must be >= 0, got {count}")
+    rng = np.random.default_rng(seed)
+    walks = np.zeros((count, t_star), dtype=np.int64)
+    for t in range(t_star):
+        m = memory_length(H.k, L, t + 1)
+        keys = np.sort(walks[:, t - m : t], axis=1) @ H.n ** np.arange(m)
+        order = np.argsort(keys, kind="stable")
+        starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
+        u = rng.random(count)
+        for lo, hi in zip(starts.tolist(), starts[1:].tolist() + [count]):
+            group = order[lo:hi]
+            law = transition_dist(H, w, walks[group[0], :t].tolist(), L)
+            cum = np.cumsum(np.fromiter(map(float, law.values()), float, H.n))
+            # dividing by the total makes every tail entry exactly 1.0, so a
+            # draw below 1 never lands past the last vertex of positive weight
+            walks[group, t] = np.searchsorted(cum / cum[-1], u[group], side="right")
+    return walks
 
 
 def sample_walk(
-    H: Hypergraph, w: EdgeWeighting, L: int, t_star: int, seed: Optional[int] = None
+    H: Hypergraph, w: EdgeWeighting, L: int, t_star: int, seed=None
 ) -> Tuple[int, ...]:
-    """One walk of length t_star, drawn step by step with cumulative-sum inversion."""
-    if t_star < 1:
-        raise WalkError(f"t_star must be >= 1, got {t_star}")
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    k = H.k
-    out = []
-    for t in range(1, t_star + 1):
-        m = memory_length(k, L, t)
-        suffix = tuple(out[-m:]) if m else ()
-        verts, cum, acc = _cumulative_table(H, w, suffix)
-        x = rng.random() * acc
-        out.append(verts[bisect_left(cum, x)])
-    return tuple(out)
+    """One walk of length t_star: the single row of ``sample_walks``."""
+    return tuple(sample_walks(H, w, L, t_star, 1, seed)[0].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +153,7 @@ def tuple_marginal_oracle(
             total = w.omega(cond)
             if total == 0:
                 continue
-            denom = (k - m) * total
+            scale = p / ((k - m) * total)
             for v in range(H.n):
                 if v in cond:
                     continue
@@ -168,7 +161,7 @@ def tuple_marginal_oracle(
                 if num == 0:
                     continue
                 new = (suf + (v,))[-k:]
-                nxt[new] = nxt.get(new, Fraction(0)) + p * Fraction(num, 1) / denom
+                nxt[new] = nxt.get(new, 0) + scale * num
         dist = nxt
     enum: Dict[tuple, Fraction] = {}
     for suf, p in dist.items():
@@ -206,10 +199,6 @@ def self_avoiding_rate(
     """Fraction of sampled walks visiting t_star distinct vertices."""
     if trials < 1:
         raise WalkError("need at least one trial")
-    rng = random.Random(seed)
-    hits = 0
-    for _ in range(trials):
-        walk = sample_walk(H, w, L, t_star, seed=rng)
-        if len(set(walk)) == t_star:
-            hits += 1
+    walks = np.sort(sample_walks(H, w, L, t_star, trials, seed), axis=1)
+    hits = int(np.count_nonzero((walks[:, 1:] != walks[:, :-1]).all(axis=1)))
     return SelfAvoidingRate(rate=hits / trials, trials=trials, hits=hits)

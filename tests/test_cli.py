@@ -24,7 +24,7 @@ from cyclefactors.hypergraph import (
     format_hypergraph,
 )
 from cyclefactors.tightpaths import TightCycle
-from cyclefactors.walks import WalkError
+from cyclefactors.walks import WalkError, sample_walks
 
 
 def seeded_random_host(n, p):
@@ -278,6 +278,23 @@ class TestWalk:
         assert doc["samples"] == 4000
         assert sum(doc["final_counts"].values()) == 4000
         assert doc["max_deviation_from_uniform"] < 0.05
+
+    def test_samples_are_drawn_in_blocks_of_walk_vertices(self, tmp_path, monkeypatch):
+        sizes = []
+
+        def recorded(H, w, L, t_star, count, rng):
+            sizes.append((t_star, count))
+            return sample_walks(H, w, L, t_star, count, rng)
+
+        monkeypatch.setattr(cli, "WALK_SAMPLE_BLOCK", 40)
+        monkeypatch.setattr(cli, "sample_walks", recorded)
+        host = write_host(tmp_path, complete_hypergraph(3, 5))
+        artifact = tmp_path / "walks.json"
+        code = main(["walk", host, "--steps", "4", "--samples", "101", "-q",
+                     "--output", str(artifact)])
+        assert code == EXIT_OK
+        assert sizes == [(4, 10)] * 10 + [(4, 1)]
+        assert sum(json.loads(artifact.read_text())["sampled"]["final_counts"].values()) == 101
 
     def test_zero_steps_is_a_parameter_error(self, tmp_path):
         host = write_host(tmp_path, complete_hypergraph(3, 5))
@@ -728,7 +745,7 @@ class TestDecompose:
         assert [s["seed"] for s in par["pipeline"]["seeds"]] == [3, 4]
         assert par["manifest"] == one["manifest"]
 
-    def test_partial_packing_exits_10_with_its_verified_factor(self, tmp_path):
+    def test_partial_packing_exits_10_with_its_verified_factor(self, tmp_path, capsys):
         # with one pipeline attempt, seed 7 on the non-regular G(12, 0.6)
         # packs its first layer and then exhausts every attempt of the second
         host = write_host(tmp_path, seeded_random_host(12, 0.6))
@@ -750,8 +767,32 @@ class TestDecompose:
         assert doc["pipeline"]["log"][-1]["detail"].endswith(
             f"last failed at {last['stage']}: {last['detail']}"
         )
+        assert capsys.readouterr().err.startswith(
+            "decompose: 1 pipeline attempt(s); last failed at pack: partial 1 of 2; "
+        )
         assert main(["verify", host, str(factors), "-q", "--output", str(check)]) == EXIT_OK
         assert json.loads(check.read_text())["factors"] == 1
+
+    def test_a_failed_run_names_its_last_failure_on_stderr_even_when_quiet(
+        self, tmp_path, capsys
+    ):
+        # no multiple of 6 lies in K_16's coverage window [13, 16], so the
+        # one attempt fails at extraction
+        host = write_host(tmp_path, complete_hypergraph(3, 16))
+        out = tmp_path / "run.json"
+        code = main(
+            ["decompose", host, "--targets", "16;16", "--seed", "0",
+             "--pipeline-retries", "1", "-q", "--output", str(out)]
+        )
+        assert code == EXIT_STAGE
+        last = json.loads(out.read_text())["pipeline"]["log"][-1]
+        assert last["stage"] == "CoverError"
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"decompose: 1 pipeline attempt(s); last failed at "
+            f"{last['stage']}: {last['detail']}\n"
+        )
 
     def test_packer_graph_is_the_reserve_plus_the_idle_edges(self, tmp_path, monkeypatch):
         # F = H minus every extracted cycle: it holds the whole reserve and

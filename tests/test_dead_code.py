@@ -38,7 +38,6 @@ TEST_ORACLES = {
     "hamilton_exists": "exhaustive Hamilton-cycle search on small hosts",
     "degree_transfer_check": "the degree-transfer identity of a weighting",
     "classify": "the k-set types relative to a path collection",
-    "transition_dist": "the exact next-vertex law of a weighted walk",
     "self_avoiding_rate": "Monte-Carlo self-avoidance of sampled walks",
     "as_floats": "a float weighting, which the exact oracles must refuse",
     "length": "TightPath's edge count",

@@ -67,8 +67,9 @@ GOLDEN = {
     "g9-walk-exact": ("G(9,0.7)", "walk --mode exact", (
         "088905df9e6a6f247a7839dc467e29a8572836cfc504f54be6f77349906cb8fd",
     )),
+    # the walks are drawn together by walks.sample_walks from one Generator
     "g9-walk-sampled": ("G(9,0.7)", "walk --samples 200 --mode exact", (
-        "3e13afd6262f9d5a3c7cf9a2f7a05410cdcf4efc62afe0c37de44543f1fba237",
+        "f4b07a9e97f9041c4b34b6d9cc0554369f0bd2b002178ae65a36346de5330aed",
     )),
     "g9-pfm-exact": ("G(9,0.7)", "pfm --mode exact", (
         "b81f84dd81b8e8ee82ebd2d6f4915cd439ff01faca1bf5053284b0454d31e266",

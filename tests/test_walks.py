@@ -1,7 +1,9 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from cyclefactors.walks import (
     WalkError,
     memory_length,
     sample_walk,
+    sample_walks,
     self_avoiding_rate,
     transition_dist,
     tuple_marginal_oracle,
@@ -94,8 +97,7 @@ class TestSampleWalk:
 
     def test_walks_respect_the_window_law(self):
         H, w = k5_pfm()
-        for seed in range(30):
-            walk = sample_walk(H, w, 4, 8, seed=seed)
+        for walk in sample_walks(H, w, 4, 8, 30, seed=0).tolist():
             # within each L-block, every k-window must be an edge
             for b in range(0, 8, 4):
                 block = walk[b : b + 4]
@@ -105,10 +107,49 @@ class TestSampleWalk:
     def test_one_edge_walk_is_uniform_ordered_edge(self):
         H = complete_hypergraph(3, 4)
         w = uniform_weighting(H)
-        counts = Counter(sample_walk(H, w, 3, 3, seed=s) for s in range(24_000))
+        counts = Counter(map(tuple, sample_walks(H, w, 3, 3, 24_000, seed=0).tolist()))
         assert len(counts) == 24
         for freq in counts.values():
             assert abs(freq / 24_000 - 1 / 24) < 0.012
+
+
+class TestSampleWalks:
+    def test_frequencies_follow_the_exact_law_on_a_weighted_host(self):
+        # redistribution gives this irregular host unequal exact weights
+        H = complete_hypergraph(3, 10).remove_edges([(0, 1, 2), (0, 1, 3), (4, 5, 6)])
+        w = redistribute_pfm(H, build_walk_registry(H, seed=0))
+        assert len(set(w.weights)) > 1
+        draws = 10**5
+        walks = sample_walks(H, w, 4, 4, draws, seed=3)
+        for t in range(1, 5):
+            # the vertex law, then the law of the last two vertices
+            for j in range(1, min(2, t) + 1):
+                shape = (H.n,) * j
+                codes = np.ravel_multi_index(walks[:, t - j : t].T, shape)
+                freq = np.bincount(codes, minlength=H.n**j) / draws
+                for tup, (p, _) in tuple_marginal_oracle(H, w, 4, t, j).items():
+                    p = float(p)
+                    err = abs(freq[np.ravel_multi_index(tup, shape)] - p)
+                    assert err <= 5 * math.sqrt(p * (1 - p) / draws)
+
+    def test_a_weighting_of_another_host_is_refused(self):
+        w = uniform_weighting(complete_hypergraph(3, 5))
+        with pytest.raises(WalkError, match="different host"):
+            sample_walks(complete_hypergraph(3, 7), w, 3, 3, 10, seed=0)
+
+    def test_an_edgeless_host_is_stuck(self):
+        H = Hypergraph(3, 4, [])
+        with pytest.raises(StuckWalkError):
+            sample_walks(H, EdgeWeighting(H, [], True), 3, 3, 5, seed=0)
+
+    def test_zero_walks_is_an_empty_array(self):
+        H, w = k5_pfm()
+        assert sample_walks(H, w, 4, 6, 0, seed=0).shape == (0, 6)
+
+    def test_deterministic_under_seed(self):
+        H, w = k5_pfm()
+        a, b = (sample_walks(H, w, 4, 9, 500, seed=42) for _ in range(2))
+        assert np.array_equal(a, b)
 
 
 class TestTupleMarginalOracle:
