@@ -9,7 +9,9 @@
      its connectors from the reserve edges earlier layers left unused.
 """
 
-from cyclefactors.absorbing import enumerate_absorbers, is_absorber_for
+import numpy as np
+
+from cyclefactors.absorbing import are_absorbers_for, enumerate_absorbers, is_absorber_for
 from cyclefactors.assemble import layer_transform, pack_factors
 from cyclefactors.bruteforce import validate_packing
 from cyclefactors.cover import (
@@ -26,10 +28,11 @@ def stage_1():
     H = complete_hypergraph(3, 7)
     absorbers = enumerate_absorbers(H, 0)
     print(f"  {len(absorbers)} ordered 6-sequences absorb vertex 0")
-    a = absorbers[0].seq
+    a = absorbers[0]
     widened = a[:3] + (0,) + a[3:]
     print(f"  example: path {list(a)} stays tight as {list(widened)}")
-    print(f"  vertices it absorbs: {sorted(absorbers[0].center_candidates)}")
+    absorbed = are_absorbers_for(H, [a] * H.n, range(H.n))
+    print(f"  vertices it absorbs: {np.flatnonzero(absorbed).tolist()}")
     print(f"  insertion check: {is_absorber_for(H, a, 0)}\n")
 
 

@@ -13,10 +13,10 @@ hypergraph   k-uniform hypergraphs, codegree/neighborhood queries, regularity
 tightpaths   tight paths/cycles, cycle factors, k-set type classification
 fractional   perfect fractional matchings, redistribution, sparsification
 walks        (L, omega)-random walks: law, sampler, exact tuple marginals
-absorbing    x-absorbers, edge-disjoint perfect matchings
+absorbing    x-absorbers as 2k-tuples, edge-disjoint perfect matchings
 cover        fractional cycle decompositions and path-cover extraction
 assemble     connectors, the layer transform, factor packing
-bruteforce   exhaustive reference oracles (reg_k, Hamilton search, ...)
+bruteforce   exhaustive reference oracles (reg_k, walk laws, packings)
 cli          command-line front end
 """
 
@@ -51,10 +51,8 @@ from .walks import (
     sample_walk,
     sample_walks,
     tuple_marginal_oracle,
-    self_avoiding_rate,
 )
 from .absorbing import (
-    Absorber,
     enumerate_absorbers,
     disjoint_perfect_matchings,
 )
@@ -73,7 +71,6 @@ from .assemble import (
 from .bruteforce import (
     RegKResult,
     reg_k,
-    hamilton_exists,
     walk_distribution,
     validate_packing,
 )

@@ -1,29 +1,29 @@
 """Vertex absorbers and edge-disjoint perfect matchings.
 
 An x-absorber is a 2k-vertex tight path that stays tight when x is inserted
-in its middle.  ``enumerate_absorbers`` lists them all (the ``absorbers``
-command), and ``are_absorbers_for`` re-checks a batch of them against the
-host's edges.  ``disjoint_perfect_matchings`` finds the edge-disjoint
-perfect matchings of a bipartite graph that the source paper's absorption
-step draws from; ``decompose`` absorbs nothing (see ``assemble``), so only
-the acceptance checks call it.
+in its middle.  ``enumerate_absorbers`` lists them all as plain 2k-tuples
+(the ``absorbers`` command), and ``are_absorbers_for`` re-checks a batch of
+them against the host's edges, for one x or for one x per row: the vertices
+a sequence absorbs are one such call with every vertex.
+``disjoint_perfect_matchings`` finds the edge-disjoint perfect matchings of
+a bipartite graph that the source paper's absorption step draws from;
+``decompose`` absorbs nothing (see ``assemble``), so only the acceptance
+checks call it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .hypergraph import Hypergraph, place_values
-from .tightpaths import closing_rows, grow_paths, is_tight_path
+from .tightpaths import grow_paths, is_tight_path
 from .walks import sample_walk
 
 __all__ = [
     "AbsorbingError",
-    "Absorber",
     "are_absorbers_for",
     "disjoint_perfect_matchings",
     "enumerate_absorbers",
@@ -67,43 +67,25 @@ def are_absorbers_for(H_plus: Hypergraph, seqs: Sequence[Sequence[int]], x) -> n
     return ok
 
 
-@dataclass(frozen=True)
-class Absorber:
-    """Ordered 2k-sequence with the set of vertices it can absorb."""
-
-    seq: Tuple[int, ...]
-    center_candidates: frozenset
-
-
-def _absorbing_rows(H_plus: Hypergraph, slots: np.ndarray) -> np.ndarray:
-    """The vertices each row of ``slots`` (an N x 2k array of tight paths)
-    absorbs, as N x n boolean rows: x inserted after the k-th vertex must
-    close the gap between the halves, so the row is their
-    ``closing_rows`` off the slot."""
-    k = H_plus.k
-    rows = closing_rows(H_plus, slots[:, :k], slots[:, k:])
-    rows[np.arange(len(slots))[:, None], slots] = False
-    return rows
-
-
 def enumerate_absorbers(
     H_plus: Hypergraph, x: int, cap: Optional[int] = None
-) -> List[Absorber]:
-    """All x-absorbers in lexicographic order, up to cap (None = all).
+) -> List[Tuple[int, ...]]:
+    """All x-absorbers, as 2k-tuples in lexicographic order, up to cap
+    (None = all).
 
     ``grow_paths`` grows the first halves a_1..a_k over the vertices other
     than x a block at a time; each block keeps the halves whose last k-1
     vertices extend by x and grows the inserted sequences
     a_1..a_k x a_{k+1}..a_2k from them.  That checks every window through
     x; each block of grown rows then keeps the sequences a_1..a_2k whose
-    bare seam windows are edges too, and reads their absorbable vertices
-    off ``_absorbing_rows``.  Both growths are block-bounded and start
-    from a one-row first block at each depth (``grow_paths``' ``first``),
-    so a cap stops the work after the first small blocks that fill it.
+    bare seam windows are edges too.  Both growths are block-bounded and
+    start from a one-row first block at each depth (``grow_paths``'
+    ``first``), so a cap stops the work after the first small blocks that
+    fill it.
     """
     H_plus._check_vertex(x)
     k, n = H_plus.k, H_plus.n
-    out: List[Absorber] = []
+    out: List[Tuple[int, ...]] = []
     for heads, free in grow_paths(
         H_plus, np.empty((1, 0), int), np.arange(n)[None, :] != x, k, first=1
     ):
@@ -115,12 +97,9 @@ def enumerate_absorbers(
             for j in range(1, k):
                 rows = H_plus.extension_rows(slots[:, j : j + k - 1])
                 seam &= rows[np.arange(len(slots)), slots[:, j + k - 1]]
-            slots = slots[seam]
-            for seq, row in zip(slots.tolist(), _absorbing_rows(H_plus, slots)):
-                if cap is not None and len(out) >= cap:
-                    return out
-                centers = frozenset(np.flatnonzero(row).tolist())
-                out.append(Absorber(seq=tuple(seq), center_candidates=centers))
+            out += map(tuple, slots[seam].tolist())
+            if cap is not None and len(out) >= cap:
+                return out[:cap]
     return out
 
 

@@ -36,7 +36,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .bruteforce import validate_packing
-from .cover import open_cycle
+from .cover import coverage_gate, open_cycle
 from .hypergraph import Hypergraph
 from .tightpaths import CycleFactor, TightCycle, closing_rows, grow_paths, verify_factor_copy
 
@@ -360,7 +360,7 @@ def layer_transform(
                 raise AssembleParamError(
                     f"cycle {C.seq} uses reserve edge {e}; cycles must avoid F"
                 )
-    need = math.ceil((1 - prof.mu) * H.n)
+    need = coverage_gate(H.n, prof.mu)
     if len(covered) < need:
         raise AssembleParamError(
             f"cycles cover {len(covered)} vertices, below (1 - mu) n = {need}"

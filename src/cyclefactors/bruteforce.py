@@ -2,23 +2,23 @@
 
 reg_k finds the largest k-divisible r admitting a spanning subgraph in which
 every vertex has degree exactly r (backtracking, plus an independent 2^|E|
-enumeration for small edge sets). hamilton_exists searches for a tight
-Hamilton cycle. walk_distribution enumerates the full exact law of a length-t
-walk. validate_packing structurally checks a family of edge-disjoint factors.
-Caps are hard refusals: an oracle either answers exactly or declines.
+enumeration for small edge sets). walk_distribution enumerates the full
+exact law of a length-t walk. validate_packing structurally checks a family
+of edge-disjoint factors. Caps are hard refusals: an oracle either answers
+exactly or declines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
 from .fractional import EdgeWeighting
 from .hypergraph import Hypergraph
-from .tightpaths import CycleFactor, FactorCheck, TightCycle, is_tight_cycle
+from .tightpaths import CycleFactor, FactorCheck, is_tight_cycle
 from .walks import memory_length
 
 
@@ -155,57 +155,6 @@ def reg_k_by_enumeration(H: Hypergraph, cap: int = 20) -> int:
         if np.any(good):
             best = max(best, int(vals[good].max()))
     return best
-
-
-# ---------------------------------------------------------------------------
-# tight Hamilton cycles
-# ---------------------------------------------------------------------------
-
-
-def hamilton_exists(H: Hypergraph, cap: int = 14) -> Optional[TightCycle]:
-    """A tight Hamilton cycle of H, or None if provably absent (n <= cap).
-
-    DFS over orderings anchored at vertex 0, second vertex fixed below the
-    last to skip mirror images; every extension must keep the trailing
-    k-window an edge, and the wrap-around windows are checked at the end.
-    """
-    n, k = H.n, H.k
-    if n > cap:
-        raise CapExceeded(f"n = {n} exceeds the search cap {cap}")
-    if n < k + 1:
-        return None
-    seq = [0]
-    used = [False] * n
-    used[0] = True
-
-    def closes(s: List[int]) -> bool:
-        closed = s + s[: k - 1]
-        return all(
-            H.has_edge(tuple(closed[i : i + k])) for i in range(n - k + 1, n)
-        )
-
-    def rec() -> bool:
-        if len(seq) == n:
-            return closes(seq)
-        for v in range(n):
-            if used[v]:
-                continue
-            if len(seq) == n - 1 and v < seq[1]:
-                continue  # canonical direction: second vertex below the last
-            window = seq[-(k - 1) :] + [v]
-            if len(window) == k and not H.has_edge(tuple(window)):
-                continue
-            used[v] = True
-            seq.append(v)
-            if rec():
-                return True
-            seq.pop()
-            used[v] = False
-        return False
-
-    if rec():
-        return TightCycle(H, seq)
-    return None
 
 
 # ---------------------------------------------------------------------------

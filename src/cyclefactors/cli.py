@@ -51,6 +51,7 @@ from .bruteforce import OracleError, reg_k, validate_packing, walk_distribution
 from .cover import (
     CoverError,
     check_collections,
+    check_granularity,
     extract_cycle_collections,
     fractional_cycle_decomposition,
 )
@@ -409,7 +410,7 @@ def cmd_absorbers(args) -> int:
     found = {}
     for x in range(H.n) if args.x is None else [args.x]:
         try:
-            found[x] = [a.seq for a in enumerate_absorbers(H, x, cap=args.cap)]
+            found[x] = enumerate_absorbers(H, x, cap=args.cap)
         except HypergraphError as exc:
             raise CLIError(EXIT_PARAMS, f"absorbers: {exc}")
     pairs = [(x, seq) for x, seqs in found.items() for seq in seqs]
@@ -454,6 +455,7 @@ def cmd_cover(args) -> int:
     check_cover_length(H, prof)
     try:
         check_collections(H, args.collections)
+        check_granularity(H, prof.L, prof.mu, args.collections)
     except CoverError as exc:
         raise CLIError(EXIT_PARAMS, f"cover: {exc}")
     ext = _cover_stage(H, prof, args.collections, args.seed)
@@ -568,6 +570,10 @@ def cmd_decompose(args) -> int:
     targets = parse_targets(args.targets)
     for shape in targets:
         check_target(shape, H, prof)
+    try:
+        check_granularity(H, prof.L, prof.mu, len(targets))
+    except CoverError as exc:
+        raise CLIError(EXIT_PARAMS, f"decompose: {exc}")
     started = time.perf_counter()
     # weighted first, so that an edgeless host is named as such
     weighting = pipeline_weighting(H)

@@ -26,11 +26,12 @@ the closing vertex must extend all k cyclic windows that contain it.  Past
 rows, all at once.
 Second, ``extract_cycle_collections`` rounds the fractional solution into r
 edge-disjoint collections of vertex-disjoint L-cycles by a weight-driven
-randomized greedy, with coverage gates checked per collection; it redraws up
-to ``retries`` times from the same solution.  When every draw misses, the
-best one is repaired rather than given up: a collection below the gate
-swaps one pick for two vertex-disjoint family cycles that lie in the
-uncovered vertices and the pick's and share no edge with another
+randomized greedy, with coverage gates checked per collection
+(``check_granularity`` refuses a gate that no multiple of L meets); it
+redraws up to ``retries`` times from the same solution.  When every draw
+misses, the best one is repaired rather than given up: a collection below
+the gate swaps one pick for two vertex-disjoint family cycles that lie in
+the uncovered vertices and the pick's and share no edge with another
 collection, the lowest family indices first, as long as it stays below.
 The gate is the same for a repaired draw.  Only the cycles of the returned
 draw become ``TightCycle`` objects.  The ``decompose`` pipeline hands these
@@ -434,6 +435,23 @@ def check_collections(H: Hypergraph, r: int) -> None:
         )
 
 
+def coverage_gate(n: int, mu: float) -> int:
+    """The vertices a collection must cover to pass: ceil((1 - mu) n)."""
+    return math.ceil((1 - mu) * n)
+
+
+def check_granularity(H: Hypergraph, L: int, mu: float, r: int) -> None:
+    """CoverError when r > 0 and no multiple jL (j >= 1) of the cycle
+    length lies in [gate, n]: a collection of vertex-disjoint L-cycles
+    covers jL vertices, so no draw and no repair could pass the gate."""
+    gate, below = coverage_gate(H.n, mu), H.n // L * L
+    if r > 0 and below < max(gate, L):
+        raise CoverError(
+            f"no multiple of L = {L} lies in [gate, n] = [{gate}, {H.n}]: a "
+            f"collection of {L}-cycles covers {below} or {below + L} vertices"
+        )
+
+
 def _rows_through(ids: np.ndarray, size: int) -> tuple:
     """(rows, starts): for each value e below ``size``, the ascending
     indices of the rows of ``ids`` that hold it are
@@ -575,7 +593,7 @@ def extract_cycle_collections(
     checked once, by ``validate_collections``.
     """
     check_collections(H, r)
-    coverage_min = math.ceil((1 - mu) * H.n)
+    coverage_min = coverage_gate(H.n, mu)
 
     rho = H.rho_star()
     gamma = float((1 + rho) * r) if r else 1.0

@@ -107,11 +107,6 @@ class EdgeWeighting:
             return all(self.omega((v,)) == 1 for v in range(self.host.n))
         return all(abs(self.omega((v,)) - 1) <= FLOAT_TOL for v in range(self.host.n))
 
-    def as_floats(self) -> "EdgeWeighting":
-        if not self.exact:
-            return self
-        return EdgeWeighting(self.host, [float(w) for w in self.weights], exact=False)
-
     def __repr__(self):
         mode = "exact" if self.exact else "float"
         return f"EdgeWeighting({mode}, m={self.host.m})"

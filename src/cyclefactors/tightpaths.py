@@ -155,11 +155,6 @@ class TightPath:
         return len(self.seq)
 
     @property
-    def length(self) -> int:
-        """Edge count: max(0, l - k + 1)."""
-        return max(0, len(self.seq) - self.host.k + 1)
-
-    @property
     def vertex_set(self) -> frozenset:
         return frozenset(self.seq)
 
@@ -284,18 +279,8 @@ class CycleFactor:
     def __setattr__(self, name, value):
         raise AttributeError("CycleFactor is immutable")
 
-    @property
-    def girth(self) -> int:
-        return min(len(C) for C in self.cycles)
-
     def lengths(self):
         return sorted(len(C) for C in self.cycles)
-
-    def edges(self):
-        out = []
-        for C in self.cycles:
-            out.extend(C.edges())
-        return out
 
     def as_dict(self) -> dict:
         return {"cycles": [list(C.canonical()) for C in self.cycles]}

@@ -8,7 +8,9 @@ L-blocks of a long walk are independent and identically distributed. A
 walk is its history: the step t, the memory m and the suffix are read off
 it. ``transition_dist`` is that law, and the only place it is written:
 ``sample_walks`` draws every sampled walk from it, many walks at once, and
-``sample_walk`` is its one-row case.
+``sample_walk`` is its one-row case.  A statistic of the sampled walks, such
+as the share that visit distinct vertices, is read off ``sample_walks``'
+rows by its caller.
 
 The enumeration oracle recomputes tuple marginals two independent ways: a
 forward pass with exact rationals, and the closed formula
@@ -19,9 +21,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -174,31 +175,3 @@ def tuple_marginal_oracle(
         p_formula = coeff * w.omega(tup)
         out[tup] = (p_enum, p_formula)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Monte-Carlo self-avoidance
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SelfAvoidingRate:
-    rate: float
-    trials: int
-    hits: int
-
-
-def self_avoiding_rate(
-    H: Hypergraph,
-    w: EdgeWeighting,
-    L: int,
-    t_star: int,
-    trials: int = 10_000,
-    seed: Optional[int] = None,
-) -> SelfAvoidingRate:
-    """Fraction of sampled walks visiting t_star distinct vertices."""
-    if trials < 1:
-        raise WalkError("need at least one trial")
-    walks = np.sort(sample_walks(H, w, L, t_star, trials, seed), axis=1)
-    hits = int(np.count_nonzero((walks[:, 1:] != walks[:, :-1]).all(axis=1)))
-    return SelfAvoidingRate(rate=hits / trials, trials=trials, hits=hits)

@@ -42,9 +42,9 @@ class TestAbsorbers:
         found = enumerate_absorbers(H, 0)
         assert len(found) == 720
         # every returned sequence passes the definitional check
-        for a in found[:50]:
-            assert is_absorber_for(H, a.seq, 0)
-        assert [a.seq for a in found] == absorbers_by_filter(H, 0)
+        for seq in found[:50]:
+            assert is_absorber_for(H, seq, 0)
+        assert found == absorbers_by_filter(H, 0)
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -58,7 +58,7 @@ class TestAbsorbers:
         x = rng.randrange(n)
         seqs = [tuple(rng.choices(range(n), k=2 * k)) for _ in range(30)]
         seqs += [tuple(rng.sample(range(n), 2 * k)) for _ in range(30)]
-        seqs += [a.seq for a in enumerate_absorbers(H, x, cap=30)]
+        seqs += enumerate_absorbers(H, x, cap=30)
         got = are_absorbers_for(H, seqs, x).tolist()
         assert got == [is_absorber_for(H, seq, x) for seq in seqs]
         assert are_absorbers_for(H, [], x).tolist() == []
@@ -70,7 +70,7 @@ class TestAbsorbers:
         rng = random.Random(seed)
         n = 10
         H = Hypergraph(4, n, [e for e in itertools.combinations(range(n), 4) if rng.random() < 0.8])
-        rows = {x: [a.seq for a in enumerate_absorbers(H, x, cap=20)] for x in range(n)}
+        rows = {x: enumerate_absorbers(H, x, cap=20) for x in range(n)}
         for x in rows:
             rows[x] += [tuple(rng.choices(range(n), k=8)) for _ in range(10)]
         assert any(rows[x] for x in rows)
@@ -81,11 +81,15 @@ class TestAbsorbers:
         assert any(sum(want, [])) and not all(sum(want, []))
         assert are_absorbers_for(H, [], []).tolist() == []
 
-    def test_center_candidates_on_complete_host(self):
+    def test_absorbed_vertices_on_complete_host(self):
+        # one call with every vertex, one x per row, reads off the vertices
+        # a sequence absorbs: in K_7 only the vertex it leaves out
         H = complete_hypergraph(3, 7)
-        [a] = [a for a in enumerate_absorbers(H, 6) if a.seq == (0, 1, 2, 3, 4, 5)]
-        assert a.center_candidates == frozenset({6})
-        assert a.center_candidates == {v for v in range(7) if is_absorber_for(H, a.seq, v)}
+        seq = (0, 1, 2, 3, 4, 5)
+        assert seq in enumerate_absorbers(H, 6)
+        absorbed = are_absorbers_for(H, [seq] * 7, range(7)).tolist()
+        assert absorbed == [v == 6 for v in range(7)]
+        assert absorbed == [is_absorber_for(H, seq, v) for v in range(7)]
 
     def test_isolated_vertex_has_none(self):
         edges = list(itertools.combinations(range(6), 3))
@@ -95,13 +99,13 @@ class TestAbsorbers:
     def test_minimal_fixture_is_a_reversal_pair(self):
         H = one_absorber_fixture()
         found = enumerate_absorbers(H, 6)
-        assert [a.seq for a in found] == [(0, 1, 2, 3, 4, 5), (5, 4, 3, 2, 1, 0)]
-        assert absorbers_by_filter(H, 6) == [a.seq for a in found]
+        assert found == [(0, 1, 2, 3, 4, 5), (5, 4, 3, 2, 1, 0)]
+        assert absorbers_by_filter(H, 6) == found
 
     def test_cap_limits_output(self):
         H = complete_hypergraph(3, 7)
         capped = enumerate_absorbers(H, 0, cap=10)
-        assert [a.seq for a in capped] == absorbers_by_filter(H, 0)[:10]
+        assert capped == absorbers_by_filter(H, 0)[:10]
         assert enumerate_absorbers(H, 0, cap=0) == []
 
     @given(st.integers(0, 2**31 - 1))
@@ -113,17 +117,19 @@ class TestAbsorbers:
         H = Hypergraph(3, n, [e for e in pool if rng.random() < 0.45])
         x = rng.randrange(n)
         found = enumerate_absorbers(H, x)
-        assert [a.seq for a in found] == absorbers_by_filter(H, x)
-        # each absorber's center candidates against the definitional check
-        for a in found:
-            assert a.center_candidates == {v for v in range(n) if is_absorber_for(H, a.seq, v)}
+        assert found == absorbers_by_filter(H, x)
+        # the vertices each absorber absorbs, one x per row, against the
+        # definitional check
+        pairs = [(seq, v) for seq in found for v in range(n)]
+        absorbed = are_absorbers_for(H, [seq for seq, _ in pairs], [v for _, v in pairs])
+        assert absorbed.tolist() == [is_absorber_for(H, seq, v) for seq, v in pairs]
 
     @pytest.mark.parametrize("block", [1, 7])
     def test_block_size_and_cap_leave_the_k4_absorbers_unchanged(self, block, monkeypatch):
         rng = random.Random(block)
         H = Hypergraph(4, 9, [e for e in itertools.combinations(range(9), 4) if rng.random() < 0.8])
         found = enumerate_absorbers(H, 8)
-        assert [a.seq for a in found] == absorbers_by_filter(H, 8) and len(found) > 20
+        assert found == absorbers_by_filter(H, 8) and len(found) > 20
         monkeypatch.setattr(tightpaths, "ENUMERATE_BLOCK", block)
         assert enumerate_absorbers(H, 8) == found
         for cap in (0, 1, 13):
@@ -144,7 +150,7 @@ class TestAbsorbers:
         found = enumerate_absorbers(H, 0, cap=10)
         # in a complete host every sequence of distinct vertices absorbs x
         first = itertools.islice(itertools.permutations(range(1, 16), 8), 10)
-        assert [a.seq for a in found] == list(first)
+        assert found == list(first)
         assert sum(read) < 1000
 
 
@@ -161,7 +167,7 @@ class TestAbsorbers:
         )
         found = enumerate_absorbers(H, 0, cap=10)
         first = itertools.islice(itertools.permutations(range(1, 20), 8), 10)
-        assert [a.seq for a in found] == list(first)
+        assert found == list(first)
         assert sum(read) < 200
 
 

@@ -217,7 +217,7 @@ class TestAcceptance:
             absorbers = enumerate_absorbers(H, x)
             counts.append(len(absorbers))
             insertion_failures += sum(
-                1 for a in absorbers if not is_absorber_for(H, a.seq, x)
+                1 for seq in absorbers if not is_absorber_for(H, seq, x)
             )
         ok = counts == [720] * 7 and insertion_failures == 0
         detail = (

@@ -7,7 +7,6 @@ import pytest
 
 from cyclefactors import assemble
 from cyclefactors.assemble import (
-    AssembleError,
     AssembleParamError,
     ConnectionFailure,
     LayerFailure,

@@ -9,16 +9,14 @@ from hypothesis import strategies as st
 from cyclefactors.bruteforce import (
     CapExceeded,
     OracleError,
-    RegKResult,
-    hamilton_exists,
     reg_k,
     reg_k_by_enumeration,
     validate_packing,
     walk_distribution,
 )
-from cyclefactors.fractional import uniform_weighting
+from cyclefactors.fractional import EdgeWeighting, uniform_weighting
 from cyclefactors.hypergraph import Hypergraph, complete_hypergraph
-from cyclefactors.tightpaths import CycleFactor, TightCycle, is_tight_cycle
+from cyclefactors.tightpaths import CycleFactor, TightCycle
 
 
 class TestRegK:
@@ -70,37 +68,6 @@ class TestRegK:
         assert reg_k(H).r == reg_k_by_enumeration(H)
 
 
-class TestHamilton:
-    def test_complete_has_witness(self):
-        C = hamilton_exists(complete_hypergraph(3, 7))
-        assert C is not None and len(C) == 7
-        assert is_tight_cycle(complete_hypergraph(3, 7), C.seq)
-
-    def test_disconnected_has_none(self):
-        blocks = list(itertools.combinations(range(4), 3)) + [
-            tuple(v + 4 for v in e) for e in itertools.combinations(range(4), 3)
-        ]
-        assert hamilton_exists(Hypergraph(3, 8, blocks)) is None
-
-    def test_planted_cycle_is_recovered(self):
-        seq = [0, 2, 5, 1, 6, 3, 4]
-        closed = seq + seq[:2]
-        edges = {tuple(sorted(closed[i : i + 3])) for i in range(7)}
-        H = Hypergraph(3, 7, edges)
-        C = hamilton_exists(H)
-        assert C is not None
-        assert C.canonical() == TightCycle(H, seq).canonical()
-
-    def test_too_small_and_too_large(self):
-        assert hamilton_exists(complete_hypergraph(3, 3)) is None
-        with pytest.raises(CapExceeded):
-            hamilton_exists(complete_hypergraph(3, 15))
-
-    def test_k4_host(self):
-        # k+1 vertices: the four windows of 0,1,2,3 are exactly the edges
-        assert hamilton_exists(complete_hypergraph(3, 4)) is not None
-
-
 class TestWalkDistribution:
     def test_k4_t3_is_uniform_over_ordered_edges(self):
         H = complete_hypergraph(3, 4)
@@ -131,8 +98,9 @@ class TestWalkDistribution:
         w = uniform_weighting(H)
         with pytest.raises(CapExceeded):
             walk_distribution(H, w, L=8, t=8, cap=10**5)
+        floats = EdgeWeighting(H, [float(x) for x in w.weights], exact=False)
         with pytest.raises(OracleError):
-            walk_distribution(H, w.as_floats(), L=3, t=2)
+            walk_distribution(H, floats, L=3, t=2)
 
 
 class TestValidatePacking:

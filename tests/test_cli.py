@@ -776,12 +776,12 @@ class TestDecompose:
     def test_a_failed_run_names_its_last_failure_on_stderr_even_when_quiet(
         self, tmp_path, capsys
     ):
-        # no multiple of 6 lies in K_16's coverage window [13, 16], so the
-        # one attempt fails at extraction
-        host = write_host(tmp_path, complete_hypergraph(3, 16))
+        # K_12 holds no nine edge-disjoint near-spanning collections of
+        # 6-cycles, so the one attempt fails at extraction
+        host = write_host(tmp_path, complete_hypergraph(3, 12))
         out = tmp_path / "run.json"
         code = main(
-            ["decompose", host, "--targets", "16;16", "--seed", "0",
+            ["decompose", host, "--targets", ";".join(["12"] * 9), "--seed", "0",
              "--pipeline-retries", "1", "-q", "--output", str(out)]
         )
         assert code == EXIT_STAGE
@@ -1077,8 +1077,9 @@ class TestDecompose:
             raise Sampled
 
         monkeypatch.setattr(cli, "fractional_cycle_decomposition", recorded)
-        host = write_host(tmp_path, complete_hypergraph(3, 12))
-        for argv in (["decompose", host, "--targets", "12;12"], ["cover", host]):
+        # 14 is a multiple of 7 in the coverage window [12, 14]
+        host = write_host(tmp_path, complete_hypergraph(3, 14))
+        for argv in (["decompose", host, "--targets", "14;14"], ["cover", host]):
             with pytest.raises(Sampled):
                 main([*argv, "--set", "L=7"])
         # the sample size is cover.PER_EDGE's: no command passes one

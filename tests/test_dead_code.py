@@ -20,8 +20,9 @@ by spelling like the definitions above. A class that lists its own
 must be named in ``TEST_READ_ATTRIBUTES`` with the reason it stays.
 
 An imported name counts as read when the module loads it as a bare name or
-lists it in ``__all__``. ``__init__.py`` is exempt: its imports are the
-package's re-exports.
+lists it in ``__all__``. This holds in every Python file under src/, tests/,
+demos/ and bench/. ``__init__.py`` is exempt: its imports are the package's
+re-exports.
 """
 
 import ast
@@ -35,20 +36,14 @@ DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 # read-back probe the tests check the program against.
 TEST_ORACLES = {
     "reg_k_by_enumeration": "exhaustive reg_k, the reference for reg_k",
-    "hamilton_exists": "exhaustive Hamilton-cycle search on small hosts",
     "degree_transfer_check": "the degree-transfer identity of a weighting",
     "classify": "the k-set types relative to a path collection",
-    "self_avoiding_rate": "Monte-Carlo self-avoidance of sampled walks",
-    "as_floats": "a float weighting, which the exact oracles must refuse",
-    "length": "TightPath's edge count",
-    "girth": "CycleFactor's shortest cycle",
     "disjoint_perfect_matchings": "criterion 5's probe of the paper's matching step",
 }
 
 # Attributes that only tests read (or nothing reads), as "Class.attribute",
 # each with the reason it stays.
 _TRANSFER = "degree_transfer_check's report, which only tests read"
-_SELF_AVOIDING = "self_avoiding_rate's result, which only tests read"
 TEST_READ_ATTRIBUTES = {
     "TransferReport.precondition_ok": _TRANSFER,
     "TransferReport.failing_sets": _TRANSFER,
@@ -56,9 +51,6 @@ TEST_READ_ATTRIBUTES = {
     "TransferReport.vertex_ratios": _TRANSFER,
     "TransferReport.vertex_pass": _TRANSFER,
     "TransferReport.all_pass": _TRANSFER,
-    "SelfAvoidingRate.rate": _SELF_AVOIDING,
-    "SelfAvoidingRate.trials": _SELF_AVOIDING,
-    "SelfAvoidingRate.hits": _SELF_AVOIDING,
 }
 
 
@@ -186,12 +178,12 @@ def _read_names(tree):
 
 def test_no_unused_imports():
     unused = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in _sources("src", "tests", "demos", "bench"):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())
         read = _read_names(tree)
-        unused += [f"{path.name}:{line} {name}" for name, line in _imported(tree)
+        unused += [f"{path.relative_to(ROOT)}:{line} {name}" for name, line in _imported(tree)
                    if name not in read]
     assert not unused, f"imported but never read: {unused}"
 

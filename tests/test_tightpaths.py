@@ -265,13 +265,13 @@ class TestTightPath:
     def test_short_path_has_prefix_ends_only(self):
         H = complete_hypergraph(3, 7)
         P = TightPath(H, [4, 5])
-        assert P.length == 0
+        assert P.edges() == []
         assert P.end_tuples() == [(4,), (4, 5)]
 
     def test_length_counts_edges(self):
         H = complete_hypergraph(3, 7)
-        assert TightPath(H, [0, 1, 2, 3, 4]).length == 3
-        assert TightPath(H, [0, 1, 2]).length == 1
+        assert len(TightPath(H, [0, 1, 2, 3, 4]).edges()) == 3
+        assert TightPath(H, [0, 1, 2]).edges() == [(0, 1, 2)]
 
     def test_equality_up_to_reversal(self):
         H = complete_hypergraph(3, 7)
@@ -367,7 +367,6 @@ class TestCyclesAndFactors:
         C1 = TightCycle(H, [0, 1, 2, 3, 4])
         C2 = TightCycle(H, [5, 6, 7, 8, 9])
         F = CycleFactor([C1, C2], 10)
-        assert F.girth == 5
         assert F.lengths() == [5, 5]
         with pytest.raises(TightnessError, match="disjoint"):
             CycleFactor([C1, TightCycle(H, [4, 5, 6, 7])], 9)
