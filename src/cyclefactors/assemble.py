@@ -317,6 +317,23 @@ def check_target(target, H: Hypergraph, prof: Profile) -> tuple:
     return lengths
 
 
+def check_path_fit(lengths, prof: Profile) -> None:
+    """AssembleParamError when a target cycle of ``lengths`` fits no whole
+    number of kept L-paths.  In ``decompose`` every kept path is an opened
+    L-cycle, and the connector after each holds ell0 to ell1 inner vertices,
+    so a cycle of z paths holds z(L + ell0) to z(L + ell1) vertices; T fits
+    when the largest z with z(L + ell0) <= T reaches T.  ``layer_transform``
+    accepts cycles of any length, so it does not call this."""
+    lo, hi = prof.L + prof.ell0, prof.L + prof.ell1
+    for T in lengths:
+        if T // lo * hi < T:
+            raise AssembleParamError(
+                f"target cycle {T} fits no whole number of kept L-paths: z of them "
+                f"and their connectors hold z(L + ell0) to z(L + ell1) = {lo}z to "
+                f"{hi}z vertices (L = {prof.L}, ell0 = {prof.ell0}, ell1 = {prof.ell1})"
+            )
+
+
 def layer_transform(
     H: Hypergraph,
     F: Hypergraph,
@@ -464,12 +481,10 @@ def _attempt_layer(H, F, seqs, lengths, prof, rng):
                 "budget", f"need {need} inner vertices over {z} connectors "
                 f"exceeds z * ell1 = {z * prof.ell1}"
             )
-        extra = need - z * prof.ell0
-        if extra < 0:
-            raise _StageFail("budget", f"need {need} < z * ell0 = {z * prof.ell0}")
-        # the extra vertices go round-robin from connector 0; none passes
+        # grouping left ell0 vertices after every path, so extra >= 0; the
+        # extra vertices go round-robin from connector 0, and none passes
         # ell1, since need <= z * ell1
-        each, rest = divmod(extra, z)
+        each, rest = divmod(need - z * prof.ell0, z)
         lambdas.append(tuple(prof.ell0 + each + (j < rest) for j in range(z)))
 
     # (4) connect each group cyclically through the leftover
@@ -547,9 +562,6 @@ class PackResult:
     packing_report: object
     profile: Profile
     seed: int
-
-    def __bool__(self):
-        return self.ok
 
     def manifest(self, normalize_timings: bool = False) -> dict:
         from .tightpaths import factors_document

@@ -11,9 +11,14 @@ cover       fractional cycle decomposition extracted into cycle collections
 decompose   the full reserve/cover/pack pipeline emitting a manifest
 verify      validate a factors artifact against its host
 
-Every artifact embeds the fully resolved run configuration; identical
-configuration and seed produce byte-identical artifacts (pass
-``--normalize-timings`` to zero the only nondeterministic fields).
+Each handler takes the parsed arguments and the loaded profile and returns
+its exit code and document body.  ``main`` loads the profile first and,
+given ``--output``, writes the body with a ``"config"`` entry: the fully
+resolved run configuration, built by ``_config`` with the options the
+subcommand's parser declares.  ``decompose`` writes its document and factors
+file itself, through the same ``_config``, because both precede its closing
+lines.  Identical configuration and seed produce byte-identical artifacts
+(pass ``--normalize-timings`` to zero the only nondeterministic fields).
 
 Exit codes: 0 success, 10 partial packing, 20 parse error, 21 parameter or
 target error, 30 stage or verification failure.
@@ -30,7 +35,6 @@ import random
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -44,6 +48,7 @@ from .assemble import (
     AssembleParamError,
     Profile,
     check_cover_length,
+    check_path_fit,
     check_target,
     pack_factors,
 )
@@ -93,29 +98,6 @@ class CLIError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """The fully resolved configuration embedded in every artifact."""
-
-    command: str
-    input: Optional[str]
-    seed: int
-    profile: Profile
-    options: dict
-    normalize_timings: bool
-    verbosity: int
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "input": self.input,
-            "seed": self.seed,
-            "profile": self.profile.as_dict(),
-            "options": dict(sorted(self.options.items())),
-            "normalize_timings": self.normalize_timings,
-        }
 
 
 def _parse_scalar(text: str, where: str):
@@ -237,22 +219,23 @@ def emit(doc: dict, output: Optional[str]) -> None:
         print(text)
 
 
-def _say(config: RunConfig, message: str) -> None:
-    if config.verbosity > 0:
+def _say(args, message: str) -> None:
+    if not args.quiet:
         print(message)
 
 
-def _make_config(args, command: str, **options) -> RunConfig:
-    profile = load_profile(args.profile, args.set or [])
-    return RunConfig(
-        command=command,
-        input=getattr(args, "input", None),
-        seed=args.seed,
-        profile=profile,
-        options=options,
-        normalize_timings=args.normalize_timings,
-        verbosity=0 if args.quiet else 1,
-    )
+def _config(args, prof: Profile) -> dict:
+    """The fully resolved run configuration that every artifact embeds: the
+    subcommand, its input, seed and profile, and the options its subparser
+    declares."""
+    return {
+        "command": args.command,
+        "input": args.input,
+        "seed": args.seed,
+        "profile": prof.as_dict(),
+        "options": {name: getattr(args, name) for name in args.options},
+        "normalize_timings": args.normalize_timings,
+    }
 
 
 def _weighting_for(H: Hypergraph, mode: str, seed: int):
@@ -267,64 +250,52 @@ def _weighting_for(H: Hypergraph, mode: str, seed: int):
 
 # ---------------------------------------------------------------- analyze
 
-def cmd_analyze(args) -> int:
-    config = _make_config(args, "analyze")
+def cmd_analyze(args, prof):
     H = load_hypergraph(args.input)
     if H.n == 0:
         raise CLIError(EXIT_PARAMS, "analyze: the host has no vertices, so no regularity report")
     report = H.regularity_report()
     histogram = Counter(H.degree(v) for v in range(H.n))
-    _say(config, f"k = {H.k}")
-    _say(config, f"n = {H.n}")
-    _say(config, f"m = {H.m}")
-    _say(config, f"delta_{H.k - 1} = {report.delta_codegree}")
+    _say(args, f"k = {H.k}")
+    _say(args, f"n = {H.n}")
+    _say(args, f"m = {H.m}")
+    _say(args, f"delta_{H.k - 1} = {report.delta_codegree}")
     eta = report.eta_star
-    _say(config, f"eta_star = {'undefined' if eta is None else _rational(eta)}")
-    _say(config, f"rho_star = {_rational(report.rho_star)}")
-    _say(config, "degree histogram:")
+    _say(args, f"eta_star = {'undefined' if eta is None else _rational(eta)}")
+    _say(args, f"rho_star = {_rational(report.rho_star)}")
+    _say(args, "degree histogram:")
     for degree in sorted(histogram):
-        _say(config, f"  {degree}: {histogram[degree]}")
-    if args.output:
-        emit(
-            {
-                "config": config.as_dict(),
-                "report": report.as_dict(),
-                "degree_histogram": {str(d): histogram[d] for d in sorted(histogram)},
-            },
-            args.output,
-        )
-    return EXIT_OK
+        _say(args, f"  {degree}: {histogram[degree]}")
+    return EXIT_OK, {
+        "report": report.as_dict(),
+        "degree_histogram": {str(d): histogram[d] for d in sorted(histogram)},
+    }
 
 
 # ---------------------------------------------------------------- regsub
 
-def cmd_regsub(args) -> int:
-    config = _make_config(args, "regsub", cap=args.cap)
+def cmd_regsub(args, prof):
     H = load_hypergraph(args.input)
     try:
         result = reg_k(H, cap=args.cap)
     except OracleError as exc:
         raise CLIError(EXIT_PARAMS, f"regsub: {exc}")
-    _say(config, f"reg_{H.k} = {result.r}")
-    _say(config, f"witness edges: {result.witness.m}")
-    if args.output:
-        emit({"config": config.as_dict(), "result": result.as_dict()}, args.output)
-    return EXIT_OK
+    _say(args, f"reg_{H.k} = {result.r}")
+    _say(args, f"witness edges: {result.witness.m}")
+    return EXIT_OK, {"result": result.as_dict()}
 
 
 # ---------------------------------------------------------------- pfm
 
-def cmd_pfm(args) -> int:
-    config = _make_config(args, "pfm", mode=args.mode)
+def cmd_pfm(args, prof):
     H = load_hypergraph(args.input)
     w = _weighting_for(H, args.mode, args.seed)
     is_pfm = bool(w.is_pfm())
     ratio = balancedness(w)
-    _say(config, f"mode = {args.mode}")
-    _say(config, f"is_pfm = {is_pfm}")
-    _say(config, f"balancedness = {_rational(ratio)}")
+    _say(args, f"mode = {args.mode}")
+    _say(args, f"is_pfm = {is_pfm}")
+    _say(args, f"balancedness = {_rational(ratio)}")
     doc = {
-        "config": config.as_dict(),
         "mode": args.mode,
         "is_pfm": is_pfm,
         "balancedness": _rational(ratio),
@@ -334,22 +305,12 @@ def cmd_pfm(args) -> int:
             [list(e), _rational(w.weight_of(e))] for e in H.edges
         ],
     }
-    if args.output:
-        emit(doc, args.output)
-    return EXIT_OK if is_pfm else EXIT_STAGE
+    return (EXIT_OK if is_pfm else EXIT_STAGE), doc
 
 
 # ---------------------------------------------------------------- walk
 
-def cmd_walk(args) -> int:
-    config = _make_config(
-        args,
-        "walk",
-        mode=args.mode,
-        walk_length=args.walk_length,
-        steps=args.steps,
-        samples=args.samples,
-    )
+def cmd_walk(args, prof):
     if args.steps < 1:
         raise CLIError(EXIT_PARAMS, "walk: steps must be at least 1")
     if args.walk_length < 1:
@@ -358,7 +319,6 @@ def cmd_walk(args) -> int:
         raise CLIError(EXIT_PARAMS, "walk: samples must be nonnegative")
     H = load_hypergraph(args.input)
     w = _weighting_for(H, args.mode, args.seed)
-    doc = {"config": config.as_dict()}
     if args.samples == 0:
         try:
             dist = walk_distribution(H, w, args.walk_length, args.steps)
@@ -369,41 +329,33 @@ def cmd_walk(args) -> int:
         for seq, p in dist.items():
             marginal[seq[-1]] = marginal.get(seq[-1], Fraction(0)) + p
             mass += p
-        doc["exact"] = {
+        _say(args, f"exact distribution over {len(dist)} sequences, mass {mass}")
+        return EXIT_OK, {"exact": {
             "sequences": len(dist),
             "total_mass": _rational(mass),
             "final_marginal": {str(v): _rational(marginal[v]) for v in sorted(marginal)},
-        }
-        _say(config, f"exact distribution over {len(dist)} sequences, mass {mass}")
-    else:
-        rng = np.random.default_rng(args.seed)
-        counts = np.zeros(H.n, dtype=np.int64)
-        rows = max(1, WALK_SAMPLE_BLOCK // args.steps)
-        for start in range(0, args.samples, rows):
-            size = min(rows, args.samples - start)
-            walks = sample_walks(H, w, args.walk_length, args.steps, size, rng)
-            counts += np.bincount(walks[:, -1], minlength=H.n)
-        counts = counts.tolist()
-        deviation = max(abs(c / args.samples - 1.0 / H.n) for c in counts)
-        doc["sampled"] = {
-            "samples": args.samples,
-            "final_counts": {str(v): c for v, c in enumerate(counts)},
-            "max_deviation_from_uniform": deviation,
-        }
-        _say(
-            config,
-            f"{args.samples} samples, max final-vertex deviation from 1/n: "
-            f"{deviation:.5f}",
-        )
-    if args.output:
-        emit(doc, args.output)
-    return EXIT_OK
+        }}
+    rng = np.random.default_rng(args.seed)
+    counts = np.zeros(H.n, dtype=np.int64)
+    rows = max(1, WALK_SAMPLE_BLOCK // args.steps)
+    for start in range(0, args.samples, rows):
+        size = min(rows, args.samples - start)
+        walks = sample_walks(H, w, args.walk_length, args.steps, size, rng)
+        counts += np.bincount(walks[:, -1], minlength=H.n)
+    counts = counts.tolist()
+    deviation = max(abs(c / args.samples - 1.0 / H.n) for c in counts)
+    _say(args, f"{args.samples} samples, max final-vertex deviation from 1/n: "
+               f"{deviation:.5f}")
+    return EXIT_OK, {"sampled": {
+        "samples": args.samples,
+        "final_counts": {str(v): c for v, c in enumerate(counts)},
+        "max_deviation_from_uniform": deviation,
+    }}
 
 
 # ---------------------------------------------------------------- absorbers
 
-def cmd_absorbers(args) -> int:
-    config = _make_config(args, "absorbers", x=args.x, cap=args.cap)
+def cmd_absorbers(args, prof):
     if args.cap is not None and args.cap < 0:
         raise CLIError(EXIT_PARAMS, "absorbers: cap must be nonnegative")
     H = load_hypergraph(args.input)
@@ -419,21 +371,12 @@ def cmd_absorbers(args) -> int:
     per_vertex = {}
     for x, seqs in found.items():
         per_vertex[str(x)] = {"count": len(seqs), "insertion_check": x not in failed}
-        _say(
-            config,
-            f"x = {x}: {len(seqs)} absorbers, insertion check "
-            f"{'FAILED' if x in failed else 'passed'}",
-        )
-    if args.output:
-        emit(
-            {
-                "config": config.as_dict(),
-                "per_vertex": per_vertex,
-                "all_insertion_checks_pass": not failed,
-            },
-            args.output,
-        )
-    return EXIT_STAGE if failed else EXIT_OK
+        _say(args, f"x = {x}: {len(seqs)} absorbers, insertion check "
+                   f"{'FAILED' if x in failed else 'passed'}")
+    return (EXIT_STAGE if failed else EXIT_OK), {
+        "per_vertex": per_vertex,
+        "all_insertion_checks_pass": not failed,
+    }
 
 
 # ---------------------------------------------------------------- cover
@@ -448,10 +391,8 @@ def _cover_stage(H, prof, r, seed):
     )
 
 
-def cmd_cover(args) -> int:
-    config = _make_config(args, "cover", collections=args.collections)
+def cmd_cover(args, prof):
     H = load_hypergraph(args.input)
-    prof = config.profile
     check_cover_length(H, prof)
     try:
         check_collections(H, args.collections)
@@ -460,7 +401,6 @@ def cmd_cover(args) -> int:
         raise CLIError(EXIT_PARAMS, f"cover: {exc}")
     ext = _cover_stage(H, prof, args.collections, args.seed)
     doc = {
-        "config": config.as_dict(),
         "ok": bool(ext.ok),
         "gamma": _rational(ext.gamma),
         "coverages": ext.coverages(),
@@ -471,12 +411,10 @@ def cmd_cover(args) -> int:
         doc["collections"] = [
             [list(C.canonical()) for C in coll] for coll in ext.collections
         ]
-        _say(config, f"{args.collections} collections extracted, coverages {ext.coverages()}")
+        _say(args, f"{args.collections} collections extracted, coverages {ext.coverages()}")
     else:
-        _say(config, "extraction gates failed; partial diagnostics written")
-    if args.output:
-        emit(doc, args.output)
-    return EXIT_OK if ext.ok else EXIT_STAGE
+        _say(args, "extraction gates failed; partial diagnostics written")
+    return (EXIT_OK if ext.ok else EXIT_STAGE), doc
 
 
 # ---------------------------------------------------------------- decompose
@@ -513,6 +451,7 @@ def _decompose_job(H, weighting, prof, targets, retries, normalize, seed) -> dic
     master = random.Random(seed)
     log = []
     best = None
+    ok = False
     for attempt in range(retries):
         sub = master.randrange(2**63)
         try:
@@ -526,15 +465,8 @@ def _decompose_job(H, weighting, prof, targets, retries, normalize, seed) -> dic
             continue
         manifest = {**result.manifest(normalize), "edges": edges}
         if result.ok:
-            return {
-                "ok": True,
-                "achieved": result.achieved,
-                "requested": result.requested,
-                "seed": seed,
-                "attempts": attempt + 1,
-                "log": log,
-                "manifest": manifest,
-            }
+            best, ok = manifest, True
+            break
         detail = f"partial {result.achieved} of {result.requested}"
         if result.failed_log:
             _, stage, why = result.failed_log[-1]
@@ -542,34 +474,27 @@ def _decompose_job(H, weighting, prof, targets, retries, normalize, seed) -> dic
         log.append({"attempt": attempt, "stage": "pack", "detail": detail})
         if best is None or result.achieved > best["achieved"]:
             best = manifest
+    # every failed attempt logs one entry
     return {
-        "ok": False,
+        "ok": ok,
         "achieved": best["achieved"] if best is not None else 0,
         "requested": len(targets),
         "seed": seed,
-        "attempts": retries,
+        "attempts": len(log) + ok,
         "log": log,
         "manifest": best,
     }
 
 
-def cmd_decompose(args) -> int:
-    config = _make_config(
-        args,
-        "decompose",
-        targets=args.targets,
-        pipeline_retries=args.pipeline_retries,
-        parallel_seeds=args.parallel_seeds,
-    )
+def cmd_decompose(args, prof):
     for flag, value in (("--pipeline-retries", args.pipeline_retries),
                         ("--parallel-seeds", args.parallel_seeds)):
         if value < 1:
             raise CLIError(EXIT_PARAMS, f"decompose: {flag} {value} is below 1")
     H = load_hypergraph(args.input)
-    prof = config.profile
     targets = parse_targets(args.targets)
     for shape in targets:
-        check_target(shape, H, prof)
+        check_path_fit(check_target(shape, H, prof), prof)
     try:
         check_granularity(H, prof.L, prof.mu, len(targets))
     except CoverError as exc:
@@ -603,8 +528,9 @@ def cmd_decompose(args) -> int:
     if winner is None:
         winner = max(results, key=lambda r: (r["achieved"], -r["seed"]))
     wall = 0.0 if args.normalize_timings else time.perf_counter() - started
+    config = _config(args, prof)
     doc = {
-        "config": config.as_dict(),
+        "config": config,
         "targets": targets,
         "ok": winner["ok"],
         "achieved": winner["achieved"],
@@ -624,24 +550,18 @@ def cmd_decompose(args) -> int:
     emit(doc, args.output)
     if args.factors_out and winner["manifest"]:
         emit(
-            {
-                "config": config.as_dict(),
-                "factors": winner["manifest"]["factors"]["factors"],
-            },
+            {"config": config, "factors": winner["manifest"]["factors"]["factors"]},
             args.factors_out,
         )
-    _say(
-        config,
-        f"achieved {winner['achieved']} of {winner['requested']} factors "
-        f"(seed {winner['seed']}, {winner['attempts']} pipeline attempts)",
-    )
+    _say(args, f"achieved {winner['achieved']} of {winner['requested']} factors "
+               f"(seed {winner['seed']}, {winner['attempts']} pipeline attempts)")
     if winner["ok"]:
-        return EXIT_OK
+        return EXIT_OK, None
     # on stderr even under -q: a failed run names its last failure
     last = winner["log"][-1]
     print(f"decompose: {winner['attempts']} pipeline attempt(s); last failed at "
           f"{last['stage']}: {last['detail']}", file=sys.stderr)
-    return EXIT_PARTIAL if winner["achieved"] > 0 else EXIT_STAGE
+    return (EXIT_PARTIAL if winner["achieved"] > 0 else EXIT_STAGE), None
 
 
 # ---------------------------------------------------------------- verify
@@ -660,8 +580,7 @@ def _locate_factors(doc):
     raise CLIError(EXIT_PARSE, "factors file: no factors list found")
 
 
-def cmd_verify(args) -> int:
-    config = _make_config(args, "verify", factors=args.factors)
+def cmd_verify(args, prof):
     H = load_hypergraph(args.input)
     text = read_input(args.factors, args.factors)
     try:
@@ -670,41 +589,24 @@ def cmd_verify(args) -> int:
         raise CLIError(EXIT_PARSE, f"{args.factors}: {exc}")
     items = _locate_factors(doc)
     if not items:
-        _say(config, "warning: empty factors list; vacuously valid")
-        if args.output:
-            emit(
-                {"config": config.as_dict(), "ok": True, "factors": 0,
-                 "warning": "empty factors list"},
-                args.output,
-            )
-        return EXIT_OK
+        _say(args, "warning: empty factors list; vacuously valid")
+        return EXIT_OK, {"ok": True, "factors": 0, "warning": "empty factors list"}
     try:
         factors = factors_from_document({"factors": items}, H)
     except (TightnessError, HypergraphError, ValueError, KeyError, TypeError) as exc:
-        _say(config, f"invalid factors: {exc}")
-        if args.output:
-            emit(
-                {"config": config.as_dict(), "ok": False, "error": str(exc)},
-                args.output,
-            )
-        return EXIT_STAGE
+        _say(args, f"invalid factors: {exc}")
+        return EXIT_STAGE, {"ok": False, "error": str(exc)}
     report = validate_packing(H, factors)
-    _say(config, f"factors: {len(factors)}")
-    _say(config, f"valid: {bool(report.ok)}")
+    _say(args, f"factors: {len(factors)}")
+    _say(args, f"valid: {bool(report.ok)}")
     for reason in report.reasons:
-        _say(config, f"  {reason}")
-    if args.output:
-        emit(
-            {
-                "config": config.as_dict(),
-                "ok": bool(report.ok),
-                "factors": len(factors),
-                "lengths": [f.lengths() for f in factors],
-                "reasons": list(report.reasons),
-            },
-            args.output,
-        )
-    return EXIT_OK if report.ok else EXIT_STAGE
+        _say(args, f"  {reason}")
+    return (EXIT_OK if report.ok else EXIT_STAGE), {
+        "ok": bool(report.ok),
+        "factors": len(factors),
+        "lengths": [f.lengths() for f in factors],
+        "reasons": list(report.reasons),
+    }
 
 
 # ---------------------------------------------------------------- parser
@@ -739,21 +641,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", parents=[common], help="regularity summary")
     p.add_argument("input")
-    p.set_defaults(handler=cmd_analyze)
+    p.set_defaults(handler=cmd_analyze, options=())
 
     p = sub.add_parser(
         "regsub", parents=[common], help="largest exact-regular spanning subgraph"
     )
     p.add_argument("input")
     p.add_argument("--cap", type=int, default=64, help="edge-count search cap")
-    p.set_defaults(handler=cmd_regsub)
+    p.set_defaults(handler=cmd_regsub, options=("cap",))
 
     p = sub.add_parser("pfm", parents=[common], help="perfect fractional matching")
     p.add_argument("input")
     p.add_argument(
         "--mode", choices=["exact", "lp", "uniform"], default="exact"
     )
-    p.set_defaults(handler=cmd_pfm)
+    p.set_defaults(handler=cmd_pfm, options=("mode",))
 
     p = sub.add_parser("walk", parents=[common], help="weighted tight walks")
     p.add_argument("input")
@@ -768,18 +670,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--mode", choices=["exact", "lp", "uniform"], default="uniform"
     )
-    p.set_defaults(handler=cmd_walk)
+    p.set_defaults(handler=cmd_walk, options=("mode", "samples", "steps", "walk_length"))
 
     p = sub.add_parser("absorbers", parents=[common], help="absorber enumeration")
     p.add_argument("input")
     p.add_argument("--x", type=int, help="vertex to absorb (default: all)")
     p.add_argument("--cap", type=int, help="stop after this many per vertex")
-    p.set_defaults(handler=cmd_absorbers)
+    p.set_defaults(handler=cmd_absorbers, options=("cap", "x"))
 
     p = sub.add_parser("cover", parents=[common], help="cycle cover extraction")
     p.add_argument("input")
     p.add_argument("--collections", type=int, default=3, metavar="R")
-    p.set_defaults(handler=cmd_cover)
+    p.set_defaults(handler=cmd_cover, options=("collections",))
 
     p = sub.add_parser(
         "decompose", parents=[common], help="full packing pipeline"
@@ -799,21 +701,26 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="run N seeds in parallel processes, keep the best",
     )
-    p.set_defaults(handler=cmd_decompose)
+    p.set_defaults(
+        handler=cmd_decompose, options=("parallel_seeds", "pipeline_retries", "targets")
+    )
 
     p = sub.add_parser("verify", parents=[common], help="validate factors")
     p.add_argument("input")
     p.add_argument("factors")
-    p.set_defaults(handler=cmd_verify)
+    p.set_defaults(handler=cmd_verify, options=("factors",))
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        prof = load_profile(args.profile, args.set or [])
+        code, body = args.handler(args, prof)
+        if body is not None and args.output:
+            emit({"config": _config(args, prof), **body}, args.output)
+        return code
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

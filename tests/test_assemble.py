@@ -396,7 +396,7 @@ class TestPackFactors:
     def test_two_edge_disjoint_hamilton_factors(self, pack_k12):
         H, reserve, collections = pack_k12
         res = pack_factors(H, reserve, collections, [[12], [12]], seed=0)
-        assert bool(res)
+        assert res.ok
         assert (res.achieved, res.requested) == (2, 2)
         assert len(res.layer_results) == 2
         assert bool(res.packing_report.ok)
@@ -409,7 +409,7 @@ class TestPackFactors:
     def test_single_target_runs_a_single_layer(self, pack_k12):
         H, reserve, collections = pack_k12
         res = pack_factors(H, reserve, collections, [[12]], seed=0)
-        assert bool(res)
+        assert res.ok
         assert res.achieved == 1
         assert len(res.layer_results) == 1
         assert res.factors[0].lengths() == [12]
@@ -419,7 +419,7 @@ class TestPackFactors:
         # edges; the third layer still runs on F minus both layers' edges
         H, reserve, collections = k12_pack_inputs(89, r=3)
         res = pack_factors(H, reserve, collections, [[12], [12], [12]], seed=89)
-        assert not res
+        assert not res.ok
         assert (res.achieved, res.requested) == (2, 3)
         assert len(res.failed_log) == 20
         assert bool(res.packing_report.ok)
@@ -430,7 +430,7 @@ class TestPackFactors:
     def test_exhausted_layer_returns_a_partial_result(self):
         H, reserve, collections = k12_pack_inputs(12)
         res = pack_factors(H, reserve, collections, [[12], [12]], seed=12)
-        assert not res
+        assert not res.ok
         assert (res.achieved, res.requested) == (1, 2)
         assert len(res.layer_results) == 1
         assert bool(res.packing_report.ok)

@@ -473,6 +473,44 @@ class TestEmit:
         assert capsys.readouterr().out == text + "\n"
 
 
+# subcommand -> (its arguments after the input, the keys of config.options)
+OWN_OPTIONS = {
+    "analyze": ([], set()),
+    "regsub": (["--cap", "40"], {"cap"}),
+    "pfm": ([], {"mode"}),
+    "walk": ([], {"mode", "samples", "steps", "walk_length"}),
+    "absorbers": (["--x", "0"], {"cap", "x"}),
+    "cover": (["--collections", "2"], {"collections"}),
+    "decompose": (["--targets", "12;12", "--factors-out"],
+                  {"targets", "pipeline_retries", "parallel_seeds"}),
+    "verify": ([], {"factors"}),
+}
+
+
+@pytest.mark.parametrize("command", list(OWN_OPTIONS))
+def test_every_artifact_records_its_command_input_and_own_options(
+    command, decompose_artifacts, tmp_path
+):
+    extra, keys = OWN_OPTIONS[command]
+    if command == "verify":
+        host, _, factors = decompose_artifacts
+        extra = [factors]
+    elif command == "regsub":
+        host = write_host(tmp_path, complete_hypergraph(3, 7))
+    elif command in ("cover", "decompose"):
+        host = write_host(tmp_path, complete_hypergraph(3, 12))
+    else:
+        host = write_host(tmp_path, seeded_random_host(9, 0.7))
+    if command == "decompose":
+        extra = [*extra, str(tmp_path / "factors.json")]
+    out = tmp_path / "out.json"
+    assert main([command, host, *extra, "-q", "--output", str(out)]) == EXIT_OK
+    config = json.loads(out.read_text())["config"]
+    assert (config["command"], config["input"]) == (command, host)
+    assert set(config["options"]) == keys
+    assert config["options"].get("factors") == (extra[0] if command == "verify" else None)
+
+
 @pytest.mark.parametrize(
     "command,flag",
     [("decompose", "--cover-length"), ("decompose", "--per-edge"),
@@ -1077,11 +1115,12 @@ class TestDecompose:
             raise Sampled
 
         monkeypatch.setattr(cli, "fractional_cycle_decomposition", recorded)
-        # 14 is a multiple of 7 in the coverage window [12, 14]
+        # 14 is a multiple of 7 in the coverage window [12, 14]; a 14-cycle
+        # holds one kept 7-path and a connector of 7 inner vertices
         host = write_host(tmp_path, complete_hypergraph(3, 14))
         for argv in (["decompose", host, "--targets", "14;14"], ["cover", host]):
             with pytest.raises(Sampled):
-                main([*argv, "--set", "L=7"])
+                main([*argv, "--set", "L=7", "--set", "ell1=7"])
         # the sample size is cover.PER_EDGE's: no command passes one
         assert seen == [(7, ["seed"])] * 2
 

@@ -33,6 +33,7 @@ HOSTS = {
     "G(9,0.7)": lambda: seeded_random_host(9, 0.7),
     "G(18,0.8)": lambda: seeded_random_host(18, 0.8),
     "K16x4": lambda: complete_hypergraph(4, 16),
+    "K7": lambda: complete_hypergraph(3, 7),
 }
 
 # name -> (host, command line after the input, the sha256 of its document,
@@ -111,6 +112,10 @@ GOLDEN = {
         "0ae211d53ceca681f26177fa93aad5dfd8708f082acabdbd59863113610bbed0",
         "a2a79e2c63d0b98553635e529fb88dbc4e69e1c51f6a6e9b47359284af324c33",
     )),
+    # the exact-regular subgraph search and its witness
+    "k7-regsub": ("K7", "regsub --cap 40", (
+        "bdbe0153087c4e251c762c2620c4e9a52eb877c9a60789621b216b02d00cf0ef",
+    )),
     # the largest enumerated family (14,957 six-cycles) and assembled Gram
     "k18-decompose-0": ("K18", "decompose --targets 18;18 --seed 0", (
         "bf4e971d02e0aded3d0626114f64714391b2f272585c69026183b5f60023ecfa",
@@ -154,3 +159,42 @@ def test_documents_encode_as_json_dumps(tmp_path, monkeypatch, name):
     assert len(docs) == (3 if command.startswith("decompose") else 1)
     for doc in docs:
         assert cli._json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+# verify's document for each outcome, checking k12-decompose-0's factors file
+VERIFY = {
+    "valid": (0, "e9c0aab8a4f3a9fb0f07c08bcd7d31263addfe78718c82c7bbfff46cc1edf24a"),
+    "empty": (0, "fee6b027b6cb7f1b6607b936dbdb108658324ebe490c393d65b8c5163f061010"),
+    "invalid": (30, "2874fa51c53ea00deb36ed76977d0f9cadfddd967e084325a6d631cff6802fc4"),
+}
+
+
+@pytest.mark.parametrize("how", list(VERIFY))
+def test_verify_documents_are_pinned(tmp_path, monkeypatch, how):
+    monkeypatch.chdir(tmp_path)
+    digests("K12", GOLDEN["k12-decompose-0"][1])
+    doc = json.load(open("factors.json"))
+    if how == "empty":
+        doc = {"factors": []}
+    elif how == "invalid":  # factor 0 written twice
+        doc["factors"][1] = doc["factors"][0]
+    with open("factors.json", "w") as fh:
+        json.dump(doc, fh)
+    code, pinned = VERIFY[how]
+    argv = ["verify", "host.txt", "factors.json", "--normalize-timings", "-q", "--output", "run.json"]
+    assert main(argv) == code
+    assert hashlib.sha256(open("run.json", "rb").read()).hexdigest() == pinned
+
+
+def test_decompose_stdout_is_pinned(tmp_path, monkeypatch, capsys):
+    # without --output the document goes to stdout, then the "achieved" line
+    monkeypatch.chdir(tmp_path)
+    digests("K12", GOLDEN["k12-decompose-0"][1])
+    capsys.readouterr()
+    argv = ["decompose", "host.txt", *GOLDEN["k12-decompose-0"][1].split()[1:],
+            "--normalize-timings", "--factors-out", "factors.json"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(open("run.json").read())
+    pinned = "fc60ca0e786b401f7ff688f151c25af2b6fefedc217877a4f2e10693670eec63"
+    assert hashlib.sha256(out.encode()).hexdigest() == pinned
